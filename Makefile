@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build test race race-full cover fuzz bench benchjson benchdiff benchdiff-smoke experiments stress obs-smoke trace-smoke serve-smoke resp-smoke shard-smoke slo-smoke batch-smoke health-smoke cache-smoke clean
+.PHONY: all ci build test zeroalloc race race-full cover fuzz bench benchjson benchdiff benchdiff-smoke experiments stress obs-smoke trace-smoke serve-smoke resp-smoke shard-smoke slo-smoke batch-smoke health-smoke cache-smoke clean
 
 all: build test
 
@@ -13,7 +13,7 @@ all: build test
 # the SLO gate driven off the server's own latency histograms, the
 # health-engine gate that provokes each degraded state on purpose, and
 # the TTL/LRU cache gate (expiry, sweeping, eviction-not-OOM).
-ci: build test race benchdiff-smoke obs-smoke trace-smoke serve-smoke resp-smoke shard-smoke slo-smoke batch-smoke health-smoke cache-smoke
+ci: build test zeroalloc race benchdiff-smoke obs-smoke trace-smoke serve-smoke resp-smoke shard-smoke slo-smoke batch-smoke health-smoke cache-smoke
 
 build:
 	$(GO) build ./...
@@ -22,12 +22,22 @@ build:
 test:
 	$(GO) test ./...
 
+# The allocation proofs, run uncached: structure operations and
+# reclamation passes (root zeroalloc_test.go), the request ring, the
+# trace recorder, and the served request path of both protocols — a
+# pipelined loopback burst through reader, ring, executors, outbox slots
+# and writer must allocate nothing per request.
+zeroalloc:
+	$(GO) test -count=1 -run 'Allocate' . ./internal/server ./internal/mpmc ./internal/trace
+
 # The race detector focused where the lock-free interleavings live: the
 # reclamation core, the sharded block pools, the MPMC request rings, the
-# generic OA kit and the aux-word protocol of the TTL/LRU cache.
-# -short keeps it inside a merge-gate budget; race-full sweeps everything.
+# generic OA kit, the aux-word protocol of the TTL/LRU cache, and the
+# server's burst hand-off, lock-free outbox and lazily allocated trace
+# rings. -short keeps it inside a merge-gate budget; race-full sweeps
+# everything.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/ttlcache/...
+	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/...
 
 race-full:
 	$(GO) test -race ./...
@@ -41,6 +51,7 @@ fuzz:
 	$(GO) test -fuzz FuzzOASkipListVsModel -fuzztime 30s ./internal/skiplist
 	$(GO) test -fuzz FuzzMapVsModel -fuzztime 30s ./internal/kvmap
 	$(GO) test -fuzz FuzzOAQueueVsModel -fuzztime 30s ./internal/queue
+	$(GO) test -fuzz FuzzFrameReader -fuzztime 30s ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

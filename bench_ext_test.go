@@ -5,6 +5,9 @@
 package repro
 
 import (
+	"io"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/alloc"
@@ -16,6 +19,7 @@ import (
 	"repro/internal/mpmc"
 	"repro/internal/norecl"
 	"repro/internal/queue"
+	"repro/internal/server"
 	"repro/internal/skiplist"
 	"repro/internal/smr"
 	"repro/internal/stack"
@@ -182,4 +186,97 @@ func BenchmarkAllocatorSanity(b *testing.B) {
 		}
 		_ = sink
 	})
+}
+
+// readCountingListener counts the Read calls the server issues on the
+// connections it accepts — one read(2) each on a TCP socket.
+type readCountingListener struct {
+	net.Listener
+	reads atomic.Int64
+}
+
+func (l *readCountingListener) Accept() (net.Conn, error) {
+	nc, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &readCountingConn{Conn: nc, reads: &l.reads}, nil
+}
+
+type readCountingConn struct {
+	net.Conn
+	reads *atomic.Int64
+}
+
+func (c *readCountingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// BenchmarkServeBurst measures the served request path end to end over
+// loopback, one op = one request: a client pipelines 64-request bursts
+// (PUT, GET, CAS, DEL across both shards) through reader → shard rings →
+// executors → outbox → writer. Beside ns/req and allocs/req it reports
+// reads/req, the server's socket reads per request: one per burst, i.e.
+// ~1/64, where the unbuffered reader paid 2.
+func BenchmarkServeBurst(b *testing.B) {
+	const burstReqs = 64
+	sh := kvmap.NewSharded(core.Config{MaxThreads: 4, Capacity: 1 << 16}, 1<<14, 2)
+	srv := server.New(server.Config{Shards: sh})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	counted := &readCountingListener{Listener: ln}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(counted) }()
+	defer func() {
+		srv.Shutdown()
+		if err := <-served; err != nil {
+			b.Error(err)
+		}
+	}()
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer nc.Close()
+
+	var burst []byte
+	replyBytes := 0
+	for i := uint64(0); i < burstReqs/4; i++ {
+		k := i << 20
+		for sh.ShardIndex(k) != int(i%2) {
+			k++
+		}
+		burst = server.AppendFrame(burst, 4*i+1, server.OpPut, k, i)
+		burst = server.AppendFrame(burst, 4*i+2, server.OpGet, k)
+		burst = server.AppendFrame(burst, 4*i+3, server.OpCAS, k, i, i+1)
+		burst = server.AppendFrame(burst, 4*i+4, server.OpDel, k)
+		replyBytes += 21 + 21 + 13 + 21 // NOT_FOUND 0 | OK val | OK | OK val
+	}
+	replies := make([]byte, replyBytes)
+	round := func() {
+		if _, err := nc.Write(burst); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := io.ReadFull(nc, replies); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		round()
+	}
+	reads0 := counted.reads.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	reqs := 0
+	for ; reqs < b.N; reqs += burstReqs {
+		round()
+	}
+	b.StopTimer()
+	if last := replies[replyBytes-21:]; last[12] != server.StOK {
+		b.Fatalf("last reply of the burst has status %d", last[12])
+	}
+	b.ReportMetric(float64(counted.reads.Load()-reads0)/float64(reqs), "reads/req")
 }

@@ -8,7 +8,7 @@
 // warning checks at every restart point and the hazard-pointer fallback
 // during drain inherited from core), plus an atomic length word that
 // enforces the bound: TryEnqueue reserves a length credit before
-// touching the structure and rolls it back when the queue is full, so
+// touching the structure and refuses when none is left, so
 // the bound is conservative — a full answer can race a concurrent
 // dequeue, but the queue never exceeds its capacity. A linked queue
 // bounded by a counter, rather than an array ring, is what lets the OA
@@ -48,13 +48,15 @@ type Node struct {
 	Next atomic.Uint64
 }
 
-// ResetNode zeroes a node (the allocation memset hook).
-func ResetNode(n *Node) {
-	for i := range n.Vals {
-		n.Vals[i].Store(0)
-	}
-	n.Next.Store(0)
-}
+// resetNode is the allocation hook, and does nothing: TryEnqueue stores
+// every word of a node it allocates — the eight payload words and a nil
+// Next — before the link CAS publishes it, so a memset at Alloc would
+// write all nine words twice. The only other allocations are the
+// sentinels NewGroup takes from the fresh, zeroed arena. What a recycled
+// slot still holds until then is exactly what OA already tolerates:
+// stale readers may load it, and a warning check rejects the value
+// before use.
+func resetNode(*Node) {}
 
 // Group owns a set of bounded queues sharing one OA manager. All
 // sentinels and elements live in the group's arena.
@@ -97,7 +99,7 @@ func NewGroup(cfg core.Config, n, bound int) *Group {
 		cfg.Capacity = min
 	}
 	g := &Group{
-		mgr:      core.NewManager[Node](cfg, ResetNode),
+		mgr:      core.NewManager[Node](cfg, resetNode),
 		queues:   make([]Queue, n),
 		sessions: make([]*Session, cfg.MaxThreads),
 	}
@@ -111,7 +113,7 @@ func NewGroup(cfg core.Config, n, bound int) *Group {
 		q.tail.Store(uint64(s))
 	}
 	for i := range g.sessions {
-		g.sessions[i] = &Session{g: g, t: g.mgr.Thread(i), pending: arena.NoSlot}
+		g.sessions[i] = &Session{g: g, t: g.mgr.Thread(i)}
 	}
 	return g
 }
@@ -133,8 +135,8 @@ func (g *Group) Stats() smr.Stats { return g.mgr.Stats() }
 func (g *Group) RegisterObs(reg *obs.Registry) { g.mgr.RegisterObs(reg) }
 
 // Session returns the fixed-slot session for thread context tid —
-// usable on every queue of the group. Like kvmap, session structs are
-// cached per context so lease churn cannot strand a pending slot.
+// usable on every queue of the group. Session structs are built once
+// per context, so leasing allocates nothing.
 func (g *Group) Session(tid int) *Session { return g.sessions[tid] }
 
 // Acquire leases a free thread context and returns its session. Fails
@@ -169,17 +171,14 @@ func (q *Queue) Cap() int { return int(q.bound) }
 // Session is one leased thread context, bound to its group. A session
 // may be used by one goroutine at a time, on any of the group's queues.
 type Session struct {
-	g       *Group
-	t       *core.Thread[Node]
-	pending uint32
+	g *Group
+	t *core.Thread[Node]
 }
 
 // TID returns the session's thread context id.
 func (s *Session) TID() int { return s.t.ID() }
 
-// Release returns the session's thread context to the free pool. The
-// pending pre-allocated slot stays attached to the cached session, so
-// the next lessee of this context inherits it.
+// Release returns the session's thread context to the free pool.
 func (s *Session) Release() { s.g.mgr.ReleaseThread(s.t) }
 
 // helpSwing advances a lagging tail (see queue.OAQueue: the CAS target
@@ -200,11 +199,28 @@ func (s *Session) helpSwing(q *Queue, last, next arena.Ptr) {
 // finds the tail cell and emits the single link CAS; wrap-up swings the
 // tail).
 func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
-	if q.length.Add(1) > q.bound {
-		q.length.Add(-1)
-		return false
+	// Reserve by CAS, not add-then-roll-back: a refused producer must
+	// never push the counter past the bound, even transiently, or Len
+	// (the ring-depth gauge) reports a depth the ring cannot have.
+	for {
+		n := q.length.Load()
+		if n >= q.bound {
+			return false
+		}
+		if q.length.CompareAndSwap(n, n+1) {
+			break
+		}
 	}
 	th := s.t
+	// The node is private to this session until the link CAS below
+	// publishes it, so it is initialised once here, not per attempt.
+	slot := th.Alloc()
+	n := th.Node(slot)
+	for i, w := range p {
+		n.Vals[i].Store(w)
+	}
+	n.Next.Store(0)
+	newPtr := arena.MakePtr(slot)
 	var dl normalized.DescList
 	for {
 		// --- CAS generator ---
@@ -224,15 +240,6 @@ func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
 			s.helpSwing(q, last, next)
 			continue
 		}
-		if s.pending == arena.NoSlot {
-			s.pending = th.Alloc()
-		}
-		n := th.Node(s.pending)
-		for i, w := range p {
-			n.Vals[i].Store(w)
-		}
-		n.Next.Store(0)
-		newPtr := arena.MakePtr(s.pending)
 		dl.Reset()
 		dl.Append(&th.Node(last.Slot()).Next, 0, uint64(newPtr))
 		th.SetOwnerHP(0, last)
@@ -247,7 +254,6 @@ func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
 			th.ClearOwnerHPs()
 			continue
 		}
-		s.pending = arena.NoSlot
 		// Swing the tail while the owner hazard pointers still pin last
 		// and newPtr (no ABA window).
 		q.tail.CompareAndSwap(uint64(last), uint64(newPtr))

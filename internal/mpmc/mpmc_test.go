@@ -390,3 +390,83 @@ func BenchmarkEnqueueDequeueParallel(b *testing.B) {
 		}
 	})
 }
+
+// TestRecycledNodeCarriesWholePayload pins the single node
+// initialisation: Alloc no longer zeroes a slot, so every word a
+// consumer returns must come from the enqueue that published the node —
+// never from the slot's previous occupant. Dense payloads alternate with
+// all-zero ones on a tiny arena (slots recycle every few hundred
+// operations), so a word TryEnqueue failed to store would surface as the
+// previous occupant's dense word; under -race the consumers' optimistic
+// loads are still validated by a warning check before the value is used.
+func TestRecycledNodeCarriesWholePayload(t *testing.T) {
+	const producers, perProducer, bound = 2, 20000, 16
+	g := mpmc.NewGroup(core.Config{MaxThreads: 2 * producers, Capacity: 256, LocalPool: 8}, 1, bound)
+	q := g.Queue(0)
+	var wg sync.WaitGroup
+	var enqueued, dequeued, sumIn, sumOut atomic.Uint64
+	var producing atomic.Int32
+	producing.Store(producers)
+	for pr := 0; pr < producers; pr++ {
+		wg.Add(2)
+		go func(pr int) {
+			defer wg.Done()
+			defer producing.Add(-1)
+			s := g.Session(pr)
+			for i := uint64(1); i <= perProducer; i++ {
+				id := uint64(pr+1)<<32 | i
+				in := payload(id)
+				if i%2 == 1 {
+					for w := 1; w < mpmc.PayloadWords; w++ {
+						in[w] = id * uint64(2*w+1)
+					}
+				}
+				for !s.TryEnqueue(q, &in) {
+					runtime.Gosched()
+				}
+				enqueued.Add(1)
+				sumIn.Add(id)
+			}
+		}(pr)
+		go func(pr int) {
+			defer wg.Done()
+			s := g.Session(producers + pr)
+			var p mpmc.Payload
+			for {
+				if !s.Dequeue(q, &p) {
+					if producing.Load() != 0 {
+						runtime.Gosched()
+						continue
+					}
+					if !s.Dequeue(q, &p) { // producers done: one more empty read = drained
+						return
+					}
+				}
+				id := p[0]
+				for w := 1; w < mpmc.PayloadWords; w++ {
+					want := uint64(0)
+					if id&1 == 1 {
+						want = id * uint64(2*w+1)
+					}
+					if p[w] != want {
+						t.Errorf("payload %#x word %d = %#x, want %#x (a previous occupant's word survived)", id, w, p[w], want)
+						return
+					}
+				}
+				dequeued.Add(1)
+				sumOut.Add(id)
+			}
+		}(pr)
+	}
+	wg.Wait()
+	if enqueued.Load() != producers*perProducer || dequeued.Load() != enqueued.Load() || sumIn.Load() != sumOut.Load() {
+		t.Fatalf("conservation: enqueued %d (sum %d), dequeued %d (sum %d)",
+			enqueued.Load(), sumIn.Load(), dequeued.Load(), sumOut.Load())
+	}
+	if q.Len() != 0 {
+		t.Fatalf("ring reports %d elements after the drain", q.Len())
+	}
+	if g.Stats().Recycled == 0 {
+		t.Fatal("no slot was recycled — the test never reused a node")
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"net"
 	"sync"
 	"testing"
@@ -323,5 +324,219 @@ func TestBatchedTraceEvents(t *testing.T) {
 	}
 	if spans != 16 {
 		t.Fatalf("executor emitted %d req_span events, want 16", spans)
+	}
+}
+
+// TestBurstHandoffOrderingAndLedger drives the per-burst hand-off where
+// it can go wrong. Connection A pipelines, in one write, a burst larger
+// than its window (64) and than the 16-slot rings, alternating between
+// both shards while shard 1's executor is stalled: shard 0's half is
+// served, shard 1's half fills the ring and then answers BUSY request by
+// request. Connection B writes a burst onto the same full ring and
+// vanishes while its reader is still mid-hand-off. Responses must come
+// back in request order with BUSY confined to the requests that met the
+// full ring, the ledger must balance, both conn-table slots (MaxConns 2)
+// must recycle, and the STATS and slow-log fields the benchmark parses
+// must keep their names and meanings.
+func TestBurstHandoffOrderingAndLedger(t *testing.T) {
+	stall := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(stall) }) }
+	defer release()
+	const window, ring, burst, bBurst = 64, 16, 300, 8
+	s, addr := newBatchedServer(t, 4, 2, Config{
+		Window:        window,
+		RingSize:      ring,
+		RingWait:      20 * time.Millisecond, // ample for a live executor, finite for the stalled one
+		MaxConns:      2,
+		SlowThreshold: time.Nanosecond,
+		SlowLogSize:   1024,
+		ExecGate: func(shard int) {
+			if shard == 1 {
+				<-stall
+			}
+		},
+	})
+	readTotal := func() uint64 {
+		return s.sumStripes(func(st *shardStripe) uint64 { return st.reqsRead.Load() })
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	a, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	keys, refused := make([]uint64, burst), make([]bool, burst)
+	var out []byte
+	for i := range keys {
+		keys[i] = keyOnShard(s.shards, i%2, uint64(1000*i))
+		out = AppendFrame(out, uint64(i+1), OpPut, keys[i], uint64(i+1))
+	}
+	if _, err := a.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	// The window admits 64 requests: 32 for shard 1, of which the ring
+	// takes 16. The other 16 are refused one at a time, and then the
+	// reader waits on its window behind the stalled head of line.
+	waitFor("16 ring-full refusals", func() bool { return s.ringFull.Load() >= window/2-ring })
+	if got := s.rings.Queue(1).Len(); got != ring {
+		t.Fatalf("stalled ring holds %d entries, want %d", got, ring)
+	}
+
+	b, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = out[:0]
+	for i := uint64(0); i < bBurst; i++ {
+		out = AppendFrame(out, i+1, OpPut, keyOnShard(s.shards, 1, 1<<40+1000*i), i)
+	}
+	if _, err := b.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("B's burst to be read", func() bool { return readTotal() >= window+bBurst })
+	b.Close() // vanishes with its reader parked on the full ring
+	release()
+
+	fr := newFrameReader(a, maxResponseFrame)
+	var busy int
+	for i := 0; i < burst; i++ {
+		f, err := fr.read()
+		if err != nil {
+			t.Fatalf("response %d: %v", i+1, err)
+		}
+		if f.ID != uint64(i+1) {
+			t.Fatalf("response %d carries id %d: out of request order", i+1, f.ID)
+		}
+		switch f.Code {
+		case StBusy:
+			busy++
+			if i%2 != 1 {
+				t.Fatalf("request %d on the live shard answered BUSY", i+1)
+			}
+			refused[i] = true // and so must not have been applied
+		case StNotFound: // PUT of a fresh key
+		default:
+			t.Fatalf("response %d: status %d", i+1, f.Code)
+		}
+	}
+	if busy < window/2-ring || uint64(busy) > s.busyTotal.Load() {
+		t.Fatalf("A saw %d BUSY, want at least %d and at most busy_total %d", busy, window/2-ring, s.busyTotal.Load())
+	}
+	a.Close()
+	waitFor("both connections to be reaped", func() bool { return s.active.Load() == 0 })
+	s.mu.Lock()
+	free := len(s.freeSlots)
+	s.mu.Unlock()
+	if free != 2 {
+		t.Fatalf("%d free conn slots after both connections closed, want 2", free)
+	}
+
+	// Two fresh connections can only both run batched on recycled slots.
+	before := s.snapshot()
+	c1, err := Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c1.Close()
+	c2, err := Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	for i, k := range keys {
+		c := c1
+		if i%2 == 1 {
+			c = c2
+		}
+		got, err := c.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if applied := got.Status == StOK && got.Val == uint64(i+1); applied == refused[i] || (!applied && got.Status != StNotFound) {
+			t.Fatalf("request %d: applied=%v (status %d) but its response said refused=%v", i+1, applied, got.Status, refused[i])
+		}
+	}
+	body, err := c1.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Server map[string]json.RawMessage `json:"server"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Read, Sent, Batches, Ops uint64
+		Depth                    []int
+	}
+	for name, dst := range map[string]any{
+		"requests_read": &st.Read, "responses_sent": &st.Sent,
+		"exec_batches": &st.Batches, "exec_batched_ops": &st.Ops, "ring_depth": &st.Depth,
+	} {
+		raw, ok := doc.Server[name]
+		if !ok {
+			t.Fatalf("STATS lost the %q field", name)
+		}
+		if err := json.Unmarshal(raw, dst); err != nil {
+			t.Fatalf("STATS %q: %v", name, err)
+		}
+	}
+	// The STATS request itself is read but not yet answered in its own body.
+	if st.Read != st.Sent+1 || st.Read != burst+bBurst+burst+1 {
+		t.Fatalf("ledger: requests_read %d responses_sent %d, want %d and one less", st.Read, st.Sent, burst+bBurst+burst+1)
+	}
+	if want := st.Read - 1 - s.busyTotal.Load(); st.Ops != want {
+		t.Fatalf("exec_batched_ops %d, want %d (every data request the rings accepted)", st.Ops, want)
+	}
+	if st.Ops-before.BatchedOps != burst {
+		t.Fatalf("the fresh connections ran %d ops through the rings, want %d: a conn slot did not recycle", st.Ops-before.BatchedOps, burst)
+	}
+	if st.Batches == 0 || st.Batches > st.Ops || len(st.Depth) != 2 || st.Depth[0] != 0 || st.Depth[1] != 0 {
+		t.Fatalf("exec_batches %d for %d ops, ring_depth %v", st.Batches, st.Ops, st.Depth)
+	}
+
+	// Slow log (threshold 1ns records everything): every stage that took
+	// time is present under its name, they sum to server_ns without the
+	// client-owned read stage, and the stalled requests' wait is queue.
+	var sawStall bool
+	entries := s.SlowLog()
+	if len(entries) == 0 {
+		t.Fatal("empty slow log at a 1ns threshold")
+	}
+	for _, e := range entries {
+		var sum int64
+		for name, ns := range e.Stages {
+			switch name {
+			case "read":
+			case "route", "exec", "queue":
+				sum += ns
+			default:
+				t.Fatalf("slow-log entry has stage %q in batched mode: %+v", name, e)
+			}
+		}
+		if sum != e.ServerNs || e.Stages["exec"] == 0 {
+			t.Fatalf("stages %v do not explain server_ns %d", e.Stages, e.ServerNs)
+		}
+		if e.Shard == 1 && e.Stages["queue"] >= int64(10*time.Millisecond) {
+			sawStall = e.Stages["exec"] < e.Stages["queue"]
+		}
+	}
+	if !sawStall {
+		t.Fatal("no slow-log entry attributes the stalled executor's wait to the queue stage")
 	}
 }

@@ -47,6 +47,7 @@ type Client struct {
 	nc      net.Conn
 	mu      sync.Mutex // serializes encode+enqueue so pending stays in wire order
 	bw      *bufio.Writer
+	enc     [frameOverhead + 4 + 3*8]byte // request scratch, under mu (CAS is the longest)
 	nextID  uint64
 	pending chan *Call
 	goaway  atomic.Bool
@@ -141,8 +142,7 @@ func (c *Client) send(op byte, args ...uint64) (*Call, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	b := AppendFrame(nil, c.nextID, op, args...)
-	if _, err := c.bw.Write(b); err != nil {
+	if _, err := c.bw.Write(AppendFrame(c.enc[:0], c.nextID, op, args...)); err != nil {
 		return nil, err
 	}
 	// Enqueue under the lock: pending order must match write order. A

@@ -1,33 +1,52 @@
-// Per-connection completion outbox. With per-shard executors completing
-// requests concurrently with the reader (PING/STATS, errors) the old
-// response channel is not enough: the wire contract says responses leave
-// in request order, but completions arrive in execution order. The
-// outbox is a sequence-indexed reorder buffer: the reader assigns every
-// request a dense sequence number at decode time, any goroutine
-// completes its slot later, and the writer releases only the contiguous
-// prefix — so ordering costs one mutex hop instead of a dedicated
-// reorder goroutine.
+// Per-connection completion outbox. Executors complete requests
+// concurrently with the reader (PING/STATS, errors), in execution order,
+// but responses must leave in request order. The outbox is a
+// sequence-indexed reorder buffer: the reader assigns every request a
+// dense sequence at decode time, any goroutine completes its slot later,
+// and the writer releases only the contiguous prefix.
 //
-// The buffer doubles as the in-flight window: alloc blocks the reader
-// while window responses are unwritten (the old channel-capacity
-// backpressure, now explicit), which also guarantees complete never
-// blocks — every live sequence has a reserved slot — so executors can
-// never be stalled by one slow connection.
+// A slot holds the encoded response itself — every data-op reply of both
+// protocols fits slotInline bytes (binary frames ≤ 21, RESP +OK / :n /
+// $-1 / a 7-byte bulk ≤ 13) — so a served request allocates nothing;
+// only STATS, INFO and error strings take the heap escape. No lock sits
+// on the request path: a slot belongs to its completer until the atomic
+// store that publishes it, then to the writer until release; the mutex
+// only parks a goroutine that found nothing to do (DESIGN.md §10).
+//
+// The buffer doubles as the in-flight window: the reader blocks while
+// window responses are unwritten, so every live sequence has a reserved
+// slot, complete never blocks, and one slow connection cannot stall an
+// executor.
 package server
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
+
+const slotInline = 32
+
+// obSlot is one cache line: the publish word, the inline bytes and the
+// heap escape for responses past slotInline.
+type obSlot struct {
+	n    atomic.Uint32 // 0 = not completed, else response length + 1
+	data [slotInline]byte
+	big  []byte
+}
 
 type outbox struct {
+	slots []obSlot
+	mask  uint64
+	limit uint64        // window: max live sequences (seq - next)
+	seq   uint64        // next sequence to assign; reader-private
+	next  atomic.Uint64 // next sequence the writer releases
+
+	goaway atomic.Bool // pending GOAWAY push (binary protocol)
+	closed atomic.Bool
+
 	mu     sync.Mutex
-	filled sync.Cond // writer waits: head-of-line completion, goaway, close
-	space  sync.Cond // reader waits: window space
-	buf    [][]byte  // frames indexed by seq&mask; nil = not yet completed
-	mask   uint64
-	limit  uint64 // window: max live sequences (seq - next)
-	seq    uint64 // next sequence the reader assigns
-	next   uint64 // next sequence the writer releases
-	goaway bool   // pending GOAWAY push (binary protocol)
-	closed bool
+	cond   sync.Cond    // parked: the writer (nothing releasable) or the reader (window full)
+	parked atomic.Int32 // goroutines in or entering cond.Wait
 }
 
 func (ob *outbox) init(window int) {
@@ -35,88 +54,120 @@ func (ob *outbox) init(window int) {
 	for n < window {
 		n <<= 1
 	}
-	ob.buf = make([][]byte, n)
+	ob.slots = make([]obSlot, n)
 	ob.mask = uint64(n - 1)
 	ob.limit = uint64(window)
-	ob.filled.L = &ob.mu
-	ob.space.L = &ob.mu
+	ob.cond.L = &ob.mu
 }
 
-// alloc assigns the next response sequence, blocking while the window is
-// full. Only the connection's reader goroutine calls it, so sequences
-// are dense and in request order.
-func (ob *outbox) alloc() uint64 {
+// park blocks until ready() holds. The waiter advertises itself before
+// its last look at the condition and every state change is followed by
+// wake's look at parked, so one of the two always sees the other.
+func (ob *outbox) park(ready func() bool) {
 	ob.mu.Lock()
-	for ob.seq-ob.next >= ob.limit && !ob.closed {
-		ob.space.Wait()
+	ob.parked.Add(1)
+	for !ready() {
+		ob.cond.Wait()
 	}
+	ob.parked.Add(-1)
+	ob.mu.Unlock()
+}
+
+// wake must follow every store that can make a parked goroutine's
+// condition true.
+func (ob *outbox) wake() {
+	if ob.parked.Load() != 0 {
+		ob.mu.Lock()
+		ob.cond.Broadcast()
+		ob.mu.Unlock()
+	}
+}
+
+// full reports whether alloc would exceed the window. Reader-only.
+func (ob *outbox) full() bool { return ob.seq-ob.next.Load() >= ob.limit }
+
+// alloc assigns the next response sequence and returns its slot's buffer
+// for the response to be appended to. Only the connection's reader calls
+// it, once full() says no: sequences are dense and in request order.
+func (ob *outbox) alloc() (uint64, []byte) {
 	s := ob.seq
 	ob.seq++
-	ob.mu.Unlock()
-	return s
+	return s, ob.buf(s)
 }
 
-// complete fills sequence seq's slot with its encoded response. Never
-// blocks: alloc reserved the slot. Safe from any goroutine.
-func (ob *outbox) complete(seq uint64, frame []byte) {
-	ob.mu.Lock()
-	ob.buf[seq&ob.mask] = frame
-	if seq == ob.next {
-		ob.filled.Signal()
+// buf returns sequence seq's inline buffer, empty.
+func (ob *outbox) buf(seq uint64) []byte { return ob.slots[seq&ob.mask].data[:0] }
+
+// complete publishes sequence seq's response: what the completer
+// appended to buf(seq), or the heap slice that outgrew. It never blocks
+// and leaves waking the writer to the caller, once per run of
+// completions. Safe from any goroutine.
+func (ob *outbox) complete(seq uint64, resp []byte) {
+	sl := &ob.slots[seq&ob.mask]
+	if len(resp) <= slotInline {
+		copy(sl.data[:], resp) // a no-op move when resp is the slot itself
+	} else {
+		sl.big = resp
 	}
-	ob.mu.Unlock()
+	sl.n.Store(uint32(len(resp)) + 1)
+}
+
+// ready reports whether the writer has something releasable — its wake
+// condition, and the inverse of the flush-on-empty trigger.
+func (ob *outbox) ready() bool {
+	return ob.slots[ob.next.Load()&ob.mask].n.Load() != 0 || ob.goaway.Load()
 }
 
 // take blocks until something is releasable and returns it: a pending
 // GOAWAY push (alone, so the writer can flush it promptly), else the
-// contiguous run of completed responses, else closed — reported only
-// once nothing else is pending, so no completion is ever lost.
-func (ob *outbox) take(dst [][]byte) (frames [][]byte, goaway, closed bool) {
-	ob.mu.Lock()
-	defer ob.mu.Unlock()
+// contiguous run [lo, hi) of completed responses — read with bytes,
+// handed back with release — else closed, reported only once nothing
+// else is pending, so no completion is ever lost.
+func (ob *outbox) take() (lo, hi uint64, goaway, closed bool) {
+	lo = ob.next.Load()
 	for {
-		if ob.goaway {
-			ob.goaway = false
-			return dst, true, false
+		if ob.goaway.Load() {
+			ob.goaway.Store(false)
+			return lo, lo, true, false
 		}
-		if ob.buf[ob.next&ob.mask] != nil {
-			for ob.buf[ob.next&ob.mask] != nil {
-				dst = append(dst, ob.buf[ob.next&ob.mask])
-				ob.buf[ob.next&ob.mask] = nil
-				ob.next++
-			}
-			ob.space.Signal()
-			return dst, false, false
+		closed = ob.closed.Load() // before the scan: close follows the last completion
+		for hi = lo; hi-lo < ob.limit && ob.slots[hi&ob.mask].n.Load() != 0; hi++ {
 		}
-		if ob.closed {
-			return dst, false, true
+		if hi != lo || closed {
+			return lo, hi, false, closed && hi == lo
 		}
-		ob.filled.Wait()
+		ob.park(func() bool { return ob.ready() || ob.closed.Load() })
 	}
 }
 
-// empty reports whether the writer has nothing releasable — the
-// flush-on-empty trigger.
-func (ob *outbox) empty() bool {
-	ob.mu.Lock()
-	e := ob.buf[ob.next&ob.mask] == nil && !ob.goaway
-	ob.mu.Unlock()
-	return e
+// bytes returns the published response of sequence seq.
+func (ob *outbox) bytes(seq uint64) []byte {
+	sl := &ob.slots[seq&ob.mask]
+	if n := sl.n.Load() - 1; n <= slotInline {
+		return sl.data[:n]
+	}
+	return sl.big
+}
+
+// release returns the slots of [lo, hi) to the reader's window.
+func (ob *outbox) release(lo, hi uint64) {
+	for s := lo; s != hi; s++ {
+		sl := &ob.slots[s&ob.mask]
+		sl.big = nil
+		sl.n.Store(0)
+	}
+	ob.next.Store(hi)
+	ob.wake()
 }
 
 // pushGoAway schedules an out-of-band GOAWAY push.
 func (ob *outbox) pushGoAway() {
-	ob.mu.Lock()
-	ob.goaway = true
-	ob.filled.Signal()
-	ob.mu.Unlock()
+	ob.goaway.Store(true)
+	ob.wake()
 }
 
 // close ends the stream: take drains what remains, then reports closed.
 func (ob *outbox) close() {
-	ob.mu.Lock()
-	ob.closed = true
-	ob.filled.Signal()
-	ob.space.Signal()
-	ob.mu.Unlock()
+	ob.closed.Store(true)
+	ob.wake()
 }

@@ -130,7 +130,7 @@ func appendBytesFrame(b []byte, id uint64, code byte, body []byte) []byte {
 }
 
 // frame is a decoded wire frame; Body aliases the read buffer and is only
-// valid until the next readFrame on the same reader.
+// valid until the next read on the same reader.
 type frame struct {
 	ID   uint64
 	Code byte
@@ -142,47 +142,68 @@ func (f *frame) word(i int) uint64 {
 	return binary.LittleEndian.Uint64(f.Body[8*i:])
 }
 
-// frameReader decodes frames from a stream, reusing one buffer. max
-// bounds the length prefix it will honor: a prefix past it fails with an
-// error wrapping ErrFrameTooLarge before any body allocation happens.
+// frameBufSize lets one read(2) fetch a whole pipeline burst (1,560
+// GETs): the syscall is paid per burst, not twice per frame.
+const frameBufSize = 32 << 10
+
+// frameReader decodes frames in place from one fixed buffer, touching
+// the stream only when the buffer holds no complete frame. max bounds
+// the length prefix it will honor: a prefix past it fails with an error
+// wrapping ErrFrameTooLarge, and nothing is ever sized from a prefix.
 type frameReader struct {
 	r   io.Reader
 	buf []byte
+	r0  int // buf[r0:w] is received and not yet decoded
+	w   int
 	max uint32
-	hdr [4]byte
 }
 
-func newFrameReader(r io.Reader, max uint32) *frameReader {
-	return &frameReader{r: r, buf: make([]byte, 0, 256), max: max}
+func newFrameReader(r io.Reader, limit uint32) *frameReader {
+	return &frameReader{r: r, buf: make([]byte, max(frameBufSize, 4+int(limit))), max: limit}
+}
+
+// buffered reports whether the next read is served from the buffer alone
+// (a complete frame or a bad prefix is there): the burst has not ended.
+func (fr *frameReader) buffered() bool {
+	have := fr.w - fr.r0
+	if have < 4 {
+		return false
+	}
+	n := binary.LittleEndian.Uint32(fr.buf[fr.r0:])
+	return n > fr.max || n < frameOverhead || have >= 4+int(n)
 }
 
 // read decodes the next frame. io.EOF (clean close between frames) passes
 // through untouched so callers can distinguish it from a truncated frame.
 func (fr *frameReader) read() (frame, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
-		return frame{}, err
-	}
-	n := binary.LittleEndian.Uint32(fr.hdr[:])
-	if n > fr.max {
-		return frame{}, fmt.Errorf("server: frame length %d over the %d-byte limit: %w",
-			n, fr.max, ErrFrameTooLarge)
-	}
-	if n < frameOverhead {
-		return frame{}, fmt.Errorf("server: bad frame length %d", n)
-	}
-	if cap(fr.buf) < int(n) {
-		fr.buf = make([]byte, n)
-	}
-	fr.buf = fr.buf[:n]
-	if _, err := io.ReadFull(fr.r, fr.buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	need := 4
+	for {
+		if have := fr.w - fr.r0; have >= need {
+			n := binary.LittleEndian.Uint32(fr.buf[fr.r0:])
+			if n > fr.max {
+				return frame{}, fmt.Errorf("server: frame length %d over the %d-byte limit: %w",
+					n, fr.max, ErrFrameTooLarge)
+			}
+			if n < frameOverhead {
+				return frame{}, fmt.Errorf("server: bad frame length %d", n)
+			}
+			if need = 4 + int(n); have >= need {
+				b := fr.buf[fr.r0+4 : fr.r0+need]
+				fr.r0 += need
+				return frame{ID: binary.LittleEndian.Uint64(b), Code: b[8], Body: b[9:]}, nil
+			}
 		}
-		return frame{}, err
+		if fr.r0 > 0 { // slide the partial frame down: the tail always has room for one frame
+			fr.w = copy(fr.buf, fr.buf[fr.r0:fr.w])
+			fr.r0 = 0
+		}
+		n, err := fr.r.Read(fr.buf[fr.w:])
+		fr.w += n
+		if n == 0 && err != nil {
+			if err == io.EOF && fr.w > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return frame{}, err
+		}
 	}
-	return frame{
-		ID:   binary.LittleEndian.Uint64(fr.buf),
-		Code: fr.buf[8],
-		Body: fr.buf[9:],
-	}, nil
 }

@@ -296,8 +296,8 @@ func (c *conn) countCmd(op uint8) {
 }
 
 // respReadLoop is the RESP twin of readLoop: decode, route by key hash,
-// lease the target shard lazily, execute in order, enqueue the encoded
-// reply. One command produces exactly one reply (except QUIT, which also
+// lease the target shard lazily, execute in order, encode the reply
+// into the request's outbox slot. One command produces exactly one reply (except QUIT, which also
 // ends the connection), so pipelining works the RESP way: responses come
 // back in command order.
 func (c *conn) respReadLoop() {
@@ -322,10 +322,11 @@ func (c *conn) respReadLoop() {
 		// several shards), so the per-request attribution travels on the
 		// conn: respSession fills it on the request's first shard touch.
 		c.reqOp, c.reqSess, c.reqTS, c.reqShrd = 0, nil, nil, 0
-		resp, fatal := c.respExecute(upper(args[0]), args[1:])
+		seq, dst := c.begin()
+		resp, fatal := c.respExecute(dst, upper(args[0]), args[1:])
 		c.sp.Mark(trace.StageExec)
 		status := respStatusOf(resp)
-		c.reply(resp)
+		c.complete(seq, resp)
 		c.sp.Mark(trace.StageQueue)
 		var restarts, drains uint64
 		if c.reqTS != nil {
@@ -429,7 +430,7 @@ func (c *conn) respSetErr(err error) []byte {
 	return AppendRESPError(nil, "ERR "+err.Error())
 }
 
-func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) {
+func (c *conn) respExecute(dst, cmd []byte, args [][]byte) (resp []byte, fatal bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			err, ok := r.(error)
@@ -438,24 +439,25 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 			}
 			c.s.capTotal.Add(1)
 			c.s.logf("conn %d: capacity exhausted: %v", c.id, err)
-			resp, fatal = AppendRESPError(nil, "OOM node budget exhausted"), true
+			resp, fatal = AppendRESPError(dst, "OOM node budget exhausted"), true
 		}
 	}()
+	var val [respMaxValue]byte // GET's unpacked value, on its way into the reply
 	switch {
 	case eq(cmd, "PING"):
 		c.countCmd(OpPing)
 		if len(args) == 1 {
-			return AppendRESPBulk(nil, args[0]), false
+			return AppendRESPBulk(dst, args[0]), false
 		}
-		return AppendRESPSimple(nil, "PONG"), false
+		return AppendRESPSimple(dst, "PONG"), false
 	case eq(cmd, "ECHO"):
 		if len(args) != 1 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
-		return AppendRESPBulk(nil, args[0]), false
+		return AppendRESPBulk(dst, args[0]), false
 	case eq(cmd, "GET"):
 		if len(args) != 1 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
 		c.countCmd(OpGet)
 		if c.s.cfg.Cache != nil {
@@ -464,26 +466,26 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 				return errReply, false
 			}
 			if w, ok := cs.Get(k); ok {
-				return AppendRESPBulk(nil, appendUnpacked(nil, w)), false
+				return AppendRESPBulk(dst, appendUnpacked(val[:0], w)), false
 			}
-			return AppendRESPNil(nil), false
+			return AppendRESPNil(dst), false
 		}
 		sess, k, errReply := c.respSession(args[0])
 		if errReply != nil {
 			return errReply, false
 		}
 		if w, ok := sess.Get(k); ok {
-			return AppendRESPBulk(nil, appendUnpacked(nil, w)), false
+			return AppendRESPBulk(dst, appendUnpacked(val[:0], w)), false
 		}
-		return AppendRESPNil(nil), false
+		return AppendRESPNil(dst), false
 	case eq(cmd, "SET"):
 		if len(args) != 2 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
 		c.countCmd(OpPut)
 		w, ok := packValue(args[1])
 		if !ok {
-			return AppendRESPError(nil, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
+			return AppendRESPError(dst, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
 		if c.s.cfg.Cache != nil {
 			cs, k, errReply := c.respCacheSession(args[0])
@@ -493,31 +495,31 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 			if err := cs.Set(k, w); err != nil {
 				return c.respSetErr(err), false
 			}
-			return AppendRESPSimple(nil, "OK"), false
+			return AppendRESPSimple(dst, "OK"), false
 		}
 		sess, k, errReply := c.respSession(args[0])
 		if errReply != nil {
 			return errReply, false
 		}
 		sess.Put(k, w)
-		return AppendRESPSimple(nil, "OK"), false
+		return AppendRESPSimple(dst, "OK"), false
 	case eq(cmd, "SETEX"):
 		// SETEX key seconds value — SET plus a per-key TTL. Cache-only:
 		// without the cache layer the map has nowhere to keep a deadline.
 		if len(args) != 3 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
 		c.countCmd(OpPut)
 		if c.s.cfg.Cache == nil {
-			return AppendRESPError(nil, "ERR SETEX requires the cache layer (run with -cache)"), false
+			return AppendRESPError(dst, "ERR SETEX requires the cache layer (run with -cache)"), false
 		}
 		secs, okSecs := parseSeconds(args[1])
 		if !okSecs || secs <= 0 {
-			return AppendRESPError(nil, "ERR invalid expire time in 'setex' command"), false
+			return AppendRESPError(dst, "ERR invalid expire time in 'setex' command"), false
 		}
 		w, ok := packValue(args[2])
 		if !ok {
-			return AppendRESPError(nil, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
+			return AppendRESPError(dst, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
 		cs, k, errReply := c.respCacheSession(args[0])
 		if errReply != nil {
@@ -526,20 +528,20 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 		if err := cs.SetTTL(k, w, time.Duration(secs)*time.Second); err != nil {
 			return c.respSetErr(err), false
 		}
-		return AppendRESPSimple(nil, "OK"), false
+		return AppendRESPSimple(dst, "OK"), false
 	case eq(cmd, "EXPIRE"):
 		// EXPIRE key seconds → :1 deadline set, :0 key absent. A
 		// non-positive seconds deletes the key, as in Redis.
 		if len(args) != 2 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
 		c.countCmd(OpPut)
 		if c.s.cfg.Cache == nil {
-			return AppendRESPError(nil, "ERR EXPIRE requires the cache layer (run with -cache)"), false
+			return AppendRESPError(dst, "ERR EXPIRE requires the cache layer (run with -cache)"), false
 		}
 		secs, okSecs := parseSeconds(args[1])
 		if !okSecs {
-			return AppendRESPError(nil, "ERR invalid expire time in 'expire' command"), false
+			return AppendRESPError(dst, "ERR invalid expire time in 'expire' command"), false
 		}
 		cs, k, errReply := c.respCacheSession(args[0])
 		if errReply != nil {
@@ -547,24 +549,24 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 		}
 		if secs <= 0 {
 			if cs.Remove(k) {
-				return AppendRESPInt(nil, 1), false
+				return AppendRESPInt(dst, 1), false
 			}
-			return AppendRESPInt(nil, 0), false
+			return AppendRESPInt(dst, 0), false
 		}
 		if cs.Expire(k, time.Duration(secs)*time.Second) {
-			return AppendRESPInt(nil, 1), false
+			return AppendRESPInt(dst, 1), false
 		}
-		return AppendRESPInt(nil, 0), false
+		return AppendRESPInt(dst, 0), false
 	case eq(cmd, "TTL"):
 		// TTL key → :-2 absent (or expired), :-1 live without a
 		// deadline, :N seconds remaining (rounded up, so a key set with
 		// SETEX k 1 v answers :1 immediately).
 		if len(args) != 1 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
 		c.countCmd(OpGet)
 		if c.s.cfg.Cache == nil {
-			return AppendRESPError(nil, "ERR TTL requires the cache layer (run with -cache)"), false
+			return AppendRESPError(dst, "ERR TTL requires the cache layer (run with -cache)"), false
 		}
 		cs, k, errReply := c.respCacheSession(args[0])
 		if errReply != nil {
@@ -573,16 +575,16 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 		remaining, hasTTL, ok := cs.TTL(k)
 		switch {
 		case !ok:
-			return AppendRESPInt(nil, -2), false
+			return AppendRESPInt(dst, -2), false
 		case !hasTTL:
-			return AppendRESPInt(nil, -1), false
+			return AppendRESPInt(dst, -1), false
 		default:
 			secs := int64((remaining + time.Second - 1) / time.Second)
-			return AppendRESPInt(nil, secs), false
+			return AppendRESPInt(dst, secs), false
 		}
 	case eq(cmd, "DEL"):
 		if len(args) == 0 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
 		c.countCmd(OpDel)
 		removed := int64(0)
@@ -599,10 +601,10 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 				removed++
 			}
 		}
-		return AppendRESPInt(nil, removed), false
+		return AppendRESPInt(dst, removed), false
 	case eq(cmd, "EXISTS"):
 		if len(args) == 0 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
 		c.countCmd(OpGet)
 		found := int64(0)
@@ -619,18 +621,18 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 				found++
 			}
 		}
-		return AppendRESPInt(nil, found), false
+		return AppendRESPInt(dst, found), false
 	case eq(cmd, "CAS"):
 		// Extension: CAS key old new — the binary protocol's compare-and-
 		// swap, with old and new packed like SET values.
 		if len(args) != 3 {
-			return respWrongArity(cmd), false
+			return respWrongArity(dst, cmd), false
 		}
 		c.countCmd(OpCAS)
 		old, ok1 := packValue(args[1])
 		nv, ok2 := packValue(args[2])
 		if !ok1 || !ok2 {
-			return AppendRESPError(nil, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
+			return AppendRESPError(dst, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
 		}
 		sess, k, errReply := c.respSession(args[0])
 		if errReply != nil {
@@ -639,11 +641,11 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 		swapped, found := sess.CompareAndSwap(k, old, nv)
 		switch {
 		case swapped:
-			return AppendRESPInt(nil, 1), false
+			return AppendRESPInt(dst, 1), false
 		case found:
-			return AppendRESPInt(nil, 0), false
+			return AppendRESPInt(dst, 0), false
 		default:
-			return AppendRESPNil(nil), false
+			return AppendRESPNil(dst), false
 		}
 	case eq(cmd, "INFO"):
 		c.countCmd(OpStats)
@@ -655,17 +657,17 @@ func (c *conn) respExecute(cmd []byte, args [][]byte) (resp []byte, fatal bool) 
 	case eq(cmd, "COMMAND"), eq(cmd, "CONFIG"):
 		// redis-cli and benchmark tools probe these on connect; an empty
 		// array keeps them happy without pretending to implement them.
-		return append([]byte(nil), "*0\r\n"...), false
+		return append(dst, "*0\r\n"...), false
 	case eq(cmd, "SELECT"):
-		return AppendRESPSimple(nil, "OK"), false
+		return AppendRESPSimple(dst, "OK"), false
 	case eq(cmd, "QUIT"):
-		return AppendRESPSimple(nil, "OK"), true
+		return AppendRESPSimple(dst, "OK"), true
 	}
-	return AppendRESPError(nil, "ERR unknown command '"+string(cmd)+"'"), false
+	return AppendRESPError(dst, "ERR unknown command '"+string(cmd)+"'"), false
 }
 
-func respWrongArity(cmd []byte) []byte {
-	return AppendRESPError(nil, "ERR wrong number of arguments for '"+string(cmd)+"'")
+func respWrongArity(dst, cmd []byte) []byte {
+	return AppendRESPError(dst, "ERR wrong number of arguments for '"+string(cmd)+"'")
 }
 
 // respInfo renders a redis-style INFO document. section narrows the

@@ -650,6 +650,7 @@ type conn struct {
 	slot     uint32
 	prod     *mpmc.Session
 	inflight atomic.Int64
+	routed   []uint32 // per shard: enqueued by the current hand-off, executor not yet woken
 
 	// Request-span state, owned by the reader goroutine. sp is the
 	// per-request stopwatch, reused across requests; spanSeq drives the
@@ -694,6 +695,7 @@ func (s *Server) register(c *conn) bool {
 		return false
 	}
 	c.slot, c.prod = slot, prod
+	c.routed = make([]uint32, len(s.execs))
 	s.tab[slot].Store(c)
 	return true
 }
@@ -717,10 +719,13 @@ func (c *conn) run() {
 		defer wg.Done()
 		c.writeLoop()
 	}()
-	if c.proto == protoRESP {
+	switch {
+	case c.proto == protoRESP:
 		c.respReadLoop()
-	} else {
-		c.readLoop()
+	case c.inline:
+		c.readLoopInline()
+	default:
+		c.readLoopBatched()
 	}
 	// Disconnect retires only this connection's pending ring entries:
 	// wait for the shard executors to complete them (they count toward
@@ -780,46 +785,22 @@ func (c *conn) session(shard int) (*kvmap.Session, error) {
 	}
 }
 
-func (c *conn) readLoop() {
-	if c.inline {
-		c.readLoopInline()
-	} else {
-		c.readLoopBatched()
-	}
-}
-
 func (c *conn) readLoopInline() {
 	fr := newFrameReader(c.nc, maxRequestFrame)
 	for {
 		c.sp.Begin()
 		f, err := fr.read()
 		if err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				// The length prefix named an allocation we refuse to make;
-				// answer with the typed error, then cut — the stream past a
-				// hostile prefix cannot be resynchronized.
-				c.s.badTotal.Add(1)
-				c.reply(AppendFrame(nil, 0, StFrameTooBig))
-			}
+			c.frameError(err)
 			return // EOF: client closed; anything else: cut the pipeline
 		}
 		c.sp.Mark(trace.StageRead)
+		nargs, ok := c.protocolOp(f)
+		if !ok {
+			continue
+		}
 		c.stripe.reqsRead.Add(1)
-		nargs, known := argWords(f.Code)
-		if !known || f.Code == OpGoAway || len(f.Body) != 8*nargs {
-			c.s.badTotal.Add(1)
-			c.reply(AppendFrame(nil, f.ID, StBadRequest))
-			continue
-		}
 		c.stripe.reqsTotal[f.Code].Add(1)
-		switch f.Code {
-		case OpPing:
-			c.reply(AppendFrame(nil, f.ID, StOK))
-			continue
-		case OpStats:
-			c.reply(appendBytesFrame(nil, f.ID, StOK, c.s.statsBody()))
-			continue
-		}
 		// Route by key hash in this reader goroutine: each shard sees an
 		// independent stream, and responses stay in request order because
 		// execution is synchronous here regardless of the target shard.
@@ -834,7 +815,7 @@ func (c *conn) readLoopInline() {
 			} else {
 				c.s.busyTotal.Add(1)
 			}
-			c.reply(AppendFrame(nil, f.ID, status))
+			c.replyFrame(f.ID, status)
 			c.sp.Mark(trace.StageQueue)
 			c.finishSpan(nil, f.Code, status, shard, 0, 0)
 			continue
@@ -847,10 +828,15 @@ func (c *conn) readLoopInline() {
 		// outside the execute call.
 		ts := c.s.shards.Shard(shard).Manager().ObsStats().At(sess.TID())
 		r0, d0 := ts.Load(obs.Restarts), ts.Load(obs.DrainPasses)
-		resp, fatal := c.execute(sess, f)
+		seq, dst := c.begin()
+		var args [3]uint64
+		for i := 0; i < nargs; i++ {
+			args[i] = f.word(i)
+		}
+		resp, fatal := c.execute(dst, sess, f.Code, f.ID, args)
 		c.sp.Mark(trace.StageExec)
 		status := resp[respStatusOffset]
-		c.reply(resp)
+		c.complete(seq, resp)
 		c.sp.Mark(trace.StageQueue)
 		c.finishSpan(sess, f.Code, status, shard,
 			ts.Load(obs.Restarts)-r0, ts.Load(obs.DrainPasses)-d0)
@@ -858,6 +844,41 @@ func (c *conn) readLoopInline() {
 			return
 		}
 	}
+}
+
+// frameError answers the one read failure with a typed reply: a length
+// prefix past the limit gets FRAME_TOO_BIG before the cut (the stream
+// past a hostile prefix cannot be resynchronized).
+func (c *conn) frameError(err error) {
+	if errors.Is(err, ErrFrameTooLarge) {
+		c.s.badTotal.Add(1)
+		c.replyFrame(0, StFrameTooBig)
+	}
+}
+
+// protocolOp answers the frames that need no map — malformed requests,
+// PING, STATS — counting them into the ledger first. A data op is
+// returned untouched and uncounted, with its argument count: the inline
+// loop counts it on the spot, the batched loop once per burst.
+func (c *conn) protocolOp(f frame) (nargs int, dataOp bool) {
+	nargs, known := argWords(f.Code)
+	bad := !known || f.Code == OpGoAway || len(f.Body) != 8*nargs
+	if !bad && f.Code <= OpCAS {
+		return nargs, true
+	}
+	c.stripe.reqsRead.Add(1)
+	if bad {
+		c.s.badTotal.Add(1)
+		c.replyFrame(f.ID, StBadRequest)
+		return 0, false
+	}
+	c.stripe.reqsTotal[f.Code].Add(1)
+	if f.Code == OpPing {
+		c.replyFrame(f.ID, StOK)
+	} else {
+		c.reply(appendBytesFrame(nil, f.ID, StOK, c.s.statsBody()))
+	}
+	return 0, false
 }
 
 // respStatusOffset is the status byte's position in an encoded response
@@ -888,28 +909,48 @@ func (c *conn) finishSpan(sess *kvmap.Session, op, status uint8, shard int, rest
 	}
 }
 
-// reply completes one response in request order: allocate the next
-// outbox sequence and fill it immediately. Reader-goroutine only; it
-// blocks while the in-flight window is full, which is exactly the
-// backpressure contract — the reader stops reading until the writer
-// catches up.
-func (c *conn) reply(b []byte) {
-	c.complete(c.ob.alloc(), b)
+// begin reserves the next response sequence, in request order, and
+// returns its outbox slot's buffer to append the response to.
+// Reader-goroutine only; it blocks while the in-flight window is full —
+// the backpressure contract: the reader stops reading until the writer
+// catches up — and charges that wait to the span's queue stage.
+func (c *conn) begin() (seq uint64, dst []byte) {
+	if c.ob.full() {
+		c.ob.park(func() bool { return !c.ob.full() })
+		c.sp.Mark(trace.StageQueue)
+	}
+	return c.ob.alloc()
 }
 
-// complete fills a previously allocated outbox sequence. Safe from any
-// goroutine (shard executors complete ring entries here).
-func (c *conn) complete(seq uint64, b []byte) {
+// complete publishes the response of a sequence begin reserved and
+// nudges the writer. Reader-goroutine only: executors publish through
+// the outbox and settle once per run (endRun).
+func (c *conn) complete(seq uint64, resp []byte) {
 	c.stripe.respsSent.Add(1)
-	c.ob.complete(seq, b)
+	c.ob.complete(seq, resp)
+	c.ob.wake()
+}
+
+// reply answers the current request with an already-encoded response
+// (STATS bodies; everything else is encoded into the slot).
+func (c *conn) reply(resp []byte) {
+	seq, _ := c.begin()
+	c.complete(seq, resp)
+}
+
+// replyFrame answers the current request with one binary frame.
+func (c *conn) replyFrame(id uint64, code byte, body ...uint64) {
+	seq, dst := c.begin()
+	c.complete(seq, AppendFrame(dst, id, code, body...))
 }
 
 // execute runs one data request on the connection's session for the
-// routed shard. A capacity-starved allocator panics with an error
-// wrapping lease.ErrCapacityExhausted; that is answered CAPACITY and
-// treated as fatal for the connection (the session's protocol state
-// cannot be trusted past a mid-operation unwind).
-func (c *conn) execute(sess *kvmap.Session, f frame) (resp []byte, fatal bool) {
+// routed shard, appending the response frame to dst. A capacity-starved
+// allocator panics with an error wrapping lease.ErrCapacityExhausted;
+// that is answered CAPACITY and treated as fatal for the connection (the
+// session's protocol state cannot be trusted past a mid-operation
+// unwind).
+func (c *conn) execute(dst []byte, sess *kvmap.Session, op uint8, id uint64, args [3]uint64) (resp []byte, fatal bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			err, ok := r.(error)
@@ -918,62 +959,49 @@ func (c *conn) execute(sess *kvmap.Session, f frame) (resp []byte, fatal bool) {
 			}
 			c.s.capTotal.Add(1)
 			c.s.logf("conn %d: capacity exhausted: %v", c.id, err)
-			resp, fatal = AppendFrame(nil, f.ID, StCapacity), true
+			resp, fatal = AppendFrame(dst, id, StCapacity), true
 		}
 	}()
-	var key, a1, a2 uint64
-	if n := len(f.Body) >> 3; n > 0 {
-		key = f.word(0)
-		if n > 1 {
-			a1 = f.word(1)
-		}
-		if n > 2 {
-			a2 = f.word(2)
-		}
-	}
-	return runOp(sess, f.Code, f.ID, key, a1, a2), false
+	return runOp(dst, sess, op, id, args[0], args[1], args[2]), false
 }
 
 // writeLoop batches responses: it takes the contiguous completed run off
-// the outbox, writes it into the buffered writer, and flushes only when
-// nothing more is immediately releasable (or the buffer fills), so a
-// pipelining client costs ~one syscall per batch, not per response. The
-// GOAWAY push frame exists only in the binary protocol; RESP2 has no
-// server-initiated signal, so RESP connections just observe the drain as
-// their eventual close. A dead socket flips the loop into discard mode —
-// it keeps consuming completions so neither the reader (window space)
-// nor the executors' ledger ever depends on the peer.
+// the outbox, copies the slots into the buffered writer, and flushes
+// only when nothing more is immediately releasable (or the buffer
+// fills), so a pipelining client costs ~one syscall per batch, not per
+// response. The GOAWAY push frame exists only in the binary protocol;
+// RESP2 has no server-initiated signal, so RESP connections just observe
+// the drain as their eventual close. A dead socket flips the loop into
+// discard mode — it keeps consuming completions so neither the reader
+// (window space) nor the executors' ledger ever depends on the peer.
 func (c *conn) writeLoop() {
 	bw := bufio.NewWriterSize(c.nc, 32<<10)
 	dead := false
-	var frames [][]byte
+	var ga [frameOverhead + 4]byte
 	for {
-		var ga, closed bool
-		frames, ga, closed = c.ob.take(frames[:0])
-		if ga {
+		lo, hi, goaway, closed := c.ob.take()
+		if goaway {
 			if c.proto == protoBinary && !dead {
-				bw.Write(AppendFrame(nil, 0, StGoAway))
+				bw.Write(AppendFrame(ga[:0], 0, StGoAway))
 				if bw.Flush() != nil {
 					dead = true
 				}
 			}
 			continue
 		}
-		if !dead {
-			for _, b := range frames {
-				if _, err := bw.Write(b); err != nil {
-					dead = true
-					break
-				}
+		for seq := lo; seq != hi && !dead; seq++ {
+			if _, err := bw.Write(c.ob.bytes(seq)); err != nil {
+				dead = true
 			}
 		}
+		c.ob.release(lo, hi)
 		if closed {
 			if !dead {
 				bw.Flush()
 			}
 			return
 		}
-		if !dead && bw.Buffered() > 0 && c.ob.empty() {
+		if !dead && bw.Buffered() > 0 && !c.ob.ready() {
 			if bw.Flush() != nil {
 				dead = true
 			}

@@ -245,7 +245,11 @@ type slot struct {
 // by the owning thread; Snapshot may run concurrently from any
 // goroutine.
 type Ring struct {
-	slots []slot
+	// slots is allocated by the owner's first Record, not by NewRecorder:
+	// a manager sized for a thousand contexts would otherwise pin
+	// 24 KiB per context that never records (25 MB of live heap for the
+	// server's ring group with tracing off).
+	slots atomic.Pointer[[]slot]
 	mask  uint64
 	tid   int32
 	// head is the next write index (monotonic, not wrapped): the ring
@@ -253,25 +257,32 @@ type Ring struct {
 	// slot stores; Go atomics give the store release semantics, so a
 	// reader that observes head >= i observes event i's fields.
 	head atomic.Uint64
-	_    [40]byte // pad: keep adjacent rings' heads off one cache line
+	_    [32]byte // pad: keep adjacent rings' heads off one cache line
 }
 
 // TID returns the owning thread context id.
 func (r *Ring) TID() int { return int(r.tid) }
 
 // Cap returns the ring capacity in events.
-func (r *Ring) Cap() int { return len(r.slots) }
+func (r *Ring) Cap() int { return int(r.mask + 1) }
 
 // Recorded returns how many events were ever recorded (including ones
 // the ring has since overwritten).
 func (r *Ring) Recorded() uint64 { return r.head.Load() }
 
 // Record appends one event with the current timestamp. Wait-free: three
-// uncontended atomic stores plus the head publish, no allocation. Only
-// the owning thread may call it.
+// uncontended atomic stores plus the head publish, and no allocation
+// after the first call, which allocates the ring. Only the owning thread
+// may call it.
 func (r *Ring) Record(k Kind, arg uint64) {
+	slots := r.slots.Load()
+	if slots == nil {
+		buf := make([]slot, r.mask+1)
+		slots = &buf
+		r.slots.Store(slots) // single writer: no competing allocation
+	}
 	h := r.head.Load() // single writer: uncontended
-	s := &r.slots[h&r.mask]
+	s := &(*slots)[h&r.mask]
 	s.ts.Store(Now())
 	s.arg.Store(arg)
 	s.kind.Store(uint64(k))
@@ -288,10 +299,11 @@ func (r *Ring) Record(k Kind, arg uint64) {
 // oldest slot without having published, a wrapped ring yields at most
 // cap−1 events even when the writer is quiescent.
 func (r *Ring) Snapshot(dst []Event) []Event {
-	size := uint64(len(r.slots))
-	if size == 0 {
-		return dst
+	slots := r.slots.Load()
+	if slots == nil {
+		return dst // nothing recorded yet
 	}
+	size := r.mask + 1
 	h0 := r.head.Load()
 	lo := uint64(0)
 	if h0 > size {
@@ -299,7 +311,7 @@ func (r *Ring) Snapshot(dst []Event) []Event {
 	}
 	first := len(dst)
 	for i := lo; i < h0; i++ {
-		s := &r.slots[i&r.mask]
+		s := &(*slots)[i&r.mask]
 		dst = append(dst, Event{
 			TS:   s.ts.Load(),
 			Arg:  s.arg.Load(),
@@ -336,8 +348,9 @@ type Recorder struct {
 // several full reclamation phases of context around any spike.
 const DefaultRingSize = 1024
 
-// NewRecorder allocates rings for n threads, each holding size events
-// (rounded up to a power of two; 0 means DefaultRingSize).
+// NewRecorder builds rings for n threads, each holding size events
+// (rounded up to a power of two; 0 means DefaultRingSize) once its
+// owner records the first one.
 func NewRecorder(n, size int) *Recorder {
 	if n < 1 {
 		n = 1
@@ -350,7 +363,6 @@ func NewRecorder(n, size int) *Recorder {
 	}
 	rec := &Recorder{rings: make([]Ring, n)}
 	for i := range rec.rings {
-		rec.rings[i].slots = make([]slot, size)
 		rec.rings[i].mask = uint64(size - 1)
 		rec.rings[i].tid = int32(i)
 	}

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -259,5 +260,34 @@ func BenchmarkRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Record(EvWarnCheck, uint64(i))
+	}
+}
+
+// TestRingAllocatesOnFirstRecord pins the lazy ring: a recorder sized
+// for the server's thousand producer contexts costs only its headers
+// until a context records, an untouched ring snapshots as empty, and a
+// warm Record is allocation-free.
+func TestRingAllocatesOnFirstRecord(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rec := NewRecorder(1026, 0)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("NewRecorder(1026, 0) allocated %d bytes before any event", grew)
+	}
+	if evs := rec.Events(); len(evs) != 0 || rec.Total() != 0 {
+		t.Fatalf("untouched recorder exported %d events (total %d)", len(evs), rec.Total())
+	}
+	r := rec.Ring(1025)
+	if got := r.Snapshot(nil); len(got) != 0 || r.Cap() != DefaultRingSize {
+		t.Fatalf("untouched ring: %d events, cap %d", len(got), r.Cap())
+	}
+	r.Record(EvPhase, 7)
+	if evs := rec.Events(); len(evs) != 1 || evs[0].Kind != EvPhase || evs[0].Arg != 7 || evs[0].TID != 1025 {
+		t.Fatalf("first recorded event lost: %+v", evs)
+	}
+	if avg := testing.AllocsPerRun(2000, func() { r.Record(EvDrain, 1) }); avg != 0 {
+		t.Fatalf("warm Record allocates %.2f objects/event", avg)
 	}
 }
