@@ -35,9 +35,12 @@ zeroalloc:
 # generic OA kit, the aux-word protocol of the TTL/LRU cache, and the
 # server's burst hand-off, lock-free outbox and lazily allocated trace
 # rings. -short keeps it inside a merge-gate budget; race-full sweeps
-# everything.
+# everything. The burst hand-off's concurrent test (several connections'
+# nodes interleaving on the rings, one client vanishing) runs ten times
+# over: a race there is a matter of interleaving.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/...
+	$(GO) test -race -count=10 -run TestConcurrentBurstsLedger ./internal/server
 
 race-full:
 	$(GO) test -race ./...

@@ -5,6 +5,7 @@
 package repro
 
 import (
+	"encoding/json"
 	"io"
 	"net"
 	"sync/atomic"
@@ -217,8 +218,10 @@ func (c *readCountingConn) Read(p []byte) (int, error) {
 // loopback, one op = one request: a client pipelines 64-request bursts
 // (PUT, GET, CAS, DEL across both shards) through reader → shard rings →
 // executors → outbox → writer. Beside ns/req and allocs/req it reports
-// reads/req, the server's socket reads per request: one per burst, i.e.
-// ~1/64, where the unbuffered reader paid 2.
+// reads/req, the server's socket reads per request (one per burst, i.e.
+// 1/64, where the unbuffered reader paid 2), and nodes/req, the OA-queue
+// nodes enqueued per request (one per burst and shard, i.e. 2/64, where
+// the per-request ring paid 1).
 func BenchmarkServeBurst(b *testing.B) {
 	const burstReqs = 64
 	sh := kvmap.NewSharded(core.Config{MaxThreads: 4, Capacity: 1 << 16}, 1<<14, 2)
@@ -267,7 +270,7 @@ func BenchmarkServeBurst(b *testing.B) {
 	for i := 0; i < 50; i++ {
 		round()
 	}
-	reads0 := counted.reads.Load()
+	reads0, nodes0 := counted.reads.Load(), ringNodes(b, srv)
 	b.ReportAllocs()
 	b.ResetTimer()
 	reqs := 0
@@ -279,4 +282,18 @@ func BenchmarkServeBurst(b *testing.B) {
 		b.Fatalf("last reply of the burst has status %d", last[12])
 	}
 	b.ReportMetric(float64(counted.reads.Load()-reads0)/float64(reqs), "reads/req")
+	b.ReportMetric(float64(ringNodes(b, srv)-nodes0)/float64(reqs), "nodes/req")
+}
+
+// ringNodes reads the server's ring-node counter off its STATS document.
+func ringNodes(b *testing.B, srv *server.Server) uint64 {
+	var doc struct {
+		Server struct {
+			RingNodes uint64 `json:"ring_nodes"`
+		} `json:"server"`
+	}
+	if err := json.Unmarshal(srv.FinalStats(), &doc); err != nil {
+		b.Fatal(err)
+	}
+	return doc.Server.RingNodes
 }

@@ -100,6 +100,15 @@ type healthReport struct {
 	Transitions uint64 `json:"transitions"`
 	Observed    uint64 `json:"transitions_observed"`
 	StatesSeen  string `json:"states_seen"`
+	// Firing is the rules firing at the final poll, with the values that
+	// fire them: a consumer refusing a non-ok report can say why.
+	Firing []firingRule `json:"firing,omitempty"`
+}
+
+type firingRule struct {
+	Name      string  `json:"name"`
+	Value     float64 `json:"value"`
+	Threshold float64 `json:"threshold"`
 }
 
 // sampleStats polls STATS on its own connection until stop closes,
@@ -136,6 +145,10 @@ func sampleStats(addr string, stop <-chan struct{}) (*execReport, *healthReport)
 			Health *struct {
 				State       string `json:"state"`
 				Transitions uint64 `json:"transitions"`
+				Rules       []struct {
+					firingRule
+					Firing bool `json:"firing"`
+				} `json:"rules"`
 			} `json:"health"`
 		}
 		if json.Unmarshal(raw, &snap) != nil {
@@ -156,6 +169,12 @@ func sampleStats(addr string, stop <-chan struct{}) (*execReport, *healthReport)
 			hrep.Final = h.State
 			hrep.Transitions = h.Transitions
 			hrep.Observed = h.Transitions - firstTransitions
+			hrep.Firing = nil
+			for _, r := range h.Rules {
+				if r.Firing {
+					hrep.Firing = append(hrep.Firing, r.firingRule)
+				}
+			}
 		}
 		s := snap.Server
 		if rep == nil {

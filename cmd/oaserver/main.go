@@ -70,7 +70,7 @@ func main() {
 		expected     = flag.Int("expected", 0, "expected live entries across shards (0 = capacity/2)")
 		window       = flag.Int("window", 256, "per-connection in-flight response window")
 		execMode     = flag.String("exec", "batched", "execution model: batched (per-shard executors over MPMC rings) or inline (per-connection leases)")
-		ringSize     = flag.Int("ring-size", 1024, "per-shard request ring bound (batched mode)")
+		ringSize     = flag.Int("ring-size", 1024, "per-shard request ring bound, in queued requests (batched mode)")
 		ringWait     = flag.Duration("ring-wait", 0, "max wait for ring space before BUSY (0 = -lease-wait)")
 		maxConns     = flag.Int("max-conns", 1024, "batched-mode connection table size (excess connections fall back to inline)")
 		leaseWait    = flag.Duration("lease-wait", 2*time.Millisecond, "max wait for a session slot before BUSY")

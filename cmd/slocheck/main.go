@@ -20,7 +20,12 @@
 //     depth within the ring bound, and batch counters covering the ops
 //   - the health engine signed off: the report's health block (the
 //     flight recorder runs by default) must end in state `ok` — a
-//     report whose final state is degraded or critical is refused
+//     report whose final state is degraded or critical is refused, with
+//     the firing rules and their values in the message. One exception:
+//     where the latency SLOs below are not enforced, slo_p99_burn firing
+//     alone is that same latency SLO (its 10 s p99 window outlives the
+//     report's settle time after one noisy second) and is reported as
+//     unenforced, not failed
 //
 // Enforced only on runners with GOMAXPROCS >= 4 (like shard-smoke, a
 // starved host proves nothing about the service):
@@ -95,12 +100,40 @@ type clientReport struct {
 		MaxBatch      uint64  `json:"max_batch"`
 		AvgBatch      float64 `json:"avg_batch"`
 	} `json:"exec"`
-	Health *struct {
-		Final       string `json:"final"`
-		Transitions uint64 `json:"transitions"`
-		Observed    uint64 `json:"transitions_observed"`
-		StatesSeen  string `json:"states_seen"`
-	} `json:"health"`
+	Health *healthBlock `json:"health"`
+}
+
+type healthBlock struct {
+	Final       string       `json:"final"`
+	Transitions uint64       `json:"transitions"`
+	Observed    uint64       `json:"transitions_observed"`
+	StatesSeen  string       `json:"states_seen"`
+	Firing      []firingRule `json:"firing"`
+}
+
+type firingRule struct {
+	Name      string  `json:"name"`
+	Value     float64 `json:"value"`
+	Threshold float64 `json:"threshold"`
+}
+
+// healthVerdict decides whether a report's settled health state lets it
+// stand. A non-ok state is refused, naming what fires — unless the only
+// rule firing is the latency SLO's burn rate on a runner where latency
+// SLOs are not enforced, which is returned as a note instead.
+func healthVerdict(hb *healthBlock, enforced bool) (note string, err error) {
+	if hb.Final == "ok" {
+		return "", nil
+	}
+	firing := ""
+	for _, r := range hb.Firing {
+		firing += fmt.Sprintf(" %s=%.3g (threshold %.3g)", r.Name, r.Value, r.Threshold)
+	}
+	if !enforced && len(hb.Firing) == 1 && hb.Firing[0].Name == "slo_p99_burn" {
+		return "final health state " + hb.Final + ", firing:" + firing + ": latency SLO not enforced here", nil
+	}
+	return "", fmt.Errorf("final health state %q, firing:%s (states seen: %s, %d transitions observed) — refusing the report",
+		hb.Final, firing, hb.StatesSeen, hb.Observed)
 }
 
 func main() {
@@ -235,9 +268,10 @@ func run() error {
 	if hb == nil {
 		return fmt.Errorf("client report has no health block — the server's flight recorder is off or STATS lost it")
 	}
-	if hb.Final != "ok" {
-		return fmt.Errorf("final health state %q (states seen: %s, %d transitions observed) — refusing the report",
-			hb.Final, hb.StatesSeen, hb.Observed)
+	enforced := runtime.GOMAXPROCS(0) >= 4
+	healthNote, err := healthVerdict(hb, enforced)
+	if err != nil {
+		return err
 	}
 	fmt.Printf("slocheck: ops=%d ops_per_sec=%.0f busy=%d slow=%d client_p99=%s\n",
 		client.Ops, client.OpsPerSec, f.Busy, f.SlowRequests, time.Duration(client.Latency.P99Ns))
@@ -245,6 +279,9 @@ func run() error {
 		ex.Mode, ex.RingCap, ex.MaxQueueDepth, ex.RingFull, ex.Batches, ex.AvgBatch, ex.MaxBatch)
 	fmt.Printf("slocheck: health final=%s states_seen=%s transitions_observed=%d\n",
 		hb.Final, hb.StatesSeen, hb.Observed)
+	if healthNote != "" {
+		fmt.Println("slocheck:", healthNote)
+	}
 	for _, op := range []string{"get", "put", "del", "cas"} {
 		cl := final.Latency[op]
 		fmt.Printf("slocheck:   %-3s count=%-8d p50=%-10s p99=%-10s max=%s\n",
@@ -252,7 +289,7 @@ func run() error {
 	}
 
 	// --- SLOs, enforced only where the hardware can meet them ----------
-	if runtime.GOMAXPROCS(0) < 4 {
+	if !enforced {
 		fmt.Printf("slocheck: GOMAXPROCS=%d < 4: latency/throughput SLOs not enforced "+
 			"(mechanics checked on every run)\n", runtime.GOMAXPROCS(0))
 		return nil

@@ -1,24 +1,27 @@
 // Per-shard batched execution. In batched mode (the default) a reader
 // goroutine only parses and routes, one pipeline burst — what one
-// read(2) delivered — at a time: each data request is packed into a
-// fixed-size mpmc.Payload, then the burst is handed off with one
-// timestamp, one ledger update and one wake per shard touched. One
-// executor goroutine per shard holds the shard's only long-lived kvmap
-// lease and drains its ring in batches, so lease acquisition,
-// warning-check placement and map cache misses amortize across every
-// connection hitting the shard — and the session economy shrinks from
-// conns×shards leases to exactly one per shard.
+// read(2) delivered — at a time: each data request is staged in the
+// outbox slot its response will occupy, then the burst is handed off
+// with one timestamp, one ledger update, and one ring node and one wake
+// per shard touched. One executor goroutine per shard holds the shard's
+// only long-lived kvmap lease and drains its ring in batches, so lease
+// acquisition, warning-check placement and map cache misses amortize
+// across every connection hitting the shard — and the session economy
+// shrinks from conns×shards leases to exactly one per shard.
 //
 // The rings are the OA-native bounded MPMC queues of internal/mpmc: the
-// server's hot path runs through the reclamation scheme it serves.
-// Backpressure inverts the old model: instead of per-(conn,shard) BUSY
-// at lease time, a full ring makes the producer wait up to RingWait for
-// the executor to catch up, then answer BUSY. Executors encode responses
-// into each connection's outbox slots, which restore wire order.
+// server's hot path runs through the reclamation scheme it serves, once
+// per (burst, shard) rather than once per request. Backpressure inverts
+// the old model: instead of per-(conn,shard) BUSY at lease time, a shard
+// with RingSize requests queued makes the producer wait up to RingWait
+// for the executor to catch up, then answer BUSY. Executors encode each
+// response over its request in the connection's outbox slots, which
+// restore wire order.
 package server
 
 import (
 	"errors"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -29,51 +32,36 @@ import (
 	"repro/internal/trace"
 )
 
-// Request payload layout (mpmc.PayloadWords = 8 words):
+// Ring node layout — one node per (burst, shard), six of the
+// mpmc.PayloadWords = 8 words used:
 //
-//	w0  op:8 | unused:24 | conn slot:24 | unused:8
-//	w1  request id (echoed into the response frame)
-//	w2  key
-//	w3  second argument (PUT value, CAS old)
-//	w4  third argument (CAS new)
-//	w5  hand-off timestamp of the burst (trace.Now), start of the queue stage
-//	w6  readNs:32 | routeNs:32 (the burst's reader-side stages, saturated)
-//	w7  outbox sequence on the issuing connection
+//	w0  conn slot
+//	w1  base: the outbox sequence of mask bit 0 on that connection
+//	w2  mask: bit i set = the request staged in slot base+i is this node's
+//	w3  hand-off timestamp of the burst (trace.Now), start of the queue stage
+//	w4  the burst's read stage, ns (its first request's: mask bit 0)
+//	w5  the burst's route stage, ns (every request's)
 const (
-	pwMeta = iota
-	pwID
-	pwKey
-	pwArg1
-	pwArg2
+	pwSlot = iota
+	pwBase
+	pwMask
 	pwEnqTS
-	pwStages
-	pwSeq
+	pwReadNs
+	pwRouteNs
 )
 
-func packMeta(op uint8, slot uint32) uint64 {
-	return uint64(op)<<56 | uint64(slot&0xFFFFFF)<<8
-}
+// burstMax caps a burst's sequence span at the mask's width: a long
+// burst's head must not wait for its tail.
+const burstMax = 64
 
-func unpackMeta(w uint64) (op uint8, slot uint32) {
-	return uint8(w >> 56), uint32(w>>8) & 0xFFFFFF
-}
-
-func sat32(ns int64) uint64 {
-	if ns < 0 {
-		ns = 0
+// lowestBits returns mask's n lowest set bits (all of them if it has no
+// more than n).
+func lowestBits(mask uint64, n int) uint64 {
+	rest := mask
+	for ; n > 0 && rest != 0; n-- {
+		rest &= rest - 1
 	}
-	if ns > 0xFFFFFFFF {
-		ns = 0xFFFFFFFF
-	}
-	return uint64(ns)
-}
-
-func packStageNs(readNs, routeNs int64) uint64 {
-	return sat32(readNs)<<32 | sat32(routeNs)
-}
-
-func unpackStageNs(w uint64) (readNs, routeNs int64) {
-	return int64(w >> 32), int64(w & 0xFFFFFFFF)
+	return mask &^ rest
 }
 
 // runOp executes one data op on sess and appends the response frame to
@@ -122,11 +110,16 @@ type executor struct {
 	ts    *obs.PerThread
 
 	// Producers nudge work only when idle is set, so the steady-state
-	// enqueue path is one atomic load — no futex wake per request.
+	// enqueue path is one atomic load — no futex wake per node.
 	idle atomic.Bool
 	work chan struct{}
+	// depth is the shard's one bound, in requests: producers reserve a
+	// credit per request of a node, the executor returns them at dequeue.
+	// Nodes ≤ requests ≤ RingSize, so the node ring itself is never full.
+	depth atomic.Int64
 
 	batches  atomic.Uint64
+	nodes    atomic.Uint64 // ring nodes drained: ops/nodes is the batch factor of the hand-off
 	ops      atomic.Uint64
 	maxBatch atomic.Uint64
 	spanSeq  uint64 // sampled per-request trace emission
@@ -153,8 +146,20 @@ func newExecutor(s *Server, shard int) (*executor, error) {
 	}, nil
 }
 
-// wake nudges an idle executor. Producers call it once per burst and
-// shard touched; when the executor is busy draining it costs one load.
+// reserve takes up to want request credits, fewer when the shard has
+// fewer left, by CAS so depth never overshoots RingSize.
+func (e *executor) reserve(want int) int {
+	for {
+		d := e.depth.Load()
+		k := min(int64(want), int64(e.s.cfg.RingSize)-d)
+		if k <= 0 || e.depth.CompareAndSwap(d, d+k) {
+			return int(max(k, 0))
+		}
+	}
+}
+
+// wake nudges an idle executor. Producers call it once per node; when
+// the executor is busy draining it costs one load.
 func (e *executor) wake() {
 	if e.idle.Load() {
 		select {
@@ -209,44 +214,38 @@ func (e *executor) run() {
 	}
 }
 
-// drain executes ring entries until the ring reads empty and reports how
-// many. The clock is read once per op: the end of one op is the start of
-// the next. Consecutive entries of one connection form a run (of at most
-// burstMax), and that connection's ledger and writer are touched once
-// per run, not per op.
+// drain executes ring nodes — a node's requests are the set bits of its
+// mask, lowest sequence first — until the ring reads empty and reports
+// how many requests that was. The clock is read once per op (the end of
+// one is the start of the next), the connection's ledger and writer are
+// touched once per node.
 func (e *executor) drain(q *mpmc.Queue) (n int) {
 	var p mpmc.Payload
-	var run *conn // connection of the current run
-	var k, now int64
+	var now int64
 	for e.cons.Dequeue(q, &p) {
 		if n == 0 {
 			now = trace.Now()
 		}
-		n++
-		// Count the op before completing it so the batched-ops ledger can
+		k := bits.OnesCount64(p[pwMask])
+		n += k
+		e.depth.Add(-int64(k))
+		e.nodes.Add(1)
+		// Count the ops before completing them so the batched-ops ledger can
 		// never trail a response a client has already observed.
-		e.ops.Add(1)
-		op, slot := unpackMeta(p[pwMeta])
-		cp := e.s.tab[slot].Load()      // never nil: the conn holds its slot while in flight
-		if cp != run || k == burstMax { // a run is capped so its head never waits long for the wake
-			if run != nil {
-				run.endRun(k)
-			}
-			run, k = cp, 0
+		e.ops.Add(uint64(k))
+		cp := e.s.tab[p[pwSlot]].Load() // never nil: the conn holds its slot while in flight
+		for m := p[pwMask]; m != 0; m &= m - 1 {
+			now = e.process(cp, &p, uint64(bits.TrailingZeros64(m)), now)
 		}
-		now = e.process(cp, op, &p, now)
-		k++
-	}
-	if run != nil {
-		run.endRun(k)
+		cp.endRun(int64(k))
 	}
 	return n
 }
 
-// endRun settles a run of k responses an executor published into c's
-// outbox: count them, wake the writer once, and only then release the
-// in-flight count — c's teardown waits on it, so that is the executor's
-// last touch of c. This happens even when the client has vanished (the
+// endRun settles the k responses of one node an executor published into
+// c's outbox: count them, wake the writer once, and only then release
+// the in-flight count — c's teardown waits on it, so that is the
+// executor's last touch of c. A vanished client changes nothing (its
 // dead-socket writer discards the responses), so the ledger balances.
 func (c *conn) endRun(k int64) {
 	c.stripe.respsSent.Add(uint64(k))
@@ -254,32 +253,34 @@ func (c *conn) endRun(k int64) {
 	c.inflight.Add(-k)
 }
 
-// process executes one dequeued request from start on, publishes the
-// response in its connection's outbox slot and returns when the op
-// ended. The queue stage is the real ring wait: burst hand-off → this
-// op's turn, position within the executor's batch included.
-func (e *executor) process(cp *conn, op uint8, p *mpmc.Payload, start int64) int64 {
+// process executes request i of node p — read out of the outbox slot its
+// response then overwrites — from start on, publishes the response and
+// returns when the op ended. The queue stage is the real ring wait, from
+// the burst's hand-off to this op's turn in its node and batch.
+func (e *executor) process(cp *conn, p *mpmc.Payload, i uint64, start int64) int64 {
 	s := e.s
-	queueNs := max(start-int64(p[pwEnqTS]), 0) // handed off while the previous op ran
 	var r0, d0 uint64
 	if e.ts != nil {
 		r0, d0 = e.ts.Load(obs.Restarts), e.ts.Load(obs.DrainPasses)
 	}
-	resp := e.exec(cp.ob.buf(p[pwSeq]), op, p[pwID], p[pwKey], p[pwArg1], p[pwArg2])
+	seq := p[pwBase] + i
+	sl := cp.ob.slot(seq)
+	op, id, args := sl.staged()
+	resp := e.exec(sl.data[:0], op, id, args[0], args[1], args[2])
 	end := trace.Now()
-	execNs := end - start
-	readNs, routeNs := unpackStageNs(p[pwStages])
+	var stages [trace.NumStages]int64
+	if i == 0 { // only the burst's first frame waited on the socket
+		stages[trace.StageRead] = int64(p[pwReadNs])
+	}
+	stages[trace.StageRoute] = int64(p[pwRouteNs])
+	stages[trace.StageQueue] = max(start-int64(p[pwEnqTS]), 0) // handed off while the previous op ran
+	stages[trace.StageExec] = end - start
 	status := resp[respStatusOffset]
-	serverNs := routeNs + queueNs + execNs
+	serverNs := stages[trace.StageRoute] + stages[trace.StageQueue] + stages[trace.StageExec]
 	if op >= OpGet && op <= OpCAS && status <= StCASMismatch {
 		s.lat[op][e.shard].ObserveNs(uint64(serverNs))
 	}
 	if serverNs >= int64(s.cfg.SlowThreshold) {
-		var stages [trace.NumStages]int64
-		stages[trace.StageRead] = readNs
-		stages[trace.StageRoute] = routeNs
-		stages[trace.StageExec] = execNs
-		stages[trace.StageQueue] = queueNs
 		var restarts, drains uint64
 		if e.ts != nil {
 			restarts, drains = e.ts.Load(obs.Restarts)-r0, e.ts.Load(obs.DrainPasses)-d0
@@ -291,20 +292,17 @@ func (e *executor) process(cp *conn, op uint8, p *mpmc.Payload, start int64) int
 		e.spanSeq++
 		if e.spanSeq%uint64(s.cfg.SpanSample) == 0 {
 			ring := s.shards.Shard(e.shard).Manager().TraceRecorder().Ring(e.sess.TID())
-			var durs [trace.NumStages]int64
-			durs[trace.StageRead], durs[trace.StageRoute] = readNs, routeNs
-			durs[trace.StageExec], durs[trace.StageQueue] = execNs, queueNs
-			for st, d := range durs {
+			for st, d := range stages {
 				if d > 0 {
 					ring.Record(trace.EvReqStage, trace.StagePayload(trace.Stage(st), d))
 				}
 			}
 			ring.Record(trace.EvReqSpan, trace.SpanPayload(op, status, e.shard, serverNs))
 			s.rings.Manager().TraceRecorder().Ring(e.cons.TID()).
-				Record(trace.EvRingDeq, trace.RingPayload(e.shard, uint64(queueNs)))
+				Record(trace.EvRingDeq, trace.RingPayload(e.shard, uint64(stages[trace.StageQueue])))
 		}
 	}
-	cp.ob.complete(p[pwSeq], resp)
+	cp.ob.complete(seq, resp)
 	return end
 }
 
@@ -351,125 +349,120 @@ func (e *executor) refreshSession() {
 	}
 }
 
-// enqueueWait retries a hand-off that found shard's ring full for up to
-// RingWait, nudging the executor — the only way out. False means the
-// wait expired and the caller answers BUSY.
-func (c *conn) enqueueWait(shard int, p *mpmc.Payload) bool {
-	q := c.s.rings.Queue(shard)
-	e := c.s.execs[shard]
-	deadline := time.Now().Add(c.s.cfg.RingWait)
-	for {
-		e.wake()
-		time.Sleep(5 * time.Microsecond)
-		p[pwEnqTS] = uint64(trace.Now())
-		if c.prod.TryEnqueue(q, p) {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-	}
+// burst is the reader's account of what it staged since the last
+// hand-off (in the outbox slots, routed by conn.masks).
+type burst struct {
+	waitFrom int64  // where the socket wait that ended in this burst started
+	arrived  int64  // when its first request was decoded
+	base     uint64 // outbox sequence of that request: bit 0 of every mask
+	n        int64  // data requests staged
+	byOp     [OpCAS + 1]uint64
 }
-
-// burstMax caps a hand-off: a long burst's head must not wait for its tail.
-const burstMax = 64
 
 // readLoopBatched is the batched twin of readLoopInline: decode every
 // frame the last read(2) delivered, answer protocol ops locally, stage
 // the data ops, and hand the burst to the shard executors before
 // touching the socket again. Response order is restored by the outbox
-// sequence allocated here, in request order.
+// sequence allocated here, in request order (protocol ops inside a burst
+// take sequences too: gaps in the masks).
 func (c *conn) readLoopBatched() {
 	fr := newFrameReader(c.nc, maxRequestFrame)
-	var stage [burstMax]mpmc.Payload
-	n := 0
-	waitFrom := trace.Now() // where the socket wait of the next burst starts
-	var arrived int64       // when the staged burst's first frame was decoded
+	b := burst{waitFrom: trace.Now()}
 	for {
-		// Hand off before blocking on the socket or on a full window:
-		// neither can clear while this connection sits on staged requests.
-		if n > 0 && (n == len(stage) || !fr.buffered() || c.ob.full()) {
-			c.handoff(stage[:n], arrived-waitFrom, arrived)
-			n, waitFrom = 0, trace.Now()
+		// Hand off before the burst's sequences outgrow a mask, and before
+		// blocking on the socket or on a full window: neither can clear
+		// while this connection sits on staged requests.
+		if b.n > 0 && (c.ob.seq-b.base == burstMax || !fr.buffered() || c.ob.full()) {
+			c.handoff(&b)
 		}
 		f, err := fr.read()
 		if err != nil {
 			c.frameError(err)
 			break
 		}
-		nargs, ok := c.protocolOp(f)
-		if !ok {
+		if _, ok := c.protocolOp(f); !ok {
 			continue
 		}
-		if n == 0 {
-			arrived = trace.Now()
+		seq, _ := c.begin()
+		if b.n == 0 {
+			b.base, b.arrived = seq, trace.Now()
 		}
-		p := &stage[n]
-		n++
-		*p = mpmc.Payload{pwMeta: packMeta(f.Code, c.slot), pwID: f.ID}
-		for i := 0; i < nargs; i++ {
-			p[pwKey+i] = f.word(i)
-		}
-		p[pwSeq], _ = c.begin()
+		b.n++
+		b.byOp[f.Code]++
+		c.ob.slot(seq).stage(f)
+		c.masks[c.s.shards.ShardIndex(f.word(0))] |= 1 << (seq - b.base)
 	}
-	c.handoff(stage[:n], arrived-waitFrom, arrived)
+	c.handoff(&b)
 }
 
 // handoff stamps a staged burst (the socket wait is its first request's
 // read stage, decode-to-here every request's route stage, now the start
-// of their queue stage), settles the ledger, routes each request onto
-// its shard's ring, and wakes each shard touched once.
-func (c *conn) handoff(stage []mpmc.Payload, readNs, arrived int64) {
-	if len(stage) == 0 {
+// of their queue stage), settles the ledger and enqueues one node per
+// shard touched.
+func (c *conn) handoff(b *burst) {
+	if b.n == 0 {
 		return
 	}
-	s := c.s
 	now := trace.Now()
-	c.inflight.Add(int64(len(stage)))
-	c.stripe.reqsRead.Add(uint64(len(stage)))
-	var byOp [OpCAS + 1]uint64
-	for i := range stage {
-		p := &stage[i]
-		p[pwEnqTS], p[pwStages] = uint64(now), packStageNs(readNs, now-arrived)
-		readNs = 0 // only the burst's first frame waited on the socket
-		op, _ := unpackMeta(p[pwMeta])
-		byOp[op]++
-		shard := s.shards.ShardIndex(p[pwKey])
-		if !c.prod.TryEnqueue(s.rings.Queue(shard), p) {
-			c.wakeRouted() // the shards already fed must not sit out this one's wait
-			if !c.enqueueWait(shard, p) {
-				c.inflight.Add(-1)
-				s.busyTotal.Add(1)
-				s.ringFull.Add(1)
-				c.complete(p[pwSeq], AppendFrame(c.ob.buf(p[pwSeq]), p[pwID], StBusy))
-				continue
-			}
+	c.inflight.Add(b.n)
+	c.stripe.reqsRead.Add(uint64(b.n))
+	for op := OpGet; op <= OpCAS; op++ {
+		if b.byOp[op] != 0 {
+			c.stripe.reqsTotal[op].Add(b.byOp[op])
 		}
-		c.routed[shard]++
+	}
+	p := mpmc.Payload{pwSlot: uint64(c.slot), pwBase: b.base, pwEnqTS: uint64(now),
+		pwReadNs: uint64(max(b.arrived-b.waitFrom, 0)), pwRouteNs: uint64(max(now-b.arrived, 0))}
+	for shard, mask := range c.masks {
+		if mask != 0 {
+			c.masks[shard] = 0
+			c.enqueue(shard, &p, mask)
+		}
+	}
+	*b = burst{waitFrom: trace.Now()}
+}
+
+// enqueue puts mask's requests on shard's ring as request credits allow:
+// the lowest sequences that fit go at once as one node, the rest wait up
+// to RingWait for credits (nudging the executor, the only way out), and
+// what still does not fit is answered BUSY.
+func (c *conn) enqueue(shard int, p *mpmc.Payload, mask uint64) {
+	s, e := c.s, c.s.execs[shard]
+	var deadline time.Time
+	for mask != 0 {
+		k := e.reserve(bits.OnesCount64(mask))
+		if k == 0 {
+			if deadline.IsZero() {
+				deadline = time.Now().Add(s.cfg.RingWait)
+			} else if time.Now().After(deadline) {
+				break
+			}
+			e.wake()
+			time.Sleep(5 * time.Microsecond)
+			continue
+		}
+		p[pwMask] = lowestBits(mask, k)
+		mask &^= p[pwMask]
+		if !c.prod.TryEnqueue(s.rings.Queue(shard), p) {
+			panic("server: node ring full under the request credit")
+		}
+		s.stripes[shard].ops.Add(uint64(k))
+		e.wake()
 		if trace.Enabled() {
 			c.spanSeq++
 			if c.spanSeq%uint64(s.cfg.SpanSample) == 0 {
 				s.rings.Manager().TraceRecorder().Ring(c.prod.TID()).
-					Record(trace.EvRingEnq, trace.RingPayload(shard, uint64(s.rings.Queue(shard).Len())))
+					Record(trace.EvRingEnq, trace.RingPayload(shard, uint64(e.depth.Load())))
 			}
 		}
 	}
-	for op := OpGet; op <= OpCAS; op++ {
-		if byOp[op] != 0 {
-			c.stripe.reqsTotal[op].Add(byOp[op])
-		}
-	}
-	c.wakeRouted()
-}
-
-// wakeRouted counts what the hand-off enqueued so far into the shard
-// stripes and wakes those shards' executors.
-func (c *conn) wakeRouted() {
-	for shard, k := range c.routed {
-		if k != 0 {
-			c.s.stripes[shard].ops.Add(uint64(k))
-			c.s.execs[shard].wake()
-			c.routed[shard] = 0
-		}
+	for ; mask != 0; mask &= mask - 1 {
+		seq := p[pwBase] + uint64(bits.TrailingZeros64(mask))
+		sl := c.ob.slot(seq)
+		_, id, _ := sl.staged()
+		c.inflight.Add(-1)
+		s.busyTotal.Add(1)
+		s.ringFull.Add(1)
+		c.complete(seq, AppendFrame(sl.data[:0], id, StBusy))
 	}
 }

@@ -219,7 +219,10 @@ func TestVanishMidBatch(t *testing.T) {
 
 // TestRingFullBusy pins the batched backpressure contract: a full shard
 // ring makes the producer wait RingWait, then answer BUSY — and the
-// refusals are visible in the ring_full counter.
+// refusals are visible in the ring_full counter. The bound is in
+// requests, not ring nodes: of one 16-request burst to a ring of 8,
+// exactly the 8 lowest sequences are enqueued and execute, the 8 highest
+// are refused, and the map ends up holding the accepted PUTs only.
 func TestRingFullBusy(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
@@ -236,10 +239,10 @@ func TestRingFullBusy(t *testing.T) {
 	}
 	defer c.Close()
 
-	const n = 16
+	const n, fit = 16, 8
 	calls := make([]*Call, 0, n)
 	for i := uint64(0); i < n; i++ {
-		ca, err := c.Put(i, i)
+		ca, err := c.Put(100+i, i+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,32 +252,39 @@ func TestRingFullBusy(t *testing.T) {
 	// 8 fill the ring; the rest must come back BUSY while the executor
 	// is stalled. Wait for those refusals before releasing.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.ringFull.Load() < n-8 {
+	for s.ringFull.Load() < n-fit {
 		if time.Now().After(deadline) {
-			t.Fatalf("ring_full = %d, want %d", s.ringFull.Load(), n-8)
+			t.Fatalf("ring_full = %d, want %d", s.ringFull.Load(), n-fit)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if snap := s.snapshot(); snap.RingDepth[0] != fit || snap.Busy != n-fit {
+		t.Fatalf("stalled: ring_depth %v busy %d, want [%d] and %d", snap.RingDepth, snap.Busy, fit, n-fit)
+	}
 	release()
-	var busy, served int
 	for i, ca := range calls {
 		if err := ca.Wait(); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		switch ca.Status {
-		case StBusy:
-			busy++
-		case StOK, StNotFound:
-			served++
-		default:
-			t.Fatalf("call %d: status %d", i, ca.Status)
+		if want := byte(StNotFound); i < fit && ca.Status != want || i >= fit && ca.Status != StBusy {
+			t.Fatalf("call %d: status %d; want the %d lowest sequences served and the rest BUSY", i, ca.Status, fit)
 		}
 	}
-	if busy != n-8 || served != 8 {
-		t.Fatalf("busy=%d served=%d, want %d/%d", busy, served, n-8, 8)
+	for i := uint64(0); i < n; i++ {
+		got, err := c.Get(100 + i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		if applied := got.Status == StOK && got.Val == i+1; applied != (i < fit) || (!applied && got.Status != StNotFound) {
+			t.Fatalf("key %d: GET = %d/%d, applied=%v; want applied=%v", 100+i, got.Status, got.Val, applied, i < fit)
+		}
 	}
-	if s.busyTotal.Load() < uint64(busy) {
-		t.Fatalf("busy_total %d below observed %d", s.busyTotal.Load(), busy)
+	snap := s.snapshot()
+	if snap.RequestsRead != snap.ResponsesSent || snap.BatchedOps != fit+n || snap.RingDepth[0] != 0 {
+		t.Fatalf("ledger: read %d sent %d batched %d depth %v", snap.RequestsRead, snap.ResponsesSent, snap.BatchedOps, snap.RingDepth)
 	}
 }
 
@@ -389,7 +399,7 @@ func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 	// takes 16. The other 16 are refused one at a time, and then the
 	// reader waits on its window behind the stalled head of line.
 	waitFor("16 ring-full refusals", func() bool { return s.ringFull.Load() >= window/2-ring })
-	if got := s.rings.Queue(1).Len(); got != ring {
+	if got := s.execs[1].depth.Load(); got != ring {
 		t.Fatalf("stalled ring holds %d entries, want %d", got, ring)
 	}
 
@@ -538,5 +548,285 @@ func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 	}
 	if !sawStall {
 		t.Fatal("no slow-log entry attributes the stalled executor's wait to the queue stage")
+	}
+}
+
+// readReplies reads n responses off nc and fails unless response i
+// carries id first+i: the wire order is the request order.
+func readReplies(t *testing.T, nc net.Conn, first uint64, n int) []frame {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(10 * time.Second)) // a lost request must fail, not hang
+	fr := newFrameReader(nc, maxResponseFrame)
+	out := make([]frame, n)
+	for i := range out {
+		f, err := fr.read()
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", i+1, n, err)
+		}
+		if f.ID != first+uint64(i) {
+			t.Fatalf("response %d carries id %d, want %d: out of request order", i+1, f.ID, first+uint64(i))
+		}
+		f.Body = append([]byte(nil), f.Body...) // Body aliases the read buffer
+		out[i] = f
+	}
+	return out
+}
+
+func TestLowestBits(t *testing.T) {
+	for _, tc := range []struct {
+		mask uint64
+		n    int
+		want uint64
+	}{
+		{0, 0, 0},
+		{0, 3, 0},
+		{0b1011, 0, 0},
+		{0b1011, 1, 0b0001},
+		{0b1011, 2, 0b0011},
+		{0b1011, 3, 0b1011},
+		{0b1011, 64, 0b1011},
+		{1 << 63, 1, 1 << 63},
+		{1<<63 | 1, 1, 1},
+		{1<<63 | 1<<62 | 1<<5, 2, 1<<62 | 1<<5},
+		{^uint64(0), 63, ^uint64(0) >> 1},
+		{^uint64(0), 64, ^uint64(0)},
+	} {
+		if got := lowestBits(tc.mask, tc.n); got != tc.want {
+			t.Errorf("lowestBits(%#b, %d) = %#b, want %#b", tc.mask, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestProtocolOpsInsideBurst pipelines, in one write, a burst in which
+// PING, STATS and malformed frames sit between the data requests. They
+// are answered by the reader but take outbox sequences, so the shard
+// masks have gaps and a burst closes on its sequence span, not its
+// request count: a request shifted past bit 63 would never execute and
+// its response never arrive.
+func TestProtocolOpsInsideBurst(t *testing.T) {
+	s, addr := newBatchedServer(t, 4, 2, Config{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+
+	const total = 300
+	var out []byte
+	var puts, pings, stats, bad uint64
+	want := make([]byte, total) // expected status per request
+	kind := make([]byte, total)
+	for i := 0; i < total; i++ {
+		id := uint64(i + 1)
+		switch {
+		case i%7 == 3:
+			out, kind[i], want[i] = AppendFrame(out, id, OpPing), OpPing, StOK
+			pings++
+		case i%41 == 5:
+			out, kind[i], want[i] = AppendFrame(out, id, OpStats), OpStats, StOK
+			stats++
+		case i%13 == 6: // GET with a PUT's body, or an opcode nobody knows
+			code := byte(OpGet)
+			if i%2 == 0 {
+				code = 99
+			}
+			out, want[i] = AppendFrame(out, id, code, 1, 2), StBadRequest
+			bad++
+		default:
+			out, kind[i], want[i] = AppendFrame(out, id, OpPut, keyOnShard(s.shards, i%2, uint64(1000*i)), id), OpPut, StNotFound
+			puts++
+		}
+	}
+	if _, err := nc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range readReplies(t, nc, 1, total) {
+		if f.Code != want[i] || (kind[i] == OpStats) != (len(f.Body) > 8) {
+			t.Fatalf("response %d (request kind %d): status %d with a %d-byte body, want status %d",
+				i+1, kind[i], f.Code, len(f.Body), want[i])
+		}
+	}
+	snap := s.snapshot()
+	if snap.RequestsRead != total || snap.ResponsesSent != total || snap.BadRequests != bad {
+		t.Fatalf("ledger: read %d sent %d bad %d, want %d/%d/%d", snap.RequestsRead, snap.ResponsesSent, snap.BadRequests, total, total, bad)
+	}
+	if snap.BatchedOps != puts || snap.ShardOps[0]+snap.ShardOps[1] != puts {
+		t.Fatalf("exec_batched_ops %d shard_ops %v, want %d data requests", snap.BatchedOps, snap.ShardOps, puts)
+	}
+	// A node spans at most 64 sequences; how many reads delivered the
+	// burst is the kernel's business.
+	if snap.RingNodes < (puts+63)/64 || snap.RingNodes > puts {
+		t.Fatalf("ring_nodes %d for %d requests", snap.RingNodes, puts)
+	}
+	c := NewClient(nc, 0)
+	for i := 0; i < total; i++ {
+		if kind[i] != OpPut {
+			continue
+		}
+		got, err := c.Get(keyOnShard(s.shards, i%2, uint64(1000*i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Wait(); err != nil || got.Status != StOK || got.Val != uint64(i+1) {
+			t.Fatalf("request %d was answered but not applied: GET = %d/%d (%v)", i+1, got.Status, got.Val, err)
+		}
+	}
+}
+
+// TestSmallOddWindow runs bursts far larger than a window that is
+// neither 64 nor a power of two: the burst must close on the window (12
+// live sequences in 16 slots), and the slot a request is staged in must
+// not be reused before its response left.
+func TestSmallOddWindow(t *testing.T) {
+	s, addr := newBatchedServer(t, 4, 2, Config{Window: 12})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	const burst, rounds = 200, 3
+	key := func(i int) uint64 { return keyOnShard(s.shards, i%2, uint64(1000*i)) }
+	id := uint64(1)
+	for r := uint64(1); r <= rounds; r++ {
+		var out []byte
+		for i := 0; i < burst; i++ {
+			out = AppendFrame(out, id+uint64(2*i), OpPut, key(i), r<<32|uint64(i))
+			out = AppendFrame(out, id+uint64(2*i+1), OpGet, key(i))
+		}
+		// The server stops reading at 12 unwritten responses, so the write
+		// and the read must overlap.
+		werr := make(chan error, 1)
+		go func() { _, err := nc.Write(out); werr <- err }()
+		for i, f := range readReplies(t, nc, id, 2*burst) {
+			if i%2 == 1 && (f.Code != StOK || len(f.Body) != 8 || f.word(0) != r<<32|uint64(i/2)) {
+				t.Fatalf("round %d: GET %d = status %d body %x, want the value its PUT just wrote", r, i/2, f.Code, f.Body)
+			}
+		}
+		if err := <-werr; err != nil {
+			t.Fatal(err)
+		}
+		id += 2 * burst
+	}
+	snap := s.snapshot()
+	if want := uint64(2 * burst * rounds); snap.RequestsRead != want || snap.ResponsesSent != want || snap.BatchedOps != want {
+		t.Fatalf("ledger: read %d sent %d batched %d, want %d each", snap.RequestsRead, snap.ResponsesSent, snap.BatchedOps, want)
+	}
+	if snap.RingNodes < snap.BatchedOps/12 {
+		t.Fatalf("ring_nodes %d for %d requests: a node outgrew the 12-request window", snap.RingNodes, snap.BatchedOps)
+	}
+}
+
+// TestConcurrentBurstsLedger runs four connections against two shards at
+// once: three pipeline bursts that span both and check every reply, the
+// fourth writes a burst and vanishes mid-frame, over and over. Each
+// connection's nodes interleave with the others' on the rings; order,
+// values and the ledger must hold, nothing may stay in flight, and every
+// conn slot must recycle (MaxConns 4: the vanishing client can only run
+// batched again on the slot its predecessor gave back).
+func TestConcurrentBurstsLedger(t *testing.T) {
+	const conns, rounds, burst = 4, 6, 150
+	s, addr := newBatchedServer(t, 4, 2, Config{Window: 96, MaxConns: conns})
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	var wg sync.WaitGroup
+	ncs := make([]net.Conn, conns-1)
+	for w := range ncs {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		ncs[w] = nc
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			key := func(i int) uint64 { return keyOnShard(s.shards, i%2, uint64(w)<<40+uint64(1000*i)) }
+			id := uint64(1)
+			for r := uint64(1); r <= rounds; r++ {
+				var out []byte
+				for i := 0; i < burst; i++ {
+					out = AppendFrame(out, id+uint64(2*i), OpPut, key(i), r<<32|uint64(i))
+					out = AppendFrame(out, id+uint64(2*i+1), OpGet, key(i))
+				}
+				werr := make(chan error, 1)
+				go func() { _, err := nc.Write(out); werr <- err }()
+				nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+				fr := newFrameReader(nc, maxResponseFrame)
+				for i := 0; i < 2*burst; i++ {
+					f, err := fr.read()
+					if err != nil || f.ID != id+uint64(i) {
+						t.Errorf("conn %d round %d response %d: id %d (%v)", w, r, i, f.ID, err)
+						return
+					}
+					if i%2 == 1 && (f.Code != StOK || f.word(0) != r<<32|uint64(i/2)) {
+						t.Errorf("conn %d round %d: GET %d = status %d", w, r, i/2, f.Code)
+						return
+					}
+				}
+				if err := <-werr; err != nil {
+					t.Error(err)
+					return
+				}
+				id += 2 * burst
+			}
+		}(w)
+	}
+	// The fourth client, on the main goroutine: write most of a burst,
+	// vanish, and come back once the server has reaped the connection —
+	// only then is the fourth conn slot free to run batched again.
+	for r := 0; r < rounds; r++ {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []byte
+		for i := 0; i < burst; i++ {
+			out = AppendFrame(out, uint64(i+1), OpPut, keyOnShard(s.shards, i%2, 1<<50+uint64(1000*i)), 1)
+		}
+		nc.Write(out[:len(out)-5]) // the last frame torn
+		nc.Close()
+		waitFor("the vanished connection to be accepted and reaped", func() bool {
+			return s.connsTotal.Load() == uint64(conns+r) && s.active.Load() == conns-1
+		})
+	}
+	wg.Wait()
+	// The executor settles a node after publishing its last response, so
+	// the count trails the reply the client just read by a moment.
+	waitFor("in-flight counts to settle", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for c := range s.conns {
+			if c.inflight.Load() != 0 {
+				return false
+			}
+		}
+		return true
+	})
+	for _, nc := range ncs {
+		nc.Close()
+	}
+	waitFor("every connection to be reaped", func() bool { return s.active.Load() == 0 })
+	snap := s.snapshot()
+	if want := uint64((conns-1)*rounds*2*burst + rounds*(burst-1)); snap.RequestsRead != want ||
+		snap.ResponsesSent != want || snap.BatchedOps != want {
+		t.Fatalf("ledger: requests_read %d responses_sent %d exec_batched_ops %d, want %d each (no inline fallback)",
+			snap.RequestsRead, snap.ResponsesSent, snap.BatchedOps, want)
+	}
+	if snap.RingDepth[0] != 0 || snap.RingDepth[1] != 0 || snap.Busy != 0 {
+		t.Fatalf("ring_depth %v busy %d after the load", snap.RingDepth, snap.Busy)
+	}
+	s.mu.Lock()
+	free := len(s.freeSlots)
+	s.mu.Unlock()
+	if free != conns {
+		t.Fatalf("%d free conn slots, want %d", free, conns)
 	}
 }

@@ -13,6 +13,10 @@
 // store that publishes it, then to the writer until release; the mutex
 // only parks a goroutine that found nothing to do (DESIGN.md §10).
 //
+// In batched mode the slot carries the request first: the reader stages
+// it there and owns the slot until the enqueue, the executor reads it
+// out and encodes over it. The window is the staging buffer.
+//
 // The buffer doubles as the in-flight window: the reader blocks while
 // window responses are unwritten, so every live sequence has a reserved
 // slot, complete never blocks, and one slow connection cannot stall an
@@ -20,6 +24,7 @@
 package server
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
@@ -29,9 +34,25 @@ const slotInline = 32
 // obSlot is one cache line: the publish word, the inline bytes and the
 // heap escape for responses past slotInline.
 type obSlot struct {
-	n    atomic.Uint32 // 0 = not completed, else response length + 1
-	data [slotInline]byte
+	n    atomic.Uint32    // 0 = not completed, else response length + 1
+	data [slotInline]byte // staged request id|key|arg1|arg2, then the response
+	op   uint8            // staged request's opcode, in the padding before big
 	big  []byte
+}
+
+// stage parks data request f in the slot until its executor picks it up.
+func (sl *obSlot) stage(f frame) {
+	sl.op = f.Code
+	binary.LittleEndian.PutUint64(sl.data[:], f.ID)
+	copy(sl.data[8:], f.Body) // 1 to 3 words; those the op lacks stay stale and unread
+}
+
+// staged returns the request stage parked.
+func (sl *obSlot) staged() (op uint8, id uint64, args [3]uint64) {
+	for i := range args {
+		args[i] = binary.LittleEndian.Uint64(sl.data[8+8*i:])
+	}
+	return sl.op, binary.LittleEndian.Uint64(sl.data[:]), args
 }
 
 type outbox struct {
@@ -92,18 +113,18 @@ func (ob *outbox) full() bool { return ob.seq-ob.next.Load() >= ob.limit }
 func (ob *outbox) alloc() (uint64, []byte) {
 	s := ob.seq
 	ob.seq++
-	return s, ob.buf(s)
+	return s, ob.slot(s).data[:0]
 }
 
-// buf returns sequence seq's inline buffer, empty.
-func (ob *outbox) buf(seq uint64) []byte { return ob.slots[seq&ob.mask].data[:0] }
+// slot returns sequence seq's slot.
+func (ob *outbox) slot(seq uint64) *obSlot { return &ob.slots[seq&ob.mask] }
 
 // complete publishes sequence seq's response: what the completer
-// appended to buf(seq), or the heap slice that outgrew. It never blocks
-// and leaves waking the writer to the caller, once per run of
-// completions. Safe from any goroutine.
+// appended to the slot's buffer, or the heap slice that outgrew. It
+// never blocks and leaves waking the writer to the caller, once per run
+// of completions. Safe from any goroutine.
 func (ob *outbox) complete(seq uint64, resp []byte) {
-	sl := &ob.slots[seq&ob.mask]
+	sl := ob.slot(seq)
 	if len(resp) <= slotInline {
 		copy(sl.data[:], resp) // a no-op move when resp is the slot itself
 	} else {
@@ -142,7 +163,7 @@ func (ob *outbox) take() (lo, hi uint64, goaway, closed bool) {
 
 // bytes returns the published response of sequence seq.
 func (ob *outbox) bytes(seq uint64) []byte {
-	sl := &ob.slots[seq&ob.mask]
+	sl := ob.slot(seq)
 	if n := sl.n.Load() - 1; n <= slotInline {
 		return sl.data[:n]
 	}
@@ -152,7 +173,7 @@ func (ob *outbox) bytes(seq uint64) []byte {
 // release returns the slots of [lo, hi) to the reader's window.
 func (ob *outbox) release(lo, hi uint64) {
 	for s := lo; s != hi; s++ {
-		sl := &ob.slots[s&ob.mask]
+		sl := ob.slot(s)
 		sl.big = nil
 		sl.n.Store(0)
 	}

@@ -72,9 +72,9 @@ type Config struct {
 	// rings on one long-lived lease each. RESP connections always execute
 	// inline (variadic commands touch several shards mid-parse).
 	Inline bool
-	// RingSize bounds each shard's request ring in batched mode. A full
-	// ring is the backpressure signal: producers wait RingWait, then
-	// answer BUSY. Default 1024.
+	// RingSize bounds the requests queued on each shard's ring in batched
+	// mode. A full ring is the backpressure signal: producers wait
+	// RingWait, then answer BUSY. Default 1024.
 	RingSize int
 	// RingWait bounds how long a request waits for space on a full shard
 	// ring before the server answers BUSY. Defaults to LeaseWait.
@@ -301,9 +301,9 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 	reg.Counter("oa_server_slow_requests_total", "requests whose server-side span crossed SlowThreshold",
 		func() uint64 { return s.slowlog.total() })
 	if s.rings != nil {
-		reg.GaugeVec("oa_server_ring_depth", "bounded request-ring depth per shard", "shard",
-			len(s.execs), func(i int) float64 { return float64(s.rings.Queue(i).Len()) })
-		reg.Gauge("oa_server_ring_cap", "bounded request-ring capacity per shard",
+		reg.GaugeVec("oa_server_ring_depth", "requests queued on each shard's bounded ring", "shard",
+			len(s.execs), func(i int) float64 { return float64(s.execs[i].depth.Load()) })
+		reg.Gauge("oa_server_ring_cap", "bound on requests queued per shard ring",
 			func() float64 { return float64(s.cfg.RingSize) })
 		reg.Counter("oa_server_ring_full_total", "requests answered BUSY because the shard ring stayed full past RingWait",
 			func() uint64 { return s.ringFull.Load() })
@@ -487,6 +487,7 @@ type Snapshot struct {
 	RingDepth  []int  `json:"ring_depth"`
 	RingFull   uint64 `json:"ring_full"`
 	Batches    uint64 `json:"exec_batches"`
+	RingNodes  uint64 `json:"ring_nodes"`
 	BatchedOps uint64 `json:"exec_batched_ops"`
 	MaxBatch   uint64 `json:"exec_max_batch"`
 }
@@ -498,13 +499,14 @@ func (s *Server) snapshot() Snapshot {
 	}
 	mode, ringCap := "inline", 0
 	var depth []int
-	var batches, batchedOps, maxBatch uint64
+	var batches, nodes, batchedOps, maxBatch uint64
 	if s.rings != nil {
 		mode, ringCap = "batched", s.cfg.RingSize
 		depth = make([]int, len(s.execs))
 		for i, e := range s.execs {
-			depth[i] = s.rings.Queue(i).Len()
+			depth[i] = int(e.depth.Load())
 			batches += e.batches.Load()
+			nodes += e.nodes.Load()
 			batchedOps += e.ops.Load()
 			if m := e.maxBatch.Load(); m > maxBatch {
 				maxBatch = m
@@ -517,6 +519,7 @@ func (s *Server) snapshot() Snapshot {
 		RingDepth:     depth,
 		RingFull:      s.ringFull.Load(),
 		Batches:       batches,
+		RingNodes:     nodes,
 		BatchedOps:    batchedOps,
 		MaxBatch:      maxBatch,
 		Connections:   s.active.Load(),
@@ -626,7 +629,7 @@ const (
 )
 
 // conn is one client connection: a reader goroutine that decodes and
-// routes (executing inline or enqueueing onto shard rings), a writer
+// routes (executing inline or handing bursts to the shard rings), a writer
 // goroutine that batches and flushes the outbox, and — in batched mode —
 // completions arriving from shard executors. sessions holds the lazily
 // leased per-shard sessions of the inline path.
@@ -650,7 +653,7 @@ type conn struct {
 	slot     uint32
 	prod     *mpmc.Session
 	inflight atomic.Int64
-	routed   []uint32 // per shard: enqueued by the current hand-off, executor not yet woken
+	masks    []uint64 // per shard: which sequences of the burst being staged route there
 
 	// Request-span state, owned by the reader goroutine. sp is the
 	// per-request stopwatch, reused across requests; spanSeq drives the
@@ -695,7 +698,7 @@ func (s *Server) register(c *conn) bool {
 		return false
 	}
 	c.slot, c.prod = slot, prod
-	c.routed = make([]uint32, len(s.execs))
+	c.masks = make([]uint64, len(s.execs))
 	s.tab[slot].Store(c)
 	return true
 }

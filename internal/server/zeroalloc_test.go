@@ -9,10 +9,10 @@ import (
 )
 
 // The served request path must not allocate in steady state: the frame
-// reader decodes in place from a fixed buffer, requests cross to the
-// executors as fixed-size ring payloads, responses are encoded into the
-// connection's outbox slots and copied from there into the writer's
-// buffer. AllocsPerRun counts the whole process's mallocs, so one
+// reader decodes in place from a fixed buffer, requests are staged in
+// the connection's outbox slots and cross to the executors as one
+// fixed-size ring node per burst and shard, responses are encoded over
+// the requests and copied from there into the writer's buffer. AllocsPerRun counts the whole process's mallocs, so one
 // pipelined loopback burst per run covers reader, ring, executors,
 // outbox and writer at once; its result is integral (total/runs), so 0
 // tolerates a stray runtime allocation but not one per burst, let alone
@@ -60,12 +60,19 @@ func TestServedBinaryPathDoesNotAllocate(t *testing.T) {
 	for i := 0; i < 20; i++ { // warm pools, rings and goroutine stacks
 		round()
 	}
+	before := s.snapshot()
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Fatalf("binary served path: %.0f allocs per %d-request burst, want 0", avg, allocBurst)
 	}
 	snap := s.snapshot()
 	if snap.BatchedOps < 200*allocBurst || snap.ShardOps[0] == 0 || snap.ShardOps[1] == 0 {
 		t.Fatalf("burst did not cross both shard rings: batched_ops %d shard_ops %v", snap.BatchedOps, snap.ShardOps)
+	}
+	// The OA queue is paid per (burst, shard), not per request: a burst
+	// that one read delivers is one node on each of the two rings.
+	bursts := (snap.BatchedOps - before.BatchedOps) / allocBurst
+	if nodes := snap.RingNodes - before.RingNodes; nodes > 2*bursts {
+		t.Fatalf("%d ring nodes for %d two-shard bursts of %d requests, want at most 2 per burst", nodes, bursts, allocBurst)
 	}
 }
 
