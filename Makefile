@@ -2,18 +2,19 @@
 
 GO ?= go
 
-.PHONY: all ci build test zeroalloc race race-full cover fuzz bench benchjson benchdiff benchdiff-smoke experiments stress obs-smoke trace-smoke serve-smoke resp-smoke shard-smoke slo-smoke batch-smoke health-smoke cache-smoke clean
+.PHONY: all ci build test zeroalloc race race-full cover fuzz bench experiments stress obs-smoke trace-smoke serve-smoke resp-smoke shard-smoke slo-smoke health-smoke cache-smoke clean
 
 all: build test
 
-# Everything a merge gate needs: compile+vet, tests, the race detector
-# over the reclamation core, the perf-diff smoke, the observability and
-# event-trace endpoint smokes, the end-to-end serving smokes (binary
-# protocol, RESP interop, shard scaling, batched-vs-inline execution),
-# the SLO gate driven off the server's own latency histograms, the
-# health-engine gate that provokes each degraded state on purpose, and
-# the TTL/LRU cache gate (expiry, sweeping, eviction-not-OOM).
-ci: build test zeroalloc race benchdiff-smoke obs-smoke trace-smoke serve-smoke resp-smoke shard-smoke slo-smoke batch-smoke health-smoke cache-smoke
+# Everything a merge gate needs: compile+vet, tests, the allocation
+# proofs, the race detector over the reclamation core and the request
+# path, the observability and event-trace endpoint smokes, the end-to-end
+# serving smokes (binary protocol, RESP interop, shard scaling), the SLO
+# gate driven off the server's own latency histograms, the health-engine
+# gate that provokes each degraded state on purpose, and the TTL/LRU
+# cache gate (expiry, sweeping, eviction-not-OOM). Performance is
+# recorded by bench/ (BENCHMARK.json), not gated here.
+ci: build test zeroalloc race obs-smoke trace-smoke serve-smoke resp-smoke shard-smoke slo-smoke health-smoke cache-smoke
 
 build:
 	$(GO) build ./...
@@ -25,8 +26,9 @@ test:
 # The allocation proofs, run uncached: structure operations and
 # reclamation passes (root zeroalloc_test.go), the request ring, the
 # trace recorder, and the served request path of both protocols — a
-# pipelined loopback burst through reader, ring, executors, outbox slots
-# and writer must allocate nothing per request.
+# pipelined loopback burst through reader, codec, ring, executors, outbox
+# slots and writer must allocate nothing per request and cost at most one
+# ring node per shard.
 zeroalloc:
 	$(GO) test -count=1 -run 'Allocate' . ./internal/server ./internal/mpmc ./internal/trace
 
@@ -36,8 +38,9 @@ zeroalloc:
 # server's burst hand-off, lock-free outbox and lazily allocated trace
 # rings. -short keeps it inside a merge-gate budget; race-full sweeps
 # everything. The burst hand-off's concurrent test (several connections'
-# nodes interleaving on the rings, one client vanishing) runs ten times
-# over: a race there is a matter of interleaving.
+# nodes interleaving on the rings over both codecs, variadic joins, one
+# client vanishing) runs ten times over: a race there is a matter of
+# interleaving.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/...
 	$(GO) test -race -count=10 -run TestConcurrentBurstsLedger ./internal/server
@@ -55,48 +58,10 @@ fuzz:
 	$(GO) test -fuzz FuzzMapVsModel -fuzztime 30s ./internal/kvmap
 	$(GO) test -fuzz FuzzOAQueueVsModel -fuzztime 30s ./internal/queue
 	$(GO) test -fuzz FuzzFrameReader -fuzztime 30s ./internal/server
+	$(GO) test -fuzz FuzzRESPReader -fuzztime 30s ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-
-# Machine-readable Figure 1 snapshot for cross-commit perf tracking. The
-# note pins the baseline this file is diffed against (BENCH_8.json —
-# see the notes inside both). Snapshots on this host are recorded as
-# the per-cell median of several alternating passes of this target
-# because the hypervisor-steal noise makes any single pass a coin flip
-# — see the notes field inside them. From BENCH_9 on, snapshots run
-# with the in-process flight recorder sampling at its default 250ms
-# interval (oabench -flight, on by default), so the recorder's
-# steady-state cost is inside the gated numbers, and carry an env
-# fingerprint benchdiff checks before comparing.
-BASELINE_NOTE = baseline: BENCH_9.json (re-paired side of the same \
-5-alternating-pass per-cell-median procedure on this 1-vCPU host); \
-this PR rebuilds internal/list on the generic OA kit (internal/oakit) \
-and adds an immediate best-effort unlink after kvmap's logical \
-deletes -- the gated structures' algorithms are unchanged, so every \
-cell must stay within noise of the hand-written-list baseline; diff \
-with make benchdiff
-
-benchjson:
-	$(GO) run ./cmd/oabench -experiment fig1 -duration 200ms -reps 6 \
-		-json BENCH_10.json -notes "$(BASELINE_NOTE)"
-
-# Per-cell throughput ratio gate between two oabench snapshots:
-#   make benchdiff OLD=BENCH_3.json NEW=BENCH_4.json [THRESHOLD=0.85]
-# Exits nonzero when any joined cell regresses below THRESHOLD; the p99
-# latency comparison it appends is informational and never gates.
-OLD ?= BENCH_9.json
-NEW ?= BENCH_10.json
-THRESHOLD ?= 0.85
-
-benchdiff:
-	$(GO) run ./cmd/benchdiff -old $(OLD) -new $(NEW) -threshold $(THRESHOLD)
-
-# Mechanics-only smoke for the gate: a snapshot self-diff joins every cell
-# at ratio 1.0, so it exercises the parser, join and gate without making
-# CI depend on benchmark noise.
-benchdiff-smoke:
-	$(GO) run ./cmd/benchdiff -old BENCH_2.json -new BENCH_2.json -threshold 0.999 >/dev/null
 
 # Full figure regeneration (paper settings: -duration 1s -reps 20).
 experiments:
@@ -123,7 +88,7 @@ trace-smoke:
 	@rm -f $(TRACE_TMP)
 
 # End-to-end probe of the network server: builds oaserver+oaload, bursts
-# 64 pipelined connections at the default batched executors, asserts the
+# 64 pipelined connections at the shard executors, asserts the
 # throughput floor and the one-lease-per-shard economy, then SIGTERMs
 # mid-load and checks the drain drops zero in-flight requests.
 serve-smoke:
@@ -140,13 +105,6 @@ resp-smoke:
 # the 1-shard rate (mechanics-only on smaller hosts).
 shard-smoke:
 	$(GO) run ./cmd/shardsmoke
-
-# Batched-execution gate: measures inline-vs-batched throughput at
-# 1/2/4 shards under 64 pipelined connections; on a >= 4-core runner
-# batched must deliver >= 1.15x inline at 4 shards (mechanics-only on
-# smaller hosts: ledger balance, exec-mode fidelity, lease economy).
-batch-smoke:
-	$(GO) run ./cmd/batchsmoke
 
 # SLO gate: drives oaload against oaserver and asserts the objectives
 # (throughput floor, per-command server-side p99, BUSY budget) from the

@@ -35,14 +35,11 @@ type options struct {
 	threads    []int
 	delta      int
 	quick      bool
-	jsonPath   string
-	notes      string
-	latsample  int
 	flight     bool
 }
 
 // probe is the process-wide flight recorder (nil with -flight=false);
-// measureFull publishes every freshly built structure into it.
+// measure publishes every freshly built structure into it.
 var probe *flightProbe
 
 func main() {
@@ -56,11 +53,6 @@ func main() {
 	flag.StringVar(&threadsFlag, "threads", "1,2,4,8,16,32,64", "thread counts to sweep")
 	flag.IntVar(&o.delta, "delta", 50000, "δ: allocations between reclamation phases (Figure 1 default)")
 	flag.BoolVar(&o.quick, "quick", false, "tiny sweep for smoke testing")
-	flag.StringVar(&o.jsonPath, "json", "",
-		"also write the figure-family results as JSON to this file")
-	flag.StringVar(&o.notes, "notes", "", "free-form note embedded in the JSON report")
-	flag.IntVar(&o.latsample, "latsample", 64,
-		"time one op in N per thread for latency percentiles (0 disables all clock reads)")
 	flag.BoolVar(&o.flight, "flight", true,
 		"run the in-process flight recorder during measurements, so reported numbers include its steady-state cost")
 	flag.Parse()
@@ -87,29 +79,19 @@ func main() {
 	fmt.Printf("# oabench: GOMAXPROCS=%d, duration=%v, reps=%d, δ=%d, flight=%v\n\n",
 		runtime.GOMAXPROCS(0), o.duration, o.reps, o.delta, o.flight)
 
-	var rep *Report
-	if o.jsonPath != "" {
-		rep = newReport(o, o.notes)
-	}
-	record := func(f Figure) {
-		if rep != nil {
-			rep.Figures = append(rep.Figures, f)
-		}
-	}
-
 	switch o.experiment {
 	case "fig1":
-		record(figureSweep(o, "fig1", "Figure 1: throughput ratio vs NoRecl (80% reads)", 0.8, false, 64))
+		figureSweep(o, "Figure 1: throughput ratio vs NoRecl (80% reads)", 0.8, false, 64)
 	case "fig4":
-		record(figureSweep(o, "fig4", "Figure 4: absolute throughput in Mops/s (80% reads)", 0.8, true, 64))
+		figureSweep(o, "Figure 4: absolute throughput in Mops/s (80% reads)", 0.8, true, 64)
 	case "fig5":
-		record(figureSweep(o, "fig5", "Figure 5: second-platform ratios (sweep capped at 32 threads)", 0.8, false, 32))
+		figureSweep(o, "Figure 5: second-platform ratios (sweep capped at 32 threads)", 0.8, false, 32)
 	case "fig6":
-		record(figureSweep(o, "fig6", "Figure 6: second-platform absolute throughput (capped at 32)", 0.8, true, 32))
+		figureSweep(o, "Figure 6: second-platform absolute throughput (capped at 32)", 0.8, true, 32)
 	case "fig7":
-		record(figureSweep(o, "fig7", "Figure 7: ratios at 40% mutation (60% reads)", 0.6, false, 64))
+		figureSweep(o, "Figure 7: ratios at 40% mutation (60% reads)", 0.6, false, 64)
 	case "fig8":
-		record(figureSweep(o, "fig8", "Figure 8: ratios at 2/3 mutation (1/3 reads)", 1.0/3.0, false, 64))
+		figureSweep(o, "Figure 8: ratios at 2/3 mutation (1/3 reads)", 1.0/3.0, false, 64)
 	case "fig2":
 		fig2(o)
 	case "fig3":
@@ -132,53 +114,26 @@ func main() {
 		zipf(o)
 		pauses(o)
 	case "all":
-		record(figureSweep(o, "fig1", "Figure 1: throughput ratio vs NoRecl (80% reads)", 0.8, false, 64))
+		figureSweep(o, "Figure 1: throughput ratio vs NoRecl (80% reads)", 0.8, false, 64)
 		fig2(o)
 		fig3(o)
-		record(figureSweep(o, "fig4", "Figure 4: absolute throughput in Mops/s (80% reads)", 0.8, true, 64))
-		record(figureSweep(o, "fig5", "Figure 5: second-platform ratios (capped at 32 threads)", 0.8, false, 32))
-		record(figureSweep(o, "fig6", "Figure 6: second-platform absolute throughput (capped at 32)", 0.8, true, 32))
-		record(figureSweep(o, "fig7", "Figure 7: ratios at 40% mutation (60% reads)", 0.6, false, 64))
-		record(figureSweep(o, "fig8", "Figure 8: ratios at 2/3 mutation (1/3 reads)", 1.0/3.0, false, 64))
+		figureSweep(o, "Figure 4: absolute throughput in Mops/s (80% reads)", 0.8, true, 64)
+		figureSweep(o, "Figure 5: second-platform ratios (capped at 32 threads)", 0.8, false, 32)
+		figureSweep(o, "Figure 6: second-platform absolute throughput (capped at 32)", 0.8, true, 32)
+		figureSweep(o, "Figure 7: ratios at 40% mutation (60% reads)", 0.6, false, 64)
+		figureSweep(o, "Figure 8: ratios at 2/3 mutation (1/3 reads)", 1.0/3.0, false, 64)
 		sanity(o)
 		ablation(o)
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", o.experiment)
 		os.Exit(2)
 	}
-
-	if rep != nil {
-		if len(rep.Figures) == 0 {
-			fmt.Fprintf(os.Stderr,
-				"-json: experiment %q records no figure tables; nothing written\n", o.experiment)
-			os.Exit(2)
-		}
-		if err := rep.write(o.jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "-json: %v\n", err)
-			os.Exit(1)
-		}
-	}
 }
 
-// measure runs one (structure, scheme, threads) cell.
+// measure runs one (structure, scheme, threads) cell and returns its mean
+// throughput over the repetitions.
 func measure(o options, st harness.Structure, sc smr.Scheme, threads int,
 	readFraction float64, delta, localPool int, warnStore bool) float64 {
-	mean, _ := measureObserved(o, st, sc, threads, readFraction, delta, localPool, warnStore)
-	return mean
-}
-
-// measureObserved is measure plus the final repetition's SMR counters,
-// for reports that embed them next to the throughput.
-func measureObserved(o options, st harness.Structure, sc smr.Scheme, threads int,
-	readFraction float64, delta, localPool int, warnStore bool) (float64, smr.Stats) {
-	mean, last := measureFull(o, st, sc, threads, readFraction, delta, localPool, warnStore)
-	return mean, last.Stats
-}
-
-// measureFull returns the mean throughput and the final repetition's full
-// Result — counters plus the latency histograms -latsample enables.
-func measureFull(o options, st harness.Structure, sc smr.Scheme, threads int,
-	readFraction float64, delta, localPool int, warnStore bool) (float64, harness.Result) {
 	mk := func() smr.Set {
 		set, err := harness.Build(harness.BuildConfig{
 			Structure: st, Scheme: sc, Threads: threads,
@@ -195,24 +150,19 @@ func measureFull(o options, st harness.Structure, sc smr.Scheme, threads int,
 	}
 	w := harness.WorkloadFor(st, threads, readFraction)
 	w.Duration = o.duration
-	w.LatencySample = o.latsample
-	mean, _, last := harness.RepeatFull(mk, w, o.reps)
-	return mean, last
+	mean, _ := harness.Repeat(mk, w, o.reps)
+	return mean
 }
 
 // figureSweep renders the Figure 1/4/5/6/7/8 family: per structure, a
-// threads × schemes table of ratios (or Mops when absolute). Every cell is
-// also recorded — with both Mops and ratio, regardless of which the table
-// printed — into the returned Figure for the -json report.
-func figureSweep(o options, name, title string, readFraction float64, absolute bool, capThreads int) Figure {
-	fig := Figure{Name: name, Title: title, ReadFraction: readFraction}
+// threads × schemes table of ratios (or Mops when absolute).
+func figureSweep(o options, title string, readFraction float64, absolute bool, capThreads int) {
 	fmt.Printf("== %s ==\n", title)
 	for _, st := range harness.Structures {
 		schemes := []smr.Scheme{smr.OA, smr.HP, smr.EBR}
 		if st.Supports(smr.Anchors) {
 			schemes = append(schemes, smr.Anchors)
 		}
-		sr := StructureResult{Structure: string(st)}
 		fmt.Printf("\n-- %s --\n", st)
 		fmt.Printf("%8s %10s", "threads", "NoRecl")
 		for _, sc := range schemes {
@@ -223,24 +173,10 @@ func figureSweep(o options, name, title string, readFraction float64, absolute b
 			if n > capThreads {
 				continue
 			}
-			base, baseRes := measureFull(o, st, smr.NoRecl, n, readFraction, o.delta, 126, false)
-			row := Row{
-				Threads: n, NoReclMops: base,
-				NoReclCounters: countersFrom(baseRes.Stats),
-				NoReclLatency:  latencyFrom(baseRes.Latency),
-			}
+			base := measure(o, st, smr.NoRecl, n, readFraction, o.delta, 126, false)
 			fmt.Printf("%8d %10.3f", n, base)
 			for _, sc := range schemes {
-				v, res := measureFull(o, st, sc, n, readFraction, o.delta, 126, false)
-				ratio := 0.0
-				if base > 0 {
-					ratio = v / base
-				}
-				row.Schemes = append(row.Schemes, SchemeCell{
-					Scheme: sc.String(), Mops: v, RatioVsNoRecl: ratio,
-					Counters: countersFrom(res.Stats),
-					Latency:  latencyFrom(res.Latency),
-				})
+				v := measure(o, st, sc, n, readFraction, o.delta, 126, false)
 				if absolute {
 					fmt.Printf(" %10.3f", v)
 				} else {
@@ -248,17 +184,14 @@ func figureSweep(o options, name, title string, readFraction float64, absolute b
 				}
 			}
 			fmt.Println()
-			sr.Rows = append(sr.Rows, row)
 		}
 		if absolute {
 			fmt.Println("   (all columns in Mops/s)")
 		} else {
 			fmt.Println("   (NoRecl column in Mops/s; scheme columns are throughput ratios)")
 		}
-		fig.Structures = append(fig.Structures, sr)
 	}
 	fmt.Println()
-	return fig
 }
 
 // fig2 sweeps the local pool size at 32 threads, phase every ~16,000

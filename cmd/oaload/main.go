@@ -22,8 +22,7 @@
 // (send→response, including pipeline queueing on both sides) as
 // count/mean/p50/p90/p99/p999/max nanoseconds. On the binary protocol
 // the report also carries an "exec" section sampled live over STATS:
-// the server's execution mode, peak ring queue depth, ring-full
-// refusals and the batch-size distribution (batches, max, average) the
+// the server's peak ring queue depth, ring-full refusals and the batch-size distribution (batches, max, average) the
 // per-shard executors achieved under this load. The SLO gate (cmd/
 // slocheck) reads this report and cross-checks it against the server's
 // own histograms and batching counters.
@@ -71,7 +70,6 @@ type report struct {
 // size distribution the executors actually achieved. Binary protocol
 // only (a RESP -addr has no STATS op); nil when the poll never landed.
 type execReport struct {
-	Mode          string  `json:"mode"`
 	RingCap       int     `json:"ring_cap"`
 	MaxQueueDepth int     `json:"max_queue_depth"`
 	RingFull      uint64  `json:"ring_full"`
@@ -134,7 +132,6 @@ func sampleStats(addr string, stop <-chan struct{}) (*execReport, *healthReport)
 		}
 		var snap struct {
 			Server struct {
-				ExecMode   string `json:"exec_mode"`
 				RingCap    int    `json:"ring_cap"`
 				RingDepth  []int  `json:"ring_depth"`
 				RingFull   uint64 `json:"ring_full"`
@@ -178,7 +175,7 @@ func sampleStats(addr string, stop <-chan struct{}) (*execReport, *healthReport)
 		}
 		s := snap.Server
 		if rep == nil {
-			rep = &execReport{Mode: s.ExecMode, RingCap: s.RingCap}
+			rep = &execReport{RingCap: s.RingCap}
 		}
 		for _, d := range s.RingDepth {
 			if d > rep.MaxQueueDepth {

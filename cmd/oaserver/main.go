@@ -5,14 +5,14 @@
 // its own OA universe — arena, session registry, reclamation phases — so
 // reclamation in one shard never fences operations in another.
 //
-// By default (-exec batched) binary-protocol requests are routed onto
-// per-shard bounded MPMC rings and executed by one long-lived executor
-// goroutine per shard, so the leased session population is one per
-// shard regardless of connection count; a full ring answers BUSY after
-// -ring-wait. With -exec inline every connection leases an SMR session
-// per shard it touches and executes its own requests (the pre-batching
-// model, kept for comparison); RESP connections always run inline, so
-// -threads needs headroom above the shard count for them.
+// Both listeners feed one request path: a connection's reader decodes
+// its wire format into the same commands and routes them onto per-shard
+// bounded MPMC rings, and one long-lived executor goroutine per shard —
+// the holder of the shard's only request-path session — runs them, so
+// the leased session population is one per shard regardless of
+// connection count or protocol. A full ring answers BUSY after
+// -ring-wait; a connection past -max-conns is refused. -threads needs
+// headroom above that one session only for the cache sweeper.
 //
 // -cache layers TTL/LRU cache semantics over the shards on the RESP
 // surface: SET applies -ttl as the default time-to-live, GET expires
@@ -64,18 +64,16 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7070", "listen address (binary protocol)")
 		respAddr     = flag.String("resp", "", "RESP2 listen address (empty = off)")
 		debug        = flag.String("debug", "", "observability HTTP address (empty = off)")
-		threads      = flag.Int("threads", 32, "per-shard session registry size (max concurrent leases per shard)")
+		threads      = flag.Int("threads", 32, "per-shard session registry size (the shard's executor takes one lease, the cache sweeper one more while it runs)")
 		shards       = flag.Int("shards", 0, "keyspace shards, rounded up to a power of two (0 = one per core)")
 		capacity     = flag.Int("capacity", 1<<20, "total node budget across shards (live entries + reclamation slack)")
 		expected     = flag.Int("expected", 0, "expected live entries across shards (0 = capacity/2)")
 		window       = flag.Int("window", 256, "per-connection in-flight response window")
-		execMode     = flag.String("exec", "batched", "execution model: batched (per-shard executors over MPMC rings) or inline (per-connection leases)")
-		ringSize     = flag.Int("ring-size", 1024, "per-shard request ring bound, in queued requests (batched mode)")
-		ringWait     = flag.Duration("ring-wait", 0, "max wait for ring space before BUSY (0 = -lease-wait)")
-		maxConns     = flag.Int("max-conns", 1024, "batched-mode connection table size (excess connections fall back to inline)")
-		leaseWait    = flag.Duration("lease-wait", 2*time.Millisecond, "max wait for a session slot before BUSY")
+		ringSize     = flag.Int("ring-size", 1024, "per-shard request ring bound, in queued requests")
+		ringWait     = flag.Duration("ring-wait", 2*time.Millisecond, "max wait for ring space before BUSY")
+		maxConns     = flag.Int("max-conns", 1024, "max concurrent connections over both listeners (one more is answered a BUSY frame / -ERR max number of clients reached, and closed)")
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "max graceful drain on SIGTERM")
-		traceOn      = flag.Bool("trace", false, "record protocol trace events (lease/unlease, reclamation)")
+		traceOn      = flag.Bool("trace", false, "record protocol trace events (request spans, ring hand-offs, reclamation)")
 		slowThresh   = flag.Duration("slow-threshold", time.Millisecond, "server-side latency past which a request enters /debug/slowlog")
 		slowlogSize  = flag.Int("slowlog", 256, "slow-request ring capacity (rounded up to a power of two)")
 		spanSample   = flag.Int("span-sample", 64, "emit every Nth request span into the trace rings (with -trace)")
@@ -92,10 +90,6 @@ func main() {
 
 	if *expected <= 0 {
 		*expected = *capacity / 2
-	}
-	if *execMode != "batched" && *execMode != "inline" {
-		fmt.Fprintf(os.Stderr, "oaserver: unknown -exec %q (want batched or inline)\n", *execMode)
-		os.Exit(2)
 	}
 	if *traceOn {
 		trace.SetEnabled(true)
@@ -116,11 +110,9 @@ func main() {
 		Shards:        sh,
 		Cache:         cache,
 		Window:        *window,
-		Inline:        *execMode == "inline",
 		RingSize:      *ringSize,
 		RingWait:      *ringWait,
 		MaxConns:      *maxConns,
-		LeaseWait:     *leaseWait,
 		DrainTimeout:  *drainTimeout,
 		SlowThreshold: *slowThresh,
 		SlowLogSize:   *slowlogSize,
@@ -164,8 +156,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "oaserver:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "oaserver: serving on %s (%s exec, %d shards, %d session slots/shard, capacity %d)\n",
-		ln.Addr(), *execMode, sh.NumShards(), *threads, *capacity)
+	fmt.Fprintf(os.Stderr, "oaserver: serving on %s (%d shards, %d session slots/shard, capacity %d)\n",
+		ln.Addr(), sh.NumShards(), *threads, *capacity)
 
 	done := make(chan error, 2)
 	listeners := 1
@@ -191,8 +183,8 @@ func main() {
 		for i := 0; i < listeners; i++ {
 			<-done
 		}
-		// The shard registries close only after the drain so in-flight
-		// connections could still lease mid-drain.
+		// The shard registries close only after the drain: the executors
+		// hold their sessions until the last connection is gone.
 		sh.Close()
 		os.Stdout.Write(srv.FinalStats())
 		if forced > 0 {

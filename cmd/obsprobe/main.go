@@ -55,7 +55,7 @@ var requiredMetrics = []string{
 }
 
 // requiredServerMetrics are the request-observability families oaserver
-// must export once traffic has flowed (DESIGN.md §9).
+// must export once traffic has flowed (DESIGN.md §7.8).
 var requiredServerMetrics = []string{
 	"oa_server_requests_total",
 	"oa_server_requests_read_total",

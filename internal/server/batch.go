@@ -1,22 +1,22 @@
-// Per-shard batched execution. In batched mode (the default) a reader
-// goroutine only parses and routes, one pipeline burst — what one
-// read(2) delivered — at a time: each data request is staged in the
-// outbox slot its response will occupy, then the burst is handed off
-// with one timestamp, one ledger update, and one ring node and one wake
-// per shard touched. One executor goroutine per shard holds the shard's
-// only long-lived kvmap lease and drains its ring in batches, so lease
-// acquisition, warning-check placement and map cache misses amortize
-// across every connection hitting the shard — and the session economy
-// shrinks from conns×shards leases to exactly one per shard.
+// The request path. A connection's reader only decodes and routes, one
+// pipeline burst — what one read(2) delivered — at a time: each data
+// command, of either wire format, is staged in the outbox slot its
+// response will occupy, then the burst is handed off with one timestamp,
+// one ledger update, and one ring node and one wake per shard touched.
+// One executor goroutine per shard holds the shard's only long-lived
+// kvmap session and drains its ring in batches, so warning-check
+// placement and map cache misses amortize across every connection
+// hitting the shard, and the session economy is exactly one lease per
+// shard. The executor's op table is the only place a data op touches a
+// map; the connection's codec encodes each result over its request in
+// the outbox slot, and the slots restore wire order.
 //
 // The rings are the OA-native bounded MPMC queues of internal/mpmc: the
 // server's hot path runs through the reclamation scheme it serves, once
-// per (burst, shard) rather than once per request. Backpressure inverts
-// the old model: instead of per-(conn,shard) BUSY at lease time, a shard
-// with RingSize requests queued makes the producer wait up to RingWait
-// for the executor to catch up, then answer BUSY. Executors encode each
-// response over its request in the connection's outbox slots, which
-// restore wire order.
+// per (burst, shard) rather than once per request. They are also the
+// only admission control: a shard with RingSize requests queued makes
+// the producer wait up to RingWait for the executor to catch up, then
+// answer BUSY.
 package server
 
 import (
@@ -30,6 +30,7 @@ import (
 	"repro/internal/mpmc"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/ttlcache"
 )
 
 // Ring node layout — one node per (burst, shard), six of the
@@ -64,49 +65,16 @@ func lowestBits(mask uint64, n int) uint64 {
 	return mask &^ rest
 }
 
-// runOp executes one data op on sess and appends the response frame to
-// dst, the request's outbox slot. Shared by the inline path (reader
-// goroutine) and the batched path (executor).
-func runOp(dst []byte, sess *kvmap.Session, op uint8, id, key, a1, a2 uint64) []byte {
-	switch op {
-	case OpGet:
-		if v, ok := sess.Get(key); ok {
-			return AppendFrame(dst, id, StOK, v)
-		}
-		return AppendFrame(dst, id, StNotFound)
-	case OpPut:
-		if prev, had := sess.Put(key, a1); had {
-			return AppendFrame(dst, id, StOK, prev)
-		}
-		return AppendFrame(dst, id, StNotFound, 0)
-	case OpDel:
-		if v, ok := sess.Remove(key); ok {
-			return AppendFrame(dst, id, StOK, v)
-		}
-		return AppendFrame(dst, id, StNotFound)
-	case OpCAS:
-		swapped, found := sess.CompareAndSwap(key, a1, a2)
-		switch {
-		case swapped:
-			return AppendFrame(dst, id, StOK)
-		case found:
-			return AppendFrame(dst, id, StCASMismatch)
-		default:
-			return AppendFrame(dst, id, StNotFound)
-		}
-	}
-	return AppendFrame(dst, id, StBadRequest)
-}
-
 // executor is one shard's single consumer: it owns the shard's only
 // kvmap session (the long-lived lease) and one mpmc consumer session,
-// and is the only goroutine executing ops on the shard in batched mode
-// — which is also what makes its trace-ring writes single-writer.
+// and is the only goroutine executing ops on the shard — which is also
+// what makes its trace-ring writes single-writer.
 type executor struct {
 	s     *Server
 	shard int
-	sess  *kvmap.Session // the shard's one long-lived map lease (nil after ErrClosed)
-	cons  *mpmc.Session  // ring consumer session
+	sess  *kvmap.Session  // the shard's one long-lived map lease (nil after ErrClosed)
+	cache *ttlcache.Cache // the shard's TTL/LRU layer (nil without Config.Cache)
+	cons  *mpmc.Session   // ring consumer session
 	ts    *obs.PerThread
 
 	// Producers nudge work only when idle is set, so the steady-state
@@ -136,14 +104,18 @@ func newExecutor(s *Server, shard int) (*executor, error) {
 		sess.Release()
 		return nil, err
 	}
-	return &executor{
+	e := &executor{
 		s:     s,
 		shard: shard,
 		sess:  sess,
 		cons:  cons,
 		ts:    s.shards.Shard(shard).Manager().ObsStats().At(sess.TID()),
 		work:  make(chan struct{}, 1),
-	}, nil
+	}
+	if s.cfg.Cache != nil {
+		e.cache = s.cfg.Cache.Cache(shard)
+	}
+	return e, nil
 }
 
 // reserve takes up to want request credits, fewer when the shard has
@@ -234,40 +206,49 @@ func (e *executor) drain(q *mpmc.Queue) (n int) {
 		// never trail a response a client has already observed.
 		e.ops.Add(uint64(k))
 		cp := e.s.tab[p[pwSlot]].Load() // never nil: the conn holds its slot while in flight
+		var replies uint64
 		for m := p[pwMask]; m != 0; m &= m - 1 {
-			now = e.process(cp, &p, uint64(bits.TrailingZeros64(m)), now)
+			var replied bool
+			if now, replied = e.process(cp, &p, uint64(bits.TrailingZeros64(m)), now); replied {
+				replies++
+			}
 		}
-		cp.endRun(int64(k))
+		cp.endRun(int64(k), replies)
 	}
 	return n
 }
 
-// endRun settles the k responses of one node an executor published into
-// c's outbox: count them, wake the writer once, and only then release
-// the in-flight count — c's teardown waits on it, so that is the
-// executor's last touch of c. A vanished client changes nothing (its
+// endRun settles one node an executor ran against c: its k requests
+// published replies responses into c's outbox (fewer than k when keys of
+// a variadic command were among them). Count those, wake the writer once,
+// and only then release the in-flight count — c's teardown waits on it,
+// so that is the executor's last touch of c. A vanished client changes nothing (its
 // dead-socket writer discards the responses), so the ledger balances.
-func (c *conn) endRun(k int64) {
-	c.stripe.respsSent.Add(uint64(k))
+func (c *conn) endRun(k int64, replies uint64) {
+	c.stripe.respsSent.Add(replies)
 	c.ob.wake()
 	c.inflight.Add(-k)
 }
 
 // process executes request i of node p — read out of the outbox slot its
-// response then overwrites — from start on, publishes the response and
-// returns when the op ended. The queue stage is the real ring wait, from
-// the burst's hand-off to this op's turn in its node and batch.
-func (e *executor) process(cp *conn, p *mpmc.Payload, i uint64, start int64) int64 {
-	s := e.s
+// response then overwrites — from start on, publishes the response its
+// command owes (none yet for a key of a variadic command that is not the
+// last one in) and returns when the op ended. The queue stage is the real
+// ring wait, from the burst's hand-off to this op's turn in its node and
+// batch.
+func (e *executor) process(cp *conn, p *mpmc.Payload, i uint64, start int64) (end int64, replied bool) {
 	var r0, d0 uint64
 	if e.ts != nil {
 		r0, d0 = e.ts.Load(obs.Restarts), e.ts.Load(obs.DrainPasses)
 	}
 	seq := p[pwBase] + i
-	sl := cp.ob.slot(seq)
-	op, id, args := sl.staged()
-	resp := e.exec(sl.data[:0], op, id, args[0], args[1], args[2])
-	end := trace.Now()
+	op, id, key, a1, a2 := cp.ob.slot(seq).staged()
+	status, val := e.exec(cp.cached, op, key, a1, a2)
+	end = trace.Now()
+	at, status, val, replied := cp.settle(seq, status, val)
+	if !replied {
+		return end, false
+	}
 	var stages [trace.NumStages]int64
 	if i == 0 { // only the burst's first frame waited on the socket
 		stages[trace.StageRead] = int64(p[pwReadNs])
@@ -275,9 +256,22 @@ func (e *executor) process(cp *conn, p *mpmc.Payload, i uint64, start int64) int
 	stages[trace.StageRoute] = int64(p[pwRouteNs])
 	stages[trace.StageQueue] = max(start-int64(p[pwEnqTS]), 0) // handed off while the previous op ran
 	stages[trace.StageExec] = end - start
-	status := resp[respStatusOffset]
+	e.observe(cp.id, opClass[op], status, &stages, r0, d0)
+	cp.publish(at, op, id, status, val)
+	return end, true
+}
+
+// observe records one answered request before its reply is published (a
+// client that has its reply must find it counted): the per-(command,
+// shard) latency histogram sees every completed data op, the slow log
+// any request whose server-side time crossed the threshold — with the
+// restarts and drain passes the session absorbed since r0/d0 — and
+// 1-in-SpanSample spans go to the shard's trace ring, the same
+// single-writer ring the session's reclamation events go to.
+func (e *executor) observe(connID uint64, op, status uint8, stages *[trace.NumStages]int64, r0, d0 uint64) {
+	s := e.s
 	serverNs := stages[trace.StageRoute] + stages[trace.StageQueue] + stages[trace.StageExec]
-	if op >= OpGet && op <= OpCAS && status <= StCASMismatch {
+	if status <= StCASMismatch {
 		s.lat[op][e.shard].ObserveNs(uint64(serverNs))
 	}
 	if serverNs >= int64(s.cfg.SlowThreshold) {
@@ -285,8 +279,8 @@ func (e *executor) process(cp *conn, p *mpmc.Payload, i uint64, start int64) int
 		if e.ts != nil {
 			restarts, drains = e.ts.Load(obs.Restarts)-r0, e.ts.Load(obs.DrainPasses)-d0
 		}
-		s.slowlog.record(time.Now().UnixNano(), cp.id, op, status, e.shard,
-			serverNs, stages, restarts, drains)
+		s.slowlog.record(time.Now().UnixNano(), connID, op, status, e.shard,
+			serverNs, *stages, restarts, drains)
 	}
 	if e.sess != nil && trace.Enabled() {
 		e.spanSeq++
@@ -302,19 +296,16 @@ func (e *executor) process(cp *conn, p *mpmc.Payload, i uint64, start int64) int
 				Record(trace.EvRingDeq, trace.RingPayload(e.shard, uint64(stages[trace.StageQueue])))
 		}
 	}
-	cp.ob.complete(seq, resp)
-	return end
 }
 
-// exec runs one op on the executor's session, appending the response to
-// dst, and recovers from a capacity-starved allocator: the request is
-// answered CAPACITY and the session — whose protocol state cannot be
-// trusted past a mid-operation unwind — is cycled for a fresh lease,
-// exactly what a disconnect does in inline mode. The executor itself
-// survives; only the one request pays.
-func (e *executor) exec(dst []byte, op uint8, id, key, a1, a2 uint64) (resp []byte) {
+// exec runs one op through the op table and recovers from a
+// capacity-starved allocator: the request is answered CAPACITY and the
+// session — whose protocol state cannot be trusted past a mid-operation
+// unwind — is cycled for a fresh lease. The executor and the connection
+// survive; only the one request pays.
+func (e *executor) exec(cached bool, op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
 	if e.sess == nil {
-		return AppendFrame(dst, id, StClosed)
+		return StClosed, 0
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -324,11 +315,105 @@ func (e *executor) exec(dst []byte, op uint8, id, key, a1, a2 uint64) (resp []by
 			}
 			e.s.capTotal.Add(1)
 			e.s.logf("shard %d executor: capacity exhausted: %v", e.shard, err)
-			resp = AppendFrame(dst, id, StCapacity)
+			status, val = StCapacity, 0
 			e.refreshSession()
 		}
 	}()
-	return runOp(dst, e.sess, op, id, key, a1, a2)
+	if cached && op != OpCAS { // CAS has no cache form: the RESP extension swaps the raw word
+		return e.applyCached(op, key, a1, a2)
+	}
+	return e.apply(op, key, a1, a2)
+}
+
+func found(ok bool) uint8 {
+	if ok {
+		return StOK
+	}
+	return StNotFound
+}
+
+// hit is the outcome of a counting op: one key hit, or none.
+func hit(ok bool) (status uint8, val uint64) {
+	if ok {
+		return StOK, 1
+	}
+	return StNotFound, 0
+}
+
+// apply is the op table over the raw map: every binary request, and RESP
+// without the cache layer.
+func (e *executor) apply(op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
+	switch op {
+	case OpGet:
+		v, ok := e.sess.Get(key)
+		return found(ok), v
+	case opExists:
+		_, ok := e.sess.Get(key)
+		return hit(ok)
+	case OpPut:
+		prev, had := e.sess.Put(key, a1)
+		return found(had), prev
+	case OpDel:
+		v, ok := e.sess.Remove(key)
+		return found(ok), v
+	case opRemove:
+		_, ok := e.sess.Remove(key)
+		return hit(ok)
+	case OpCAS:
+		swapped, present := e.sess.CompareAndSwap(key, a1, a2)
+		switch {
+		case swapped:
+			return StOK, 0
+		case present:
+			return StCASMismatch, 0
+		}
+		return StNotFound, 0
+	}
+	return StBadRequest, 0
+}
+
+// applyCached is the op table over the shard's TTL/LRU layer, wrapped
+// around the executor's session (a value: nothing is allocated): RESP
+// with Config.Cache set. GET and EXISTS expire lazily, SET takes the
+// default TTL and evicts under pressure; a Set that still finds no node
+// after eviction relief answers CAPACITY with the session intact.
+func (e *executor) applyCached(op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
+	cs := e.cache.With(e.sess)
+	switch op {
+	case OpGet:
+		v, ok := cs.Get(key)
+		return found(ok), v
+	case opExists:
+		return hit(cs.Contains(key))
+	case OpPut, opSetEX:
+		var ttl time.Duration // 0: the cache's default
+		if op == opSetEX {
+			ttl, a1 = time.Duration(a1)*time.Second, a2
+		}
+		if err := cs.SetTTL(key, a1, ttl); err != nil {
+			e.s.capTotal.Add(1)
+			return StCapacity, 0
+		}
+		return StOK, 0
+	case opRemove:
+		return hit(cs.Remove(key))
+	case opExpire:
+		if int64(a1) <= 0 { // a non-positive TTL deletes the key, as in Redis
+			return hit(cs.Remove(key))
+		}
+		return hit(cs.Expire(key, time.Duration(a1)*time.Second))
+	case opTTL:
+		remaining, hasTTL, ok := cs.TTL(key)
+		secs := int64(-2) // absent or expired
+		switch {
+		case ok && hasTTL: // rounded up, so SETEX k 1 v answers :1 immediately
+			secs = int64((remaining + time.Second - 1) / time.Second)
+		case ok:
+			secs = -1
+		}
+		return found(ok), uint64(secs)
+	}
+	return StBadRequest, 0
 }
 
 func (e *executor) refreshSession() {
@@ -355,57 +440,172 @@ type burst struct {
 	waitFrom int64  // where the socket wait that ended in this burst started
 	arrived  int64  // when its first request was decoded
 	base     uint64 // outbox sequence of that request: bit 0 of every mask
-	n        int64  // data requests staged
+	n        int64  // slots staged: one per key
+	reqs     uint64 // requests they make up: a variadic command is one
 	byOp     [OpCAS + 1]uint64
 }
 
-// readLoopBatched is the batched twin of readLoopInline: decode every
-// frame the last read(2) delivered, answer protocol ops locally, stage
-// the data ops, and hand the burst to the shard executors before
-// touching the socket again. Response order is restored by the outbox
-// sequence allocated here, in request order (protocol ops inside a burst
-// take sequences too: gaps in the masks).
-func (c *conn) readLoopBatched() {
-	fr := newFrameReader(c.nc, maxRequestFrame)
-	b := burst{waitFrom: trace.Now()}
-	for {
-		// Hand off before the burst's sequences outgrow a mask, and before
-		// blocking on the socket or on a full window: neither can clear
-		// while this connection sits on staged requests.
-		if b.n > 0 && (c.ob.seq-b.base == burstMax || !fr.buffered() || c.ob.full()) {
-			c.handoff(&b)
-		}
-		f, err := fr.read()
-		if err != nil {
-			c.frameError(err)
-			break
-		}
-		if _, ok := c.protocolOp(f); !ok {
-			continue
-		}
-		seq, _ := c.begin()
-		if b.n == 0 {
-			b.base, b.arrived = seq, trace.Now()
-		}
-		b.n++
-		b.byOp[f.Code]++
-		c.ob.slot(seq).stage(f)
-		c.masks[c.s.shards.ShardIndex(f.word(0))] |= 1 << (seq - b.base)
-	}
-	c.handoff(&b)
+// burstReader is the socket as the codecs read it. A read is where the
+// reader may block, so it ends the burst: everything staged is handed to
+// the executors first — staged requests never wait on the peer.
+type burstReader struct{ c *conn }
+
+func (r burstReader) Read(p []byte) (int, error) {
+	r.c.handoff()
+	return r.c.nc.Read(p)
 }
 
-// handoff stamps a staged burst (the socket wait is its first request's
-// read stage, decode-to-here every request's route stage, now the start
-// of their queue stage), settles the ledger and enqueues one node per
-// shard touched.
-func (c *conn) handoff(b *burst) {
+// readLoop is the one connection loop: decode every command the last
+// read(2) delivered, answer protocol ops and refusals locally, stage the
+// data ops; the hand-off happens when the decoder next touches the socket
+// (burstReader) or the burst outgrows a node (reserve). Response order is
+// restored by the outbox sequence allocated here, in request order
+// (protocol ops inside a burst take sequences too: gaps in the masks).
+func (c *conn) readLoop() {
+	c.b.waitFrom = trace.Now()
+	for {
+		cmd, reply, err := c.cd.next()
+		local := reply != nil || cmd.op == OpStats
+		if local {
+			c.stripe.reqsRead.Add(1)
+			if cmd.bad {
+				c.s.badTotal.Add(1)
+			}
+			if cmd.op != 0 {
+				c.stripe.reqsTotal[cmd.op].Add(1)
+			}
+			if reply == nil { // rendered after the count: a STATS document includes its own request
+				reply = c.cd.appendReply(nil, OpStats, cmd.id, StOK, cmd.key)
+			}
+			seq := c.reserve()
+			c.stripe.respsSent.Add(1)
+			c.ob.complete(seq, reply)
+			c.ob.wake()
+		}
+		if err != nil {
+			break
+		}
+		if !local {
+			c.stage(cmd)
+		}
+	}
+	c.handoff()
+}
+
+// reserve assigns the next response sequence, in request order. It hands
+// the staged burst off first when its sequences would outgrow a mask or
+// the window is full — neither clears while this connection sits on
+// staged requests — and then blocks while the window is full: the
+// backpressure contract is that the reader stops reading until the writer
+// catches up.
+func (c *conn) reserve() uint64 {
+	if c.b.n > 0 && (c.ob.seq-c.b.base == burstMax || c.ob.full()) {
+		c.handoff()
+	}
+	if c.ob.full() {
+		c.ob.park(func() bool { return !c.ob.full() })
+	}
+	return c.ob.alloc()
+}
+
+// stage parks one data command in its outbox slot and routes it. The
+// keys of a variadic command each take a slot, marked as joined and
+// carrying the sequence of the last one, where the command's one reply
+// goes (settle). A connection has one join word, so a variadic command
+// waits for the previous one to be answered.
+func (c *conn) stage(cmd command) {
+	first := c.joinLeft == 0 // not a further key of the variadic command being staged
+	if cmd.keys > 1 {
+		if c.join.Load()&joinPending != 0 {
+			c.handoff()
+			c.ob.park(func() bool { return c.join.Load()&joinPending == 0 })
+		}
+		c.join.Store(uint64(cmd.keys))
+		c.joinLeft = cmd.keys
+	}
+	seq := c.reserve()
+	b := &c.b
+	if b.n == 0 {
+		b.base, b.arrived = seq, trace.Now()
+	}
+	b.n++
+	if first { // one request, however many keys
+		if cmd.keys > 1 {
+			c.joinTail = seq + uint64(cmd.keys) - 1
+		}
+		b.reqs++
+		b.byOp[opClass[cmd.op]]++
+	}
+	joined := c.joinLeft > 0
+	if joined {
+		c.joinLeft--
+		cmd.id = c.joinTail
+	}
+	c.ob.slot(seq).stage(cmd, joined)
+	c.masks[c.s.shards.ShardIndex(cmd.key)] |= 1 << (seq - b.base)
+}
+
+// The join word of a connection's variadic command in flight: keys still
+// out in the low byte, keys hit so far in the next, and above them the
+// first failing status any key met.
+const (
+	joinPending = 0xff // mask
+	joinHits    = 8    // shift
+	joinStatus  = 16   // shift
+)
+
+// settle turns the outcome of the request staged at seq into the reply
+// its command owes: its own, at seq — or, for a key of a variadic
+// command, nothing until the command's last key is in, and then the
+// command's (how many keys hit, or the failure one of them met) at the
+// tail sequence. Every other key's slot is published empty. Called by
+// whoever resolved the request: its executor, or the reader refusing it.
+func (c *conn) settle(seq uint64, status uint8, val uint64) (at uint64, st uint8, v uint64, reply bool) {
+	sl := c.ob.slot(seq)
+	if !sl.join {
+		return seq, status, val, true
+	}
+	_, tail, _, _, _ := sl.staged()
+	if seq != tail {
+		c.ob.complete(seq, nil)
+	}
+	for {
+		old := c.join.Load()
+		word := old - 1 + val<<joinHits // val is a counting op's: 1 | 0
+		if status > StNotFound && old>>joinStatus == 0 {
+			word |= uint64(status) << joinStatus
+		}
+		if !c.join.CompareAndSwap(old, word) {
+			continue
+		}
+		if word&joinPending != 0 {
+			return 0, 0, 0, false
+		}
+		if st = uint8(word >> joinStatus); st == 0 {
+			st = StOK
+		}
+		return tail, st, word >> joinHits & 0xff, true
+	}
+}
+
+// publish encodes the reply to op into sequence seq's slot and releases
+// it to the writer.
+func (c *conn) publish(seq uint64, op uint8, id uint64, status uint8, val uint64) {
+	c.ob.complete(seq, c.cd.appendReply(c.ob.slot(seq).data[:0], op, id, status, val))
+}
+
+// handoff stamps the staged burst (the socket wait is its first
+// request's read stage, decode-to-here every request's route stage, now
+// the start of their queue stage), settles the ledger and enqueues one
+// node per shard touched.
+func (c *conn) handoff() {
+	b := &c.b
 	if b.n == 0 {
 		return
 	}
 	now := trace.Now()
 	c.inflight.Add(b.n)
-	c.stripe.reqsRead.Add(uint64(b.n))
+	c.stripe.reqsRead.Add(b.reqs)
 	for op := OpGet; op <= OpCAS; op++ {
 		if b.byOp[op] != 0 {
 			c.stripe.reqsTotal[op].Add(b.byOp[op])
@@ -443,11 +643,9 @@ func (c *conn) enqueue(shard int, p *mpmc.Payload, mask uint64) {
 		}
 		p[pwMask] = lowestBits(mask, k)
 		mask &^= p[pwMask]
-		if !c.prod.TryEnqueue(s.rings.Queue(shard), p) {
-			panic("server: node ring full under the request credit")
-		}
+		// Counted and traced before the enqueue: past it, a client may hold
+		// the reply before this goroutine runs again.
 		s.stripes[shard].ops.Add(uint64(k))
-		e.wake()
 		if trace.Enabled() {
 			c.spanSeq++
 			if c.spanSeq%uint64(s.cfg.SpanSample) == 0 {
@@ -455,14 +653,21 @@ func (c *conn) enqueue(shard int, p *mpmc.Payload, mask uint64) {
 					Record(trace.EvRingEnq, trace.RingPayload(shard, uint64(e.depth.Load())))
 			}
 		}
+		if !c.prod.TryEnqueue(s.rings.Queue(shard), p) {
+			panic("server: node ring full under the request credit")
+		}
+		e.wake()
 	}
 	for ; mask != 0; mask &= mask - 1 {
 		seq := p[pwBase] + uint64(bits.TrailingZeros64(mask))
-		sl := c.ob.slot(seq)
-		_, id, _ := sl.staged()
+		op, id, _, _, _ := c.ob.slot(seq).staged()
 		c.inflight.Add(-1)
 		s.busyTotal.Add(1)
 		s.ringFull.Add(1)
-		c.complete(seq, AppendFrame(sl.data[:0], id, StBusy))
+		if at, status, val, reply := c.settle(seq, StBusy, 0); reply {
+			c.publish(at, op, id, status, val)
+			c.stripe.respsSent.Add(1)
+			c.ob.wake()
+		}
 	}
 }

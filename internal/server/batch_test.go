@@ -3,6 +3,8 @@ package server
 import (
 	"encoding/json"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,34 +14,18 @@ import (
 	"repro/internal/trace"
 )
 
-// newBatchedServer is newShardedTestServer with the config passed
-// through verbatim (the others default Inline for legacy lease-economy
-// assertions; here batched mode is the subject under test).
-func newBatchedServer(t *testing.T, threads, shards int, cfg Config) (*Server, string) {
+// newBatchedServer serves a sharded map on both listeners.
+func newBatchedServer(t *testing.T, threads, shards int, cfg Config) (s *Server, addr, respAddr string) {
 	t.Helper()
 	cfg.Shards = kvmap.NewSharded(core.Config{MaxThreads: threads, Capacity: 1 << 16}, 1<<14, shards)
-	s := New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(ln) }()
-	t.Cleanup(func() {
-		s.Shutdown()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return s, ln.Addr().String()
+	return startTestServer(t, cfg)
 }
 
-// TestBatchedLeaseEconomy is the tentpole's session-economy claim: under
-// batched execution the leased population is the executors' — one per
-// shard — no matter how many connections are hitting how many shards.
-// (Inline would lease conns×shards here.)
+// TestBatchedLeaseEconomy is the session-economy claim: the leased
+// population is the executors' — one per shard — no matter how many
+// connections are hitting how many shards.
 func TestBatchedLeaseEconomy(t *testing.T) {
-	s, addr := newBatchedServer(t, 8, 4, Config{})
+	s, addr, _ := newBatchedServer(t, 8, 4, Config{})
 
 	const conns = 6
 	var wg sync.WaitGroup
@@ -79,8 +65,8 @@ func TestBatchedLeaseEconomy(t *testing.T) {
 	wg.Wait()
 
 	snap := s.snapshot()
-	if snap.ExecMode != "batched" || snap.RingCap == 0 {
-		t.Fatalf("exec mode/ring = %q/%d, want batched with a sized ring", snap.ExecMode, snap.RingCap)
+	if snap.RingCap == 0 {
+		t.Fatalf("ring_cap = %d, want a sized ring", snap.RingCap)
 	}
 	if snap.SessionsInUse != s.shards.NumShards() {
 		t.Fatalf("sessions leased = %d at steady state, want exactly %d (shards, not conns x shards)",
@@ -109,7 +95,7 @@ func TestSlowlogQueueStage(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(stall) }) }
 	defer release()
-	s, addr := newBatchedServer(t, 4, 1, Config{
+	s, addr, _ := newBatchedServer(t, 4, 1, Config{
 		SlowThreshold: time.Millisecond,
 		ExecGate:      func(int) { <-stall },
 	})
@@ -155,7 +141,7 @@ func TestVanishMidBatch(t *testing.T) {
 	var once sync.Once
 	release := func() { once.Do(func() { close(stall) }) }
 	defer release()
-	s, addr := newBatchedServer(t, 4, 1, Config{
+	s, addr, _ := newBatchedServer(t, 4, 1, Config{
 		ExecGate: func(int) { <-stall },
 	})
 
@@ -217,74 +203,124 @@ func TestVanishMidBatch(t *testing.T) {
 	}
 }
 
-// TestRingFullBusy pins the batched backpressure contract: a full shard
-// ring makes the producer wait RingWait, then answer BUSY — and the
+// TestRingFullBusy pins the backpressure contract on both codecs: a full
+// shard ring makes the producer wait RingWait, then answer BUSY — and the
 // refusals are visible in the ring_full counter. The bound is in
 // requests, not ring nodes: of one 16-request burst to a ring of 8,
 // exactly the 8 lowest sequences are enqueued and execute, the 8 highest
-// are refused, and the map ends up holding the accepted PUTs only.
+// are refused, and the map ends up holding the accepted writes only.
 func TestRingFullBusy(t *testing.T) {
-	stall := make(chan struct{})
-	var once sync.Once
-	release := func() { once.Do(func() { close(stall) }) }
-	defer release()
-	s, addr := newBatchedServer(t, 4, 1, Config{
-		RingSize: 8,
-		RingWait: time.Millisecond,
-		ExecGate: func(int) { <-stall },
-	})
-	c, err := Dial(addr, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
 	const n, fit = 16, 8
-	calls := make([]*Call, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ca, err := c.Put(100+i, i+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls = append(calls, ca)
-	}
-	c.Flush()
-	// 8 fill the ring; the rest must come back BUSY while the executor
-	// is stalled. Wait for those refusals before releasing.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.ringFull.Load() < n-fit {
-		if time.Now().After(deadline) {
-			t.Fatalf("ring_full = %d, want %d", s.ringFull.Load(), n-fit)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if snap := s.snapshot(); snap.RingDepth[0] != fit || snap.Busy != n-fit {
-		t.Fatalf("stalled: ring_depth %v busy %d, want [%d] and %d", snap.RingDepth, snap.Busy, fit, n-fit)
-	}
-	release()
-	for i, ca := range calls {
-		if err := ca.Wait(); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		if want := byte(StNotFound); i < fit && ca.Status != want || i >= fit && ca.Status != StBusy {
-			t.Fatalf("call %d: status %d; want the %d lowest sequences served and the rest BUSY", i, ca.Status, fit)
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		got, err := c.Get(100 + i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := got.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if applied := got.Status == StOK && got.Val == i+1; applied != (i < fit) || (!applied && got.Status != StNotFound) {
-			t.Fatalf("key %d: GET = %d/%d, applied=%v; want applied=%v", 100+i, got.Status, got.Val, applied, i < fit)
-		}
-	}
-	snap := s.snapshot()
-	if snap.RequestsRead != snap.ResponsesSent || snap.BatchedOps != fit+n || snap.RingDepth[0] != 0 {
-		t.Fatalf("ledger: read %d sent %d batched %d depth %v", snap.RequestsRead, snap.ResponsesSent, snap.BatchedOps, snap.RingDepth)
+	for _, resp := range []bool{false, true} {
+		t.Run(map[bool]string{false: "binary", true: "resp"}[resp], func(t *testing.T) {
+			stall := make(chan struct{})
+			var once sync.Once
+			release := func() { once.Do(func() { close(stall) }) }
+			defer release()
+			s, addr, respAddr := newBatchedServer(t, 4, 1, Config{
+				RingSize: 8,
+				RingWait: time.Millisecond,
+				ExecGate: func(int) { <-stall },
+			})
+
+			// send pipelines the n writes, refused collects their replies (true:
+			// BUSY) once the executor runs, get reads key i back.
+			var send func()
+			var refused func(i int) bool
+			var get func(i int) (val string, ok bool)
+			if resp {
+				c, err := DialRESP(respAddr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				key := func(i int) string { return "key:" + strconv.Itoa(i) }
+				send = func() {
+					for i := 0; i < n; i++ {
+						c.Send("SET", key(i), strconv.Itoa(i+1))
+					}
+					c.Flush()
+				}
+				refused = func(i int) bool {
+					v, err := c.Recv()
+					busy := v.IsError() && strings.HasPrefix(string(v.Str), "BUSY")
+					if err != nil || !busy && string(v.Str) != "OK" {
+						t.Fatalf("SET %d = %+v (%v), want +OK or -BUSY", i, v, err)
+					}
+					return busy
+				}
+				get = func(i int) (string, bool) {
+					v, err := c.Do("GET", key(i))
+					if err != nil || v.IsError() {
+						t.Fatalf("GET %d = %+v (%v)", i, v, err)
+					}
+					return string(v.Str), !v.Nil
+				}
+			} else {
+				c, err := Dial(addr, 32)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				var calls []*Call
+				send = func() {
+					for i := 0; i < n; i++ {
+						ca, err := c.Put(uint64(100+i), uint64(i+1))
+						if err != nil {
+							t.Fatal(err)
+						}
+						calls = append(calls, ca)
+					}
+					c.Flush()
+				}
+				refused = func(i int) bool {
+					ca := calls[i]
+					if err := ca.Wait(); err != nil || ca.Status != StBusy && ca.Status != StNotFound {
+						t.Fatalf("PUT %d: status %d (%v), want NOT_FOUND (fresh key) or BUSY", i, ca.Status, err)
+					}
+					return ca.Status == StBusy
+				}
+				get = func(i int) (string, bool) {
+					ca, err := c.Get(uint64(100 + i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := ca.Wait(); err != nil || ca.Status != StOK && ca.Status != StNotFound {
+						t.Fatalf("GET %d: status %d (%v)", i, ca.Status, err)
+					}
+					return strconv.FormatUint(ca.Val, 10), ca.Status == StOK
+				}
+			}
+
+			send()
+			// 8 fill the ring; the rest must come back BUSY while the executor
+			// is stalled. Wait for those refusals before releasing.
+			deadline := time.Now().Add(2 * time.Second)
+			for s.ringFull.Load() < n-fit {
+				if time.Now().After(deadline) {
+					t.Fatalf("ring_full = %d, want %d", s.ringFull.Load(), n-fit)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if snap := s.snapshot(); snap.RingDepth[0] != fit || snap.Busy != n-fit {
+				t.Fatalf("stalled: ring_depth %v busy %d, want [%d] and %d", snap.RingDepth, snap.Busy, fit, n-fit)
+			}
+			release()
+			for i := 0; i < n; i++ {
+				if busy := refused(i); busy != (i >= fit) {
+					t.Fatalf("request %d: refused=%v; want the %d lowest sequences served and the rest BUSY", i, busy, fit)
+				}
+			}
+			for i := 0; i < n; i++ {
+				if val, ok := get(i); ok != (i < fit) || ok && val != strconv.Itoa(i+1) {
+					t.Fatalf("key %d: GET = %q/%v; want applied=%v", i, val, ok, i < fit)
+				}
+			}
+			snap := s.snapshot()
+			if snap.RequestsRead != snap.ResponsesSent || snap.BatchedOps != fit+n || snap.RingDepth[0] != 0 {
+				t.Fatalf("ledger: read %d sent %d batched %d depth %v", snap.RequestsRead, snap.ResponsesSent, snap.BatchedOps, snap.RingDepth)
+			}
+		})
 	}
 }
 
@@ -294,7 +330,7 @@ func TestRingFullBusy(t *testing.T) {
 func TestBatchedTraceEvents(t *testing.T) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
-	s, addr := newBatchedServer(t, 4, 1, Config{SpanSample: 1})
+	s, addr, _ := newBatchedServer(t, 4, 1, Config{SpanSample: 1})
 	c, err := Dial(addr, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -354,7 +390,7 @@ func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 	release := func() { once.Do(func() { close(stall) }) }
 	defer release()
 	const window, ring, burst, bBurst = 64, 16, 300, 8
-	s, addr := newBatchedServer(t, 4, 2, Config{
+	s, addr, _ := newBatchedServer(t, 4, 2, Config{
 		Window:        window,
 		RingSize:      ring,
 		RingWait:      20 * time.Millisecond, // ample for a live executor, finite for the stalled one
@@ -604,7 +640,7 @@ func TestLowestBits(t *testing.T) {
 // request count: a request shifted past bit 63 would never execute and
 // its response never arrive.
 func TestProtocolOpsInsideBurst(t *testing.T) {
-	s, addr := newBatchedServer(t, 4, 2, Config{})
+	s, addr, _ := newBatchedServer(t, 4, 2, Config{})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -678,7 +714,7 @@ func TestProtocolOpsInsideBurst(t *testing.T) {
 // live sequences in 16 slots), and the slot a request is staged in must
 // not be reused before its response left.
 func TestSmallOddWindow(t *testing.T) {
-	s, addr := newBatchedServer(t, 4, 2, Config{Window: 12})
+	s, addr, _ := newBatchedServer(t, 4, 2, Config{Window: 12})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -716,16 +752,18 @@ func TestSmallOddWindow(t *testing.T) {
 	}
 }
 
-// TestConcurrentBurstsLedger runs four connections against two shards at
-// once: three pipeline bursts that span both and check every reply, the
-// fourth writes a burst and vanishes mid-frame, over and over. Each
+// TestConcurrentBurstsLedger runs five connections against two shards at
+// once: three pipeline binary bursts that span both and check every
+// reply, one does the same over RESP with variadic commands mixed in, the
+// fifth writes a burst and vanishes mid-frame, over and over. Each
 // connection's nodes interleave with the others' on the rings; order,
-// values and the ledger must hold, nothing may stay in flight, and every
-// conn slot must recycle (MaxConns 4: the vanishing client can only run
-// batched again on the slot its predecessor gave back).
+// values and the ledger must hold — every data op through the rings,
+// whatever the codec — nothing may stay in flight, and every conn slot
+// must recycle (MaxConns 5: the vanishing client is only served on the
+// slot its predecessor gave back).
 func TestConcurrentBurstsLedger(t *testing.T) {
-	const conns, rounds, burst = 4, 6, 150
-	s, addr := newBatchedServer(t, 4, 2, Config{Window: 96, MaxConns: conns})
+	const conns, rounds, burst, multi = 4, 6, 150, 8
+	s, addr, respAddr := newBatchedServer(t, 4, 2, Config{Window: 96, MaxConns: conns + 1})
 	waitFor := func(what string, cond func() bool) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -737,6 +775,47 @@ func TestConcurrentBurstsLedger(t *testing.T) {
 		}
 	}
 	var wg sync.WaitGroup
+	// The RESP connection: SET and GET every key, then count them with one
+	// EXISTS and delete them with one DEL of 8 keys each.
+	rc, err := DialRESP(respAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if v, err := rc.Do("PING"); err != nil || string(v.Str) != "PONG" { // registered before the others dial
+		t.Fatalf("PING = %+v (%v)", v, err)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for r := 1; r <= rounds; r++ {
+			val := strconv.Itoa(r)
+			some := make([]string, 1, 1+multi)
+			for i := 0; i < burst; i++ {
+				key := "rk:" + strconv.Itoa(i)
+				rc.Send("SET", key, val)
+				rc.Send("GET", key)
+				if i < multi {
+					some = append(some, key)
+				}
+			}
+			some[0] = "EXISTS"
+			rc.Send(some...)
+			some[0] = "DEL"
+			rc.Send(some...)
+			for i := 0; i < 2*burst+2; i++ {
+				v, err := rc.Recv()
+				want := [...]string{"OK", val}[i%2]
+				if i >= 2*burst {
+					want = ""
+				}
+				if err != nil || string(v.Str) != want || (i >= 2*burst && v.Int != multi) {
+					t.Errorf("RESP round %d reply %d: %+v (%v), want %q", r, i, v, err, want)
+					return
+				}
+			}
+		}
+	}()
 	ncs := make([]net.Conn, conns-1)
 	for w := range ncs {
 		nc, err := net.Dial("tcp", addr)
@@ -779,9 +858,9 @@ func TestConcurrentBurstsLedger(t *testing.T) {
 			}
 		}(w)
 	}
-	// The fourth client, on the main goroutine: write most of a burst,
+	// The last client, on the main goroutine: write most of a burst,
 	// vanish, and come back once the server has reaped the connection —
-	// only then is the fourth conn slot free to run batched again.
+	// only then is the fifth conn slot free again.
 	for r := 0; r < rounds; r++ {
 		nc, err := net.Dial("tcp", addr)
 		if err != nil {
@@ -794,7 +873,7 @@ func TestConcurrentBurstsLedger(t *testing.T) {
 		nc.Write(out[:len(out)-5]) // the last frame torn
 		nc.Close()
 		waitFor("the vanished connection to be accepted and reaped", func() bool {
-			return s.connsTotal.Load() == uint64(conns+r) && s.active.Load() == conns-1
+			return s.connsTotal.Load() == uint64(conns+1+r) && s.active.Load() == conns
 		})
 	}
 	wg.Wait()
@@ -813,12 +892,16 @@ func TestConcurrentBurstsLedger(t *testing.T) {
 	for _, nc := range ncs {
 		nc.Close()
 	}
+	rc.Close()
 	waitFor("every connection to be reaped", func() bool { return s.active.Load() == 0 })
 	snap := s.snapshot()
-	if want := uint64((conns-1)*rounds*2*burst + rounds*(burst-1)); snap.RequestsRead != want ||
-		snap.ResponsesSent != want || snap.BatchedOps != want {
-		t.Fatalf("ledger: requests_read %d responses_sent %d exec_batched_ops %d, want %d each (no inline fallback)",
-			snap.RequestsRead, snap.ResponsesSent, snap.BatchedOps, want)
+	// A variadic command is one request and one response but a data op per
+	// key; the PING is neither staged nor executed.
+	binary := uint64((conns-1)*rounds*2*burst + rounds*(burst-1))
+	reqs, ops := binary+rounds*(2*burst+2)+1, binary+rounds*(2*burst+2*multi)
+	if snap.RequestsRead != reqs || snap.ResponsesSent != reqs || snap.BatchedOps != ops {
+		t.Fatalf("ledger: requests_read %d responses_sent %d, want %d; exec_batched_ops %d, want %d (every data op read)",
+			snap.RequestsRead, snap.ResponsesSent, reqs, snap.BatchedOps, ops)
 	}
 	if snap.RingDepth[0] != 0 || snap.RingDepth[1] != 0 || snap.Busy != 0 {
 		t.Fatalf("ring_depth %v busy %d after the load", snap.RingDepth, snap.Busy)
@@ -826,7 +909,7 @@ func TestConcurrentBurstsLedger(t *testing.T) {
 	s.mu.Lock()
 	free := len(s.freeSlots)
 	s.mu.Unlock()
-	if free != conns {
-		t.Fatalf("%d free conn slots, want %d", free, conns)
+	if free != conns+1 {
+		t.Fatalf("%d free conn slots, want %d", free, conns+1)
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -62,21 +61,9 @@ func newRESPCacheServer(t *testing.T, capacity, maxLive int) (*ttlcache.Sharded,
 		MaxLive: maxLive,
 		NowMs:   clock.Load, // no sweeper: expiry must be fully lazy
 	})
-	s := New(Config{Cache: cache})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeRESP(ln) }()
-	t.Cleanup(func() {
-		s.Shutdown()
-		if err := <-done; err != nil {
-			t.Errorf("ServeRESP: %v", err)
-		}
-		cache.Close()
-	})
-	return cache, clock, ln.Addr().String()
+	t.Cleanup(cache.Close) // after the server's own cleanup
+	_, _, addr := startTestServer(t, Config{Cache: cache})
+	return cache, clock, addr
 }
 
 // TestRESPCacheTTL drives SETEX/EXPIRE/TTL and lazy expiry end to end

@@ -225,7 +225,8 @@ func TestSlowLogAndMetricsRoutes(t *testing.T) {
 }
 
 // The RESP listener feeds the same histograms and slow log, including
-// variadic commands (attributed to the first touched shard).
+// variadic commands (one sample per command, from the key that came in
+// last).
 func TestRESPLatencyAndSlowLog(t *testing.T) {
 	s, addr := newRESPTestServer(t, 4, 2, Config{SlowThreshold: time.Nanosecond})
 	c, err := DialRESP(addr)
@@ -319,46 +320,39 @@ func TestSpanSampling(t *testing.T) {
 	}
 }
 
-// The instrumentation the span threads into the request path — stage
-// marks, the histogram record, the slow-log record, and the (sampled)
-// trace emission — must add zero heap allocations, sampled or not.
-// (The response buffer each request allocates is the pre-existing
-// encode path, exercised by TestServerEncodePathsDoNotAllocate.)
+// The instrumentation on the request path — the histogram record, the
+// slow-log record, and the (sampled) trace emission an executor runs for
+// every reply it publishes — must add zero heap allocations, sampled or
+// not. (The reply itself is encoded into the request's outbox slot,
+// exercised by TestServed*PathDoesNotAllocate.)
 func TestInstrumentationDoesNotAllocate(t *testing.T) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
 	shards := kvmap.NewSharded(core.Config{MaxThreads: 2, Capacity: 1 << 12}, 1<<10, 1)
 	defer shards.Close()
-	sess, err := shards.Shard(0).Acquire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Release()
 
-	run := func(c *conn) func() {
-		return func() {
-			c.sp.Begin()
-			c.sp.Mark(trace.StageRead)
-			c.sp.Mark(trace.StageRoute)
-			c.sp.Mark(trace.StageLease)
-			c.sp.Mark(trace.StageExec)
-			c.sp.Mark(trace.StageQueue)
-			c.finishSpan(sess, OpGet, StOK, 0, 1, 1)
-		}
+	// The idle executor's own observe, driven from here: the same call, on
+	// the same session ring, process makes per request.
+	run := func(s *Server) func() {
+		e := s.execs[0]
+		stages := [trace.NumStages]int64{trace.StageRead: 5, trace.StageRoute: 4, trace.StageQueue: 3, trace.StageExec: 2}
+		return func() { e.observe(1, OpGet, StOK, &stages, 0, 0) }
 	}
 	t.Run("Unsampled", func(t *testing.T) {
 		// A huge sample period plus a high threshold: the common case,
-		// where a request pays only the marks and one histogram record.
-		s := New(Config{Shards: shards, Inline: true, SlowThreshold: time.Hour, SpanSample: 1 << 30})
-		if avg := testing.AllocsPerRun(2000, run(&conn{s: s, id: 1})); avg > 0.05 {
+		// where a request pays only one histogram record.
+		s := New(Config{Shards: shards, SlowThreshold: time.Hour, SpanSample: 1 << 30})
+		defer s.Shutdown()
+		if avg := testing.AllocsPerRun(2000, run(s)); avg > 0.05 {
 			t.Fatalf("unsampled instrumented path allocates %.2f objects/request", avg)
 		}
 	})
 	t.Run("SampledAndSlow", func(t *testing.T) {
 		// Every request emits a span AND lands in the slow log — the
 		// maximally instrumented path.
-		s := New(Config{Shards: shards, Inline: true, SlowThreshold: time.Nanosecond, SpanSample: 1})
-		if avg := testing.AllocsPerRun(2000, run(&conn{s: s, id: 1})); avg > 0.05 {
+		s := New(Config{Shards: shards, SlowThreshold: time.Nanosecond, SpanSample: 1})
+		defer s.Shutdown()
+		if avg := testing.AllocsPerRun(2000, run(s)); avg > 0.05 {
 			t.Fatalf("sampled+slow instrumented path allocates %.2f objects/request", avg)
 		}
 		if s.slowlog.total() == 0 {
@@ -373,7 +367,8 @@ func TestInstrumentationDoesNotAllocate(t *testing.T) {
 func TestLatencyConcurrentRecordSnapshot(t *testing.T) {
 	shards := kvmap.NewSharded(core.Config{MaxThreads: 4, Capacity: 1 << 12}, 1<<10, 2)
 	defer shards.Close()
-	s := New(Config{Shards: shards, Inline: true, SlowThreshold: time.Nanosecond, SlowLogSize: 16})
+	s := New(Config{Shards: shards, SlowThreshold: time.Nanosecond, SlowLogSize: 16})
+	defer s.Shutdown()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {

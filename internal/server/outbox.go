@@ -1,5 +1,5 @@
 // Per-connection completion outbox. Executors complete requests
-// concurrently with the reader (PING/STATS, errors), in execution order,
+// concurrently with the reader (protocol ops, errors), in execution order,
 // but responses must leave in request order. The outbox is a
 // sequence-indexed reorder buffer: the reader assigns every request a
 // dense sequence at decode time, any goroutine completes its slot later,
@@ -11,11 +11,11 @@
 // only STATS, INFO and error strings take the heap escape. No lock sits
 // on the request path: a slot belongs to its completer until the atomic
 // store that publishes it, then to the writer until release; the mutex
-// only parks a goroutine that found nothing to do (DESIGN.md §10).
+// only parks a goroutine that found nothing to do (DESIGN.md §7).
 //
-// In batched mode the slot carries the request first: the reader stages
-// it there and owns the slot until the enqueue, the executor reads it
-// out and encodes over it. The window is the staging buffer.
+// The slot carries the request first: the reader stages it there and
+// owns the slot until the enqueue, the executor reads it out and the
+// codec encodes over it. The window is the staging buffer.
 //
 // The buffer doubles as the in-flight window: the reader blocks while
 // window responses are unwritten, so every live sequence has a reserved
@@ -37,22 +37,24 @@ type obSlot struct {
 	n    atomic.Uint32    // 0 = not completed, else response length + 1
 	data [slotInline]byte // staged request id|key|arg1|arg2, then the response
 	op   uint8            // staged request's opcode, in the padding before big
+	join bool             // staged request is one key of a variadic command; its id word is the command's tail sequence
 	big  []byte
 }
 
-// stage parks data request f in the slot until its executor picks it up.
-func (sl *obSlot) stage(f frame) {
-	sl.op = f.Code
-	binary.LittleEndian.PutUint64(sl.data[:], f.ID)
-	copy(sl.data[8:], f.Body) // 1 to 3 words; those the op lacks stay stale and unread
+// stage parks data command cmd in the slot until its executor picks it up.
+func (sl *obSlot) stage(cmd command, join bool) {
+	sl.op, sl.join = cmd.op, join
+	le := binary.LittleEndian
+	le.PutUint64(sl.data[0:], cmd.id)
+	le.PutUint64(sl.data[8:], cmd.key)
+	le.PutUint64(sl.data[16:], cmd.a1)
+	le.PutUint64(sl.data[24:], cmd.a2)
 }
 
-// staged returns the request stage parked.
-func (sl *obSlot) staged() (op uint8, id uint64, args [3]uint64) {
-	for i := range args {
-		args[i] = binary.LittleEndian.Uint64(sl.data[8+8*i:])
-	}
-	return sl.op, binary.LittleEndian.Uint64(sl.data[:]), args
+// staged returns the command stage parked.
+func (sl *obSlot) staged() (op uint8, id, key, a1, a2 uint64) {
+	le := binary.LittleEndian
+	return sl.op, le.Uint64(sl.data[0:]), le.Uint64(sl.data[8:]), le.Uint64(sl.data[16:]), le.Uint64(sl.data[24:])
 }
 
 type outbox struct {
@@ -107,13 +109,11 @@ func (ob *outbox) wake() {
 // full reports whether alloc would exceed the window. Reader-only.
 func (ob *outbox) full() bool { return ob.seq-ob.next.Load() >= ob.limit }
 
-// alloc assigns the next response sequence and returns its slot's buffer
-// for the response to be appended to. Only the connection's reader calls
-// it, once full() says no: sequences are dense and in request order.
-func (ob *outbox) alloc() (uint64, []byte) {
-	s := ob.seq
+// alloc assigns the next response sequence. Only the connection's reader
+// calls it, once full() says no: sequences are dense and in request order.
+func (ob *outbox) alloc() uint64 {
 	ob.seq++
-	return s, ob.slot(s).data[:0]
+	return ob.seq - 1
 }
 
 // slot returns sequence seq's slot.

@@ -1,7 +1,7 @@
 // Package server is a pipelined TCP front end for the OA key-value map:
-// the piece that turns the library into a service and exercises session
-// leasing the way a real deployment does (dynamic connection populations
-// multiplexing onto the fixed SMR thread registry).
+// the piece that turns the library into a service. Any number of
+// connections, over two wire formats, multiplex onto one long-lived SMR
+// session per keyspace shard (DESIGN.md §7).
 //
 // # Wire protocol
 //
@@ -24,25 +24,26 @@
 //	PING                 → OK
 //	STATS                → OK json
 //
-// Responses may also carry BUSY (no free session after LeaseWait — back
-// off and retry, ideally on an existing connection), CLOSED (server
-// draining), CAPACITY (node budget exhausted) or BAD_REQUEST. Clients
-// pipeline freely: the server executes a connection's requests in order
-// and writes responses in the same order.
+// Responses may also carry BUSY (the key's shard ring stayed full past
+// RingWait — back off and retry; a connection past MaxConns gets one BUSY
+// frame with id 0 and is closed), CLOSED (server draining), CAPACITY
+// (node budget exhausted) or BAD_REQUEST. Clients pipeline freely: a
+// connection's requests on one key execute in order and responses are
+// written in request order.
 //
 // # Graceful drain
 //
 // On Shutdown the server stops accepting, pushes a GOAWAY frame to every
 // connection, and keeps serving. A conforming client stops issuing new
 // requests when it sees GOAWAY, awaits its outstanding responses, and
-// closes; the server releases the connection's session lease and exits
-// the connection only when the client closes (or DrainTimeout forces it).
-// The in-order execute-then-respond pipeline means a cooperative drain
-// drops zero in-flight requests.
+// closes; the server exits the connection only when the client closes
+// (or DrainTimeout forces it), after every request it read was answered,
+// so a cooperative drain drops zero in-flight requests.
 package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -162,17 +163,6 @@ func newFrameReader(r io.Reader, limit uint32) *frameReader {
 	return &frameReader{r: r, buf: make([]byte, max(frameBufSize, 4+int(limit))), max: limit}
 }
 
-// buffered reports whether the next read is served from the buffer alone
-// (a complete frame or a bad prefix is there): the burst has not ended.
-func (fr *frameReader) buffered() bool {
-	have := fr.w - fr.r0
-	if have < 4 {
-		return false
-	}
-	n := binary.LittleEndian.Uint32(fr.buf[fr.r0:])
-	return n > fr.max || n < frameOverhead || have >= 4+int(n)
-}
-
 // read decodes the next frame. io.EOF (clean close between frames) passes
 // through untouched so callers can distinguish it from a truncated frame.
 func (fr *frameReader) read() (frame, error) {
@@ -206,4 +196,47 @@ func (fr *frameReader) read() (frame, error) {
 			return frame{}, err
 		}
 	}
+}
+
+// binCodec is the binary protocol's codec: frames in, frames out.
+type binCodec struct {
+	fr      *frameReader
+	s       *Server          // STATS documents
+	scratch [slotInline]byte // the reply next hands back
+}
+
+func (b *binCodec) next() (cmd command, reply []byte, err error) {
+	f, err := b.fr.read()
+	if err != nil {
+		// A length prefix past the limit gets FRAME_TOO_BIG before the cut:
+		// the stream past a hostile prefix cannot be resynchronized.
+		if errors.Is(err, ErrFrameTooLarge) {
+			return command{bad: true}, AppendFrame(b.scratch[:0], 0, StFrameTooBig), err
+		}
+		return cmd, nil, err // EOF: client closed; anything else: cut the pipeline
+	}
+	nargs, known := argWords(f.Code)
+	switch {
+	case !known || f.Code == OpGoAway || len(f.Body) != 8*nargs:
+		return command{bad: true}, AppendFrame(b.scratch[:0], f.ID, StBadRequest), nil
+	case f.Code == OpPing:
+		return command{op: OpPing}, AppendFrame(b.scratch[:0], f.ID, StOK), nil
+	case f.Code == OpStats:
+		return command{op: OpStats, id: f.ID}, nil, nil
+	}
+	var w [3]uint64
+	for i := 0; i < nargs; i++ {
+		w[i] = f.word(i)
+	}
+	return command{op: f.Code, id: f.ID, key: w[0], a1: w[1], a2: w[2]}, nil, nil
+}
+
+func (b *binCodec) appendReply(dst []byte, op uint8, id uint64, status uint8, val uint64) []byte {
+	switch {
+	case op == OpStats:
+		return appendBytesFrame(dst, id, StOK, b.s.statsBody())
+	case status == StOK && op != OpCAS, status == StNotFound && op == OpPut:
+		return AppendFrame(dst, id, status, val) // GET/DEL: the value; PUT: the previous one (0 when none)
+	}
+	return AppendFrame(dst, id, status)
 }

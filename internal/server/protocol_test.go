@@ -101,7 +101,8 @@ func TestFrameReaderRefillAndStraddle(t *testing.T) {
 
 // TestFrameReaderOneReadPerBurst is the tentpole's syscall claim at the
 // reader: a pipeline burst that arrived in one read is decoded without
-// touching the stream again, and buffered() reports the burst's end.
+// touching the stream again — the next touch is the burst's end, where
+// the server's burstReader hands the staged requests off.
 func TestFrameReaderOneReadPerBurst(t *testing.T) {
 	var burst []byte
 	const n = 64
@@ -115,8 +116,8 @@ func TestFrameReaderOneReadPerBurst(t *testing.T) {
 			if _, err := fr.read(); err != nil {
 				t.Fatal(err)
 			}
-			if got, want := fr.buffered(), i < n-1; got != want {
-				t.Fatalf("burst %d: buffered() = %v after frame %d of %d", round, got, i+1, n)
+			if r.reads != round {
+				t.Fatalf("burst %d: read %d touched the stream at frame %d of %d", round, r.reads, i+1, n)
 			}
 		}
 		if r.reads != round {
@@ -135,8 +136,8 @@ func TestFrameReaderHostilePrefix(t *testing.T) {
 	if _, err := fr.read(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("read = %v, want ErrFrameTooLarge", err)
 	}
-	if !fr.buffered() {
-		t.Fatal("a bad prefix must not send the caller back to the socket")
+	if _, err := fr.read(); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("second read = %v: a bad prefix must keep failing, not send the caller back to the socket", err)
 	}
 	if len(fr.buf) != size || size != frameBufSize {
 		t.Fatalf("buffer is %d bytes after a hostile prefix, was %d (want the fixed %d)", len(fr.buf), size, frameBufSize)

@@ -1,8 +1,10 @@
 // RESP2-compatible listener. Alongside the binary protocol the server
 // speaks the Redis serialization protocol, so off-the-shelf tooling
 // (redis-cli, redis-benchmark, memtier) and real client libraries can
-// drive the system for honest external baselines. Both listeners share
-// one shard router and one session economy.
+// drive the system for honest external baselines. This file is the RESP
+// codec — the decoder into the command IR of codec.go and the reply
+// encoder — and the INFO document; everything between decode and encode
+// is the one request path of batch.go, shared with the binary listener.
 //
 // Mapping onto the uint64→uint64 map:
 //
@@ -26,10 +28,15 @@
 //	EXPIRE key seconds        →  :1 deadline set | :0 absent
 //	TTL    key                →  :N seconds | :-1 no deadline | :-2 absent
 //
-// Lease exhaustion answers -BUSY (retry after backoff), node-budget
-// exhaustion -OOM — both standard Redis error classes. RESP2 has no
-// server push, so there is no GOAWAY equivalent: on drain, connections
-// are served until their client closes or DrainTimeout cuts them.
+// A variadic DEL or EXISTS is staged one key per outbox slot, so its keys
+// run on their shards' executors like any other request, and joins into
+// the one :n reply the command owes (conn.settle).
+//
+// A shard ring that stays full past RingWait answers -BUSY (retry after
+// backoff), node-budget exhaustion -OOM — both standard Redis error
+// classes — and neither costs the connection. RESP2 has no server push,
+// so there is no GOAWAY equivalent: on drain, connections are served
+// until their client closes or DrainTimeout cuts them.
 package server
 
 import (
@@ -38,24 +45,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"time"
+	"strings"
 
-	"repro/internal/kvmap"
-	"repro/internal/lease"
 	"repro/internal/oaerr"
-	"repro/internal/obs"
-	"repro/internal/trace"
-	"repro/internal/ttlcache"
 )
 
 // RESP reader limits: a command may carry at most respMaxArgs arguments
-// of at most respMaxBulk bytes each — far past any command we accept, but
-// tight enough that a hostile length prefix cannot demand an unbounded
-// allocation (same contract as the binary protocol's maxRequestFrame).
+// (a name and 64 keys) of at most respMaxBulk bytes each — far past any
+// command we accept, but tight enough that a hostile length prefix cannot
+// demand an unbounded allocation (same contract as the binary protocol's
+// maxRequestFrame).
 const (
-	respMaxArgs = 64
+	respMaxArgs = 65
 	respMaxBulk = 1 << 16
 )
 
@@ -146,18 +150,23 @@ func hashKey(k []byte) uint64 {
 
 // --- decoding ------------------------------------------------------------
 
-// respReader decodes RESP2 commands (arrays of bulk strings, plus the
-// inline form redis-cli falls back to), reusing its buffers across
-// commands.
+// respReader is the RESP codec. It decodes RESP2 commands (arrays of bulk
+// strings, plus the inline form redis-cli falls back to), reusing its
+// buffers across commands.
 type respReader struct {
 	br   *bufio.Reader
+	s    *Server // what a command means depends on Config.Cache; INFO documents
 	args [][]byte
 	flat []byte // backing storage for the args of one command
 	line []byte
+
+	rest    [][]byte         // keys of the variadic command being handed out, after the first
+	restOp  uint8            // its opcode
+	scratch [slotInline]byte // the reply next hands back
 }
 
-func newRESPReader(br *bufio.Reader) *respReader {
-	return &respReader{br: br, args: make([][]byte, 0, 8), flat: make([]byte, 0, 256)}
+func newRESPReader(br *bufio.Reader, s *Server) *respReader {
+	return &respReader{br: br, s: s, args: make([][]byte, 0, 8), flat: make([]byte, 0, 256)}
 }
 
 // readLine reads up to \r\n, rejecting lines past respMaxBulk.
@@ -273,7 +282,7 @@ func unexpectedEOF(err error) error {
 	return err
 }
 
-// --- command dispatch ----------------------------------------------------
+// --- the codec: commands in, replies out -----------------------------------
 
 // upper folds an ASCII command name to upper case in place and returns it.
 func upper(b []byte) []byte {
@@ -285,404 +294,186 @@ func upper(b []byte) []byte {
 	return b
 }
 
-func eq(b []byte, s string) bool { return string(b) == s }
-
-// countCmd bumps the per-opcode request counter and pins the request's
-// span attribution to op (RESP commands map onto the binary opcodes:
-// SET→put, EXISTS→get, INFO→stats).
-func (c *conn) countCmd(op uint8) {
-	c.stripe.reqsTotal[op].Add(1)
-	c.reqOp = op
+// respData names the data commands: the IR opcode each decodes into and
+// how many arguments it takes (negative: at least that many, one key
+// each). argc 0: not a data command.
+func respData(name []byte) (op uint8, argc int) {
+	switch string(name) {
+	case "GET":
+		return OpGet, 1
+	case "SET":
+		return OpPut, 2
+	case "DEL":
+		return opRemove, -1
+	case "EXISTS":
+		return opExists, -1
+	case "CAS":
+		return OpCAS, 3
+	case "SETEX":
+		return opSetEX, 3
+	case "EXPIRE":
+		return opExpire, 2
+	case "TTL":
+		return opTTL, 1
+	}
+	return 0, 0
 }
 
-// respReadLoop is the RESP twin of readLoop: decode, route by key hash,
-// lease the target shard lazily, execute in order, encode the reply
-// into the request's outbox slot. One command produces exactly one reply (except QUIT, which also
-// ends the connection), so pipelining works the RESP way: responses come
-// back in command order.
-func (c *conn) respReadLoop() {
-	rr := newRESPReader(bufio.NewReaderSize(c.nc, 32<<10))
-	for {
-		c.sp.Begin()
-		args, err := rr.readCommand()
-		if err != nil {
-			if errors.Is(err, ErrRESPProtocol) {
-				c.s.badTotal.Add(1)
-				c.reply(AppendRESPError(nil, "ERR protocol error: "+err.Error()))
-			}
-			return
-		}
-		c.sp.Mark(trace.StageRead)
-		c.stripe.reqsRead.Add(1)
-		if len(args) == 0 {
-			c.reply(AppendRESPError(nil, "ERR empty command"))
-			continue
-		}
-		// Dispatch routes inside respExecute (a variadic DEL touches
-		// several shards), so the per-request attribution travels on the
-		// conn: respSession fills it on the request's first shard touch.
-		c.reqOp, c.reqSess, c.reqTS, c.reqShrd = 0, nil, nil, 0
-		seq, dst := c.begin()
-		resp, fatal := c.respExecute(dst, upper(args[0]), args[1:])
-		c.sp.Mark(trace.StageExec)
-		status := respStatusOf(resp)
-		c.complete(seq, resp)
-		c.sp.Mark(trace.StageQueue)
-		var restarts, drains uint64
-		if c.reqTS != nil {
-			restarts = c.reqTS.Load(obs.Restarts) - c.reqR0
-			drains = c.reqTS.Load(obs.DrainPasses) - c.reqD0
-		}
-		c.finishSpan(c.reqSess, c.reqOp, status, int(c.reqShrd), restarts, drains)
-		if fatal {
-			return
-		}
-	}
-}
+// infoSections are the documents OpStats selects by index; the last, for
+// a section nobody knows, is empty.
+var infoSections = [...]string{"", "SERVER", "KEYSPACE", "STATS", "LATENCY", "HEALTH", "-"}
 
-// respStatusOf maps an encoded RESP reply onto the binary protocol's
-// status space, so both listeners feed the same histogram/slow-log
-// gates: -BUSY → BUSY, -OOM → CAPACITY, other errors → BAD_REQUEST,
-// nil bulk → NOT_FOUND, anything else → OK.
-func respStatusOf(resp []byte) uint8 {
-	if len(resp) == 0 {
-		return StOK
-	}
-	switch resp[0] {
-	case '-':
-		if len(resp) > 1 {
-			switch resp[1] {
-			case 'B':
-				return StBusy
-			case 'O':
-				return StCapacity
-			}
-		}
-		return StBadRequest
-	case '$':
-		if len(resp) >= 2 && resp[1] == '-' {
-			return StNotFound
-		}
-	}
-	return StOK
-}
+const respValueTooLong = "ERR value exceeds the 7-byte limit of the u64-packed store"
 
-// respSession routes a RESP key and returns (shard session, shard,
-// errReply): errReply is non-nil when the shard's registry is exhausted
-// or closed.
-func (c *conn) respSession(key []byte) (*kvmap.Session, uint64, []byte) {
-	// Close the running exec leg (argument parse, or the previous key's
-	// op in a variadic command) before attributing route/lease time.
-	c.sp.Mark(trace.StageExec)
-	k := hashKey(key)
-	shard := c.s.shards.ShardIndex(k)
-	c.sp.Mark(trace.StageRoute)
-	sess, err := c.session(shard)
-	c.sp.Mark(trace.StageLease)
+func (r *respReader) next() (cmd command, reply []byte, err error) {
+	if len(r.rest) > 0 {
+		cmd = command{op: r.restOp, key: hashKey(r.rest[0])}
+		r.rest = r.rest[1:]
+		return cmd, nil, nil
+	}
+	args, err := r.readCommand()
 	if err != nil {
-		c.reqShrd = int32(shard)
-		if errors.Is(err, lease.ErrClosed) {
-			return nil, 0, AppendRESPError(nil, "ERR server is draining")
+		if errors.Is(err, ErrRESPProtocol) { // answered, then cut: the stream cannot be resynchronized
+			return command{bad: true}, AppendRESPError(nil, "ERR protocol error: "+err.Error()), err
 		}
-		c.s.busyTotal.Add(1)
-		return nil, 0, AppendRESPError(nil, "BUSY no free session slot on shard "+strconv.Itoa(shard)+"; retry")
+		return cmd, nil, err
 	}
-	c.s.stripes[shard].ops.Add(1)
-	if c.reqSess == nil {
-		// First shard touch of this request: pin span attribution and
-		// the restart/drain baselines to it.
-		c.reqSess = sess
-		c.reqShrd = int32(shard)
-		c.reqTS = c.s.shards.Shard(shard).Manager().ObsStats().At(sess.TID())
-		c.reqR0 = c.reqTS.Load(obs.Restarts)
-		c.reqD0 = c.reqTS.Load(obs.DrainPasses)
+	dst := r.scratch[:0]
+	if len(args) == 0 {
+		return cmd, AppendRESPError(dst, "ERR empty command"), nil
 	}
-	return sess, k, nil
-}
-
-// respCacheSession routes a RESP key like respSession and wraps the
-// shard's session with the shard's TTL/LRU cache layer. Only called
-// when c.s.cfg.Cache is set; the wrap is a value, so per-request
-// wrapping allocates nothing.
-func (c *conn) respCacheSession(key []byte) (ttlcache.Session, uint64, []byte) {
-	sess, k, errReply := c.respSession(key)
-	if errReply != nil {
-		return ttlcache.Session{}, 0, errReply
+	name, args := upper(args[0]), args[1:]
+	op, argc := respData(name)
+	if argc == 0 {
+		return r.protocolOp(dst, name, args)
 	}
-	return c.s.cfg.Cache.Cache(c.s.shards.ShardIndex(k)).With(sess), k, nil
-}
-
-// parseSeconds parses a RESP integer argument of seconds.
-func parseSeconds(b []byte) (int64, bool) {
-	n, err := strconv.ParseInt(string(b), 10, 32)
-	return n, err == nil
-}
-
-// respSetErr classifies a cache Set failure: node-budget exhaustion
-// (even after eviction relief) answers -OOM like the raw path, but
-// non-fatally — the cache already shed what it could, the connection
-// and the store remain healthy, and the client may retry.
-func (c *conn) respSetErr(err error) []byte {
-	if errors.Is(err, lease.ErrCapacityExhausted) {
-		c.s.capTotal.Add(1)
-		return AppendRESPError(nil, "OOM node budget exhausted after eviction relief")
+	if len(args) != argc && (argc > 0 || len(args) < -argc) {
+		return cmd, wrongArity(dst, name), nil
 	}
-	return AppendRESPError(nil, "ERR "+err.Error())
-}
-
-func (c *conn) respExecute(dst, cmd []byte, args [][]byte) (resp []byte, fatal bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			err, ok := r.(error)
-			if !ok || !errors.Is(err, lease.ErrCapacityExhausted) {
-				panic(r)
-			}
-			c.s.capTotal.Add(1)
-			c.s.logf("conn %d: capacity exhausted: %v", c.id, err)
-			resp, fatal = AppendRESPError(dst, "OOM node budget exhausted"), true
+	// Past its arity check a command is counted under its class, whatever
+	// it goes on to answer.
+	cmd = command{op: opClass[op], key: hashKey(args[0])}
+	var ok1, ok2 bool
+	switch op {
+	case OpPut:
+		cmd.a1, ok1 = packValue(args[1])
+		if !ok1 {
+			return cmd, AppendRESPError(dst, respValueTooLong), nil
 		}
-	}()
-	var val [respMaxValue]byte // GET's unpacked value, on its way into the reply
-	switch {
-	case eq(cmd, "PING"):
-		c.countCmd(OpPing)
-		if len(args) == 1 {
-			return AppendRESPBulk(dst, args[0]), false
-		}
-		return AppendRESPSimple(dst, "PONG"), false
-	case eq(cmd, "ECHO"):
-		if len(args) != 1 {
-			return respWrongArity(dst, cmd), false
-		}
-		return AppendRESPBulk(dst, args[0]), false
-	case eq(cmd, "GET"):
-		if len(args) != 1 {
-			return respWrongArity(dst, cmd), false
-		}
-		c.countCmd(OpGet)
-		if c.s.cfg.Cache != nil {
-			cs, k, errReply := c.respCacheSession(args[0])
-			if errReply != nil {
-				return errReply, false
-			}
-			if w, ok := cs.Get(k); ok {
-				return AppendRESPBulk(dst, appendUnpacked(val[:0], w)), false
-			}
-			return AppendRESPNil(dst), false
-		}
-		sess, k, errReply := c.respSession(args[0])
-		if errReply != nil {
-			return errReply, false
-		}
-		if w, ok := sess.Get(k); ok {
-			return AppendRESPBulk(dst, appendUnpacked(val[:0], w)), false
-		}
-		return AppendRESPNil(dst), false
-	case eq(cmd, "SET"):
-		if len(args) != 2 {
-			return respWrongArity(dst, cmd), false
-		}
-		c.countCmd(OpPut)
-		w, ok := packValue(args[1])
-		if !ok {
-			return AppendRESPError(dst, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
-		}
-		if c.s.cfg.Cache != nil {
-			cs, k, errReply := c.respCacheSession(args[0])
-			if errReply != nil {
-				return errReply, false
-			}
-			if err := cs.Set(k, w); err != nil {
-				return c.respSetErr(err), false
-			}
-			return AppendRESPSimple(dst, "OK"), false
-		}
-		sess, k, errReply := c.respSession(args[0])
-		if errReply != nil {
-			return errReply, false
-		}
-		sess.Put(k, w)
-		return AppendRESPSimple(dst, "OK"), false
-	case eq(cmd, "SETEX"):
-		// SETEX key seconds value — SET plus a per-key TTL. Cache-only:
-		// without the cache layer the map has nowhere to keep a deadline.
-		if len(args) != 3 {
-			return respWrongArity(dst, cmd), false
-		}
-		c.countCmd(OpPut)
-		if c.s.cfg.Cache == nil {
-			return AppendRESPError(dst, "ERR SETEX requires the cache layer (run with -cache)"), false
-		}
-		secs, okSecs := parseSeconds(args[1])
-		if !okSecs || secs <= 0 {
-			return AppendRESPError(dst, "ERR invalid expire time in 'setex' command"), false
-		}
-		w, ok := packValue(args[2])
-		if !ok {
-			return AppendRESPError(dst, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
-		}
-		cs, k, errReply := c.respCacheSession(args[0])
-		if errReply != nil {
-			return errReply, false
-		}
-		if err := cs.SetTTL(k, w, time.Duration(secs)*time.Second); err != nil {
-			return c.respSetErr(err), false
-		}
-		return AppendRESPSimple(dst, "OK"), false
-	case eq(cmd, "EXPIRE"):
-		// EXPIRE key seconds → :1 deadline set, :0 key absent. A
-		// non-positive seconds deletes the key, as in Redis.
-		if len(args) != 2 {
-			return respWrongArity(dst, cmd), false
-		}
-		c.countCmd(OpPut)
-		if c.s.cfg.Cache == nil {
-			return AppendRESPError(dst, "ERR EXPIRE requires the cache layer (run with -cache)"), false
-		}
-		secs, okSecs := parseSeconds(args[1])
-		if !okSecs {
-			return AppendRESPError(dst, "ERR invalid expire time in 'expire' command"), false
-		}
-		cs, k, errReply := c.respCacheSession(args[0])
-		if errReply != nil {
-			return errReply, false
-		}
-		if secs <= 0 {
-			if cs.Remove(k) {
-				return AppendRESPInt(dst, 1), false
-			}
-			return AppendRESPInt(dst, 0), false
-		}
-		if cs.Expire(k, time.Duration(secs)*time.Second) {
-			return AppendRESPInt(dst, 1), false
-		}
-		return AppendRESPInt(dst, 0), false
-	case eq(cmd, "TTL"):
-		// TTL key → :-2 absent (or expired), :-1 live without a
-		// deadline, :N seconds remaining (rounded up, so a key set with
-		// SETEX k 1 v answers :1 immediately).
-		if len(args) != 1 {
-			return respWrongArity(dst, cmd), false
-		}
-		c.countCmd(OpGet)
-		if c.s.cfg.Cache == nil {
-			return AppendRESPError(dst, "ERR TTL requires the cache layer (run with -cache)"), false
-		}
-		cs, k, errReply := c.respCacheSession(args[0])
-		if errReply != nil {
-			return errReply, false
-		}
-		remaining, hasTTL, ok := cs.TTL(k)
-		switch {
-		case !ok:
-			return AppendRESPInt(dst, -2), false
-		case !hasTTL:
-			return AppendRESPInt(dst, -1), false
-		default:
-			secs := int64((remaining + time.Second - 1) / time.Second)
-			return AppendRESPInt(dst, secs), false
-		}
-	case eq(cmd, "DEL"):
-		if len(args) == 0 {
-			return respWrongArity(dst, cmd), false
-		}
-		c.countCmd(OpDel)
-		removed := int64(0)
-		for _, key := range args {
-			sess, k, errReply := c.respSession(key)
-			if errReply != nil {
-				return errReply, false
-			}
-			if cache := c.s.cfg.Cache; cache != nil {
-				if cache.Cache(c.s.shards.ShardIndex(k)).With(sess).Remove(k) {
-					removed++
-				}
-			} else if _, ok := sess.Remove(k); ok {
-				removed++
-			}
-		}
-		return AppendRESPInt(dst, removed), false
-	case eq(cmd, "EXISTS"):
-		if len(args) == 0 {
-			return respWrongArity(dst, cmd), false
-		}
-		c.countCmd(OpGet)
-		found := int64(0)
-		for _, key := range args {
-			sess, k, errReply := c.respSession(key)
-			if errReply != nil {
-				return errReply, false
-			}
-			if cache := c.s.cfg.Cache; cache != nil {
-				if cache.Cache(c.s.shards.ShardIndex(k)).With(sess).Contains(k) {
-					found++
-				}
-			} else if _, ok := sess.Get(k); ok {
-				found++
-			}
-		}
-		return AppendRESPInt(dst, found), false
-	case eq(cmd, "CAS"):
-		// Extension: CAS key old new — the binary protocol's compare-and-
-		// swap, with old and new packed like SET values.
-		if len(args) != 3 {
-			return respWrongArity(dst, cmd), false
-		}
-		c.countCmd(OpCAS)
-		old, ok1 := packValue(args[1])
-		nv, ok2 := packValue(args[2])
+	case OpCAS:
+		cmd.a1, ok1 = packValue(args[1])
+		cmd.a2, ok2 = packValue(args[2])
 		if !ok1 || !ok2 {
-			return AppendRESPError(dst, "ERR value exceeds the 7-byte limit of the u64-packed store"), false
+			return cmd, AppendRESPError(dst, respValueTooLong), nil
 		}
-		sess, k, errReply := c.respSession(args[0])
-		if errReply != nil {
-			return errReply, false
+	case opSetEX, opExpire, opTTL:
+		// Cache-only: without the layer the map has nowhere to keep a deadline.
+		if r.s.cfg.Cache == nil {
+			return cmd, AppendRESPError(dst, "ERR "+string(name)+" requires the cache layer (run with -cache)"), nil
 		}
-		swapped, found := sess.CompareAndSwap(k, old, nv)
-		switch {
-		case swapped:
-			return AppendRESPInt(dst, 1), false
-		case found:
-			return AppendRESPInt(dst, 0), false
-		default:
-			return AppendRESPNil(dst), false
+		if op == opTTL {
+			break
 		}
-	case eq(cmd, "INFO"):
-		c.countCmd(OpStats)
-		var section []byte
+		secs, err := strconv.ParseInt(string(args[1]), 10, 32)
+		if err != nil || (op == opSetEX && secs <= 0) {
+			return cmd, AppendRESPError(dst, "ERR invalid expire time in '"+strings.ToLower(string(name))+"' command"), nil
+		}
+		cmd.a1 = uint64(secs)
+		if op == opSetEX {
+			if cmd.a2, ok1 = packValue(args[2]); !ok1 {
+				return cmd, AppendRESPError(dst, respValueTooLong), nil
+			}
+		}
+	case opRemove, opExists:
+		if len(args) > 1 {
+			cmd.keys, r.rest, r.restOp = len(args), args[1:], op
+		}
+	}
+	cmd.op = op
+	return cmd, nil, nil
+}
+
+func wrongArity(dst, name []byte) []byte {
+	return AppendRESPError(dst, "ERR wrong number of arguments for '"+string(name)+"'")
+}
+
+// protocolOp answers the commands that need no map.
+func (r *respReader) protocolOp(dst, name []byte, args [][]byte) (cmd command, reply []byte, err error) {
+	switch string(name) {
+	case "PING":
+		if len(args) == 1 {
+			return command{op: OpPing}, AppendRESPBulk(dst, args[0]), nil
+		}
+		return command{op: OpPing}, AppendRESPSimple(dst, "PONG"), nil
+	case "ECHO":
+		if len(args) != 1 {
+			return cmd, wrongArity(dst, name), nil
+		}
+		return cmd, AppendRESPBulk(dst, args[0]), nil
+	case "INFO":
+		cmd = command{op: OpStats}
 		if len(args) >= 1 {
-			section = upper(args[0])
+			i := slices.Index(infoSections[:], string(upper(args[0])))
+			if i < 0 {
+				i = len(infoSections) - 1
+			}
+			cmd.key = uint64(i)
 		}
-		return AppendRESPBulk(nil, c.s.respInfo(nil, section)), false
-	case eq(cmd, "COMMAND"), eq(cmd, "CONFIG"):
+		return cmd, nil, nil
+	case "COMMAND", "CONFIG":
 		// redis-cli and benchmark tools probe these on connect; an empty
 		// array keeps them happy without pretending to implement them.
-		return append(dst, "*0\r\n"...), false
-	case eq(cmd, "SELECT"):
-		return AppendRESPSimple(dst, "OK"), false
-	case eq(cmd, "QUIT"):
-		return AppendRESPSimple(dst, "OK"), true
+		return cmd, append(dst, "*0\r\n"...), nil
+	case "SELECT":
+		return cmd, AppendRESPSimple(dst, "OK"), nil
+	case "QUIT":
+		return cmd, AppendRESPSimple(dst, "OK"), io.EOF
 	}
-	return AppendRESPError(dst, "ERR unknown command '"+string(cmd)+"'"), false
+	return cmd, AppendRESPError(dst, "ERR unknown command '"+string(name)+"'"), nil
 }
 
-func respWrongArity(dst, cmd []byte) []byte {
-	return AppendRESPError(dst, "ERR wrong number of arguments for '"+string(cmd)+"'")
+func (r *respReader) appendReply(dst []byte, op uint8, _ uint64, status uint8, val uint64) []byte {
+	switch status {
+	case StBusy:
+		return AppendRESPError(dst, "BUSY shard ring full; retry")
+	case StCapacity:
+		return AppendRESPError(dst, "OOM node budget exhausted")
+	case StClosed:
+		return AppendRESPError(dst, "ERR server is draining")
+	}
+	switch op {
+	case OpStats:
+		return AppendRESPBulk(dst, r.s.respInfo(nil, infoSections[val]))
+	case OpGet:
+		if status != StOK {
+			return AppendRESPNil(dst)
+		}
+		var v [respMaxValue]byte
+		return AppendRESPBulk(dst, appendUnpacked(v[:0], val))
+	case OpPut, opSetEX:
+		return AppendRESPSimple(dst, "OK")
+	case OpCAS:
+		switch status {
+		case StOK:
+			return AppendRESPInt(dst, 1)
+		case StCASMismatch:
+			return AppendRESPInt(dst, 0)
+		}
+		return AppendRESPNil(dst)
+	}
+	return AppendRESPInt(dst, int64(val)) // keys hit (DEL, EXISTS, EXPIRE) or seconds (TTL)
 }
 
 // respInfo renders a redis-style INFO document. section narrows the
-// reply to one section (upper-cased by the caller; SERVER, KEYSPACE,
-// STATS, LATENCY or HEALTH); empty means all.
+// reply to one section (one of infoSections); empty means all.
 //
 // The Stats and Latency sections are rendered by reflecting over the
 // same Snapshot / CmdLatency structs the STATS op and /stats.json
 // serialize, via their JSON field names — INFO cannot drift from the
 // binary surfaces because there is no second field list to forget to
 // update (TestInfoStatsParity pins this).
-func (s *Server) respInfo(b, section []byte) []byte {
-	want := func(name string) bool {
-		return len(section) == 0 || string(section) == name
-	}
+func (s *Server) respInfo(b []byte, section string) []byte {
+	want := func(name string) bool { return section == "" || section == name }
 	snap := s.snapshot()
 	if want("SERVER") {
 		b = append(b, "# Server\r\noa_server:1\r\nprotocol:RESP2\r\n"...)

@@ -11,24 +11,13 @@ import (
 	"repro/internal/kvmap"
 )
 
-// newRESPTestServer serves the RESP listener over a sharded map.
+// newRESPTestServer serves a sharded map and returns the RESP listener's
+// address.
 func newRESPTestServer(t *testing.T, threads, shards int, cfg Config) (*Server, string) {
 	t.Helper()
 	cfg.Shards = kvmap.NewSharded(core.Config{MaxThreads: threads, Capacity: 1 << 16}, 1<<14, shards)
-	s := New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.ServeRESP(ln) }()
-	t.Cleanup(func() {
-		s.Shutdown()
-		if err := <-done; err != nil {
-			t.Errorf("ServeRESP: %v", err)
-		}
-	})
-	return s, ln.Addr().String()
+	s, _, addr := startTestServer(t, cfg)
+	return s, addr
 }
 
 func TestRESPRoundTrip(t *testing.T) {
@@ -218,32 +207,5 @@ func TestRESPMalformed(t *testing.T) {
 				t.Fatalf("reply = %q, want -ERR protocol error prefix", got)
 			}
 		})
-	}
-}
-
-// TestRESPBusyOnExhaustion pins the single session slot of the only shard
-// from one connection and checks another connection's command is answered
-// -BUSY (typed admission control, not a hang).
-func TestRESPBusyOnExhaustion(t *testing.T) {
-	_, addr := newRESPTestServer(t, 1, 1, Config{Inline: true, LeaseWait: 1e6 /* 1ms */})
-	holder, err := DialRESP(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer holder.Close()
-	if v, _ := holder.Do("SET", "k", "v"); string(v.Str) != "OK" {
-		t.Fatalf("holder SET = %+v", v)
-	}
-	second, err := DialRESP(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	v, err := second.Do("GET", "k")
-	if err != nil || !v.IsError() || !bytes.HasPrefix(v.Str, []byte("BUSY")) {
-		t.Fatalf("starved GET = %+v (%v), want -BUSY", v, err)
-	}
-	if v, err := second.Do("PING"); err != nil || string(v.Str) != "PONG" {
-		t.Fatalf("PING on starved conn = %+v (%v)", v, err)
 	}
 }

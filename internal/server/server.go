@@ -13,11 +13,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kvmap"
-	"repro/internal/lease"
 	"repro/internal/metrics"
 	"repro/internal/mpmc"
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/ttlcache"
 )
 
@@ -29,8 +27,9 @@ type Config struct {
 	Map *kvmap.Map
 	// Shards is the scale-out path: the keyspace is partitioned across
 	// per-core kvmap instances and each request is routed by key hash in
-	// the connection's reader goroutine, so each shard sees an
-	// independent operation stream. Takes precedence over Map.
+	// the connection's reader goroutine to the shard's executor, so each
+	// shard sees an independent operation stream. Takes precedence over
+	// Map.
 	Shards *kvmap.Sharded
 	// Cache, when set, layers TTL/LRU cache semantics over the shards on
 	// the RESP surface: GET applies lazy expiry, SET takes the cache's
@@ -38,23 +37,19 @@ type Config struct {
 	// EXPIRE/TTL/SETEX commands come alive. It must wrap the same
 	// sharded map the server serves; when Shards (and Map) are nil the
 	// server adopts Cache.Shards(). The binary protocol keeps serving
-	// the raw map words underneath.
+	// the raw map words underneath: the executors pick the op table by
+	// the connection's listener.
 	Cache *ttlcache.Sharded
 	// Window bounds the per-connection in-flight pipeline: responses
 	// executed but not yet written. When the writer falls this far behind,
 	// the reader stops reading from the socket, so backpressure reaches
 	// the client as TCP flow control. Default 256.
 	Window int
-	// LeaseWait bounds how long a request waits for a free session slot
-	// on its target shard before the server answers BUSY. A short wait
-	// rides out lease churn from disconnecting peers without stalling the
-	// connection. Default 2ms.
-	LeaseWait time.Duration
 	// DrainTimeout bounds Shutdown: connections whose client has not
 	// closed by then are force-closed. Default 5s.
 	DrainTimeout time.Duration
-	// SlowThreshold is the server-side span duration (route+lease+exec+
-	// queue, excluding socket wait) past which a request is recorded in
+	// SlowThreshold is the server-side span duration (route+queue+exec,
+	// excluding socket wait) past which a request is recorded in
 	// the slow-request ring at /debug/slowlog. Default 1ms.
 	SlowThreshold time.Duration
 	// SlowLogSize is the slow-request ring's capacity, rounded up to a
@@ -65,23 +60,18 @@ type Config struct {
 	// Latency histograms and the slow log see every request regardless —
 	// sampling only thins the trace timeline. Default 64.
 	SpanSample int
-	// Inline restores the pre-ring execution model: every binary-protocol
-	// request executes in its connection's reader goroutine on a
-	// per-(conn,shard) lease. The default (false) is batched mode: readers
-	// only parse and route, per-shard executors drain bounded request
-	// rings on one long-lived lease each. RESP connections always execute
-	// inline (variadic commands touch several shards mid-parse).
-	Inline bool
-	// RingSize bounds the requests queued on each shard's ring in batched
-	// mode. A full ring is the backpressure signal: producers wait
-	// RingWait, then answer BUSY. Default 1024.
+	// RingSize bounds the requests queued on each shard's ring. A full
+	// ring is the backpressure signal: producers wait RingWait, then answer
+	// BUSY. Default 1024.
 	RingSize int
 	// RingWait bounds how long a request waits for space on a full shard
-	// ring before the server answers BUSY. Defaults to LeaseWait.
+	// ring before the server answers BUSY. Default 2ms.
 	RingWait time.Duration
-	// MaxConns caps concurrently registered batched connections (the
-	// executor's conn-table size and the ring producer-session registry).
-	// Connections past the cap fall back to inline execution. Default 1024.
+	// MaxConns caps concurrent connections over both listeners (the
+	// executors' conn-table size and the ring producer-session registry).
+	// A connection past the cap is answered one typed refusal — a BUSY
+	// frame with id 0, or -ERR max number of clients reached — and closed.
+	// Default 1024.
 	MaxConns int
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
@@ -107,8 +97,8 @@ type shardStripe struct {
 }
 
 // Server serves the wire protocols over listeners. One Server serves one
-// sharded keyspace; connections lease a session per shard on their first
-// request touching that shard and hold it until disconnect.
+// sharded keyspace through one executor per shard, each holding the
+// shard's only session; connections lease nothing.
 type Server struct {
 	cfg    Config
 	shards *kvmap.Sharded
@@ -127,7 +117,7 @@ type Server struct {
 	stripeMask  uint64
 	active      atomic.Int64  // open connections
 	connsTotal  atomic.Uint64 // connections accepted
-	busyTotal   atomic.Uint64 // BUSY responses (lease wait exhausted)
+	busyTotal   atomic.Uint64 // BUSY responses (ring full past RingWait) and MaxConns refusals
 	capTotal    atomic.Uint64 // CAPACITY responses
 	badTotal    atomic.Uint64 // BAD_REQUEST / FRAME_TOO_BIG responses
 	goawaysSent atomic.Uint64
@@ -146,9 +136,9 @@ type Server struct {
 	// decoupled from the flight package.
 	healthFn atomic.Value
 
-	// Batched-mode machinery (nil/empty in inline mode): the shared ring
-	// group (one bounded MPMC queue per shard), one executor per shard,
-	// and the slot table executors use to find a request's connection.
+	// The execution machinery: the shared ring group (one bounded MPMC
+	// queue per shard), one executor per shard, and the slot table
+	// executors use to find a request's connection.
 	rings     *mpmc.Group
 	execs     []*executor
 	execStop  chan struct{}
@@ -178,9 +168,6 @@ func New(cfg Config) *Server {
 	if cfg.Window <= 0 {
 		cfg.Window = 256
 	}
-	if cfg.LeaseWait <= 0 {
-		cfg.LeaseWait = 2 * time.Millisecond
-	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
 	}
@@ -197,7 +184,7 @@ func New(cfg Config) *Server {
 		cfg.RingSize = 1024
 	}
 	if cfg.RingWait <= 0 {
-		cfg.RingWait = cfg.LeaseWait
+		cfg.RingWait = 2 * time.Millisecond
 	}
 	if cfg.MaxConns <= 0 {
 		cfg.MaxConns = 1024
@@ -213,13 +200,11 @@ func New(cfg Config) *Server {
 	for op := OpGet; op <= OpCAS; op++ {
 		s.lat[op] = make([]metrics.Histogram, cfg.Shards.NumShards())
 	}
-	if !cfg.Inline {
-		s.startExecutors()
-	}
+	s.startExecutors()
 	return s
 }
 
-// startExecutors builds the batched-mode machinery: the shared ring
+// startExecutors builds the execution machinery: the shared ring
 // group (producer session per connection + consumer session per
 // executor, hence MaxConns+shards contexts), the conn slot table, and
 // one executor goroutine per shard, each taking its shard's long-lived
@@ -284,7 +269,7 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		s.shards.NumShards(), func(i int) float64 {
 			return float64(s.shards.Shard(i).Manager().Lessor().Leased())
 		})
-	reg.Counter("oa_server_busy_total", "requests answered BUSY (no free session)",
+	reg.Counter("oa_server_busy_total", "requests answered BUSY (shard ring full) and connections refused past MaxConns",
 		func() uint64 { return s.busyTotal.Load() })
 	reg.Counter("oa_server_capacity_total", "requests answered CAPACITY",
 		func() uint64 { return s.capTotal.Load() })
@@ -300,35 +285,33 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		func() uint64 { return s.badTotal.Load() })
 	reg.Counter("oa_server_slow_requests_total", "requests whose server-side span crossed SlowThreshold",
 		func() uint64 { return s.slowlog.total() })
-	if s.rings != nil {
-		reg.GaugeVec("oa_server_ring_depth", "requests queued on each shard's bounded ring", "shard",
-			len(s.execs), func(i int) float64 { return float64(s.execs[i].depth.Load()) })
-		reg.Gauge("oa_server_ring_cap", "bound on requests queued per shard ring",
-			func() float64 { return float64(s.cfg.RingSize) })
-		reg.Counter("oa_server_ring_full_total", "requests answered BUSY because the shard ring stayed full past RingWait",
-			func() uint64 { return s.ringFull.Load() })
-		reg.Counter("oa_server_exec_batches_total", "executor drain batches",
-			func() uint64 {
-				var n uint64
-				for _, e := range s.execs {
-					n += e.batches.Load()
-				}
-				return n
-			})
-		reg.Counter("oa_server_exec_batched_ops_total", "data requests executed via shard rings",
-			func() uint64 {
-				var n uint64
-				for _, e := range s.execs {
-					n += e.ops.Load()
-				}
-				return n
-			})
-		reg.Trace(s.rings.Manager().TraceRecorder())
-	}
+	reg.GaugeVec("oa_server_ring_depth", "requests queued on each shard's bounded ring", "shard",
+		len(s.execs), func(i int) float64 { return float64(s.execs[i].depth.Load()) })
+	reg.Gauge("oa_server_ring_cap", "bound on requests queued per shard ring",
+		func() float64 { return float64(s.cfg.RingSize) })
+	reg.Counter("oa_server_ring_full_total", "requests answered BUSY because the shard ring stayed full past RingWait",
+		func() uint64 { return s.ringFull.Load() })
+	reg.Counter("oa_server_exec_batches_total", "executor drain batches",
+		func() uint64 {
+			var n uint64
+			for _, e := range s.execs {
+				n += e.batches.Load()
+			}
+			return n
+		})
+	reg.Counter("oa_server_exec_batched_ops_total", "data requests executed via shard rings",
+		func() uint64 {
+			var n uint64
+			for _, e := range s.execs {
+				n += e.ops.Load()
+			}
+			return n
+		})
+	reg.Trace(s.rings.Manager().TraceRecorder())
 	for op := OpGet; op <= OpCAS; op++ {
 		hs := s.lat[op]
 		reg.HistogramVec("oa_server_latency_"+opNames[op]+"_seconds",
-			"server-side "+opNames[op]+" latency (route+lease+exec+queue, socket wait excluded)",
+			"server-side "+opNames[op]+" latency (route+queue+exec, socket wait excluded)",
 			"shard", len(hs),
 			func(i int) *metrics.Histogram { return &hs[i] })
 	}
@@ -342,8 +325,8 @@ func (s *Server) Serve(ln net.Listener) error { return s.serve(ln, protoBinary) 
 
 // ServeRESP accepts RESP2 connections on ln — the listener off-the-shelf
 // Redis tooling (redis-cli, redis-benchmark, memtier) talks to. Both
-// listeners share one shard router and one session economy; a Server may
-// run both concurrently.
+// listeners share one request path — router, rings, executors — and a
+// Server may run both concurrently.
 func (s *Server) ServeRESP(ln net.Listener) error { return s.serve(ln, protoRESP) }
 
 func (s *Server) serve(ln net.Listener, proto uint8) error {
@@ -364,24 +347,10 @@ func (s *Server) serve(ln net.Listener, proto uint8) error {
 			}
 			return err
 		}
-		c := &conn{
-			s:        s,
-			id:       s.nextConnID.Add(1),
-			proto:    proto,
-			nc:       nc,
-			sessions: make([]*kvmap.Session, s.shards.NumShards()),
-		}
-		c.ob.init(s.cfg.Window)
-		c.stripe = &s.stripes[c.id&s.stripeMask]
-		if proto == protoBinary && s.rings != nil {
-			// Batched mode: a table slot (how executors find the conn) and
-			// one ring producer session. Exhaustion of either — only possible
-			// past MaxConns — degrades this connection to inline execution.
-			if !s.register(c) {
-				c.inline = true
-			}
-		} else {
-			c.inline = true
+		c := s.register(nc, proto)
+		if c == nil {
+			s.refuse(nc, proto)
+			continue
 		}
 		s.mu.Lock()
 		if s.closed {
@@ -441,7 +410,7 @@ func (s *Server) Shutdown() int {
 	s.mu.Unlock()
 	s.forceClosed.Add(uint64(forced))
 
-	// Wait for the cut connections' goroutines to release their leases.
+	// Wait for the cut connections' goroutines to exit.
 	for {
 		s.mu.Lock()
 		n := len(s.conns)
@@ -455,11 +424,9 @@ func (s *Server) Shutdown() int {
 	// Every connection is gone, so every ring entry has been completed
 	// and counted (the zero-drop ledger covers the rings). Now stop the
 	// executors; each final-drains its ring and releases its leases.
-	if s.execStop != nil {
-		close(s.execStop)
-		s.execWG.Wait()
-		s.rings.Close()
-	}
+	close(s.execStop)
+	s.execWG.Wait()
+	s.rings.Close()
 	return forced
 }
 
@@ -481,8 +448,7 @@ type Snapshot struct {
 	SessionsCap   int      `json:"sessions_cap"`
 	SessionsInUse int      `json:"sessions_leased"`
 	SessionGrants uint64   `json:"session_grants"`
-	// Batched-execution block: zero values in inline mode.
-	ExecMode   string `json:"exec_mode"`
+	// The rings and executors every data request crosses.
 	RingCap    int    `json:"ring_cap"`
 	RingDepth  []int  `json:"ring_depth"`
 	RingFull   uint64 `json:"ring_full"`
@@ -497,25 +463,17 @@ func (s *Server) snapshot() Snapshot {
 	for i := range s.stripes {
 		shardOps[i] = s.stripes[i].ops.Load()
 	}
-	mode, ringCap := "inline", 0
-	var depth []int
+	depth := make([]int, len(s.execs))
 	var batches, nodes, batchedOps, maxBatch uint64
-	if s.rings != nil {
-		mode, ringCap = "batched", s.cfg.RingSize
-		depth = make([]int, len(s.execs))
-		for i, e := range s.execs {
-			depth[i] = int(e.depth.Load())
-			batches += e.batches.Load()
-			nodes += e.nodes.Load()
-			batchedOps += e.ops.Load()
-			if m := e.maxBatch.Load(); m > maxBatch {
-				maxBatch = m
-			}
-		}
+	for i, e := range s.execs {
+		depth[i] = int(e.depth.Load())
+		batches += e.batches.Load()
+		nodes += e.nodes.Load()
+		batchedOps += e.ops.Load()
+		maxBatch = max(maxBatch, e.maxBatch.Load())
 	}
 	return Snapshot{
-		ExecMode:      mode,
-		RingCap:       ringCap,
+		RingCap:       s.cfg.RingSize,
 		RingDepth:     depth,
 		RingFull:      s.ringFull.Load(),
 		Batches:       batches,
@@ -628,47 +586,39 @@ const (
 	protoRESP
 )
 
-// conn is one client connection: a reader goroutine that decodes and
-// routes (executing inline or handing bursts to the shard rings), a writer
-// goroutine that batches and flushes the outbox, and — in batched mode —
-// completions arriving from shard executors. sessions holds the lazily
-// leased per-shard sessions of the inline path.
+// conn is one client connection: a reader goroutine that decodes, routes
+// and hands bursts to the shard rings (batch.go), completions arriving
+// from the shard executors, and a writer goroutine that batches and
+// flushes the outbox.
 type conn struct {
-	s        *Server
-	id       uint64
-	proto    uint8
-	nc       net.Conn
-	ob       outbox // sequence-ordered in-flight window
-	gaOnce   sync.Once
-	stripe   *shardStripe // protocol-op counter stripe (by conn id)
-	sessions []*kvmap.Session
+	s      *Server
+	id     uint64
+	proto  uint8
+	cached bool // RESP with Config.Cache set: executors run its ops through the cache layer
+	nc     net.Conn
+	cd     codec
+	ob     outbox // sequence-ordered in-flight window
+	gaOnce sync.Once
+	stripe *shardStripe // protocol-op counter stripe (by conn id)
 
-	// Batched-mode identity: inline falls back to the classic path (RESP,
-	// Config.Inline, or conn-table exhaustion). slot indexes the server's
-	// conn table; prod is the connection's ring producer session; inflight
-	// counts enqueued-but-incomplete requests — the conn's teardown and
-	// slot reuse wait for it to drain (a vanished client only retires its
-	// own pending entries).
-	inline   bool
+	// slot indexes the server's conn table; prod is the connection's ring
+	// producer session; inflight counts enqueued-but-incomplete requests —
+	// the conn's teardown and slot reuse wait for it to drain (a vanished
+	// client only retires its own pending entries).
 	slot     uint32
 	prod     *mpmc.Session
 	inflight atomic.Int64
-	masks    []uint64 // per shard: which sequences of the burst being staged route there
 
-	// Request-span state, owned by the reader goroutine. sp is the
-	// per-request stopwatch, reused across requests; spanSeq drives the
-	// 1-in-SpanSample trace emission.
-	sp      trace.Span
-	spanSeq uint64
-	// Per-request attribution filled in by respSession for the RESP
-	// loop, whose dispatch routes inside respExecute (variadic commands
-	// touch several shards; the span is attributed to the first).
-	reqOp   uint8
-	reqSess *kvmap.Session
-	reqTS   *obs.PerThread
-	reqR0   uint64
-	reqD0   uint64
-	reqShrd int32
+	// Reader-goroutine state: the burst being staged, which of its
+	// sequences route to each shard, the sampling counter of ring trace
+	// events, and where the variadic command being staged stands.
+	b        burst
+	masks    []uint64
+	spanSeq  uint64
+	joinLeft int    // its keys not yet staged
+	joinTail uint64 // the sequence of its last key, where its reply goes
+
+	join atomic.Uint64 // the variadic command in flight (settle)
 }
 
 func (c *conn) sendGoAway() {
@@ -680,12 +630,14 @@ func (c *conn) sendGoAway() {
 	})
 }
 
-// register assigns c a conn-table slot and a ring producer session.
-func (s *Server) register(c *conn) bool {
+// register builds the connection for nc: a conn-table slot (how executors
+// find it), a ring producer session and its listener's codec. It returns
+// nil when MaxConns connections are already open.
+func (s *Server) register(nc net.Conn, proto uint8) *conn {
 	s.mu.Lock()
 	if len(s.freeSlots) == 0 {
 		s.mu.Unlock()
-		return false
+		return nil
 	}
 	slot := s.freeSlots[len(s.freeSlots)-1]
 	s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
@@ -695,12 +647,41 @@ func (s *Server) register(c *conn) bool {
 		s.mu.Lock()
 		s.freeSlots = append(s.freeSlots, slot)
 		s.mu.Unlock()
-		return false
+		return nil
 	}
-	c.slot, c.prod = slot, prod
-	c.masks = make([]uint64, len(s.execs))
+	c := &conn{
+		s:      s,
+		id:     s.nextConnID.Add(1),
+		proto:  proto,
+		cached: proto == protoRESP && s.cfg.Cache != nil,
+		nc:     nc,
+		slot:   slot,
+		prod:   prod,
+		masks:  make([]uint64, len(s.execs)),
+	}
+	if proto == protoRESP {
+		c.cd = newRESPReader(bufio.NewReaderSize(burstReader{c}, 32<<10), s)
+	} else {
+		c.cd = &binCodec{fr: newFrameReader(burstReader{c}, maxRequestFrame), s: s}
+	}
+	c.ob.init(s.cfg.Window)
+	c.stripe = &s.stripes[c.id&s.stripeMask]
 	s.tab[slot].Store(c)
-	return true
+	return c
+}
+
+// refuse answers a connection past MaxConns with its listener's typed
+// refusal and closes it. The write cannot block on a fresh socket's empty
+// send buffer; the deadline is for a peer that contrives otherwise.
+func (s *Server) refuse(nc net.Conn, proto uint8) {
+	s.busyTotal.Add(1)
+	msg := AppendFrame(nil, 0, StBusy)
+	if proto == protoRESP {
+		msg = AppendRESPError(nil, "ERR max number of clients reached")
+	}
+	nc.SetWriteDeadline(time.Now().Add(time.Second))
+	nc.Write(msg) // best effort: the close that follows is the refusal either way
+	nc.Close()
 }
 
 // unregister frees c's table slot for reuse. Only called after the
@@ -709,7 +690,6 @@ func (s *Server) register(c *conn) bool {
 func (s *Server) unregister(c *conn) {
 	s.tab[c.slot].Store(nil)
 	c.prod.Release()
-	c.prod = nil
 	s.mu.Lock()
 	s.freeSlots = append(s.freeSlots, c.slot)
 	s.mu.Unlock()
@@ -722,14 +702,7 @@ func (c *conn) run() {
 		defer wg.Done()
 		c.writeLoop()
 	}()
-	switch {
-	case c.proto == protoRESP:
-		c.respReadLoop()
-	case c.inline:
-		c.readLoopInline()
-	default:
-		c.readLoopBatched()
-	}
+	c.readLoop()
 	// Disconnect retires only this connection's pending ring entries:
 	// wait for the shard executors to complete them (they count toward
 	// the response ledger even when the client vanished mid-batch), then
@@ -737,235 +710,14 @@ func (c *conn) run() {
 	for c.inflight.Load() != 0 {
 		time.Sleep(20 * time.Microsecond)
 	}
-	c.releaseSessions()
 	c.ob.close()
 	wg.Wait()
 	c.nc.Close()
-	if c.prod != nil {
-		c.s.unregister(c)
-	}
+	c.s.unregister(c)
 	c.s.mu.Lock()
 	delete(c.s.conns, c)
 	c.s.mu.Unlock()
 	c.s.active.Add(-1)
-}
-
-func (c *conn) releaseSessions() {
-	for i, sess := range c.sessions {
-		if sess == nil {
-			continue
-		}
-		if trace.Enabled() {
-			c.s.shards.Shard(i).Manager().TraceRecorder().Ring(sess.TID()).Record(trace.EvUnlease, c.id)
-		}
-		sess.Release()
-		c.sessions[i] = nil
-	}
-}
-
-// session returns the connection's leased session on shard, acquiring one
-// on first touch. Acquisition waits up to LeaseWait for churn from
-// disconnecting peers to free a slot on that shard.
-func (c *conn) session(shard int) (*kvmap.Session, error) {
-	if sess := c.sessions[shard]; sess != nil {
-		return sess, nil
-	}
-	m := c.s.shards.Shard(shard)
-	deadline := time.Now().Add(c.s.cfg.LeaseWait)
-	for {
-		sess, err := m.Acquire()
-		if err == nil {
-			if trace.Enabled() {
-				m.Manager().TraceRecorder().Ring(sess.TID()).Record(trace.EvLease, c.id)
-			}
-			c.sessions[shard] = sess
-			return sess, nil
-		}
-		if errors.Is(err, lease.ErrClosed) || time.Now().After(deadline) {
-			return nil, err
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
-}
-
-func (c *conn) readLoopInline() {
-	fr := newFrameReader(c.nc, maxRequestFrame)
-	for {
-		c.sp.Begin()
-		f, err := fr.read()
-		if err != nil {
-			c.frameError(err)
-			return // EOF: client closed; anything else: cut the pipeline
-		}
-		c.sp.Mark(trace.StageRead)
-		nargs, ok := c.protocolOp(f)
-		if !ok {
-			continue
-		}
-		c.stripe.reqsRead.Add(1)
-		c.stripe.reqsTotal[f.Code].Add(1)
-		// Route by key hash in this reader goroutine: each shard sees an
-		// independent stream, and responses stay in request order because
-		// execution is synchronous here regardless of the target shard.
-		shard := c.s.shards.ShardIndex(f.word(0))
-		c.sp.Mark(trace.StageRoute)
-		sess, err := c.session(shard)
-		c.sp.Mark(trace.StageLease)
-		if err != nil {
-			status := uint8(StBusy)
-			if errors.Is(err, lease.ErrClosed) {
-				status = StClosed
-			} else {
-				c.s.busyTotal.Add(1)
-			}
-			c.replyFrame(f.ID, status)
-			c.sp.Mark(trace.StageQueue)
-			c.finishSpan(nil, f.Code, status, shard, 0, 0)
-			continue
-		}
-		c.s.stripes[shard].ops.Add(1)
-		// Restart/drain deltas around the op attribute reclamation work
-		// (scheme-forced restarts, drain passes) to the request that
-		// absorbed it — the session is leased to this connection and
-		// executes on this goroutine, so the counter block is quiescent
-		// outside the execute call.
-		ts := c.s.shards.Shard(shard).Manager().ObsStats().At(sess.TID())
-		r0, d0 := ts.Load(obs.Restarts), ts.Load(obs.DrainPasses)
-		seq, dst := c.begin()
-		var args [3]uint64
-		for i := 0; i < nargs; i++ {
-			args[i] = f.word(i)
-		}
-		resp, fatal := c.execute(dst, sess, f.Code, f.ID, args)
-		c.sp.Mark(trace.StageExec)
-		status := resp[respStatusOffset]
-		c.complete(seq, resp)
-		c.sp.Mark(trace.StageQueue)
-		c.finishSpan(sess, f.Code, status, shard,
-			ts.Load(obs.Restarts)-r0, ts.Load(obs.DrainPasses)-d0)
-		if fatal {
-			return
-		}
-	}
-}
-
-// frameError answers the one read failure with a typed reply: a length
-// prefix past the limit gets FRAME_TOO_BIG before the cut (the stream
-// past a hostile prefix cannot be resynchronized).
-func (c *conn) frameError(err error) {
-	if errors.Is(err, ErrFrameTooLarge) {
-		c.s.badTotal.Add(1)
-		c.replyFrame(0, StFrameTooBig)
-	}
-}
-
-// protocolOp answers the frames that need no map — malformed requests,
-// PING, STATS — counting them into the ledger first. A data op is
-// returned untouched and uncounted, with its argument count: the inline
-// loop counts it on the spot, the batched loop once per burst.
-func (c *conn) protocolOp(f frame) (nargs int, dataOp bool) {
-	nargs, known := argWords(f.Code)
-	bad := !known || f.Code == OpGoAway || len(f.Body) != 8*nargs
-	if !bad && f.Code <= OpCAS {
-		return nargs, true
-	}
-	c.stripe.reqsRead.Add(1)
-	if bad {
-		c.s.badTotal.Add(1)
-		c.replyFrame(f.ID, StBadRequest)
-		return 0, false
-	}
-	c.stripe.reqsTotal[f.Code].Add(1)
-	if f.Code == OpPing {
-		c.replyFrame(f.ID, StOK)
-	} else {
-		c.reply(appendBytesFrame(nil, f.ID, StOK, c.s.statsBody()))
-	}
-	return 0, false
-}
-
-// respStatusOffset is the status byte's position in an encoded response
-// frame: after the u32 length and u64 id.
-const respStatusOffset = 12
-
-// finishSpan closes one routed request's span: the per-(command, shard)
-// latency histogram sees every completed data op, the slow log sees any
-// request (including BUSY) whose server-side time crossed the
-// threshold, and 1-in-SpanSample spans are emitted into the routed
-// shard's trace ring — the same single-writer ring the session's
-// reclamation events go to, because this goroutine holds the session.
-func (c *conn) finishSpan(sess *kvmap.Session, op, status uint8, shard int, restarts, drains uint64) {
-	serverNs := c.sp.ServerNs()
-	if op >= OpGet && op <= OpCAS && status <= StCASMismatch {
-		c.s.lat[op][shard].ObserveNs(uint64(serverNs))
-	}
-	if serverNs >= int64(c.s.cfg.SlowThreshold) {
-		c.s.slowlog.record(time.Now().UnixNano(), c.id, op, status, shard,
-			serverNs, c.sp.Durations(), restarts, drains)
-	}
-	if sess != nil && trace.Enabled() {
-		c.spanSeq++
-		if c.spanSeq%uint64(c.s.cfg.SpanSample) == 0 {
-			ring := c.s.shards.Shard(shard).Manager().TraceRecorder().Ring(sess.TID())
-			c.sp.Emit(ring, op, status, shard)
-		}
-	}
-}
-
-// begin reserves the next response sequence, in request order, and
-// returns its outbox slot's buffer to append the response to.
-// Reader-goroutine only; it blocks while the in-flight window is full —
-// the backpressure contract: the reader stops reading until the writer
-// catches up — and charges that wait to the span's queue stage.
-func (c *conn) begin() (seq uint64, dst []byte) {
-	if c.ob.full() {
-		c.ob.park(func() bool { return !c.ob.full() })
-		c.sp.Mark(trace.StageQueue)
-	}
-	return c.ob.alloc()
-}
-
-// complete publishes the response of a sequence begin reserved and
-// nudges the writer. Reader-goroutine only: executors publish through
-// the outbox and settle once per run (endRun).
-func (c *conn) complete(seq uint64, resp []byte) {
-	c.stripe.respsSent.Add(1)
-	c.ob.complete(seq, resp)
-	c.ob.wake()
-}
-
-// reply answers the current request with an already-encoded response
-// (STATS bodies; everything else is encoded into the slot).
-func (c *conn) reply(resp []byte) {
-	seq, _ := c.begin()
-	c.complete(seq, resp)
-}
-
-// replyFrame answers the current request with one binary frame.
-func (c *conn) replyFrame(id uint64, code byte, body ...uint64) {
-	seq, dst := c.begin()
-	c.complete(seq, AppendFrame(dst, id, code, body...))
-}
-
-// execute runs one data request on the connection's session for the
-// routed shard, appending the response frame to dst. A capacity-starved
-// allocator panics with an error wrapping lease.ErrCapacityExhausted;
-// that is answered CAPACITY and treated as fatal for the connection (the
-// session's protocol state cannot be trusted past a mid-operation
-// unwind).
-func (c *conn) execute(dst []byte, sess *kvmap.Session, op uint8, id uint64, args [3]uint64) (resp []byte, fatal bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			err, ok := r.(error)
-			if !ok || !errors.Is(err, lease.ErrCapacityExhausted) {
-				panic(r)
-			}
-			c.s.capTotal.Add(1)
-			c.s.logf("conn %d: capacity exhausted: %v", c.id, err)
-			resp, fatal = AppendFrame(dst, id, StCapacity), true
-		}
-	}()
-	return runOp(dst, sess, op, id, args[0], args[1], args[2]), false
 }
 
 // writeLoop batches responses: it takes the contiguous completed run off

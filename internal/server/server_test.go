@@ -13,23 +13,36 @@ import (
 	"repro/internal/kvmap"
 )
 
+// startTestServer serves cfg on two loopback listeners, one per wire
+// protocol, until the test ends.
+func startTestServer(t *testing.T, cfg Config) (s *Server, addr, respAddr string) {
+	t.Helper()
+	s = New(cfg)
+	done := make(chan error, 2)
+	for _, serve := range []func(net.Listener) error{s.Serve, s.ServeRESP} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, respAddr = respAddr, ln.Addr().String()
+		go func() { done <- serve(ln) }()
+	}
+	t.Cleanup(func() {
+		s.Shutdown()
+		for i := 0; i < cap(done); i++ {
+			if err := <-done; err != nil {
+				t.Errorf("Serve: %v", err)
+			}
+		}
+	})
+	return s, addr, respAddr
+}
+
 func newTestServer(t *testing.T, threads int, cfg Config) (*Server, string) {
 	t.Helper()
 	cfg.Map = kvmap.New(core.Config{MaxThreads: threads, Capacity: 1 << 16}, 1<<14)
-	s := New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(ln) }()
-	t.Cleanup(func() {
-		s.Shutdown()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return s, ln.Addr().String()
+	s, addr, _ := startTestServer(t, cfg)
+	return s, addr
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -113,81 +126,6 @@ func TestPipelining(t *testing.T) {
 		if ca.Status != StOK && ca.Status != StNotFound {
 			t.Fatalf("call %d: status %d", i, ca.Status)
 		}
-	}
-}
-
-// TestLeaseRecycling runs more sequential connections than session slots:
-// each connection leases on first request and releases on close, so a
-// 2-slot registry must serve all of them.
-func TestLeaseRecycling(t *testing.T) {
-	s, addr := newTestServer(t, 2, Config{Inline: true})
-	for i := 0; i < 10; i++ {
-		c, err := Dial(addr, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		put, _ := c.Put(uint64(i), uint64(i))
-		if err := put.Wait(); err != nil {
-			t.Fatalf("conn %d: %v", i, err)
-		}
-		c.Close()
-	}
-	deadline := time.Now().Add(time.Second)
-	for s.cfg.Map.Manager().Lessor().Leased() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("leases not released after disconnects")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if g := s.cfg.Map.Manager().Lessor().Grants(); g < 10 {
-		t.Fatalf("grants = %d, want >= 10 (one per connection)", g)
-	}
-}
-
-// TestBusyWhenExhausted holds the only session slot hostage on one
-// connection and checks a second connection's data request is answered
-// BUSY (typed backpressure, not a hang or a cut connection).
-func TestBusyWhenExhausted(t *testing.T) {
-	_, addr := newTestServer(t, 1, Config{Inline: true, LeaseWait: time.Millisecond})
-	holder, err := Dial(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer holder.Close()
-	put, _ := holder.Put(1, 1)
-	if err := put.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	second, err := Dial(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	busy, _ := second.Get(1)
-	if err := busy.Wait(); err != nil || busy.Status != StBusy {
-		t.Fatalf("exhausted Get = %d (%v), want BUSY", busy.Status, err)
-	}
-	// PING needs no session: it must still work on the starved connection.
-	if err := second.Ping(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Free the slot; the starved connection must now be served.
-	holder.Close()
-	deadline := time.Now().Add(time.Second)
-	for {
-		got, _ := second.Get(1)
-		if err := got.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		if got.Status == StOK && got.Val == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("Get still %d after slot freed", got.Status)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

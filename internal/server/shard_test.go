@@ -15,24 +15,13 @@ import (
 	"repro/internal/kvmap"
 )
 
-// newShardedTestServer serves the binary protocol over a sharded map.
+// newShardedTestServer serves a sharded map and returns the binary
+// listener's address.
 func newShardedTestServer(t *testing.T, threads, shards int, cfg Config) (*Server, string) {
 	t.Helper()
 	cfg.Shards = kvmap.NewSharded(core.Config{MaxThreads: threads, Capacity: 1 << 16}, 1<<14, shards)
-	s := New(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- s.Serve(ln) }()
-	t.Cleanup(func() {
-		s.Shutdown()
-		if err := <-done; err != nil {
-			t.Errorf("Serve: %v", err)
-		}
-	})
-	return s, ln.Addr().String()
+	s, addr, _ := startTestServer(t, cfg)
+	return s, addr
 }
 
 // keyOnShard finds a key the router sends to the wanted shard.
@@ -189,44 +178,6 @@ func TestPipelinedCASOrderingAcrossShards(t *testing.T) {
 		if s.stripes[i].ops.Load() == 0 {
 			t.Fatalf("shard %d saw no ops — router sent everything elsewhere", i)
 		}
-	}
-}
-
-// TestBusyOnShardLeaseExhaustion pins shard 0's only session from one
-// connection: a second connection must get BUSY for shard-0 keys while
-// shard-1 keys still serve — the lease economies are per shard.
-func TestBusyOnShardLeaseExhaustion(t *testing.T) {
-	s, addr := newShardedTestServer(t, 1, 2, Config{Inline: true, LeaseWait: time.Millisecond})
-	k0 := keyOnShard(s.shards, 0, 1)
-	k1 := keyOnShard(s.shards, 1, 1)
-
-	holder, err := Dial(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer holder.Close()
-	put, _ := holder.Put(k0, 7)
-	if err := put.Wait(); err != nil {
-		t.Fatal(err)
-	}
-
-	second, err := Dial(addr, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
-	busy, _ := second.Get(k0)
-	if err := busy.Wait(); err != nil || busy.Status != StBusy {
-		t.Fatalf("shard-0 Get = %d (%v), want BUSY", busy.Status, err)
-	}
-	ok1, _ := second.Put(k1, 8)
-	if err := ok1.Wait(); err != nil || ok1.Status != StNotFound {
-		t.Fatalf("shard-1 Put while shard 0 exhausted = %d (%v), want NOT_FOUND (fresh key)", ok1.Status, err)
-	}
-	// The holder's shard-0 session still works.
-	g, _ := holder.Get(k0)
-	if err := g.Wait(); err != nil || g.Status != StOK || g.Val != 7 {
-		t.Fatalf("holder shard-0 Get = %d/%d (%v)", g.Status, g.Val, err)
 	}
 }
 

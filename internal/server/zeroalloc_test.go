@@ -24,7 +24,7 @@ func TestServedBinaryPathDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	s, addr := newBatchedServer(t, 4, 2, Config{})
+	s, addr, _ := newBatchedServer(t, 4, 2, Config{})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestServedRESPPathDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	_, addr := newRESPTestServer(t, 4, 2, Config{})
+	s, addr := newRESPTestServer(t, 4, 2, Config{})
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -122,7 +122,18 @@ func TestServedRESPPathDoesNotAllocate(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		round()
 	}
+	before := s.snapshot()
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Fatalf("RESP served path: %.0f allocs per %d-request burst, want 0", avg, allocBurst)
+	}
+	// The same batching gate as the binary path: the keys hash over both
+	// shards, and a burst one read delivers is one node on each ring.
+	snap := s.snapshot()
+	if snap.ShardOps[0] == 0 || snap.ShardOps[1] == 0 {
+		t.Fatalf("burst did not cross both shard rings: shard_ops %v", snap.ShardOps)
+	}
+	bursts := (snap.BatchedOps - before.BatchedOps) / allocBurst
+	if nodes := snap.RingNodes - before.RingNodes; bursts < 200 || nodes > 2*bursts {
+		t.Fatalf("%d ring nodes for %d two-shard bursts of %d commands, want at most 2 per burst", nodes, bursts, allocBurst)
 	}
 }

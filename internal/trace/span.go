@@ -19,8 +19,8 @@ const (
 	StageRead Stage = iota
 	// StageRoute is key hashing and shard selection.
 	StageRoute
-	// StageLease is session acquisition on the routed shard (zero once a
-	// connection holds the shard's lease; up to LeaseWait under churn).
+	// StageLease is session acquisition on the routed shard. The server's
+	// executors hold their sessions for life, so its spans leave it zero.
 	StageLease
 	// StageExec is the data-structure operation itself, including any
 	// scheme-forced restarts and drain work it absorbed.
