@@ -554,6 +554,10 @@ const (
 	joinStatus  = 16   // shift
 )
 
+// Both counts are a byte: the decoder must never hand out a command of
+// more keys than one holds (does not compile otherwise).
+const _ = uint(joinPending - (respMaxArgs - 1))
+
 // settle turns the outcome of the request staged at seq into the reply
 // its command owes: its own, at seq — or, for a key of a variadic
 // command, nothing until the command's last key is in, and then the

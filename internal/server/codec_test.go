@@ -302,6 +302,9 @@ func FuzzRESPReader(f *testing.F) {
 	f.Add([]byte("*1\r\n$2147483000\r\n"), uint16(1))
 	f.Add([]byte("*2\r\n$3\r\nTTL\r\n$70000\r\n"), uint16(5))
 	f.Add([]byte(strings.Repeat("x", 70000)), uint16(4000))
+	for _, keys := range []int{64, 65, 256, 300} { // inline: no header announces the count
+		f.Add([]byte("DEL"+strings.Repeat(" k", keys)+"\r\nPING\r\n"), uint16(100))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, chunk uint16) {
 		src := &chunkReader{data: data, sizes: []int{int(chunk%4099) + 1}}
 		r := newRESPReader(bufio.NewReaderSize(src, 64), &Server{})

@@ -220,6 +220,9 @@ func (r *respReader) readCommand() ([][]byte, error) {
 				continue
 			}
 			if start >= 0 {
+				if len(r.args) == respMaxArgs { // the array form's limit, which no header announced here
+					return nil, fmt.Errorf("inline command of more than %d arguments: %w", respMaxArgs, ErrRESPProtocol)
+				}
 				r.args = append(r.args, r.flat[start:i])
 				start = -1
 			}

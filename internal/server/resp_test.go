@@ -148,7 +148,7 @@ func TestRESPPipelining(t *testing.T) {
 }
 
 // TestRESPInlineCommand drives the inline (space-separated) form a human
-// types over nc.
+// types over nc, up to the most keys a command may carry.
 func TestRESPInlineCommand(t *testing.T) {
 	_, addr := newRESPTestServer(t, 2, 1, Config{})
 	nc, err := net.Dial("tcp", addr)
@@ -156,7 +156,7 @@ func TestRESPInlineCommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if _, err := nc.Write([]byte("PING\r\nSET ikey ival\r\nGET ikey\r\n")); err != nil {
+	if _, err := nc.Write([]byte("PING\r\nSET ikey ival\r\nEXISTS" + strings.Repeat(" ikey", respMaxArgs-1) + "\r\nGET ikey\r\n")); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 256)
@@ -168,7 +168,7 @@ func TestRESPInlineCommand(t *testing.T) {
 		}
 		got += string(buf[:n])
 	}
-	want := "+PONG\r\n+OK\r\n$4\r\nival\r\n"
+	want := "+PONG\r\n+OK\r\n:64\r\n$4\r\nival\r\n"
 	if got != want {
 		t.Fatalf("inline session = %q, want %q", got, want)
 	}
@@ -183,9 +183,14 @@ func TestRESPMalformed(t *testing.T) {
 		{"hostile bulk length", "*1\r\n$2147483000\r\n"},
 		{"over-limit args", "*9999\r\n"},
 		{"wrong element type", "*1\r\n:5\r\n"},
+		// The inline form announces no count; the limit holds all the same,
+		// or a command of more keys than the join's byte counts would wrap it.
+		{"inline 65 keys", "DEL" + strings.Repeat(" k", 65) + "\r\n"},
+		{"inline 256 keys", "DEL" + strings.Repeat(" k", 256) + "\r\n"},
+		{"inline 300 keys", "EXISTS" + strings.Repeat(" k", 300) + "\r\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, addr := newRESPTestServer(t, 2, 1, Config{})
+			s, addr := newRESPTestServer(t, 2, 1, Config{})
 			nc, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
@@ -205,6 +210,12 @@ func TestRESPMalformed(t *testing.T) {
 			}
 			if !bytes.HasPrefix(got, []byte("-ERR protocol error")) {
 				t.Fatalf("reply = %q, want -ERR protocol error prefix", got)
+			}
+			if n := bytes.Count(got, []byte("\r\n")); n != 1 {
+				t.Fatalf("%d replies to one command: %q", n, got)
+			}
+			if snap := s.snapshot(); snap.RequestsRead != 1 || snap.ResponsesSent != 1 {
+				t.Fatalf("ledger: read %d sent %d, want 1 and 1", snap.RequestsRead, snap.ResponsesSent)
 			}
 		})
 	}

@@ -671,15 +671,16 @@ func (s *Server) register(nc net.Conn, proto uint8) *conn {
 }
 
 // refuse answers a connection past MaxConns with its listener's typed
-// refusal and closes it. The write cannot block on a fresh socket's empty
-// send buffer; the deadline is for a peer that contrives otherwise.
+// refusal and closes it, on the accept loop: a few bytes into a fresh
+// socket's empty send buffer do not block, and the deadline keeps a peer
+// that contrives otherwise from holding up the next accept.
 func (s *Server) refuse(nc net.Conn, proto uint8) {
 	s.busyTotal.Add(1)
 	msg := AppendFrame(nil, 0, StBusy)
 	if proto == protoRESP {
 		msg = AppendRESPError(nil, "ERR max number of clients reached")
 	}
-	nc.SetWriteDeadline(time.Now().Add(time.Second))
+	nc.SetWriteDeadline(time.Now().Add(10 * time.Millisecond))
 	nc.Write(msg) // best effort: the close that follows is the refusal either way
 	nc.Close()
 }
