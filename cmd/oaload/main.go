@@ -23,9 +23,9 @@
 // count/mean/p50/p90/p99/p999/max nanoseconds. On the binary protocol
 // the report also carries an "exec" section sampled live over STATS:
 // the server's peak ring queue depth, ring-full refusals and the batch-size distribution (batches, max, average) the
-// per-shard executors achieved under this load. The SLO gate (cmd/
-// slocheck) reads this report and cross-checks it against the server's
-// own histograms and batching counters.
+// per-shard executors achieved under this load. The process-level check
+// (internal/e2e, TestLifecycle/slo) reads this report and cross-checks it
+// against the server's own histograms and batching counters.
 //
 // Exit status is nonzero when any response was dropped, any hard error
 // occurred, or no operations completed.

@@ -184,7 +184,12 @@ func main() {
 			<-done
 		}
 		// The shard registries close only after the drain: the executors
-		// hold their sessions until the last connection is gone.
+		// hold their sessions until the last connection is gone. The cache
+		// sweeper stops first, so a sweep in flight hands its lease back
+		// before the final stats count leases.
+		if cache != nil {
+			cache.Close()
+		}
 		sh.Close()
 		os.Stdout.Write(srv.FinalStats())
 		if forced > 0 {

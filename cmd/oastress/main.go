@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -370,14 +371,14 @@ func main() {
 		trace.SetEnabled(true)
 	}
 	if *httpAddr != "" {
-		srv := &http.Server{Addr: *httpAddr, Handler: obs.HandlerFor(activeReg.Load)}
-		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "obs http:", err)
-				os.Exit(2)
-			}
-		}()
-		fmt.Printf("observability on %s: /metrics /stats.json /trace /debug/pprof/\n", *httpAddr)
+		// Bind before announcing, so -http :0 prints the port it got.
+		ln, err := net.Listen("tcp", *httpAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "obs http:", err)
+			os.Exit(2)
+		}
+		go http.Serve(ln, obs.HandlerFor(activeReg.Load))
+		fmt.Printf("observability on http://%s/metrics /stats.json /trace /debug/pprof/\n", ln.Addr())
 	}
 
 	if *all {

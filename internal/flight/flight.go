@@ -51,8 +51,8 @@ type Config struct {
 	SLOOps float64
 	// FireTicks/ClearTicks override the rule hysteresis: a rule fires
 	// after FireTicks consecutive bad ticks and clears after ClearTicks
-	// consecutive good ones (defaults 8/8; healthsmoke shrinks them to
-	// keep its provocations fast).
+	// consecutive good ones (defaults 8/8; internal/e2e's health wiring
+	// test shrinks them to keep its provocations fast).
 	FireTicks  int
 	ClearTicks int
 }

@@ -1,11 +1,10 @@
 // Request spans: the per-request timeline the server threads through its
 // pipeline (ingress read → shard route → lease acquire → data-structure
-// op → response queue). A Span is a tiny stack/struct-resident stopwatch
-// — marking a stage is one monotonic clock read and one add, so the
-// instrumented request path stays allocation-free — and Emit flushes a
-// sampled span into a thread's event ring as req_stage/req_span events,
-// where it lands on the same timeline as the reclamation events
-// (restarts, drains, phase transitions) that explain its exec stage.
+// op → response queue). The server's executors time the stages and record
+// a sampled request into their session's event ring as req_stage events
+// plus one req_span summary, where it lands on the same timeline as the
+// reclamation events (restarts, drains, phase transitions) that explain
+// its exec stage. This file names the stages and packs those payloads.
 package trace
 
 // Stage identifies one segment of a server request span.
@@ -44,62 +43,6 @@ func (st Stage) String() string {
 		return "unknown"
 	}
 	return stageNames[st]
-}
-
-// Span accumulates one request's per-stage durations. The zero value is
-// ready after Begin; a Span is owned by one goroutine (the connection's
-// reader) and reused across requests.
-type Span struct {
-	mark int64
-	dur  [NumStages]int64
-}
-
-// Begin resets the span and starts the clock.
-func (sp *Span) Begin() {
-	sp.mark = Now()
-	for i := range sp.dur {
-		sp.dur[i] = 0
-	}
-}
-
-// Mark attributes the time since the previous mark (or Begin) to stage
-// st and restarts the clock. Marking the same stage twice accumulates —
-// a variadic RESP command's repeated route/lease/exec legs merge into
-// one span.
-func (sp *Span) Mark(st Stage) {
-	now := Now()
-	sp.dur[st] += now - sp.mark
-	sp.mark = now
-}
-
-// Dur returns the accumulated duration of one stage in nanoseconds.
-func (sp *Span) Dur(st Stage) int64 { return sp.dur[st] }
-
-// Durations returns the per-stage durations, indexed by Stage.
-func (sp *Span) Durations() [NumStages]int64 { return sp.dur }
-
-// ServerNs is the span's server-side total: every stage except
-// StageRead, whose socket wait belongs to the client.
-func (sp *Span) ServerNs() int64 {
-	var t int64
-	for st := StageRoute; st < NumStages; st++ {
-		t += sp.dur[st]
-	}
-	return t
-}
-
-// Emit records the span into ring r: one req_stage event per non-empty
-// stage, then the req_span summary. Wait-free and allocation-free (it is
-// a handful of Ring.Record calls); the caller owns r's single-writer
-// discipline — the server emits while it holds the routed shard's
-// session, whose ring nothing else is writing.
-func (sp *Span) Emit(r *Ring, op, status uint8, shard int) {
-	for st := Stage(0); st < NumStages; st++ {
-		if d := sp.dur[st]; d > 0 {
-			r.Record(EvReqStage, StagePayload(st, d))
-		}
-	}
-	r.Record(EvReqSpan, SpanPayload(op, status, shard, sp.ServerNs()))
 }
 
 // Span payload layout: op in bits 63..60, status in 59..52, shard in

@@ -1,12 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"encoding/json"
-	"strings"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestSpanPayloadPacking(t *testing.T) {
 	p := SpanPayload(4, 8, 1023, 123456789)
@@ -42,121 +36,5 @@ func TestStageNames(t *testing.T) {
 	}
 	if EvReqSpan.String() != "req_span" || EvReqStage.String() != "req_stage" {
 		t.Fatalf("kind names: %q %q", EvReqSpan.String(), EvReqStage.String())
-	}
-}
-
-func TestSpanMarkAccumulates(t *testing.T) {
-	var sp Span
-	sp.Begin()
-	time.Sleep(time.Millisecond)
-	sp.Mark(StageRead)
-	sp.Mark(StageRoute)
-	time.Sleep(time.Millisecond)
-	sp.Mark(StageExec)
-	time.Sleep(time.Millisecond)
-	sp.Mark(StageExec) // second leg of the same stage merges
-	if sp.Dur(StageRead) < int64(time.Millisecond) {
-		t.Fatalf("read stage %dns, want >= 1ms", sp.Dur(StageRead))
-	}
-	if sp.Dur(StageExec) < int64(2*time.Millisecond) {
-		t.Fatalf("exec stage %dns did not accumulate across marks", sp.Dur(StageExec))
-	}
-	if got := sp.ServerNs(); got != sp.Dur(StageRoute)+sp.Dur(StageLease)+sp.Dur(StageExec)+sp.Dur(StageQueue) {
-		t.Fatalf("ServerNs %d does not sum the non-read stages", got)
-	}
-	if sp.ServerNs() >= sp.Dur(StageRead)+sp.ServerNs()+1 {
-		t.Fatal("ServerNs must exclude the read stage")
-	}
-	// Begin resets every stage.
-	sp.Begin()
-	for st := Stage(0); st < NumStages; st++ {
-		if sp.Dur(st) != 0 {
-			t.Fatalf("stage %v not reset by Begin", st)
-		}
-	}
-}
-
-func TestSpanEmit(t *testing.T) {
-	rec := NewRecorder(1, 64)
-	r := rec.Ring(0)
-	var sp Span
-	sp.Begin()
-	sp.Mark(StageRead)
-	sp.Mark(StageRoute)
-	time.Sleep(100 * time.Microsecond)
-	sp.Mark(StageExec)
-	sp.Emit(r, 2, 0, 3)
-
-	evs := rec.Events()
-	if len(evs) < 2 {
-		t.Fatalf("got %d events, want stage events plus the summary", len(evs))
-	}
-	last := evs[len(evs)-1]
-	if last.Kind != EvReqSpan {
-		t.Fatalf("last event kind %v, want req_span", last.Kind)
-	}
-	if SpanOp(last.Arg) != 2 || SpanShard(last.Arg) != 3 {
-		t.Fatalf("summary decodes op=%d shard=%d, want 2/3", SpanOp(last.Arg), SpanShard(last.Arg))
-	}
-	if SpanNs(last.Arg) != sp.ServerNs() {
-		t.Fatalf("summary ns %d != ServerNs %d", SpanNs(last.Arg), sp.ServerNs())
-	}
-	sawExec := false
-	for _, e := range evs[:len(evs)-1] {
-		if e.Kind != EvReqStage {
-			t.Fatalf("expected req_stage before the summary, got %v", e.Kind)
-		}
-		if StageOf(e.Arg) == StageExec {
-			sawExec = true
-			if StageNs(e.Arg) != sp.Dur(StageExec) {
-				t.Fatalf("exec stage ns %d != span %d", StageNs(e.Arg), sp.Dur(StageExec))
-			}
-		}
-	}
-	if !sawExec {
-		t.Fatal("no exec stage event emitted")
-	}
-
-	// Both exporters must decode the new kinds into named fields.
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{`"kind":"req_span"`, `"server_ns":`, `"kind":"req_stage"`, `"stage":"exec"`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("JSONL export missing %s:\n%s", want, out)
-		}
-	}
-	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(line), &obj); err != nil {
-			t.Fatalf("JSONL line %q: %v", line, err)
-		}
-	}
-	buf.Reset()
-	if err := WriteChrome(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome export invalid with span events: %v", err)
-	}
-}
-
-func TestSpanDoesNotAllocate(t *testing.T) {
-	rec := NewRecorder(1, 64)
-	r := rec.Ring(0)
-	var sp Span
-	if avg := testing.AllocsPerRun(2000, func() {
-		sp.Begin()
-		sp.Mark(StageRead)
-		sp.Mark(StageRoute)
-		sp.Mark(StageLease)
-		sp.Mark(StageExec)
-		sp.Mark(StageQueue)
-		sp.Emit(r, 1, 0, 0)
-	}); avg > 0.05 {
-		t.Fatalf("span mark+emit allocates %.2f objects/request", avg)
 	}
 }

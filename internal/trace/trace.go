@@ -72,8 +72,8 @@ const (
 	// EvUnlease is the matching context release back to the free pool.
 	// Payload: the same owner id.
 	EvUnlease
-	// EvReqSpan summarizes one sampled server request: the span helper
-	// (span.go) emits it after the response is handed to the writer.
+	// EvReqSpan summarizes one sampled server request: the shard executor
+	// records it after the response is handed to the writer.
 	// Payload: SpanPayload (opcode, status, shard, server-side ns).
 	EvReqSpan
 	// EvReqStage is one pipeline stage of a sampled request span (read,

@@ -168,6 +168,8 @@ func TestWriteJSONL(t *testing.T) {
 		{TS: 2500, TID: 1, Seq: 1, Kind: EvDrain, Arg: DrainPayload(11, 3)},
 		{TS: 3000, TID: 2, Seq: 0, Kind: EvFreeze, Arg: FreezePayload(9, 2)},
 		{TS: 3500, TID: 2, Seq: 1, Kind: EvSteal, Arg: 5},
+		{TS: 4000, TID: 3, Seq: 0, Kind: EvReqStage, Arg: StagePayload(StageExec, 42)},
+		{TS: 4500, TID: 3, Seq: 1, Kind: EvReqSpan, Arg: SpanPayload(2, 0, 3, 99)},
 	}
 	var buf bytes.Buffer
 	if err := WriteJSONL(&buf, events); err != nil {
@@ -199,6 +201,12 @@ func TestWriteJSONL(t *testing.T) {
 	}
 	if decoded[4]["shard"] != float64(5) || decoded[4]["tid"] != float64(2) {
 		t.Fatalf("steal line wrong: %v", decoded[4])
+	}
+	if decoded[5]["kind"] != "req_stage" || decoded[5]["stage"] != "exec" || decoded[5]["ns"] != float64(42) {
+		t.Fatalf("req_stage line wrong: %v", decoded[5])
+	}
+	if decoded[6]["kind"] != "req_span" || decoded[6]["op"] != float64(2) || decoded[6]["shard"] != float64(3) || decoded[6]["server_ns"] != float64(99) {
+		t.Fatalf("req_span line wrong: %v", decoded[6])
 	}
 }
 
