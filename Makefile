@@ -33,15 +33,16 @@ zeroalloc:
 
 # The race detector focused where the lock-free interleavings live: the
 # reclamation core, the sharded block pools, the MPMC request rings, the
-# generic OA kit, the aux-word protocol of the TTL/LRU cache, and the
-# server's burst hand-off, lock-free outbox and lazily allocated trace
-# rings. -short keeps it inside a merge-gate budget; race-full sweeps
-# everything. The burst hand-off's concurrent test (several connections'
+# OA kit and the structure layer that sits on it (list, skip list, queue,
+# hash table, kvmap — the five add ~40 s on the 2-vCPU host), the
+# aux-word protocol of the TTL/LRU cache, and the server's burst
+# hand-off, lock-free outbox and lazily allocated trace rings. -short
+# keeps it inside a merge-gate budget; race-full sweeps everything. The burst hand-off's concurrent test (several connections'
 # nodes interleaving on the rings over both codecs, variadic joins, one
 # client vanishing) runs ten times over: a race there is a matter of
 # interleaving.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/...
+	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/list/... ./internal/skiplist/... ./internal/queue/... ./internal/hashtable/... ./internal/kvmap/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/...
 	$(GO) test -race -count=10 -run TestConcurrentBurstsLedger ./internal/server
 
 race-full:

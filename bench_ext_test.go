@@ -1,6 +1,6 @@
 // Extension benchmarks beyond the paper's figures: the Michael-Scott
-// queue, the Treiber stack, the key→value map and the ordered range scan,
-// each under the schemes that support them. See EXPERIMENTS.md
+// queue, the key→value map and the ordered range scan, each under the
+// schemes that support them. See EXPERIMENTS.md
 // "Extensions".
 package repro
 
@@ -13,72 +13,31 @@ import (
 
 	"repro/internal/alloc"
 	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hpscheme"
 	"repro/internal/kvmap"
 	"repro/internal/list"
 	"repro/internal/mpmc"
-	"repro/internal/norecl"
 	"repro/internal/queue"
 	"repro/internal/server"
+	"repro/internal/sizing"
 	"repro/internal/skiplist"
 	"repro/internal/smr"
-	"repro/internal/stack"
 )
 
 const extCapacity = 1 << 16
 
 // BenchmarkExtQueue measures enqueue+dequeue pairs through the MS queue.
 func BenchmarkExtQueue(b *testing.B) {
-	mk := map[string]func() smr.Queue{
-		"NoRecl": func() smr.Queue {
-			return queue.NewNoRecl(norecl.Config{MaxThreads: 1, Capacity: extCapacity})
-		},
-		"OA": func() smr.Queue {
-			return queue.NewOA(core.Config{MaxThreads: 1, Capacity: extCapacity})
-		},
-		"HP": func() smr.Queue {
-			return queue.NewHP(hpscheme.Config{MaxThreads: 1, Capacity: extCapacity})
-		},
-		"EBR": func() smr.Queue {
-			return queue.NewEBR(ebr.Config{MaxThreads: 1, Capacity: extCapacity})
-		},
-	}
-	for _, name := range []string{"NoRecl", "OA", "HP", "EBR"} {
-		b.Run(name, func(b *testing.B) {
-			s := mk[name]().QueueSession(0)
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.OA, smr.HP, smr.EBR} {
+		b.Run(sc.String(), func(b *testing.B) {
+			q, err := queue.New(sc, sizing.Config{MaxThreads: 1, Capacity: extCapacity})
+			if err != nil {
+				b.Fatal(err)
+			}
+			s := q.QueueSession(0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Enqueue(uint64(i))
 				s.Dequeue()
-			}
-		})
-	}
-}
-
-// BenchmarkExtStack measures push+pop pairs through the Treiber stack.
-func BenchmarkExtStack(b *testing.B) {
-	mk := map[string]func() stack.Stack{
-		"NoRecl": func() stack.Stack {
-			return stack.NewNoRecl(norecl.Config{MaxThreads: 1, Capacity: extCapacity})
-		},
-		"OA": func() stack.Stack {
-			return stack.NewOA(core.Config{MaxThreads: 1, Capacity: extCapacity})
-		},
-		"HP": func() stack.Stack {
-			return stack.NewHP(hpscheme.Config{MaxThreads: 1, Capacity: extCapacity})
-		},
-		"EBR": func() stack.Stack {
-			return stack.NewEBR(ebr.Config{MaxThreads: 1, Capacity: extCapacity})
-		},
-	}
-	for _, name := range []string{"NoRecl", "OA", "HP", "EBR"} {
-		b.Run(name, func(b *testing.B) {
-			s := mk[name]().StackSession(0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Push(uint64(i))
-				s.Pop()
 			}
 		})
 	}

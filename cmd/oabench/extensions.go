@@ -5,6 +5,7 @@ import (
 	"os"
 
 	"repro/internal/harness"
+	"repro/internal/hashtable"
 	"repro/internal/smr"
 )
 
@@ -125,12 +126,6 @@ func pauses(o options) {
 	w := harness.WorkloadFor(harness.Hash, threads, 0.8)
 	w.Duration = 2 * o.duration
 	res := harness.Run(set, w)
-	type pauseReporter interface {
-		PauseReport() string
-	}
-	if pr, ok := set.(pauseReporter); ok {
-		fmt.Printf("  throughput %.3f Mops/s\n  pauses: %s\n\n", res.Mops(), pr.PauseReport())
-	} else {
-		fmt.Println("  (structure does not expose pause histograms)")
-	}
+	pauses := set.(*hashtable.OA).Engine().Manager().PhasePauses()
+	fmt.Printf("  throughput %.3f Mops/s\n  pauses: %s\n\n", res.Mops(), pauses.String())
 }

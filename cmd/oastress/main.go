@@ -34,15 +34,12 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/ebr"
 	"repro/internal/harness"
-	"repro/internal/hpscheme"
 	"repro/internal/linearize"
 	"repro/internal/metrics"
-	"repro/internal/norecl"
 	"repro/internal/obs"
 	"repro/internal/queue"
+	"repro/internal/sizing"
 	"repro/internal/smr"
 	"repro/internal/trace"
 )
@@ -205,19 +202,9 @@ func stress(st harness.Structure, sc smr.Scheme, threads int, d time.Duration, k
 // stressQueue soaks the MS queue: per-producer FIFO order and
 // exactly-once consumption, verified on the fly.
 func stressQueue(sc smr.Scheme, threads int, d time.Duration) error {
-	var q smr.Queue
-	cfg := 1 << 16
-	switch sc {
-	case smr.NoRecl:
-		q = queue.NewNoRecl(norecl.Config{MaxThreads: threads, Capacity: cfg})
-	case smr.OA:
-		q = queue.NewOA(core.Config{MaxThreads: threads, Capacity: cfg})
-	case smr.HP:
-		q = queue.NewHP(hpscheme.Config{MaxThreads: threads, Capacity: cfg})
-	case smr.EBR:
-		q = queue.NewEBR(ebr.Config{MaxThreads: threads, Capacity: cfg})
-	default:
-		return fmt.Errorf("queue does not support %v", sc)
+	q, err := queue.New(sc, sizing.Config{MaxThreads: threads, Capacity: 1 << 16})
+	if err != nil {
+		return err
 	}
 	producers := threads / 2
 	if producers == 0 {

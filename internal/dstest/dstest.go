@@ -338,3 +338,46 @@ func RunStats(t *testing.T, mk Factory, wantScheme smr.Scheme) {
 		t.Fatalf("stats not wired: %+v", st)
 	}
 }
+
+// RunChurnReclaims checks the one thing that tells apart the schemes
+// sharing the plain traversal — what surrounds an operation and what
+// Retire does. A single thread churns insert/contains/delete rounds well
+// past the scan trigger (set must be built with OpsPerScan, and
+// ScanThreshold, equal to opsPerScan); CheckChurnStats judges the result.
+func RunChurnReclaims(t *testing.T, set smr.Set, opsPerScan int) {
+	t.Helper()
+	s := set.Session(0)
+	rounds := 8 * opsPerScan
+	for i := 0; i < rounds; i++ {
+		k := uint64(i%64) + 1
+		if !s.Insert(k) || !s.Contains(k) || !s.Delete(k) {
+			t.Fatalf("round %d: insert/contains/delete of %d did not all succeed", i, k)
+		}
+	}
+	CheckChurnStats(t, set.Scheme(), set.Stats(), 3*rounds, opsPerScan)
+}
+
+// CheckChurnStats judges the counters of a fresh single-threaded
+// structure after ops operations of retire-producing churn: NoRecl must
+// recycle nothing, every reclaiming scheme something, and under EBR the
+// epoch must have advanced exactly once per opsPerScan operations — every
+// operation type is inside the epoch bracket, or the count falls short.
+func CheckChurnStats(t *testing.T, sc smr.Scheme, st smr.Stats, ops, opsPerScan int) {
+	t.Helper()
+	switch sc {
+	case smr.NoRecl:
+		if st.Recycled != 0 || st.Retires == 0 {
+			t.Fatalf("NoRecl must retire and never recycle: %+v", st)
+		}
+	case smr.EBR:
+		if want := uint64(ops / opsPerScan); st.Phases != want {
+			t.Fatalf("EBR epoch = %d after %d operations at %d per scan, want %d: an operation runs outside the epoch bracket",
+				st.Phases, ops, opsPerScan, want)
+		}
+		fallthrough
+	default:
+		if st.Recycled == 0 {
+			t.Fatalf("%v recycled nothing under churn: %+v", sc, st)
+		}
+	}
+}

@@ -150,6 +150,10 @@ func (t *Thread[T]) ID() int { return t.id }
 // through the thread's directory view: two plain loads, no atomics.
 func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
 
+// View exposes the thread's directory view, for structure code written
+// once against the concrete view instead of a scheme's thread type.
+func (t *Thread[T]) View() *arena.View[T] { return &t.view }
+
 // OnOpStart announces the current epoch and marks the thread active. Every
 // data-structure operation must be bracketed by OnOpStart/OnOpEnd; the
 // announcement's atomic store is the fence the paper charges EBR per

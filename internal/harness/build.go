@@ -3,13 +3,9 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/anchors"
-	"repro/internal/core"
-	"repro/internal/ebr"
 	"repro/internal/hashtable"
-	"repro/internal/hpscheme"
 	"repro/internal/list"
-	"repro/internal/norecl"
+	"repro/internal/sizing"
 	"repro/internal/skiplist"
 	"repro/internal/smr"
 )
@@ -102,79 +98,25 @@ func (c *BuildConfig) perThread() int {
 func Build(c BuildConfig) (smr.Set, error) {
 	c.fill()
 	size := c.Structure.InitialSize()
-	if !c.Structure.Supports(c.Scheme) {
-		return nil, fmt.Errorf("harness: %s is not evaluated under %v (the paper implements anchors for the linked list only)", c.Structure, c.Scheme)
+	sz := sizing.Config{
+		MaxThreads: c.Threads,
+		// OA needs headroom beyond δ for per-thread local buffers and
+		// pending nodes; the other schemes grow their arena on demand.
+		Capacity:       size + c.Delta + 4*c.Threads*c.LocalPool + 64,
+		LocalPool:      c.LocalPool,
+		ScanThreshold:  c.perThread(),
+		OpsPerScan:     10 * c.perThread(),
+		AnchorsK:       c.AnchorsK,
+		WarningByStore: c.WarningByStore,
+		Shards:         c.Shards,
 	}
-	// OA needs headroom beyond δ for per-thread local buffers and pending
-	// nodes; the other schemes grow their arena on demand.
-	capacity := size + c.Delta + 4*c.Threads*c.LocalPool + 64
-
 	switch c.Structure {
 	case LinkedList5K, LinkedList128:
-		switch c.Scheme {
-		case smr.NoRecl:
-			return list.NewNoRecl(norecl.Config{MaxThreads: c.Threads, Capacity: capacity, LocalPool: c.LocalPool}), nil
-		case smr.OA:
-			return list.NewOA(core.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				LocalPool: c.LocalPool, WarningByStore: c.WarningByStore, Shards: c.Shards,
-			}), nil
-		case smr.HP:
-			return list.NewHP(hpscheme.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				ScanThreshold: c.perThread(), LocalPool: c.LocalPool,
-			}), nil
-		case smr.EBR:
-			return list.NewEBR(ebr.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				OpsPerScan: 10 * c.perThread(), LocalPool: c.LocalPool,
-			}), nil
-		case smr.Anchors:
-			return list.NewAnchors(anchors.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				K: c.AnchorsK, ScanThreshold: c.perThread(), LocalPool: c.LocalPool,
-			}), nil
-		}
+		return list.New(c.Scheme, sz)
 	case Hash:
-		switch c.Scheme {
-		case smr.NoRecl:
-			return hashtable.NewNoRecl(norecl.Config{MaxThreads: c.Threads, Capacity: capacity, LocalPool: c.LocalPool}, size), nil
-		case smr.OA:
-			return hashtable.NewOA(core.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				LocalPool: c.LocalPool, WarningByStore: c.WarningByStore, Shards: c.Shards,
-			}, size), nil
-		case smr.HP:
-			return hashtable.NewHP(hpscheme.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				ScanThreshold: c.perThread(), LocalPool: c.LocalPool,
-			}, size), nil
-		case smr.EBR:
-			return hashtable.NewEBR(ebr.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				OpsPerScan: 10 * c.perThread(), LocalPool: c.LocalPool,
-			}, size), nil
-		}
+		return hashtable.New(c.Scheme, sz, size)
 	case SkipList:
-		switch c.Scheme {
-		case smr.NoRecl:
-			return skiplist.NewNoRecl(norecl.Config{MaxThreads: c.Threads, Capacity: capacity, LocalPool: c.LocalPool}), nil
-		case smr.OA:
-			return skiplist.NewOA(core.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				LocalPool: c.LocalPool, WarningByStore: c.WarningByStore, Shards: c.Shards,
-			}), nil
-		case smr.HP:
-			return skiplist.NewHP(hpscheme.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				ScanThreshold: c.perThread(), LocalPool: c.LocalPool,
-			}), nil
-		case smr.EBR:
-			return skiplist.NewEBR(ebr.Config{
-				MaxThreads: c.Threads, Capacity: capacity,
-				OpsPerScan: 10 * c.perThread(), LocalPool: c.LocalPool,
-			}), nil
-		}
+		return skiplist.New(c.Scheme, sz)
 	}
 	return nil, fmt.Errorf("harness: unknown structure %q", c.Structure)
 }

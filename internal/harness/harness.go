@@ -342,8 +342,8 @@ func RepeatObserved(mk func() smr.Set, w Workload, reps int) (mean, ci float64, 
 // before averaging: on a shared host one hypervisor-descheduled
 // repetition drags a plain mean far below the machine's real capability
 // (and one lucky repetition inflates it), which turns cross-snapshot
-// throughput gates into coin flips. The trim is symmetric and applied
-// identically to every run, so benchdiff pairs stay unbiased.
+// throughput comparisons into coin flips. The trim is symmetric and
+// applied identically to every run, so paired comparisons stay unbiased.
 func RepeatFull(mk func() smr.Set, w Workload, reps int) (mean, ci float64, last Result) {
 	if reps <= 0 {
 		reps = 1

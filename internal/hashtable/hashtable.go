@@ -1,14 +1,18 @@
 // Package hashtable implements Michael's lock-free hash table (SPAA 2002):
 // a fixed array of buckets, each an independent Harris-Michael linked list,
-// reusing the per-scheme list engines of package list. The paper evaluates
-// it with a load factor of 0.75, making the average bucket list shorter
-// than one node — operations are extremely short, which is the regime where
+// reusing the list engines of package list. The paper evaluates it with a
+// load factor of 0.75, making the average bucket list shorter than one
+// node — operations are extremely short, which is the regime where
 // per-operation costs (EBR's announcements) dominate and per-read costs
 // (HP's fences) matter less (Figure 1, "Hash").
 //
 // The bucket count is fixed at construction (sized from the expected
 // element count and load factor), as in the paper's benchmark. Each bucket
 // owns a sentinel head node that is never retired.
+//
+// An Anchors hash table is intentionally absent: the paper does not
+// implement one because bucket lists average under one node, where anchors'
+// amortization has nothing to amortize (§5).
 package hashtable
 
 import (
@@ -18,6 +22,7 @@ import (
 	"repro/internal/list"
 	"repro/internal/norecl"
 	"repro/internal/obs"
+	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
@@ -38,205 +43,108 @@ func Buckets(expected int, loadFactor float64) int {
 	return b
 }
 
-// hash is Fibonacci multiplicative hashing onto the bucket mask.
-func hash(key uint64, mask uint32) uint32 {
-	return uint32((key*0x9E3779B97F4A7C15)>>33) & mask
-}
-
-// newHeads allocates one sentinel per bucket via the engine's setup thread.
-func newHeads(n int, alloc func() uint32) []uint32 {
-	heads := make([]uint32, n)
-	for i := range heads {
-		heads[i] = alloc()
-	}
-	return heads
-}
-
-// OA is the hash table under optimistic access.
-type OA struct {
-	e     *list.OAEngine
+// Table is the hash table on list engine E: one engine, one sentinel head
+// per bucket.
+type Table[E list.Engine] struct {
+	e     E
 	heads []uint32
 	mask  uint32
 }
 
-// NewOA builds a table with expected elements; cfg.Capacity must include
-// the bucket sentinels (use Buckets to size them) plus the live set and δ.
-func NewOA(cfg core.Config, expected int) *OA {
-	n := Buckets(expected, DefaultLoadFactor)
-	cfg.Capacity += n
-	e := list.NewOAEngine(cfg)
-	return &OA{e: e, heads: newHeads(n, e.NewHead), mask: uint32(n - 1)}
+// newTable allocates the bucket sentinels of a table for expected
+// elements; the engine's capacity must already include them.
+func newTable[E list.Engine](e E, expected int) *Table[E] {
+	h := &Table[E]{e: e, heads: make([]uint32, Buckets(expected, DefaultLoadFactor))}
+	h.mask = uint32(len(h.heads) - 1)
+	for i := range h.heads {
+		h.heads[i] = e.NewHead()
+	}
+	return h
 }
 
 // Engine exposes the underlying list engine.
-func (h *OA) Engine() *list.OAEngine { return h.e }
+func (h *Table[E]) Engine() E { return h.e }
 
 // Scheme implements smr.Set.
-func (h *OA) Scheme() smr.Scheme { return smr.OA }
+func (h *Table[E]) Scheme() smr.Scheme { return h.e.Scheme() }
 
 // Stats implements smr.Set.
-func (h *OA) Stats() smr.Stats { return h.e.Manager().Stats() }
+func (h *Table[E]) Stats() smr.Stats { return h.e.Stats() }
 
-// RegisterObs implements obs.Registrar by forwarding to the core manager.
-func (h *OA) RegisterObs(reg *obs.Registry) { h.e.Manager().RegisterObs(reg) }
+// RegisterObs implements obs.Registrar by forwarding to the scheme manager.
+func (h *Table[E]) RegisterObs(reg *obs.Registry) { h.e.RegisterObs(reg) }
 
 // Session implements smr.Set.
-func (h *OA) Session(tid int) smr.Session { return &oaSession{h: h, t: h.e.Thread(tid)} }
-
-type oaSession struct {
-	h *OA
-	t *list.OAThread
+func (h *Table[E]) Session(tid int) smr.Session {
+	return &session{t: h.e.Thread(tid), heads: h.heads, mask: h.mask}
 }
 
-func (s *oaSession) Insert(key uint64) bool {
-	return s.t.InsertAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-func (s *oaSession) Delete(key uint64) bool {
-	return s.t.DeleteAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-func (s *oaSession) Contains(key uint64) bool {
-	return s.t.ContainsAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-
-// HP is the hash table under hazard pointers.
-type HP struct {
-	e     *list.HPEngine
+// session routes a key to its bucket and runs the engine's head-relative
+// operation there: one dispatch per operation, whatever the scheme.
+type session struct {
+	t     list.Thread
 	heads []uint32
 	mask  uint32
+}
+
+// head is Fibonacci multiplicative hashing onto the bucket mask.
+func (s *session) head(key uint64) uint32 {
+	return s.heads[uint32((key*0x9E3779B97F4A7C15)>>33)&s.mask]
+}
+
+func (s *session) Insert(key uint64) bool   { return s.t.InsertAt(s.head(key), key) }
+func (s *session) Delete(key uint64) bool   { return s.t.DeleteAt(s.head(key), key) }
+func (s *session) Contains(key uint64) bool { return s.t.ContainsAt(s.head(key), key) }
+
+// The four tables. Each constructor takes the scheme's own config and adds
+// the bucket sentinels to its capacity, so cfg.Capacity is the live set
+// plus δ.
+type (
+	// OA is the hash table under optimistic access.
+	OA = Table[*list.OAEngine]
+	// HP is the hash table under hazard pointers.
+	HP = Table[*list.HPEngine]
+	// EBR is the hash table under epoch-based reclamation.
+	EBR = Table[*list.EBREngine]
+	// NoRecl is the hash table without reclamation.
+	NoRecl = Table[*list.NoReclEngine]
+)
+
+// NewOA builds a table with expected elements.
+func NewOA(cfg core.Config, expected int) *OA {
+	cfg.Capacity += Buckets(expected, DefaultLoadFactor)
+	return newTable(list.NewOAEngine(cfg), expected)
 }
 
 // NewHP builds a table with expected elements.
 func NewHP(cfg hpscheme.Config, expected int) *HP {
-	n := Buckets(expected, DefaultLoadFactor)
-	cfg.Capacity += n
-	e := list.NewHPEngine(cfg)
-	return &HP{e: e, heads: newHeads(n, e.NewHead), mask: uint32(n - 1)}
-}
-
-// Engine exposes the underlying list engine.
-func (h *HP) Engine() *list.HPEngine { return h.e }
-
-// Scheme implements smr.Set.
-func (h *HP) Scheme() smr.Scheme { return smr.HP }
-
-// Stats implements smr.Set.
-func (h *HP) Stats() smr.Stats { return h.e.Manager().Stats() }
-
-// RegisterObs implements obs.Registrar by forwarding to the scheme manager.
-func (h *HP) RegisterObs(reg *obs.Registry) { h.e.Manager().RegisterObs(reg) }
-
-// Session implements smr.Set.
-func (h *HP) Session(tid int) smr.Session { return &hpSession{h: h, t: h.e.Thread(tid)} }
-
-type hpSession struct {
-	h *HP
-	t *list.HPThread
-}
-
-func (s *hpSession) Insert(key uint64) bool {
-	return s.t.InsertAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-func (s *hpSession) Delete(key uint64) bool {
-	return s.t.DeleteAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-func (s *hpSession) Contains(key uint64) bool {
-	return s.t.ContainsAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-
-// EBR is the hash table under epoch-based reclamation.
-type EBR struct {
-	e     *list.EBREngine
-	heads []uint32
-	mask  uint32
+	cfg.Capacity += Buckets(expected, DefaultLoadFactor)
+	return newTable(list.NewHPEngine(cfg), expected)
 }
 
 // NewEBR builds a table with expected elements.
 func NewEBR(cfg ebr.Config, expected int) *EBR {
-	n := Buckets(expected, DefaultLoadFactor)
-	cfg.Capacity += n
-	e := list.NewEBREngine(cfg)
-	return &EBR{e: e, heads: newHeads(n, e.NewHead), mask: uint32(n - 1)}
-}
-
-// Engine exposes the underlying list engine.
-func (h *EBR) Engine() *list.EBREngine { return h.e }
-
-// Scheme implements smr.Set.
-func (h *EBR) Scheme() smr.Scheme { return smr.EBR }
-
-// Stats implements smr.Set.
-func (h *EBR) Stats() smr.Stats { return h.e.Manager().Stats() }
-
-// RegisterObs implements obs.Registrar by forwarding to the scheme manager.
-func (h *EBR) RegisterObs(reg *obs.Registry) { h.e.Manager().RegisterObs(reg) }
-
-// Session implements smr.Set.
-func (h *EBR) Session(tid int) smr.Session { return &ebrSession{h: h, t: h.e.Thread(tid)} }
-
-type ebrSession struct {
-	h *EBR
-	t *list.EBRThread
-}
-
-func (s *ebrSession) Insert(key uint64) bool {
-	return s.t.InsertAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-func (s *ebrSession) Delete(key uint64) bool {
-	return s.t.DeleteAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-func (s *ebrSession) Contains(key uint64) bool {
-	return s.t.ContainsAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-
-// NoRecl is the hash table without reclamation.
-type NoRecl struct {
-	e     *list.NoReclEngine
-	heads []uint32
-	mask  uint32
+	cfg.Capacity += Buckets(expected, DefaultLoadFactor)
+	return newTable(list.NewEBREngine(cfg), expected)
 }
 
 // NewNoRecl builds a table with expected elements.
 func NewNoRecl(cfg norecl.Config, expected int) *NoRecl {
-	n := Buckets(expected, DefaultLoadFactor)
-	cfg.Capacity += n
-	e := list.NewNoReclEngine(cfg)
-	return &NoRecl{e: e, heads: newHeads(n, e.NewHead), mask: uint32(n - 1)}
+	cfg.Capacity += Buckets(expected, DefaultLoadFactor)
+	return newTable(list.NewNoReclEngine(cfg), expected)
 }
 
-// Engine exposes the underlying list engine.
-func (h *NoRecl) Engine() *list.NoReclEngine { return h.e }
-
-// Scheme implements smr.Set.
-func (h *NoRecl) Scheme() smr.Scheme { return smr.NoRecl }
-
-// Stats implements smr.Set.
-func (h *NoRecl) Stats() smr.Stats { return h.e.Manager().Stats() }
-
-// RegisterObs implements obs.Registrar by forwarding to the scheme manager.
-func (h *NoRecl) RegisterObs(reg *obs.Registry) { h.e.Manager().RegisterObs(reg) }
-
-// Session implements smr.Set.
-func (h *NoRecl) Session(tid int) smr.Session { return &noreclSession{h: h, t: h.e.Thread(tid)} }
-
-type noreclSession struct {
-	h *NoRecl
-	t *list.NoReclThread
+// New builds a table with expected elements under scheme sc.
+func New(sc smr.Scheme, c sizing.Config, expected int) (smr.Set, error) {
+	switch sc {
+	case smr.NoRecl:
+		return NewNoRecl(c.NoRecl(), expected), nil
+	case smr.OA:
+		return NewOA(c.OA(), expected), nil
+	case smr.HP:
+		return NewHP(c.HP(), expected), nil
+	case smr.EBR:
+		return NewEBR(c.EBR(), expected), nil
+	}
+	return nil, sizing.Unsupported("hash table", sc)
 }
-
-func (s *noreclSession) Insert(key uint64) bool {
-	return s.t.InsertAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-func (s *noreclSession) Delete(key uint64) bool {
-	return s.t.DeleteAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-func (s *noreclSession) Contains(key uint64) bool {
-	return s.t.ContainsAt(s.h.heads[hash(key, s.h.mask)], key)
-}
-
-// An Anchors hash table is intentionally absent: the paper does not
-// implement one because bucket lists average under one node, where anchors'
-// amortization has nothing to amortize (§5).
-
-// PauseReport renders the OA reclamation-pause histogram (see package
-// metrics); used by oabench's pause experiment.
-func (h *OA) PauseReport() string { return h.e.Manager().PhasePauses().String() }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/hashtable"
 	"repro/internal/hpscheme"
 	"repro/internal/norecl"
+	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
@@ -142,5 +143,19 @@ func TestHashOAChurnRecycles(t *testing.T) {
 func TestHashLinearizability(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) { dstest.RunLinearizability(t, f.mk) })
+	}
+}
+
+// The bucket lists ride the list engines, so the hash table inherits the
+// EBR bracket and the NoRecl no-op retire; see dstest.RunChurnReclaims.
+func TestHashChurnReclaims(t *testing.T) {
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
+		t.Run(sc.String(), func(t *testing.T) {
+			set, err := hashtable.New(sc, sizing.Config{MaxThreads: 1, Capacity: 4096, ScanThreshold: 32, OpsPerScan: 32}, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dstest.RunChurnReclaims(t, set, 32)
+		})
 	}
 }

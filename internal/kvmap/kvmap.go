@@ -1,17 +1,21 @@
 // Package kvmap extends the paper's set structures into a key→value hash
 // map under the optimistic access scheme — the extension a downstream user
-// of the library most often needs. The bucket lists are Harris-Michael
-// lists whose nodes carry a value word and an auxiliary metadata word;
-// Get/Put/PutIfAbsent/Remove follow the same normalized-form discipline
-// as the sets, built on the Level-1 oakit primitives:
+// of the library most often needs. The bucket lists are the kit's OA
+// Harris-Michael chain (oakit.Find and friends) over nodes that carry a
+// value word and an auxiliary metadata word; Get/Put/PutIfAbsent/Remove
+// follow the same normalized-form discipline as the sets:
 //
-//   - Get is read-only: loads plus warning checks, no fences (Algorithm 1).
+//   - Get and WalkBucket are read-only: loads plus warning checks, no
+//     fences (Algorithm 1). They are the two loops written here rather
+//     than in the kit, because they read the payload words inside the
+//     same check batch as key and next.
 //   - Put updates in place with a CAS on the value word — an observable
 //     CAS, so it runs under the Algorithm 2 write barrier (oakit.WordCAS);
 //     an update on a concurrently deleted node linearizes before the
 //     delete.
-//   - PutIfAbsent/Remove mirror the set's Insert/Delete generators
-//     (oakit.Commit / CommitPinned).
+//   - PutIfAbsent is the chain's Insert with the payload filled before
+//     the link; Remove/RemoveIfAux are its delete generators
+//     (oakit.CommitPinned / DeleteIf) followed by an immediate unlink.
 //
 // The Aux word is uninterpreted here: internal/ttlcache packs TTL
 // deadlines and LRU access stamps into it. The aux-conditioned
@@ -29,20 +33,22 @@ import (
 	"repro/internal/smr"
 )
 
-// Node is a map node: key, value, aux metadata, successor. All fields
-// atomic (stale reads under OA).
-type Node struct {
-	Key  atomic.Uint64
-	Val  atomic.Uint64
-	Aux  atomic.Uint64
-	Next atomic.Uint64
+// Payload is what a map node carries beside the chain's key and next
+// words: the value and an auxiliary metadata word.
+type Payload struct {
+	Val atomic.Uint64
+	Aux atomic.Uint64
 }
+
+// Node is a map node: the kit's chain node with a {Val, Aux} payload. All
+// fields atomic (stale reads under OA).
+type Node = oakit.Node[Payload]
 
 // ResetNode zeroes a node (the allocation memset hook).
 func ResetNode(n *Node) {
 	n.Key.Store(0)
-	n.Val.Store(0)
-	n.Aux.Store(0)
+	n.V.Val.Store(0)
+	n.V.Aux.Store(0)
 	n.Next.Store(0)
 }
 
@@ -51,9 +57,9 @@ type Map struct {
 	kit   *oakit.Engine[Node]
 	heads []uint32
 	mask  uint32
-	// sessions caches one Session per thread context for the leasing API:
-	// a context's session (and its pending pre-allocated node) survives
-	// lease churn, so connect/disconnect cycles strand no slots.
+	// sessions holds the one Session of each thread context, a view of
+	// the kit's cached context (which keeps the pending pre-allocated
+	// node across lease churn).
 	sessions []*Session
 }
 
@@ -70,14 +76,14 @@ func New(cfg core.Config, expected int) *Map {
 		n <<= 1
 	}
 	cfg.Capacity += n
-	m := &Map{kit: oakit.NewEngine[Node](cfg, ResetNode, 3), mask: uint32(n - 1)}
+	m := &Map{kit: oakit.NewChain(cfg, ResetNode), mask: uint32(n - 1)}
 	m.heads = make([]uint32, n)
 	for i := range m.heads {
 		m.heads[i] = m.kit.NewRoot()
 	}
 	m.sessions = make([]*Session, m.kit.Manager().MaxThreads())
 	for i := range m.sessions {
-		m.sessions[i] = m.Session(i)
+		m.sessions[i] = &Session{m: m, c: m.kit.Ctx(i)}
 	}
 	return m
 }
@@ -99,22 +105,18 @@ func (m *Map) bucket(key uint64) uint32 {
 //
 // Deprecated: fixed thread ids cannot be assigned safely from dynamic
 // goroutine populations; use Acquire, which leases a free context.
-func (m *Map) Session(tid int) *Session {
-	return &Session{m: m, c: m.kit.Ctx(tid)}
-}
+func (m *Map) Session(tid int) *Session { return m.sessions[tid] }
 
 // Acquire leases a free thread context and returns its session. The
 // session must be used by one goroutine at a time and returned with
 // Release. Acquire fails with lease.ErrNoFreeSessions when all contexts
 // are leased and lease.ErrClosed after Close.
 func (m *Map) Acquire() (*Session, error) {
-	t, err := m.kit.Manager().AcquireThread()
+	c, err := m.kit.Acquire()
 	if err != nil {
 		return nil, err
 	}
-	s := m.sessions[t.ID()]
-	s.released.Store(false)
-	return s, nil
+	return m.sessions[c.TID()], nil
 }
 
 // Close marks the session registry closed: Acquire fails from then on,
@@ -123,9 +125,8 @@ func (m *Map) Close() { m.kit.Close() }
 
 // Session is the per-thread handle of a Map.
 type Session struct {
-	m        *Map
-	c        *oakit.Ctx[Node]
-	released atomic.Bool
+	m *Map
+	c *oakit.Ctx[Node]
 }
 
 // TID returns the session's thread context id.
@@ -138,15 +139,11 @@ func (s *Session) TID() int { return s.c.TID() }
 func (s *Session) FlushRetired() { s.c.FlushRetired() }
 
 // Release returns a session obtained from Acquire to the free pool. It
-// panics on double release (two goroutines sharing one context would
-// corrupt hazard-pointer and warning state silently). Sessions obtained
-// from the deprecated fixed-slot Session method must not be released.
-func (s *Session) Release() {
-	if s.released.Swap(true) {
-		panic("kvmap: double Release of session")
-	}
-	s.m.kit.Manager().ReleaseThread(s.c.Th)
-}
+// panics on double release (the kit's guard: two goroutines sharing one
+// context would corrupt hazard-pointer and warning state silently).
+// Sessions obtained from the deprecated fixed-slot Session method must
+// not be released.
+func (s *Session) Release() { s.c.Release() }
 
 // Get returns the value stored under key.
 func (s *Session) Get(key uint64) (uint64, bool) {
@@ -170,8 +167,8 @@ restart:
 			n := th.Node(cur.Unmark().Slot())
 			next := arena.Ptr(n.Next.Load())
 			ckey := n.Key.Load()
-			v := n.Val.Load()
-			a := n.Aux.Load()
+			v := n.V.Val.Load()
+			a := n.V.Aux.Load()
 			if th.Check() {
 				continue restart
 			}
@@ -187,108 +184,58 @@ restart:
 	}
 }
 
-// search mirrors the set engines' generator search (with helping physical
-// deletes through oakit.UnlinkRetire).
-func (s *Session) search(head uint32, key uint64) (prevSlot uint32, cur, next arena.Ptr, ckey uint64, ok, restart bool) {
-	th := s.c.Th
-	prevSlot = head
-	cur = arena.Ptr(th.Node(head).Next.Load())
-	if th.Check() {
-		return 0, 0, 0, 0, false, true
-	}
-	for {
-		if cur.IsNil() {
-			return prevSlot, cur, 0, 0, false, false
-		}
-		curSlot := cur.Slot()
-		n := th.Node(curSlot)
-		next = arena.Ptr(n.Next.Load())
-		ckey = n.Key.Load()
-		tmp := arena.Ptr(th.Node(prevSlot).Next.Load())
-		if th.Check() {
-			return 0, 0, 0, 0, false, true
-		}
-		if tmp != cur {
-			return 0, 0, 0, 0, false, true
-		}
-		if !next.Marked() {
-			if ckey >= key {
-				return prevSlot, cur, next, ckey, true, false
-			}
-			prevSlot = curSlot
-		} else if !s.c.UnlinkRetire(&th.Node(prevSlot).Next, arena.MakePtr(prevSlot), cur, next.Unmark()) {
-			return 0, 0, 0, 0, false, true
-		}
-		cur = next.Unmark()
-	}
-}
-
 // PutIfAbsent stores val under key unless key is present; it reports
 // whether the store happened.
-func (s *Session) PutIfAbsent(key, val uint64) bool {
-	inserted, _ := s.put(key, val, 0, false)
-	return inserted
-}
+func (s *Session) PutIfAbsent(key, val uint64) bool { return s.PutIfAbsentWithAux(key, val, 0) }
 
 // PutIfAbsentWithAux is PutIfAbsent with the new node's aux word preset
 // before it is linked (the node is private until the linking CAS, so the
 // value/aux pair publishes atomically with the insert).
 func (s *Session) PutIfAbsentWithAux(key, val, aux uint64) bool {
-	inserted, _ := s.put(key, val, aux, false)
-	return inserted
+	return oakit.Insert(s.c, s.m.bucket(key), key, func(n *Node) {
+		n.V.Val.Store(val)
+		n.V.Aux.Store(aux)
+	})
 }
 
 // Put stores val under key, inserting or overwriting. It returns the
 // previous value and whether one existed. An overwrite leaves the aux
 // word untouched; a fresh insert zeroes it.
 func (s *Session) Put(key, val uint64) (uint64, bool) {
-	_, prev := s.put(key, val, 0, true)
-	return prev.val, prev.had
-}
-
-type prevVal struct {
-	val uint64
-	had bool
-}
-
-func (s *Session) put(key, val, aux uint64, overwrite bool) (bool, prevVal) {
 	th := s.c.Th
 	head := s.m.bucket(key)
 	for {
 		// --- CAS generator ---
-		prevSlot, cur, _, ckey, found, restart := s.search(head, key)
+		pos, restart := oakit.Find(s.c, head, key)
 		if restart {
 			continue
 		}
-		if found && ckey == key {
-			if !overwrite {
-				return false, prevVal{}
-			}
+		if pos.At(key) {
 			// In-place value update: one observable CAS on the value word
 			// (Algorithm 2 protects the node against recycling).
-			n := th.Node(cur.Slot())
-			old := n.Val.Load()
+			w := &th.Node(pos.Cur.Slot()).V.Val
+			old := w.Load()
 			if th.Check() {
 				continue
 			}
-			swapped, restart := s.c.WordCAS(cur, &n.Val, old, val)
+			swapped, restart := s.c.WordCAS(pos.Cur, w, old, val)
 			if restart || !swapped {
 				continue // warning, or the value raced; regenerate
 			}
-			return false, prevVal{val: old, had: true}
+			return old, true
 		}
 		slot := s.c.Pending()
 		n := th.Node(slot)
 		n.Key.Store(key)
-		n.Val.Store(val)
-		n.Aux.Store(aux)
-		n.Next.Store(uint64(cur))
-		if !s.c.Commit(&th.Node(prevSlot).Next, uint64(cur), uint64(arena.MakePtr(slot)),
-			arena.MakePtr(prevSlot), cur, arena.MakePtr(slot)) {
+		n.V.Val.Store(val)
+		n.V.Aux.Store(0)
+		n.Next.Store(uint64(pos.Cur))
+		if !s.c.Commit(&th.Node(pos.Prev).Next, uint64(pos.Cur), uint64(arena.MakePtr(slot)),
+			arena.MakePtr(pos.Prev), pos.Cur, arena.MakePtr(slot)) {
 			continue
 		}
 		s.c.ConsumePending()
-		return true, prevVal{}
+		return 0, false
 	}
 }
 
@@ -313,17 +260,17 @@ func (s *Session) casWord(key, old, new uint64, aux bool) (swapped, found bool) 
 	th := s.c.Th
 	head := s.m.bucket(key)
 	for {
-		_, cur, _, ckey, ok, restart := s.search(head, key)
+		pos, restart := oakit.Find(s.c, head, key)
 		if restart {
 			continue
 		}
-		if !ok || ckey != key {
+		if !pos.At(key) {
 			return false, false
 		}
-		n := th.Node(cur.Slot())
-		w := &n.Val
+		n := th.Node(pos.Cur.Slot())
+		w := &n.V.Val
 		if aux {
-			w = &n.Aux
+			w = &n.V.Aux
 		}
 		v := w.Load()
 		if th.Check() {
@@ -332,7 +279,7 @@ func (s *Session) casWord(key, old, new uint64, aux bool) (swapped, found bool) 
 		if v != old {
 			return false, true
 		}
-		won, restart := s.c.WordCAS(cur, w, old, new)
+		won, restart := s.c.WordCAS(pos.Cur, w, old, new)
 		if restart {
 			continue
 		}
@@ -344,37 +291,40 @@ func (s *Session) casWord(key, old, new uint64, aux bool) (swapped, found bool) 
 	}
 }
 
+// unlinkNow is the best-effort immediate unlink of a node this session
+// just marked. Leaving the physical delete to a later traversal's
+// helping strands the slot until organic traffic happens to walk this
+// bucket, so bulk removals (cache sweeps, eviction) would mark hundreds
+// of nodes while freeing none of them for the starving allocator. A lost
+// race or a warning here is fine — some helper finishes the job.
+func (s *Session) unlinkNow(pos oakit.Pos) {
+	s.c.UnlinkRetire(&s.c.Node(pos.Prev).Next, arena.MakePtr(pos.Prev), pos.Cur, pos.Next)
+}
+
 // Remove deletes key, returning the removed value and whether key existed.
 func (s *Session) Remove(key uint64) (uint64, bool) {
-	th := s.c.Th
 	head := s.m.bucket(key)
 	for {
 		// --- CAS generator ---
-		prevSlot, cur, next, ckey, found, restart := s.search(head, key)
+		pos, restart := oakit.Find(s.c, head, key)
 		if restart {
 			continue
 		}
-		if !found || ckey != key {
+		if !pos.At(key) {
 			return 0, false
 		}
-		n := th.Node(cur.Slot())
-		if !s.c.CommitPinned(&n.Next, uint64(next), uint64(next.Mark()),
-			cur, next, arena.NilPtr) {
+		n := s.c.Node(pos.Cur.Slot())
+		if !s.c.CommitPinned(&n.Next, uint64(pos.Next), uint64(pos.Next.Mark()),
+			pos.Cur, pos.Next, arena.NilPtr) {
 			continue
 		}
 		// Read the removed value *after* winning the mark, while the owner
 		// hazard pointer still pins the node: an in-place Put that lands
 		// between the generator's read and the mark linearizes before this
 		// Remove, so the post-mark value is the one removed.
-		val := n.Val.Load()
+		val := n.V.Val.Load()
 		s.c.Unpin()
-		// Best-effort immediate unlink. Leaving the physical delete to a
-		// later traversal's helping strands the slot until organic traffic
-		// happens to walk this bucket, so bulk removals (cache sweeps,
-		// eviction) would mark hundreds of nodes while freeing none of
-		// them for the starving allocator. A lost race or a warning here
-		// is fine — some helper finishes the job.
-		s.c.UnlinkRetire(&th.Node(prevSlot).Next, arena.MakePtr(prevSlot), cur, next)
+		s.unlinkNow(pos)
 		return val, true
 	}
 }
@@ -382,37 +332,17 @@ func (s *Session) Remove(key uint64) (uint64, bool) {
 // RemoveIfAux deletes key only while aux&mask == want still holds on the
 // node — the conditional removal lazy TTL expiry needs. The predicate is
 // re-evaluated inside the generator on every restart and pinned by the
-// normalized commit, so a fresh same-key entry (or one whose aux was
-// CASed away from the matching state) is never removed by a stale
-// decision. Reports whether the removal happened.
+// normalized commit (oakit.DeleteIf), so a fresh same-key entry (or one
+// whose aux was CASed away from the matching state) is never removed by
+// a stale decision. Reports whether the removal happened.
 func (s *Session) RemoveIfAux(key, mask, want uint64) bool {
-	th := s.c.Th
-	head := s.m.bucket(key)
-	for {
-		prevSlot, cur, next, ckey, found, restart := s.search(head, key)
-		if restart {
-			continue
-		}
-		if !found || ckey != key {
-			return false
-		}
-		n := th.Node(cur.Slot())
-		a := n.Aux.Load()
-		if th.Check() {
-			continue
-		}
-		if a&mask != want {
-			return false
-		}
-		if !s.c.Commit(&n.Next, uint64(next), uint64(next.Mark()),
-			cur, next, arena.NilPtr) {
-			continue
-		}
-		// Best-effort immediate unlink — see Remove for why sweeps need
-		// the physical delete now rather than at the next traversal.
-		s.c.UnlinkRetire(&th.Node(prevSlot).Next, arena.MakePtr(prevSlot), cur, next)
-		return true
+	pos, removed := oakit.DeleteIf(s.c, s.m.bucket(key), key, func(n *Node) bool {
+		return n.V.Aux.Load()&mask == want
+	})
+	if removed {
+		s.unlinkNow(pos)
 	}
+	return removed
 }
 
 // WalkBucket visits every live entry of bucket b, calling fn(key, val,
@@ -434,8 +364,8 @@ restart:
 			n := th.Node(cur.Unmark().Slot())
 			next := arena.Ptr(n.Next.Load())
 			ckey := n.Key.Load()
-			v := n.Val.Load()
-			a := n.Aux.Load()
+			v := n.V.Val.Load()
+			a := n.V.Aux.Load()
 			if th.Check() {
 				continue restart
 			}

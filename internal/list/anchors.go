@@ -29,19 +29,27 @@ func NewAnchorsEngine(cfg anchors.Config) *AnchorsEngine {
 // Manager exposes the underlying anchors manager.
 func (e *AnchorsEngine) Manager() *anchors.Manager[Node] { return e.mgr }
 
-// NewHead allocates a sentinel head (single-threaded setup, context 0).
+// NewHead implements Engine.
 func (e *AnchorsEngine) NewHead() uint32 { return e.mgr.Thread(0).Alloc() }
+
+// Scheme implements Engine.
+func (e *AnchorsEngine) Scheme() smr.Scheme { return smr.Anchors }
+
+// Stats implements Engine.
+func (e *AnchorsEngine) Stats() smr.Stats { return e.mgr.Stats() }
+
+// RegisterObs implements Engine.
+func (e *AnchorsEngine) RegisterObs(reg *obs.Registry) { e.mgr.RegisterObs(reg) }
 
 // AnchorsThread is the per-worker handle.
 type AnchorsThread struct {
-	e       *AnchorsEngine
 	t       *anchors.Thread[Node]
 	pending uint32
 }
 
-// Thread binds worker id to the engine.
-func (e *AnchorsEngine) Thread(id int) *AnchorsThread {
-	return &AnchorsThread{e: e, t: e.mgr.Thread(id), pending: arena.NoSlot}
+// Thread implements Engine.
+func (e *AnchorsEngine) Thread(id int) Thread {
+	return &AnchorsThread{t: e.mgr.Thread(id), pending: arena.NoSlot}
 }
 
 // visit drops an anchor every K hops and validates it against prev.next;
@@ -169,39 +177,7 @@ func (t *AnchorsThread) DeleteAt(head uint32, key uint64) bool {
 }
 
 // AnchorsList is a single linked-list set under the anchors scheme.
-type AnchorsList struct {
-	e    *AnchorsEngine
-	head uint32
-}
+type AnchorsList = Set[*AnchorsEngine]
 
 // NewAnchors builds an empty list sized by cfg.
-func NewAnchors(cfg anchors.Config) *AnchorsList {
-	e := NewAnchorsEngine(cfg)
-	return &AnchorsList{e: e, head: e.NewHead()}
-}
-
-// Engine exposes the underlying engine.
-func (l *AnchorsList) Engine() *AnchorsEngine { return l.e }
-
-// Scheme implements smr.Set.
-func (l *AnchorsList) Scheme() smr.Scheme { return smr.Anchors }
-
-// Stats implements smr.Set.
-func (l *AnchorsList) Stats() smr.Stats { return l.e.mgr.Stats() }
-
-// RegisterObs implements obs.Registrar by forwarding to the scheme manager.
-func (l *AnchorsList) RegisterObs(reg *obs.Registry) { l.e.mgr.RegisterObs(reg) }
-
-// Session implements smr.Set.
-func (l *AnchorsList) Session(tid int) smr.Session {
-	return &anchorsSession{t: l.e.Thread(tid), head: l.head}
-}
-
-type anchorsSession struct {
-	t    *AnchorsThread
-	head uint32
-}
-
-func (s *anchorsSession) Insert(key uint64) bool   { return s.t.InsertAt(s.head, key) }
-func (s *anchorsSession) Delete(key uint64) bool   { return s.t.DeleteAt(s.head, key) }
-func (s *anchorsSession) Contains(key uint64) bool { return s.t.ContainsAt(s.head, key) }
+func NewAnchors(cfg anchors.Config) *AnchorsList { return newSet(NewAnchorsEngine(cfg)) }

@@ -23,153 +23,51 @@ func NewEBREngine(cfg ebr.Config) *EBREngine {
 // Manager exposes the underlying EBR manager.
 func (e *EBREngine) Manager() *ebr.Manager[Node] { return e.mgr }
 
-// NewHead allocates a sentinel head (single-threaded setup, context 0).
+// NewHead implements Engine.
 func (e *EBREngine) NewHead() uint32 { return e.mgr.Thread(0).Alloc() }
 
-// EBRThread is the per-worker handle.
-type EBRThread struct {
-	e       *EBREngine
-	t       *ebr.Thread[Node]
-	pending uint32
+// Scheme implements Engine.
+func (e *EBREngine) Scheme() smr.Scheme { return smr.EBR }
+
+// Stats implements Engine.
+func (e *EBREngine) Stats() smr.Stats { return e.mgr.Stats() }
+
+// RegisterObs implements Engine.
+func (e *EBREngine) RegisterObs(reg *obs.Registry) { e.mgr.RegisterObs(reg) }
+
+// ebrThread is the plain traversal inside the epoch bracket: nothing
+// reachable when OnOpStart announced can be freed until OnOpEnd.
+type ebrThread struct {
+	plain plainThread
+	t     *ebr.Thread[Node]
 }
 
-// Thread binds worker id to the engine.
-func (e *EBREngine) Thread(id int) *EBRThread {
-	return &EBRThread{e: e, t: e.mgr.Thread(id), pending: arena.NoSlot}
+// Thread implements Engine.
+func (e *EBREngine) Thread(id int) Thread {
+	t := e.mgr.Thread(id)
+	return &ebrThread{plain: plainThread{view: t.View(), mem: t, pending: arena.NoSlot}, t: t}
 }
 
-// search positions on the first unmarked node with key ≥ key, helping
-// physical deletes. Safe because the caller announced an epoch: nothing
-// reachable at announcement can be freed until the operation ends.
-func (t *EBRThread) search(head uint32, key uint64) (prevSlot uint32, cur, next arena.Ptr, ckey uint64, ok, restart bool) {
-	th := t.t
-	prevSlot = head
-	cur = arena.Ptr(th.Node(head).Next.Load())
-	for {
-		if cur.IsNil() {
-			return prevSlot, cur, 0, 0, false, false
-		}
-		n := th.Node(cur.Slot())
-		next = arena.Ptr(n.Next.Load())
-		ckey = n.Key.Load()
-		if arena.Ptr(th.Node(prevSlot).Next.Load()) != cur {
-			return 0, 0, 0, 0, false, true
-		}
-		if !next.Marked() {
-			if ckey >= key {
-				return prevSlot, cur, next, ckey, true, false
-			}
-			prevSlot = cur.Slot()
-		} else {
-			if th.Node(prevSlot).Next.CompareAndSwap(uint64(cur), uint64(next.Unmark())) {
-				th.Retire(cur.Slot())
-			} else {
-				return 0, 0, 0, 0, false, true
-			}
-		}
-		cur = next.Unmark()
-	}
+func (t *ebrThread) ContainsAt(head uint32, key uint64) bool {
+	t.t.OnOpStart()
+	defer t.t.OnOpEnd()
+	return t.plain.ContainsAt(head, key)
 }
 
-// ContainsAt reports membership (wait-free traversal, raw loads).
-func (t *EBRThread) ContainsAt(head uint32, key uint64) bool {
-	th := t.t
-	th.OnOpStart()
-	defer th.OnOpEnd()
-	cur := arena.Ptr(th.Node(head).Next.Load())
-	for !cur.IsNil() {
-		n := th.Node(cur.Unmark().Slot())
-		next := arena.Ptr(n.Next.Load())
-		ckey := n.Key.Load()
-		if ckey >= key {
-			return ckey == key && !next.Marked()
-		}
-		cur = next.Unmark()
-	}
-	return false
+func (t *ebrThread) InsertAt(head uint32, key uint64) bool {
+	t.t.OnOpStart()
+	defer t.t.OnOpEnd()
+	return t.plain.InsertAt(head, key)
 }
 
-// InsertAt adds key; false if present.
-func (t *EBRThread) InsertAt(head uint32, key uint64) bool {
-	th := t.t
-	th.OnOpStart()
-	defer th.OnOpEnd()
-	for {
-		prevSlot, cur, _, ckey, ok, restart := t.search(head, key)
-		if restart {
-			continue
-		}
-		if ok && ckey == key {
-			return false
-		}
-		if t.pending == arena.NoSlot {
-			t.pending = th.Alloc()
-		}
-		n := th.Node(t.pending)
-		n.Key.Store(key)
-		n.Next.Store(uint64(cur))
-		if th.Node(prevSlot).Next.CompareAndSwap(uint64(cur), uint64(arena.MakePtr(t.pending))) {
-			t.pending = arena.NoSlot
-			return true
-		}
-	}
-}
-
-// DeleteAt removes key; false if absent.
-func (t *EBRThread) DeleteAt(head uint32, key uint64) bool {
-	th := t.t
-	th.OnOpStart()
-	defer th.OnOpEnd()
-	for {
-		prevSlot, cur, next, ckey, ok, restart := t.search(head, key)
-		if restart {
-			continue
-		}
-		if !ok || ckey != key {
-			return false
-		}
-		if !th.Node(cur.Slot()).Next.CompareAndSwap(uint64(next), uint64(next.Mark())) {
-			continue
-		}
-		if th.Node(prevSlot).Next.CompareAndSwap(uint64(cur), uint64(next)) {
-			th.Retire(cur.Slot())
-		}
-		return true
-	}
+func (t *ebrThread) DeleteAt(head uint32, key uint64) bool {
+	t.t.OnOpStart()
+	defer t.t.OnOpEnd()
+	return t.plain.DeleteAt(head, key)
 }
 
 // EBR is a single linked-list set under epoch-based reclamation.
-type EBR struct {
-	e    *EBREngine
-	head uint32
-}
+type EBR = Set[*EBREngine]
 
 // NewEBR builds an empty list sized by cfg.
-func NewEBR(cfg ebr.Config) *EBR {
-	e := NewEBREngine(cfg)
-	return &EBR{e: e, head: e.NewHead()}
-}
-
-// Engine exposes the underlying engine.
-func (l *EBR) Engine() *EBREngine { return l.e }
-
-// Scheme implements smr.Set.
-func (l *EBR) Scheme() smr.Scheme { return smr.EBR }
-
-// Stats implements smr.Set.
-func (l *EBR) Stats() smr.Stats { return l.e.mgr.Stats() }
-
-// RegisterObs implements obs.Registrar by forwarding to the scheme manager.
-func (l *EBR) RegisterObs(reg *obs.Registry) { l.e.mgr.RegisterObs(reg) }
-
-// Session implements smr.Set.
-func (l *EBR) Session(tid int) smr.Session { return &ebrSession{t: l.e.Thread(tid), head: l.head} }
-
-type ebrSession struct {
-	t    *EBRThread
-	head uint32
-}
-
-func (s *ebrSession) Insert(key uint64) bool   { return s.t.InsertAt(s.head, key) }
-func (s *ebrSession) Delete(key uint64) bool   { return s.t.DeleteAt(s.head, key) }
-func (s *ebrSession) Contains(key uint64) bool { return s.t.ContainsAt(s.head, key) }
+func NewEBR(cfg ebr.Config) *EBR { return newSet(NewEBREngine(cfg)) }

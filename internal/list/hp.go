@@ -35,19 +35,27 @@ func NewHPEngine(cfg hpscheme.Config) *HPEngine {
 // Manager exposes the underlying hazard-pointers manager.
 func (e *HPEngine) Manager() *hpscheme.Manager[Node] { return e.mgr }
 
-// NewHead allocates a sentinel head (single-threaded setup, context 0).
+// NewHead implements Engine.
 func (e *HPEngine) NewHead() uint32 { return e.mgr.Thread(0).Alloc() }
+
+// Scheme implements Engine.
+func (e *HPEngine) Scheme() smr.Scheme { return smr.HP }
+
+// Stats implements Engine.
+func (e *HPEngine) Stats() smr.Stats { return e.mgr.Stats() }
+
+// RegisterObs implements Engine.
+func (e *HPEngine) RegisterObs(reg *obs.Registry) { e.mgr.RegisterObs(reg) }
 
 // HPThread is the per-worker handle.
 type HPThread struct {
-	e       *HPEngine
 	t       *hpscheme.Thread[Node]
 	pending uint32
 }
 
-// Thread binds worker id to the engine.
-func (e *HPEngine) Thread(id int) *HPThread {
-	return &HPThread{e: e, t: e.mgr.Thread(id), pending: arena.NoSlot}
+// Thread implements Engine.
+func (e *HPEngine) Thread(id int) Thread {
+	return &HPThread{t: e.mgr.Thread(id), pending: arena.NoSlot}
 }
 
 // find is Michael's Find: it positions on the first unmarked node with
@@ -163,37 +171,7 @@ func (t *HPThread) DeleteAt(head uint32, key uint64) bool {
 }
 
 // HP is a single linked-list set under hazard pointers.
-type HP struct {
-	e    *HPEngine
-	head uint32
-}
+type HP = Set[*HPEngine]
 
 // NewHP builds an empty list sized by cfg.
-func NewHP(cfg hpscheme.Config) *HP {
-	e := NewHPEngine(cfg)
-	return &HP{e: e, head: e.NewHead()}
-}
-
-// Engine exposes the underlying engine.
-func (l *HP) Engine() *HPEngine { return l.e }
-
-// Scheme implements smr.Set.
-func (l *HP) Scheme() smr.Scheme { return smr.HP }
-
-// Stats implements smr.Set.
-func (l *HP) Stats() smr.Stats { return l.e.mgr.Stats() }
-
-// RegisterObs implements obs.Registrar by forwarding to the scheme manager.
-func (l *HP) RegisterObs(reg *obs.Registry) { l.e.mgr.RegisterObs(reg) }
-
-// Session implements smr.Set.
-func (l *HP) Session(tid int) smr.Session { return &hpSession{t: l.e.Thread(tid), head: l.head} }
-
-type hpSession struct {
-	t    *HPThread
-	head uint32
-}
-
-func (s *hpSession) Insert(key uint64) bool   { return s.t.InsertAt(s.head, key) }
-func (s *hpSession) Delete(key uint64) bool   { return s.t.DeleteAt(s.head, key) }
-func (s *hpSession) Contains(key uint64) bool { return s.t.ContainsAt(s.head, key) }
+func NewHP(cfg hpscheme.Config) *HP { return newSet(NewHPEngine(cfg)) }

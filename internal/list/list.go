@@ -1,17 +1,16 @@
 // Package list implements the Harris-Michael lock-free linked list
 // (Michael, SPAA 2002) in the normalized form of Listing 1 / Appendix C of
-// the paper, once per reclamation scheme:
+// the paper, once per barrier protocol:
 //
-//	OAEngine      — optimistic access barriers (Algorithms 1-3)
+//	OAEngine      — optimistic access: the chain of package oakit
 //	HPEngine      — Michael's hazard pointers (protect + fence + validate per hop)
-//	EBREngine     — epoch-based reclamation (announce per operation)
-//	NoReclEngine  — no reclamation
 //	AnchorsEngine — the anchors cost model (one fence per K hops)
+//	NoReclEngine  — the plain traversal (plain.go), no reclamation
+//	EBREngine     — the same plain traversal inside an epoch bracket
 //
 // Engines expose head-relative operations (InsertAt/DeleteAt/ContainsAt) so
-// the hash table can run one engine across many bucket lists; the List
-// types at the bottom of the package bind an engine to a single head and
-// implement smr.Set.
+// the hash table can run one engine across many bucket lists; Set binds an
+// engine to a single head and implements smr.Set.
 //
 // The list is an ordered set of uint64 keys. Each bucket/list starts with a
 // sentinel head node that is never marked, never retired and never
@@ -19,22 +18,92 @@
 // optimization 1).
 package list
 
-import "sync/atomic"
+import (
+	"repro/internal/oakit"
+	"repro/internal/obs"
+	"repro/internal/sizing"
+	"repro/internal/smr"
+)
 
-// Node is the list node. Every field is atomic: under the optimistic
-// access scheme a thread may read a node after its slot was recycled and
+// Node is the list node: the kit's chain node with no payload, a key word
+// and a next word. Every field is atomic: under the optimistic access
+// scheme a thread may read a node after its slot was recycled and
 // rewritten, so all cross-thread accesses must be data-race-free.
-type Node struct {
-	// Key is the node's key; written only between allocation and linking.
-	Key atomic.Uint64
-	// Next holds arena.Ptr bits: successor handle plus the logical-delete
-	// mark in bit 0 (Harris' marked pointer).
-	Next atomic.Uint64
-}
+type Node = oakit.Node[struct{}]
 
 // ResetNode zeroes a node; it is every engine's allocation reset hook
 // (Algorithm 5's memset).
 func ResetNode(n *Node) {
 	n.Key.Store(0)
 	n.Next.Store(0)
+}
+
+// Thread is a per-worker handle of an engine: the set operations relative
+// to a head sentinel.
+type Thread interface {
+	InsertAt(head uint32, key uint64) bool
+	DeleteAt(head uint32, key uint64) bool
+	ContainsAt(head uint32, key uint64) bool
+}
+
+// Engine is what the five list engines have in common: one scheme manager
+// shared by any number of heads.
+type Engine interface {
+	// NewHead allocates a sentinel head for a new (empty) list. Called
+	// during single-threaded setup; it borrows thread context 0.
+	NewHead() uint32
+	// Thread binds worker id to the engine.
+	Thread(id int) Thread
+	Scheme() smr.Scheme
+	Stats() smr.Stats
+	obs.Registrar
+}
+
+// Set is a single linked-list set on engine E.
+type Set[E Engine] struct {
+	e    E
+	head uint32
+}
+
+func newSet[E Engine](e E) *Set[E] { return &Set[E]{e: e, head: e.NewHead()} }
+
+// Engine exposes the underlying engine (stats, manager).
+func (l *Set[E]) Engine() E { return l.e }
+
+// Scheme implements smr.Set.
+func (l *Set[E]) Scheme() smr.Scheme { return l.e.Scheme() }
+
+// Stats implements smr.Set.
+func (l *Set[E]) Stats() smr.Stats { return l.e.Stats() }
+
+// RegisterObs implements obs.Registrar by forwarding to the scheme manager.
+func (l *Set[E]) RegisterObs(reg *obs.Registry) { l.e.RegisterObs(reg) }
+
+// Session implements smr.Set.
+func (l *Set[E]) Session(tid int) smr.Session { return &session{t: l.e.Thread(tid), head: l.head} }
+
+type session struct {
+	t    Thread
+	head uint32
+}
+
+func (s *session) Insert(key uint64) bool   { return s.t.InsertAt(s.head, key) }
+func (s *session) Delete(key uint64) bool   { return s.t.DeleteAt(s.head, key) }
+func (s *session) Contains(key uint64) bool { return s.t.ContainsAt(s.head, key) }
+
+// New builds an empty list under scheme sc.
+func New(sc smr.Scheme, c sizing.Config) (smr.Set, error) {
+	switch sc {
+	case smr.NoRecl:
+		return NewNoRecl(c.NoRecl()), nil
+	case smr.OA:
+		return NewOA(c.OA()), nil
+	case smr.HP:
+		return NewHP(c.HP()), nil
+	case smr.EBR:
+		return NewEBR(c.EBR()), nil
+	case smr.Anchors:
+		return NewAnchors(c.Anchors()), nil
+	}
+	return nil, sizing.Unsupported("list", sc)
 }

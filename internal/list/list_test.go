@@ -10,6 +10,7 @@ import (
 	"repro/internal/hpscheme"
 	"repro/internal/list"
 	"repro/internal/norecl"
+	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
@@ -157,5 +158,19 @@ func TestNoReclLeaks(t *testing.T) {
 func TestListLinearizability(t *testing.T) {
 	for name, f := range factories(true) {
 		t.Run(name, func(t *testing.T) { dstest.RunLinearizability(t, f.mk) })
+	}
+}
+
+// NoRecl and EBR share one traversal; HP recycles through its own. What
+// is left to tell them apart is checked here (see dstest.RunChurnReclaims).
+func TestListChurnReclaims(t *testing.T) {
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
+		t.Run(sc.String(), func(t *testing.T) {
+			set, err := list.New(sc, sizing.Config{MaxThreads: 1, Capacity: 4096, ScanThreshold: 32, OpsPerScan: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dstest.RunChurnReclaims(t, set, 32)
+		})
 	}
 }

@@ -1,213 +1,61 @@
 package list
 
 import (
-	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/oakit"
 	"repro/internal/obs"
 	"repro/internal/smr"
 )
 
-// OAEngine runs Harris-Michael lists under the optimistic access scheme,
-// on the Level-1 oakit scaffolding: the engine/session plumbing, the
-// normalized commit (Algorithm 3) and the helping physical delete
-// (Algorithm 2) come from the kit; only the per-hop traversal loops —
-// the structure-specific reads — live here. One operation executes at
-// most one CAS (the generator's list has length ≤ 1), so three owner
-// hazard pointers suffice (Algorithm 3 with C = 1).
+// OAEngine runs Harris-Michael lists under the optimistic access scheme:
+// it is the kit's chain (oakit.Find/Contains/Insert/Delete) over nodes
+// with no payload, exposed head-relative for the hash table.
 type OAEngine struct {
 	kit *oakit.Engine[Node]
 }
 
-// OAOwnerHPs is 3·C for the list's C = 1.
-const OAOwnerHPs = 3
-
-// NewOAEngine builds an engine; cfg.OwnerHPs is forced to the list's need.
+// NewOAEngine builds an engine; cfg.OwnerHPs is forced to the chain's need.
 func NewOAEngine(cfg core.Config) *OAEngine {
-	return &OAEngine{kit: oakit.NewEngine[Node](cfg, ResetNode, OAOwnerHPs)}
+	return &OAEngine{kit: oakit.NewChain(cfg, ResetNode)}
 }
 
 // Manager exposes the underlying optimistic access manager.
 func (e *OAEngine) Manager() *core.Manager[Node] { return e.kit.Manager() }
 
-// NewHead allocates a sentinel head for a new (empty) list. Called during
-// single-threaded setup; it borrows thread context 0.
+// NewHead implements Engine.
 func (e *OAEngine) NewHead() uint32 { return e.kit.NewRoot() }
+
+// Scheme implements Engine.
+func (e *OAEngine) Scheme() smr.Scheme { return smr.OA }
+
+// Stats implements Engine.
+func (e *OAEngine) Stats() smr.Stats { return e.kit.Stats() }
+
+// RegisterObs implements Engine.
+func (e *OAEngine) RegisterObs(reg *obs.Registry) { e.kit.RegisterObs(reg) }
 
 // OAThread is the per-worker handle.
 type OAThread struct {
 	c *oakit.Ctx[Node]
 }
 
-// Thread binds worker id to the engine. Contexts (and their pending
-// pre-allocated insert slot) are cached per id in the kit engine.
-func (e *OAEngine) Thread(id int) *OAThread {
-	return &OAThread{c: e.kit.Ctx(id)}
-}
+// Thread implements Engine. Contexts (and their pending pre-allocated
+// insert slot) are cached per id in the kit engine.
+func (e *OAEngine) Thread(id int) Thread { return OAThread{c: e.kit.Ctx(id)} }
 
-// ContainsAt reports whether key is in the list rooted at head. It is the
-// wait-free contains of the Harris-Michael list: a pure read-only
-// normalized operation — no hazard pointers, no fences; each hop costs two
-// loads plus one warning check (the paper's Algorithm 1, with the
-// independent-reads optimization of Appendix E batching the key and next
-// reads under one check).
-func (t *OAThread) ContainsAt(head uint32, key uint64) bool {
-	th := t.c.Th
-restart:
-	for {
-		cur := arena.Ptr(th.Node(head).Next.Load())
-		if th.Check() {
-			continue restart
-		}
-		for !cur.IsNil() {
-			n := th.Node(cur.Unmark().Slot())
-			next := arena.Ptr(n.Next.Load())
-			ckey := n.Key.Load()
-			if th.Check() {
-				continue restart
-			}
-			if ckey >= key {
-				return ckey == key && !next.Marked()
-			}
-			cur = next.Unmark()
-		}
-		return false
-	}
-}
-
-// search is the shared CAS-generator search loop of Listing 1: it returns
-// with cur positioned on the first unmarked node with key ≥ key (curSlot
-// valid, ok=true) or reports the key absent past the end (ok=false). It
-// helps physically delete marked nodes (oakit.UnlinkRetire: the write
-// barrier of Algorithm 2 plus the retire of the unlinked slot).
-// restart=true means the caller must restart the generator.
-func (t *OAThread) search(head uint32, key uint64) (prevSlot uint32, cur, next arena.Ptr, ckey uint64, ok, restart bool) {
-	th := t.c.Th
-	prevSlot = head
-	cur = arena.Ptr(th.Node(head).Next.Load())
-	if th.Check() {
-		return 0, 0, 0, 0, false, true
-	}
-	for {
-		if cur.IsNil() {
-			return prevSlot, cur, 0, 0, false, false
-		}
-		curSlot := cur.Slot()
-		n := th.Node(curSlot)
-		next = arena.Ptr(n.Next.Load())
-		ckey = n.Key.Load()
-		tmp := arena.Ptr(th.Node(prevSlot).Next.Load())
-		if th.Check() {
-			return 0, 0, 0, 0, false, true
-		}
-		if tmp != cur {
-			return 0, 0, 0, 0, false, true // Listing 1 line 14: goto start
-		}
-		if !next.Marked() {
-			if ckey >= key {
-				return prevSlot, cur, next, ckey, true, false
-			}
-			prevSlot = curSlot
-		} else if !t.c.UnlinkRetire(&th.Node(prevSlot).Next, arena.MakePtr(prevSlot), cur, next.Unmark()) {
-			return 0, 0, 0, 0, false, true
-		}
-		cur = next.Unmark()
-	}
-}
+// ContainsAt reports whether key is in the list rooted at head.
+func (t OAThread) ContainsAt(head uint32, key uint64) bool { return oakit.Contains(t.c, head, key) }
 
 // InsertAt adds key to the list rooted at head; false if already present.
-// The generator searches and fills the kit's pending node; the executor
-// and wrap-up (owner HPs, seal, link CAS) are oakit.Commit.
-func (t *OAThread) InsertAt(head uint32, key uint64) bool {
-	th := t.c.Th
-	for {
-		// --- CAS generator ---
-		prevSlot, cur, _, ckey, found, restart := t.search(head, key)
-		if restart {
-			continue
-		}
-		if found && ckey == key {
-			return false // empty CAS list; wrap-up reports "already present"
-		}
-		slot := t.c.Pending()
-		n := th.Node(slot)
-		n.Key.Store(key)
-		n.Next.Store(uint64(cur))
-		// Algorithm 3: protect O=prev, A2=cur, A3=new node.
-		if !t.c.Commit(&th.Node(prevSlot).Next, uint64(cur), uint64(arena.MakePtr(slot)),
-			arena.MakePtr(prevSlot), cur, arena.MakePtr(slot)) {
-			continue // RESTART_GENERATOR
-		}
-		t.c.ConsumePending()
-		return true
-	}
+func (t OAThread) InsertAt(head uint32, key uint64) bool {
+	return oakit.Insert(t.c, head, key, nil)
 }
 
 // DeleteAt removes key from the list rooted at head; false if absent.
-// This is Listing 1 / Appendix C: the generator emits the logical delete
-// (marking the next pointer); the physical delete is left to future
-// searches, which retire the node when they unlink it.
-func (t *OAThread) DeleteAt(head uint32, key uint64) bool {
-	th := t.c.Th
-	for {
-		// --- CAS generator ---
-		_, cur, next, ckey, found, restart := t.search(head, key)
-		if restart {
-			continue
-		}
-		if !found || ckey != key {
-			return false // empty CAS list; wrap-up reports FALSE
-		}
-		// Listing 4: HP[3]=cur, HP[4]=next; the new value mark(next)
-		// dedups with next (basic optimization).
-		if !t.c.Commit(&th.Node(cur.Slot()).Next, uint64(next), uint64(next.Mark()),
-			cur, next, arena.NilPtr) {
-			continue // RESTART_GENERATOR
-		}
-		return true
-	}
-}
+func (t OAThread) DeleteAt(head uint32, key uint64) bool { return oakit.Delete(t.c, head, key) }
 
-// FlushRetired pushes locally buffered retired nodes onward (used when a
-// worker finishes).
-func (t *OAThread) FlushRetired() { t.c.FlushRetired() }
-
-// OA is a single linked-list set under optimistic access.
-type OA struct {
-	e    *OAEngine
-	head uint32
-}
+// OA is a single linked-list set under optimistic access: the kit's list.
+type OA = oakit.List[struct{}]
 
 // NewOA builds an empty list sized by cfg.
-func NewOA(cfg core.Config) *OA {
-	e := NewOAEngine(cfg)
-	return &OA{e: e, head: e.NewHead()}
-}
-
-// Engine exposes the underlying engine (stats, manager).
-func (l *OA) Engine() *OAEngine { return l.e }
-
-// Scheme implements smr.Set.
-func (l *OA) Scheme() smr.Scheme { return smr.OA }
-
-// Stats implements smr.Set.
-func (l *OA) Stats() smr.Stats { return l.e.kit.Stats() }
-
-// Session implements smr.Set.
-func (l *OA) Session(tid int) smr.Session { return &oaSession{t: l.e.Thread(tid), head: l.head} }
-
-type oaSession struct {
-	t    *OAThread
-	head uint32
-}
-
-func (s *oaSession) Insert(key uint64) bool   { return s.t.InsertAt(s.head, key) }
-func (s *oaSession) Delete(key uint64) bool   { return s.t.DeleteAt(s.head, key) }
-func (s *oaSession) Contains(key uint64) bool { return s.t.ContainsAt(s.head, key) }
-
-// PauseReport renders the OA reclamation-pause histogram (see package
-// metrics).
-func (l *OA) PauseReport() string { return l.e.Manager().PhasePauses().String() }
-
-// RegisterObs implements obs.Registrar by forwarding to the core manager.
-func (l *OA) RegisterObs(reg *obs.Registry) { l.e.Manager().RegisterObs(reg) }
+func NewOA(cfg core.Config) *OA { return oakit.NewList(cfg, ResetNode) }

@@ -4,9 +4,10 @@
 // on, and the server's per-shard request ring.
 //
 // Internally each queue is a Michael-Scott linked queue over the shared
-// OA arena (the same normalized enqueue/dequeue as internal/queue, with
-// warning checks at every restart point and the hazard-pointer fallback
-// during drain inherited from core), plus an atomic length word that
+// OA arena (the same normalized enqueue/dequeue as internal/queue, on the
+// same oakit barriers — the two generators stay apart because payload
+// width, the node initialised once before the loop and the bound credit
+// differ), plus an atomic length word that
 // enforces the bound: TryEnqueue reserves a length credit before
 // touching the structure and refuses when none is left, so
 // the bound is conservative — a full answer can race a concurrent
@@ -28,7 +29,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/core"
-	"repro/internal/normalized"
+	"repro/internal/oakit"
 	"repro/internal/obs"
 	"repro/internal/smr"
 )
@@ -61,7 +62,7 @@ func resetNode(*Node) {}
 // Group owns a set of bounded queues sharing one OA manager. All
 // sentinels and elements live in the group's arena.
 type Group struct {
-	mgr      *core.Manager[Node]
+	kit      *oakit.Engine[Node]
 	queues   []Queue
 	sessions []*Session
 }
@@ -69,12 +70,11 @@ type Group struct {
 // Queue is one bounded MPMC queue of a Group. The head and tail are
 // structure roots (never recycled); length is the bound credit counter.
 type Queue struct {
-	g      *Group
 	head   atomic.Uint64 // arena.Ptr of the sentinel
 	tail   atomic.Uint64
 	length atomic.Int64 // reserved elements, counted before linking
 	bound  int64
-	_      [88]byte // keep adjacent queues' hot words on separate lines
+	_      [96]byte // keep adjacent queues' hot words on separate lines
 }
 
 // NewGroup builds n bounded queues of capacity bound each, backed by one
@@ -88,7 +88,6 @@ func NewGroup(cfg core.Config, n, bound int) *Group {
 	if bound < 1 {
 		bound = 1
 	}
-	cfg.OwnerHPs = 3
 	if cfg.LocalPool <= 0 {
 		// Ring traffic is small and bursty; a modest transfer block keeps
 		// the arena floor (2·MaxThreads·LocalPool) reasonable even with a
@@ -99,21 +98,19 @@ func NewGroup(cfg core.Config, n, bound int) *Group {
 		cfg.Capacity = min
 	}
 	g := &Group{
-		mgr:      core.NewManager[Node](cfg, resetNode),
+		kit:      oakit.NewEngine(cfg, resetNode, 3),
 		queues:   make([]Queue, n),
 		sessions: make([]*Session, cfg.MaxThreads),
 	}
-	t0 := g.mgr.Thread(0)
 	for i := range g.queues {
 		q := &g.queues[i]
-		q.g = g
 		q.bound = int64(bound)
-		s := arena.MakePtr(t0.Alloc())
+		s := arena.MakePtr(g.kit.NewRoot())
 		q.head.Store(uint64(s))
 		q.tail.Store(uint64(s))
 	}
 	for i := range g.sessions {
-		g.sessions[i] = &Session{g: g, t: g.mgr.Thread(i)}
+		g.sessions[i] = &Session{c: g.kit.Ctx(i)}
 	}
 	return g
 }
@@ -126,13 +123,13 @@ func (g *Group) Queue(i int) *Queue { return &g.queues[i] }
 
 // Manager exposes the underlying optimistic access manager (stats,
 // lessor, trace recorder).
-func (g *Group) Manager() *core.Manager[Node] { return g.mgr }
+func (g *Group) Manager() *core.Manager[Node] { return g.kit.Manager() }
 
 // Stats reports the group's reclamation counters.
-func (g *Group) Stats() smr.Stats { return g.mgr.Stats() }
+func (g *Group) Stats() smr.Stats { return g.kit.Stats() }
 
 // RegisterObs forwards to the core manager.
-func (g *Group) RegisterObs(reg *obs.Registry) { g.mgr.RegisterObs(reg) }
+func (g *Group) RegisterObs(reg *obs.Registry) { g.kit.RegisterObs(reg) }
 
 // Session returns the fixed-slot session for thread context tid —
 // usable on every queue of the group. Session structs are built once
@@ -143,16 +140,16 @@ func (g *Group) Session(tid int) *Session { return g.sessions[tid] }
 // with lease.ErrNoFreeSessions when all contexts are leased and
 // lease.ErrClosed after Close.
 func (g *Group) Acquire() (*Session, error) {
-	t, err := g.mgr.AcquireThread()
+	c, err := g.kit.Acquire()
 	if err != nil {
 		return nil, err
 	}
-	return g.sessions[t.ID()], nil
+	return g.sessions[c.TID()], nil
 }
 
 // Close marks the session registry closed; outstanding sessions stay
 // valid until released.
-func (g *Group) Close() { g.mgr.Close() }
+func (g *Group) Close() { g.kit.Close() }
 
 // Len returns the queue's current element count (reservations included,
 // so it can transiently exceed the number of linked elements, never the
@@ -168,30 +165,18 @@ func (q *Queue) Len() int {
 // Cap returns the queue's bound.
 func (q *Queue) Cap() int { return int(q.bound) }
 
-// Session is one leased thread context, bound to its group. A session
-// may be used by one goroutine at a time, on any of the group's queues.
+// Session is one leased thread context of the group. A session may be
+// used by one goroutine at a time, on any of the group's queues.
 type Session struct {
-	g *Group
-	t *core.Thread[Node]
+	c *oakit.Ctx[Node]
 }
 
 // TID returns the session's thread context id.
-func (s *Session) TID() int { return s.t.ID() }
+func (s *Session) TID() int { return s.c.TID() }
 
-// Release returns the session's thread context to the free pool.
-func (s *Session) Release() { s.g.mgr.ReleaseThread(s.t) }
-
-// helpSwing advances a lagging tail (see queue.OAQueue: the CAS target
-// is a root, the operands are node handles, so Algorithm 2 applies to
-// them).
-func (s *Session) helpSwing(q *Queue, last, next arena.Ptr) {
-	th := s.t
-	if th.ProtectCAS(arena.NilPtr, last, next) {
-		return // restart
-	}
-	q.tail.CompareAndSwap(uint64(last), uint64(next))
-	th.ClearCAS()
-}
+// Release returns the session's thread context to the free pool; it
+// panics on double release (the kit's guard).
+func (s *Session) Release() { s.c.Release() }
 
 // TryEnqueue appends *p to q, or reports false immediately when the
 // queue is at capacity. Once the length credit is reserved the enqueue
@@ -211,53 +196,42 @@ func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
 			break
 		}
 	}
-	th := s.t
+	c := s.c
 	// The node is private to this session until the link CAS below
 	// publishes it, so it is initialised once here, not per attempt.
-	slot := th.Alloc()
-	n := th.Node(slot)
+	newPtr := arena.MakePtr(c.Th.Alloc())
+	n := c.Node(newPtr.Slot())
 	for i, w := range p {
 		n.Vals[i].Store(w)
 	}
 	n.Next.Store(0)
-	newPtr := arena.MakePtr(slot)
-	var dl normalized.DescList
 	for {
 		// --- CAS generator ---
 		last := arena.Ptr(q.tail.Load())
-		if th.Check() {
+		if c.Check() {
 			continue
 		}
-		next := arena.Ptr(th.Node(last.Slot()).Next.Load())
+		next := arena.Ptr(c.Node(last.Slot()).Next.Load())
 		tailNow := arena.Ptr(q.tail.Load())
-		if th.Check() {
+		if c.Check() {
 			continue
 		}
 		if tailNow != last {
 			continue
 		}
 		if !next.IsNil() {
-			s.helpSwing(q, last, next)
+			// Tail lags: help swing (a root CAS on node operands).
+			c.HelpCAS(&q.tail, last, next)
 			continue
 		}
-		dl.Reset()
-		dl.Append(&th.Node(last.Slot()).Next, 0, uint64(newPtr))
-		th.SetOwnerHP(0, last)
-		th.SetOwnerHP(1, newPtr)
-		if th.SealGenerator() {
-			continue
-		}
-		// --- CAS executor ---
-		failed := normalized.Execute(&dl)
-		// --- wrap-up ---
-		if failed != 0 {
-			th.ClearOwnerHPs()
+		// --- executor + wrap-up: O=last, A3=new node ---
+		if !c.CommitPinned(&c.Node(last.Slot()).Next, 0, uint64(newPtr), last, newPtr, arena.NilPtr) {
 			continue
 		}
 		// Swing the tail while the owner hazard pointers still pin last
 		// and newPtr (no ABA window).
 		q.tail.CompareAndSwap(uint64(last), uint64(newPtr))
-		th.ClearOwnerHPs()
+		c.Unpin()
 		return true
 	}
 }
@@ -267,18 +241,17 @@ func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
 // successor node and validated by a warning check before the head-swing
 // CAS is sealed, so a recycled node's new occupant is never returned.
 func (s *Session) Dequeue(q *Queue, p *Payload) bool {
-	th := s.t
-	var dl normalized.DescList
+	c := s.c
 	for {
 		// --- CAS generator ---
 		first := arena.Ptr(q.head.Load())
 		last := arena.Ptr(q.tail.Load())
-		if th.Check() {
+		if c.Check() {
 			continue
 		}
-		next := arena.Ptr(th.Node(first.Slot()).Next.Load())
+		next := arena.Ptr(c.Node(first.Slot()).Next.Load())
 		headNow := arena.Ptr(q.head.Load())
-		if th.Check() {
+		if c.Check() {
 			continue
 		}
 		if headNow != first {
@@ -286,36 +259,26 @@ func (s *Session) Dequeue(q *Queue, p *Payload) bool {
 		}
 		if first == last {
 			if next.IsNil() {
-				if th.Check() {
+				if c.Check() {
 					continue
 				}
 				return false
 			}
-			s.helpSwing(q, last, next)
+			c.HelpCAS(&q.tail, last, next)
 			continue
 		}
-		n := th.Node(next.Slot())
+		n := c.Node(next.Slot())
 		for i := range p {
 			p[i] = n.Vals[i].Load()
 		}
-		if th.Check() {
+		if c.Check() {
 			continue
 		}
-		dl.Reset()
-		dl.Append(&q.head, uint64(first), uint64(next))
-		th.SetOwnerHP(0, first)
-		th.SetOwnerHP(1, next)
-		if th.SealGenerator() {
+		// --- executor + wrap-up: A2=first, A3=next; the target is a root ---
+		if !c.Commit(&q.head, uint64(first), uint64(next), first, next, arena.NilPtr) {
 			continue
 		}
-		// --- CAS executor ---
-		failed := normalized.Execute(&dl)
-		// --- wrap-up ---
-		th.ClearOwnerHPs()
-		if failed != 0 {
-			continue
-		}
-		th.Retire(first.Slot()) // the old sentinel: unlinked, single retirer
+		c.Th.Retire(first.Slot()) // the old sentinel: unlinked, single retirer
 		q.length.Add(-1)
 		return true
 	}

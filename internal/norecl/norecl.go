@@ -110,6 +110,10 @@ func (t *Thread[T]) ID() int { return t.id }
 // plain loads, no atomics.
 func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
 
+// View exposes the thread's directory view, for structure code written
+// once against the concrete view instead of a scheme's thread type.
+func (t *Thread[T]) View() *arena.View[T] { return &t.view }
+
 // Alloc returns a zeroed slot.
 func (t *Thread[T]) Alloc() uint32 {
 	t.allocs.Add(1)

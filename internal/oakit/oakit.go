@@ -1,43 +1,40 @@
-// Package oakit factors the optimistic-access boilerplate every OA
-// structure in this repository used to repeat by hand (list, hashtable,
-// skiplist, queue, kvmap, mpmc) into one reusable, generics-based kit,
-// so a new structure costs ~100 lines of structure-specific code.
+// Package oakit holds the optimistic-access barriers once. The paper's
+// three algorithms — the read check (Algorithm 1), the write barrier
+// (Algorithm 2) and the generator seal (Algorithm 3) — are short and are
+// meant to be applied mechanically to any normalized structure; every OA
+// structure in this repository applies them through this package and
+// places no hazard pointer, seal or executor call of its own.
 //
-// The OA contract a structure must follow (the paper's Algorithms 1-3)
-// has four recurring obligations:
+// What is here:
 //
-//  1. Optimistic reads: every batch of loads from arena nodes must be
-//     followed by a warning check before the values are *used* — a
-//     recycled slot may have been observed mid-read. On a warning the
-//     operation restarts from scratch (Ctx.Check, tagged CauseRead).
-//  2. Observable CASes run under the write barrier: hazard pointers for
-//     the object and both pointer operands are published, then a warning
-//     check runs, before the CAS executes (Ctx.WordCAS / Ctx.UnlinkRetire
-//     wrap Algorithm 2, tagged CauseWrite).
-//  3. Normalized commits: the CAS generator's emitted CAS list executes
-//     only after the owner hazard pointers are installed and the
-//     generator is sealed by a final warning check (Ctx.Commit wraps
-//     Algorithm 3, tagged CauseSeal). A failed CAS restarts the
-//     generator; success runs the wrap-up.
-//  4. Engine plumbing: one core.Manager per structure universe, cached
-//     per-context sessions that survive lease churn (so a pending
-//     pre-allocated node is never stranded), Acquire/Release leasing,
-//     stats and observability registration.
+//   - Engine/Ctx (this file): one core.Manager per structure universe,
+//     cached per-context sessions that survive lease churn (so a pending
+//     pre-allocated node is never stranded), Acquire/Release leasing with
+//     the one double-release guard, and the barrier forms. Check is the
+//     read barrier. Unlink/UnlinkRetire, WordCAS and HelpCAS are the
+//     write barrier around the three shapes of observable CAS (a
+//     physical delete, a payload word, a structure root). Commit,
+//     CommitPinned+Unpin and the Begin/Own/Emit/CommitAll sequence are
+//     the normalized commit: owner hazard pointers, seal, executor over
+//     the context's own descriptor list, clear. Commit is the
+//     one-descriptor case of CommitAll.
+//   - The chain (traverse.go): the OA Harris-Michael sorted list over
+//     Node[V], the only copy of the Listing-1 search loop. internal/list
+//     (and through it the hash table) is that chain with an empty
+//     payload; internal/kvmap is the chain with a {Val, Aux} payload.
 //
-// The kit has two levels:
+// Who rides it: list, hashtable and kvmap ride the chain; skiplist,
+// queue and mpmc sit on Engine/Ctx and keep their own per-hop reads.
 //
-//   - Level 1 (Engine/Ctx, this file): concrete scaffolding plus commit
-//     helpers. The structure keeps its hand-written per-hop traversal
-//     loop — the only code generics cannot express without indirect
-//     calls in the read path — and delegates everything else. This is
-//     the level internal/list is ported onto; its hot cells must stay
-//     inside the 0.85 perf gate, which rules out per-hop dispatch.
-//   - Level 2 (traverse.go): a complete generic Harris-Michael keyed
-//     list over any node type exposing KeyWord/NextWord. Per-hop method
-//     calls go through the generics dictionary, so it trades a little
-//     traversal speed for a near-zero-LoC port; use it for structures
-//     whose hot path is not a tight pointer chase, and for harness
-//     plumbing (dstest/linearize/chaos run against it generically).
+// What stays hand-written, and why. A structure's optimistic loads are
+// its own: the kit cannot know which words of which node form one check
+// batch. The skip list reads Next[level] of a multi-level node, the
+// queues read two roots and one successor, and kvmap's Get and
+// WalkBucket read the payload words inside the same batch as key and
+// next — a callback per hop through a type parameter measured +6.9 % on
+// a 5,000-key contains, so those loops load fields directly and call
+// only Check. Everything after the loads — what to publish, when to
+// seal, what to retire — is the kit's.
 package oakit
 
 import (
@@ -119,7 +116,7 @@ type Ctx[T any] struct {
 	Th       *core.Thread[T]
 	e        *Engine[T]
 	pending  uint32
-	dl       normalized.DescList
+	dl       *normalized.DescList
 	released atomic.Bool
 }
 
@@ -166,53 +163,88 @@ func (c *Ctx[T]) Pending() uint32 {
 // ConsumePending marks the pending slot as linked into the structure.
 func (c *Ctx[T]) ConsumePending() { c.pending = arena.NoSlot }
 
-// Commit runs the end of a single-CAS normalized operation (Algorithm 3
-// with C = 1): install up to three owner hazard pointers for the CAS
-// operands (pass NilPtr for unused ones), seal the generator with a
-// warning check, execute CAS(target: old → new), and clear the owner
-// set. False means restart the generator — either the seal caught a
-// warning (CauseSeal) or the CAS lost a race.
-func (c *Ctx[T]) Commit(target *atomic.Uint64, old, new uint64, h0, h1, h2 arena.Ptr) bool {
-	th := c.Th
-	c.dl.Reset()
-	c.dl.Append(target, old, new)
-	th.SetOwnerHP(0, h0)
-	th.SetOwnerHP(1, h1)
-	th.SetOwnerHP(2, h2)
-	if th.SealGenerator() {
-		return false
+// Begin opens the end of a generator round (Algorithm 3): it empties the
+// context's descriptor list, to be filled with Emit, guarded with Own
+// and run by CommitAll. The list lives with the context, not on the
+// operation's stack, so an operation zeroes none of it; it is allocated
+// on the context's first round, so the ~1 KB is paid by contexts that
+// commit, not by every unleased slot of a registry sized for a thousand
+// connections.
+func (c *Ctx[T]) Begin() {
+	if c.dl == nil {
+		c.dl = new(normalized.DescList)
 	}
-	failed := normalized.Execute(&c.dl)
-	th.ClearOwnerHPs()
-	return failed == 0
+	c.dl.Reset()
 }
 
-// CommitPinned is Commit, but on success the owner hazard pointers stay
-// published so the wrap-up may keep reading (or CASing roots near) the
-// pinned operands without an ABA window — a post-mark value read, an
-// MS-queue tail swing. The caller must Unpin when done. On false
-// (restart) the owner set is already cleared.
-func (c *Ctx[T]) CommitPinned(target *atomic.Uint64, old, new uint64, h0, h1, h2 arena.Ptr) bool {
+// Emit appends CAS(target: old → new) to the round's descriptor list.
+func (c *Ctx[T]) Emit(target *atomic.Uint64, old, new uint64) { c.dl.Append(target, old, new) }
+
+// Own publishes owner hazard pointer i: every node a descriptor of the
+// round mentions — as target object, expected or new value — must be
+// owned before the commit (pointers sharing a slot, such as next and
+// mark(next), need one). Indices run from 0 up to the engine's ownerHPs.
+func (c *Ctx[T]) Own(i int, p arena.Ptr) { c.Th.SetOwnerHP(i, p) }
+
+// commitPinned seals the generator with a warning check and executes the
+// emitted CASes in order until the first failure. On success the owner
+// set stays published; on false it is cleared, and the generator must
+// restart — the seal caught a warning (CauseSeal) or some CAS lost a
+// race; CASes before the failed one have taken effect, as the normalized
+// form allows.
+func (c *Ctx[T]) commitPinned() bool {
 	th := c.Th
-	c.dl.Reset()
-	c.dl.Append(target, old, new)
-	th.SetOwnerHP(0, h0)
-	th.SetOwnerHP(1, h1)
-	th.SetOwnerHP(2, h2)
 	if th.SealGenerator() {
 		return false
 	}
-	failed := normalized.Execute(&c.dl)
-	if failed != 0 {
+	if normalized.Execute(c.dl) != 0 {
 		th.ClearOwnerHPs()
 		return false
 	}
 	return true
 }
 
+// CommitAll runs the round staged since Begin: seal, execute, clear the
+// owner set. False means restart the generator.
+func (c *Ctx[T]) CommitAll() bool {
+	if !c.commitPinned() {
+		return false
+	}
+	c.Unpin()
+	return true
+}
+
+// CommitPinned is the one-descriptor round of a single-CAS normalized
+// operation (Algorithm 3 with C = 1): install three owner hazard pointers
+// for the CAS operands (pass NilPtr for unused ones), seal, execute
+// CAS(target: old → new). On success the owner hazard pointers stay
+// published so the wrap-up may keep reading (or CASing roots near) the
+// pinned operands without an ABA window — a post-mark value read, an
+// MS-queue tail swing — and the caller must Unpin when done. On false
+// (restart) the owner set is already cleared.
+func (c *Ctx[T]) CommitPinned(target *atomic.Uint64, old, new uint64, h0, h1, h2 arena.Ptr) bool {
+	th := c.Th
+	c.Begin()
+	c.Emit(target, old, new)
+	th.SetOwnerHP(0, h0)
+	th.SetOwnerHP(1, h1)
+	th.SetOwnerHP(2, h2)
+	return c.commitPinned()
+}
+
 // Unpin clears the owner hazard pointers left published by a successful
 // CommitPinned.
 func (c *Ctx[T]) Unpin() { c.Th.ClearOwnerHPs() }
+
+// Commit is CommitPinned with nothing to do while pinned: the whole end
+// of a single-CAS operation. False means restart the generator.
+func (c *Ctx[T]) Commit(target *atomic.Uint64, old, new uint64, h0, h1, h2 arena.Ptr) bool {
+	if !c.CommitPinned(target, old, new, h0, h1, h2) {
+		return false
+	}
+	c.Unpin()
+	return true
+}
 
 // WordCAS performs one observable CAS on a word of the node pinned by
 // ptr, under the Algorithm 2 write barrier — the in-place update
@@ -229,23 +261,31 @@ func (c *Ctx[T]) WordCAS(ptr arena.Ptr, w *atomic.Uint64, old, new uint64) (swap
 	return swapped, false
 }
 
-// UnlinkRetire physically unlinks the marked node cur from its
-// predecessor (CAS prevNext: cur → next) under the write barrier and, on
-// success, retires the slot — the helping physical delete every
-// Harris-Michael traversal performs. False means restart the traversal:
-// the barrier caught a warning, or the unlink CAS lost a race.
-func (c *Ctx[T]) UnlinkRetire(prevNext *atomic.Uint64, prev, cur, next arena.Ptr) bool {
+// Unlink physically unlinks the marked node cur from its predecessor
+// (CAS prevNext: cur → next) under the write barrier, without retiring
+// it — the skip list's per-level snip, where only the deleter that won
+// the bottom mark retires, after the node is out of every level. False
+// means restart the traversal: the barrier caught a warning, or the CAS
+// lost a race.
+func (c *Ctx[T]) Unlink(prevNext *atomic.Uint64, prev, cur, next arena.Ptr) bool {
 	th := c.Th
 	if th.ProtectCAS(prev, cur, next) {
 		return false
 	}
-	if prevNext.CompareAndSwap(uint64(cur), uint64(next)) {
-		th.ClearCAS()
-		th.Retire(cur.Slot()) // proper: now unlinked, single unlinker
-		return true
-	}
+	ok := prevNext.CompareAndSwap(uint64(cur), uint64(next))
 	th.ClearCAS()
-	return false
+	return ok
+}
+
+// UnlinkRetire is Unlink for a single-level chain, where the unlinker is
+// the single retirer: on success it retires the slot — the helping
+// physical delete every Harris-Michael traversal performs.
+func (c *Ctx[T]) UnlinkRetire(prevNext *atomic.Uint64, prev, cur, next arena.Ptr) bool {
+	if !c.Unlink(prevNext, prev, cur, next) {
+		return false
+	}
+	c.Th.Retire(cur.Slot()) // proper: now unlinked, single unlinker
+	return true
 }
 
 // HelpCAS performs an observable helping CAS on a structure root (an

@@ -6,33 +6,30 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/dstest"
 	"repro/internal/oakit"
 	"repro/internal/smr"
+	"repro/internal/trace"
 )
 
-// tnode is the test node: key + next (the Keyed contract) plus one
-// payload word so init publishing, DeleteIf predicates and WordCAS have
-// something structure-specific to operate on.
-type tnode struct {
-	key  atomic.Uint64
-	next atomic.Uint64
-	val  atomic.Uint64
-}
+// tval is the test payload: one word, so init publishing, DeleteIf
+// predicates and WordCAS have something structure-specific to operate on.
+type tval struct{ val atomic.Uint64 }
 
-func (n *tnode) KeyWord() *atomic.Uint64  { return &n.key }
-func (n *tnode) NextWord() *atomic.Uint64 { return &n.next }
+// tnode is the chain node carrying it.
+type tnode = oakit.Node[tval]
 
 func resetTNode(n *tnode) {
-	n.key.Store(0)
-	n.next.Store(0)
-	n.val.Store(0)
+	n.Key.Store(0)
+	n.Next.Store(0)
+	n.V.val.Store(0)
 }
 
 func mkList(capacity int) dstest.Factory {
 	return func(threads int) smr.Set {
-		return oakit.NewList[tnode](core.Config{
+		return oakit.NewList(core.Config{
 			MaxThreads: threads, Capacity: capacity, LocalPool: 16,
 		}, resetTNode)
 	}
@@ -53,7 +50,7 @@ func TestGenericListStats(t *testing.T)           { dstest.RunStats(t, mkList(1<
 
 func newEngine(t *testing.T, threads, capacity int) (*oakit.Engine[tnode], uint32) {
 	t.Helper()
-	e := oakit.NewEngine[tnode](core.Config{
+	e := oakit.NewEngine(core.Config{
 		MaxThreads: threads, Capacity: capacity, LocalPool: 16,
 	}, resetTNode, 3)
 	t.Cleanup(e.Close)
@@ -82,35 +79,35 @@ func TestPendingLifecycle(t *testing.T) {
 func TestInsertInitPublishes(t *testing.T) {
 	e, head := newEngine(t, 1, 4096)
 	c := e.Ctx(0)
-	if !oakit.Insert(c, head, 10, func(n *tnode) { n.val.Store(111) }) {
+	if !oakit.Insert(c, head, 10, func(n *tnode) { n.V.val.Store(111) }) {
 		t.Fatal("fresh insert failed")
 	}
 	if oakit.Insert(c, head, 10, nil) {
 		t.Fatal("duplicate insert succeeded")
 	}
 	pos, restart := oakit.Find(c, head, uint64(10))
-	if restart || !pos.OK || pos.Key != 10 {
+	if restart || !pos.At(10) {
 		t.Fatalf("Find(10) = %+v restart=%v", pos, restart)
 	}
-	if v := c.Node(pos.Cur.Slot()).val.Load(); v != 111 {
+	if v := c.Node(pos.Cur.Slot()).V.val.Load(); v != 111 {
 		t.Fatalf("payload = %d, want 111", v)
 	}
 
 	// Predicate sees the live payload; a non-matching value blocks the
 	// delete without disturbing the entry.
-	if oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.val.Load() == 999 }) {
+	if _, ok := oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.V.val.Load() == 999 }); ok {
 		t.Fatal("DeleteIf deleted on a false predicate")
 	}
 	if !oakit.Contains(c, head, uint64(10)) {
 		t.Fatal("entry vanished after refused DeleteIf")
 	}
-	if !oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.val.Load() == 111 }) {
+	if _, ok := oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.V.val.Load() == 111 }); !ok {
 		t.Fatal("DeleteIf refused a true predicate")
 	}
 	if oakit.Contains(c, head, uint64(10)) {
 		t.Fatal("entry alive after DeleteIf")
 	}
-	if oakit.DeleteIf(c, head, 10, func(*tnode) bool { return true }) {
+	if _, ok := oakit.DeleteIf(c, head, 10, func(*tnode) bool { return true }); ok {
 		t.Fatal("DeleteIf deleted an absent key")
 	}
 }
@@ -120,7 +117,7 @@ func TestInsertInitPublishes(t *testing.T) {
 func TestWordCAS(t *testing.T) {
 	e, head := newEngine(t, 1, 4096)
 	c := e.Ctx(0)
-	if !oakit.Insert(c, head, 7, func(n *tnode) { n.val.Store(100) }) {
+	if !oakit.Insert(c, head, 7, func(n *tnode) { n.V.val.Store(100) }) {
 		t.Fatal("insert failed")
 	}
 	casVal := func(old, new uint64) bool {
@@ -129,11 +126,11 @@ func TestWordCAS(t *testing.T) {
 			if restart {
 				continue
 			}
-			if !pos.OK || pos.Key != 7 {
+			if !pos.At(7) {
 				t.Fatal("key 7 missing")
 			}
 			n := c.Node(pos.Cur.Slot())
-			swapped, restart := c.WordCAS(pos.Cur, &n.val, old, new)
+			swapped, restart := c.WordCAS(pos.Cur, &n.V.val, old, new)
 			if restart {
 				continue
 			}
@@ -147,8 +144,112 @@ func TestWordCAS(t *testing.T) {
 		t.Fatal("CAS with stale expectation succeeded")
 	}
 	pos, _ := oakit.Find(c, head, uint64(7))
-	if v := c.Node(pos.Cur.Slot()).val.Load(); v != 200 {
+	if v := c.Node(pos.Cur.Slot()).V.val.Load(); v != 200 {
 		t.Fatalf("payload = %d, want 200", v)
+	}
+}
+
+// TestCommitAll drives the multi-descriptor commit the skip list rides:
+// Begin, one Emit and one Own per node, CommitAll. A failing k-th CAS
+// reports restart with the CASes before it applied and those after it
+// not; a pending warning restarts at the seal (CauseSeal) before any CAS
+// runs; and in both cases the owner hazard pointers are cleared — seen as
+// Quiesce withholding nothing once the owned nodes are retired, against
+// the control of a node retired while still owned.
+func TestCommitAll(t *testing.T) {
+	trace.SetEnabled(true)
+	defer trace.SetEnabled(false)
+	e := oakit.NewEngine(core.Config{MaxThreads: 1, Capacity: 512, LocalPool: 8}, resetTNode, 3)
+	t.Cleanup(e.Close)
+	c, mgr := e.Ctx(0), e.Manager()
+
+	// stage emits val: i+1 → 10(i+1) on three fresh nodes, expecting
+	// wrong on the k-th (k < 0: none wrong), and owns each node.
+	stage := func(k int) (slots [3]uint32) {
+		c.Begin()
+		for i := range slots {
+			slots[i] = c.Th.Alloc()
+			w := &c.Node(slots[i]).V.val
+			w.Store(uint64(i + 1))
+			old := uint64(i + 1)
+			if i == k {
+				old = 99
+			}
+			c.Emit(w, old, uint64(10*(i+1)))
+			c.Own(i, arena.MakePtr(slots[i]))
+		}
+		return slots
+	}
+	vals := func(slots [3]uint32) (v [3]uint64) {
+		for i, s := range slots {
+			v[i] = c.Node(s).V.val.Load()
+		}
+		return v
+	}
+	// withheld retires the nodes and reports how many a full
+	// reclamation still finds hazard-pointer protected.
+	withheld := func(slots [3]uint32) int {
+		for _, s := range slots {
+			c.Th.Retire(s)
+		}
+		n := mgr.Quiesce()
+		c.Check() // acknowledge the phases Quiesce ran
+		return n
+	}
+
+	// Control: owned and never committed — the nodes are withheld.
+	owned := stage(-1)
+	if n := withheld(owned); n != 3 {
+		t.Fatalf("Quiesce withheld %d of 3 nodes retired while owned", n)
+	}
+	c.Unpin()
+
+	// The second CAS fails.
+	failed := stage(1)
+	if c.CommitAll() {
+		t.Fatal("CommitAll succeeded with a failing second CAS")
+	}
+	if got, want := vals(failed), [3]uint64{10, 2, 3}; got != want {
+		t.Fatalf("after a failing second CAS the words are %v, want %v", got, want)
+	}
+	if n := withheld(failed); n != 0 {
+		t.Fatalf("a failed CommitAll left %d owner hazard pointers published", n)
+	}
+
+	// A warning is pending at the seal.
+	before := mgr.Stats().Restarts
+	warned := stage(-1)
+	mgr.InjectWarnings(1 << 20)
+	if c.CommitAll() {
+		t.Fatal("CommitAll succeeded past a pending warning")
+	}
+	if got, want := vals(warned), [3]uint64{1, 2, 3}; got != want {
+		t.Fatalf("a sealed-off round executed CASes: words %v, want %v", got, want)
+	}
+	if mgr.Stats().Restarts != before+1 {
+		t.Fatalf("the seal counted %d restarts, want 1", mgr.Stats().Restarts-before)
+	}
+	sealed := false
+	for _, ev := range mgr.TraceRecorder().Events() {
+		sealed = sealed || ev.Kind == trace.EvRestart && trace.Cause(ev.Arg) == trace.CauseSeal
+	}
+	if !sealed {
+		t.Fatal("no restart event with cause seal")
+	}
+	if n := withheld(warned); n != 0 {
+		t.Fatalf("a sealed-off CommitAll left %d owner hazard pointers published", n)
+	}
+
+	// Nothing in the way: every CAS applies.
+	ok := stage(-1)
+	if !c.CommitAll() {
+		t.Fatal("CommitAll failed with nothing in its way")
+	}
+	if got, want := vals(ok), [3]uint64{10, 20, 30}; got != want {
+		t.Fatalf("after CommitAll the words are %v, want %v", got, want)
+	}
+	if n := withheld(ok); n != 0 {
+		t.Fatalf("a successful CommitAll left %d owner hazard pointers published", n)
 	}
 }
 
@@ -196,7 +297,7 @@ func TestHelpingRetires(t *testing.T) {
 // resumed reader's stale optimistic read is caught by the warning
 // check and a restart observes the post-sweep world, never a torn one.
 func TestStuckReaderDuringSweep(t *testing.T) {
-	e := oakit.NewEngine[tnode](core.Config{
+	e := oakit.NewEngine(core.Config{
 		MaxThreads: 2, Capacity: 1024, LocalPool: 8,
 	}, resetTNode, 3)
 	t.Cleanup(e.Close)
@@ -205,7 +306,7 @@ func TestStuckReaderDuringSweep(t *testing.T) {
 	churn := e.Ctx(1)
 
 	for k := uint64(1); k <= 100; k++ {
-		if !oakit.Insert(churn, head, k, func(n *tnode) { n.val.Store(k * 10) }) {
+		if !oakit.Insert(churn, head, k, func(n *tnode) { n.V.val.Store(k * 10) }) {
 			t.Fatalf("seed insert %d", k)
 		}
 	}
@@ -213,7 +314,7 @@ func TestStuckReaderDuringSweep(t *testing.T) {
 	for {
 		p, restart := oakit.Find(reader, head, uint64(50))
 		if !restart {
-			if !p.OK || p.Key != 50 {
+			if !p.At(50) {
 				t.Fatalf("Find(50) = %+v", p)
 			}
 			pos = p
@@ -246,7 +347,7 @@ func TestStuckReaderDuringSweep(t *testing.T) {
 	// Resume. The slot behind the stale position may hold a recycled
 	// node by now — reading it must not fault (arena handles keep it
 	// addressable) and the warning check must demand a restart.
-	_ = reader.Node(pos.Cur.Slot()).val.Load()
+	_ = reader.Node(pos.Cur.Slot()).V.val.Load()
 	if !reader.Check() {
 		t.Fatal("warning check missed the phases that recycled under the stuck reader")
 	}
@@ -266,7 +367,7 @@ func TestStuckReaderDuringSweep(t *testing.T) {
 // is the kit-level version of the chaos suite every hand-written port
 // passes — it hammers the restart edge of every generic primitive.
 func TestGenericListWarningStorm(t *testing.T) {
-	l := oakit.NewList[tnode](core.Config{
+	l := oakit.NewList(core.Config{
 		MaxThreads: 2, Capacity: 8192, LocalPool: 16,
 	}, resetTNode)
 	mgr := l.Engine().Manager()

@@ -9,47 +9,46 @@ import (
 	"repro/internal/smr"
 )
 
-// Keyed is the node shape the generic traversal understands: a sorted
-// Harris-Michael chain with a uint64 key. The methods return pointers to
-// the node's atomic words so the kit performs the loads itself, keeping
-// the warning-check placement (load batch, then Check) in one audited
-// place instead of in every structure.
-type Keyed interface {
-	// KeyWord returns the node's key word.
-	KeyWord() *atomic.Uint64
-	// NextWord returns the node's successor word (an arena.Ptr with the
-	// Harris delete mark in bit 0).
-	NextWord() *atomic.Uint64
+// Node is the node of the OA Harris-Michael chain: a sorted list keyed
+// by a uint64, with the structure's payload words in V (all atomics —
+// under OA a node may be read after its slot was recycled). The chain
+// words are fields, so the traversal below compiles to direct loads for
+// every payload shape. The payload comes first: Go pads a struct that
+// ends in a zero-size field, so an empty payload placed last would grow
+// the list node from 16 to 24 bytes.
+type Node[V any] struct {
+	V V
+	// Key is the node's key; written only between allocation and linking.
+	Key atomic.Uint64
+	// Next holds arena.Ptr bits: successor handle plus the logical-delete
+	// mark in bit 0 (Harris' marked pointer).
+	Next atomic.Uint64
 }
 
-// NodeOf is the constraint tying a node type T to its pointer type: the
-// methods live on *T, and the kit converts arena slots to P internally.
-type NodeOf[T any] interface {
-	*T
-	Keyed
-}
-
-// Pos is a generic traversal position: the first unmarked node with
-// key ≥ the searched key (OK=true) or the end of the chain (OK=false),
-// plus its predecessor. Prev is a slot (roots have no Ptr), Cur/Next are
-// handles.
+// Pos is a traversal position: the first unmarked node with key ≥ the
+// searched key, or the end of the chain (Cur nil), plus its predecessor.
+// Prev is a slot (roots have no Ptr), Cur/Next are handles. Four words on
+// purpose: the compiler keeps a struct of up to four fields in registers
+// and spills a fifth, with the whole struct, to the stack.
 type Pos struct {
 	Prev      uint32
 	Cur, Next arena.Ptr
 	Key       uint64
-	OK        bool
 }
 
-// Find runs the shared CAS-generator search loop (the paper's Listing 1)
-// generically: hop the chain from head, batching each node's key and
-// next loads under one warning check, helping physical deletes of marked
-// nodes along the way (write barrier + retire via UnlinkRetire).
-// restart=true means the caller must restart its generator; the position
-// is then invalid.
-func Find[T any, P NodeOf[T]](c *Ctx[T], head uint32, key uint64) (pos Pos, restart bool) {
+// At reports whether the position is on a node carrying key.
+func (p Pos) At(key uint64) bool { return !p.Cur.IsNil() && p.Key == key }
+
+// Find is the CAS-generator search loop of the paper's Listing 1, the
+// one copy in the repository: hop the chain from head, batching each
+// node's key and next loads under one warning check, helping physical
+// deletes of marked nodes along the way (write barrier + retire via
+// UnlinkRetire). restart=true means the caller must restart its
+// generator; the position is then invalid.
+func Find[V any](c *Ctx[Node[V]], head uint32, key uint64) (pos Pos, restart bool) {
 	th := c.Th
 	prev := head
-	cur := arena.Ptr(P(th.Node(head)).NextWord().Load())
+	cur := arena.Ptr(th.Node(head).Next.Load())
 	if th.Check() {
 		return Pos{}, true
 	}
@@ -58,10 +57,10 @@ func Find[T any, P NodeOf[T]](c *Ctx[T], head uint32, key uint64) (pos Pos, rest
 			return Pos{Prev: prev}, false
 		}
 		curSlot := cur.Slot()
-		n := P(th.Node(curSlot))
-		next := arena.Ptr(n.NextWord().Load())
-		ckey := n.KeyWord().Load()
-		tmp := arena.Ptr(P(th.Node(prev)).NextWord().Load())
+		n := th.Node(curSlot)
+		next := arena.Ptr(n.Next.Load())
+		ckey := n.Key.Load()
+		tmp := arena.Ptr(th.Node(prev).Next.Load())
 		if th.Check() {
 			return Pos{}, true
 		}
@@ -70,30 +69,32 @@ func Find[T any, P NodeOf[T]](c *Ctx[T], head uint32, key uint64) (pos Pos, rest
 		}
 		if !next.Marked() {
 			if ckey >= key {
-				return Pos{Prev: prev, Cur: cur, Next: next, Key: ckey, OK: true}, false
+				return Pos{Prev: prev, Cur: cur, Next: next, Key: ckey}, false
 			}
 			prev = curSlot
-		} else if !c.UnlinkRetire(P(th.Node(prev)).NextWord(), arena.MakePtr(prev), cur, next.Unmark()) {
+		} else if !c.UnlinkRetire(&th.Node(prev).Next, arena.MakePtr(prev), cur, next.Unmark()) {
 			return Pos{}, true
 		}
 		cur = next.Unmark()
 	}
 }
 
-// Contains is the wait-free read-only membership test (Algorithm 1): two
-// loads plus one warning check per hop, no hazard pointers, no fences.
-func Contains[T any, P NodeOf[T]](c *Ctx[T], head uint32, key uint64) bool {
+// Contains is the wait-free read-only membership test (Algorithm 1, with
+// the independent-reads optimization of Appendix E batching the key and
+// next reads): two loads plus one warning check per hop, no hazard
+// pointers, no fences.
+func Contains[V any](c *Ctx[Node[V]], head uint32, key uint64) bool {
 	th := c.Th
 restart:
 	for {
-		cur := arena.Ptr(P(th.Node(head)).NextWord().Load())
+		cur := arena.Ptr(th.Node(head).Next.Load())
 		if th.Check() {
 			continue restart
 		}
 		for !cur.IsNil() {
-			n := P(th.Node(cur.Unmark().Slot()))
-			next := arena.Ptr(n.NextWord().Load())
-			ckey := n.KeyWord().Load()
+			n := th.Node(cur.Unmark().Slot())
+			next := arena.Ptr(n.Next.Load())
+			ckey := n.Key.Load()
 			if th.Check() {
 				continue restart
 			}
@@ -109,32 +110,31 @@ restart:
 // Insert links a new node carrying key into the sorted chain at head;
 // false if the key is already present. init, if non-nil, fills the
 // pending node's payload words after the key is set and before the node
-// is linked (the node is still thread-private, so plain stores are
-// safe — they publish with the linking CAS).
-func Insert[T any, P NodeOf[T]](c *Ctx[T], head uint32, key uint64, init func(P)) bool {
+// is linked (the node is still thread-private, so the stores publish
+// with the linking CAS).
+func Insert[V any](c *Ctx[Node[V]], head uint32, key uint64, init func(*Node[V])) bool {
 	th := c.Th
 	for {
 		// --- CAS generator ---
-		pos, restart := Find[T, P](c, head, key)
+		pos, restart := Find(c, head, key)
 		if restart {
 			continue
 		}
-		if pos.OK && pos.Key == key {
+		if pos.At(key) {
 			return false // wrap-up of the empty CAS list: already present
 		}
 		slot := c.Pending()
-		n := P(th.Node(slot))
-		n.KeyWord().Store(key)
-		n.NextWord().Store(uint64(pos.Cur))
+		n := th.Node(slot)
+		n.Key.Store(key)
+		n.Next.Store(uint64(pos.Cur))
 		if init != nil {
 			init(n)
 		}
 		// Algorithm 3: protect O=prev, A2=cur, A3=new node; executor +
 		// wrap-up inside Commit.
-		if !c.Commit(P(th.Node(pos.Prev)).NextWord(), uint64(pos.Cur),
-			uint64(arena.MakePtr(slot)),
+		if !c.Commit(&th.Node(pos.Prev).Next, uint64(pos.Cur), uint64(arena.MakePtr(slot)),
 			arena.MakePtr(pos.Prev), pos.Cur, arena.MakePtr(slot)) {
-			continue
+			continue // RESTART_GENERATOR
 		}
 		c.ConsumePending()
 		return true
@@ -142,106 +142,97 @@ func Insert[T any, P NodeOf[T]](c *Ctx[T], head uint32, key uint64, init func(P)
 }
 
 // Delete logically deletes key from the chain at head (marking its next
-// word); false if absent. Physical unlinking is left to future
-// traversals, which retire the node when they unlink it.
-func Delete[T any, P NodeOf[T]](c *Ctx[T], head uint32, key uint64) bool {
-	th := c.Th
-	for {
-		// --- CAS generator ---
-		pos, restart := Find[T, P](c, head, key)
-		if restart {
-			continue
-		}
-		if !pos.OK || pos.Key != key {
-			return false
-		}
-		// HP dedup of Listing 4: mark(next) shares next's slot.
-		if !c.Commit(P(th.Node(pos.Cur.Slot())).NextWord(), uint64(pos.Next),
-			uint64(pos.Next.Mark()), pos.Cur, pos.Next, arena.NilPtr) {
-			continue
-		}
-		return true
-	}
+// word); false if absent. This is Listing 1 / Appendix C: the physical
+// unlink is left to future traversals, which retire the node when they
+// unlink it.
+func Delete[V any](c *Ctx[Node[V]], head uint32, key uint64) bool {
+	_, deleted := DeleteIf(c, head, key, nil)
+	return deleted
 }
 
 // DeleteIf deletes key only while pred holds on the node's current
-// payload: the generator re-reads the node through read (a validated
-// load batch the caller supplies, ending in its own Check) and emits the
-// mark CAS only if pred approves. It is the conditional-removal
-// primitive lazy TTL expiry needs — a fresh same-key entry (or one whose
-// deadline was extended) is never removed by a stale decision, because
-// the predicate is re-evaluated inside the generator on every restart.
-func DeleteIf[T any, P NodeOf[T]](c *Ctx[T], head uint32, key uint64, pred func(P) bool) bool {
+// payload: the generator re-reads the node through pred (loads the
+// caller supplies, validated here by one Check) and emits the mark CAS
+// only if pred approves. It is the conditional-removal primitive lazy
+// TTL expiry needs — a fresh same-key entry (or one whose deadline was
+// extended) is never removed by a stale decision, because the predicate
+// is re-evaluated inside the generator on every restart. A nil pred
+// always approves and costs no check. The returned position is where the
+// node was marked, for a caller that unlinks it at once instead of
+// waiting for a traversal to help.
+func DeleteIf[V any](c *Ctx[Node[V]], head uint32, key uint64, pred func(*Node[V]) bool) (Pos, bool) {
 	th := c.Th
 	for {
-		pos, restart := Find[T, P](c, head, key)
+		// --- CAS generator ---
+		pos, restart := Find(c, head, key)
 		if restart {
 			continue
 		}
-		if !pos.OK || pos.Key != key {
-			return false
+		if !pos.At(key) {
+			return pos, false // empty CAS list; wrap-up reports FALSE
 		}
-		n := P(th.Node(pos.Cur.Slot()))
-		hold := pred(n)
-		if th.Check() {
-			continue
+		n := th.Node(pos.Cur.Slot())
+		if pred != nil {
+			hold := pred(n)
+			if th.Check() {
+				continue
+			}
+			if !hold {
+				return pos, false
+			}
 		}
-		if !hold {
-			return false
+		// Listing 4: HP[3]=cur, HP[4]=next; the new value mark(next)
+		// dedups with next (basic optimization).
+		if !c.Commit(&n.Next, uint64(pos.Next), uint64(pos.Next.Mark()), pos.Cur, pos.Next, arena.NilPtr) {
+			continue // RESTART_GENERATOR
 		}
-		if !c.Commit(n.NextWord(), uint64(pos.Next),
-			uint64(pos.Next.Mark()), pos.Cur, pos.Next, arena.NilPtr) {
-			continue
-		}
-		return true
+		return pos, true
 	}
 }
 
-// List is a complete generic Harris-Michael set over any Keyed node
-// type — the near-zero-LoC path to a new OA set, and the kit's generic
-// hook into the dstest/linearize/chaos harnesses (it implements
-// smr.Set). Hot structures with tight pointer-chase loops should port
-// onto Level 1 instead; see the package comment.
-type List[T any, P NodeOf[T]] struct {
-	e    *Engine[T]
+// List is one chain as a set: the OA Harris-Michael list (it implements
+// smr.Set). internal/list's OA list is List[struct{}].
+type List[V any] struct {
+	e    *Engine[Node[V]]
 	head uint32
 }
 
-// NewList builds an empty generic set sized by cfg.
-func NewList[T any, P NodeOf[T]](cfg core.Config, reset func(*T)) *List[T, P] {
-	e := NewEngine[T](cfg, reset, 3)
-	return &List[T, P]{e: e, head: e.NewRoot()}
+// NewChain builds an engine for chains of Node[V], any number of heads.
+// A chain operation executes at most one CAS, so three owner hazard
+// pointers suffice (Algorithm 3 with C = 1).
+func NewChain[V any](cfg core.Config, reset func(*Node[V])) *Engine[Node[V]] {
+	return NewEngine(cfg, reset, 3)
+}
+
+// NewList builds an empty list sized by cfg.
+func NewList[V any](cfg core.Config, reset func(*Node[V])) *List[V] {
+	e := NewChain(cfg, reset)
+	return &List[V]{e: e, head: e.NewRoot()}
 }
 
 // Engine exposes the underlying kit engine.
-func (l *List[T, P]) Engine() *Engine[T] { return l.e }
+func (l *List[V]) Engine() *Engine[Node[V]] { return l.e }
 
 // Scheme implements smr.Set.
-func (l *List[T, P]) Scheme() smr.Scheme { return smr.OA }
+func (l *List[V]) Scheme() smr.Scheme { return smr.OA }
 
 // Stats implements smr.Set.
-func (l *List[T, P]) Stats() smr.Stats { return l.e.Stats() }
+func (l *List[V]) Stats() smr.Stats { return l.e.Stats() }
 
 // Session implements smr.Set (fixed-slot harness sessions; servers lease
-// with Engine().Acquire and operate through the generic functions).
-func (l *List[T, P]) Session(tid int) smr.Session {
-	return listSession[T, P]{c: l.e.Ctx(tid), head: l.head}
+// with Engine().Acquire and operate through the chain functions).
+func (l *List[V]) Session(tid int) smr.Session {
+	return listSession[V]{c: l.e.Ctx(tid), head: l.head}
 }
 
 // RegisterObs implements obs.Registrar by forwarding to the manager.
-func (l *List[T, P]) RegisterObs(reg *obs.Registry) { l.e.RegisterObs(reg) }
+func (l *List[V]) RegisterObs(reg *obs.Registry) { l.e.RegisterObs(reg) }
 
-type listSession[T any, P NodeOf[T]] struct {
-	c    *Ctx[T]
+type listSession[V any] struct {
+	c    *Ctx[Node[V]]
 	head uint32
 }
 
-func (s listSession[T, P]) Insert(key uint64) bool {
-	return Insert[T, P](s.c, s.head, key, nil)
-}
-func (s listSession[T, P]) Delete(key uint64) bool {
-	return Delete[T, P](s.c, s.head, key)
-}
-func (s listSession[T, P]) Contains(key uint64) bool {
-	return Contains[T, P](s.c, s.head, key)
-}
+func (s listSession[V]) Insert(key uint64) bool   { return Insert(s.c, s.head, key, nil) }
+func (s listSession[V]) Delete(key uint64) bool   { return Delete(s.c, s.head, key) }
+func (s listSession[V]) Contains(key uint64) bool { return Contains(s.c, s.head, key) }

@@ -10,8 +10,8 @@
 //     thread, padded so two threads never share a cache line.
 //  2. Counters that fire on every optimistic read or hazard-pointer
 //     publish are gated behind one global Enabled flag — a single
-//     predictable branch when observability is off (zeroalloc_test.go and
-//     the BENCH_2-vs-BENCH_1 ratio keep this honest). Cold counters
+//     predictable branch when observability is off (zeroalloc_test.go
+//     keeps this honest). Cold counters
 //     (allocs, retires, recycle passes) are always on, which is what makes
 //     live Stats() aggregation race-free.
 //  3. Aggregation never stops writers: readers sum the per-thread atomics

@@ -1,122 +1,89 @@
 package queue
 
 import (
-	"sync/atomic"
-
 	"repro/internal/arena"
 	"repro/internal/core"
-	"repro/internal/normalized"
+	"repro/internal/oakit"
 	"repro/internal/obs"
 	"repro/internal/smr"
 )
 
-// OAQueue is the Michael-Scott queue under optimistic access. Operations
-// execute at most one executor CAS (C = 1), so three owner hazard pointers
-// suffice; the post-link tail swing runs while the owner hazard pointers
-// still pin its operands, which also rules out tail-word ABA.
+// OAQueue is the Michael-Scott queue under optimistic access, on the
+// oakit barriers. Operations execute at most one executor CAS (C = 1), so
+// three owner hazard pointers suffice; the post-link tail swing runs
+// while the owner hazard pointers still pin its operands, which also
+// rules out tail-word ABA.
 type OAQueue struct {
-	mgr  *core.Manager[Node]
-	head atomic.Uint64 // arena.Ptr of the sentinel
-	tail atomic.Uint64
+	kit *oakit.Engine[Node]
+	roots
 }
 
 // NewOA builds an empty queue sized by cfg.
 func NewOA(cfg core.Config) *OAQueue {
-	cfg.OwnerHPs = 3
-	q := &OAQueue{mgr: core.NewManager[Node](cfg, ResetNode)}
-	s := q.mgr.Thread(0).Alloc()
-	q.head.Store(uint64(arena.MakePtr(s)))
-	q.tail.Store(uint64(arena.MakePtr(s)))
+	q := &OAQueue{kit: oakit.NewEngine(cfg, ResetNode, 3)}
+	q.init(q.kit.NewRoot())
 	return q
 }
 
 // Manager exposes the underlying optimistic access manager.
-func (q *OAQueue) Manager() *core.Manager[Node] { return q.mgr }
+func (q *OAQueue) Manager() *core.Manager[Node] { return q.kit.Manager() }
 
 // Scheme implements smr.Queue.
 func (q *OAQueue) Scheme() smr.Scheme { return smr.OA }
 
 // Stats implements smr.Queue.
-func (q *OAQueue) Stats() smr.Stats { return q.mgr.Stats() }
+func (q *OAQueue) Stats() smr.Stats { return q.kit.Stats() }
 
 // RegisterObs implements obs.Registrar by forwarding to the core manager.
-func (q *OAQueue) RegisterObs(reg *obs.Registry) { q.mgr.RegisterObs(reg) }
+func (q *OAQueue) RegisterObs(reg *obs.Registry) { q.kit.RegisterObs(reg) }
 
 // QueueSession implements smr.Queue.
 func (q *OAQueue) QueueSession(tid int) smr.QueueSession {
-	return &oaQSession{q: q, t: q.mgr.Thread(tid), pending: arena.NoSlot}
+	return &oaQSession{q: q, c: q.kit.Ctx(tid)}
 }
 
 type oaQSession struct {
-	q       *OAQueue
-	t       *core.Thread[Node]
-	pending uint32
-}
-
-// helpSwing advances a lagging tail. The CAS target is the tail word (a
-// root, never recycled), but the operands are node handles, so Algorithm 2
-// still applies to them: protecting last and next prevents recycle-reuse
-// ABA on the tail word.
-func (s *oaQSession) helpSwing(last, next arena.Ptr) bool {
-	th := s.t
-	if th.ProtectCAS(arena.NilPtr, last, next) {
-		return true // restart
-	}
-	s.q.tail.CompareAndSwap(uint64(last), uint64(next))
-	th.ClearCAS()
-	return false
+	q *OAQueue
+	c *oakit.Ctx[Node]
 }
 
 // Enqueue appends v (normalized: generator finds the tail cell and emits
 // the single link CAS; wrap-up swings the tail on success).
 func (s *oaQSession) Enqueue(v uint64) {
-	th := s.t
-	var dl normalized.DescList
+	c, q := s.c, s.q
 	for {
 		// --- CAS generator ---
-		last := arena.Ptr(s.q.tail.Load())
-		if th.Check() {
+		last := arena.Ptr(q.tail.Load())
+		if c.Check() {
 			continue
 		}
-		next := arena.Ptr(th.Node(last.Slot()).Next.Load())
-		tailNow := arena.Ptr(s.q.tail.Load())
-		if th.Check() {
+		next := arena.Ptr(c.Node(last.Slot()).Next.Load())
+		tailNow := arena.Ptr(q.tail.Load())
+		if c.Check() {
 			continue
 		}
 		if tailNow != last {
 			continue
 		}
 		if !next.IsNil() {
-			// Tail lags: help swing, then retry.
-			s.helpSwing(last, next)
+			// Tail lags: help swing (the target is a root, the operands
+			// are node handles — oakit.HelpCAS), then retry.
+			c.HelpCAS(&q.tail, last, next)
 			continue
 		}
-		if s.pending == arena.NoSlot {
-			s.pending = th.Alloc()
-		}
-		n := th.Node(s.pending)
+		newPtr := arena.MakePtr(c.Pending())
+		n := c.Node(newPtr.Slot())
 		n.Val.Store(v)
 		n.Next.Store(0)
-		newPtr := arena.MakePtr(s.pending)
-		dl.Reset()
-		dl.Append(&th.Node(last.Slot()).Next, 0, uint64(newPtr))
-		th.SetOwnerHP(0, last)
-		th.SetOwnerHP(1, newPtr)
-		if th.SealGenerator() {
+		// --- executor + wrap-up: O=last, A3=new node ---
+		if !c.CommitPinned(&c.Node(last.Slot()).Next, 0, uint64(newPtr), last, newPtr, arena.NilPtr) {
 			continue
 		}
-		// --- CAS executor ---
-		failed := normalized.Execute(&dl)
-		// --- wrap-up ---
-		if failed != 0 {
-			th.ClearOwnerHPs()
-			continue
-		}
-		s.pending = arena.NoSlot
+		c.ConsumePending()
 		// Swing the tail while the owner hazard pointers still pin last
 		// and newPtr (no ABA window).
-		s.q.tail.CompareAndSwap(uint64(last), uint64(newPtr))
-		th.ClearOwnerHPs()
+		q.tail.CompareAndSwap(uint64(last), uint64(newPtr))
+		c.Unpin()
 		return
 	}
 }
@@ -124,18 +91,17 @@ func (s *oaQSession) Enqueue(v uint64) {
 // Dequeue removes the head value (normalized: generator reads the value
 // and emits the head-swing CAS; the winner retires the old sentinel).
 func (s *oaQSession) Dequeue() (uint64, bool) {
-	th := s.t
-	var dl normalized.DescList
+	c, q := s.c, s.q
 	for {
 		// --- CAS generator ---
-		first := arena.Ptr(s.q.head.Load())
-		last := arena.Ptr(s.q.tail.Load())
-		if th.Check() {
+		first := arena.Ptr(q.head.Load())
+		last := arena.Ptr(q.tail.Load())
+		if c.Check() {
 			continue
 		}
-		next := arena.Ptr(th.Node(first.Slot()).Next.Load())
-		headNow := arena.Ptr(s.q.head.Load())
-		if th.Check() {
+		next := arena.Ptr(c.Node(first.Slot()).Next.Load())
+		headNow := arena.Ptr(q.head.Load())
+		if c.Check() {
 			continue
 		}
 		if headNow != first {
@@ -146,35 +112,23 @@ func (s *oaQSession) Dequeue() (uint64, bool) {
 				// Empty: the generator returns a zero-length CAS list and
 				// the wrap-up reports emptiness — but only if the reads
 				// above were not stale.
-				if th.Check() {
+				if c.Check() {
 					continue
 				}
 				return 0, false
 			}
-			if s.helpSwing(last, next) {
-				continue
-			}
+			c.HelpCAS(&q.tail, last, next)
 			continue
 		}
-		v := th.Node(next.Slot()).Val.Load()
-		if th.Check() {
+		v := c.Node(next.Slot()).Val.Load()
+		if c.Check() {
 			continue
 		}
-		dl.Reset()
-		dl.Append(&s.q.head, uint64(first), uint64(next))
-		th.SetOwnerHP(0, first)
-		th.SetOwnerHP(1, next)
-		if th.SealGenerator() {
+		// --- executor + wrap-up: A2=first, A3=next; the target is a root ---
+		if !c.Commit(&q.head, uint64(first), uint64(next), first, next, arena.NilPtr) {
 			continue
 		}
-		// --- CAS executor ---
-		failed := normalized.Execute(&dl)
-		// --- wrap-up ---
-		th.ClearOwnerHPs()
-		if failed != 0 {
-			continue
-		}
-		th.Retire(first.Slot()) // the old sentinel: unlinked, single retirer
+		c.Th.Retire(first.Slot()) // the old sentinel: unlinked, single retirer
 		return v, true
 	}
 }

@@ -16,7 +16,13 @@
 // exactly the distinction Algorithm 2 draws.
 package queue
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"repro/internal/arena"
+	"repro/internal/sizing"
+	"repro/internal/smr"
+)
 
 // Node is the queue node; all fields atomic (stale reads under OA).
 type Node struct {
@@ -30,4 +36,32 @@ type Node struct {
 func ResetNode(n *Node) {
 	n.Val.Store(0)
 	n.Next.Store(0)
+}
+
+// roots are a queue's head and tail words: arena.Ptr bits of the sentinel
+// and of the last (or second to last) node.
+type roots struct {
+	head atomic.Uint64
+	tail atomic.Uint64
+}
+
+// init points both roots at the sentinel of an empty queue.
+func (r *roots) init(sentinel uint32) {
+	r.head.Store(uint64(arena.MakePtr(sentinel)))
+	r.tail.Store(uint64(arena.MakePtr(sentinel)))
+}
+
+// New builds an empty queue under scheme sc.
+func New(sc smr.Scheme, c sizing.Config) (smr.Queue, error) {
+	switch sc {
+	case smr.NoRecl:
+		return NewNoRecl(c.NoRecl()), nil
+	case smr.OA:
+		return NewOA(c.OA()), nil
+	case smr.HP:
+		return NewHP(c.HP()), nil
+	case smr.EBR:
+		return NewEBR(c.EBR()), nil
+	}
+	return nil, sizing.Unsupported("queue", sc)
 }

@@ -6,10 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dstest"
 	"repro/internal/ebr"
 	"repro/internal/hpscheme"
 	"repro/internal/norecl"
 	"repro/internal/queue"
+	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
@@ -204,6 +206,29 @@ func TestQueueTinyArenaChurn(t *testing.T) {
 					t.Fatalf("value %#x dequeued %d times", v, n)
 				}
 			}
+		})
+	}
+}
+
+// NoRecl and EBR share the plain queue; what is left to tell them apart —
+// a retire that recycles, and both operations inside the epoch bracket —
+// is checked here: single-thread churn well past the scan trigger.
+func TestQueueChurnReclaims(t *testing.T) {
+	const opsPerScan, rounds = 32, 256
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
+		t.Run(sc.String(), func(t *testing.T) {
+			q, err := queue.New(sc, sizing.Config{MaxThreads: 1, Capacity: 4096, ScanThreshold: opsPerScan, OpsPerScan: opsPerScan})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := q.QueueSession(0)
+			for i := uint64(0); i < rounds; i++ {
+				s.Enqueue(i)
+				if v, ok := s.Dequeue(); !ok || v != i {
+					t.Fatalf("Dequeue = %d,%v, want %d", v, ok, i)
+				}
+			}
+			dstest.CheckChurnStats(t, sc, q.Stats(), 2*rounds, opsPerScan)
 		})
 	}
 }

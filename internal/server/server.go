@@ -77,9 +77,10 @@ type Config struct {
 	Logf func(format string, args ...any)
 
 	// ExecGate, when set, is called by each executor at the top of every
-	// drain pass. In-package tests and cmd/healthsmoke stall an executor
-	// here to pin queue-stage attribution, ring-full backpressure and
-	// the health engine's ring-saturation rule. Never set in production.
+	// drain pass. In-package tests and internal/e2e's TestHealthWiring
+	// stall an executor here to pin queue-stage attribution, ring-full
+	// backpressure and the health engine's ring-saturation rule. Never
+	// set in production.
 	ExecGate func(shard int)
 }
 

@@ -1,7 +1,6 @@
 package skiplist
 
 import (
-	"repro/internal/arena"
 	"repro/internal/ebr"
 	"repro/internal/obs"
 	"repro/internal/smr"
@@ -36,174 +35,31 @@ func (s *EBRSkipList) RegisterObs(reg *obs.Registry) { s.mgr.RegisterObs(reg) }
 
 // Session implements smr.Set.
 func (s *EBRSkipList) Session(tid int) smr.Session {
-	return &ebrSession{
-		s:       s,
-		t:       s.mgr.Thread(tid),
-		rng:     newLevelRng(uint64(tid)*0xA24BAED4963EE407 + 1),
-		pending: arena.NoSlot,
-	}
+	t := s.mgr.Thread(tid)
+	return &ebrSession{plain: newPlainSession(s.head, t.View(), t, uint64(tid)*0xA24BAED4963EE407+1), t: t}
 }
 
+// ebrSession is the plain skip list inside the epoch bracket: nothing
+// reachable when OnOpStart announced can be freed until OnOpEnd.
 type ebrSession struct {
-	s       *EBRSkipList
-	t       *ebr.Thread[Node]
-	rng     levelRng
-	pending uint32
-	preds   [MaxLevel]uint32
-	succs   [MaxLevel]arena.Ptr
+	plain *plainSession
+	t     *ebr.Thread[Node]
 }
 
-func (s *ebrSession) find(key uint64) bool {
-	th := s.t
-retry:
-	for {
-		predSlot := s.s.head
-		for level := MaxLevel - 1; level >= 0; level-- {
-			curr := arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
-			for !curr.IsNil() {
-				n := th.Node(curr.Slot())
-				succ := arena.Ptr(n.Next[level].Load())
-				if succ.Marked() {
-					if !th.Node(predSlot).Next[level].CompareAndSwap(uint64(curr), uint64(succ.Unmark())) {
-						continue retry
-					}
-					curr = succ.Unmark()
-					continue
-				}
-				if n.Key.Load() < key {
-					predSlot = curr.Slot()
-					curr = succ
-				} else {
-					break
-				}
-			}
-			s.preds[level] = predSlot
-			s.succs[level] = curr
-		}
-		f := s.succs[0]
-		return !f.IsNil() && th.Node(f.Slot()).Key.Load() == key
-	}
-}
-
-// Contains is the wait-free membership test.
 func (s *ebrSession) Contains(key uint64) bool {
-	th := s.t
-	th.OnOpStart()
-	defer th.OnOpEnd()
-	predSlot := s.s.head
-	var curr arena.Ptr
-	for level := MaxLevel - 1; level >= 0; level-- {
-		curr = arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
-		for !curr.IsNil() {
-			n := th.Node(curr.Slot())
-			succ := arena.Ptr(n.Next[level].Load())
-			if succ.Marked() {
-				curr = succ.Unmark()
-				continue
-			}
-			if n.Key.Load() < key {
-				predSlot = curr.Slot()
-				curr = succ
-			} else {
-				break
-			}
-		}
-		if !curr.IsNil() && th.Node(curr.Slot()).Key.Load() == key {
-			return true
-		}
-	}
-	return false
+	s.t.OnOpStart()
+	defer s.t.OnOpEnd()
+	return s.plain.Contains(key)
 }
 
-// Insert adds key; false if present.
 func (s *ebrSession) Insert(key uint64) bool {
-	th := s.t
-	th.OnOpStart()
-	defer th.OnOpEnd()
-	height := s.rng.next()
-	for {
-		if s.find(key) {
-			return false
-		}
-		if s.pending == arena.NoSlot {
-			s.pending = th.Alloc()
-		}
-		n := th.Node(s.pending)
-		n.Key.Store(key)
-		n.Height.Store(height)
-		for l := uint32(0); l < height; l++ {
-			n.Next[l].Store(uint64(s.succs[l]))
-		}
-		newPtr := arena.MakePtr(s.pending)
-		if !th.Node(s.preds[0]).Next[0].CompareAndSwap(uint64(s.succs[0]), uint64(newPtr)) {
-			continue
-		}
-		s.pending = arena.NoSlot
-		s.linkUpper(n, newPtr, height, key)
-		return true
-	}
+	s.t.OnOpStart()
+	defer s.t.OnOpEnd()
+	return s.plain.Insert(key)
 }
 
-func (s *ebrSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint64) {
-	th := s.t
-	for l := uint32(1); l < height; l++ {
-		for {
-			nl := arena.Ptr(n.Next[l].Load())
-			if nl.Marked() {
-				return
-			}
-			succ := s.succs[l]
-			if succ == newPtr {
-				break
-			}
-			if nl != succ {
-				if !n.Next[l].CompareAndSwap(uint64(nl), uint64(succ)) {
-					return
-				}
-			}
-			if th.Node(s.preds[l]).Next[l].CompareAndSwap(uint64(succ), uint64(newPtr)) {
-				break
-			}
-			s.find(key)
-			if s.succs[0] != newPtr {
-				return
-			}
-		}
-	}
-}
-
-// Delete removes key; false if absent. The winner of the bottom-level mark
-// snips the node from every level with one clean find and then retires it.
 func (s *ebrSession) Delete(key uint64) bool {
-	th := s.t
-	th.OnOpStart()
-	defer th.OnOpEnd()
-	for {
-		if !s.find(key) {
-			return false
-		}
-		victim := s.succs[0]
-		n := th.Node(victim.Slot())
-		height := n.Height.Load()
-		for l := int(height) - 1; l >= 1; l-- {
-			for {
-				sl := arena.Ptr(n.Next[l].Load())
-				if sl.Marked() {
-					break
-				}
-				n.Next[l].CompareAndSwap(uint64(sl), uint64(sl.Mark()))
-			}
-		}
-		for {
-			sl := arena.Ptr(n.Next[0].Load())
-			if sl.Marked() {
-				return false
-			}
-			if n.Next[0].CompareAndSwap(uint64(sl), uint64(sl.Mark())) {
-				s.find(key)
-				th.Retire(victim.Slot())
-				return true
-			}
-		}
-	}
+	s.t.OnOpStart()
+	defer s.t.OnOpEnd()
+	return s.plain.Delete(key)
 }

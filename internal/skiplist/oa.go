@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/core"
-	"repro/internal/normalized"
+	"repro/internal/oakit"
 	"repro/internal/obs"
 	"repro/internal/smr"
 )
@@ -29,49 +29,49 @@ const OAOwnerHPs = MaxLevel + 5
 //   - Insert: one generator round links the bottom level (linearization);
 //     subsequent rounds emit the upper-level link CASes one level at a
 //     time, each sealed by owner hazard pointers.
+//
+// The per-hop reads of Next[level] are this file's; every barrier after
+// them — snip, owner hazard pointers, seal, executor — is the kit's.
 type OASkipList struct {
-	mgr  *core.Manager[Node]
+	kit  *oakit.Engine[Node]
 	head uint32
 }
 
 // NewOA builds an empty skip list sized by cfg.
 func NewOA(cfg core.Config) *OASkipList {
-	cfg.OwnerHPs = OAOwnerHPs
-	m := core.NewManager[Node](cfg, ResetNode)
-	head := m.Thread(0).Alloc()
-	m.Arena().At(head).Height.Store(MaxLevel)
-	return &OASkipList{mgr: m, head: head}
+	kit := oakit.NewEngine(cfg, ResetNode, OAOwnerHPs)
+	head := kit.NewRoot()
+	kit.Manager().Arena().At(head).Height.Store(MaxLevel)
+	return &OASkipList{kit: kit, head: head}
 }
 
 // Manager exposes the underlying optimistic access manager.
-func (s *OASkipList) Manager() *core.Manager[Node] { return s.mgr }
+func (s *OASkipList) Manager() *core.Manager[Node] { return s.kit.Manager() }
 
 // Scheme implements smr.Set.
 func (s *OASkipList) Scheme() smr.Scheme { return smr.OA }
 
 // Stats implements smr.Set.
-func (s *OASkipList) Stats() smr.Stats { return s.mgr.Stats() }
+func (s *OASkipList) Stats() smr.Stats { return s.kit.Stats() }
 
 // RegisterObs implements obs.Registrar by forwarding to the core manager.
-func (s *OASkipList) RegisterObs(reg *obs.Registry) { s.mgr.RegisterObs(reg) }
+func (s *OASkipList) RegisterObs(reg *obs.Registry) { s.kit.RegisterObs(reg) }
 
 // Session implements smr.Set.
 func (s *OASkipList) Session(tid int) smr.Session {
 	return &oaSession{
-		s:       s,
-		t:       s.mgr.Thread(tid),
-		rng:     newLevelRng(uint64(tid)*0xD1B54A32D192ED03 + 1),
-		pending: arena.NoSlot,
+		head: s.head,
+		c:    s.kit.Ctx(tid),
+		rng:  newLevelRng(uint64(tid)*0xD1B54A32D192ED03 + 1),
 	}
 }
 
 type oaSession struct {
-	s       *OASkipList
-	t       *core.Thread[Node]
-	rng     levelRng
-	pending uint32
-	preds   [MaxLevel]uint32
-	succs   [MaxLevel]arena.Ptr
+	head  uint32
+	c     *oakit.Ctx[Node]
+	rng   levelRng
+	preds [MaxLevel]uint32
+	succs [MaxLevel]arena.Ptr
 }
 
 // loadHeight reads a node's height, tolerating stale values: an invalid
@@ -82,7 +82,7 @@ func (s *oaSession) loadHeight(n *Node) (uint32, bool) {
 	if h >= 1 && h <= MaxLevel {
 		return h, false
 	}
-	if s.t.Check() {
+	if s.c.Check() {
 		return 0, true
 	}
 	panic(fmt.Sprintf("skiplist: invalid height %d on a non-stale node", h))
@@ -91,69 +91,62 @@ func (s *oaSession) loadHeight(n *Node) (uint32, bool) {
 // find positions s.preds/s.succs around key. Every optimistic read is
 // followed by the Algorithm 1 warning check; the snip CASes run under the
 // Algorithm 2 write barrier. restart=true tells the caller to restart its
-// generator.
+// generator — a warning, or a snip that lost its race (the CAS expects an
+// unmarked pred.next, so a deleted pred fails it).
 func (s *oaSession) find(key uint64) (found, restart bool) {
-	th := s.t
-retry:
-	for {
-		predSlot := s.s.head
-		for level := MaxLevel - 1; level >= 0; level-- {
-			curr := arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
-			if th.Check() {
-				return false, true
-			}
-			for !curr.IsNil() {
-				n := th.Node(curr.Slot())
-				succ := arena.Ptr(n.Next[level].Load())
-				ckey := n.Key.Load()
-				if th.Check() {
-					return false, true
-				}
-				if succ.Marked() {
-					// curr is deleted at this level: snip (observable CAS,
-					// Algorithm 2). Snips never retire here — the winning
-					// deleter retires after the node is fully unlinked.
-					if th.ProtectCAS(arena.MakePtr(predSlot), curr, succ.Unmark()) {
-						return false, true
-					}
-					if th.Node(predSlot).Next[level].CompareAndSwap(uint64(curr), uint64(succ.Unmark())) {
-						th.ClearCAS()
-						curr = succ.Unmark()
-						continue
-					}
-					th.ClearCAS()
-					continue retry
-				}
-				if ckey < key {
-					predSlot = curr.Slot()
-					curr = succ
-				} else {
-					break
-				}
-			}
-			s.preds[level] = predSlot
-			s.succs[level] = curr
-		}
-		f := s.succs[0]
-		if f.IsNil() {
-			return false, false
-		}
-		k := th.Node(f.Slot()).Key.Load()
+	th := s.c.Th
+	predSlot := s.head
+	for level := MaxLevel - 1; level >= 0; level-- {
+		curr := arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
 		if th.Check() {
 			return false, true
 		}
-		return k == key, false
+		for !curr.IsNil() {
+			n := th.Node(curr.Slot())
+			succ := arena.Ptr(n.Next[level].Load())
+			ckey := n.Key.Load()
+			if th.Check() {
+				return false, true
+			}
+			if succ.Marked() {
+				// curr is deleted at this level: snip (observable CAS,
+				// Algorithm 2). Snips never retire here — the winning
+				// deleter retires after the node is fully unlinked.
+				if !s.c.Unlink(&th.Node(predSlot).Next[level], arena.MakePtr(predSlot), curr, succ.Unmark()) {
+					return false, true
+				}
+				curr = succ.Unmark()
+				continue
+			}
+			if ckey < key {
+				predSlot = curr.Slot()
+				curr = succ
+			} else {
+				break
+			}
+		}
+		s.preds[level] = predSlot
+		s.succs[level] = curr
 	}
+	f := s.succs[0]
+	if f.IsNil() {
+		return false, false
+	}
+	k := th.Node(f.Slot()).Key.Load()
+	if th.Check() {
+		return false, true
+	}
+	return k == key, false
 }
 
 // Contains is the read-only normalized operation: empty CAS list, result
 // recorded before the final warning check validates everything it depends
 // on.
 func (s *oaSession) Contains(key uint64) bool {
-	th := s.t
+	th := s.c.Th
 restart:
 	for {
-		predSlot := s.s.head
+		predSlot := s.head
 		var curr arena.Ptr
 		for level := MaxLevel - 1; level >= 0; level-- {
 			curr = arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
@@ -189,9 +182,8 @@ restart:
 
 // Insert adds key; false if present.
 func (s *oaSession) Insert(key uint64) bool {
-	th := s.t
+	th := s.c.Th
 	height := s.rng.next()
-	var dl normalized.DescList
 
 	// Phase 1: link the bottom level (the linearization point).
 	for {
@@ -203,32 +195,19 @@ func (s *oaSession) Insert(key uint64) bool {
 		if found {
 			return false
 		}
-		if s.pending == arena.NoSlot {
-			s.pending = th.Alloc()
-		}
-		n := th.Node(s.pending)
+		newPtr := arena.MakePtr(s.c.Pending())
+		n := th.Node(newPtr.Slot())
 		n.Key.Store(key)
 		n.Height.Store(height)
 		for l := uint32(0); l < height; l++ {
 			n.Next[l].Store(uint64(s.succs[l]))
 		}
-		newPtr := arena.MakePtr(s.pending)
-		dl.Reset()
-		dl.Append(&th.Node(s.preds[0]).Next[0], uint64(s.succs[0]), uint64(newPtr))
-		th.SetOwnerHP(0, arena.MakePtr(s.preds[0]))
-		th.SetOwnerHP(1, s.succs[0])
-		th.SetOwnerHP(2, newPtr)
-		if th.SealGenerator() {
+		// --- executor + wrap-up: O=pred, A2=succ, A3=new node ---
+		if !s.c.Commit(&th.Node(s.preds[0]).Next[0], uint64(s.succs[0]), uint64(newPtr),
+			arena.MakePtr(s.preds[0]), s.succs[0], newPtr) {
 			continue
 		}
-		// --- CAS executor ---
-		failed := normalized.Execute(&dl)
-		// --- wrap-up ---
-		th.ClearOwnerHPs()
-		if failed != 0 {
-			continue
-		}
-		s.pending = arena.NoSlot
+		s.c.ConsumePending()
 		s.linkUpper(n, newPtr, height, key)
 		return true
 	}
@@ -238,8 +217,7 @@ func (s *oaSession) Insert(key uint64) bool {
 // own next and link it at preds[level], both as an executor CAS list pinned
 // by owner hazard pointers.
 func (s *oaSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint64) {
-	th := s.t
-	var dl normalized.DescList
+	th := s.c.Th
 	valid := true // preds/succs still usable from the previous round
 	for l := uint32(1); l < height; l++ {
 		for {
@@ -266,24 +244,17 @@ func (s *oaSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint
 			if succ == newPtr {
 				break // refreshed search already sees us at this level
 			}
-			dl.Reset()
+			s.c.Begin()
 			if nl != succ {
-				dl.Append(&n.Next[l], uint64(nl), uint64(succ))
+				s.c.Emit(&n.Next[l], uint64(nl), uint64(succ))
 			}
-			dl.Append(&th.Node(s.preds[l]).Next[l], uint64(succ), uint64(newPtr))
-			th.SetOwnerHP(0, arena.MakePtr(s.preds[l]))
-			th.SetOwnerHP(1, succ)
-			th.SetOwnerHP(2, newPtr)
-			th.SetOwnerHP(3, nl)
-			if th.SealGenerator() {
-				valid = false
-				continue
-			}
-			// --- CAS executor ---
-			failed := normalized.Execute(&dl)
-			// --- wrap-up ---
-			th.ClearOwnerHPs()
-			if failed != 0 {
+			s.c.Emit(&th.Node(s.preds[l]).Next[l], uint64(succ), uint64(newPtr))
+			s.c.Own(0, arena.MakePtr(s.preds[l]))
+			s.c.Own(1, succ)
+			s.c.Own(2, newPtr)
+			s.c.Own(3, nl)
+			// --- executor + wrap-up ---
+			if !s.c.CommitAll() {
 				valid = false
 				continue
 			}
@@ -294,8 +265,7 @@ func (s *oaSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint
 
 // Delete removes key; false if absent.
 func (s *oaSession) Delete(key uint64) bool {
-	th := s.t
-	var dl normalized.DescList
+	th := s.c.Th
 	var levelSucc [MaxLevel]arena.Ptr
 	for {
 		// --- CAS generator ---
@@ -323,27 +293,21 @@ func (s *oaSession) Delete(key uint64) bool {
 		}
 		// Emit mark CASes top-down for every still-unmarked level; the
 		// bottom mark comes last and decides the operation.
-		dl.Reset()
-		th.SetOwnerHP(0, victim)
-		hpIdx := 1
+		s.c.Begin()
+		s.c.Own(0, victim)
+		owned := 1
 		for l := int(height) - 1; l >= 0; l-- {
 			sl := levelSucc[l]
 			if sl.Marked() {
 				continue
 			}
-			dl.Append(&n.Next[l], uint64(sl), uint64(sl.Mark()))
-			th.SetOwnerHP(hpIdx, sl) // new value mark(sl) dedups with sl
-			hpIdx++
+			s.c.Emit(&n.Next[l], uint64(sl), uint64(sl.Mark()))
+			s.c.Own(owned, sl) // new value mark(sl) dedups with sl
+			owned++
 		}
-		if th.SealGenerator() {
-			continue
-		}
-		// --- CAS executor ---
-		failed := normalized.Execute(&dl)
-		// --- wrap-up ---
-		th.ClearOwnerHPs()
-		if failed != 0 {
-			continue // some level changed: regenerate
+		// --- executor + wrap-up ---
+		if !s.c.CommitAll() {
+			continue // a warning, or some level changed: regenerate
 		}
 		// We won the bottom mark: one clean find unlinks the node from
 		// every level, after which retiring is proper (§3.3).
@@ -356,7 +320,3 @@ func (s *oaSession) Delete(key uint64) bool {
 		return true
 	}
 }
-
-// PauseReport renders the OA reclamation-pause histogram (see package
-// metrics).
-func (s *OASkipList) PauseReport() string { return s.mgr.PhasePauses().String() }

@@ -7,9 +7,15 @@ import (
 	"repro/internal/smr"
 )
 
+// plainMem is what the plain skip list needs of a scheme thread beyond
+// its view: a slot to link and a place to send an unlinked one.
+type plainMem interface {
+	Alloc() uint32
+	Retire(slot uint32)
+}
+
 // NoReclSkipList is the skip list without reclamation — the baseline
-// variant and the reference implementation of the algorithm; the other
-// variants instrument exactly this control flow.
+// variant: the plain skip list with a retire that only counts.
 type NoReclSkipList struct {
 	mgr  *norecl.Manager[Node]
 	head uint32
@@ -35,43 +41,50 @@ func (s *NoReclSkipList) Stats() smr.Stats { return s.mgr.Stats() }
 // RegisterObs implements obs.Registrar by forwarding to the scheme manager.
 func (s *NoReclSkipList) RegisterObs(reg *obs.Registry) { s.mgr.RegisterObs(reg) }
 
-// Session implements smr.Set.
+// Session implements smr.Set: the plain skip list itself.
 func (s *NoReclSkipList) Session(tid int) smr.Session {
-	return &noreclSession{
-		s:       s,
-		t:       s.mgr.Thread(tid),
-		rng:     newLevelRng(uint64(tid)*0x9E3779B97F4A7C15 + 1),
-		pending: arena.NoSlot,
-	}
+	t := s.mgr.Thread(tid)
+	return newPlainSession(s.head, t.View(), t, uint64(tid)*0x9E3779B97F4A7C15+1)
 }
 
-type noreclSession struct {
-	s       *NoReclSkipList
-	t       *norecl.Thread[Node]
+// plainSession is the skip list with no per-read barrier: raw loads
+// through the thread's directory view — the reference implementation of
+// the algorithm, whose control flow the OA and HP variants instrument.
+// It is the whole of NoRecl and, inside an epoch bracket, the whole of
+// EBR (ebr.go). The view is the concrete *arena.View the scheme thread
+// already holds, so the baseline pays nothing for being shared.
+type plainSession struct {
+	head    uint32
+	view    *arena.View[Node]
+	mem     plainMem
 	rng     levelRng
 	pending uint32
 	preds   [MaxLevel]uint32
 	succs   [MaxLevel]arena.Ptr
 }
 
+func newPlainSession(head uint32, view *arena.View[Node], mem plainMem, seed uint64) *plainSession {
+	return &plainSession{head: head, view: view, mem: mem, rng: newLevelRng(seed), pending: arena.NoSlot}
+}
+
 // find positions s.preds/s.succs around key, snipping marked nodes as it
 // goes (Herlihy-Shavit find). It returns true when an unmarked bottom-level
 // node with the key was found (then succs[0] is that node).
-func (s *noreclSession) find(key uint64) bool {
-	th := s.t
+func (s *plainSession) find(key uint64) bool {
+	v := s.view
 retry:
 	for {
-		predSlot := s.s.head
+		predSlot := s.head
 		for level := MaxLevel - 1; level >= 0; level-- {
-			curr := arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
+			curr := arena.Ptr(v.At(predSlot).Next[level].Load()).Unmark()
 			for !curr.IsNil() {
-				n := th.Node(curr.Slot())
+				n := v.At(curr.Slot())
 				succ := arena.Ptr(n.Next[level].Load())
 				if succ.Marked() {
 					// curr is deleted at this level: snip it out. The CAS
 					// expects an unmarked pred.next, so a deleted pred
 					// fails here and restarts the find.
-					if !th.Node(predSlot).Next[level].CompareAndSwap(uint64(curr), uint64(succ.Unmark())) {
+					if !v.At(predSlot).Next[level].CompareAndSwap(uint64(curr), uint64(succ.Unmark())) {
 						continue retry
 					}
 					curr = succ.Unmark()
@@ -88,20 +101,20 @@ retry:
 			s.succs[level] = curr
 		}
 		f := s.succs[0]
-		return !f.IsNil() && th.Node(f.Slot()).Key.Load() == key
+		return !f.IsNil() && v.At(f.Slot()).Key.Load() == key
 	}
 }
 
 // Contains is the wait-free membership test: it skips marked nodes without
 // snipping (no writes at all).
-func (s *noreclSession) Contains(key uint64) bool {
-	th := s.t
-	predSlot := s.s.head
+func (s *plainSession) Contains(key uint64) bool {
+	v := s.view
+	predSlot := s.head
 	var curr arena.Ptr
 	for level := MaxLevel - 1; level >= 0; level-- {
-		curr = arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
+		curr = arena.Ptr(v.At(predSlot).Next[level].Load()).Unmark()
 		for !curr.IsNil() {
-			n := th.Node(curr.Slot())
+			n := v.At(curr.Slot())
 			succ := arena.Ptr(n.Next[level].Load())
 			if succ.Marked() {
 				curr = succ.Unmark()
@@ -114,7 +127,7 @@ func (s *noreclSession) Contains(key uint64) bool {
 				break
 			}
 		}
-		if !curr.IsNil() && th.Node(curr.Slot()).Key.Load() == key {
+		if !curr.IsNil() && v.At(curr.Slot()).Key.Load() == key {
 			return true
 		}
 	}
@@ -124,24 +137,24 @@ func (s *noreclSession) Contains(key uint64) bool {
 // Insert adds key; false if present. The bottom-level link is the
 // linearization point; upper levels are linked best-effort afterwards
 // (Fraser's corrected protocol).
-func (s *noreclSession) Insert(key uint64) bool {
-	th := s.t
+func (s *plainSession) Insert(key uint64) bool {
+	v := s.view
 	height := s.rng.next()
 	for {
 		if s.find(key) {
 			return false
 		}
 		if s.pending == arena.NoSlot {
-			s.pending = th.Alloc()
+			s.pending = s.mem.Alloc()
 		}
-		n := th.Node(s.pending)
+		n := v.At(s.pending)
 		n.Key.Store(key)
 		n.Height.Store(height)
 		for l := uint32(0); l < height; l++ {
 			n.Next[l].Store(uint64(s.succs[l]))
 		}
 		newPtr := arena.MakePtr(s.pending)
-		if !th.Node(s.preds[0]).Next[0].CompareAndSwap(uint64(s.succs[0]), uint64(newPtr)) {
+		if !v.At(s.preds[0]).Next[0].CompareAndSwap(uint64(s.succs[0]), uint64(newPtr)) {
 			continue
 		}
 		s.pending = arena.NoSlot
@@ -152,8 +165,8 @@ func (s *noreclSession) Insert(key uint64) bool {
 
 // linkUpper links levels 1..height-1 of a node already linked at the
 // bottom, stopping as soon as the node is marked (a deleter took over).
-func (s *noreclSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint64) {
-	th := s.t
+func (s *plainSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint64) {
+	v := s.view
 	for l := uint32(1); l < height; l++ {
 		for {
 			nl := arena.Ptr(n.Next[l].Load())
@@ -171,7 +184,7 @@ func (s *noreclSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key 
 					return // concurrently marked
 				}
 			}
-			if th.Node(s.preds[l]).Next[l].CompareAndSwap(uint64(succ), uint64(newPtr)) {
+			if v.At(s.preds[l]).Next[l].CompareAndSwap(uint64(succ), uint64(newPtr)) {
 				break
 			}
 			s.find(key)
@@ -184,15 +197,15 @@ func (s *noreclSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key 
 
 // Delete removes key; false if absent. Marks from the top level down; the
 // bottom mark is the linearization point and its winner cleans up (and
-// here, with no reclamation, simply counts the retire).
-func (s *noreclSession) Delete(key uint64) bool {
-	th := s.t
+// retires — under NoRecl that only counts).
+func (s *plainSession) Delete(key uint64) bool {
+	v := s.view
 	for {
 		if !s.find(key) {
 			return false
 		}
 		victim := s.succs[0]
-		n := th.Node(victim.Slot())
+		n := v.At(victim.Slot())
 		height := n.Height.Load()
 		for l := int(height) - 1; l >= 1; l-- {
 			for {
@@ -210,7 +223,7 @@ func (s *noreclSession) Delete(key uint64) bool {
 			}
 			if n.Next[0].CompareAndSwap(uint64(sl), uint64(sl.Mark())) {
 				s.find(key) // snip the node out of every level
-				th.Retire(victim.Slot())
+				s.mem.Retire(victim.Slot())
 				return true
 			}
 		}

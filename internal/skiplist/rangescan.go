@@ -28,13 +28,13 @@ func (s *OASkipList) ScanSession(tid int) ScanSession {
 
 // RangeScan implements ScanSession.
 func (s *oaSession) RangeScan(from, to uint64, visit func(uint64) bool) {
-	th := s.t
+	th := s.c.Th
 	cursor := from
 	for cursor <= to {
 		// Descend to the first bottom-level node with key >= cursor
 		// (read-only; Contains-style skips over marked nodes).
 	restart:
-		predSlot := s.s.head
+		predSlot := s.head
 		var curr arena.Ptr
 		for level := MaxLevel - 1; level >= 0; level-- {
 			curr = arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()

@@ -9,6 +9,7 @@ import (
 	"repro/internal/ebr"
 	"repro/internal/hpscheme"
 	"repro/internal/norecl"
+	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
@@ -191,7 +192,7 @@ func TestSkipListDeleteTall(t *testing.T) {
 	}
 	for k := uint64(1); k <= 512; k++ {
 		if s.find(k); true {
-			n := s.t.Node(s.succs[0].Slot())
+			n := s.c.Node(s.succs[0].Slot())
 			if n.Height.Load() > 1 {
 				tall++
 			}
@@ -208,5 +209,19 @@ func TestSkipListDeleteTall(t *testing.T) {
 func TestSkipListLinearizability(t *testing.T) {
 	for name, f := range factories() {
 		t.Run(name, func(t *testing.T) { dstest.RunLinearizability(t, f.mk) })
+	}
+}
+
+// NoRecl and EBR share the plain skip list; what is left to tell them
+// apart is checked here (see dstest.RunChurnReclaims).
+func TestSkipListChurnReclaims(t *testing.T) {
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
+		t.Run(sc.String(), func(t *testing.T) {
+			set, err := New(sc, sizing.Config{MaxThreads: 1, Capacity: 4096, ScanThreshold: 32, OpsPerScan: 32})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dstest.RunChurnReclaims(t, set, 32)
+		})
 	}
 }

@@ -3,7 +3,6 @@ package oamem
 import (
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/kvmap"
 	"repro/internal/ttlcache"
 )
@@ -53,10 +52,7 @@ func Cache(opts ...Option) (*TTLCache, error) {
 	if c.scheme != OA {
 		return nil, badOption("the ttl cache is implemented under the OA scheme only; scheme %v", c.scheme)
 	}
-	o := c.o
-	m := kvmap.New(core.Config{
-		MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool,
-	}, c.expected)
+	m := kvmap.New(c.o.sizing().OA(), c.expected)
 	sweep := c.sweep
 	if sweep == 0 {
 		sweep = time.Second

@@ -1,34 +1,10 @@
 package oamem
 
 import (
-	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hpscheme"
 	"repro/internal/kvmap"
-	"repro/internal/norecl"
 	"repro/internal/queue"
 	"repro/internal/skiplist"
-	"repro/internal/smr"
 )
-
-// buildQueue constructs the raw FIFO queue for a resolved config.
-func buildQueue(c config) (smr.Queue, error) {
-	o := c.o
-	switch c.scheme {
-	case NoRecl:
-		return queue.NewNoRecl(norecl.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool}), nil
-	case OA:
-		return queue.NewOA(core.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool}), nil
-	case HP:
-		return queue.NewHP(hpscheme.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, ScanThreshold: o.ScanThreshold}), nil
-	case EBR:
-		return queue.NewEBR(ebr.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, OpsPerScan: 10 * o.ScanThreshold}), nil
-	case Anchors:
-		return nil, badOption("anchors is implemented for the linked list only (as in the paper); scheme %v", c.scheme)
-	default:
-		return nil, badOption("unknown scheme %v", c.scheme)
-	}
-}
 
 // FIFO builds a Michael-Scott FIFO queue with session leasing. Under OA,
 // Capacity bounds the element backlog (plus slack δ); producers must
@@ -38,9 +14,9 @@ func FIFO(opts ...Option) (*Queue, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw, err := buildQueue(c)
+	raw, err := queue.New(c.scheme, c.o.sizing())
 	if err != nil {
-		return nil, err
+		return nil, badOption("%v", err)
 	}
 	return newQueue(raw, c.o.threads()), nil
 }
@@ -56,11 +32,8 @@ func Ordered(opts ...Option) (*OrderedSet, error) {
 	if c.scheme != OA {
 		return nil, badOption("ordered range scans are implemented under the OA scheme only; scheme %v", c.scheme)
 	}
-	o := c.o
-	sl := skiplist.NewOA(core.Config{
-		MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool,
-	})
-	return &OrderedSet{OASkipList: sl, raw: make([]skiplist.ScanSession, o.threads())}, nil
+	sl := skiplist.NewOA(c.o.sizing().OA())
+	return &OrderedSet{OASkipList: sl, raw: make([]skiplist.ScanSession, c.o.threads())}, nil
 }
 
 // Map is a lock-free uint64→uint64 hash map under the optimistic access
@@ -82,10 +55,7 @@ func KV(opts ...Option) (*Map, error) {
 	if c.scheme != OA {
 		return nil, badOption("the kv map is implemented under the OA scheme only; scheme %v", c.scheme)
 	}
-	o := c.o
-	return kvmap.New(core.Config{
-		MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool,
-	}, c.expected), nil
+	return kvmap.New(c.o.sizing().OA(), c.expected), nil
 }
 
 // ShardedMap partitions a uint64→uint64 keyspace across power-of-two
@@ -107,8 +77,5 @@ func ShardedKV(opts ...Option) (*ShardedMap, error) {
 	if c.scheme != OA {
 		return nil, badOption("the kv map is implemented under the OA scheme only; scheme %v", c.scheme)
 	}
-	o := c.o
-	return kvmap.NewSharded(core.Config{
-		MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool,
-	}, c.expected, c.shards), nil
+	return kvmap.NewSharded(c.o.sizing().OA(), c.expected, c.shards), nil
 }

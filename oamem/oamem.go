@@ -58,13 +58,9 @@
 package oamem
 
 import (
-	"repro/internal/anchors"
-	"repro/internal/core"
-	"repro/internal/ebr"
 	"repro/internal/hashtable"
-	"repro/internal/hpscheme"
 	"repro/internal/list"
-	"repro/internal/norecl"
+	"repro/internal/sizing"
 	"repro/internal/skiplist"
 	"repro/internal/smr"
 )
@@ -124,61 +120,22 @@ func (o Options) threads() int {
 	return o.Threads
 }
 
-// buildList constructs the raw linked-list set for a resolved config.
-func buildList(c config) (smr.Set, error) {
-	o := c.o
-	switch c.scheme {
-	case NoRecl:
-		return list.NewNoRecl(norecl.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool}), nil
-	case OA:
-		return list.NewOA(core.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool}), nil
-	case HP:
-		return list.NewHP(hpscheme.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, ScanThreshold: o.ScanThreshold}), nil
-	case EBR:
-		return list.NewEBR(ebr.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, OpsPerScan: 10 * o.ScanThreshold}), nil
-	case Anchors:
-		return list.NewAnchors(anchors.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, ScanThreshold: o.ScanThreshold, K: o.AnchorsK}), nil
-	default:
-		return nil, badOption("unknown scheme %v", c.scheme)
+// sizing projects the options onto the one struct every structure's New
+// takes (EBR scans every 10·ScanThreshold operations).
+func (o Options) sizing() sizing.Config {
+	return sizing.Config{
+		MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool,
+		ScanThreshold: o.ScanThreshold, OpsPerScan: 10 * o.ScanThreshold, AnchorsK: o.AnchorsK,
 	}
 }
 
-// buildHashSet constructs the raw hash set for a resolved config.
-func buildHashSet(c config) (smr.Set, error) {
-	o := c.o
-	switch c.scheme {
-	case NoRecl:
-		return hashtable.NewNoRecl(norecl.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool}, c.expected), nil
-	case OA:
-		return hashtable.NewOA(core.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool}, c.expected), nil
-	case HP:
-		return hashtable.NewHP(hpscheme.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, ScanThreshold: o.ScanThreshold}, c.expected), nil
-	case EBR:
-		return hashtable.NewEBR(ebr.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, OpsPerScan: 10 * o.ScanThreshold}, c.expected), nil
-	case Anchors:
-		return nil, badOption("anchors is implemented for the linked list only (as in the paper); scheme %v", c.scheme)
-	default:
-		return nil, badOption("unknown scheme %v", c.scheme)
+// newSet leases the raw set a structure's New built, or reports why the
+// scheme does not apply.
+func newSet(c config, set smr.Set, err error) (*Structure, error) {
+	if err != nil {
+		return nil, badOption("%v", err)
 	}
-}
-
-// buildSkipList constructs the raw skip-list set for a resolved config.
-func buildSkipList(c config) (smr.Set, error) {
-	o := c.o
-	switch c.scheme {
-	case NoRecl:
-		return skiplist.NewNoRecl(norecl.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool}), nil
-	case OA:
-		return skiplist.NewOA(core.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool}), nil
-	case HP:
-		return skiplist.NewHP(hpscheme.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, ScanThreshold: o.ScanThreshold}), nil
-	case EBR:
-		return skiplist.NewEBR(ebr.Config{MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool, OpsPerScan: 10 * o.ScanThreshold}), nil
-	case Anchors:
-		return nil, badOption("anchors is implemented for the linked list only (as in the paper); scheme %v", c.scheme)
-	default:
-		return nil, badOption("unknown scheme %v", c.scheme)
-	}
+	return newStructure(set, c.o.threads()), nil
 }
 
 // List builds a sorted linked-list set (Harris-Michael) with session
@@ -189,11 +146,8 @@ func List(opts ...Option) (*Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := buildList(c)
-	if err != nil {
-		return nil, err
-	}
-	return newStructure(set, c.o.threads()), nil
+	set, err := list.New(c.scheme, c.o.sizing())
+	return newSet(c, set, err)
 }
 
 // HashSet builds a hash set (Michael's lock-free hash table, load factor
@@ -204,11 +158,8 @@ func HashSet(opts ...Option) (*Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := buildHashSet(c)
-	if err != nil {
-		return nil, err
-	}
-	return newStructure(set, c.o.threads()), nil
+	set, err := hashtable.New(c.scheme, c.o.sizing(), c.expected)
+	return newSet(c, set, err)
 }
 
 // SkipList builds a skip-list set (Herlihy-Shavit) with session leasing.
@@ -219,9 +170,6 @@ func SkipList(opts ...Option) (*Structure, error) {
 	if err != nil {
 		return nil, err
 	}
-	set, err := buildSkipList(c)
-	if err != nil {
-		return nil, err
-	}
-	return newStructure(set, c.o.threads()), nil
+	set, err := skiplist.New(c.scheme, c.o.sizing())
+	return newSet(c, set, err)
 }

@@ -17,19 +17,15 @@ import (
 	"repro/internal/ttlcache"
 )
 
-// zanode is a minimal oakit node: the kit's generic primitives must stay
-// zero-alloc for any user-defined node type, not just the in-repo ports.
-type zanode struct {
-	key  atomic.Uint64
-	next atomic.Uint64
-}
-
-func (n *zanode) KeyWord() *atomic.Uint64  { return &n.key }
-func (n *zanode) NextWord() *atomic.Uint64 { return &n.next }
+// zanode is an oakit chain node with a user-defined payload: the kit's
+// generic primitives must stay zero-alloc for any payload shape, not just
+// the in-repo ones.
+type zanode = oakit.Node[struct{ tag atomic.Uint64 }]
 
 func resetZANode(n *zanode) {
-	n.key.Store(0)
-	n.next.Store(0)
+	n.Key.Store(0)
+	n.Next.Store(0)
+	n.V.tag.Store(0)
 }
 
 // The data-structure hot paths must not allocate Go heap memory: all node
@@ -132,10 +128,10 @@ func TestSteadyStateOpsDoNotAllocate(t *testing.T) {
 	})
 
 	t.Run("GenericListOA", func(t *testing.T) {
-		// The oakit generic traversal goes through interface-free type
-		// parameters; a careless constraint would box the node pointer on
-		// every NodeOf method call and put an escape in the read path.
-		l := oakit.NewList[zanode](core.Config{MaxThreads: 1, Capacity: capacity}, resetZANode)
+		// The oakit chain is generic over the payload; a payload shape of
+		// its own must not put a boxed node pointer or an escaping
+		// closure in the operation path.
+		l := oakit.NewList(core.Config{MaxThreads: 1, Capacity: capacity}, resetZANode)
 		s := l.Session(0)
 		for k := uint64(1); k <= 512; k++ {
 			s.Insert(k)
