@@ -40,10 +40,13 @@ zeroalloc:
 # keeps it inside a merge-gate budget; race-full sweeps everything. The burst hand-off's concurrent test (several connections'
 # nodes interleaving on the rings over both codecs, variadic joins, one
 # client vanishing) runs ten times over: a race there is a matter of
-# interleaving.
+# interleaving. So do the chain's concurrent, linearizability and
+# warning-storm suites, five times: a delete marks and unlinks under one
+# commit's hazard pointers, which stay published after it returns.
 race:
 	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/list/... ./internal/skiplist/... ./internal/queue/... ./internal/hashtable/... ./internal/kvmap/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/...
 	$(GO) test -race -count=10 -run TestConcurrentBurstsLedger ./internal/server
+	$(GO) test -race -short -count=5 -run 'Linearizability|WarningStorm|Concurrent' ./internal/list ./internal/hashtable ./internal/kvmap
 
 race-full:
 	$(GO) test -race ./...

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/smr"
+	"repro/oamem"
 )
 
 // benchThreads is the worker count for bench cells; the host in CI-like
@@ -133,5 +134,75 @@ func BenchmarkOAReadBarrier(b *testing.B) {
 		b.Run(sc.String(), func(b *testing.B) {
 			benchCell(b, harness.LinkedList5K, sc, 1.0, 50000, 126, false)
 		})
+	}
+}
+
+// BenchmarkHashMix is bench/'s hash-update workload at Go-benchmark
+// scale, so the per-operation OA/NoRecl gap reproduces outside the
+// frozen bench/: oamem.HashSet, 10,000 of 20,000 keys resident, 1/3
+// contains · 1/3 insert · 1/3 delete over uniform keys, one session,
+// δ = 50,000. OA keeps one structure so its phases reach steady state;
+// NoRecl leaks by design, so it starts over on a fresh prefilled
+// structure every hashMixSegment operations, built with the timer
+// stopped. Run:
+//
+//	go test -run '^$' -bench HashMix -cpu 1 .
+func BenchmarkHashMix(b *testing.B) {
+	for _, sc := range []oamem.Scheme{oamem.OA, oamem.NoRecl} {
+		b.Run(sc.String(), func(b *testing.B) { hashMix(b, sc) })
+	}
+}
+
+const (
+	hashMixKeys    = 20000
+	hashMixDelta   = 50000
+	hashMixSegment = 1 << 20
+)
+
+var hashMixSink bool
+
+func hashMix(b *testing.B, scheme oamem.Scheme) {
+	// One fixed xorshift stream of op·key draws, cycled: both schemes run
+	// the same operations and drawing them costs one load.
+	var stream [1 << 16]uint32
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := range stream {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		stream[i] = uint32(x % (3 * hashMixKeys))
+	}
+	open := func() *oamem.Session {
+		st, err := oamem.HashSet(oamem.WithScheme(scheme), oamem.WithThreads(1),
+			oamem.WithCapacity(hashMixKeys/2+hashMixDelta+4*126+64), oamem.WithExpected(hashMixKeys/2))
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := st.Acquire()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := uint64(0); k < hashMixKeys; k += 2 {
+			s.Insert(k)
+		}
+		return s
+	}
+	s := open()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if scheme == oamem.NoRecl && i > 0 && i%hashMixSegment == 0 {
+			b.StopTimer()
+			s = open()
+			b.StartTimer()
+		}
+		v := stream[i&(len(stream)-1)]
+		switch key := uint64(v / 3); v % 3 {
+		case 0:
+			hashMixSink = s.Contains(key)
+		case 1:
+			hashMixSink = s.Insert(key)
+		default:
+			hashMixSink = s.Delete(key)
+		}
 	}
 }

@@ -15,14 +15,15 @@ import (
 func BenchmarkHPSnapshot(b *testing.B) {
 	const probes = 1024
 	for _, threads := range []int{4, 16, 64} {
-		const hpsPerThread = 8 // WriteHPs + 5 owner HPs
+		const hpsPerThread = 8 // WriteHPs + 5 owner HPs, in 2 + 3 packed words
 		totalHPs := threads * hpsPerThread
 		m := NewManager[node](Config{
 			MaxThreads: threads, Capacity: 1 << 14, OwnerHPs: hpsPerThread - WriteHPs,
 		}, resetNode)
 		for ti, th := range m.threads {
 			for i := range th.hps {
-				th.hps[i].Store(uint64(ti*131+i*17) + 1)
+				lo := uint64(ti*131+i*34) + 1
+				th.hps[i].Store(lo | (lo+17)<<32)
 			}
 		}
 		t0 := m.threads[0]
@@ -46,8 +47,12 @@ func BenchmarkHPSnapshot(b *testing.B) {
 				clear(scratch)
 				for _, other := range m.threads {
 					for j := range other.hps {
-						if w := other.hps[j].Load(); w != 0 {
-							scratch[uint32(w-1)] = struct{}{}
+						w := other.hps[j].Load()
+						if lo := uint32(w); lo != 0 {
+							scratch[lo-1] = struct{}{}
+						}
+						if hi := uint32(w >> 32); hi != 0 {
+							scratch[hi-1] = struct{}{}
 						}
 					}
 				}
@@ -75,7 +80,8 @@ func BenchmarkRecyclingDrain(b *testing.B) {
 	// the protected and unprotected routes.
 	for _, th := range m.threads[1:] {
 		for i := range th.hps {
-			th.hps[i].Store(uint64(i*localPool) + 1)
+			lo := uint64(2*i*localPool) + 1
+			th.hps[i].Store(lo | (lo+localPool)<<32)
 		}
 	}
 	t0 := m.Thread(0)

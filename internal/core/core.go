@@ -58,6 +58,12 @@
 //     (Algorithm 6 line 28 returns), the slots in hand are pushed into the
 //     retirePool at its *newer* version instead of being dropped — retiring
 //     into a later phase is always proper.
+//   - Hazard-pointer publication. Two HPs share one word, a word is stored
+//     only when it changes, and HPs stay published after a successful CAS
+//     until the next publication overwrites them (restart paths and
+//     ReleaseThread clear them). Each atomic store is a full fence, so
+//     this cuts the paper's per-barrier fence to the words that change;
+//     the safety argument is on Thread.publish and in DESIGN.md §4.
 package core
 
 import (
@@ -200,7 +206,7 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 		t := &Thread[T]{
 			mgr:       m,
 			id:        i,
-			hps:       make([]atomic.Uint64, WriteHPs+cfg.OwnerHPs),
+			hps:       make([]atomic.Uint64, writeWords+(cfg.OwnerHPs+1)/2),
 			allocBlk:  pools.NoBlock,
 			retireBlk: pools.NoBlock,
 			view:      m.nodes.View(),
@@ -244,10 +250,16 @@ func (m *Manager[T]) AcquireThread() (*Thread[T], error) {
 }
 
 // ReleaseThread returns a context leased by AcquireThread to the free
-// pool. The thread's local alloc/retire blocks stay attached to the
-// context (the next lessee inherits them), so no slots are stranded by
-// lease churn. It panics on a context that is not currently leased.
-func (m *Manager[T]) ReleaseThread(t *Thread[T]) { m.lessor.Release(t.id) }
+// pool. It first clears the hazard pointers the context's last operation
+// left published, so an idle context pins nothing. The thread's local
+// alloc/retire blocks stay attached to the context (the next lessee
+// inherits them), so no slots are stranded by lease churn. It panics on a
+// context that is not currently leased.
+func (m *Manager[T]) ReleaseThread(t *Thread[T]) {
+	t.ClearCAS()
+	t.ClearOwnerHPs()
+	m.lessor.Release(t.id)
+}
 
 // Close marks the session registry closed: AcquireThread fails with
 // lease.ErrClosed from then on, while outstanding leases stay valid so a

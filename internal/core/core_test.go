@@ -190,6 +190,75 @@ func TestOwnerHPBlocksRecycle(t *testing.T) {
 	}
 }
 
+// TestPackedHazardPointersBlockRecycle: two hazard pointers share each
+// word, so a slot published in the high half must protect exactly as one
+// in the low half — write and owner HPs alike, up to the largest index a
+// half carries (NoSlot-1, published as 0xffffffff) — and clearing one
+// half must leave its neighbour published.
+func TestPackedHazardPointersBlockRecycle(t *testing.T) {
+	m := newMgr(t, Config{MaxThreads: 2, Capacity: 256, LocalPool: 4, OwnerHPs: 3})
+	worker, guard := m.Thread(0), m.Thread(1)
+	lo, hi, own0, own1 := worker.Alloc(), worker.Alloc(), worker.Alloc(), worker.Alloc()
+	top := arena.NoSlot - 1
+	if guard.ProtectCAS(arena.MakePtr(lo), arena.MakePtr(hi), arena.MakePtr(top)) {
+		t.Fatal("unexpected restart")
+	}
+	guard.SetOwnerHP(0, arena.MakePtr(own0))
+	guard.SetOwnerHP(1, arena.MakePtr(own1).Mark())
+	guard.SetOwnerHP(2, arena.MakePtr(top))
+	if guard.SealGenerator() {
+		t.Fatal("unexpected restart")
+	}
+	if n := guard.PublishedHPs(); n != 6 {
+		t.Fatalf("PublishedHPs = %d, want 6", n)
+	}
+	hp := worker.snapshotHPs()
+	for _, s := range []uint32{lo, hi, own0, own1, top} {
+		if !hp.Contains(s) {
+			t.Fatalf("snapshot misses published slot %#x", s)
+		}
+	}
+	if hp.Contains(top - 1) {
+		t.Fatal("snapshot contains a slot nobody published")
+	}
+
+	gens := map[uint32]uint32{}
+	for _, s := range []uint32{lo, hi, own0, own1} {
+		gens[s] = m.Arena().Gen(s)
+		worker.Retire(s)
+	}
+	churn := func() {
+		for i := 0; i < 4*m.Capacity(); i++ {
+			worker.Retire(worker.Alloc())
+		}
+		worker.FlushRetired()
+	}
+	recycled := func(s uint32) bool { return m.Arena().Gen(s) != gens[s] }
+	churn()
+	for s := range gens {
+		if recycled(s) {
+			t.Fatalf("slot %d recycled while published", s)
+		}
+	}
+	guard.SetOwnerHP(1, arena.NilPtr)
+	churn()
+	if !recycled(own1) || recycled(own0) {
+		t.Fatalf("after clearing the high owner half: own1 recycled=%v (want true), own0 recycled=%v (want false)",
+			recycled(own1), recycled(own0))
+	}
+	guard.ClearCAS()
+	guard.ClearOwnerHPs()
+	if n := guard.PublishedHPs(); n != 0 {
+		t.Fatalf("PublishedHPs after clearing = %d", n)
+	}
+	churn()
+	for s := range gens {
+		if !recycled(s) {
+			t.Fatalf("slot %d never recycled after its hazard pointer was cleared", s)
+		}
+	}
+}
+
 func TestProtectCASRestartsOnWarning(t *testing.T) {
 	m := newMgr(t, Config{MaxThreads: 1, Capacity: 64, OwnerHPs: 3})
 	th := m.Thread(0)

@@ -30,9 +30,13 @@ type Thread[T any] struct {
 	// once (Appendix E).
 	warn atomic.Uint64
 
-	// hps[0..2] guard observable CASes (Algorithm 2); hps[3..] are the
-	// owner hazard pointers installed by Algorithm 3. Values are slot+1,
-	// zero meaning empty.
+	// hps packs two hazard pointers per word, each 32-bit half holding
+	// slot+1 (zero meaning empty). Words [0, writeWords) hold the three
+	// write HPs of Algorithm 2; owner HP i of Algorithm 3 is half i&1 of
+	// word writeWords+i/2. Only the owner stores, and it stores a word
+	// only when its value changes; HPs stay published after a successful
+	// CAS or commit until the next publication overwrites them, the
+	// restart paths clear them, and so does ReleaseThread.
 	hps []atomic.Uint64
 
 	localVer  uint32
@@ -115,11 +119,32 @@ func (t *Thread[T]) check(cause trace.Cause) bool {
 	return true
 }
 
-func hpWord(p arena.Ptr) uint64 {
-	if p.IsNil() {
-		return 0
+// writeWords is the number of packed words holding the WriteHPs.
+const writeWords = (WriteHPs + 1) / 2
+
+// hpHalf is the half-word a hazard pointer to p publishes: slot+1, or 0
+// for nil. It is the handle with its mark bit shifted out (arena.Ptr
+// stores slot+1 in bits 1..32).
+func hpHalf(p arena.Ptr) uint64 { return uint64(uint32(p >> 1)) }
+
+// publish stores hazard-pointer word i unless it already holds v. Skipping
+// an unchanged word is safe because only the owner stores it and Go
+// atomics are sequentially consistent: the earlier store that left v
+// there precedes, in the one total order, the warning load that follows
+// this call, exactly as a fresh store would. A recycler's snapshot taken
+// after that store sees v; one taken before it followed a warning this
+// thread either observes at that load or acknowledged before starting
+// the traversal that produced v — which then cannot reach a slot retired
+// before the phase (§4).
+func (t *Thread[T]) publish(i int, v uint64) {
+	w := &t.hps[i]
+	if w.Load() == v {
+		return
 	}
-	return uint64(p.Unmark().Slot()) + 1
+	w.Store(v)
+	if obs.Enabled() {
+		t.stats.Inc(obs.HPPublishes)
+	}
 }
 
 // ProtectCAS implements the prologue of Algorithm 2 for an observable
@@ -127,18 +152,15 @@ func hpWord(p arena.Ptr) uint64 {
 // (unmarked) object and both pointer operands, then performs the warning
 // check. Pass NilPtr for operands that are not pointers. A true result
 // means restart: the hazard pointers have been cleared and the warning
-// reset. On false the caller may execute the CAS and must then call
-// ClearCAS.
+// reset. On false the caller may execute the CAS; the hazard pointers
+// stay published until the next ProtectCAS overwrites them (ClearCAS
+// withdraws them early).
 //
 // The atomic stores publishing the hazard pointers are sequentially
 // consistent, which subsumes the paper's explicit memory fence.
 func (t *Thread[T]) ProtectCAS(o, a2, a3 arena.Ptr) bool {
-	t.hps[0].Store(hpWord(o))
-	t.hps[1].Store(hpWord(a2))
-	t.hps[2].Store(hpWord(a3))
-	if obs.Enabled() {
-		t.stats.Add(obs.HPPublishes, WriteHPs)
-	}
+	t.publish(0, hpHalf(o)|hpHalf(a2)<<32)
+	t.publish(1, hpHalf(a3))
 	if t.check(trace.CauseWrite) {
 		t.ClearCAS()
 		return true
@@ -149,19 +171,25 @@ func (t *Thread[T]) ProtectCAS(o, a2, a3 arena.Ptr) bool {
 // ClearCAS nullifies the three write-barrier hazard pointers (Algorithm 2
 // line 11).
 func (t *Thread[T]) ClearCAS() {
-	t.hps[0].Store(0)
-	t.hps[1].Store(0)
-	t.hps[2].Store(0)
+	for i := 0; i < writeWords; i++ {
+		t.publish(i, 0)
+	}
 }
 
 // SetOwnerHP publishes owner hazard pointer i (Algorithm 3's HP^owner set),
-// protecting an object mentioned in the generator's CAS list until
-// ClearOwnerHPs runs at the end of the wrap-up method.
+// protecting an object mentioned in the generator's CAS list until a later
+// publication overwrites it or ClearOwnerHPs runs.
 func (t *Thread[T]) SetOwnerHP(i int, p arena.Ptr) {
-	t.hps[WriteHPs+i].Store(hpWord(p))
-	if obs.Enabled() {
-		t.stats.Inc(obs.HPPublishes)
-	}
+	w := writeWords + i/2
+	sh := uint(i&1) * 32
+	t.publish(w, t.hps[w].Load()&^(0xffffffff<<sh)|hpHalf(p)<<sh)
+}
+
+// SetOwnerHPs publishes owner hazard pointers 0..2 — the whole owner set
+// of a single-CAS generator (Algorithm 3 with C = 1) — as two words.
+func (t *Thread[T]) SetOwnerHPs(h0, h1, h2 arena.Ptr) {
+	t.publish(writeWords, hpHalf(h0)|hpHalf(h1)<<32)
+	t.publish(writeWords+1, hpHalf(h2))
 }
 
 // SealGenerator performs Algorithm 3's epilogue after the owner hazard
@@ -176,11 +204,28 @@ func (t *Thread[T]) SealGenerator() bool {
 	return false
 }
 
-// ClearOwnerHPs nullifies all owner hazard pointers (end of wrap-up).
+// ClearOwnerHPs nullifies all owner hazard pointers, storing only the
+// words that are not already empty.
 func (t *Thread[T]) ClearOwnerHPs() {
-	for i := WriteHPs; i < len(t.hps); i++ {
-		t.hps[i].Store(0)
+	for i := writeWords; i < len(t.hps); i++ {
+		t.publish(i, 0)
 	}
+}
+
+// PublishedHPs reports how many hazard pointers the thread currently
+// publishes (non-empty halves across every word).
+func (t *Thread[T]) PublishedHPs() int {
+	n := 0
+	for i := range t.hps {
+		w := t.hps[i].Load()
+		if uint32(w) != 0 {
+			n++
+		}
+		if w>>32 != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Alloc implements Algorithm 5: pop a slot from the local allocation block,
@@ -363,8 +408,12 @@ func (t *Thread[T]) snapshotHPs() *smr.SlotSet {
 	hp.Reset()
 	for _, other := range t.mgr.threads {
 		for i := range other.hps {
-			if w := other.hps[i].Load(); w != 0 {
-				hp.Add(uint32(w - 1))
+			w := other.hps[i].Load()
+			if lo := uint32(w); lo != 0 {
+				hp.Add(lo - 1)
+			}
+			if hi := uint32(w >> 32); hi != 0 {
+				hp.Add(hi - 1)
 			}
 		}
 	}

@@ -174,11 +174,15 @@ func (t *Thread[T]) OnOpEnd() {
 	}
 }
 
-// Retire buffers slot in the limbo generation of the thread's announced
-// epoch.
+// Retire buffers slot in the limbo generation of the current global
+// epoch. Not the thread's announced epoch: the global one may have moved
+// past it while the operation ran, and an operation announced at the
+// newer epoch may have reached the slot before it was unlinked. Tagged
+// one epoch low, the slot would be freed as soon as that reader's epoch
+// is current, while the reader still runs.
 func (t *Thread[T]) Retire(slot uint32) {
 	t.retires.Add(1)
-	e := t.state.Load() >> 1
+	e := t.mgr.epoch.Load()
 	t.limbo[e%3] = append(t.limbo[e%3], slot)
 }
 

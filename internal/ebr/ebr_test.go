@@ -47,6 +47,35 @@ func TestGracePeriodBeforeFree(t *testing.T) {
 	}
 }
 
+// A slot retired after the global epoch moved past the retirer's
+// announcement may be held by an operation announced at the newer epoch;
+// it must survive until that operation ends.
+func TestRetireOutlivesReadersOfANewerEpoch(t *testing.T) {
+	m := NewManager[tnode](Config{MaxThreads: 3, Capacity: 64, OpsPerScan: 1}, reset)
+	retirer, reader, driver := m.Thread(0), m.Thread(1), m.Thread(2)
+	retirer.OnOpStart()
+	s := retirer.Alloc()
+	gen := m.Arena().Gen(s)
+	driver.OnOpStart() // the retirer announced the current epoch: advance
+	driver.OnOpEnd()
+	reader.OnOpStart() // announced at the newer epoch, while s is still linked
+	retirer.Retire(s)
+	retirer.OnOpEnd()
+	driver.OnOpStart()
+	driver.OnOpEnd()
+	if m.Arena().Gen(s) != gen {
+		t.Fatal("slot freed while an operation that could reach it still runs")
+	}
+	reader.OnOpEnd()
+	for i := 0; i < 6; i++ {
+		retirer.OnOpStart()
+		retirer.OnOpEnd()
+	}
+	if m.Arena().Gen(s) == gen {
+		t.Fatal("slot never freed after the reader ended")
+	}
+}
+
 // The paper's central criticism of EBR: a stalled thread freezes
 // reclamation entirely.
 func TestStalledThreadBlocksReclamation(t *testing.T) {

@@ -14,8 +14,12 @@
 //     an update on a concurrently deleted node linearizes before the
 //     delete.
 //   - PutIfAbsent is the chain's Insert with the payload filled before
-//     the link; Remove/RemoveIfAux are its delete generators
-//     (oakit.CommitPinned / DeleteIf) followed by an immediate unlink.
+//     the link; Remove/RemoveIfAux are its delete (oakit.Mark /
+//     DeleteIf): one write barrier marks the node, and the unlink and
+//     retire run at once under the same commit's owner hazard pointers
+//     (oakit.UnlinkMarked), so a bulk removal — a cache sweep, an
+//     eviction pass — frees every slot it removes within the call
+//     instead of waiting for traffic to walk the bucket and help.
 //
 // The Aux word is uninterpreted here: internal/ttlcache packs TTL
 // deadlines and LRU access stamps into it. The aux-conditioned
@@ -291,42 +295,19 @@ func (s *Session) casWord(key, old, new uint64, aux bool) (swapped, found bool) 
 	}
 }
 
-// unlinkNow is the best-effort immediate unlink of a node this session
-// just marked. Leaving the physical delete to a later traversal's
-// helping strands the slot until organic traffic happens to walk this
-// bucket, so bulk removals (cache sweeps, eviction) would mark hundreds
-// of nodes while freeing none of them for the starving allocator. A lost
-// race or a warning here is fine — some helper finishes the job.
-func (s *Session) unlinkNow(pos oakit.Pos) {
-	s.c.UnlinkRetire(&s.c.Node(pos.Prev).Next, arena.MakePtr(pos.Prev), pos.Cur, pos.Next)
-}
-
 // Remove deletes key, returning the removed value and whether key existed.
 func (s *Session) Remove(key uint64) (uint64, bool) {
-	head := s.m.bucket(key)
-	for {
-		// --- CAS generator ---
-		pos, restart := oakit.Find(s.c, head, key)
-		if restart {
-			continue
-		}
-		if !pos.At(key) {
-			return 0, false
-		}
-		n := s.c.Node(pos.Cur.Slot())
-		if !s.c.CommitPinned(&n.Next, uint64(pos.Next), uint64(pos.Next.Mark()),
-			pos.Cur, pos.Next, arena.NilPtr) {
-			continue
-		}
-		// Read the removed value *after* winning the mark, while the owner
-		// hazard pointer still pins the node: an in-place Put that lands
-		// between the generator's read and the mark linearizes before this
-		// Remove, so the post-mark value is the one removed.
-		val := n.V.Val.Load()
-		s.c.Unpin()
-		s.unlinkNow(pos)
-		return val, true
+	pos, ok := oakit.Mark(s.c, s.m.bucket(key), key, nil)
+	if !ok {
+		return 0, false
 	}
+	// Read the removed value *after* winning the mark, while the owner
+	// hazard pointer still pins the node: an in-place Put that lands
+	// between the generator's read and the mark linearizes before this
+	// Remove, so the post-mark value is the one removed.
+	val := s.c.Node(pos.Cur.Slot()).V.Val.Load()
+	oakit.UnlinkMarked(s.c, pos)
+	return val, true
 }
 
 // RemoveIfAux deletes key only while aux&mask == want still holds on the
@@ -336,13 +317,9 @@ func (s *Session) Remove(key uint64) (uint64, bool) {
 // whose aux was CASed away from the matching state) is never removed by
 // a stale decision. Reports whether the removal happened.
 func (s *Session) RemoveIfAux(key, mask, want uint64) bool {
-	pos, removed := oakit.DeleteIf(s.c, s.m.bucket(key), key, func(n *Node) bool {
+	return oakit.DeleteIf(s.c, s.m.bucket(key), key, func(n *Node) bool {
 		return n.V.Aux.Load()&mask == want
 	})
-	if removed {
-		s.unlinkNow(pos)
-	}
-	return removed
 }
 
 // WalkBucket visits every live entry of bucket b, calling fn(key, val,

@@ -202,6 +202,34 @@ func TestConcurrentValueHandoff(t *testing.T) {
 	}
 }
 
+// TestRemoveRetiresWithinCall: Remove and RemoveIfAux unlink and retire
+// the node they mark before returning. This is the bulk-eviction case —
+// a sweep removes entry after entry and no traversal is coming to help
+// unlink them before the starving allocator needs the slots.
+func TestRemoveRetiresWithinCall(t *testing.T) {
+	m := newMap(1, 4096, 256)
+	s := m.Session(0)
+	const n = 200
+	for k := uint64(1); k <= n; k++ {
+		if !s.PutIfAbsentWithAux(k, 10*k, k&1) {
+			t.Fatalf("insert %d", k)
+		}
+	}
+	for k := uint64(1); k <= n; k++ {
+		before := m.Stats().Retires
+		if k&1 == 1 {
+			if !s.RemoveIfAux(k, 1, 1) {
+				t.Fatalf("RemoveIfAux(%d) refused", k)
+			}
+		} else if v, ok := s.Remove(k); !ok || v != 10*k {
+			t.Fatalf("Remove(%d) = %d, %v", k, v, ok)
+		}
+		if got := m.Stats().Retires - before; got != 1 {
+			t.Fatalf("removing key %d retired %d nodes within the call, want 1", k, got)
+		}
+	}
+}
+
 // Recycling must engage under churn.
 func TestMapRecycles(t *testing.T) {
 	m := newMap(1, 2048, 256)

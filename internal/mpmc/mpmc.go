@@ -225,13 +225,12 @@ func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
 			continue
 		}
 		// --- executor + wrap-up: O=last, A3=new node ---
-		if !c.CommitPinned(&c.Node(last.Slot()).Next, 0, uint64(newPtr), last, newPtr, arena.NilPtr) {
+		if !c.Commit(&c.Node(last.Slot()).Next, 0, uint64(newPtr), last, newPtr, arena.NilPtr) {
 			continue
 		}
 		// Swing the tail while the owner hazard pointers still pin last
 		// and newPtr (no ABA window).
 		q.tail.CompareAndSwap(uint64(last), uint64(newPtr))
-		c.Unpin()
 		return true
 	}
 }

@@ -13,15 +13,20 @@
 //     the one double-release guard, and the barrier forms. Check is the
 //     read barrier. Unlink/UnlinkRetire, WordCAS and HelpCAS are the
 //     write barrier around the three shapes of observable CAS (a
-//     physical delete, a payload word, a structure root). Commit,
-//     CommitPinned+Unpin and the Begin/Own/Emit/CommitAll sequence are
-//     the normalized commit: owner hazard pointers, seal, executor over
-//     the context's own descriptor list, clear. Commit is the
-//     one-descriptor case of CommitAll.
+//     physical delete, a payload word, a structure root). Commit (one
+//     CAS) and the Begin/Own/Emit/CommitAll sequence (a descriptor list)
+//     are the normalized commit: owner hazard pointers, seal, executor.
+//     Hazard pointers are packed two per word and a word is stored only
+//     when it changes (core.Thread); after a successful CAS or Commit
+//     they stay published until the next publication overwrites them,
+//     so a wrap-up may keep working under them, and Release clears them.
+//     CommitAll clears its larger owner set on success.
 //   - The chain (traverse.go): the OA Harris-Michael sorted list over
 //     Node[V], the only copy of the Listing-1 search loop. internal/list
 //     (and through it the hash table) is that chain with an empty
-//     payload; internal/kvmap is the chain with a {Val, Aux} payload.
+//     payload; internal/kvmap is the chain with a {Val, Aux} payload. A
+//     delete unlinks the node it marked under the pins of its own
+//     commit, so one barrier both marks and snips.
 //
 // Who rides it: list, hashtable and kvmap ride the chain; skiplist,
 // queue and mpmc sit on Engine/Ctx and keep their own per-hop reads.
@@ -134,8 +139,10 @@ func (c *Ctx[T]) Check() bool { return c.Th.Check() }
 
 // Release returns the session's thread context to the free pool; it
 // panics on double release (two goroutines sharing one context would
-// corrupt hazard-pointer and warning state silently). The pending slot
-// stays attached to the cached session for the next lessee.
+// corrupt hazard-pointer and warning state silently). The hazard
+// pointers the last operation left published are cleared
+// (core.Manager.ReleaseThread); the pending slot stays attached to the
+// cached session for the next lessee.
 func (c *Ctx[T]) Release() {
 	if c.released.Swap(true) {
 		panic("oakit: double Release of Ctx")
@@ -168,8 +175,8 @@ func (c *Ctx[T]) ConsumePending() { c.pending = arena.NoSlot }
 // and run by CommitAll. The list lives with the context, not on the
 // operation's stack, so an operation zeroes none of it; it is allocated
 // on the context's first round, so the ~1 KB is paid by contexts that
-// commit, not by every unleased slot of a registry sized for a thousand
-// connections.
+// run multi-descriptor rounds (the skip list's), not by every slot of a
+// registry sized for a thousand connections.
 func (c *Ctx[T]) Begin() {
 	if c.dl == nil {
 		c.dl = new(normalized.DescList)
@@ -186,63 +193,46 @@ func (c *Ctx[T]) Emit(target *atomic.Uint64, old, new uint64) { c.dl.Append(targ
 // mark(next), need one). Indices run from 0 up to the engine's ownerHPs.
 func (c *Ctx[T]) Own(i int, p arena.Ptr) { c.Th.SetOwnerHP(i, p) }
 
-// commitPinned seals the generator with a warning check and executes the
-// emitted CASes in order until the first failure. On success the owner
-// set stays published; on false it is cleared, and the generator must
-// restart — the seal caught a warning (CauseSeal) or some CAS lost a
-// race; CASes before the failed one have taken effect, as the normalized
-// form allows.
-func (c *Ctx[T]) commitPinned() bool {
+// CommitAll runs the round staged since Begin: seal the generator with a
+// warning check, execute the emitted CASes in order until the first
+// failure, clear the owner set. False means restart the generator — the
+// seal caught a warning (CauseSeal) or some CAS lost a race; CASes
+// before the failed one have taken effect, as the normalized form
+// allows. Unlike Commit, a round clears its owner set on success too: it
+// pins up to MaxLevel+5 nodes of the skip list, the victim its caller
+// retires next among them, and left published they would be withheld
+// until the next round.
+func (c *Ctx[T]) CommitAll() bool {
 	th := c.Th
 	if th.SealGenerator() {
 		return false
 	}
-	if normalized.Execute(c.dl) != 0 {
-		th.ClearOwnerHPs()
-		return false
-	}
-	return true
+	failed := normalized.Execute(c.dl)
+	th.ClearOwnerHPs()
+	return failed == 0
 }
 
-// CommitAll runs the round staged since Begin: seal, execute, clear the
-// owner set. False means restart the generator.
-func (c *Ctx[T]) CommitAll() bool {
-	if !c.commitPinned() {
-		return false
-	}
-	c.Unpin()
-	return true
-}
-
-// CommitPinned is the one-descriptor round of a single-CAS normalized
-// operation (Algorithm 3 with C = 1): install three owner hazard pointers
-// for the CAS operands (pass NilPtr for unused ones), seal, execute
-// CAS(target: old → new). On success the owner hazard pointers stay
-// published so the wrap-up may keep reading (or CASing roots near) the
-// pinned operands without an ABA window — a post-mark value read, an
-// MS-queue tail swing — and the caller must Unpin when done. On false
-// (restart) the owner set is already cleared.
-func (c *Ctx[T]) CommitPinned(target *atomic.Uint64, old, new uint64, h0, h1, h2 arena.Ptr) bool {
-	th := c.Th
-	c.Begin()
-	c.Emit(target, old, new)
-	th.SetOwnerHP(0, h0)
-	th.SetOwnerHP(1, h1)
-	th.SetOwnerHP(2, h2)
-	return c.commitPinned()
-}
-
-// Unpin clears the owner hazard pointers left published by a successful
-// CommitPinned.
+// Unpin clears the owner hazard pointers a commit left published.
 func (c *Ctx[T]) Unpin() { c.Th.ClearOwnerHPs() }
 
-// Commit is CommitPinned with nothing to do while pinned: the whole end
-// of a single-CAS operation. False means restart the generator.
+// Commit is the whole end of a single-CAS normalized operation
+// (Algorithm 3 with C = 1): publish three owner hazard pointers for the
+// CAS operands (pass NilPtr for unused ones), seal, execute
+// CAS(target: old → new). False means restart the generator; the owner
+// set is then cleared. On success it stays published until the next
+// publication overwrites it, so the wrap-up may keep reading, or CASing
+// next to, the pinned operands without an ABA window — a post-mark value
+// read, the unlink of a node just marked, an MS-queue tail swing.
 func (c *Ctx[T]) Commit(target *atomic.Uint64, old, new uint64, h0, h1, h2 arena.Ptr) bool {
-	if !c.CommitPinned(target, old, new, h0, h1, h2) {
+	th := c.Th
+	th.SetOwnerHPs(h0, h1, h2)
+	if th.SealGenerator() {
 		return false
 	}
-	c.Unpin()
+	if !target.CompareAndSwap(old, new) {
+		c.Unpin()
+		return false
+	}
 	return true
 }
 
@@ -252,13 +242,10 @@ func (c *Ctx[T]) Commit(target *atomic.Uint64, old, new uint64, h0, h1, h2 arena
 // restart=true means the barrier caught a warning and the operation must
 // restart (CauseWrite); otherwise swapped reports the CAS outcome.
 func (c *Ctx[T]) WordCAS(ptr arena.Ptr, w *atomic.Uint64, old, new uint64) (swapped, restart bool) {
-	th := c.Th
-	if th.ProtectCAS(ptr, arena.NilPtr, arena.NilPtr) {
+	if c.Th.ProtectCAS(ptr, arena.NilPtr, arena.NilPtr) {
 		return false, true
 	}
-	swapped = w.CompareAndSwap(old, new)
-	th.ClearCAS()
-	return swapped, false
+	return w.CompareAndSwap(old, new), false
 }
 
 // Unlink physically unlinks the marked node cur from its predecessor
@@ -268,13 +255,10 @@ func (c *Ctx[T]) WordCAS(ptr arena.Ptr, w *atomic.Uint64, old, new uint64) (swap
 // means restart the traversal: the barrier caught a warning, or the CAS
 // lost a race.
 func (c *Ctx[T]) Unlink(prevNext *atomic.Uint64, prev, cur, next arena.Ptr) bool {
-	th := c.Th
-	if th.ProtectCAS(prev, cur, next) {
+	if c.Th.ProtectCAS(prev, cur, next) {
 		return false
 	}
-	ok := prevNext.CompareAndSwap(uint64(cur), uint64(next))
-	th.ClearCAS()
-	return ok
+	return prevNext.CompareAndSwap(uint64(cur), uint64(next))
 }
 
 // UnlinkRetire is Unlink for a single-level chain, where the unlinker is
@@ -294,11 +278,9 @@ func (c *Ctx[T]) UnlinkRetire(prevNext *atomic.Uint64, prev, cur, next arena.Ptr
 // barrier caught a warning and the caller must restart; the CAS outcome
 // itself is irrelevant to helpers (someone advanced the root).
 func (c *Ctx[T]) HelpCAS(root *atomic.Uint64, old, new arena.Ptr) bool {
-	th := c.Th
-	if th.ProtectCAS(arena.NilPtr, old, new) {
+	if c.Th.ProtectCAS(arena.NilPtr, old, new) {
 		return false
 	}
 	root.CompareAndSwap(uint64(old), uint64(new))
-	th.ClearCAS()
 	return true
 }

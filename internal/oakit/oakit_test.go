@@ -95,19 +95,19 @@ func TestInsertInitPublishes(t *testing.T) {
 
 	// Predicate sees the live payload; a non-matching value blocks the
 	// delete without disturbing the entry.
-	if _, ok := oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.V.val.Load() == 999 }); ok {
+	if oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.V.val.Load() == 999 }) {
 		t.Fatal("DeleteIf deleted on a false predicate")
 	}
 	if !oakit.Contains(c, head, uint64(10)) {
 		t.Fatal("entry vanished after refused DeleteIf")
 	}
-	if _, ok := oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.V.val.Load() == 111 }); !ok {
+	if !oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.V.val.Load() == 111 }) {
 		t.Fatal("DeleteIf refused a true predicate")
 	}
 	if oakit.Contains(c, head, uint64(10)) {
 		t.Fatal("entry alive after DeleteIf")
 	}
-	if _, ok := oakit.DeleteIf(c, head, 10, func(*tnode) bool { return true }); ok {
+	if oakit.DeleteIf(c, head, 10, func(*tnode) bool { return true }) {
 		t.Fatal("DeleteIf deleted an absent key")
 	}
 }
@@ -253,9 +253,58 @@ func TestCommitAll(t *testing.T) {
 	}
 }
 
-// TestHelpingRetires checks the full logical-delete → helping-unlink →
-// retire pipeline: after Delete marks nodes, later traversals physically
-// unlink and retire every one of them.
+// TestReleaseClearsHazardPointers: a successful commit leaves its owner
+// hazard pointers published — a Delete's deleter keeps pinning the node
+// it just unlinked and retired — until Release clears every word, after
+// which the next phase recycles that node. Clearing belongs to Release,
+// not to FlushRetired or Quiesce: TestCommitAll's control withholds
+// nodes owned across a Quiesce.
+func TestReleaseClearsHazardPointers(t *testing.T) {
+	e, head := newEngine(t, 2, 4096)
+	mgr := e.Manager()
+	c, err := e.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !oakit.Insert(c, head, 1, nil) {
+		t.Fatal("insert failed")
+	}
+	pos, restart := oakit.Find(c, head, uint64(1))
+	if restart || !pos.At(1) {
+		t.Fatalf("Find(1) = %+v restart=%v", pos, restart)
+	}
+	victim := pos.Cur.Slot()
+	gen := mgr.Arena().Gen(victim)
+	if !oakit.Delete(c, head, 1) {
+		t.Fatal("delete failed")
+	}
+	if st := e.Stats(); st.Retires != 1 {
+		t.Fatalf("Delete retired %d nodes, want 1", st.Retires)
+	}
+	if n := c.Th.PublishedHPs(); n == 0 {
+		t.Fatal("a successful Delete left no hazard pointer published")
+	}
+	c.FlushRetired()
+	if left := mgr.Quiesce(); left != 1 {
+		t.Fatalf("Quiesce withheld %d nodes before Release, want the 1 its deleter still pins", left)
+	}
+	c.Release()
+	if n := c.Th.PublishedHPs(); n != 0 {
+		t.Fatalf("Release left %d hazard pointers published", n)
+	}
+	if left := mgr.Quiesce(); left != 0 {
+		t.Fatalf("Quiesce withheld %d nodes after Release", left)
+	}
+	if mgr.Arena().Gen(victim) == gen {
+		t.Fatal("the node the released context last pinned was not recycled")
+	}
+}
+
+// TestHelpingRetires checks the logical-delete → helping-unlink → retire
+// pipeline: nodes marked by deleters that never reach their own unlink
+// (Mark without UnlinkMarked — a deleter stalled after its mark, or one
+// whose unlink CAS lost) are physically unlinked and retired by later
+// traversals, every one of them.
 func TestHelpingRetires(t *testing.T) {
 	e, head := newEngine(t, 1, 8192)
 	c := e.Ctx(0)
@@ -265,10 +314,14 @@ func TestHelpingRetires(t *testing.T) {
 			t.Fatalf("insert %d", k)
 		}
 	}
-	for k := uint64(1); k <= n; k++ {
-		if !oakit.Delete(c, head, k) {
-			t.Fatalf("delete %d", k)
+	// Highest key first, so no Mark's search passes an already marked node.
+	for k := uint64(n); k >= 1; k-- {
+		if _, ok := oakit.Mark(c, head, k, nil); !ok {
+			t.Fatalf("mark %d", k)
 		}
+	}
+	if st := e.Stats(); st.Retires != 0 {
+		t.Fatalf("marking alone retired %d nodes", st.Retires)
 	}
 	// A traversal past the marked span helps-unlink all of it. Find with
 	// a key beyond every deleted one walks the whole chain.

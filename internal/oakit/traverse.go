@@ -130,8 +130,8 @@ func Insert[V any](c *Ctx[Node[V]], head uint32, key uint64, init func(*Node[V])
 		if init != nil {
 			init(n)
 		}
-		// Algorithm 3: protect O=prev, A2=cur, A3=new node; executor +
-		// wrap-up inside Commit.
+		// Algorithm 3: protect O=prev, A2=cur, A3=new node; seal and
+		// executor inside Commit.
 		if !c.Commit(&th.Node(pos.Prev).Next, uint64(pos.Cur), uint64(arena.MakePtr(slot)),
 			arena.MakePtr(pos.Prev), pos.Cur, arena.MakePtr(slot)) {
 			continue // RESTART_GENERATOR
@@ -141,13 +141,10 @@ func Insert[V any](c *Ctx[Node[V]], head uint32, key uint64, init func(*Node[V])
 	}
 }
 
-// Delete logically deletes key from the chain at head (marking its next
-// word); false if absent. This is Listing 1 / Appendix C: the physical
-// unlink is left to future traversals, which retire the node when they
-// unlink it.
+// Delete deletes key from the chain at head; false if absent. See
+// DeleteIf.
 func Delete[V any](c *Ctx[Node[V]], head uint32, key uint64) bool {
-	_, deleted := DeleteIf(c, head, key, nil)
-	return deleted
+	return DeleteIf(c, head, key, nil)
 }
 
 // DeleteIf deletes key only while pred holds on the node's current
@@ -157,10 +154,23 @@ func Delete[V any](c *Ctx[Node[V]], head uint32, key uint64) bool {
 // TTL expiry needs — a fresh same-key entry (or one whose deadline was
 // extended) is never removed by a stale decision, because the predicate
 // is re-evaluated inside the generator on every restart. A nil pred
-// always approves and costs no check. The returned position is where the
-// node was marked, for a caller that unlinks it at once instead of
-// waiting for a traversal to help.
-func DeleteIf[V any](c *Ctx[Node[V]], head uint32, key uint64, pred func(*Node[V]) bool) (Pos, bool) {
+// always approves and costs no check. The winner of the mark unlinks and
+// retires the node at once (UnlinkMarked).
+func DeleteIf[V any](c *Ctx[Node[V]], head uint32, key uint64, pred func(*Node[V]) bool) bool {
+	pos, ok := Mark(c, head, key, pred)
+	if ok {
+		UnlinkMarked(c, pos)
+	}
+	return ok
+}
+
+// Mark is DeleteIf up to its linearization point: the logical delete of
+// Listing 1 / Appendix C, marking the node's next word. On true the
+// commit's owner hazard pointers — cur, next and prev, in that order —
+// are still published, so the caller may read the marked node before it
+// calls UnlinkMarked(c, pos); a marked node never unlinked this way is
+// left to the helping traversals.
+func Mark[V any](c *Ctx[Node[V]], head uint32, key uint64, pred func(*Node[V]) bool) (Pos, bool) {
 	th := c.Th
 	for {
 		// --- CAS generator ---
@@ -182,11 +192,27 @@ func DeleteIf[V any](c *Ctx[Node[V]], head uint32, key uint64, pred func(*Node[V
 			}
 		}
 		// Listing 4: HP[3]=cur, HP[4]=next; the new value mark(next)
-		// dedups with next (basic optimization).
-		if !c.Commit(&n.Next, uint64(pos.Next), uint64(pos.Next.Mark()), pos.Cur, pos.Next, arena.NilPtr) {
+		// dedups with next (basic optimization). prev is owned too, for
+		// the unlink the wrap-up performs.
+		if !c.Commit(&n.Next, uint64(pos.Next), uint64(pos.Next.Mark()),
+			pos.Cur, pos.Next, arena.MakePtr(pos.Prev)) {
 			continue // RESTART_GENERATOR
 		}
 		return pos, true
+	}
+}
+
+// UnlinkMarked is the wrap-up of a won Mark: CAS prev.next: cur → next
+// and, on success, retire cur — the helping unlink a later traversal
+// would otherwise perform under a write barrier of its own. Every
+// operand is still pinned by the mark's owner hazard pointers, sealed by
+// its warning check, so no further barrier is needed (the MS-queue tail
+// swing follows the same pattern). A lost CAS — prev was deleted, or an
+// insert linked a node in front of cur — leaves cur to the helpers.
+func UnlinkMarked[V any](c *Ctx[Node[V]], pos Pos) {
+	th := c.Th
+	if th.Node(pos.Prev).Next.CompareAndSwap(uint64(pos.Cur), uint64(pos.Next)) {
+		th.Retire(pos.Cur.Slot()) // proper: now unlinked, single unlinker
 	}
 }
 

@@ -50,7 +50,10 @@ const (
 	// DrainPasses counts Recycling calls that proceeded to drain the
 	// processing pool (Algorithm 6 reaching its scan+drain half).
 	DrainPasses
-	// HPPublishes counts hazard-pointer publications (Algorithms 2 and 3).
+	// HPPublishes counts hazard-pointer word stores (Algorithms 2 and 3,
+	// publishing and clearing alike): each is one sequentially consistent
+	// store. OA packs two hazard pointers per word and skips a store that
+	// would not change the word, so this is what the barriers cost.
 	HPPublishes
 
 	// NumCounters is the size of a PerThread counter block.

@@ -76,14 +76,13 @@ func (s *oaQSession) Enqueue(v uint64) {
 		n.Val.Store(v)
 		n.Next.Store(0)
 		// --- executor + wrap-up: O=last, A3=new node ---
-		if !c.CommitPinned(&c.Node(last.Slot()).Next, 0, uint64(newPtr), last, newPtr, arena.NilPtr) {
+		if !c.Commit(&c.Node(last.Slot()).Next, 0, uint64(newPtr), last, newPtr, arena.NilPtr) {
 			continue
 		}
 		c.ConsumePending()
 		// Swing the tail while the owner hazard pointers still pin last
 		// and newPtr (no ABA window).
 		q.tail.CompareAndSwap(uint64(last), uint64(newPtr))
-		c.Unpin()
 		return
 	}
 }
