@@ -25,9 +25,9 @@ test:
 # The allocation proofs, run uncached: structure operations and
 # reclamation passes (root zeroalloc_test.go), the request ring, the
 # trace recorder, and the served request path of both protocols — a
-# pipelined loopback burst through reader, codec, ring, executors, outbox
-# slots and writer must allocate nothing per request and cost at most one
-# ring node per shard.
+# pipelined loopback burst through reader, codec, ring, executor, outbox
+# slots and writer must allocate nothing per request and cost exactly one
+# ring node, however many shards its keys touch.
 zeroalloc:
 	$(GO) test -count=1 -run 'Allocate' . ./internal/server ./internal/mpmc ./internal/trace
 

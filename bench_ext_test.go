@@ -148,39 +148,46 @@ func BenchmarkAllocatorSanity(b *testing.B) {
 	})
 }
 
-// readCountingListener counts the Read calls the server issues on the
-// connections it accepts — one read(2) each on a TCP socket.
-type readCountingListener struct {
+// countingListener counts the Read and Write calls the server issues on
+// the connections it accepts — one read(2) or write(2) each on a TCP
+// socket.
+type countingListener struct {
 	net.Listener
-	reads atomic.Int64
+	reads, writes atomic.Int64
 }
 
-func (l *readCountingListener) Accept() (net.Conn, error) {
+func (l *countingListener) Accept() (net.Conn, error) {
 	nc, err := l.Listener.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return &readCountingConn{Conn: nc, reads: &l.reads}, nil
+	return &countingConn{Conn: nc, l: l}, nil
 }
 
-type readCountingConn struct {
+type countingConn struct {
 	net.Conn
-	reads *atomic.Int64
+	l *countingListener
 }
 
-func (c *readCountingConn) Read(p []byte) (int, error) {
-	c.reads.Add(1)
+func (c *countingConn) Read(p []byte) (int, error) {
+	c.l.reads.Add(1)
 	return c.Conn.Read(p)
+}
+
+func (c *countingConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	return c.Conn.Write(p)
 }
 
 // BenchmarkServeBurst measures the served request path end to end over
 // loopback, one op = one request: a client pipelines 64-request bursts
-// (PUT, GET, CAS, DEL across both shards) through reader → shard rings →
-// executors → outbox → writer. Beside ns/req and allocs/req it reports
-// reads/req, the server's socket reads per request (one per burst, i.e.
-// 1/64, where the unbuffered reader paid 2), and nodes/req, the OA-queue
-// nodes enqueued per request (one per burst and shard, i.e. 2/64, where
-// the per-request ring paid 1).
+// (PUT, GET, CAS, DEL across both shards) through reader → ring →
+// executor → outbox → writer. Beside ns/req and allocs/req it reports
+// the server's socket reads per request (reads/req: one per burst, i.e.
+// 1/64, where the unbuffered reader paid 2), its socket writes per
+// request (writes/req: at best one per burst, 1/64), and nodes/req, the
+// OA-queue nodes enqueued per request (one per burst, i.e. 1/64, where
+// one node per burst and shard paid 2/64 and the per-request ring 1).
 func BenchmarkServeBurst(b *testing.B) {
 	const burstReqs = 64
 	sh := kvmap.NewSharded(core.Config{MaxThreads: 4, Capacity: 1 << 16}, 1<<14, 2)
@@ -189,7 +196,7 @@ func BenchmarkServeBurst(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	counted := &readCountingListener{Listener: ln}
+	counted := &countingListener{Listener: ln}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(counted) }()
 	defer func() {
@@ -229,7 +236,7 @@ func BenchmarkServeBurst(b *testing.B) {
 	for i := 0; i < 50; i++ {
 		round()
 	}
-	reads0, nodes0 := counted.reads.Load(), ringNodes(b, srv)
+	reads0, writes0, nodes0 := counted.reads.Load(), counted.writes.Load(), ringNodes(b, srv)
 	b.ReportAllocs()
 	b.ResetTimer()
 	reqs := 0
@@ -241,6 +248,7 @@ func BenchmarkServeBurst(b *testing.B) {
 		b.Fatalf("last reply of the burst has status %d", last[12])
 	}
 	b.ReportMetric(float64(counted.reads.Load()-reads0)/float64(reqs), "reads/req")
+	b.ReportMetric(float64(counted.writes.Load()-writes0)/float64(reqs), "writes/req")
 	b.ReportMetric(float64(ringNodes(b, srv)-nodes0)/float64(reqs), "nodes/req")
 }
 

@@ -23,7 +23,7 @@
 // count/mean/p50/p90/p99/p999/max nanoseconds. On the binary protocol
 // the report also carries an "exec" section sampled live over STATS:
 // the server's peak ring queue depth, ring-full refusals and the batch-size distribution (batches, max, average) the
-// per-shard executors achieved under this load. The process-level check
+// executors achieved under this load. The process-level check
 // (internal/e2e, TestLifecycle/slo) reads this report and cross-checks it
 // against the server's own histograms and batching counters.
 //
@@ -110,7 +110,7 @@ type firingRule struct {
 }
 
 // sampleStats polls STATS on its own connection until stop closes,
-// tracking the peak per-shard ring depth and the health-state
+// tracking the peak per-executor ring depth and the health-state
 // timeline, and returns the final counters. The poll connection is
 // read-only load: STATS is answered on the reader, never enqueued, so
 // it does not perturb the rings.

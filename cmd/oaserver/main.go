@@ -6,13 +6,15 @@
 // reclamation in one shard never fences operations in another.
 //
 // Both listeners feed one request path: a connection's reader decodes
-// its wire format into the same commands and routes them onto per-shard
-// bounded MPMC rings, and one long-lived executor goroutine per shard —
-// the holder of the shard's only request-path session — runs them, so
-// the leased session population is one per shard regardless of
-// connection count or protocol. A full ring answers BUSY after
-// -ring-wait; a connection past -max-conns is refused. -threads needs
-// headroom above that one session only for the cache sweeper.
+// its wire format into the same commands and hands each pipeline burst,
+// as one node, to the bounded MPMC ring of the executor that serves the
+// connection for its lifetime. There are min(shards, -threads − 1)
+// long-lived executor goroutines (at least one), each holding one session
+// in every shard and running every key on its own shard's map, so the
+// leased session population is executors × shards regardless of
+// connection count or protocol, and every shard keeps a session free for
+// the cache sweeper whenever -threads ≥ 2. A full ring answers BUSY after
+// -ring-wait; a connection past -max-conns is refused.
 //
 // -cache layers TTL/LRU cache semantics over the shards on the RESP
 // surface: SET applies -ttl as the default time-to-live, GET expires
@@ -34,8 +36,8 @@
 //
 // -debug exposes the observability endpoint (/metrics, /stats.json,
 // /trace, /debug/slowlog, /debug/history, /healthz, pprof) with shard
-// 0's SMR instrumentation and the per-shard oa_server_* counters and
-// per-(command, shard) latency histograms registered. (Only shard 0's manager is exported:
+// 0's SMR instrumentation, the oa_server_* counters and the
+// per-(command, executor) latency histograms registered. (Only shard 0's manager is exported:
 // the SMR metric names are fixed, so per-shard managers would collide;
 // oa_server_shard_ops{shard="i"} carries the per-shard traffic split.)
 package main
@@ -64,12 +66,12 @@ func main() {
 		addr         = flag.String("addr", "127.0.0.1:7070", "listen address (binary protocol)")
 		respAddr     = flag.String("resp", "", "RESP2 listen address (empty = off)")
 		debug        = flag.String("debug", "", "observability HTTP address (empty = off)")
-		threads      = flag.Int("threads", 32, "per-shard session registry size (the shard's executor takes one lease, the cache sweeper one more while it runs)")
+		threads      = flag.Int("threads", 32, "per-shard session registry size (each of the min(shards, threads-1) executors, at least one, takes one lease in every shard; the slot left over is the cache sweeper's)")
 		shards       = flag.Int("shards", 0, "keyspace shards, rounded up to a power of two (0 = one per core)")
 		capacity     = flag.Int("capacity", 1<<20, "total node budget across shards (live entries + reclamation slack)")
 		expected     = flag.Int("expected", 0, "expected live entries across shards (0 = capacity/2)")
 		window       = flag.Int("window", 256, "per-connection in-flight response window")
-		ringSize     = flag.Int("ring-size", 1024, "per-shard request ring bound, in queued requests")
+		ringSize     = flag.Int("ring-size", 1024, "per-executor request ring bound, in queued requests")
 		ringWait     = flag.Duration("ring-wait", 2*time.Millisecond, "max wait for ring space before BUSY")
 		maxConns     = flag.Int("max-conns", 1024, "max concurrent connections over both listeners (one more is answered a BUSY frame / -ERR max number of clients reached, and closed)")
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "max graceful drain on SIGTERM")

@@ -56,8 +56,10 @@ func dialRESP(t *testing.T, addr string) *server.RESPClient {
 }
 
 // allShardsActive checks the flag reached the router and the router
-// spread the keys: n shards, each with traffic, and — since connections
-// never lease — exactly one session grant per shard executor.
+// spread the keys: n shards, each with traffic, one executor per shard
+// (every row's registry has room), and — since connections never lease —
+// exactly executors × shards session grants, one per executor in every
+// shard.
 func allShardsActive(n int) func(*testing.T, stats) {
 	return func(t *testing.T, st stats) {
 		f := st.Server
@@ -69,8 +71,12 @@ func allShardsActive(n int) func(*testing.T, stats) {
 				t.Errorf("shard %d saw no traffic (shard_ops %v)", i, f.ShardOps)
 			}
 		}
-		if f.SessionGrants != uint64(n) {
-			t.Errorf("session_grants=%d over %d shards: something besides the executors leased", f.SessionGrants, n)
+		if f.Executors != n || len(f.RingDepth) != n {
+			t.Errorf("executors=%d (ring_depth %v) over %d shards, want %d", f.Executors, f.RingDepth, n, n)
+		}
+		if want := uint64(f.Executors * n); f.SessionGrants != want {
+			t.Errorf("session_grants=%d for %d executors over %d shards, want %d: something besides the executors leased",
+				f.SessionGrants, f.Executors, n, want)
 		}
 	}
 }

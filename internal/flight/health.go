@@ -29,7 +29,7 @@ func (s State) String() string {
 	return "unknown"
 }
 
-// Default rule thresholds (see DESIGN.md §11 for the full table).
+// Default rule thresholds (see DESIGN.md §8 for the full table).
 const (
 	// backlogFloor keeps the growth rule quiet until the retired
 	// backlog is big enough to matter: growth must be sustained AND the

@@ -2,20 +2,22 @@
 // pipeline burst — what one read(2) delivered — at a time: each data
 // command, of either wire format, is staged in the outbox slot its
 // response will occupy, then the burst is handed off with one timestamp,
-// one ledger update, and one ring node and one wake per shard touched.
-// One executor goroutine per shard holds the shard's only long-lived
-// kvmap session and drains its ring in batches, so warning-check
-// placement and map cache misses amortize across every connection
-// hitting the shard, and the session economy is exactly one lease per
-// shard. The executor's op table is the only place a data op touches a
+// one ledger update, one ring node and one wake. Every connection is
+// served by one executor for its lifetime (register assigns it), and each
+// executor holds one long-lived kvmap session in every shard: keys still
+// route to their shard's map by hash, so shards keep their own arenas,
+// registries and reclamation phases, but a burst is one node however
+// many shards its keys touch, and a connection's requests run in the
+// order it sent them. The session economy is exactly executors × shards
+// leases. The executor's op table is the only place a data op touches a
 // map; the connection's codec encodes each result over its request in
 // the outbox slot, and the slots restore wire order.
 //
-// The rings are the OA-native bounded MPMC queues of internal/mpmc: the
-// server's hot path runs through the reclamation scheme it serves, once
-// per (burst, shard) rather than once per request. They are also the
-// only admission control: a shard with RingSize requests queued makes
-// the producer wait up to RingWait for the executor to catch up, then
+// The rings are the OA-native bounded MPMC queues of internal/mpmc, one
+// per executor: the server's hot path runs through the reclamation
+// scheme it serves, once per burst rather than once per request. They are
+// also the only admission control: an executor with RingSize requests
+// queued makes the producer wait up to RingWait for it to catch up, then
 // answer BUSY.
 package server
 
@@ -27,14 +29,15 @@ import (
 
 	"repro/internal/kvmap"
 	"repro/internal/lease"
+	"repro/internal/metrics"
 	"repro/internal/mpmc"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/ttlcache"
 )
 
-// Ring node layout — one node per (burst, shard), six of the
-// mpmc.PayloadWords = 8 words used:
+// Ring node layout — one node per burst, six of the mpmc.PayloadWords = 8
+// words used:
 //
 //	w0  conn slot
 //	w1  base: the outbox sequence of mask bit 0 on that connection
@@ -65,23 +68,23 @@ func lowestBits(mask uint64, n int) uint64 {
 	return mask &^ rest
 }
 
-// executor is one shard's single consumer: it owns the shard's only
-// kvmap session (the long-lived lease) and one mpmc consumer session,
-// and is the only goroutine executing ops on the shard — which is also
-// what makes its trace-ring writes single-writer.
+// executor is the single consumer of one ring: it executes the ops of the
+// connections assigned to it, holding one mpmc consumer session and a
+// long-lived kvmap session in every shard, and is the only user of each
+// of those sessions — which is also what makes its trace-ring writes
+// single-writer.
 type executor struct {
-	s     *Server
-	shard int
-	sess  *kvmap.Session  // the shard's one long-lived map lease (nil after ErrClosed)
-	cache *ttlcache.Cache // the shard's TTL/LRU layer (nil without Config.Cache)
-	cons  *mpmc.Session   // ring consumer session
-	ts    *obs.PerThread
+	s      *Server
+	id     int            // its position: ring, credit counter and ExecGate argument
+	shards []shardSession // indexed by shard
+	cons   *mpmc.Session  // ring consumer session
+	conns  int            // connections assigned to it; guarded by s.mu
 
 	// Producers nudge work only when idle is set, so the steady-state
 	// enqueue path is one atomic load — no futex wake per node.
 	idle atomic.Bool
 	work chan struct{}
-	// depth is the shard's one bound, in requests: producers reserve a
+	// depth is the ring's one bound, in requests: producers reserve a
 	// credit per request of a node, the executor returns them at dequeue.
 	// Nodes ≤ requests ≤ RingSize, so the node ring itself is never full.
 	depth atomic.Int64
@@ -92,33 +95,59 @@ type executor struct {
 	maxBatch atomic.Uint64
 	spanSeq  uint64 // sampled per-request trace emission
 	batchSeq uint64 // sampled exec_batch emission
+
+	// lat[op] is the server-side latency histogram of one command on this
+	// executor, recorded from the request span for every completed data op
+	// (statuses OK/NOT_FOUND/CAS_MISMATCH). Only the OpGet..OpCAS rows are
+	// populated.
+	lat [OpCAS + 1]metrics.Histogram
 }
 
-func newExecutor(s *Server, shard int) (*executor, error) {
-	sess, err := s.shards.Shard(shard).Acquire()
-	if err != nil {
-		return nil, err
+// shardSession is what an executor holds in one shard.
+type shardSession struct {
+	shard int
+	sess  *kvmap.Session  // the long-lived map lease (nil after ErrClosed)
+	ts    *obs.PerThread  // its counter stripe: restart and drain attribution
+	cache *ttlcache.Cache // the shard's TTL/LRU layer (nil without Config.Cache)
+}
+
+// newExecutor leases executor id's session in every shard and its ring
+// consumer session.
+func newExecutor(s *Server, id int) (*executor, error) {
+	e := &executor{s: s, id: id, shards: make([]shardSession, s.shards.NumShards()), work: make(chan struct{}, 1)}
+	for i := range e.shards {
+		m := s.shards.Shard(i)
+		sess, err := m.Acquire()
+		if err != nil {
+			e.release()
+			return nil, err
+		}
+		sh := &e.shards[i]
+		sh.shard, sh.sess, sh.ts = i, sess, m.Manager().ObsStats().At(sess.TID())
+		if s.cfg.Cache != nil {
+			sh.cache = s.cfg.Cache.Cache(i)
+		}
 	}
 	cons, err := s.rings.Acquire()
 	if err != nil {
-		sess.Release()
+		e.release()
 		return nil, err
 	}
-	e := &executor{
-		s:     s,
-		shard: shard,
-		sess:  sess,
-		cons:  cons,
-		ts:    s.shards.Shard(shard).Manager().ObsStats().At(sess.TID()),
-		work:  make(chan struct{}, 1),
-	}
-	if s.cfg.Cache != nil {
-		e.cache = s.cfg.Cache.Cache(shard)
-	}
+	e.cons = cons
 	return e, nil
 }
 
-// reserve takes up to want request credits, fewer when the shard has
+// release hands back every shard session the executor still holds.
+func (e *executor) release() {
+	for i := range e.shards {
+		if sh := &e.shards[i]; sh.sess != nil {
+			sh.sess.Release()
+			sh.sess = nil
+		}
+	}
+}
+
+// reserve takes up to want request credits, fewer when the ring has
 // fewer left, by CAS so depth never overshoots RingSize.
 func (e *executor) reserve(want int) int {
 	for {
@@ -143,10 +172,10 @@ func (e *executor) wake() {
 
 func (e *executor) run() {
 	defer e.s.execWG.Done()
-	q := e.s.rings.Queue(e.shard)
+	q := e.s.rings.Queue(e.id)
 	for {
 		if gate := e.s.cfg.ExecGate; gate != nil {
-			gate(e.shard)
+			gate(e.id)
 		}
 		n := e.drain(q)
 		if n == 0 {
@@ -163,9 +192,7 @@ func (e *executor) run() {
 					// Shutdown: connections are gone and their pending entries
 					// completed, but drain once more so nothing is stranded.
 					e.drain(q)
-					if e.sess != nil {
-						e.sess.Release()
-					}
+					e.release()
 					e.cons.Release()
 					return
 				}
@@ -180,7 +207,7 @@ func (e *executor) run() {
 			e.batchSeq++
 			if e.batchSeq%uint64(e.s.cfg.SpanSample) == 0 {
 				e.s.rings.Manager().TraceRecorder().Ring(e.cons.TID()).
-					Record(trace.EvBatch, trace.RingPayload(e.shard, uint64(n)))
+					Record(trace.EvBatch, trace.RingPayload(e.id, uint64(n)))
 			}
 		}
 	}
@@ -237,13 +264,14 @@ func (c *conn) endRun(k int64, replies uint64) {
 // ring wait, from the burst's hand-off to this op's turn in its node and
 // batch.
 func (e *executor) process(cp *conn, p *mpmc.Payload, i uint64, start int64) (end int64, replied bool) {
-	var r0, d0 uint64
-	if e.ts != nil {
-		r0, d0 = e.ts.Load(obs.Restarts), e.ts.Load(obs.DrainPasses)
-	}
 	seq := p[pwBase] + i
 	op, id, key, a1, a2 := cp.ob.slot(seq).staged()
-	status, val := e.exec(cp.cached, op, key, a1, a2)
+	sh := &e.shards[e.s.shards.ShardIndex(key)]
+	var r0, d0 uint64
+	if sh.ts != nil {
+		r0, d0 = sh.ts.Load(obs.Restarts), sh.ts.Load(obs.DrainPasses)
+	}
+	status, val := e.exec(sh, cp.cached, op, key, a1, a2)
 	end = trace.Now()
 	at, status, val, replied := cp.settle(seq, status, val)
 	if !replied {
@@ -256,55 +284,56 @@ func (e *executor) process(cp *conn, p *mpmc.Payload, i uint64, start int64) (en
 	stages[trace.StageRoute] = int64(p[pwRouteNs])
 	stages[trace.StageQueue] = max(start-int64(p[pwEnqTS]), 0) // handed off while the previous op ran
 	stages[trace.StageExec] = end - start
-	e.observe(cp.id, opClass[op], status, &stages, r0, d0)
+	e.observe(sh, cp.id, opClass[op], status, &stages, r0, d0)
 	cp.publish(at, op, id, status, val)
 	return end, true
 }
 
-// observe records one answered request before its reply is published (a
-// client that has its reply must find it counted): the per-(command,
-// shard) latency histogram sees every completed data op, the slow log
-// any request whose server-side time crossed the threshold — with the
-// restarts and drain passes the session absorbed since r0/d0 — and
-// 1-in-SpanSample spans go to the shard's trace ring, the same
-// single-writer ring the session's reclamation events go to.
-func (e *executor) observe(connID uint64, op, status uint8, stages *[trace.NumStages]int64, r0, d0 uint64) {
+// observe records one answered request on shard sh before its reply is
+// published (a client that has its reply must find it counted): the
+// executor's per-command latency histogram sees every completed data op,
+// the slow log any request whose server-side time crossed the threshold —
+// with the restarts and drain passes the shard session absorbed since
+// r0/d0 — and 1-in-SpanSample spans go to that session's trace ring, the
+// same single-writer ring its reclamation events go to.
+func (e *executor) observe(sh *shardSession, connID uint64, op, status uint8, stages *[trace.NumStages]int64, r0, d0 uint64) {
 	s := e.s
 	serverNs := stages[trace.StageRoute] + stages[trace.StageQueue] + stages[trace.StageExec]
 	if status <= StCASMismatch {
-		s.lat[op][e.shard].ObserveNs(uint64(serverNs))
+		e.lat[op].ObserveNs(uint64(serverNs))
 	}
 	if serverNs >= int64(s.cfg.SlowThreshold) {
 		var restarts, drains uint64
-		if e.ts != nil {
-			restarts, drains = e.ts.Load(obs.Restarts)-r0, e.ts.Load(obs.DrainPasses)-d0
+		if sh.ts != nil {
+			restarts, drains = sh.ts.Load(obs.Restarts)-r0, sh.ts.Load(obs.DrainPasses)-d0
 		}
-		s.slowlog.record(time.Now().UnixNano(), connID, op, status, e.shard,
+		s.slowlog.record(time.Now().UnixNano(), connID, op, status, sh.shard,
 			serverNs, *stages, restarts, drains)
 	}
-	if e.sess != nil && trace.Enabled() {
+	if sh.sess != nil && trace.Enabled() {
 		e.spanSeq++
 		if e.spanSeq%uint64(s.cfg.SpanSample) == 0 {
-			ring := s.shards.Shard(e.shard).Manager().TraceRecorder().Ring(e.sess.TID())
+			ring := s.shards.Shard(sh.shard).Manager().TraceRecorder().Ring(sh.sess.TID())
 			for st, d := range stages {
 				if d > 0 {
 					ring.Record(trace.EvReqStage, trace.StagePayload(trace.Stage(st), d))
 				}
 			}
-			ring.Record(trace.EvReqSpan, trace.SpanPayload(op, status, e.shard, serverNs))
+			ring.Record(trace.EvReqSpan, trace.SpanPayload(op, status, sh.shard, serverNs))
 			s.rings.Manager().TraceRecorder().Ring(e.cons.TID()).
-				Record(trace.EvRingDeq, trace.RingPayload(e.shard, uint64(stages[trace.StageQueue])))
+				Record(trace.EvRingDeq, trace.RingPayload(e.id, uint64(stages[trace.StageQueue])))
 		}
 	}
 }
 
-// exec runs one op through the op table and recovers from a
+// exec runs one op on shard sh through the op table and recovers from a
 // capacity-starved allocator: the request is answered CAPACITY and the
-// session — whose protocol state cannot be trusted past a mid-operation
-// unwind — is cycled for a fresh lease. The executor and the connection
-// survive; only the one request pays.
-func (e *executor) exec(cached bool, op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
-	if e.sess == nil {
+// shard session — whose protocol state cannot be trusted past a
+// mid-operation unwind — is cycled for a fresh lease. The executor, its
+// other shards' sessions and the connection survive; only the one
+// request pays.
+func (e *executor) exec(sh *shardSession, cached bool, op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
+	if sh.sess == nil {
 		return StClosed, 0
 	}
 	defer func() {
@@ -314,15 +343,15 @@ func (e *executor) exec(cached bool, op uint8, key, a1, a2 uint64) (status uint8
 				panic(r)
 			}
 			e.s.capTotal.Add(1)
-			e.s.logf("shard %d executor: capacity exhausted: %v", e.shard, err)
+			e.s.logf("executor %d: shard %d capacity exhausted: %v", e.id, sh.shard, err)
 			status, val = StCapacity, 0
-			e.refreshSession()
+			sh.refresh(e.s.shards.Shard(sh.shard))
 		}
 	}()
 	if cached && op != OpCAS { // CAS has no cache form: the RESP extension swaps the raw word
-		return e.applyCached(op, key, a1, a2)
+		return e.applyCached(sh, op, key, a1, a2)
 	}
-	return e.apply(op, key, a1, a2)
+	return apply(sh.sess, op, key, a1, a2)
 }
 
 func found(ok bool) uint8 {
@@ -342,25 +371,25 @@ func hit(ok bool) (status uint8, val uint64) {
 
 // apply is the op table over the raw map: every binary request, and RESP
 // without the cache layer.
-func (e *executor) apply(op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
+func apply(sess *kvmap.Session, op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
 	switch op {
 	case OpGet:
-		v, ok := e.sess.Get(key)
+		v, ok := sess.Get(key)
 		return found(ok), v
 	case opExists:
-		_, ok := e.sess.Get(key)
+		_, ok := sess.Get(key)
 		return hit(ok)
 	case OpPut:
-		prev, had := e.sess.Put(key, a1)
+		prev, had := sess.Put(key, a1)
 		return found(had), prev
 	case OpDel:
-		v, ok := e.sess.Remove(key)
+		v, ok := sess.Remove(key)
 		return found(ok), v
 	case opRemove:
-		_, ok := e.sess.Remove(key)
+		_, ok := sess.Remove(key)
 		return hit(ok)
 	case OpCAS:
-		swapped, present := e.sess.CompareAndSwap(key, a1, a2)
+		swapped, present := sess.CompareAndSwap(key, a1, a2)
 		switch {
 		case swapped:
 			return StOK, 0
@@ -373,12 +402,13 @@ func (e *executor) apply(op uint8, key, a1, a2 uint64) (status uint8, val uint64
 }
 
 // applyCached is the op table over the shard's TTL/LRU layer, wrapped
-// around the executor's session (a value: nothing is allocated): RESP
-// with Config.Cache set. GET and EXISTS expire lazily, SET takes the
-// default TTL and evicts under pressure; a Set that still finds no node
-// after eviction relief answers CAPACITY with the session intact.
-func (e *executor) applyCached(op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
-	cs := e.cache.With(e.sess)
+// around the executor's session in that shard (a value: nothing is
+// allocated): RESP with Config.Cache set. GET and EXISTS expire lazily,
+// SET takes the default TTL and evicts under pressure; a Set that still
+// finds no node after eviction relief answers CAPACITY with the session
+// intact.
+func (e *executor) applyCached(sh *shardSession, op uint8, key, a1, a2 uint64) (status uint8, val uint64) {
+	cs := sh.cache.With(sh.sess)
 	switch op {
 	case OpGet:
 		v, ok := cs.Get(key)
@@ -416,15 +446,14 @@ func (e *executor) applyCached(op uint8, key, a1, a2 uint64) (status uint8, val 
 	return StBadRequest, 0
 }
 
-func (e *executor) refreshSession() {
-	m := e.s.shards.Shard(e.shard)
-	e.sess.Release()
-	e.sess, e.ts = nil, nil
+// refresh cycles the session for a fresh lease of shard map m.
+func (sh *shardSession) refresh(m *kvmap.Map) {
+	sh.sess.Release()
+	sh.sess, sh.ts = nil, nil
 	for {
 		sess, err := m.Acquire()
 		if err == nil {
-			e.sess = sess
-			e.ts = m.Manager().ObsStats().At(sess.TID())
+			sh.sess, sh.ts = sess, m.Manager().ObsStats().At(sess.TID())
 			return
 		}
 		if errors.Is(err, lease.ErrClosed) {
@@ -435,11 +464,12 @@ func (e *executor) refreshSession() {
 }
 
 // burst is the reader's account of what it staged since the last
-// hand-off (in the outbox slots, routed by conn.masks).
+// hand-off (in the outbox slots; per shard in conn.shardOps).
 type burst struct {
 	waitFrom int64  // where the socket wait that ended in this burst started
 	arrived  int64  // when its first request was decoded
-	base     uint64 // outbox sequence of that request: bit 0 of every mask
+	base     uint64 // outbox sequence of that request: bit 0 of mask
+	mask     uint64 // bit i set = slot base+i holds a staged data op
 	n        int64  // slots staged: one per key
 	reqs     uint64 // requests they make up: a variadic command is one
 	byOp     [OpCAS + 1]uint64
@@ -460,7 +490,7 @@ func (r burstReader) Read(p []byte) (int, error) {
 // data ops; the hand-off happens when the decoder next touches the socket
 // (burstReader) or the burst outgrows a node (reserve). Response order is
 // restored by the outbox sequence allocated here, in request order
-// (protocol ops inside a burst take sequences too: gaps in the masks).
+// (protocol ops inside a burst take sequences too: gaps in the mask).
 func (c *conn) readLoop() {
 	c.b.waitFrom = trace.Now()
 	for {
@@ -508,8 +538,8 @@ func (c *conn) reserve() uint64 {
 	return c.ob.alloc()
 }
 
-// stage parks one data command in its outbox slot and routes it. The
-// keys of a variadic command each take a slot, marked as joined and
+// stage parks one data command in its outbox slot and tallies its shard.
+// The keys of a variadic command each take a slot, marked as joined and
 // carrying the sequence of the last one, where the command's one reply
 // goes (settle). A connection has one join word, so a variadic command
 // waits for the previous one to be answered.
@@ -542,7 +572,8 @@ func (c *conn) stage(cmd command) {
 		cmd.id = c.joinTail
 	}
 	c.ob.slot(seq).stage(cmd, joined)
-	c.masks[c.s.shards.ShardIndex(cmd.key)] |= 1 << (seq - b.base)
+	b.mask |= 1 << (seq - b.base)
+	c.shardOps[c.s.shards.ShardIndex(cmd.key)]++
 }
 
 // The join word of a connection's variadic command in flight: keys still
@@ -600,8 +631,10 @@ func (c *conn) publish(seq uint64, op uint8, id uint64, status uint8, val uint64
 
 // handoff stamps the staged burst (the socket wait is its first
 // request's read stage, decode-to-here every request's route stage, now
-// the start of their queue stage), settles the ledger and enqueues one
-// node per shard touched.
+// the start of their queue stage), settles the ledger and enqueues it as
+// one node on the connection's executor's ring. The per-shard tallies are
+// counted here, before the enqueue: past it, a client may hold a reply
+// before this goroutine runs again.
 func (c *conn) handoff() {
 	b := &c.b
 	if b.n == 0 {
@@ -615,23 +648,24 @@ func (c *conn) handoff() {
 			c.stripe.reqsTotal[op].Add(b.byOp[op])
 		}
 	}
-	p := mpmc.Payload{pwSlot: uint64(c.slot), pwBase: b.base, pwEnqTS: uint64(now),
-		pwReadNs: uint64(max(b.arrived-b.waitFrom, 0)), pwRouteNs: uint64(max(now-b.arrived, 0))}
-	for shard, mask := range c.masks {
-		if mask != 0 {
-			c.masks[shard] = 0
-			c.enqueue(shard, &p, mask)
+	for shard, n := range c.shardOps {
+		if n != 0 {
+			c.s.stripes[shard].ops.Add(n)
+			c.shardOps[shard] = 0
 		}
 	}
+	p := mpmc.Payload{pwSlot: uint64(c.slot), pwBase: b.base, pwEnqTS: uint64(now),
+		pwReadNs: uint64(max(b.arrived-b.waitFrom, 0)), pwRouteNs: uint64(max(now-b.arrived, 0))}
+	c.enqueue(&p, b.mask)
 	*b = burst{waitFrom: trace.Now()}
 }
 
-// enqueue puts mask's requests on shard's ring as request credits allow:
-// the lowest sequences that fit go at once as one node, the rest wait up
-// to RingWait for credits (nudging the executor, the only way out), and
-// what still does not fit is answered BUSY.
-func (c *conn) enqueue(shard int, p *mpmc.Payload, mask uint64) {
-	s, e := c.s, c.s.execs[shard]
+// enqueue puts mask's requests on the executor's ring as request credits
+// allow: the lowest sequences that fit go at once as one node, the rest
+// wait up to RingWait for credits (nudging the executor, the only way
+// out), and what still does not fit is answered BUSY.
+func (c *conn) enqueue(p *mpmc.Payload, mask uint64) {
+	s, e := c.s, c.exec
 	var deadline time.Time
 	for mask != 0 {
 		k := e.reserve(bits.OnesCount64(mask))
@@ -647,17 +681,14 @@ func (c *conn) enqueue(shard int, p *mpmc.Payload, mask uint64) {
 		}
 		p[pwMask] = lowestBits(mask, k)
 		mask &^= p[pwMask]
-		// Counted and traced before the enqueue: past it, a client may hold
-		// the reply before this goroutine runs again.
-		s.stripes[shard].ops.Add(uint64(k))
-		if trace.Enabled() {
+		if trace.Enabled() { // traced before the enqueue, like the counts
 			c.spanSeq++
 			if c.spanSeq%uint64(s.cfg.SpanSample) == 0 {
 				s.rings.Manager().TraceRecorder().Ring(c.prod.TID()).
-					Record(trace.EvRingEnq, trace.RingPayload(shard, uint64(e.depth.Load())))
+					Record(trace.EvRingEnq, trace.RingPayload(e.id, uint64(e.depth.Load())))
 			}
 		}
-		if !c.prod.TryEnqueue(s.rings.Queue(shard), p) {
+		if !c.prod.TryEnqueue(s.rings.Queue(e.id), p) {
 			panic("server: node ring full under the request credit")
 		}
 		e.wake()

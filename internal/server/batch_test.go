@@ -22,10 +22,14 @@ func newBatchedServer(t *testing.T, threads, shards int, cfg Config) (s *Server,
 }
 
 // TestBatchedLeaseEconomy is the session-economy claim: the leased
-// population is the executors' — one per shard — no matter how many
-// connections are hitting how many shards.
+// population is the executors' — one session per executor in every shard
+// — no matter how many connections are hitting how many shards.
 func TestBatchedLeaseEconomy(t *testing.T) {
 	s, addr, _ := newBatchedServer(t, 8, 4, Config{})
+	sessions := len(s.execs) * s.shards.NumShards()
+	if len(s.execs) != 4 {
+		t.Fatalf("%d executors over 4 shards of 8 sessions each, want 4", len(s.execs))
+	}
 
 	const conns = 6
 	var wg sync.WaitGroup
@@ -56,9 +60,8 @@ func TestBatchedLeaseEconomy(t *testing.T) {
 				}
 			}
 			// Leases are checked while this connection is still open.
-			if got := s.shards.SessionsLeased(); got > s.shards.NumShards() {
-				t.Errorf("sessions leased = %d during load, want <= %d (one per shard)",
-					got, s.shards.NumShards())
+			if got := s.shards.SessionsLeased(); got != sessions {
+				t.Errorf("sessions leased = %d during load, want %d (executors x shards)", got, sessions)
 			}
 		}(w)
 	}
@@ -68,13 +71,16 @@ func TestBatchedLeaseEconomy(t *testing.T) {
 	if snap.RingCap == 0 {
 		t.Fatalf("ring_cap = %d, want a sized ring", snap.RingCap)
 	}
-	if snap.SessionsInUse != s.shards.NumShards() {
-		t.Fatalf("sessions leased = %d at steady state, want exactly %d (shards, not conns x shards)",
-			snap.SessionsInUse, s.shards.NumShards())
+	if snap.Executors != len(s.execs) || len(snap.RingDepth) != len(s.execs) {
+		t.Fatalf("executors = %d with %d ring depths, want %d", snap.Executors, len(snap.RingDepth), len(s.execs))
 	}
-	if snap.SessionGrants != uint64(s.shards.NumShards()) {
+	if snap.SessionsInUse != sessions {
+		t.Fatalf("sessions leased = %d at steady state, want exactly %d (executors x shards, not conns x shards)",
+			snap.SessionsInUse, sessions)
+	}
+	if snap.SessionGrants != uint64(sessions) {
 		t.Fatalf("session grants = %d, want %d: connections must not lease at all",
-			snap.SessionGrants, s.shards.NumShards())
+			snap.SessionGrants, sessions)
 	}
 	if snap.BatchedOps != uint64(conns*256) {
 		t.Fatalf("batched ops = %d, want %d (every data op through the rings)",
@@ -85,11 +91,81 @@ func TestBatchedLeaseEconomy(t *testing.T) {
 	}
 }
 
-// TestSlowlogQueueStage stalls shard 0's executor and checks the slow
-// log attributes the wait to the queue stage — the real ring wait, not
-// exec (the regression this PR fixes: inline mode folded the response
-// hand-off into queue and had no ring to wait on; batched mode must
-// report enqueue→dequeue time under queue, not inflate exec).
+// TestExecutorSeats pins the connection → executor assignment: a new
+// connection takes the executor serving the fewest connections and keeps
+// it for its lifetime, every one of its data ops runs there, and a closed
+// connection's seat goes to the next one to register.
+func TestExecutorSeats(t *testing.T) {
+	s, addr, _ := newBatchedServer(t, 4, 2, Config{})
+	if len(s.execs) != 2 {
+		t.Fatalf("%d executors over 2 shards, want 2", len(s.execs))
+	}
+	// seats maps each open connection's id to the executor serving it.
+	seats := func() map[uint64]int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		m := make(map[uint64]int, len(s.conns))
+		for c := range s.conns {
+			m[c.id] = c.exec.id
+		}
+		return m
+	}
+	dial := func() *Client {
+		t.Helper()
+		c, err := Dial(addr, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Ping(); err != nil { // answered, so registered: ids follow dial order
+			t.Fatal(err)
+		}
+		return c
+	}
+	a, b := dial(), dial()
+	defer b.Close()
+	first := seats()
+	if len(first) != 2 || first[1] == first[2] {
+		t.Fatalf("two connections seated at executors %v, want one each", first)
+	}
+	for id, c := range map[uint64]*Client{1: a, 2: b} {
+		var before [2]uint64
+		for i, e := range s.execs {
+			before[i] = e.ops.Load()
+		}
+		// Keys on both shards: the connection's executor runs them all.
+		for sh := range 2 {
+			put, _ := c.Put(keyOnShard(s.shards, sh, id<<32), id)
+			if err := put.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, e := range s.execs {
+			want := uint64(0)
+			if i == first[id] {
+				want = 2
+			}
+			if got := e.ops.Load() - before[i]; got != want {
+				t.Fatalf("connection %d (executor %d): executor %d ran %d of its ops, want %d", id, first[id], i, got, want)
+			}
+		}
+	}
+
+	a.Close()
+	for deadline := time.Now().Add(2 * time.Second); s.active.Load() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("closed connection not reaped")
+		}
+	}
+	c := dial()
+	defer c.Close()
+	if got := seats(); len(got) != 2 || got[3] != first[1] || got[2] != first[2] {
+		t.Fatalf("seats %v after connection 1 (executor %d) closed and 3 dialled, want 3 in its seat", got, first[1])
+	}
+}
+
+// TestSlowlogQueueStage stalls the executor and checks the slow log
+// attributes the wait to the queue stage — the real ring wait, not exec
+// (enqueue→dequeue time goes under queue and does not inflate exec).
 func TestSlowlogQueueStage(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
@@ -131,8 +207,8 @@ func TestSlowlogQueueStage(t *testing.T) {
 	}
 }
 
-// TestVanishMidBatch is the disconnect-economy satellite: a client that
-// vanishes with requests still queued on shard rings must only retire
+// TestVanishMidBatch is the disconnect economy: a client that
+// vanishes with requests still queued on its executor's ring must only retire
 // its own pending entries — the executor completes them into the dead
 // connection's outbox (discarded by the writer), the ledger stays
 // balanced, and the conn slot recycles for the next client.
@@ -204,7 +280,7 @@ func TestVanishMidBatch(t *testing.T) {
 }
 
 // TestRingFullBusy pins the backpressure contract on both codecs: a full
-// shard ring makes the producer wait RingWait, then answer BUSY — and the
+// executor ring makes the producer wait RingWait, then answer BUSY — and the
 // refusals are visible in the ring_full counter. The bound is in
 // requests, not ring nodes: of one 16-request burst to a ring of 8,
 // exactly the 8 lowest sequences are enqueued and execute, the 8 highest
@@ -326,7 +402,7 @@ func TestRingFullBusy(t *testing.T) {
 
 // TestBatchedTraceEvents drives load with tracing on and SpanSample=1
 // and checks the new ring/batch event kinds appear on the ring group's
-// recorder, alongside per-request spans on the shard ring.
+// recorder, alongside per-request spans on the shard session's ring.
 func TestBatchedTraceEvents(t *testing.T) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
@@ -351,8 +427,8 @@ func TestBatchedTraceEvents(t *testing.T) {
 			deq++
 		case trace.EvBatch:
 			batch++
-			if trace.RingShard(ev.Arg) != 0 || trace.RingValue(ev.Arg) == 0 {
-				t.Fatalf("exec_batch payload shard=%d size=%d", trace.RingShard(ev.Arg), trace.RingValue(ev.Arg))
+			if trace.RingIndex(ev.Arg) != 0 || trace.RingValue(ev.Arg) == 0 {
+				t.Fatalf("exec_batch payload ring=%d size=%d", trace.RingIndex(ev.Arg), trace.RingValue(ev.Arg))
 			}
 		}
 	}
@@ -374,35 +450,36 @@ func TestBatchedTraceEvents(t *testing.T) {
 }
 
 // TestBurstHandoffOrderingAndLedger drives the per-burst hand-off where
-// it can go wrong. Connection A pipelines, in one write, a burst larger
-// than its window (64) and than the 16-slot rings, alternating between
-// both shards while shard 1's executor is stalled: shard 0's half is
-// served, shard 1's half fills the ring and then answers BUSY request by
-// request. Connection B writes a burst onto the same full ring and
-// vanishes while its reader is still mid-hand-off. Responses must come
-// back in request order with BUSY confined to the requests that met the
-// full ring, the ledger must balance, both conn-table slots (MaxConns 2)
-// must recycle, and the STATS and slow-log fields the benchmark parses
-// must keep their names and meanings.
+// it can go wrong. A registry of one session per shard leaves one
+// executor serving both shards and both connections. Connection A
+// pipelines, in one write, a burst larger than its window (64) and than
+// the 16-request ring, alternating between both shards while the
+// executor is stalled: the 16 lowest sequences fill the ring and the rest
+// of the window answers BUSY. Connection B writes a burst onto the same
+// full ring and vanishes while its reader is still mid-hand-off.
+// Responses must come back in request order with BUSY on exactly the
+// requests that met the full ring (and, past the window, only where a
+// ring wait ran out), the ledger must balance, both conn-table slots
+// (MaxConns 2) must recycle, and the STATS and slow-log fields the
+// benchmark parses must keep their names and meanings.
 func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 	stall := make(chan struct{})
 	var once sync.Once
 	release := func() { once.Do(func() { close(stall) }) }
 	defer release()
 	const window, ring, burst, bBurst = 64, 16, 300, 8
-	s, addr, _ := newBatchedServer(t, 4, 2, Config{
+	s, addr, _ := newBatchedServer(t, 1, 2, Config{
 		Window:        window,
 		RingSize:      ring,
 		RingWait:      20 * time.Millisecond, // ample for a live executor, finite for the stalled one
 		MaxConns:      2,
 		SlowThreshold: time.Nanosecond,
 		SlowLogSize:   1024,
-		ExecGate: func(shard int) {
-			if shard == 1 {
-				<-stall
-			}
-		},
+		ExecGate:      func(int) { <-stall },
 	})
+	if len(s.execs) != 1 {
+		t.Fatalf("%d executors over 2 shards of one session each, want 1", len(s.execs))
+	}
 	readTotal := func() uint64 {
 		return s.sumStripes(func(st *shardStripe) uint64 { return st.reqsRead.Load() })
 	}
@@ -431,11 +508,11 @@ func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 	if _, err := a.Write(out); err != nil {
 		t.Fatal(err)
 	}
-	// The window admits 64 requests: 32 for shard 1, of which the ring
-	// takes 16. The other 16 are refused one at a time, and then the
-	// reader waits on its window behind the stalled head of line.
-	waitFor("16 ring-full refusals", func() bool { return s.ringFull.Load() >= window/2-ring })
-	if got := s.execs[1].depth.Load(); got != ring {
+	// The window admits 64 requests, of which the ring takes 16. The other
+	// 48 are refused, and then the reader waits on its window behind the
+	// stalled head of line.
+	waitFor("48 ring-full refusals", func() bool { return s.ringFull.Load() >= window-ring })
+	if got := s.execs[0].depth.Load(); got != ring {
 		t.Fatalf("stalled ring holds %d entries, want %d", got, ring)
 	}
 
@@ -467,17 +544,20 @@ func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 		switch f.Code {
 		case StBusy:
 			busy++
-			if i%2 != 1 {
-				t.Fatalf("request %d on the live shard answered BUSY", i+1)
+			if i < ring {
+				t.Fatalf("request %d, queued on the ring, answered BUSY", i+1)
 			}
 			refused[i] = true // and so must not have been applied
 		case StNotFound: // PUT of a fresh key
+			if i >= ring && i < window {
+				t.Fatalf("request %d met the full ring but was served", i+1)
+			}
 		default:
 			t.Fatalf("response %d: status %d", i+1, f.Code)
 		}
 	}
-	if busy < window/2-ring || uint64(busy) > s.busyTotal.Load() {
-		t.Fatalf("A saw %d BUSY, want at least %d and at most busy_total %d", busy, window/2-ring, s.busyTotal.Load())
+	if busy < window-ring || uint64(busy) > s.busyTotal.Load() {
+		t.Fatalf("A saw %d BUSY, want at least %d and at most busy_total %d", busy, window-ring, s.busyTotal.Load())
 	}
 	a.Close()
 	waitFor("both connections to be reaped", func() bool { return s.active.Load() == 0 })
@@ -529,10 +609,12 @@ func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 	var st struct {
 		Read, Sent, Batches, Ops uint64
 		Depth                    []int
+		ShardOps                 []uint64
 	}
 	for name, dst := range map[string]any{
 		"requests_read": &st.Read, "responses_sent": &st.Sent,
 		"exec_batches": &st.Batches, "exec_batched_ops": &st.Ops, "ring_depth": &st.Depth,
+		"shard_ops": &st.ShardOps,
 	} {
 		raw, ok := doc.Server[name]
 		if !ok {
@@ -549,10 +631,20 @@ func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 	if want := st.Read - 1 - s.busyTotal.Load(); st.Ops != want {
 		t.Fatalf("exec_batched_ops %d, want %d (every data request the rings accepted)", st.Ops, want)
 	}
+	// shard_ops counts where the keys were routed, BUSY refusals included:
+	// every data request, not only those the ring accepted.
+	var routed uint64
+	for _, n := range st.ShardOps {
+		routed += n
+	}
+	if len(st.ShardOps) != 2 || routed != st.Read-1 || routed == st.Ops {
+		t.Fatalf("shard_ops %v (sum %d), want 2 shards summing to the %d data requests read, BUSY refusals included (%d executed)",
+			st.ShardOps, routed, st.Read-1, st.Ops)
+	}
 	if st.Ops-before.BatchedOps != burst {
 		t.Fatalf("the fresh connections ran %d ops through the rings, want %d: a conn slot did not recycle", st.Ops-before.BatchedOps, burst)
 	}
-	if st.Batches == 0 || st.Batches > st.Ops || len(st.Depth) != 2 || st.Depth[0] != 0 || st.Depth[1] != 0 {
+	if st.Batches == 0 || st.Batches > st.Ops || len(st.Depth) != 1 || st.Depth[0] != 0 {
 		t.Fatalf("exec_batches %d for %d ops, ring_depth %v", st.Batches, st.Ops, st.Depth)
 	}
 
@@ -578,7 +670,7 @@ func TestBurstHandoffOrderingAndLedger(t *testing.T) {
 		if sum != e.ServerNs || e.Stages["exec"] == 0 {
 			t.Fatalf("stages %v do not explain server_ns %d", e.Stages, e.ServerNs)
 		}
-		if e.Shard == 1 && e.Stages["queue"] >= int64(10*time.Millisecond) {
+		if e.Stages["queue"] >= int64(10*time.Millisecond) {
 			sawStall = e.Stages["exec"] < e.Stages["queue"]
 		}
 	}

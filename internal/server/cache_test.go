@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/kvmap"
@@ -64,6 +65,46 @@ func newRESPCacheServer(t *testing.T, capacity, maxLive int) (*ttlcache.Sharded,
 	t.Cleanup(cache.Close) // after the server's own cleanup
 	_, _, addr := startTestServer(t, Config{Cache: cache})
 	return cache, clock, addr
+}
+
+// TestSweeperBesideExecutors pins the slot the executors leave free: with
+// as many shards as registry sessions, the server runs one executor fewer
+// than it has shards, so every shard's background sweeper still leases a
+// session and sweeps.
+func TestSweeperBesideExecutors(t *testing.T) {
+	sh := kvmap.NewSharded(core.Config{MaxThreads: 2, Capacity: 1 << 12}, 1<<10, 2)
+	cache := ttlcache.OverSharded(sh, ttlcache.Options{SweepInterval: time.Millisecond})
+	t.Cleanup(cache.Close) // after the server's own cleanup
+	s, addr, respAddr := startTestServer(t, Config{Cache: cache})
+	if len(s.execs) != 1 {
+		t.Fatalf("%d executors over 2 shards of 2 sessions each, want 1", len(s.execs))
+	}
+	// Traffic on both listeners, so the sweeps run beside served requests
+	// (and both Serve loops are up before the cleanup shuts them down).
+	c, err := Dial(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rc, err := DialRESP(respAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := rc.Do("SET", "k", "v"); err != nil || string(v.Str) != "OK" {
+		t.Fatalf("SET = %+v (%v)", v, err)
+	}
+	for i := range sh.NumShards() {
+		for deadline := time.Now().Add(2 * time.Second); cache.Cache(i).Stats().Sweeps == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("shard %d: no background sweep in 2s beside %d executor sessions of %d",
+					i, sh.Shard(i).Manager().Lessor().Leased(), sh.Shard(i).Manager().Lessor().Cap())
+			}
+		}
+	}
 }
 
 // TestRESPCacheTTL drives SETEX/EXPIRE/TTL and lazy expiry end to end

@@ -145,8 +145,8 @@ func compareReply(t *testing.T, i, kind int, ca *Call, rc *RESPClient) {
 
 // TestVariadicJoin pipelines DEL and EXISTS of 1, 2 and 64 keys between
 // SETs and GETs on the same keys, through a window smaller than the
-// longest command. The keys of a command run on both shards' executors
-// and join into the one reply it owes: the right count, in wire order,
+// longest command. The keys of a command run on both shards' maps and
+// join into the one reply it owes: the right count, in wire order,
 // one request read and one response sent per command.
 func TestVariadicJoin(t *testing.T) {
 	s, _, addr := newBatchedServer(t, 4, 2, Config{Window: 48})

@@ -36,7 +36,7 @@ func fetchStats(t *testing.T, c *Client) statsDoc {
 	return doc
 }
 
-// The latency block appears in STATS, fed by the per-(command, shard)
+// The latency block appears in STATS, fed by the per-(command, executor)
 // histograms the request spans record into.
 func TestStatsLatencyBlock(t *testing.T) {
 	_, addr := newTestServer(t, 2, Config{})
@@ -213,8 +213,8 @@ func TestSlowLogAndMetricsRoutes(t *testing.T) {
 	prom, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	for _, want := range []string{
-		`oa_server_latency_get_seconds_bucket{shard="0",le="+Inf"}`,
-		`oa_server_latency_put_seconds_count{shard="0"}`,
+		`oa_server_latency_get_seconds_bucket{executor="0",le="+Inf"}`,
+		`oa_server_latency_put_seconds_count{executor="0"}`,
 		"oa_server_slow_requests_total",
 		"oa_server_bad_requests_total",
 	} {
@@ -336,7 +336,7 @@ func TestInstrumentationDoesNotAllocate(t *testing.T) {
 	run := func(s *Server) func() {
 		e := s.execs[0]
 		stages := [trace.NumStages]int64{trace.StageRead: 5, trace.StageRoute: 4, trace.StageQueue: 3, trace.StageExec: 2}
-		return func() { e.observe(1, OpGet, StOK, &stages, 0, 0) }
+		return func() { e.observe(&e.shards[0], 1, OpGet, StOK, &stages, 0, 0) }
 	}
 	t.Run("Unsampled", func(t *testing.T) {
 		// A huge sample period plus a high threshold: the common case,
@@ -383,7 +383,7 @@ func TestLatencyConcurrentRecordSnapshot(t *testing.T) {
 					return
 				default:
 				}
-				s.lat[OpGet][int(i)%len(s.lat[OpGet])].ObserveNs(i)
+				s.execs[int(i)%len(s.execs)].lat[OpGet].ObserveNs(i)
 				s.slowlog.record(int64(i), uint64(w), OpGet, StOK, 0, 5, stages, 1, 0)
 			}
 		}(w)

@@ -24,12 +24,12 @@
 //	PING                 → OK
 //	STATS                → OK json
 //
-// Responses may also carry BUSY (the key's shard ring stayed full past
-// RingWait — back off and retry; a connection past MaxConns gets one BUSY
-// frame with id 0 and is closed), CLOSED (server draining), CAPACITY
-// (node budget exhausted) or BAD_REQUEST. Clients pipeline freely: a
-// connection's requests on one key execute in order and responses are
-// written in request order.
+// Responses may also carry BUSY (the connection's executor ring stayed
+// full past RingWait — back off and retry; a connection past MaxConns
+// gets one BUSY frame with id 0 and is closed), CLOSED (server draining),
+// CAPACITY (node budget exhausted) or BAD_REQUEST. Clients pipeline
+// freely: a connection's requests execute in the order it sent them,
+// whatever keys they name, and responses are written in request order.
 //
 // # Graceful drain
 //

@@ -29,10 +29,10 @@
 //	TTL    key                →  :N seconds | :-1 no deadline | :-2 absent
 //
 // A variadic DEL or EXISTS is staged one key per outbox slot, so its keys
-// run on their shards' executors like any other request, and joins into
-// the one :n reply the command owes (conn.settle).
+// run on their shards' maps like any other request, and joins into the
+// one :n reply the command owes (conn.settle).
 //
-// A shard ring that stays full past RingWait answers -BUSY (retry after
+// An executor ring that stays full past RingWait answers -BUSY (retry after
 // backoff), node-budget exhaustion -OOM — both standard Redis error
 // classes — and neither costs the connection. RESP2 has no server push,
 // so there is no GOAWAY equivalent: on drain, connections are served
@@ -438,7 +438,7 @@ func (r *respReader) protocolOp(dst, name []byte, args [][]byte) (cmd command, r
 func (r *respReader) appendReply(dst []byte, op uint8, _ uint64, status uint8, val uint64) []byte {
 	switch status {
 	case StBusy:
-		return AppendRESPError(dst, "BUSY shard ring full; retry")
+		return AppendRESPError(dst, "BUSY ring full; retry")
 	case StCapacity:
 		return AppendRESPError(dst, "OOM node budget exhausted")
 	case StClosed:

@@ -26,10 +26,11 @@ type Config struct {
 	// for existing callers; internally it is wrapped as one shard.
 	Map *kvmap.Map
 	// Shards is the scale-out path: the keyspace is partitioned across
-	// per-core kvmap instances and each request is routed by key hash in
-	// the connection's reader goroutine to the shard's executor, so each
-	// shard sees an independent operation stream. Takes precedence over
-	// Map.
+	// per-core kvmap instances, each with its own arena, session registry
+	// and reclamation phases, and each request runs on its key's shard.
+	// The server runs min(shards, per-shard registry size − 1) executors,
+	// at least one, each holding one session in every shard; the free
+	// session is the cache sweeper's. Takes precedence over Map.
 	Shards *kvmap.Sharded
 	// Cache, when set, layers TTL/LRU cache semantics over the shards on
 	// the RESP surface: GET applies lazy expiry, SET takes the cache's
@@ -60,12 +61,13 @@ type Config struct {
 	// Latency histograms and the slow log see every request regardless —
 	// sampling only thins the trace timeline. Default 64.
 	SpanSample int
-	// RingSize bounds the requests queued on each shard's ring. A full
-	// ring is the backpressure signal: producers wait RingWait, then answer
-	// BUSY. Default 1024.
+	// RingSize bounds the requests queued on each executor's ring, shared
+	// by the connections that executor serves. A full ring is the
+	// backpressure signal: producers wait RingWait, then answer BUSY.
+	// Default 1024.
 	RingSize int
-	// RingWait bounds how long a request waits for space on a full shard
-	// ring before the server answers BUSY. Default 2ms.
+	// RingWait bounds how long a request waits for space on a full
+	// executor ring before the server answers BUSY. Default 2ms.
 	RingWait time.Duration
 	// MaxConns caps concurrent connections over both listeners (the
 	// executors' conn-table size and the ring producer-session registry).
@@ -76,12 +78,13 @@ type Config struct {
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 
-	// ExecGate, when set, is called by each executor at the top of every
-	// drain pass. In-package tests and internal/e2e's TestHealthWiring
-	// stall an executor here to pin queue-stage attribution, ring-full
+	// ExecGate, when set, is called by each executor, with its index, at
+	// the top of every drain pass. In-package tests and internal/e2e's
+	// TestHealthWiring stall an executor here — and with it every
+	// connection it serves — to pin queue-stage attribution, ring-full
 	// backpressure and the health engine's ring-saturation rule. Never
 	// set in production.
-	ExecGate func(shard int)
+	ExecGate func(executor int)
 }
 
 // shardStripe is one cache-padded counter block. The per-request counters
@@ -98,8 +101,9 @@ type shardStripe struct {
 }
 
 // Server serves the wire protocols over listeners. One Server serves one
-// sharded keyspace through one executor per shard, each holding the
-// shard's only session; connections lease nothing.
+// sharded keyspace through its executors, each holding a session in
+// every shard and serving the connections assigned to it; connections
+// lease nothing.
 type Server struct {
 	cfg    Config
 	shards *kvmap.Sharded
@@ -124,11 +128,6 @@ type Server struct {
 	goawaysSent atomic.Uint64
 	forceClosed atomic.Uint64 // conns cut by DrainTimeout
 
-	// lat[op][shard] is the server-side latency histogram for one
-	// (command, shard) pair, recorded from the request span for every
-	// completed data op (statuses OK/NOT_FOUND/CAS_MISMATCH). Indexed by
-	// opcode; only OpGet..OpCAS rows are populated.
-	lat     [OpCAS + 1][]metrics.Histogram
 	slowlog *slowLog
 
 	// healthFn, when set via SetHealth, supplies the flight recorder's
@@ -138,8 +137,8 @@ type Server struct {
 	healthFn atomic.Value
 
 	// The execution machinery: the shared ring group (one bounded MPMC
-	// queue per shard), one executor per shard, and the slot table
-	// executors use to find a request's connection.
+	// queue per executor), the executors, and the slot table executors use
+	// to find a request's connection.
 	rings     *mpmc.Group
 	execs     []*executor
 	execStop  chan struct{}
@@ -198,20 +197,26 @@ func New(cfg Config) *Server {
 		slowlog: newSlowLog(cfg.SlowLogSize),
 	}
 	s.stripeMask = uint64(len(s.stripes) - 1)
-	for op := OpGet; op <= OpCAS; op++ {
-		s.lat[op] = make([]metrics.Histogram, cfg.Shards.NumShards())
-	}
 	s.startExecutors()
 	return s
 }
 
-// startExecutors builds the execution machinery: the shared ring
-// group (producer session per connection + consumer session per
-// executor, hence MaxConns+shards contexts), the conn slot table, and
-// one executor goroutine per shard, each taking its shard's long-lived
-// map lease now — before any connection can compete for it.
+// numExecutors is how many executors serve sh: one per shard, but at most
+// one fewer than a shard's registry size, so every shard keeps a session
+// free for the cache sweeper — and at least one, which a one-session
+// registry leaves the sweeper no room beside. The shards share one
+// core.Config, so shard 0's registry size is every shard's.
+func numExecutors(sh *kvmap.Sharded) int {
+	return max(1, min(sh.NumShards(), sh.Shard(0).Manager().Lessor().Cap()-1))
+}
+
+// startExecutors builds the execution machinery: the shared ring group
+// (one ring per executor; a producer session per connection + a consumer
+// session per executor, hence MaxConns+executors contexts), the conn slot
+// table, and the executor goroutines, each taking its long-lived map
+// lease in every shard now — before anything else can compete for them.
 func (s *Server) startExecutors() {
-	n := s.shards.NumShards()
+	n := numExecutors(s.shards)
 	s.rings = mpmc.NewGroup(core.Config{MaxThreads: s.cfg.MaxConns + n}, n, s.cfg.RingSize)
 	s.tab = make([]atomic.Pointer[conn], s.cfg.MaxConns)
 	s.freeSlots = make([]uint32, s.cfg.MaxConns)
@@ -223,9 +228,9 @@ func (s *Server) startExecutors() {
 	for i := range s.execs {
 		e, err := newExecutor(s, i)
 		if err != nil {
-			// Only possible when a shard's registry cannot spare a single
-			// session — a sizing bug worth failing loudly at construction.
-			panic("server: cannot lease executor session for shard " +
+			// Only possible when something else holds sessions the count
+			// above assumed free — worth failing loudly at construction.
+			panic("server: cannot lease the sessions of executor " +
 				strconv.Itoa(i) + ": " + err.Error())
 		}
 		s.execs[i] = e
@@ -264,13 +269,13 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		})
 	reg.Gauge("oa_server_shards", "keyspace shards the router spreads over",
 		func() float64 { return float64(s.NumShards()) })
-	reg.CounterVec("oa_server_shard_ops", "data requests routed to each keyspace shard", "shard",
+	reg.CounterVec("oa_server_shard_ops", "data requests routed to each keyspace shard (BUSY refusals included)", "shard",
 		len(s.stripes), func(i int) uint64 { return s.stripes[i].ops.Load() })
 	reg.GaugeVec("oa_server_shard_sessions_leased", "sessions currently leased per shard", "shard",
 		s.shards.NumShards(), func(i int) float64 {
 			return float64(s.shards.Shard(i).Manager().Lessor().Leased())
 		})
-	reg.Counter("oa_server_busy_total", "requests answered BUSY (shard ring full) and connections refused past MaxConns",
+	reg.Counter("oa_server_busy_total", "requests answered BUSY (executor ring full) and connections refused past MaxConns",
 		func() uint64 { return s.busyTotal.Load() })
 	reg.Counter("oa_server_capacity_total", "requests answered CAPACITY",
 		func() uint64 { return s.capTotal.Load() })
@@ -286,11 +291,11 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		func() uint64 { return s.badTotal.Load() })
 	reg.Counter("oa_server_slow_requests_total", "requests whose server-side span crossed SlowThreshold",
 		func() uint64 { return s.slowlog.total() })
-	reg.GaugeVec("oa_server_ring_depth", "requests queued on each shard's bounded ring", "shard",
+	reg.GaugeVec("oa_server_ring_depth", "requests queued on each executor's bounded ring", "executor",
 		len(s.execs), func(i int) float64 { return float64(s.execs[i].depth.Load()) })
-	reg.Gauge("oa_server_ring_cap", "bound on requests queued per shard ring",
+	reg.Gauge("oa_server_ring_cap", "bound on requests queued per executor ring",
 		func() float64 { return float64(s.cfg.RingSize) })
-	reg.Counter("oa_server_ring_full_total", "requests answered BUSY because the shard ring stayed full past RingWait",
+	reg.Counter("oa_server_ring_full_total", "requests answered BUSY because the executor ring stayed full past RingWait",
 		func() uint64 { return s.ringFull.Load() })
 	reg.Counter("oa_server_exec_batches_total", "executor drain batches",
 		func() uint64 {
@@ -300,7 +305,7 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 			}
 			return n
 		})
-	reg.Counter("oa_server_exec_batched_ops_total", "data requests executed via shard rings",
+	reg.Counter("oa_server_exec_batched_ops_total", "data requests executed via the executor rings",
 		func() uint64 {
 			var n uint64
 			for _, e := range s.execs {
@@ -310,11 +315,10 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		})
 	reg.Trace(s.rings.Manager().TraceRecorder())
 	for op := OpGet; op <= OpCAS; op++ {
-		hs := s.lat[op]
 		reg.HistogramVec("oa_server_latency_"+opNames[op]+"_seconds",
 			"server-side "+opNames[op]+" latency (route+queue+exec, socket wait excluded)",
-			"shard", len(hs),
-			func(i int) *metrics.Histogram { return &hs[i] })
+			"executor", len(s.execs),
+			func(i int) *metrics.Histogram { return &s.execs[i].lat[op] })
 	}
 	reg.Handle("/debug/slowlog", http.HandlerFunc(s.serveSlowLog))
 }
@@ -432,7 +436,8 @@ func (s *Server) Shutdown() int {
 }
 
 // Snapshot is the server-side counter block of a STATS response.
-// Session fields aggregate across shards.
+// Session fields aggregate across shards; ring_depth is indexed by
+// executor, shard_ops by shard.
 type Snapshot struct {
 	Connections   int64    `json:"connections"`
 	ConnsTotal    uint64   `json:"connections_total"`
@@ -450,6 +455,7 @@ type Snapshot struct {
 	SessionsInUse int      `json:"sessions_leased"`
 	SessionGrants uint64   `json:"session_grants"`
 	// The rings and executors every data request crosses.
+	Executors  int    `json:"executors"`
 	RingCap    int    `json:"ring_cap"`
 	RingDepth  []int  `json:"ring_depth"`
 	RingFull   uint64 `json:"ring_full"`
@@ -474,6 +480,7 @@ func (s *Server) snapshot() Snapshot {
 		maxBatch = max(maxBatch, e.maxBatch.Load())
 	}
 	return Snapshot{
+		Executors:     len(s.execs),
 		RingCap:       s.cfg.RingSize,
 		RingDepth:     depth,
 		RingFull:      s.ringFull.Load(),
@@ -500,7 +507,7 @@ func (s *Server) snapshot() Snapshot {
 }
 
 // CmdLatency summarizes one command's server-side latency histogram,
-// merged across shards. All durations are nanoseconds; quantiles are
+// merged across executors. All durations are nanoseconds; quantiles are
 // log₂-bucket upper bounds.
 type CmdLatency struct {
 	Count  uint64 `json:"count"`
@@ -512,7 +519,7 @@ type CmdLatency struct {
 	MaxNs  uint64 `json:"max_ns"`
 }
 
-// latencySnapshot merges each command's per-shard histograms and
+// latencySnapshot merges each command's per-executor histograms and
 // summarizes them. This one snapshot feeds STATS, stats.json's server
 // block and the RESP INFO latency section, so the three surfaces cannot
 // drift.
@@ -520,8 +527,8 @@ func (s *Server) latencySnapshot() map[string]CmdLatency {
 	out := make(map[string]CmdLatency, OpCAS)
 	for op := OpGet; op <= OpCAS; op++ {
 		var merged metrics.Histogram
-		for i := range s.lat[op] {
-			merged.Merge(&s.lat[op][i])
+		for _, e := range s.execs {
+			merged.Merge(&e.lat[op])
 		}
 		snap := merged.Snapshot()
 		cl := CmdLatency{Count: snap.Count, MaxNs: snap.Max}
@@ -587,10 +594,10 @@ const (
 	protoRESP
 )
 
-// conn is one client connection: a reader goroutine that decodes, routes
-// and hands bursts to the shard rings (batch.go), completions arriving
-// from the shard executors, and a writer goroutine that batches and
-// flushes the outbox.
+// conn is one client connection: a reader goroutine that decodes and
+// hands bursts to its executor's ring (batch.go), completions arriving
+// from that executor, and a writer goroutine that batches and flushes
+// the outbox.
 type conn struct {
 	s      *Server
 	id     uint64
@@ -602,19 +609,21 @@ type conn struct {
 	gaOnce sync.Once
 	stripe *shardStripe // protocol-op counter stripe (by conn id)
 
-	// slot indexes the server's conn table; prod is the connection's ring
-	// producer session; inflight counts enqueued-but-incomplete requests —
-	// the conn's teardown and slot reuse wait for it to drain (a vanished
-	// client only retires its own pending entries).
+	// slot indexes the server's conn table; exec is the executor that
+	// serves the connection for its lifetime; prod is the connection's
+	// ring producer session; inflight counts enqueued-but-incomplete
+	// requests — the conn's teardown and slot reuse wait for it to drain
+	// (a vanished client only retires its own pending entries).
 	slot     uint32
+	exec     *executor
 	prod     *mpmc.Session
 	inflight atomic.Int64
 
-	// Reader-goroutine state: the burst being staged, which of its
-	// sequences route to each shard, the sampling counter of ring trace
-	// events, and where the variadic command being staged stands.
+	// Reader-goroutine state: the burst being staged, how many of its data
+	// ops route to each shard, the sampling counter of ring trace events,
+	// and where the variadic command being staged stands.
 	b        burst
-	masks    []uint64
+	shardOps []uint64
 	spanSeq  uint64
 	joinLeft int    // its keys not yet staged
 	joinTail uint64 // the sequence of its last key, where its reply goes
@@ -632,8 +641,9 @@ func (c *conn) sendGoAway() {
 }
 
 // register builds the connection for nc: a conn-table slot (how executors
-// find it), a ring producer session and its listener's codec. It returns
-// nil when MaxConns connections are already open.
+// find it), the executor with the fewest open connections — its seat
+// until unregister — a ring producer session and its listener's codec. It
+// returns nil when MaxConns connections are already open.
 func (s *Server) register(nc net.Conn, proto uint8) *conn {
 	s.mu.Lock()
 	if len(s.freeSlots) == 0 {
@@ -642,23 +652,32 @@ func (s *Server) register(nc net.Conn, proto uint8) *conn {
 	}
 	slot := s.freeSlots[len(s.freeSlots)-1]
 	s.freeSlots = s.freeSlots[:len(s.freeSlots)-1]
+	e := s.execs[0]
+	for _, x := range s.execs[1:] {
+		if x.conns < e.conns {
+			e = x
+		}
+	}
+	e.conns++
 	s.mu.Unlock()
 	prod, err := s.rings.Acquire()
 	if err != nil {
 		s.mu.Lock()
 		s.freeSlots = append(s.freeSlots, slot)
+		e.conns--
 		s.mu.Unlock()
 		return nil
 	}
 	c := &conn{
-		s:      s,
-		id:     s.nextConnID.Add(1),
-		proto:  proto,
-		cached: proto == protoRESP && s.cfg.Cache != nil,
-		nc:     nc,
-		slot:   slot,
-		prod:   prod,
-		masks:  make([]uint64, len(s.execs)),
+		s:        s,
+		id:       s.nextConnID.Add(1),
+		proto:    proto,
+		cached:   proto == protoRESP && s.cfg.Cache != nil,
+		nc:       nc,
+		slot:     slot,
+		exec:     e,
+		prod:     prod,
+		shardOps: make([]uint64, s.shards.NumShards()),
 	}
 	if proto == protoRESP {
 		c.cd = newRESPReader(bufio.NewReaderSize(burstReader{c}, 32<<10), s)
@@ -686,14 +705,15 @@ func (s *Server) refuse(nc net.Conn, proto uint8) {
 	nc.Close()
 }
 
-// unregister frees c's table slot for reuse. Only called after the
-// connection's in-flight count drained, so no executor can still route a
-// completion to the recycled slot.
+// unregister frees c's table slot and executor seat for reuse. Only
+// called after the connection's in-flight count drained, so no executor
+// can still route a completion to the recycled slot.
 func (s *Server) unregister(c *conn) {
 	s.tab[c.slot].Store(nil)
 	c.prod.Release()
 	s.mu.Lock()
 	s.freeSlots = append(s.freeSlots, c.slot)
+	c.exec.conns--
 	s.mu.Unlock()
 }
 
@@ -706,7 +726,7 @@ func (c *conn) run() {
 	}()
 	c.readLoop()
 	// Disconnect retires only this connection's pending ring entries:
-	// wait for the shard executors to complete them (they count toward
+	// wait for its executor to complete them (they count toward
 	// the response ledger even when the client vanished mid-batch), then
 	// tear the outbox down and recycle the slot.
 	for c.inflight.Load() != 0 {

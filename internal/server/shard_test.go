@@ -183,8 +183,8 @@ func TestPipelinedCASOrderingAcrossShards(t *testing.T) {
 
 // TestShardedGracefulDrain runs pipelined cross-shard load, shuts down
 // mid-stream, and checks the drain contract shard-by-shard: nothing
-// dropped, requests_read == responses_sent, and every shard's leases
-// released.
+// dropped, requests_read == responses_sent, and in every shard each
+// executor's one session granted and released.
 func TestShardedGracefulDrain(t *testing.T) {
 	s, addr := newShardedTestServer(t, 8, 4, Config{Window: 128, DrainTimeout: 5 * time.Second})
 
@@ -248,8 +248,19 @@ func TestShardedGracefulDrain(t *testing.T) {
 		t.Fatalf("%d leases still out after drain", snap.SessionsInUse)
 	}
 	for i := 0; i < s.shards.NumShards(); i++ {
-		if n := s.shards.Shard(i).Manager().Lessor().Leased(); n != 0 {
+		l := s.shards.Shard(i).Manager().Lessor()
+		if n := l.Leased(); n != 0 {
 			t.Fatalf("shard %d: %d leases outstanding after drain", i, n)
+		}
+		if g := l.Grants(); g != uint64(len(s.execs)) {
+			t.Fatalf("shard %d: %d leases granted, want one per executor (%d)", i, g, len(s.execs))
+		}
+	}
+	for _, e := range s.execs {
+		for i := range e.shards {
+			if e.shards[i].sess != nil {
+				t.Fatalf("executor %d still holds its shard %d session after drain", e.id, i)
+			}
 		}
 	}
 	active := 0

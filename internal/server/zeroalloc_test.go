@@ -10,8 +10,8 @@ import (
 
 // The served request path must not allocate in steady state: the frame
 // reader decodes in place from a fixed buffer, requests are staged in
-// the connection's outbox slots and cross to the executors as one
-// fixed-size ring node per burst and shard, responses are encoded over
+// the connection's outbox slots and cross to the executor as one
+// fixed-size ring node per burst, responses are encoded over
 // the requests and copied from there into the writer's buffer. AllocsPerRun counts the whole process's mallocs, so one
 // pipelined loopback burst per run covers reader, ring, executors,
 // outbox and writer at once; its result is integral (total/runs), so 0
@@ -66,13 +66,13 @@ func TestServedBinaryPathDoesNotAllocate(t *testing.T) {
 	}
 	snap := s.snapshot()
 	if snap.BatchedOps < 200*allocBurst || snap.ShardOps[0] == 0 || snap.ShardOps[1] == 0 {
-		t.Fatalf("burst did not cross both shard rings: batched_ops %d shard_ops %v", snap.BatchedOps, snap.ShardOps)
+		t.Fatalf("burst did not cross both shards: batched_ops %d shard_ops %v", snap.BatchedOps, snap.ShardOps)
 	}
-	// The OA queue is paid per (burst, shard), not per request: a burst
-	// that one read delivers is one node on each of the two rings.
+	// The OA queue is paid per burst, not per request or per shard: a
+	// burst that one read delivers is one node on the connection's ring.
 	bursts := (snap.BatchedOps - before.BatchedOps) / allocBurst
-	if nodes := snap.RingNodes - before.RingNodes; nodes > 2*bursts {
-		t.Fatalf("%d ring nodes for %d two-shard bursts of %d requests, want at most 2 per burst", nodes, bursts, allocBurst)
+	if nodes := snap.RingNodes - before.RingNodes; nodes != bursts {
+		t.Fatalf("%d ring nodes for %d two-shard bursts of %d requests, want exactly 1 per burst", nodes, bursts, allocBurst)
 	}
 }
 
@@ -127,13 +127,13 @@ func TestServedRESPPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("RESP served path: %.0f allocs per %d-request burst, want 0", avg, allocBurst)
 	}
 	// The same batching gate as the binary path: the keys hash over both
-	// shards, and a burst one read delivers is one node on each ring.
+	// shards, and a burst one read delivers is one node.
 	snap := s.snapshot()
 	if snap.ShardOps[0] == 0 || snap.ShardOps[1] == 0 {
-		t.Fatalf("burst did not cross both shard rings: shard_ops %v", snap.ShardOps)
+		t.Fatalf("burst did not cross both shards: shard_ops %v", snap.ShardOps)
 	}
 	bursts := (snap.BatchedOps - before.BatchedOps) / allocBurst
-	if nodes := snap.RingNodes - before.RingNodes; bursts < 200 || nodes > 2*bursts {
-		t.Fatalf("%d ring nodes for %d two-shard bursts of %d commands, want at most 2 per burst", nodes, bursts, allocBurst)
+	if nodes := snap.RingNodes - before.RingNodes; bursts < 200 || nodes != bursts {
+		t.Fatalf("%d ring nodes for %d two-shard bursts of %d commands, want exactly 1 per burst", nodes, bursts, allocBurst)
 	}
 }

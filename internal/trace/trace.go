@@ -72,26 +72,27 @@ const (
 	// EvUnlease is the matching context release back to the free pool.
 	// Payload: the same owner id.
 	EvUnlease
-	// EvReqSpan summarizes one sampled server request: the shard executor
-	// records it after the response is handed to the writer.
+	// EvReqSpan summarizes one sampled server request: its executor
+	// records it, in its session ring of the request's shard, before the
+	// response is handed to the writer.
 	// Payload: SpanPayload (opcode, status, shard, server-side ns).
 	EvReqSpan
 	// EvReqStage is one pipeline stage of a sampled request span (read,
 	// route, lease, exec, queue), emitted just before its EvReqSpan.
 	// Payload: StagePayload (stage id, stage ns).
 	EvReqStage
-	// EvRingEnq is a sampled request enqueue onto a shard's bounded MPMC
-	// ring (batched execution mode), recorded in the producer session's
-	// ring. Payload: shard in the high 32 bits, ring depth after the
-	// enqueue in the low 32.
+	// EvRingEnq is a sampled enqueue of a burst's node onto an executor's
+	// bounded MPMC ring, recorded in the producer session's ring.
+	// Payload: RingPayload (the executor's ring index, ring depth in
+	// requests, the node's own included).
 	EvRingEnq
-	// EvRingDeq is the matching sampled dequeue by the shard's executor,
-	// recorded in the executor session's ring. Payload: shard in the
-	// high 32 bits, ring wait in nanoseconds saturated into the low 32.
+	// EvRingDeq is a sampled request's dequeue by its executor, recorded
+	// in the executor's consumer session ring. Payload: RingPayload (ring
+	// index, ring wait in nanoseconds).
 	EvRingDeq
-	// EvBatch is one executor drain batch: the executor found the ring
-	// non-empty and ran requests back-to-back under its single lease.
-	// Payload: shard in the high 32 bits, batch size in the low 32.
+	// EvBatch is one executor drain batch: the executor found its ring
+	// non-empty and ran requests back-to-back on its long-lived sessions.
+	// Payload: RingPayload (ring index, batch size).
 	EvBatch
 	// EvHealth is a health-engine state transition: the flight
 	// recorder's rule evaluation moved the process between ok, degraded
@@ -180,18 +181,18 @@ func FreezePayload(phase uint32, shard int) uint64 {
 	return uint64(phase)<<32 | uint64(uint32(shard))
 }
 
-// RingPayload packs a ring event's shard index (high 32 bits) with its
+// RingPayload packs a ring event's ring index (high 32 bits) with its
 // 32-bit metric — depth for ring_enq, wait ns for ring_deq, batch size
 // for exec_batch — saturated into the low bits.
-func RingPayload(shard int, v uint64) uint64 {
+func RingPayload(ring int, v uint64) uint64 {
 	if v > 0xFFFFFFFF {
 		v = 0xFFFFFFFF
 	}
-	return uint64(uint32(shard))<<32 | v
+	return uint64(uint32(ring))<<32 | v
 }
 
-// RingShard unpacks the shard index of a ring event payload.
-func RingShard(p uint64) int { return int(uint32(p >> 32)) }
+// RingIndex unpacks the ring index of a ring event payload.
+func RingIndex(p uint64) int { return int(uint32(p >> 32)) }
 
 // RingValue unpacks the metric of a ring event payload.
 func RingValue(p uint64) uint64 { return p & 0xFFFFFFFF }
