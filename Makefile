@@ -56,10 +56,10 @@ cover:
 
 # Short fuzz pass over every fuzz target (extend -fuzztime for real runs).
 fuzz:
-	$(GO) test -fuzz FuzzOAListVsModel -fuzztime 30s ./internal/list
-	$(GO) test -fuzz FuzzOASkipListVsModel -fuzztime 30s ./internal/skiplist
+	$(GO) test -fuzz FuzzListVsModel -fuzztime 30s ./internal/list
+	$(GO) test -fuzz FuzzSkipListVsModel -fuzztime 30s ./internal/skiplist
 	$(GO) test -fuzz FuzzMapVsModel -fuzztime 30s ./internal/kvmap
-	$(GO) test -fuzz FuzzOAQueueVsModel -fuzztime 30s ./internal/queue
+	$(GO) test -fuzz FuzzQueueVsModel -fuzztime 30s ./internal/queue
 	$(GO) test -fuzz FuzzFrameReader -fuzztime 30s ./internal/server
 	$(GO) test -fuzz FuzzRESPReader -fuzztime 30s ./internal/server
 

@@ -25,8 +25,8 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/core"
-	"repro/internal/ebr"
 	"repro/internal/hashtable"
+	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
@@ -97,13 +97,16 @@ func main() {
 	// --- EBR: stuck thread parked inside an operation (its epoch
 	// announcement is live and never retracted). The EBR engine has no
 	// lease registry, so workers bind fixed slots the pre-leasing way.
-	ebrSet := hashtable.NewEBR(ebr.Config{
+	ebrSet, err := hashtable.NewGuarded(smr.EBR, sizing.Config{
 		MaxThreads: workers + 1, Capacity: 1 << 16, OpsPerScan: 64,
 	}, 4096)
+	if err != nil {
+		panic(err)
+	}
 	run("EBR", ebrSet,
 		func() {
-			th := ebrSet.Engine().Manager().Thread(0)
-			th.OnOpStart() // announce an epoch and never finish the operation
+			g := ebrSet.Engine().Guard(0)
+			g.Begin() // announce an epoch and never finish the operation
 		},
 		func(id int) (smr.Session, func()) {
 			return ebrSet.Session(id), func() {}

@@ -109,7 +109,7 @@ func NewManager[T any](cfg Config, reset func(*T), succ Succ) *Manager[T] {
 	}
 	m.threads = make([]*Thread[T], cfg.MaxThreads)
 	for i := range m.threads {
-		t := &Thread[T]{mgr: m, id: i, k: cfg.K, view: m.pool.Arena().View(), ring: m.tracer.Ring(i)}
+		t := &Thread[T]{mgr: m, id: i, view: m.pool.Arena().View(), visits: visits{k: cfg.K, ring: m.tracer.Ring(i)}}
 		t.local.Trace = t.ring
 		m.threads[i] = t
 	}
@@ -153,17 +153,14 @@ func (m *Manager[T]) Stats() smr.Stats {
 type Thread[T any] struct {
 	mgr *Manager[T]
 	id  int
-	k   int
+	visits
 
-	// state packs {era:63 | active:1}; anchor holds slot+1.
-	state   atomic.Uint64
-	anchor  atomic.Uint64
-	sinceHP int
+	// state packs {era:63 | active:1}.
+	state atomic.Uint64
 
 	buf   []retiredSlot
 	local alloc.Local
 	view  arena.View[T] // chunk-directory snapshot: atomic-free Node
-	ring  *trace.Ring   // protocol event ring (gated on trace.Enabled)
 
 	// Counters are atomic so Stats may aggregate them live (monitoring
 	// endpoints, harness snapshots) without stopping the owner thread.
@@ -172,9 +169,19 @@ type Thread[T any] struct {
 	recycled  atomic.Uint64
 	reRetired atomic.Uint64
 	scans     atomic.Uint64
-	restarts  atomic.Uint64
 
 	_ [4]uint64 // false-sharing pad
+}
+
+// visits is the part of a thread a traversal touches on every node visit.
+// It is not generic, so a generic caller's call to Visit passes no
+// generics dictionary; that keeps the caller's hook within the inliner's
+// budget.
+type visits struct {
+	k, sinceHP int
+	anchor     atomic.Uint64 // anchored slot+1; 0 = none
+	restarts   atomic.Uint64
+	ring       *trace.Ring // protocol event ring (gated on trace.Enabled)
 }
 
 // ID returns the thread index.
@@ -183,6 +190,10 @@ func (t *Thread[T]) ID() int { return t.id }
 // Node dereferences a slot handle. The lookup goes through the thread's
 // directory view: two plain loads, no atomics.
 func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
+
+// View exposes the thread's directory view, for structure code written
+// once against the concrete view instead of a scheme's thread type.
+func (t *Thread[T]) View() *arena.View[T] { return &t.view }
 
 // OnOpStart announces the current era and resets the anchor budget; the
 // first anchor of the traversal is published by the structure on the list
@@ -198,26 +209,33 @@ func (t *Thread[T]) OnOpEnd() {
 	t.state.Store(t.state.Load() &^ 1)
 }
 
-// Visit is called once per traversed node. Every K visits it drops an
-// anchor on cur: one sequentially consistent store (the amortized fence).
-// It returns true when the structure must validate the anchor (re-check
-// cur's liveness) and restart from the head on failure.
-func (t *Thread[T]) Visit(cur arena.Ptr) bool {
+// Visit is called once per traversed node cur, reached through the word
+// *src. Every K visits it drops an anchor on cur: one sequentially
+// consistent store (the amortized fence). It then validates the anchor: if
+// *src no longer leads to cur, Visit counts a restart and returns false,
+// and the structure must restart from the head (the recovery analogue).
+// The rare anchor drop is out of line.
+func (t *visits) Visit(cur arena.Ptr, src *atomic.Uint64) bool {
 	t.sinceHP++
-	if t.sinceHP < t.k {
-		return false
-	}
+	return t.sinceHP < t.k || t.drop(cur, src)
+}
+
+func (t *visits) drop(cur arena.Ptr, src *atomic.Uint64) bool {
 	t.sinceHP = 0
 	if cur.IsNil() {
 		t.anchor.Store(0)
-		return false
+		return true
 	}
 	t.anchor.Store(uint64(cur.Unmark().Slot()) + 1)
-	return true
+	if arena.Ptr(src.Load()).Unmark() == cur.Unmark() {
+		return true
+	}
+	t.CountRestart()
+	return false
 }
 
 // CountRestart accounts an anchor-validation failure (recovery analogue).
-func (t *Thread[T]) CountRestart() {
+func (t *visits) CountRestart() {
 	t.restarts.Add(1)
 	if trace.Enabled() {
 		t.ring.Record(trace.EvRestart, uint64(trace.CauseAnchor))

@@ -28,15 +28,30 @@ func TestVisitPublishesEveryK(t *testing.T) {
 	th := m.Thread(0)
 	th.OnOpStart()
 	s := th.Alloc()
+	// The source word never leads to s, so every anchor drop fails its
+	// validation: the failed visits are exactly the publications.
+	var src atomic.Uint64
 	published := 0
 	for i := 0; i < 10; i++ {
-		if th.Visit(arena.MakePtr(s)) {
+		if !th.Visit(arena.MakePtr(s), &src) {
 			published++
+			if got := th.anchor.Load(); got != uint64(s)+1 {
+				t.Fatalf("visit %d: anchor = %d, want slot %d + 1", i+1, got, s)
+			}
 		}
 	}
 	// Budget forces one publication on the first visit, then every K.
 	if published != 4 { // visits 1, 4, 7, 10
 		t.Fatalf("published %d anchors in 10 visits with K=3", published)
+	}
+	if st := m.Stats(); st.Restarts != 4 {
+		t.Fatalf("restarts = %d, want one per failed anchor validation", st.Restarts)
+	}
+	src.Store(uint64(arena.MakePtr(s).Mark()))
+	for i := 0; i < 3; i++ {
+		if !th.Visit(arena.MakePtr(s), &src) {
+			t.Fatalf("visit with a (marked) source leading to s failed")
+		}
 	}
 	th.OnOpEnd()
 	if th.anchor.Load() != 0 {
@@ -55,7 +70,9 @@ func TestAnchorProtectsKSegment(t *testing.T) {
 
 	// Traverser anchors at a and stays inside its operation.
 	tr.OnOpStart()
-	tr.Visit(arena.MakePtr(a))
+	var src atomic.Uint64
+	src.Store(uint64(arena.MakePtr(a)))
+	tr.Visit(arena.MakePtr(a), &src)
 
 	w.OnOpStart()
 	w.Retire(b) // triggers a scan each retire (threshold 1)

@@ -10,11 +10,72 @@ import (
 	"testing"
 
 	"repro/internal/linearize"
+	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
 // Factory builds a fresh empty set sized for the given worker count.
 type Factory func(threads int) smr.Set
+
+// Build is the Factory of a structure's New under scheme sc, sized by c
+// with MaxThreads set per call. It panics if New rejects sc.
+func Build(newSet func(smr.Scheme, sizing.Config) (smr.Set, error), sc smr.Scheme, c sizing.Config) Factory {
+	return func(threads int) smr.Set {
+		c := c
+		c.MaxThreads = threads
+		set, err := newSet(sc, c)
+		if err != nil {
+			panic(err)
+		}
+		return set
+	}
+}
+
+// FuzzSizing sizes a single-threaded structure for one fuzz input of ops
+// operations under sc. A pool of capacity slots, handed out four at a
+// time, and scans every eight retires or operations maximize reclamation
+// pressure per operation. NoRecl never recycles, so it gets one more slot
+// per operation instead.
+func FuzzSizing(sc smr.Scheme, capacity, ops int) sizing.Config {
+	c := sizing.Config{MaxThreads: 1, Capacity: capacity, LocalPool: 4, ScanThreshold: 8, OpsPerScan: 8, AnchorsK: 4}
+	if sc == smr.NoRecl {
+		c.Capacity += ops
+	}
+	return c
+}
+
+// RunSetVsModel replays data as set operations on s against a model map,
+// two bytes per operation: the opcode mod 3 (insert, delete, contains) and
+// a key. A final sweep of the key range compares the whole set. It is the
+// body of the set structures' fuzz targets.
+func RunSetVsModel(t *testing.T, s smr.Session, data []byte) {
+	t.Helper()
+	model := map[uint64]bool{}
+	for i := 0; i+1 < len(data); i += 2 {
+		k := uint64(data[i+1]) + 1
+		switch data[i] % 3 {
+		case 0:
+			if got, want := s.Insert(k), !model[k]; got != want {
+				t.Fatalf("op %d: Insert(%d) = %v, want %v", i/2, k, got, want)
+			}
+			model[k] = true
+		case 1:
+			if got, want := s.Delete(k), model[k]; got != want {
+				t.Fatalf("op %d: Delete(%d) = %v, want %v", i/2, k, got, want)
+			}
+			delete(model, k)
+		default:
+			if got, want := s.Contains(k), model[k]; got != want {
+				t.Fatalf("op %d: Contains(%d) = %v, want %v", i/2, k, got, want)
+			}
+		}
+	}
+	for k := uint64(1); k <= 256; k++ {
+		if got := s.Contains(k); got != model[k] {
+			t.Fatalf("final sweep: Contains(%d) = %v, want %v", k, got, model[k])
+		}
+	}
+}
 
 // RunSequentialSuite exercises single-threaded set semantics against a
 // map-based model.

@@ -17,10 +17,7 @@ package hashtable
 
 import (
 	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hpscheme"
 	"repro/internal/list"
-	"repro/internal/norecl"
 	"repro/internal/obs"
 	"repro/internal/sizing"
 	"repro/internal/smr"
@@ -96,18 +93,14 @@ func (s *session) Insert(key uint64) bool   { return s.t.InsertAt(s.head(key), k
 func (s *session) Delete(key uint64) bool   { return s.t.DeleteAt(s.head(key), key) }
 func (s *session) Contains(key uint64) bool { return s.t.ContainsAt(s.head(key), key) }
 
-// The four tables. Each constructor takes the scheme's own config and adds
-// the bucket sentinels to its capacity, so cfg.Capacity is the live set
-// plus δ.
+// The two tables. Each constructor adds the bucket sentinels to the
+// capacity, so the configured Capacity is the live set plus δ.
 type (
 	// OA is the hash table under optimistic access.
 	OA = Table[*list.OAEngine]
-	// HP is the hash table under hazard pointers.
-	HP = Table[*list.HPEngine]
-	// EBR is the hash table under epoch-based reclamation.
-	EBR = Table[*list.EBREngine]
-	// NoRecl is the hash table without reclamation.
-	NoRecl = Table[*list.NoReclEngine]
+	// Guarded is the hash table under NoRecl, EBR or HP: the original
+	// Harris-Michael bucket lists of list.GuardedEngine.
+	Guarded = Table[*list.GuardedEngine]
 )
 
 // NewOA builds a table with expected elements.
@@ -116,35 +109,30 @@ func NewOA(cfg core.Config, expected int) *OA {
 	return newTable(list.NewOAEngine(cfg), expected)
 }
 
-// NewHP builds a table with expected elements.
-func NewHP(cfg hpscheme.Config, expected int) *HP {
-	cfg.Capacity += Buckets(expected, DefaultLoadFactor)
-	return newTable(list.NewHPEngine(cfg), expected)
-}
-
-// NewEBR builds a table with expected elements.
-func NewEBR(cfg ebr.Config, expected int) *EBR {
-	cfg.Capacity += Buckets(expected, DefaultLoadFactor)
-	return newTable(list.NewEBREngine(cfg), expected)
-}
-
-// NewNoRecl builds a table with expected elements.
-func NewNoRecl(cfg norecl.Config, expected int) *NoRecl {
-	cfg.Capacity += Buckets(expected, DefaultLoadFactor)
-	return newTable(list.NewNoReclEngine(cfg), expected)
+// NewGuarded builds a table with expected elements under sc, one of
+// NoRecl, EBR and HP.
+func NewGuarded(sc smr.Scheme, c sizing.Config, expected int) (*Guarded, error) {
+	switch sc {
+	case smr.NoRecl, smr.EBR, smr.HP:
+	default:
+		return nil, sizing.Unsupported("hash table", sc)
+	}
+	c.Capacity += Buckets(expected, DefaultLoadFactor)
+	e, err := list.NewGuardedEngine(sc, c)
+	if err != nil {
+		return nil, err
+	}
+	return newTable(e, expected), nil
 }
 
 // New builds a table with expected elements under scheme sc.
 func New(sc smr.Scheme, c sizing.Config, expected int) (smr.Set, error) {
-	switch sc {
-	case smr.NoRecl:
-		return NewNoRecl(c.NoRecl(), expected), nil
-	case smr.OA:
+	if sc == smr.OA {
 		return NewOA(c.OA(), expected), nil
-	case smr.HP:
-		return NewHP(c.HP(), expected), nil
-	case smr.EBR:
-		return NewEBR(c.EBR(), expected), nil
 	}
-	return nil, sizing.Unsupported("hash table", sc)
+	h, err := NewGuarded(sc, c, expected)
+	if err != nil {
+		return nil, err
+	}
+	return h, nil
 }

@@ -6,10 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dstest"
-	"repro/internal/ebr"
 	"repro/internal/hashtable"
-	"repro/internal/hpscheme"
-	"repro/internal/norecl"
 	"repro/internal/sizing"
 	"repro/internal/smr"
 )
@@ -20,35 +17,26 @@ func factories() map[string]struct {
 } {
 	const capacity = 1 << 15
 	const expected = 1024
-	return map[string]struct {
+	fs := map[string]struct {
 		mk     dstest.Factory
 		scheme smr.Scheme
 	}{
-		"NoRecl": {
-			mk: func(threads int) smr.Set {
-				return hashtable.NewNoRecl(norecl.Config{MaxThreads: threads, Capacity: capacity}, expected)
-			},
-			scheme: smr.NoRecl,
-		},
 		"OA": {
 			mk: func(threads int) smr.Set {
 				return hashtable.NewOA(core.Config{MaxThreads: threads, Capacity: capacity, LocalPool: 16}, expected)
 			},
 			scheme: smr.OA,
 		},
-		"HP": {
-			mk: func(threads int) smr.Set {
-				return hashtable.NewHP(hpscheme.Config{MaxThreads: threads, Capacity: capacity, ScanThreshold: 64}, expected)
-			},
-			scheme: smr.HP,
-		},
-		"EBR": {
-			mk: func(threads int) smr.Set {
-				return hashtable.NewEBR(ebr.Config{MaxThreads: threads, Capacity: capacity, OpsPerScan: 32}, expected)
-			},
-			scheme: smr.EBR,
-		},
 	}
+	newTable := func(sc smr.Scheme, c sizing.Config) (smr.Set, error) { return hashtable.New(sc, c, expected) }
+	c := sizing.Config{Capacity: capacity, ScanThreshold: 64, OpsPerScan: 32}
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
+		fs[sc.String()] = struct {
+			mk     dstest.Factory
+			scheme smr.Scheme
+		}{dstest.Build(newTable, sc, c), sc}
+	}
+	return fs
 }
 
 func TestHashSequential(t *testing.T) {
@@ -146,8 +134,9 @@ func TestHashLinearizability(t *testing.T) {
 	}
 }
 
-// The bucket lists ride the list engines, so the hash table inherits the
-// EBR bracket and the NoRecl no-op retire; see dstest.RunChurnReclaims.
+// The bucket lists ride the list's guarded engine, so the hash table
+// inherits the EBR bracket, HP's scans and the NoRecl no-op retire; see
+// dstest.RunChurnReclaims.
 func TestHashChurnReclaims(t *testing.T) {
 	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
 		t.Run(sc.String(), func(t *testing.T) {

@@ -157,6 +157,10 @@ func (t *Thread[T]) ID() int { return t.id }
 // through the thread's directory view: two plain loads, no atomics.
 func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
 
+// View exposes the thread's directory view, for structure code written
+// once against the concrete view instead of a scheme's thread type.
+func (t *Thread[T]) View() *arena.View[T] { return &t.view }
+
 // Protect publishes hazard pointer i on p (unmarked automatically). The
 // sequentially consistent store is the fence; the caller must validate by
 // re-reading the pointer's source afterwards.

@@ -3,49 +3,27 @@ package list_test
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/dstest"
 	"repro/internal/list"
+	"repro/internal/smr"
 )
 
-// FuzzOAListVsModel drives the OA list (the paper's running example, and
-// the variant with the richest barrier interplay) with a byte-encoded
-// operation sequence, comparing every result against a model map. Byte
-// layout: two bytes per op — opcode%3 and a key. Run beyond the seed
-// corpus with `go test -fuzz FuzzOAListVsModel ./internal/list`.
-func FuzzOAListVsModel(f *testing.F) {
+// FuzzListVsModel drives the list under every scheme with a byte-encoded
+// operation sequence, comparing every result against a model map (see
+// dstest.RunSetVsModel). Run beyond the seed corpus with
+// `go test -fuzz FuzzListVsModel ./internal/list`.
+func FuzzListVsModel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 1, 1, 1, 0, 2, 2, 2})
 	f.Add([]byte{0, 5, 0, 5, 1, 5, 1, 5, 2, 5})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// A tiny capacity maximizes reclamation pressure per op.
-		l := list.NewOA(core.Config{MaxThreads: 1, Capacity: 256, LocalPool: 4})
-		s := l.Session(0)
-		model := map[uint64]bool{}
-		for i := 0; i+1 < len(data); i += 2 {
-			op := data[i] % 3
-			k := uint64(data[i+1]) + 1
-			switch op {
-			case 0:
-				if got, want := s.Insert(k), !model[k]; got != want {
-					t.Fatalf("op %d: Insert(%d) = %v, want %v", i/2, k, got, want)
-				}
-				model[k] = true
-			case 1:
-				if got, want := s.Delete(k), model[k]; got != want {
-					t.Fatalf("op %d: Delete(%d) = %v, want %v", i/2, k, got, want)
-				}
-				delete(model, k)
-			default:
-				if got, want := s.Contains(k), model[k]; got != want {
-					t.Fatalf("op %d: Contains(%d) = %v, want %v", i/2, k, got, want)
-				}
+		for _, sc := range smr.Schemes {
+			// A tiny capacity maximizes reclamation pressure per op.
+			l, err := list.New(sc, dstest.FuzzSizing(sc, 256, len(data)/2))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		// Full sweep at the end: the structure must equal the model.
-		for k := uint64(1); k <= 256; k++ {
-			if got := s.Contains(k); got != model[k] {
-				t.Fatalf("final sweep: Contains(%d) = %v, want %v", k, got, model[k])
-			}
+			t.Run(sc.String(), func(t *testing.T) { dstest.RunSetVsModel(t, l.Session(0), data) })
 		}
 	})
 }

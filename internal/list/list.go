@@ -1,12 +1,10 @@
 // Package list implements the Harris-Michael lock-free linked list
-// (Michael, SPAA 2002) in the normalized form of Listing 1 / Appendix C of
-// the paper, once per barrier protocol:
+// (Michael, SPAA 2002) twice:
 //
-//	OAEngine      — optimistic access: the chain of package oakit
-//	HPEngine      — Michael's hazard pointers (protect + fence + validate per hop)
-//	AnchorsEngine — the anchors cost model (one fence per K hops)
-//	NoReclEngine  — the plain traversal (plain.go), no reclamation
-//	EBREngine     — the same plain traversal inside an epoch bracket
+//	OAEngine      — optimistic access: the normalized form of Listing 1 /
+//	                Appendix C, which is the chain of package oakit
+//	GuardedEngine — the original algorithm (plain.go) under NoRecl, EBR,
+//	                HP or Anchors, driven by a per-thread guard (package guard)
 //
 // Engines expose head-relative operations (InsertAt/DeleteAt/ContainsAt) so
 // the hash table can run one engine across many bucket lists; Set binds an
@@ -46,7 +44,7 @@ type Thread interface {
 	ContainsAt(head uint32, key uint64) bool
 }
 
-// Engine is what the five list engines have in common: one scheme manager
+// Engine is what the two list engines have in common: one scheme manager
 // shared by any number of heads.
 type Engine interface {
 	// NewHead allocates a sentinel head for a new (empty) list. Called
@@ -93,17 +91,12 @@ func (s *session) Contains(key uint64) bool { return s.t.ContainsAt(s.head, key)
 
 // New builds an empty list under scheme sc.
 func New(sc smr.Scheme, c sizing.Config) (smr.Set, error) {
-	switch sc {
-	case smr.NoRecl:
-		return NewNoRecl(c.NoRecl()), nil
-	case smr.OA:
+	if sc == smr.OA {
 		return NewOA(c.OA()), nil
-	case smr.HP:
-		return NewHP(c.HP()), nil
-	case smr.EBR:
-		return NewEBR(c.EBR()), nil
-	case smr.Anchors:
-		return NewAnchors(c.Anchors()), nil
 	}
-	return nil, sizing.Unsupported("list", sc)
+	e, err := NewGuardedEngine(sc, c)
+	if err != nil {
+		return nil, err
+	}
+	return newSet(e), nil
 }

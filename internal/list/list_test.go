@@ -3,13 +3,9 @@ package list_test
 import (
 	"testing"
 
-	"repro/internal/anchors"
 	"repro/internal/core"
 	"repro/internal/dstest"
-	"repro/internal/ebr"
-	"repro/internal/hpscheme"
 	"repro/internal/list"
-	"repro/internal/norecl"
 	"repro/internal/sizing"
 	"repro/internal/smr"
 )
@@ -25,41 +21,25 @@ func factories(tight bool) map[string]struct {
 	if tight {
 		capacity = 4096
 	}
-	return map[string]struct {
+	fs := map[string]struct {
 		mk     dstest.Factory
 		scheme smr.Scheme
 	}{
-		"NoRecl": {
-			mk: func(threads int) smr.Set {
-				return list.NewNoRecl(norecl.Config{MaxThreads: threads, Capacity: capacity})
-			},
-			scheme: smr.NoRecl,
-		},
 		"OA": {
 			mk: func(threads int) smr.Set {
 				return list.NewOA(core.Config{MaxThreads: threads, Capacity: capacity, LocalPool: 16})
 			},
 			scheme: smr.OA,
 		},
-		"HP": {
-			mk: func(threads int) smr.Set {
-				return list.NewHP(hpscheme.Config{MaxThreads: threads, Capacity: capacity, ScanThreshold: 64})
-			},
-			scheme: smr.HP,
-		},
-		"EBR": {
-			mk: func(threads int) smr.Set {
-				return list.NewEBR(ebr.Config{MaxThreads: threads, Capacity: capacity, OpsPerScan: 32})
-			},
-			scheme: smr.EBR,
-		},
-		"Anchors": {
-			mk: func(threads int) smr.Set {
-				return list.NewAnchors(anchors.Config{MaxThreads: threads, Capacity: capacity, K: 8, ScanThreshold: 64})
-			},
-			scheme: smr.Anchors,
-		},
 	}
+	c := sizing.Config{Capacity: capacity, ScanThreshold: 64, OpsPerScan: 32, AnchorsK: 8}
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR, smr.Anchors} {
+		fs[sc.String()] = struct {
+			mk     dstest.Factory
+			scheme smr.Scheme
+		}{dstest.Build(list.New, sc, c), sc}
+	}
+	return fs
 }
 
 func TestListSequential(t *testing.T) {
@@ -100,35 +80,14 @@ func TestOAListPhasesHappen(t *testing.T) {
 	}
 }
 
-// HP-specific: traversal restarts occur under churn (validation failures),
-// proving the protect/validate protocol is active.
-func TestHPListValidates(t *testing.T) {
-	l := list.NewHP(hpscheme.Config{MaxThreads: 4, Capacity: 4096, ScanThreshold: 32})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s := l.Session(1)
-		for i := 0; i < 30000; i++ {
-			k := uint64(i%128) + 1
-			s.Insert(k)
-			s.Delete(k)
-		}
-	}()
-	s := l.Session(0)
-	for i := 0; i < 30000; i++ {
-		s.Contains(uint64(i%128) + 1)
-	}
-	<-done
-	if st := l.Stats(); st.Recycled == 0 {
-		t.Fatalf("HP never recycled: %+v", st)
-	}
-}
-
 // Anchors-specific: with a tiny K every traversal drops anchors; recycling
 // still proceeds and semantics hold (covered by suites); here we check the
 // anchor machinery ran.
 func TestAnchorsListScans(t *testing.T) {
-	l := list.NewAnchors(anchors.Config{MaxThreads: 2, Capacity: 2048, K: 4, ScanThreshold: 16})
+	l, err := list.New(smr.Anchors, sizing.Config{MaxThreads: 2, Capacity: 2048, AnchorsK: 4, ScanThreshold: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := l.Session(0)
 	for i := 0; i < 10000; i++ {
 		k := uint64(i%64) + 1
@@ -143,15 +102,18 @@ func TestAnchorsListScans(t *testing.T) {
 
 // NoRecl leaks by definition: deleted nodes are never reused.
 func TestNoReclLeaks(t *testing.T) {
-	l := list.NewNoRecl(norecl.Config{MaxThreads: 1, Capacity: 64})
+	l, err := list.New(smr.NoRecl, sizing.Config{MaxThreads: 1, Capacity: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := l.Session(0)
 	for i := 0; i < 1000; i++ {
 		k := uint64(i%8) + 1
 		s.Insert(k)
 		s.Delete(k)
 	}
-	if l.Engine().Manager().Leaked() == 0 {
-		t.Fatal("NoRecl reported no leaked nodes under churn")
+	if st := l.Stats(); st.Retires == 0 || st.Recycled != 0 {
+		t.Fatalf("NoRecl must retire every deleted node and recycle none: %+v", st)
 	}
 }
 
@@ -161,10 +123,10 @@ func TestListLinearizability(t *testing.T) {
 	}
 }
 
-// NoRecl and EBR share one traversal; HP recycles through its own. What
-// is left to tell them apart is checked here (see dstest.RunChurnReclaims).
+// NoRecl, EBR, HP and Anchors share one traversal. What is left to tell
+// them apart is checked here (see dstest.RunChurnReclaims).
 func TestListChurnReclaims(t *testing.T) {
-	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR, smr.Anchors} {
 		t.Run(sc.String(), func(t *testing.T) {
 			set, err := list.New(sc, sizing.Config{MaxThreads: 1, Capacity: 4096, ScanThreshold: 32, OpsPerScan: 32})
 			if err != nil {

@@ -2,100 +2,115 @@ package queue
 
 import (
 	"repro/internal/arena"
-	"repro/internal/norecl"
+	"repro/internal/guard"
 	"repro/internal/smr"
 )
 
-// plainMem is what the plain queue needs of a scheme thread beyond its
-// view: a slot to link and a place to send an unlinked one.
-type plainMem interface {
-	Alloc() uint32
-	Retire(slot uint32)
+// guarded is the Michael-Scott queue under NoRecl, EBR or HP: the original
+// algorithm, driven by each thread's guard. Under HP it is the worked
+// example of Michael's TPDS 2004 paper, with two hazard pointers.
+type guarded struct {
+	*guard.Manager[Node]
+	roots
 }
 
-// plainQSession is the Michael-Scott queue with no barrier at all: raw
-// loads through the thread's directory view. It is the whole of NoRecl
-// and, inside an epoch bracket, the whole of EBR (ebr.go).
-type plainQSession struct {
+func newGuarded(m *guard.Manager[Node]) *guarded {
+	q := &guarded{Manager: m}
+	g := m.Guard(0)
+	q.init(g.Alloc())
+	return q
+}
+
+// QueueSession implements smr.Queue.
+func (q *guarded) QueueSession(tid int) smr.QueueSession {
+	return &session{r: &q.roots, g: q.Guard(tid), pending: arena.NoSlot}
+}
+
+// session is the queue under one thread's guard. Under NoRecl it has no
+// barrier at all: raw loads through the thread's directory view.
+type session struct {
 	r       *roots
-	view    *arena.View[Node]
-	mem     plainMem
+	g       guard.Guard[Node]
 	pending uint32
 }
 
-func (s *plainQSession) Enqueue(v uint64) {
+// Enqueue follows Michael's published HP protocol: protect last, validate
+// tail unchanged, then operate.
+func (s *session) Enqueue(v uint64) {
+	g := &s.g
+	g.Begin()
 	if s.pending == arena.NoSlot {
-		s.pending = s.mem.Alloc()
+		s.pending = g.Alloc()
 	}
-	n := s.view.At(s.pending)
+	n := g.View.At(s.pending)
 	n.Val.Store(v)
 	n.Next.Store(0)
 	newPtr := arena.MakePtr(s.pending)
 	for {
 		last := arena.Ptr(s.r.tail.Load())
-		next := arena.Ptr(s.view.At(last.Slot()).Next.Load())
+		if !g.Validate(0, last, &s.r.tail, last) {
+			g.Restart()
+			continue
+		}
+		next := arena.Ptr(g.View.At(last.Slot()).Next.Load())
 		if arena.Ptr(s.r.tail.Load()) != last {
+			g.Restart()
 			continue
 		}
 		if !next.IsNil() {
 			s.r.tail.CompareAndSwap(uint64(last), uint64(next))
 			continue
 		}
-		if s.view.At(last.Slot()).Next.CompareAndSwap(0, uint64(newPtr)) {
+		if g.View.At(last.Slot()).Next.CompareAndSwap(0, uint64(newPtr)) {
 			s.r.tail.CompareAndSwap(uint64(last), uint64(newPtr))
 			s.pending = arena.NoSlot
+			g.End()
 			return
 		}
+		g.Restart()
 	}
 }
 
-func (s *plainQSession) Dequeue() (uint64, bool) {
+// head reads the head, the tail and the head's successor. Under HP hazard
+// pointer 0 protects first and 1 protects next; ok is false when the head
+// moved meanwhile and the dequeue must retry.
+func (s *session) head() (first, last, next arena.Ptr, ok bool) {
+	g := &s.g
+	first = arena.Ptr(s.r.head.Load())
+	if !g.Validate(0, first, &s.r.head, first) {
+		return 0, 0, 0, false
+	}
+	last = arena.Ptr(s.r.tail.Load())
+	next = arena.Ptr(g.View.At(first.Slot()).Next.Load())
+	g.Protect(1, next)
+	return first, last, next, arena.Ptr(s.r.head.Load()) == first
+}
+
+// Dequeue follows Michael's published HP protocol with hp0=first, hp1=next.
+func (s *session) Dequeue() (uint64, bool) {
+	g := &s.g
+	g.Begin()
 	for {
-		first := arena.Ptr(s.r.head.Load())
-		last := arena.Ptr(s.r.tail.Load())
-		next := arena.Ptr(s.view.At(first.Slot()).Next.Load())
-		if arena.Ptr(s.r.head.Load()) != first {
+		first, last, next, ok := s.head()
+		if !ok {
+			g.Restart()
 			continue
 		}
 		if first == last {
 			if next.IsNil() {
+				g.End()
 				return 0, false
 			}
 			s.r.tail.CompareAndSwap(uint64(last), uint64(next))
 			continue
 		}
-		v := s.view.At(next.Slot()).Val.Load()
+		v := g.View.At(next.Slot()).Val.Load()
 		if s.r.head.CompareAndSwap(uint64(first), uint64(next)) {
-			s.mem.Retire(first.Slot())
+			g.Clear()
+			g.Retire(first.Slot())
+			g.End()
 			return v, true
 		}
+		g.Restart()
 	}
-}
-
-// NoReclQueue is the Michael-Scott queue without reclamation.
-type NoReclQueue struct {
-	mgr *norecl.Manager[Node]
-	roots
-}
-
-// NewNoRecl builds an empty queue sized by cfg.
-func NewNoRecl(cfg norecl.Config) *NoReclQueue {
-	q := &NoReclQueue{mgr: norecl.NewManager[Node](cfg, ResetNode)}
-	q.init(q.mgr.Thread(0).Alloc())
-	return q
-}
-
-// Manager exposes the underlying manager.
-func (q *NoReclQueue) Manager() *norecl.Manager[Node] { return q.mgr }
-
-// Scheme implements smr.Queue.
-func (q *NoReclQueue) Scheme() smr.Scheme { return smr.NoRecl }
-
-// Stats implements smr.Queue.
-func (q *NoReclQueue) Stats() smr.Stats { return q.mgr.Stats() }
-
-// QueueSession implements smr.Queue: the plain queue itself.
-func (q *NoReclQueue) QueueSession(tid int) smr.QueueSession {
-	t := q.mgr.Thread(tid)
-	return &plainQSession{r: &q.roots, view: t.View(), mem: t, pending: arena.NoSlot}
 }

@@ -1,7 +1,9 @@
-// Package queue implements the Michael-Scott lock-free FIFO queue under
-// the repository's reclamation schemes. The queue is not part of the
-// paper's evaluation; it is the natural extension exercise: the normalized
-// form of Timnat & Petrank covers it (§3.2 "it covers all concurrent data
+// Package queue implements the Michael-Scott lock-free FIFO queue twice: in
+// normalized form under optimistic access (oa.go), and as the original
+// algorithm under NoRecl, EBR and HP, driven by a per-thread guard
+// (plain.go, package guard). The queue is not part of the paper's
+// evaluation; it is the natural extension exercise: the normalized form of
+// Timnat & Petrank covers it (§3.2 "it covers all concurrent data
 // structures that we are aware of"), and it stresses a hazard the ordered
 // sets do not — the dequeued sentinel's next pointer must never be
 // observed as nil again before the node is recycled, or a lagging enqueue
@@ -20,6 +22,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/arena"
+	"repro/internal/guard"
 	"repro/internal/sizing"
 	"repro/internal/smr"
 )
@@ -53,15 +56,12 @@ func (r *roots) init(sentinel uint32) {
 
 // New builds an empty queue under scheme sc.
 func New(sc smr.Scheme, c sizing.Config) (smr.Queue, error) {
-	switch sc {
-	case smr.NoRecl:
-		return NewNoRecl(c.NoRecl()), nil
-	case smr.OA:
+	if sc == smr.OA {
 		return NewOA(c.OA()), nil
-	case smr.HP:
-		return NewHP(c.HP()), nil
-	case smr.EBR:
-		return NewEBR(c.EBR()), nil
 	}
-	return nil, sizing.Unsupported("queue", sc)
+	m, err := guard.New(sc, c, guard.Spec[Node]{Name: "queue", Reset: ResetNode, HPs: 2})
+	if err != nil {
+		return nil, err
+	}
+	return newGuarded(m), nil
 }

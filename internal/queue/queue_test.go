@@ -7,9 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dstest"
-	"repro/internal/ebr"
-	"repro/internal/hpscheme"
-	"repro/internal/norecl"
 	"repro/internal/queue"
 	"repro/internal/sizing"
 	"repro/internal/smr"
@@ -17,20 +14,21 @@ import (
 
 func factories() map[string]func(threads int) smr.Queue {
 	const capacity = 1 << 15 // must cover the worst-case backlog of the concurrent tests
-	return map[string]func(threads int) smr.Queue{
-		"NoRecl": func(threads int) smr.Queue {
-			return queue.NewNoRecl(norecl.Config{MaxThreads: threads, Capacity: capacity})
-		},
+	fs := map[string]func(threads int) smr.Queue{
 		"OA": func(threads int) smr.Queue {
 			return queue.NewOA(core.Config{MaxThreads: threads, Capacity: capacity, LocalPool: 16})
 		},
-		"HP": func(threads int) smr.Queue {
-			return queue.NewHP(hpscheme.Config{MaxThreads: threads, Capacity: capacity, ScanThreshold: 32})
-		},
-		"EBR": func(threads int) smr.Queue {
-			return queue.NewEBR(ebr.Config{MaxThreads: threads, Capacity: capacity, OpsPerScan: 32})
-		},
 	}
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
+		fs[sc.String()] = func(threads int) smr.Queue {
+			q, err := queue.New(sc, sizing.Config{MaxThreads: threads, Capacity: capacity, ScanThreshold: 32, OpsPerScan: 32})
+			if err != nil {
+				panic(err)
+			}
+			return q
+		}
+	}
+	return fs
 }
 
 func TestQueueSequentialFIFO(t *testing.T) {
@@ -210,9 +208,9 @@ func TestQueueTinyArenaChurn(t *testing.T) {
 	}
 }
 
-// NoRecl and EBR share the plain queue; what is left to tell them apart —
-// a retire that recycles, and both operations inside the epoch bracket —
-// is checked here: single-thread churn well past the scan trigger.
+// NoRecl, EBR and HP share one queue; what is left to tell them apart — a
+// retire that recycles, and both operations inside the epoch bracket — is
+// checked here: single-thread churn well past the scan trigger.
 func TestQueueChurnReclaims(t *testing.T) {
 	const opsPerScan, rounds = 32, 256
 	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {

@@ -3,44 +3,25 @@ package skiplist
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/dstest"
+	"repro/internal/smr"
 )
 
-// FuzzOASkipListVsModel drives the OA skip list — whose delete emits a
-// multi-CAS list per the paper's normalized form — with a byte-encoded
-// operation sequence against a model map.
-func FuzzOASkipListVsModel(f *testing.F) {
+// FuzzSkipListVsModel drives the skip list under every scheme it is built
+// for — under OA its delete emits a multi-CAS list per the paper's
+// normalized form — with a byte-encoded operation sequence against a model
+// map (see dstest.RunSetVsModel).
+func FuzzSkipListVsModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 2, 2, 2, 2, 1, 2, 3})
 	f.Add([]byte{0, 9, 1, 9, 0, 9, 1, 9})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sl := NewOA(core.Config{MaxThreads: 1, Capacity: 512, LocalPool: 4})
-		s := sl.Session(0)
-		model := map[uint64]bool{}
-		for i := 0; i+1 < len(data); i += 2 {
-			op := data[i] % 3
-			k := uint64(data[i+1]) + 1
-			switch op {
-			case 0:
-				if got, want := s.Insert(k), !model[k]; got != want {
-					t.Fatalf("op %d: Insert(%d) = %v, want %v", i/2, k, got, want)
-				}
-				model[k] = true
-			case 1:
-				if got, want := s.Delete(k), model[k]; got != want {
-					t.Fatalf("op %d: Delete(%d) = %v, want %v", i/2, k, got, want)
-				}
-				delete(model, k)
-			default:
-				if got, want := s.Contains(k), model[k]; got != want {
-					t.Fatalf("op %d: Contains(%d) = %v, want %v", i/2, k, got, want)
-				}
+		for _, sc := range []smr.Scheme{smr.NoRecl, smr.OA, smr.HP, smr.EBR} {
+			sl, err := New(sc, dstest.FuzzSizing(sc, 512, len(data)/2))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for k := uint64(1); k <= 256; k++ {
-			if got := s.Contains(k); got != model[k] {
-				t.Fatalf("final sweep: Contains(%d) = %v, want %v", k, got, model[k])
-			}
+			t.Run(sc.String(), func(t *testing.T) { dstest.RunSetVsModel(t, sl.Session(0), data) })
 		}
 	})
 }

@@ -1,9 +1,9 @@
 // Package skiplist implements the Herlihy-Shavit lock-free skip list ([12],
-// §14.4, after Fraser) in the normalized form the paper requires, once per
-// barrier protocol: optimistic access (oa.go, on the oakit barriers), hazard
-// pointers (hp.go) and the plain algorithm (plain.go), which is NoRecl as
-// it stands and EBR inside an epoch bracket (ebr.go) — the paper does not
-// build an anchors skip list (§5).
+// §14.4, after Fraser) twice: in the normalized form the paper requires,
+// which is optimistic access (oa.go, on the oakit barriers), and as the
+// original algorithm (plain.go), which runs NoRecl, EBR and HP through a
+// per-thread guard (package guard). The paper does not build an anchors
+// skip list (§5).
 //
 // Structure notes (shared by all variants):
 //
@@ -29,23 +29,21 @@ package skiplist
 import (
 	"sync/atomic"
 
+	"repro/internal/guard"
 	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
 // New builds an empty skip list under scheme sc.
 func New(sc smr.Scheme, c sizing.Config) (smr.Set, error) {
-	switch sc {
-	case smr.NoRecl:
-		return NewNoRecl(c.NoRecl()), nil
-	case smr.OA:
+	if sc == smr.OA {
 		return NewOA(c.OA()), nil
-	case smr.HP:
-		return NewHP(c.HP()), nil
-	case smr.EBR:
-		return NewEBR(c.EBR()), nil
 	}
-	return nil, sizing.Unsupported("skip list", sc)
+	m, err := guard.New(sc, c, guard.Spec[Node]{Name: "skip list", Reset: ResetNode, HPs: hpPerThread})
+	if err != nil {
+		return nil, err
+	}
+	return newGuarded(m), nil
 }
 
 // MaxLevel is the paper's MAXLEN: the maximum node height. 2^20 nodes keep

@@ -6,9 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dstest"
-	"repro/internal/ebr"
-	"repro/internal/hpscheme"
-	"repro/internal/norecl"
 	"repro/internal/sizing"
 	"repro/internal/smr"
 )
@@ -18,35 +15,25 @@ func factories() map[string]struct {
 	scheme smr.Scheme
 } {
 	const capacity = 1 << 15
-	return map[string]struct {
+	fs := map[string]struct {
 		mk     dstest.Factory
 		scheme smr.Scheme
 	}{
-		"NoRecl": {
-			mk: func(threads int) smr.Set {
-				return NewNoRecl(norecl.Config{MaxThreads: threads, Capacity: capacity})
-			},
-			scheme: smr.NoRecl,
-		},
 		"OA": {
 			mk: func(threads int) smr.Set {
 				return NewOA(core.Config{MaxThreads: threads, Capacity: capacity, LocalPool: 16})
 			},
 			scheme: smr.OA,
 		},
-		"HP": {
-			mk: func(threads int) smr.Set {
-				return NewHP(hpscheme.Config{MaxThreads: threads, Capacity: capacity, ScanThreshold: 64})
-			},
-			scheme: smr.HP,
-		},
-		"EBR": {
-			mk: func(threads int) smr.Set {
-				return NewEBR(ebr.Config{MaxThreads: threads, Capacity: capacity, OpsPerScan: 32})
-			},
-			scheme: smr.EBR,
-		},
 	}
+	c := sizing.Config{Capacity: capacity, ScanThreshold: 64, OpsPerScan: 32}
+	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
+		fs[sc.String()] = struct {
+			mk     dstest.Factory
+			scheme smr.Scheme
+		}{dstest.Build(New, sc, c), sc}
+	}
+	return fs
 }
 
 func TestSkipListSequential(t *testing.T) {
@@ -212,8 +199,8 @@ func TestSkipListLinearizability(t *testing.T) {
 	}
 }
 
-// NoRecl and EBR share the plain skip list; what is left to tell them
-// apart is checked here (see dstest.RunChurnReclaims).
+// NoRecl, EBR and HP share one skip list; what is left to tell them apart
+// is checked here (see dstest.RunChurnReclaims).
 func TestSkipListChurnReclaims(t *testing.T) {
 	for _, sc := range []smr.Scheme{smr.NoRecl, smr.HP, smr.EBR} {
 		t.Run(sc.String(), func(t *testing.T) {

@@ -5,14 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/hpscheme"
 	"repro/internal/kvmap"
 	"repro/internal/list"
 	"repro/internal/oakit"
 	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/server"
+	"repro/internal/sizing"
 	"repro/internal/skiplist"
+	"repro/internal/smr"
 	"repro/internal/trace"
 	"repro/internal/ttlcache"
 )
@@ -254,9 +255,12 @@ func TestRecyclingDoesNotAllocate(t *testing.T) {
 	})
 
 	t.Run("ListHPScan", func(t *testing.T) {
-		l := list.NewHP(hpscheme.Config{
+		l, err := list.New(smr.HP, sizing.Config{
 			MaxThreads: 1, Capacity: capacity, ScanThreshold: 64,
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		s := l.Session(0)
 		for k := uint64(1); k <= 512; k++ {
 			s.Insert(k)
