@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all ci build test zeroalloc race race-full cover fuzz bench experiments stress clean
+.PHONY: all ci build inline test zeroalloc race race-full cover fuzz bench experiments stress clean
 
 all: build test
 
@@ -12,12 +12,19 @@ all: build test
 # through start, load, SIGTERM/SIGINT and the final-stats ledger — is the
 # internal/e2e test package, so it runs inside `test` (go test ./...;
 # one check alone: go test -run TestLifecycle/cache ./internal/e2e).
-# Performance is recorded by bench/ (BENCHMARK.json), not gated here.
-ci: build test zeroalloc race
+# Performance is recorded by bench/ (BENCHMARK.json), not gated here;
+# what is gated is that the per-hop fast paths compile without a call.
+ci: build inline test zeroalloc race
 
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+
+# The inlining gate (scripts/inline.sh): every OA hop's warning check
+# and node dereference, and every guard hook of the original traversals,
+# must inline at every call site — no CALL to them in the assembly.
+inline:
+	GO=$(GO) bash scripts/inline.sh
 
 test:
 	$(GO) test ./...

@@ -128,7 +128,10 @@ func BenchmarkAblationWarning(b *testing.B) {
 
 // BenchmarkOAReadBarrier isolates the cost of the paper's Algorithm 1 read
 // barrier: the pure-read workload on the long list is a traversal
-// micro-benchmark where OA's warning check is the only overhead vs NoRecl.
+// micro-benchmark where OA's warning check is its only per-hop work beyond
+// NoRecl's. The two also address nodes differently: OA indexes one flat
+// slice, NoRecl walks the arena's chunk directory (EXPERIMENTS.md,
+// "Per-hop decomposition").
 func BenchmarkOAReadBarrier(b *testing.B) {
 	for _, sc := range []smr.Scheme{smr.NoRecl, smr.OA, smr.HP, smr.EBR} {
 		b.Run(sc.String(), func(b *testing.B) {

@@ -40,9 +40,10 @@ func (p *flightProbe) Stats() smr.Stats {
 // families, and starts a recorder at the default interval and window.
 //
 // Deliberately does NOT call obs.SetEnabled: that global flag gates
-// per-read hot-path counters inside the OA core, and flipping it would
-// benchmark the instrumentation, not the recorder (measured ~35% on
-// LinkedList128/OA). The smr_* aggregates sampled here are maintained
+// hot-path counters inside the OA core (hazard-pointer word stores), and
+// flipping it would benchmark the instrumentation, not the recorder (~35%
+// on LinkedList128/OA, measured while it also counted every warning
+// check). The smr_* aggregates sampled here are maintained
 // unconditionally, so the recorder sees real data either way; what
 // this probe adds to the measured run is exactly what production pays
 // for recording — one goroutine sampling every 250ms.

@@ -31,11 +31,17 @@ type Arena[T any] struct {
 	gens  atomic.Pointer[[]*genChunk]     // parallel generation counters
 	limit atomic.Uint32                   // slots handed out so far
 	capa  atomic.Uint32                   // slots backed by chunks
+
+	// flat and flatGens are the one allocation behind New's initial
+	// capacity: the directory's first chunks are windows onto them.
+	flat     []T
+	flatGens []atomic.Uint32
 }
 
 type genChunk [ChunkSize]atomic.Uint32
 
-// New creates an arena with capacity for at least initialCap slots.
+// New creates an arena with capacity for at least initialCap slots, backed
+// by one contiguous allocation (see Flat).
 func New[T any](initialCap int) *Arena[T] {
 	a := &Arena[T]{}
 	empty := make([]*[ChunkSize]T, 0)
@@ -43,10 +49,18 @@ func New[T any](initialCap int) *Arena[T] {
 	a.table.Store(&empty)
 	a.gens.Store(&emptyGens)
 	if initialCap > 0 {
-		a.grow(uint32(initialCap))
+		a.flat, a.flatGens = a.grow(uint32(initialCap))
 	}
 	return a
 }
+
+// Flat returns the contiguous region behind the initial capacity given to
+// New: nodes[i] and gens[i] are the memory At(i) and Gen(i) reach through
+// the chunk directory, for every slot i < len(nodes). Slots created by
+// later growth lie outside it. A user whose slots all lie inside, such as
+// a manager that reserves its whole capacity once, can index the region
+// directly and skip the directory.
+func (a *Arena[T]) Flat() (nodes []T, gens []atomic.Uint32) { return a.flat, a.flatGens }
 
 // At returns the node stored in slot. The returned pointer stays valid
 // forever; it may alias a slot that has since been recycled (that is the
@@ -96,24 +110,29 @@ func (a *Arena[T]) Reserve(n int) uint32 {
 	return base
 }
 
-// grow extends capacity to at least need slots. Caller holds a.mu (or is
-// the constructor).
-func (a *Arena[T]) grow(need uint32) {
+// grow extends capacity to at least need slots and returns the one
+// allocation that backs the new chunks (nil if none were needed). Caller
+// holds a.mu (or is the constructor).
+func (a *Arena[T]) grow(need uint32) ([]T, []atomic.Uint32) {
 	chunks := (int(need) + ChunkSize - 1) >> ChunkShift
 	old := *a.table.Load()
 	oldGens := *a.gens.Load()
 	if len(old) >= chunks {
-		return
+		return nil, nil
 	}
+	nodes := make([]T, (chunks-len(old))<<ChunkShift)
+	gens := make([]atomic.Uint32, len(nodes))
 	next := make([]*[ChunkSize]T, chunks)
 	nextGens := make([]*genChunk, chunks)
 	copy(next, old)
 	copy(nextGens, oldGens)
 	for i := len(old); i < chunks; i++ {
-		next[i] = new([ChunkSize]T)
-		nextGens[i] = new(genChunk)
+		off := (i - len(old)) << ChunkShift
+		next[i] = (*[ChunkSize]T)(nodes[off:])
+		nextGens[i] = (*genChunk)(gens[off:])
 	}
 	a.table.Store(&next)
 	a.gens.Store(&nextGens)
 	a.capa.Store(uint32(chunks) << ChunkShift)
+	return nodes, gens
 }

@@ -124,6 +124,72 @@ func TestArenaGrowthPreservesSlots(t *testing.T) {
 	}
 }
 
+// The region behind New's capacity is one slice aliasing the chunk
+// directory: indexing it, At and a View reach the same node and the same
+// generation counter.
+func TestFlatCoversReservedSlots(t *testing.T) {
+	const n = 2*ChunkSize + 7 // three chunks, the last partly reserved
+	a := New[testNode](n)
+	base := a.Reserve(n)
+	nodes, gens := a.Flat()
+	if base != 0 || len(nodes) < n || len(gens) != len(nodes) {
+		t.Fatalf("Reserve = %d, Flat = %d nodes and %d gens; want 0 and >= %d of each",
+			base, len(nodes), len(gens), n)
+	}
+	v := a.View()
+	for i := uint32(0); i < n; i++ {
+		p := &nodes[i]
+		if a.At(i) != p || v.At(i) != p {
+			t.Fatalf("slot %d: flat %p, At %p, View.At %p", i, p, a.At(i), v.At(i))
+		}
+	}
+	gens[n-1].Add(1)
+	a.BumpGen(n - 1)
+	if a.Gen(n-1) != 2 || v.Gen(n-1) != 2 || gens[n-1].Load() != 2 {
+		t.Fatalf("gen of slot %d: Gen %d, View.Gen %d, flat %d; want 2 everywhere",
+			n-1, a.Gen(n-1), v.Gen(n-1), gens[n-1].Load())
+	}
+	if nodes, gens := New[testNode](0).Flat(); nodes != nil || gens != nil {
+		t.Fatal("New(0) must have no flat region")
+	}
+}
+
+// Growth past the flat region hands out fresh, distinct slots through the
+// directory, leaves the region as it was, and moves no earlier slot.
+func TestGrowthPastFlat(t *testing.T) {
+	a := New[testNode](ChunkSize)
+	a.Reserve(ChunkSize)
+	nodes, _ := a.Flat()
+	first, last := &nodes[0], &nodes[ChunkSize-1]
+	first.key, last.key = 1, 2
+	const more = 3 * ChunkSize
+	base := a.Reserve(more)
+	if base != ChunkSize {
+		t.Fatalf("Reserve past the region = %d, want %d", base, ChunkSize)
+	}
+	if again, _ := a.Flat(); len(again) != len(nodes) || &again[0] != first {
+		t.Fatal("growth changed the flat region")
+	}
+	v := a.View()
+	seen := map[*testNode]bool{first: true, last: true}
+	for i := base; i < base+more; i++ {
+		p := a.At(i)
+		if seen[p] || v.At(i) != p {
+			t.Fatalf("slot %d: At %p, View.At %p, already seen %v", i, p, v.At(i), seen[p])
+		}
+		seen[p] = true
+		p.key = uint64(i)
+	}
+	for i := base; i < base+more; i++ {
+		if a.At(i).key != uint64(i) {
+			t.Fatalf("slot %d key = %d", i, a.At(i).key)
+		}
+	}
+	if a.At(0) != first || a.At(ChunkSize-1) != last || first.key != 1 || last.key != 2 {
+		t.Fatal("growth moved or changed a slot of the flat region")
+	}
+}
+
 func TestArenaReserveSequential(t *testing.T) {
 	a := New[testNode](0)
 	b1 := a.Reserve(10)

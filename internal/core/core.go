@@ -67,6 +67,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -199,19 +200,28 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 	} else {
 		m.ba.Put(blk)
 	}
+	// The manager never reserves again, so every slot it hands out lies in
+	// the arena's first growth: threads index that one region directly.
+	nodes, gens := m.nodes.Flat()
+	end := int(base) + cfg.Capacity
+	if end > len(nodes) {
+		panic(fmt.Sprintf("core: reserved slots [%d, %d) fall outside the arena's contiguous region of %d",
+			base, end, len(nodes)))
+	}
+	nodes, gens = nodes[:end:end], gens[:end:end]
 	m.stats = obs.NewThreadStats(cfg.MaxThreads)
 	m.tracer = trace.NewRecorder(cfg.MaxThreads, cfg.TraceRing)
 	m.threads = make([]*Thread[T], cfg.MaxThreads)
 	for i := range m.threads {
 		t := &Thread[T]{
+			nodes:     nodes,
+			gens:      gens,
+			warning:   warning{stats: m.stats.At(i), ring: m.tracer.Ring(i)},
 			mgr:       m,
 			id:        i,
 			hps:       make([]atomic.Uint64, writeWords+(cfg.OwnerHPs+1)/2),
 			allocBlk:  pools.NoBlock,
 			retireBlk: pools.NoBlock,
-			view:      m.nodes.View(),
-			stats:     m.stats.At(i),
-			ring:      m.tracer.Ring(i),
 			rng:       uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 		}
 		m.threads[i] = t

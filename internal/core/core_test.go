@@ -79,6 +79,47 @@ func TestRetiredSlotNotRecycledSamePhase(t *testing.T) {
 	}
 }
 
+// Thread.Node indexes the manager's contiguous node slice, so for every
+// slot it must reach the node the arena's chunk directory reaches; the
+// capacity spans two chunks.
+func TestNodeMatchesArena(t *testing.T) {
+	m := newMgr(t, Config{MaxThreads: 2, Capacity: arena.ChunkSize + 1000, OwnerHPs: 3})
+	a := m.Arena()
+	if a.Limit() != uint32(m.Capacity()) {
+		t.Fatalf("arena reserved %d slots, capacity %d", a.Limit(), m.Capacity())
+	}
+	for id := 0; id < m.MaxThreads(); id++ {
+		th := m.Thread(id)
+		for s := uint32(0); s < a.Limit(); s++ {
+			if th.Node(s) != a.At(s) {
+				t.Fatalf("thread %d slot %d: Node %p, Arena().At %p", id, s, th.Node(s), a.At(s))
+			}
+		}
+	}
+}
+
+// A drain bumps a recycled slot's generation through the thread's slice;
+// the bump must show in Arena().Gen, the oracle tests read. A slot that is
+// never retired keeps generation 0.
+func TestDrainBumpsArenaGen(t *testing.T) {
+	m := newMgr(t, Config{MaxThreads: 1, Capacity: 8, LocalPool: 2})
+	th := m.Thread(0)
+	s, kept := th.Alloc(), th.Alloc()
+	th.Retire(s)
+	if left := m.Quiesce(); left != 0 {
+		t.Fatalf("Quiesce left %d slots", left)
+	}
+	if st := m.Stats(); st.Recycled != 1 {
+		t.Fatalf("Recycled = %d, want 1", st.Recycled)
+	}
+	if g := m.Arena().Gen(s); g != 1 {
+		t.Fatalf("recycled slot's Arena().Gen = %d, want 1", g)
+	}
+	if g := m.Arena().Gen(kept); g != 0 {
+		t.Fatalf("live slot's Arena().Gen = %d, want 0", g)
+	}
+}
+
 func TestWarningSetOncePerPhase(t *testing.T) {
 	m := newMgr(t, Config{MaxThreads: 2, Capacity: 64, OwnerHPs: 0})
 	th := m.Thread(0)

@@ -21,14 +21,20 @@ import (
 // any thread may concurrently *read* the hazard pointers and *update* the
 // warning word, which is why both are atomics.
 type Thread[T any] struct {
+	// nodes is the manager's whole slot space as one slice: the arena's
+	// first growth is one allocation, and an OA manager never grows past
+	// it, so a dereference is one bounds-checked index with no chunk
+	// directory in between. gens is the matching slice of generation
+	// counters, which drain bumps.
+	nodes []T
+	gens  []atomic.Uint32
+
+	// warning holds the warning word and the slow path of every check on
+	// it, with the thread's counter block and trace ring.
+	warning
+
 	mgr *Manager[T]
 	id  int
-
-	// warn packs {phase:56 | warning:8}. The recycler sets it via CAS (or
-	// plain store under the WarningByStore ablation); the owner clears the
-	// low byte, preserving the phase stamp so each phase sets it at most
-	// once (Appendix E).
-	warn atomic.Uint64
 
 	// hps packs two hazard pointers per word, each 32-bit half holding
 	// slot+1 (zero meaning empty). Words [0, writeWords) hold the three
@@ -47,11 +53,6 @@ type Thread[T any] struct {
 	// thread-local so probing costs no shared memory traffic).
 	rng uint64
 
-	// view snapshots the arena's grow-only chunk directory so the node
-	// dereference hot path (every hop of every traversal) pays zero atomic
-	// loads; see arena.View for the staleness-safety argument.
-	view arena.View[T]
-
 	scratchHP smr.SlotSet // reused sorted hazard-pointer snapshot
 	// snapPhase/snapValid key the scratchHP cache: within one phase the
 	// sealed snapshot is rebuilt at most once per thread, because every
@@ -59,12 +60,24 @@ type Thread[T any] struct {
 	// ran setWarnings(p) (see snapshotHPs for the safety argument).
 	snapPhase uint32
 	snapValid bool
+}
+
+// warning is the part of a Thread that every barrier touches: the warning
+// word, and the acknowledgement that runs when a check finds it set. It is
+// not generic, so the slow path is compiled once, and Check — one load and
+// a branch in front of it — fits the inliner's budget.
+type warning struct {
+	// warn packs {phase:56 | warning:8}. The recycler sets it via CAS (or
+	// plain store under the WarningByStore ablation); the owner clears the
+	// low byte, preserving the phase stamp so each phase sets it at most
+	// once (Appendix E).
+	warn atomic.Uint64
 
 	// stats is this thread's cache-padded counter block inside the
 	// manager's obs.ThreadStats array. The owner increments with
 	// uncontended atomic adds; any goroutine may aggregate concurrently
 	// (Manager.Stats, the obs registry), so no quiescence is required.
-	// Per-read hot counters are gated on obs.Enabled().
+	// Per-publish hot counters are gated on obs.Enabled().
 	stats *obs.PerThread
 
 	// ring is this thread's protocol event trace ring. Recording is gated
@@ -73,13 +86,47 @@ type Thread[T any] struct {
 	ring *trace.Ring
 }
 
+// check is the warning test shared by the read barrier (Check), the
+// pre-CAS barrier (ProtectCAS) and the generator seal (SealGenerator):
+// one load of the warning word and a branch. cause attributes the restart
+// in the event trace.
+func (wn *warning) check(cause trace.Cause) bool {
+	return wn.warn.Load()&warnMask != 0 && wn.ack(cause)
+}
+
+// ack is check's slow path: it clears the warning, counts it and the
+// restart it forces, and records both in the trace. It always reports
+// true. All trace traffic lives here, so check stays a load and a branch.
+//
+// ack re-reads the word rather than taking check's load as an argument,
+// which keeps check inside the inliner's budget. A recycler may stamp a
+// newer phase in between; clearing that stamp's bit is as safe as clearing
+// the one check saw, because the caller restarts from scratch after it.
+//
+//go:noinline
+func (wn *warning) ack(cause trace.Cause) bool {
+	w := wn.warn.Load()
+	if trace.Enabled() {
+		wn.ring.Record(trace.EvWarnCheck, w>>8)
+	}
+	wn.warn.CompareAndSwap(w, w&^warnMask)
+	if trace.Enabled() {
+		wn.ring.Record(trace.EvWarnAck, w>>8)
+		wn.ring.Record(trace.EvRestart, uint64(cause))
+	}
+	wn.stats.Inc(obs.Warnings)
+	wn.stats.Inc(obs.Restarts)
+	return true
+}
+
 // ID returns the thread index within the manager.
 func (t *Thread[T]) ID() int { return t.id }
 
 // Node dereferences a slot handle. The result may alias recycled memory;
 // callers must follow every read with Check per Algorithm 1. The lookup
-// goes through the thread's directory view: two plain loads, no atomics.
-func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
+// indexes the thread's contiguous node slice: one load of its base and
+// bounds, no atomics and no chunk directory.
+func (t *Thread[T]) Node(slot uint32) *T { return &t.nodes[slot] }
 
 // Warning reports whether the warning bit is set (a recycling phase started
 // since the thread last cleared it).
@@ -89,35 +136,10 @@ func (t *Thread[T]) Warning() bool { return t.warn.Load()&warnMask != 0 }
 // optimistic read of shared node memory. It returns true when the enclosing
 // normalized method must restart; in that case the warning bit has been
 // cleared already (restarting from scratch cannot encounter slots retired
-// before the current phase, so clearing is safe — §4).
+// before the current phase, so clearing is safe — §4). It inlines into
+// every traversal: a load of the warning word and a branch, with the
+// acknowledgement out of line.
 func (t *Thread[T]) Check() bool { return t.check(trace.CauseRead) }
-
-// check is Check with the restart cause attributed for the event trace:
-// the read barrier, the pre-CAS barrier (ProtectCAS) and the generator
-// seal (SealGenerator) share the warning-word protocol but restart the
-// operation for different reasons.
-func (t *Thread[T]) check(cause trace.Cause) bool {
-	if obs.Enabled() {
-		t.stats.Inc(obs.WarningChecks)
-	}
-	w := t.warn.Load()
-	if w&warnMask == 0 {
-		return false
-	}
-	// Warning observed: the slow path. All trace traffic lives here, so
-	// the per-read fast path above stays two loads and a branch.
-	if trace.Enabled() {
-		t.ring.Record(trace.EvWarnCheck, w>>8)
-	}
-	t.warn.CompareAndSwap(w, w&^warnMask)
-	if trace.Enabled() {
-		t.ring.Record(trace.EvWarnAck, w>>8)
-		t.ring.Record(trace.EvRestart, uint64(cause))
-	}
-	t.stats.Inc(obs.Warnings)
-	t.stats.Inc(obs.Restarts)
-	return true
-}
 
 // writeWords is the number of packed words holding the WriteHPs.
 const writeWords = (WriteHPs + 1) / 2
@@ -239,7 +261,7 @@ func (t *Thread[T]) Alloc() uint32 {
 			b := m.ba.B(t.allocBlk)
 			if !b.Empty() {
 				slot := b.Pop()
-				m.reset(t.view.At(slot))
+				m.reset(&t.nodes[slot])
 				t.stats.Inc(obs.Allocs)
 				return slot
 			}
@@ -426,7 +448,7 @@ func (t *Thread[T]) snapshotHPs() *smr.SlotSet {
 // drain processes the processingPool for phase t.localVer (Algorithm 6
 // lines 20–30) and returns how many slots it recycled and re-retired.
 // The active ready/re-retire block pointers are resolved once per block
-// swap, and generation bumps go through the thread's gens view, so the
+// swap, and generation bumps index the thread's gens slice, so the
 // per-slot loop performs no block-table or chunk-table loads. Pops prefer
 // the thread's home processing shard and steal from siblings, so
 // concurrent drainers of one phase spread across the shards instead of
@@ -469,7 +491,7 @@ func (t *Thread[T]) drain(hp *smr.SlotSet) (uint64, uint64) {
 			} else {
 				// Unprotected: recycled. Bump the debug generation so tests
 				// can detect (HP/EBR) or account for (OA) stale accesses.
-				t.view.BumpGen(slot)
+				t.gens[slot].Add(1)
 				if readyBlk == pools.NoBlock {
 					readyBlk = m.ba.Get()
 					readyB = m.ba.B(readyBlk)

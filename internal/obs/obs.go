@@ -8,12 +8,13 @@
 //  1. Instrumented hot paths must stay allocation-free and lock-free: every
 //     counter is an atomic word inside a block owned by a single writer
 //     thread, padded so two threads never share a cache line.
-//  2. Counters that fire on every optimistic read or hazard-pointer
-//     publish are gated behind one global Enabled flag — a single
-//     predictable branch when observability is off (zeroalloc_test.go
-//     keeps this honest). Cold counters
-//     (allocs, retires, recycle passes) are always on, which is what makes
-//     live Stats() aggregation race-free.
+//  2. Counters that fire on every hazard-pointer publish or operation are
+//     gated behind one global Enabled flag — a single predictable branch
+//     when observability is off (zeroalloc_test.go keeps this honest).
+//     Nothing counts an optimistic read: the read barrier counts only
+//     the warnings it acts on, so it stays a load and a branch that
+//     inlines. Cold counters (allocs, retires, recycle passes) are always
+//     on, which is what makes live Stats() aggregation race-free.
 //  3. Aggregation never stops writers: readers sum the per-thread atomics
 //     on demand. Each individual counter is exact; a cross-counter
 //     snapshot may be torn by in-flight operations, so gauges derived from
@@ -26,8 +27,8 @@ import "sync/atomic"
 // Counter indexes one of the per-thread counters in a PerThread block.
 type Counter int
 
-// The per-thread counter set. Hot counters (Ops, WarningChecks,
-// HPPublishes) are only maintained while Enabled; the rest are always on.
+// The per-thread counter set. Hot counters (Ops, HPPublishes) are only
+// maintained while Enabled; the rest are always on.
 const (
 	// Ops counts completed data-structure operations (fed by the driver
 	// that owns the thread: harness workers, oastress loops).
@@ -41,8 +42,6 @@ const (
 	// ReRetired counts slots deferred to a later phase/scan because a
 	// hazard pointer (or anchor) protected them.
 	ReRetired
-	// WarningChecks counts executions of the Algorithm 1 read barrier.
-	WarningChecks
 	// Warnings counts warning checks that observed the bit set.
 	Warnings
 	// Restarts counts operation restarts forced by the scheme.
@@ -62,7 +61,7 @@ const (
 
 var counterNames = [NumCounters]string{
 	"ops", "allocs", "retires", "recycled", "re_retired",
-	"warning_checks", "warnings", "restarts", "drain_passes", "hp_publishes",
+	"warnings", "restarts", "drain_passes", "hp_publishes",
 }
 
 // String returns the snake_case export name of the counter.
@@ -90,7 +89,8 @@ type PerThread struct {
 	// localRetired is a gauge: slots currently buffered in the thread's
 	// local retire block, stored by the owner after each retire/flush.
 	localRetired atomic.Uint64
-	_            [40]byte // pad the block to 128 bytes (2 cache lines)
+	// pad the block to 128 bytes (2 cache lines) whatever the counter count
+	_ [128 - 8*(NumCounters+1)]byte
 }
 
 // Inc adds 1 to counter i.

@@ -7,6 +7,7 @@ import (
 	"repro/internal/kvmap"
 	"repro/internal/list"
 	"repro/internal/mpmc"
+	"repro/internal/obs"
 	"repro/internal/queue"
 )
 
@@ -26,6 +27,8 @@ func TestNodeLayout(t *testing.T) {
 		{"kvmap.Node", unsafe.Sizeof(kvmap.Node{}), 32},
 		{"queue.Node", unsafe.Sizeof(queue.Node{}), 16},
 		{"mpmc.Node", unsafe.Sizeof(mpmc.Node{}), 72},
+		// Two cache lines, so neighbouring threads' counters never share one.
+		{"obs.PerThread", unsafe.Sizeof(obs.PerThread{}), 128},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

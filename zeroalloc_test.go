@@ -30,9 +30,10 @@ func resetZANode(n *zanode) {
 }
 
 // The data-structure hot paths must not allocate Go heap memory: all node
-// storage comes from the arena, descriptor lists live on the stack, the
-// per-thread directory views refresh by re-slicing the COW chunk table,
-// and the hazard-pointer snapshots reuse a sorted scratch slice. A
+// storage comes from the arena, descriptor lists live on the stack, OA
+// threads index one contiguous node slice, the other schemes' per-thread
+// directory views refresh by re-slicing the COW chunk table, and the
+// hazard-pointer snapshots reuse a sorted scratch slice. A
 // steady-state operation therefore performs zero allocations — checked
 // here, because a stray escape would silently put Go's GC back into the
 // benchmark loop the paper's scheme exists to avoid.
