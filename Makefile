@@ -42,8 +42,9 @@ zeroalloc:
 # reclamation core, the sharded block pools, the MPMC request rings, the
 # OA kit and the structure layer that sits on it (list, skip list, queue,
 # hash table, kvmap — the five add ~40 s on the 2-vCPU host), the
-# aux-word protocol of the TTL/LRU cache, and the server's burst
-# hand-off, lock-free outbox and lazily allocated trace rings. -short
+# aux-word protocol of the TTL/LRU cache, the server's burst hand-off,
+# lock-free outbox and lazily allocated trace rings, and the concurrent
+# histograms, counter blocks and health engine of obs and flight. -short
 # keeps it inside a merge-gate budget; race-full sweeps everything. The burst hand-off's concurrent test (several connections'
 # nodes interleaving on the rings over both codecs, variadic joins, one
 # client vanishing) runs ten times over: a race there is a matter of
@@ -51,7 +52,7 @@ zeroalloc:
 # warning-storm suites, five times: a delete marks and unlinks under one
 # commit's hazard pointers, which stay published after it returns.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/list/... ./internal/skiplist/... ./internal/queue/... ./internal/hashtable/... ./internal/kvmap/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/...
+	$(GO) test -race -short ./internal/core/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/list/... ./internal/skiplist/... ./internal/queue/... ./internal/hashtable/... ./internal/kvmap/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/... ./internal/obs/... ./internal/flight/...
 	$(GO) test -race -count=10 -run TestConcurrentBurstsLedger ./internal/server
 	$(GO) test -race -short -count=5 -run 'Linearizability|WarningStorm|Concurrent' ./internal/list ./internal/hashtable ./internal/kvmap
 

@@ -35,12 +35,7 @@ type options struct {
 	threads    []int
 	delta      int
 	quick      bool
-	flight     bool
 }
-
-// probe is the process-wide flight recorder (nil with -flight=false);
-// measure publishes every freshly built structure into it.
-var probe *flightProbe
 
 func main() {
 	var o options
@@ -53,8 +48,6 @@ func main() {
 	flag.StringVar(&threadsFlag, "threads", "1,2,4,8,16,32,64", "thread counts to sweep")
 	flag.IntVar(&o.delta, "delta", 50000, "δ: allocations between reclamation phases (Figure 1 default)")
 	flag.BoolVar(&o.quick, "quick", false, "tiny sweep for smoke testing")
-	flag.BoolVar(&o.flight, "flight", true,
-		"run the in-process flight recorder during measurements, so reported numbers include its steady-state cost")
 	flag.Parse()
 
 	for _, part := range strings.Split(threadsFlag, ",") {
@@ -71,13 +64,8 @@ func main() {
 		o.reps = 1
 	}
 
-	if o.flight {
-		probe = startFlightProbe()
-		defer probe.stop()
-	}
-
-	fmt.Printf("# oabench: GOMAXPROCS=%d, duration=%v, reps=%d, δ=%d, flight=%v\n\n",
-		runtime.GOMAXPROCS(0), o.duration, o.reps, o.delta, o.flight)
+	fmt.Printf("# oabench: GOMAXPROCS=%d, duration=%v, reps=%d, δ=%d\n\n",
+		runtime.GOMAXPROCS(0), o.duration, o.reps, o.delta)
 
 	switch o.experiment {
 	case "fig1":
@@ -142,9 +130,6 @@ func measure(o options, st harness.Structure, sc smr.Scheme, threads int,
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
-		}
-		if probe != nil {
-			probe.observe(set)
 		}
 		return set
 	}

@@ -43,7 +43,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/trace"
 )
@@ -208,19 +208,6 @@ func sampleStats(addr string, stop <-chan struct{}) (*execReport, *healthReport)
 	}
 }
 
-func latencySummary(h *metrics.Histogram) server.CmdLatency {
-	snap := h.Snapshot()
-	cl := server.CmdLatency{Count: snap.Count, MaxNs: snap.Max}
-	if snap.Count > 0 {
-		cl.MeanNs = snap.Sum / snap.Count
-		cl.P50Ns = snap.QuantileNs(0.50)
-		cl.P90Ns = snap.QuantileNs(0.90)
-		cl.P99Ns = snap.QuantileNs(0.99)
-		cl.P999Ns = snap.QuantileNs(0.999)
-	}
-	return cl
-}
-
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7070", "server address")
@@ -245,9 +232,9 @@ func main() {
 	}
 
 	var ops, busy, dropped, errs atomic.Uint64
-	// One shared histogram of client-observed round trips; metrics.
-	// Histogram is concurrent, so every worker records into it directly.
-	var lat metrics.Histogram
+	// One shared histogram of client-observed round trips; obs.Histogram
+	// is concurrent, so every worker records into it directly.
+	var lat obs.Histogram
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
@@ -487,7 +474,7 @@ func main() {
 			Protocol: proto, Conns: *conns, Window: *window,
 			Ops: ops.Load(), Busy: busy.Load(), Dropped: dropped.Load(), Errs: errs.Load(),
 			ElapsedNs: elapsed.Nanoseconds(), OpsPerSec: rate,
-			Latency: latencySummary(&lat),
+			Latency: server.LatencyOf(lat.Snapshot()),
 			Exec:    execRep,
 			Health:  healthRep,
 		}

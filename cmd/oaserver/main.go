@@ -28,18 +28,18 @@
 // and close (or -drain-timeout cuts the stragglers), then dump final
 // stats as one JSON line on stdout and exit 0.
 //
-// A flight recorder samples every registered metric each
-// -flight-interval into in-memory ring buffers and evaluates the health
-// rules (backlog growth, ring saturation, phase stall, SLO burn) every
-// tick; its state is always available via the STATS op and RESP
-// `INFO health`, and -flight-interval 0 turns it off.
+// A flight recorder evaluates the health rules (backlog growth and phase
+// stall on every shard, ring saturation, SLO burn) each -flight-interval
+// over the signals they read; its state is always available via the
+// STATS op and RESP `INFO health`, and -flight-interval 0 turns it off.
 //
-// -debug exposes the observability endpoint (/metrics, /stats.json,
-// /trace, /debug/slowlog, /debug/history, /healthz, pprof) with shard
-// 0's SMR instrumentation, the oa_server_* counters and the
-// per-(command, executor) latency histograms registered. (Only shard 0's manager is exported:
-// the SMR metric names are fixed, so per-shard managers would collide;
-// oa_server_shard_ops{shard="i"} carries the per-shard traffic split.)
+// -debug exposes the observability endpoint (/metrics, /trace,
+// /debug/slowlog, /healthz, pprof) with shard 0's SMR instrumentation,
+// the oa_server_* counters and the per-(command, executor) latency
+// histograms registered. (Only shard 0's manager is exported: the SMR
+// metric names are fixed, so per-shard managers would collide;
+// oa_server_shard_ops{shard="i"} carries the per-shard traffic split.
+// The health rules read every shard directly.)
 package main
 
 import (
@@ -65,7 +65,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7070", "listen address (binary protocol)")
 		respAddr     = flag.String("resp", "", "RESP2 listen address (empty = off)")
-		debug        = flag.String("debug", "", "observability HTTP address (empty = off)")
+		debug        = flag.String("debug", "", "observability HTTP address: /metrics, /trace, /debug/slowlog, /healthz, pprof (empty = off)")
 		threads      = flag.Int("threads", 32, "per-shard session registry size (each of the min(shards, threads-1) executors, at least one, takes one lease in every shard; the slot left over is the cache sweeper's)")
 		shards       = flag.Int("shards", 0, "keyspace shards, rounded up to a power of two (0 = one per core)")
 		capacity     = flag.Int("capacity", 1<<20, "total node budget across shards (live entries + reclamation slack)")
@@ -79,8 +79,7 @@ func main() {
 		slowThresh   = flag.Duration("slow-threshold", time.Millisecond, "server-side latency past which a request enters /debug/slowlog")
 		slowlogSize  = flag.Int("slowlog", 256, "slow-request ring capacity (rounded up to a power of two)")
 		spanSample   = flag.Int("span-sample", 64, "emit every Nth request span into the trace rings (with -trace)")
-		flightIntvl  = flag.Duration("flight-interval", flight.DefaultInterval, "flight-recorder sampling period (0 = recorder off)")
-		flightWindow = flag.Duration("flight-window", flight.DefaultWindow, "flight-recorder history retention")
+		flightIntvl  = flag.Duration("flight-interval", flight.DefaultInterval, "health-rule sampling period (0 = recorder off)")
 		sloP99       = flag.Duration("slo-p99", 20*time.Millisecond, "per-command p99 objective for the health engine's burn-rate rule (0 = rule off)")
 		sloOps       = flag.Float64("slo-ops", 0, "requests/s floor for the health engine (0 = rule off)")
 		cacheOn      = flag.Bool("cache", false, "serve RESP commands through the TTL/LRU cache layer (enables SETEX/EXPIRE/TTL)")
@@ -124,17 +123,24 @@ func main() {
 		},
 	})
 
-	// The registry now exists whether or not -debug serves it: the flight
-	// recorder samples it continuously and feeds the health engine, whose
-	// state rides on STATS and `INFO health` even with no HTTP listener.
+	// The health engine runs whether or not -debug serves the registry:
+	// its state rides on STATS and `INFO health` even with no HTTP
+	// listener. It reads every shard's reclamation state and the
+	// server's rings, request count and latencies directly.
 	reg := obs.NewRegistry()
 	sh.Shard(0).Manager().RegisterObs(reg)
 	srv.RegisterObs(reg)
-	var rec *flight.Recorder
 	if *flightIntvl > 0 {
-		rec = flight.New(reg, flight.Config{
+		rec := flight.New(flight.Inputs{
+			Shards:   sh.NumShards(),
+			Backlog:  func(i int) uint64 { return sh.Shard(i).Manager().Backlog() },
+			Frozen:   func(i int) bool { return sh.Shard(i).Manager().RetireFrozen() },
+			Ring:     srv.RingDepth,
+			Requests: srv.RequestsRead,
+			Commands: server.OpCAS, // the data commands OpGet..OpCAS
+			Latency:  func(c int) obs.Snapshot { return srv.Latency(server.OpGet + c) },
+		}, flight.Config{
 			Interval: *flightIntvl,
-			Window:   *flightWindow,
 			SLOP99:   *sloP99,
 			SLOOps:   *sloOps,
 		})

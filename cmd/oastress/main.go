@@ -10,14 +10,14 @@
 //	oastress -http :8080 -snapshot 1s -duration 5m   # live /metrics + pprof
 //	oastress -trace trace.json -duration 10s         # Perfetto-loadable dump
 //
-// With -http the process serves /metrics (Prometheus text), /stats.json,
-// /trace (protocol event timeline) and /debug/pprof/ while soaking; with
+// With -http the process serves /metrics (Prometheus text), /trace
+// (protocol event timeline) and /debug/pprof/ while soaking; with
 // -snapshot it prints a live progress line per interval; with -trace it
 // writes the last soak's reclamation event trace in Chrome trace_event
 // format on exit. SIGINT/SIGTERM stop the current soak early but still run
-// its verification pass, dump the final statistics — per-op latency
-// percentiles and traced-event totals included — and exit 130; a second
-// signal kills the process.
+// its verification pass, dump the final statistics — the /metrics
+// document, per-op latency histograms included, and the traced-event
+// total — and exit 130; a second signal kills the process.
 package main
 
 import (
@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/harness"
 	"repro/internal/linearize"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/sizing"
@@ -97,11 +96,11 @@ func stress(st harness.Structure, sc smr.Scheme, threads int, d time.Duration, k
 	ts := obs.NewThreadStats(threads)
 	reg := obs.NewRegistry()
 	harness.Observe(reg, set)
-	reg.ThreadCounters("stress", ts)
-	// One shared histogram per operation kind (metrics.Histogram is
-	// concurrent); every 8th op per worker is timed, so the percentiles in
+	reg.ThreadCounters("stress", ts, obs.Ops)
+	// One shared histogram per operation kind (obs.Histogram is
+	// concurrent); every 8th op per worker is timed, so the histograms in
 	// the final dump come from the soak itself, not a separate run.
-	var lat [3]metrics.Histogram
+	var lat [3]obs.Histogram
 	reg.Histogram("stress_contains_latency_seconds", "sampled Contains latency during the soak", &lat[0])
 	reg.Histogram("stress_insert_latency_seconds", "sampled Insert latency during the soak", &lat[1])
 	reg.Histogram("stress_delete_latency_seconds", "sampled Delete latency during the soak", &lat[2])
@@ -328,7 +327,7 @@ func main() {
 		keys      = flag.Int("keys", 512, "key-space size (small = high contention)")
 		all       = flag.Bool("all", false, "soak every supported (structure, scheme) pair")
 		lin       = flag.Bool("linearize", false, "record histories and run the Wing-Gong checker instead of conservation counting")
-		httpAddr  = flag.String("http", "", "serve /metrics, /stats.json and /debug/pprof/ on this address (e.g. :8080)")
+		httpAddr  = flag.String("http", "", "serve /metrics, /trace and /debug/pprof/ on this address (e.g. :8080)")
 		snapshot  = flag.Duration("snapshot", 0, "print a live progress line at this interval (0 = off)")
 		shards    = flag.Int("shards", 0, "OA block-pool shard count (0 = min(threads, GOMAXPROCS) rounded to a power of two)")
 		traceOut  = flag.String("trace", "", "write the last soak's protocol event trace (Chrome trace_event JSON, loadable in Perfetto) to this file")
@@ -365,7 +364,7 @@ func main() {
 			os.Exit(2)
 		}
 		go http.Serve(ln, obs.HandlerFor(activeReg.Load))
-		fmt.Printf("observability on http://%s/metrics /stats.json /trace /debug/pprof/\n", ln.Addr())
+		fmt.Printf("observability on http://%s/metrics /trace /debug/pprof/\n", ln.Addr())
 	}
 
 	if *all {
@@ -459,8 +458,8 @@ func dumpTrace() {
 }
 
 // finish dumps the trace (if requested) and, when the process was
-// interrupted, the final statistics of the last run — counters, latency
-// percentiles and traced-event totals — before exiting 130 (the
+// interrupted, the final statistics of the last run — its /metrics
+// document and the traced-event total — before exiting 130 (the
 // conventional SIGINT status), so an operator killing a long soak still
 // gets everything it accumulated.
 func finish() {
@@ -469,8 +468,8 @@ func finish() {
 		return
 	}
 	if reg := activeReg.Load(); reg != nil {
-		fmt.Println("interrupted — final stats (histograms carry p50/p90/p99/p999 in ns):")
-		_ = reg.WriteJSON(os.Stdout)
+		fmt.Println("interrupted — final stats (Prometheus text):")
+		_ = reg.WritePrometheus(os.Stdout)
 		fmt.Printf("traced events: %d\n", reg.TraceTotal())
 	}
 	os.Exit(130)

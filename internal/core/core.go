@@ -73,7 +73,6 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/lease"
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/pools"
 	"repro/internal/smr"
@@ -162,7 +161,7 @@ type Manager[T any] struct {
 	threads  []*Thread[T]
 	reset    func(*T) // zeroes a node on allocation (Algorithm 5's memset)
 	lessor   *lease.Registry
-	phaseHst metrics.Histogram
+	phaseHst obs.Histogram
 	stats    *obs.ThreadStats // per-thread counter blocks, one per context
 	tracer   *trace.Recorder  // per-thread protocol event rings
 }
@@ -312,7 +311,7 @@ func (m *Manager[T]) InjectWarnings(phase uint32) { m.setWarnings(phase) }
 
 // PhasePauses returns the histogram of per-call Recycling durations — the
 // reclamation pauses an allocating thread can experience.
-func (m *Manager[T]) PhasePauses() *metrics.Histogram { return &m.phaseHst }
+func (m *Manager[T]) PhasePauses() *obs.Histogram { return &m.phaseHst }
 
 // Stats aggregates counters across all threads. The per-thread blocks are
 // atomic, so Stats is safe to call while workers run (live monitoring);
@@ -337,13 +336,34 @@ func (m *Manager[T]) ObsStats() *obs.ThreadStats { return m.stats }
 // transitions, warning traffic, restarts, drains, freezes, refills).
 func (m *Manager[T]) TraceRecorder() *trace.Recorder { return m.tracer }
 
+// Backlog returns the retired slots not yet recycled (retires − recycled;
+// approximate while writers run). It is the input of the health engine's
+// backlog_growth rule and the oa_retired_backlog_slots gauge.
+func (m *Manager[T]) Backlog() uint64 {
+	tot := m.stats.Totals()
+	if tot[obs.Recycled] >= tot[obs.Retires] {
+		return 0
+	}
+	return tot[obs.Retires] - tot[obs.Recycled]
+}
+
+// RetireFrozen reports whether any retire shard's version is odd: a phase
+// swap is in flight. It is the input of the health engine's phase_stalled
+// rule and the oa_retire_pool_frozen gauge.
+func (m *Manager[T]) RetireFrozen() bool {
+	_, stable := m.retire.Scan()
+	return !stable
+}
+
 // RegisterObs registers the manager's live metric sources with reg: the
-// per-thread counter blocks (prefix oa_smr), the phase-pause histogram,
-// and gauges sampled from the arena, the block pools and the phase state.
-// Gauges derived from counter pairs are approximate while writers run;
-// see DESIGN.md "Observability" for the sampling discipline.
+// per-thread counters it feeds (prefix oa_smr), the phase-pause
+// histogram, and gauges sampled from the arena, the block pools and the
+// phase state. Each family's consumer is in DESIGN.md §6's signal
+// catalogue. Gauges derived from counter pairs are approximate while
+// writers run.
 func (m *Manager[T]) RegisterObs(reg *obs.Registry) {
-	reg.ThreadCounters("oa_smr", m.stats)
+	reg.ThreadCounters("oa_smr", m.stats, obs.Allocs, obs.Retires, obs.Recycled,
+		obs.ReRetired, obs.Restarts, obs.DrainPasses, obs.HPPublishes)
 	reg.Trace(m.tracer)
 	reg.Histogram("oa_phase_pause_seconds",
 		"duration of Recycling calls (Algorithm 6 reclamation pauses)", &m.phaseHst)
@@ -351,59 +371,24 @@ func (m *Manager[T]) RegisterObs(reg *obs.Registry) {
 		func() float64 { return float64(m.Phase() / 2) })
 	reg.Gauge("oa_retired_backlog_slots",
 		"retired slots not yet recycled (retires - recycled, approximate)",
-		func() float64 {
-			tot := m.stats.Totals()
-			if tot[obs.Recycled] >= tot[obs.Retires] {
-				return 0
-			}
-			return float64(tot[obs.Retires] - tot[obs.Recycled])
-		})
-	reg.Gauge("oa_sessions_leased", "thread contexts currently leased via AcquireThread",
-		func() float64 { return float64(m.lessor.Leased()) })
-	reg.Counter("oa_session_grants_total", "session leases ever granted",
-		m.lessor.Grants)
-	reg.Counter("oa_session_exhausted_total",
-		"AcquireThread calls rejected because every context was leased",
-		m.lessor.Exhausted)
+		func() float64 { return float64(m.Backlog()) })
 	reg.Gauge("oa_arena_slots_reserved", "node slots handed out by the arena",
 		func() float64 { return float64(m.nodes.Limit()) })
 	reg.Gauge("oa_arena_slots_capacity", "node slots backed by arena chunks",
 		func() float64 { return float64(m.nodes.Cap()) })
-	reg.Gauge("oa_pool_blocks", "transfer blocks ever created by the block arena",
-		func() float64 { return float64(m.ba.Blocks()) })
-	reg.Gauge("oa_pool_free_blocks", "transfer blocks idle in the block freelist",
-		func() float64 { return float64(m.ba.FreeBlocks()) })
 	reg.Gauge("oa_retire_pool_frozen",
 		"1 while any retire shard's version is odd (phase swap in flight)",
 		func() float64 {
-			if _, stable := m.retire.Scan(); !stable {
+			if m.RetireFrozen() {
 				return 1
 			}
 			return 0
 		})
-	reg.Gauge("oa_pool_shards", "shards each global block pool is split into",
-		func() float64 { return float64(m.cfg.Shards) })
 	reg.Counter("oa_pool_steals_total",
 		"block pops served by a shard other than the popping thread's home",
 		func() uint64 {
 			return m.ready.TotalSteals() + m.retire.TotalSteals() + m.process.TotalSteals()
 		})
-	n := m.cfg.Shards
-	reg.GaugeVec("oa_ready_shard_blocks",
-		"transfer blocks in each ready-pool shard", "shard", n,
-		func(i int) float64 { return float64(m.ready.Blocks(i)) })
-	reg.GaugeVec("oa_retire_shard_blocks",
-		"transfer blocks in each retire-pool shard", "shard", n,
-		func(i int) float64 { return float64(m.retire.Blocks(i)) })
-	reg.GaugeVec("oa_process_shard_blocks",
-		"transfer blocks in each processing-pool shard", "shard", n,
-		func(i int) float64 { return float64(m.process.Blocks(i)) })
-	reg.CounterVec("oa_ready_shard_steals_total",
-		"ready-pool pops served from this shard to threads homed elsewhere", "shard", n,
-		func(i int) uint64 { return m.ready.Steals(i) })
-	reg.CounterVec("oa_process_shard_steals_total",
-		"drain pops served from this processing shard to threads homed elsewhere", "shard", n,
-		func(i int) uint64 { return m.process.Steals(i) })
 }
 
 // setWarnings implements the phase-change broadcast: every thread's warning

@@ -647,8 +647,8 @@ func TestPhasePausesRecorded(t *testing.T) {
 	if h.Count() == 0 {
 		t.Fatal("no Recycling pauses recorded under churn")
 	}
-	if h.Mean() <= 0 || h.Max() < h.Mean() {
-		t.Fatalf("pause stats inconsistent: mean=%v max=%v", h.Mean(), h.Max())
+	if s := h.Snapshot(); s.Sum == 0 || s.Max < s.Sum/s.Count {
+		t.Fatalf("pause stats inconsistent: %+v", s)
 	}
 }
 

@@ -114,7 +114,6 @@ func (wn *warning) ack(cause trace.Cause) bool {
 		wn.ring.Record(trace.EvWarnAck, w>>8)
 		wn.ring.Record(trace.EvRestart, uint64(cause))
 	}
-	wn.stats.Inc(obs.Warnings)
 	wn.stats.Inc(obs.Restarts)
 	return true
 }
@@ -310,17 +309,11 @@ func (t *Thread[T]) Retire(slot uint32) {
 	b := m.ba.B(t.retireBlk)
 	b.Push(slot)
 	if !b.Full(int32(m.cfg.LocalPool)) {
-		if obs.Enabled() {
-			t.stats.SetLocalRetired(uint64(b.N))
-		}
 		return
 	}
 	for {
 		if st := m.retire.Push(m.ba, t.retireBlk, t.localVer, uint32(t.id)); st == pools.StatusOK {
 			t.retireBlk = pools.NoBlock
-			if obs.Enabled() {
-				t.stats.SetLocalRetired(0)
-			}
 			return
 		}
 		t.Recycling()
@@ -338,9 +331,6 @@ func (t *Thread[T]) FlushRetired() {
 	for {
 		if st := m.retire.Push(m.ba, t.retireBlk, t.localVer, uint32(t.id)); st == pools.StatusOK {
 			t.retireBlk = pools.NoBlock
-			if obs.Enabled() {
-				t.stats.SetLocalRetired(0)
-			}
 			return
 		}
 		t.Recycling()

@@ -3,7 +3,8 @@
 // and assert only what a real process can show — flag wiring, announced
 // listeners, SIGTERM/SIGINT mid-load and the exit status that follows, the
 // stdout final-stats line and its ledger, oaload's text and -json reports
-// agreeing with the server. Everything an in-process test of
+// agreeing with the server, each command's /metrics matching DESIGN.md
+// §6's signal catalogue. Everything an in-process test of
 // internal/server, internal/ttlcache, internal/flight, internal/obs or
 // internal/trace already asserts is left to that test.
 //

@@ -18,14 +18,16 @@ import (
 	"repro/internal/trace"
 )
 
-// TestHealthWiring drives a real server wired to a real flight recorder,
-// the way cmd/oaserver wires them, into each degraded state on purpose:
-// a stalled executor fills a 16-slot ring until ring_saturation fires,
-// then PUT+DEL churn over fresh keys grows the retired backlog until
-// backlog_growth fires. Each rule must surface on /healthz, RESP `INFO
-// health` and the STATS block, leave EvHealth events, and clear once the
-// pressure is gone. Both provocations are deterministic, not scheduler
-// races, so the transitions are asserted on every host.
+// TestHealthWiring drives a real two-shard server wired to a real flight
+// recorder, the way cmd/oaserver wires them, into each degraded state on
+// purpose: a stalled executor fills a 16-slot ring until ring_saturation
+// fires, then PUT+DEL churn over fresh keys that all route to shard 1
+// grows that shard's retired backlog until backlog_growth fires — shard
+// 0, the one whose SMR families /metrics exports, stays idle, so the
+// rule must read every shard. Each rule must surface on /healthz, RESP
+// `INFO health` and the STATS block, leave EvHealth events, and clear
+// once the pressure is gone. Both provocations are deterministic, not
+// scheduler races, so the transitions are asserted on every host.
 func TestHealthWiring(t *testing.T) {
 	skipShort(t)
 	obs.SetEnabled(true)
@@ -33,9 +35,9 @@ func TestHealthWiring(t *testing.T) {
 	defer obs.SetEnabled(false)
 	defer trace.SetEnabled(false)
 
-	// One shard keeps the provocations deterministic: every request lands
-	// on the same ring and the same reclamation universe.
-	sh := kvmap.NewSharded(core.Config{MaxThreads: 16, Capacity: 1 << 20}, 1<<16, 1)
+	// One connection keeps the provocations deterministic: its bursts
+	// all land on its executor's ring, and the churn keys on shard 1.
+	sh := kvmap.NewSharded(core.Config{MaxThreads: 16, Capacity: 1 << 20}, 1<<16, 2)
 	defer sh.Close()
 	// gate is the executor valve: while it holds a channel every drain
 	// pass blocks on it; closing and clearing it releases the executor.
@@ -53,8 +55,16 @@ func TestHealthWiring(t *testing.T) {
 	reg := obs.NewRegistry()
 	sh.Shard(0).Manager().RegisterObs(reg)
 	srv.RegisterObs(reg)
-	rec := flight.New(reg, flight.Config{
-		Interval: 25 * time.Millisecond, Window: 30 * time.Second, FireTicks: 4, ClearTicks: 4,
+	rec := flight.New(flight.Inputs{
+		Shards:   sh.NumShards(),
+		Backlog:  func(i int) uint64 { return sh.Shard(i).Manager().Backlog() },
+		Frozen:   func(i int) bool { return sh.Shard(i).Manager().RetireFrozen() },
+		Ring:     srv.RingDepth,
+		Requests: srv.RequestsRead,
+		Commands: server.OpCAS,
+		Latency:  func(c int) obs.Snapshot { return srv.Latency(server.OpGet + c) },
+	}, flight.Config{
+		Interval: 25 * time.Millisecond, FireTicks: 4, ClearTicks: 4,
 		SLOP99: time.Second, // in the rule catalog, never firing here
 	})
 	rec.RegisterObs(reg)
@@ -154,18 +164,21 @@ func TestHealthWiring(t *testing.T) {
 	cleared("ring_saturation")
 
 	// Backlog growth: every PUT allocates a node, every DEL retires it,
-	// and the lazily recycling scheme lets the retired backlog climb.
+	// and the lazily recycling scheme lets the retired backlog climb —
+	// on shard 1 only: every churn key routes there.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := uint64(0); w < 2; w++ {
+	for w := uint64(1); w <= 2; w++ {
 		wg.Add(1)
 		go func(k uint64) {
 			defer wg.Done()
-			for ; ; k += 2 {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
+				}
+				for k++; sh.ShardIndex(k) != 1; k++ {
 				}
 				put, err := c.Put(k, k)
 				if err != nil {
@@ -178,11 +191,14 @@ func TestHealthWiring(t *testing.T) {
 				put.Wait()
 				del.Wait()
 			}
-		}(1e9 + w)
+		}(w << 40)
 	}
 	fired("backlog_growth")
 	close(stop)
 	wg.Wait()
+	if st := sh.Shard(0).Stats(); st.Retires != 0 {
+		t.Fatalf("shard 0 retired %d slots: the churn was meant for shard 1 alone", st.Retires)
+	}
 	cleared("backlog_growth")
 
 	// Two fire/clear cycles: four transitions, on every surface.

@@ -14,29 +14,48 @@ import (
 	"repro/internal/server"
 )
 
-// wantMetrics are the families README/DESIGN promise on each command's
-// /metrics that no in-process test asserts by name (trace_events_total,
-// oa_server_slow_requests_total and the get/put latency families are
-// asserted in internal/obs and internal/server).
-var wantMetrics = map[string][]string{
-	"oastress": {
-		"oa_smr_restarts_total", "oa_smr_drain_passes_total", "oa_retired_backlog_slots",
-		"oa_phase_pause_seconds_bucket", "oa_pool_shards", "oa_pool_steals_total",
-		"oa_ready_shard_blocks", "smr_unreclaimed_slots", "stress_ops_total",
-		"stress_contains_latency_seconds_bucket", "stress_insert_latency_seconds_bucket",
-		"stress_delete_latency_seconds_bucket",
-	},
-	"oaserver": {
-		"oa_server_requests_total", "oa_server_requests_read_total", "oa_server_responses_sent_total",
-		"oa_server_ring_depth", "oa_server_ring_cap", "oa_server_ring_full_total",
-		"oa_server_exec_batches_total", "oa_server_exec_batched_ops_total",
-		"oa_server_latency_del_seconds_bucket", "oa_server_latency_cas_seconds_bucket",
-		"oa_health_state", "oa_health_transitions_total", "flight_ticks_total",
-	},
-}
-
 // sampleLine matches one Prometheus text-format sample.
 var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? [-+]?([0-9.eE+-]+|Inf|NaN)$`)
+
+// catalogueRow matches one row of DESIGN.md §6's signal catalogue:
+// | `family` | type | command, command | consumer |
+var catalogueRow = regexp.MustCompile("^\\| `([a-z_]+)` \\| (counter|gauge|histogram) \\| ([a-z, ]+) \\| (.+) \\|$")
+
+// catalogue returns, per command, the families DESIGN.md §6 promises on
+// its /metrics, each with its type.
+func catalogue(t *testing.T) map[string]map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	start, end := strings.Index(doc, "\n## 6. "), strings.Index(doc, "\n## 7. ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §6")
+	}
+	out := map[string]map[string]string{}
+	for _, line := range strings.Split(doc[start:end], "\n") {
+		m := catalogueRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		for _, cmd := range strings.Split(m[3], ",") {
+			cmd = strings.TrimSpace(cmd)
+			if out[cmd] == nil {
+				out[cmd] = map[string]string{}
+			}
+			if _, dup := out[cmd][m[1]]; dup {
+				t.Fatalf("DESIGN.md §6 lists %s twice for %s", m[1], cmd)
+			}
+			out[cmd][m[1]] = m[2]
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("DESIGN.md §6 has no signal catalogue rows")
+	}
+	return out
+}
 
 func get(t *testing.T, url string) []byte {
 	t.Helper()
@@ -53,23 +72,29 @@ func get(t *testing.T, url string) []byte {
 }
 
 // checkMetrics holds every line of a real process's /metrics to the
-// sample grammar and requires cmd's promised families.
+// sample grammar and its families to the signal catalogue: every family
+// shown has a row for cmd with its type, and every row for cmd is shown.
 func checkMetrics(t *testing.T, cmd, base string) {
 	t.Helper()
+	want := catalogue(t)[cmd]
 	seen := map[string]bool{}
 	for i, line := range strings.Split(string(get(t, base+"/metrics")), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			seen[f[2]] = true
+			if typ, ok := want[f[2]]; !ok || typ != f[3] {
+				t.Errorf("%s /metrics shows %s %s, which DESIGN.md §6 does not catalogue for %s (row type %q)", cmd, f[3], f[2], cmd, typ)
+			}
+		}
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		m := sampleLine.FindStringSubmatch(line)
-		if m == nil {
+		if sampleLine.FindStringSubmatch(line) == nil {
 			t.Fatalf("%s /metrics line %d is not a valid sample: %q", cmd, i+1, line)
 		}
-		seen[m[1]] = true
 	}
-	for _, want := range wantMetrics[cmd] {
-		if !seen[want] {
-			t.Errorf("%s /metrics has no %s", cmd, want)
+	for family := range want {
+		if !seen[family] {
+			t.Errorf("%s /metrics lacks %s, catalogued for it in DESIGN.md §6", cmd, family)
 		}
 	}
 }
@@ -130,15 +155,6 @@ func TestObservability(t *testing.T) {
 		// registry; until then the endpoint answers 503.
 		eventually(t, "a snapshot line", func() bool { return strings.Contains(p.stdout.String(), "snap +") })
 		checkMetrics(t, "oastress", base)
-		var doc struct {
-			Counters map[string]uint64 `json:"counters"`
-		}
-		if err := json.Unmarshal(get(t, base+"/stats.json"), &doc); err != nil {
-			t.Fatalf("/stats.json: %v", err)
-		}
-		if _, ok := doc.Counters["oa_smr_restarts_total"]; !ok {
-			t.Errorf("/stats.json counters %v lack oa_smr_restarts_total", doc.Counters)
-		}
 		eventually(t, "/trace to carry "+strings.Join(healthy, ", "), func() bool {
 			return hasKinds(traceKinds(t, get(t, base+"/trace")), healthy...)
 		})
@@ -192,11 +208,7 @@ func TestObservability(t *testing.T) {
 			State string            `json:"state"`
 			Rules []json.RawMessage `json:"rules"`
 		}
-		var history struct {
-			IntervalMs float64  `json:"interval_ms"`
-			Catalog    []string `json:"catalog"`
-		}
-		for route, doc := range map[string]any{"/debug/slowlog": &slow, "/healthz": &health, "/debug/history": &history} {
+		for route, doc := range map[string]any{"/debug/slowlog": &slow, "/healthz": &health} {
 			if err := json.Unmarshal(get(t, s.debug+route), doc); err != nil {
 				t.Fatalf("%s: %v", route, err)
 			}
@@ -206,9 +218,6 @@ func TestObservability(t *testing.T) {
 		}
 		if health.State == "" || len(health.Rules) == 0 {
 			t.Errorf("/healthz %+v, want a state and a rule catalog", health)
-		}
-		if history.IntervalMs <= 0 || len(history.Catalog) == 0 {
-			t.Errorf("/debug/history %+v, want an interval and a series catalog", history)
 		}
 		s.drain(t, nil)
 	})

@@ -1,26 +1,17 @@
-// Package flight is an in-process flight recorder: it samples every
-// scalar metric and histogram family registered on an obs.Registry at a
-// fixed interval into per-series ring buffers, derives windowed signals
-// (backlog growth rate, phase cadence, ring saturation, sliding-window
-// per-command p99) and feeds a declarative health-rule engine that
-// classifies the process as ok, degraded or critical.
+// Package flight is the in-process health engine: every Interval it
+// samples the inputs its rules read, keeps the previous sample (for
+// rates) and a sliding window of per-command latency buckets (for the
+// windowed p99), and classifies the process as ok, degraded or critical.
 //
-// The design mirrors the server slowlog: each tick publishes one frame
-// under a seqlock (seq odd while the recorder writes, even once
-// published) so concurrent /debug/history readers skip torn frames
-// instead of locking the sampler. A tick allocates nothing once the
-// sample plan is warm; the plan is rebuilt only when the registry's
-// registration generation moves (late registrations reset history).
+// The process that owns the signals passes them in as function values
+// (Inputs), so the recorder samples exactly what its rules read and
+// nothing else. A tick allocates nothing.
 package flight
 
 import (
-	"math"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -28,7 +19,6 @@ import (
 // Defaults used when the corresponding Config field is zero.
 const (
 	DefaultInterval = 250 * time.Millisecond
-	DefaultWindow   = 60 * time.Second
 
 	// p99Window is how much wall-clock history the sliding-window
 	// quantiles (and the burn-rate rule) integrate over.
@@ -39,8 +29,6 @@ const (
 type Config struct {
 	// Interval is the sampling period (default 250ms).
 	Interval time.Duration
-	// Window is how much history the rings retain (default 60s).
-	Window time.Duration
 	// SLOP99 is the per-command server-side p99 objective. When set,
 	// the slo_p99_burn rule fires while the sliding-window p99 of any
 	// command exceeds it. Zero disables the rule.
@@ -61,9 +49,6 @@ func (c *Config) fill() {
 	if c.Interval <= 0 {
 		c.Interval = DefaultInterval
 	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
 	if c.FireTicks <= 0 {
 		c.FireTicks = 8
 	}
@@ -72,88 +57,69 @@ func (c *Config) fill() {
 	}
 }
 
-// Names of the derived series a Recorder appends after the registry's
-// own scalars. Histogram families additionally surface as
-// "flight:win_p99_ns:<family>".
-const (
-	SeriesBacklogGrowth  = "flight:backlog_growth_per_sec"
-	SeriesPhaseCadence   = "flight:phase_per_sec"
-	SeriesRingDepthMax   = "flight:ring_depth_max"
-	SeriesRingSaturation = "flight:ring_saturation"
-	SeriesOpsPerSec      = "flight:ops_per_sec"
-)
-
-// WinP99Prefix prefixes the sliding-window p99 series derived from each
-// histogram family.
-const WinP99Prefix = "flight:win_p99_ns:"
-
-// Scalar metric names the derived signals and health rules key on.
-const (
-	metricBacklog = "oa_retired_backlog_slots"
-	metricPhase   = "oa_phase"
-	metricFrozen  = "oa_retire_pool_frozen"
-	metricRingCap = "oa_server_ring_cap"
-	metricReqRead = "oa_server_requests_read_total"
-	ringDepthVec  = "oa_server_ring_depth{"
-	cmdLatencyPfx = "oa_server_latency_"
-)
-
-// frame is one published tick: a seqlock word, the sample timestamp and
-// one float64 (as bits) per series.
-type frame struct {
-	seq  atomic.Uint64
-	ts   atomic.Int64
-	vals []atomic.Uint64
+// Inputs are the signals the rules read, supplied by the process that
+// owns them. A rule whose input is nil stays in the catalogue but never
+// fires. Every function is called from the tick goroutine only.
+type Inputs struct {
+	// Shards is how many reclamation universes Backlog and Frozen cover.
+	Shards int
+	// Backlog returns shard i's retired-but-unrecycled slots
+	// (backlog_growth).
+	Backlog func(i int) uint64
+	// Frozen reports whether shard i's retire pool is mid phase swap
+	// (phase_stalled).
+	Frozen func(i int) bool
+	// Ring returns the deepest executor ring's queued requests and the
+	// per-ring bound (ring_saturation).
+	Ring func() (depth, capacity int)
+	// Requests returns the requests read so far (slo_ops).
+	Requests func() uint64
+	// Commands is how many command histograms Latency covers.
+	Commands int
+	// Latency returns command c's cumulative server-side latency
+	// histogram (slo_p99_burn).
+	Latency func(c int) obs.Snapshot
 }
 
-// histTrack maintains the sliding bucket-delta window for one histogram
-// family (all shard instances merged).
-type histTrack struct {
-	family    string
-	hs        []*metrics.Histogram
-	prev      []metrics.Snapshot
-	win       [][metrics.Buckets]uint64 // per-tick deltas, ring
-	winCounts []uint64
-	wpos      int
-	wfill     int
-	sum       [metrics.Buckets]uint64
-	sumCount  uint64
-	seriesIdx int  // slot in the frame for the windowed p99
-	cmdLat    bool // belongs to the per-command server latency families
+// window slides one command's per-tick latency deltas over p99Window.
+// Only Counts and Count of its snapshots are used.
+type window struct {
+	prev  obs.Snapshot   // cumulative snapshot at the previous tick
+	ticks []obs.Snapshot // per-tick deltas, a ring
+	pos   int
+	sum   obs.Snapshot // the ring's total
 }
 
-// plan binds the recorder to one registration generation: the resolved
-// sample closures, derived-series indices and a fresh frame ring.
-type plan struct {
-	gen     uint64
-	names   []string
-	scalars []func() float64 // samples names[0:len(scalars)]
-	hists   []*histTrack
-
-	// Resolved indices into the scalar prefix (-1 when absent).
-	backlogIdx, phaseIdx, frozenIdx, ringCapIdx, opsIdx int
-	depthIdxs                                           []int
-	// Indices of the derived slots.
-	dBacklog, dPhase, dDepthMax, dSat, dOps int
-
-	frames []frame
-	mask   uint64
-	head   atomic.Uint64 // frames ever published (next ticket)
+// push adds the delta from the previous cumulative snapshot to cur,
+// evicting the oldest tick, and returns the window's p99 in ns.
+func (w *window) push(cur *obs.Snapshot) uint64 {
+	old := &w.ticks[w.pos]
+	w.sum.Count -= old.Count
+	old.Count = 0
+	if cur.Count >= w.prev.Count {
+		old.Count = cur.Count - w.prev.Count
+	}
+	w.sum.Count += old.Count
+	for b := range cur.Counts {
+		w.sum.Counts[b] -= old.Counts[b]
+		old.Counts[b] = 0
+		if cur.Counts[b] >= w.prev.Counts[b] {
+			old.Counts[b] = cur.Counts[b] - w.prev.Counts[b]
+		}
+		w.sum.Counts[b] += old.Counts[b]
+	}
+	w.prev = *cur
+	w.pos = (w.pos + 1) % len(w.ticks)
+	return w.sum.QuantileNs(0.99)
 }
 
-// Recorder samples one registry. Tick is single-writer: either the
-// Start goroutine or a test calls it, never both.
+// Recorder runs the health rules over its Inputs. Tick is single-writer:
+// either the Start goroutine or a test calls it, never both.
 type Recorder struct {
-	reg *obs.Registry
+	in  Inputs
 	cfg Config
 
-	mu   sync.Mutex // guards rebuild vs. concurrent plan readers
-	plan atomic.Pointer[plan]
-
-	cur, prev []float64 // scratch, len == len(plan.names)
-	lastTS    int64     // unix ns of the previous tick (0 before first)
-	ticks     atomic.Uint64
-
+	lastTS int64 // unix ns of the previous tick (0 before the first)
 	health *health
 	tracer *trace.Recorder
 
@@ -162,12 +128,12 @@ type Recorder struct {
 	once sync.Once
 }
 
-// New builds a recorder over reg. Call RegisterObs to export the health
-// metrics and debug endpoints, then Start to begin sampling.
-func New(reg *obs.Registry, cfg Config) *Recorder {
+// New builds a recorder over in. Call RegisterObs to export the health
+// metrics and /healthz, then Start to begin sampling.
+func New(in Inputs, cfg Config) *Recorder {
 	cfg.fill()
 	r := &Recorder{
-		reg:    reg,
+		in:     in,
 		cfg:    cfg,
 		tracer: trace.NewRecorder(1, 64),
 		stop:   make(chan struct{}),
@@ -177,15 +143,6 @@ func New(reg *obs.Registry, cfg Config) *Recorder {
 	return r
 }
 
-// Interval returns the sampling period.
-func (r *Recorder) Interval() time.Duration { return r.cfg.Interval }
-
-// Window returns the retention window.
-func (r *Recorder) Window() time.Duration { return r.cfg.Window }
-
-// Ticks returns how many samples the recorder has taken.
-func (r *Recorder) Ticks() uint64 { return r.ticks.Load() }
-
 // Tracer exposes the recorder's trace ring (EvHealth transitions) so
 // callers without a registry can inspect it.
 func (r *Recorder) Tracer() *trace.Recorder { return r.tracer }
@@ -194,7 +151,7 @@ func (r *Recorder) Tracer() *trace.Recorder { return r.tracer }
 func (r *Recorder) Start() {
 	go func() {
 		defer close(r.done)
-		r.Tick() // baseline: publish the plan before the first interval elapses
+		r.Tick() // baseline: the rates need a previous sample
 		tk := time.NewTicker(r.cfg.Interval)
 		defer tk.Stop()
 		for {
@@ -214,274 +171,17 @@ func (r *Recorder) Stop() {
 	<-r.done
 }
 
-// frameCount sizes the ring: Window/Interval rounded up to a power of
-// two, at least 16.
-func (r *Recorder) frameCount() int {
-	n := int(r.cfg.Window / r.cfg.Interval)
-	if n < 16 {
-		n = 16
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// rebuild constructs a fresh plan from the registry's current sources.
-// History resets: frames from the old generation describe a different
-// column set.
-func (r *Recorder) rebuild(gen uint64) *plan {
-	ss, hs := r.reg.Sources()
-	p := &plan{
-		gen:        gen,
-		backlogIdx: -1, phaseIdx: -1, frozenIdx: -1, ringCapIdx: -1, opsIdx: -1,
-	}
-	for _, s := range ss {
-		p.names = append(p.names, s.Name)
-		p.scalars = append(p.scalars, s.Sample)
-	}
-	for i, n := range p.names {
-		switch n {
-		case metricBacklog:
-			p.backlogIdx = i
-		case metricPhase:
-			p.phaseIdx = i
-		case metricFrozen:
-			p.frozenIdx = i
-		case metricRingCap:
-			p.ringCapIdx = i
-		case metricReqRead:
-			p.opsIdx = i
-		}
-		if strings.HasPrefix(n, ringDepthVec) {
-			p.depthIdxs = append(p.depthIdxs, i)
-		}
-	}
-	derive := func(name string) int {
-		p.names = append(p.names, name)
-		return len(p.names) - 1
-	}
-	p.dBacklog = derive(SeriesBacklogGrowth)
-	p.dPhase = derive(SeriesPhaseCadence)
-	p.dDepthMax = derive(SeriesRingDepthMax)
-	p.dSat = derive(SeriesRingSaturation)
-	p.dOps = derive(SeriesOpsPerSec)
-
-	// Group histogram instances by family and give each family a
-	// sliding-window p99 series.
-	winTicks := int(p99Window / r.cfg.Interval)
-	if winTicks < 4 {
-		winTicks = 4
-	}
-	byFamily := map[string]*histTrack{}
-	for _, h := range hs {
-		ht := byFamily[h.Family]
-		if ht == nil {
-			ht = &histTrack{
-				family:    h.Family,
-				win:       make([][metrics.Buckets]uint64, winTicks),
-				winCounts: make([]uint64, winTicks),
-				seriesIdx: derive(WinP99Prefix + h.Family),
-				cmdLat:    strings.HasPrefix(h.Family, cmdLatencyPfx),
-			}
-			byFamily[h.Family] = ht
-			p.hists = append(p.hists, ht)
-		}
-		ht.hs = append(ht.hs, h.Hist)
-		ht.prev = append(ht.prev, metrics.Snapshot{})
-	}
-
-	n := r.frameCount()
-	p.frames = make([]frame, n)
-	p.mask = uint64(n - 1)
-	for i := range p.frames {
-		p.frames[i].vals = make([]atomic.Uint64, len(p.names))
-	}
-	return p
-}
-
-// Tick takes one sample: refresh the plan if registrations moved,
-// sample every scalar, advance the histogram windows, compute derived
-// signals, publish the frame and run the health rules. Zero allocations
-// once the plan is warm.
+// Tick takes one sample and runs the rules over it. On the first tick
+// there is no previous sample: the rules record their levels but no
+// rate, and no streak moves. Zero allocations.
 func (r *Recorder) Tick() {
-	gen := r.reg.Generation()
-	p := r.plan.Load()
-	if p == nil || p.gen != gen {
-		r.mu.Lock()
-		p = r.plan.Load()
-		if p == nil || p.gen != gen {
-			p = r.rebuild(gen)
-			r.cur = make([]float64, len(p.names))
-			r.prev = make([]float64, len(p.names))
-			r.lastTS = 0
-			r.plan.Store(p)
-		}
-		r.mu.Unlock()
-	}
-
 	now := time.Now().UnixNano()
-	first := r.lastTS == 0
-	dt := float64(now-r.lastTS) / 1e9
-	if dt <= 0 {
-		dt = float64(r.cfg.Interval) / 1e9
-	}
-
-	cur := r.cur
-	for i, fn := range p.scalars {
-		cur[i] = fn()
-	}
-
-	// Histogram family windows: per-tick bucket deltas summed across
-	// instances, slid over winTicks ticks.
-	for _, ht := range p.hists {
-		var tickDelta [metrics.Buckets]uint64
-		var tickCount uint64
-		for i, h := range ht.hs {
-			snap := h.Snapshot()
-			pv := &ht.prev[i]
-			for b := 0; b < metrics.Buckets; b++ {
-				if d := snap.Counts[b] - pv.Counts[b]; snap.Counts[b] >= pv.Counts[b] {
-					tickDelta[b] += d
-				}
-			}
-			if snap.Count >= pv.Count {
-				tickCount += snap.Count - pv.Count
-			}
-			ht.prev[i] = snap
-		}
-		if ht.wfill == len(ht.win) {
-			old := &ht.win[ht.wpos]
-			for b := 0; b < metrics.Buckets; b++ {
-				ht.sum[b] -= old[b]
-			}
-			ht.sumCount -= ht.winCounts[ht.wpos]
-		} else {
-			ht.wfill++
-		}
-		ht.win[ht.wpos] = tickDelta
-		ht.winCounts[ht.wpos] = tickCount
-		for b := 0; b < metrics.Buckets; b++ {
-			ht.sum[b] += tickDelta[b]
-		}
-		ht.sumCount += tickCount
-		ht.wpos = (ht.wpos + 1) % len(ht.win)
-		cur[ht.seriesIdx] = float64(windowQuantileNs(&ht.sum, ht.sumCount, 0.99))
-	}
-
-	// Derived signals need a previous tick; the first tick leaves them 0.
-	cur[p.dBacklog], cur[p.dPhase], cur[p.dOps] = 0, 0, 0
-	if !first {
-		if p.backlogIdx >= 0 {
-			cur[p.dBacklog] = (cur[p.backlogIdx] - r.prev[p.backlogIdx]) / dt
-		}
-		if p.phaseIdx >= 0 {
-			cur[p.dPhase] = (cur[p.phaseIdx] - r.prev[p.phaseIdx]) / dt
-		}
-		if p.opsIdx >= 0 {
-			cur[p.dOps] = (cur[p.opsIdx] - r.prev[p.opsIdx]) / dt
+	dt := 0.0 // seconds since the previous tick; 0 = none
+	if r.lastTS != 0 {
+		if dt = float64(now-r.lastTS) / 1e9; dt <= 0 {
+			dt = r.cfg.Interval.Seconds()
 		}
 	}
-	depthMax := 0.0
-	for _, i := range p.depthIdxs {
-		if cur[i] > depthMax {
-			depthMax = cur[i]
-		}
-	}
-	cur[p.dDepthMax] = depthMax
-	cur[p.dSat] = 0
-	if p.ringCapIdx >= 0 && cur[p.ringCapIdx] > 0 {
-		cur[p.dSat] = depthMax / cur[p.ringCapIdx]
-	}
-
-	// Publish the frame under the seqlock: odd while writing, 2t+2 once
-	// ticket t's payload is complete.
-	t := p.head.Load()
-	f := &p.frames[t&p.mask]
-	f.seq.Store(2*t + 1)
-	f.ts.Store(now)
-	for i, v := range cur {
-		f.vals[i].Store(math.Float64bits(v))
-	}
-	f.seq.Store(2*t + 2)
-	p.head.Store(t + 1)
-
-	r.health.eval(p, cur, r.prev, dt, first)
-
-	copy(r.prev, cur)
+	r.health.eval(dt)
 	r.lastTS = now
-	r.ticks.Add(1)
-}
-
-// windowQuantileNs mirrors metrics.Snapshot.QuantileNs over a window's
-// summed bucket counts: an upper bound using each bucket's top edge.
-func windowQuantileNs(counts *[metrics.Buckets]uint64, total uint64, q float64) uint64 {
-	if total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(total))
-	if target == 0 {
-		target = 1
-	}
-	var acc uint64
-	for i := 0; i < metrics.Buckets; i++ {
-		acc += counts[i]
-		if acc >= target {
-			return uint64(1)<<uint(i) - 1
-		}
-	}
-	return 0
-}
-
-// Frame is one decoded history sample.
-type Frame struct {
-	TS   int64 // unix nanoseconds
-	Vals []float64
-}
-
-// SeriesNames returns the current plan's column names (registry scalars
-// first, then derived series). Nil before the first tick.
-func (r *Recorder) SeriesNames() []string {
-	p := r.plan.Load()
-	if p == nil {
-		return nil
-	}
-	return p.names
-}
-
-// History snapshots up to max frames (0 = all retained), oldest first,
-// skipping frames the sampler is overwriting concurrently (the seqlock
-// check, as in the slowlog). The returned frames are copies.
-func (r *Recorder) History(max int) []Frame {
-	p := r.plan.Load()
-	if p == nil {
-		return nil
-	}
-	head := p.head.Load()
-	n := uint64(len(p.frames))
-	lo := uint64(0)
-	if head > n {
-		lo = head - n
-	}
-	if max > 0 && head-lo > uint64(max) {
-		lo = head - uint64(max)
-	}
-	out := make([]Frame, 0, head-lo)
-	for t := lo; t < head; t++ {
-		f := &p.frames[t&p.mask]
-		s1 := f.seq.Load()
-		if s1 != 2*t+2 {
-			continue // torn or already lapped
-		}
-		fr := Frame{TS: f.ts.Load(), Vals: make([]float64, len(f.vals))}
-		for i := range f.vals {
-			fr.Vals[i] = math.Float64frombits(f.vals[i].Load())
-		}
-		if f.seq.Load() != s1 {
-			continue // writer lapped us mid-copy
-		}
-		out = append(out, fr)
-	}
-	return out
 }

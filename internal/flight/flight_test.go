@@ -3,12 +3,10 @@ package flight
 import (
 	"encoding/json"
 	"net/http/httptest"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -16,184 +14,43 @@ import (
 func testConfig() Config {
 	return Config{
 		Interval:   time.Millisecond,
-		Window:     time.Second,
 		FireTicks:  3,
 		ClearTicks: 2,
 	}
 }
 
-// TestSeriesAndHistory checks the plan covers scalars, vec entries and
-// histogram families, and that ticking publishes readable frames.
-func TestSeriesAndHistory(t *testing.T) {
-	reg := obs.NewRegistry()
-	var g atomic.Uint64
-	var c atomic.Uint64
-	reg.Gauge("g_one", "", func() float64 { return float64(g.Load()) })
-	reg.Counter("c_one_total", "", c.Load)
-	reg.GaugeVec("g_vec", "", "shard", 2, func(i int) float64 { return float64(i) })
-	h := &metrics.Histogram{}
-	reg.Histogram("h_one_seconds", "", h)
-
-	r := New(reg, testConfig())
-	for i := 1; i <= 5; i++ {
-		g.Store(uint64(10 * i))
-		c.Add(7)
-		h.ObserveNs(1000)
-		r.Tick()
-	}
-
-	names := r.SeriesNames()
-	want := map[string]bool{
-		"g_one": false, "c_one_total": false,
-		`g_vec{shard="0"}`: false, `g_vec{shard="1"}`: false,
-		SeriesBacklogGrowth: false, SeriesRingDepthMax: false,
-		WinP99Prefix + "h_one_seconds": false,
-	}
-	idx := map[string]int{}
-	for i, n := range names {
-		idx[n] = i
-		if _, ok := want[n]; ok {
-			want[n] = true
+// ruleStatus returns the named rule's status, failing when the catalogue
+// lacks it.
+func ruleStatus(t *testing.T, r *Recorder, name string) RuleStatus {
+	t.Helper()
+	for _, rs := range r.Health().Rules {
+		if rs.Name == name {
+			return rs
 		}
 	}
-	for n, seen := range want {
-		if !seen {
-			t.Fatalf("series %s missing from plan %v", n, names)
-		}
-	}
-
-	frames := r.History(0)
-	if len(frames) != 5 {
-		t.Fatalf("got %d frames, want 5", len(frames))
-	}
-	last := frames[len(frames)-1]
-	if v := last.Vals[idx["g_one"]]; v != 50 {
-		t.Fatalf("g_one in last frame = %v, want 50", v)
-	}
-	if v := last.Vals[idx["c_one_total"]]; v != 35 {
-		t.Fatalf("c_one_total in last frame = %v, want 35", v)
-	}
-	if v := last.Vals[idx[WinP99Prefix+"h_one_seconds"]]; v <= 0 {
-		t.Fatalf("windowed p99 = %v, want > 0", v)
-	}
-	if r.Ticks() != 5 {
-		t.Fatalf("Ticks() = %d, want 5", r.Ticks())
-	}
+	t.Fatalf("rule catalogue lacks %q", name)
+	return RuleStatus{}
 }
 
-// TestHistoryWindowTruncation checks History(max) returns the trailing
-// frames only, and that the ring laps correctly past its capacity.
-func TestHistoryWindowTruncation(t *testing.T) {
-	reg := obs.NewRegistry()
-	var g atomic.Uint64
-	reg.Gauge("g_seq", "", func() float64 { return float64(g.Load()) })
-	r := New(reg, testConfig()) // 1s/1ms → 1024 frames; min 16 applies elsewhere
-	n := r.frameCount()
-	for i := 0; i < n+10; i++ {
-		g.Store(uint64(i))
-		r.Tick()
-	}
-	frames := r.History(0)
-	if len(frames) != n {
-		t.Fatalf("retained %d frames, want %d", len(frames), n)
-	}
-	tail := r.History(4)
-	if len(tail) != 4 {
-		t.Fatalf("History(4) returned %d frames", len(tail))
-	}
-	gi := -1
-	for i, nm := range r.SeriesNames() {
-		if nm == "g_seq" {
-			gi = i
-		}
-	}
-	if got := tail[3].Vals[gi]; got != float64(n+9) {
-		t.Fatalf("last frame g_seq = %v, want %d", got, n+9)
-	}
-}
-
-// TestConcurrentSnapshotSkipsTornFrames mirrors the slowlog seqlock
-// test: every series in a frame is written from the same per-tick
-// value, so any frame a reader observes with mixed values is torn.
-// Run under -race this also proves the reader/writer pair is clean.
-func TestConcurrentSnapshotSkipsTornFrames(t *testing.T) {
-	reg := obs.NewRegistry()
-	var v atomic.Uint64
-	const nSeries = 8
-	for i := 0; i < nSeries; i++ {
-		reg.Gauge("g_"+string(rune('a'+i)), "", func() float64 { return float64(v.Load()) })
-	}
-	cfg := testConfig()
-	cfg.Window = 16 * time.Millisecond // tiny ring → frequent lapping
-	r := New(reg, cfg)
-	r.Tick() // build the plan before the writer races readers
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // single writer, as in production
-		defer wg.Done()
-		for i := uint64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			v.Store(i)
-			r.Tick()
-		}
-	}()
-
-	names := r.SeriesNames()
-	var gIdx []int
-	for i, n := range names {
-		if len(n) == 3 && n[0] == 'g' {
-			gIdx = append(gIdx, i)
-		}
-	}
-	if len(gIdx) != nSeries {
-		t.Fatalf("found %d gauge columns, want %d", len(gIdx), nSeries)
-	}
-
-	deadline := time.Now().Add(200 * time.Millisecond)
-	reads := 0
-	for time.Now().Before(deadline) {
-		for _, f := range r.History(0) {
-			first := f.Vals[gIdx[0]]
-			for _, i := range gIdx[1:] {
-				if f.Vals[i] != first {
-					t.Errorf("torn frame survived the seqlock: %v vs %v", f.Vals[i], first)
-				}
-			}
-			reads++
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if reads == 0 {
-		t.Fatal("snapshot loop never observed a frame")
-	}
-}
-
-// TestTickZeroAlloc proves a steady-state tick allocates nothing: the
-// acceptance bar for leaving the recorder on in production.
+// TestTickZeroAlloc proves a steady-state tick allocates nothing with
+// every rule's input wired: the acceptance bar for leaving the recorder
+// on in production.
 func TestTickZeroAlloc(t *testing.T) {
-	reg := obs.NewRegistry()
 	var g atomic.Uint64
-	reg.Gauge("oa_retired_backlog_slots", "", func() float64 { return float64(g.Load()) })
-	reg.Gauge("oa_retire_pool_frozen", "", func() float64 { return 0 })
-	reg.Counter("oa_server_requests_read_total", "", g.Load)
-	reg.GaugeVec("oa_server_ring_depth", "", "shard", 4, func(i int) float64 { return float64(i) })
-	reg.Gauge("oa_server_ring_cap", "", func() float64 { return 64 })
-	h := &metrics.Histogram{}
-	reg.HistogramVec("oa_server_latency_get_seconds", "", "shard", 2,
-		func(i int) *metrics.Histogram { return h })
-
+	var h obs.Histogram
 	cfg := testConfig()
 	cfg.SLOP99 = 20 * time.Millisecond
 	cfg.SLOOps = 1 // exercises every rule's eval path
-	r := New(reg, cfg)
-	r.Tick() // warm: plan build allocates, later ticks must not
+	r := New(Inputs{
+		Shards:   4,
+		Backlog:  func(i int) uint64 { return g.Load() + uint64(i) },
+		Frozen:   func(int) bool { return false },
+		Ring:     func() (int, int) { return 3, 64 },
+		Requests: g.Load,
+		Commands: 4,
+		Latency:  func(int) obs.Snapshot { return h.Snapshot() },
+	}, cfg)
+	r.Tick()
 
 	allocs := testing.AllocsPerRun(100, func() {
 		g.Add(3)
@@ -209,11 +66,10 @@ func TestTickZeroAlloc(t *testing.T) {
 // fire → clear and checks hysteresis, state, transitions and the
 // EvHealth trace events.
 func TestHealthEngineFiresAndClears(t *testing.T) {
-	reg := obs.NewRegistry()
 	var backlog atomic.Uint64
-	reg.Gauge("oa_retired_backlog_slots", "", func() float64 { return float64(backlog.Load()) })
-	r := New(reg, testConfig()) // fire after 3 bad ticks, clear after 2 good
-	r.Tick()                    // first tick: baseline only
+	r := New(Inputs{Shards: 1, Backlog: func(int) uint64 { return backlog.Load() }},
+		testConfig()) // fire after 3 bad ticks, clear after 2 good
+	r.Tick() // first tick: baseline only
 
 	backlog.Store(2000)
 	r.Tick() // growth tick 1 (2000 > 0, above floor)
@@ -244,7 +100,7 @@ func TestHealthEngineFiresAndClears(t *testing.T) {
 	if r.State() != StateOK {
 		t.Fatalf("state = %v after ClearTicks quiet ticks, want ok", r.State())
 	}
-	if got := r.Transitions(); got != 2 {
+	if got := r.Health().Transitions; got != 2 {
 		t.Fatalf("transitions = %d, want 2", got)
 	}
 
@@ -268,13 +124,110 @@ func TestHealthEngineFiresAndClears(t *testing.T) {
 	}
 }
 
+// TestBacklogGrowthWatchesEveryShard grows only the last of three
+// shards' backlogs: the rule must fire on it, report the fastest growth
+// as its value, and stay quiet for growth below the floor.
+func TestBacklogGrowthWatchesEveryShard(t *testing.T) {
+	var backlogs [3]atomic.Uint64
+	backlogs[0].Store(5000) // large but flat: never bad
+	r := New(Inputs{Shards: 3, Backlog: func(i int) uint64 { return backlogs[i].Load() }},
+		testConfig())
+	r.Tick()
+	for i := 0; i < 3; i++ {
+		backlogs[1].Add(10) // growing but below the floor
+		r.Tick()
+	}
+	if r.State() != StateOK {
+		t.Fatalf("growth below the floor fired: %+v", r.Health())
+	}
+	backlogs[2].Store(1000)
+	for i := 0; i < 3; i++ {
+		backlogs[2].Add(1000)
+		r.Tick()
+	}
+	rs := ruleStatus(t, r, "backlog_growth")
+	if !rs.Firing || r.State() != StateDegraded {
+		t.Fatalf("shard 2's growth did not fire backlog_growth: %+v", rs)
+	}
+	// 1000 slots per tick at a 1ms interval is of the order of 1e6
+	// slots/s; the flat and the slow shards report 0 and ~1e4.
+	if rs.Value < 1e5 {
+		t.Fatalf("backlog_growth value = %v slots/s, want shard 2's growth", rs.Value)
+	}
+	for i := 0; i < 2; i++ {
+		r.Tick()
+	}
+	if ruleStatus(t, r, "backlog_growth").Firing {
+		t.Fatal("backlog_growth still firing after the growth stopped")
+	}
+}
+
+// TestRingSaturation checks the derivation (deepest ring over the bound)
+// and the 0.8 threshold.
+func TestRingSaturation(t *testing.T) {
+	var depth atomic.Int64
+	r := New(Inputs{Ring: func() (int, int) { return int(depth.Load()), 64 }}, testConfig())
+	r.Tick()
+	depth.Store(51) // 0.797: below the threshold
+	for i := 0; i < 4; i++ {
+		r.Tick()
+	}
+	if rs := ruleStatus(t, r, "ring_saturation"); rs.Firing || rs.Value != 51.0/64 {
+		t.Fatalf("ring_saturation at depth 51/64: %+v", rs)
+	}
+	depth.Store(52) // 0.8125
+	for i := 0; i < 3; i++ {
+		r.Tick()
+	}
+	if rs := ruleStatus(t, r, "ring_saturation"); !rs.Firing || rs.Value != 52.0/64 {
+		t.Fatalf("ring_saturation at depth 52/64: %+v", rs)
+	}
+}
+
+// TestLatencyWindowP99 checks the slo_p99_burn rule reads the p99 of the
+// last p99Window of ticks only: a slow burst fires it, and once the
+// burst has slid out of the window the rule clears.
+func TestLatencyWindowP99(t *testing.T) {
+	var fast, slow obs.Histogram
+	cfg := testConfig()
+	cfg.Interval = time.Second // a 10-tick window
+	cfg.SLOP99 = time.Millisecond
+	r := New(Inputs{Commands: 2, Latency: func(c int) obs.Snapshot {
+		if c == 0 {
+			return fast.Snapshot()
+		}
+		return slow.Snapshot()
+	}}, cfg)
+	r.Tick()
+	for i := 0; i < 100; i++ {
+		fast.ObserveNs(1000)
+		slow.ObserveNs(uint64(5 * time.Millisecond))
+	}
+	for i := 0; i < 3; i++ {
+		r.Tick()
+	}
+	rs := ruleStatus(t, r, "slo_p99_burn")
+	// 5ms lands in the bucket whose upper edge is 2^23-1 ns ≈ 8.4ms.
+	if !rs.Firing || rs.Value < 5 || rs.Value > 8.4 {
+		t.Fatalf("slo_p99_burn after a slow burst: %+v", rs)
+	}
+	for i := 0; i < 10; i++ {
+		fast.ObserveNs(1000)
+		r.Tick()
+	}
+	if rs := ruleStatus(t, r, "slo_p99_burn"); rs.Firing || rs.Value > 0.01 {
+		t.Fatalf("slo_p99_burn after the burst left the window: %+v", rs)
+	}
+}
+
 // TestPhaseStalledIsCritical checks the frozen-retire-pool rule raises
-// critical and that /healthz turns 503 only then.
+// critical when any shard is frozen and that /healthz turns 503 only
+// then.
 func TestPhaseStalledIsCritical(t *testing.T) {
+	var frozen atomic.Bool
+	r := New(Inputs{Shards: 2, Frozen: func(i int) bool { return i == 1 && frozen.Load() }},
+		testConfig())
 	reg := obs.NewRegistry()
-	var frozen atomic.Uint64
-	reg.Gauge("oa_retire_pool_frozen", "", func() float64 { return float64(frozen.Load()) })
-	r := New(reg, testConfig())
 	r.RegisterObs(reg)
 	r.Tick()
 
@@ -297,7 +250,7 @@ func TestPhaseStalledIsCritical(t *testing.T) {
 	if code, s := get(); code != 200 || s.State != "ok" {
 		t.Fatalf("healthy probe: code=%d state=%s", code, s.State)
 	}
-	frozen.Store(1)
+	frozen.Store(true)
 	for i := 0; i < 4; i++ {
 		r.Tick()
 	}
@@ -308,97 +261,11 @@ func TestPhaseStalledIsCritical(t *testing.T) {
 	if s.Firing != "phase_stalled" {
 		t.Fatalf("firing = %q, want phase_stalled", s.Firing)
 	}
-	frozen.Store(0)
+	frozen.Store(false)
 	for i := 0; i < 3; i++ {
 		r.Tick()
 	}
 	if code, s := get(); code != 200 || s.State != "ok" {
 		t.Fatalf("recovered probe: code=%d state=%s", code, s.State)
-	}
-}
-
-// TestHistoryEndpoint exercises the catalog, exact and prefix selection
-// and the window parameter.
-func TestHistoryEndpoint(t *testing.T) {
-	reg := obs.NewRegistry()
-	var g atomic.Uint64
-	reg.Gauge("g_end", "", func() float64 { return float64(g.Load()) })
-	r := New(reg, testConfig())
-	r.RegisterObs(reg)
-	for i := 0; i < 6; i++ {
-		g.Store(uint64(i))
-		r.Tick()
-	}
-
-	srv := httptest.NewServer(obs.HandlerFor(func() *obs.Registry { return reg }))
-	defer srv.Close()
-
-	var cat historyDoc
-	resp, err := srv.Client().Get(srv.URL + "/debug/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&cat); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(cat.Catalog) == 0 || cat.IntervalMs != 1 {
-		t.Fatalf("catalog: %+v", cat)
-	}
-
-	var doc historyDoc
-	resp, err = srv.Client().Get(srv.URL + "/debug/history?series=g_end,flight:*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if doc.Frames != 6 {
-		t.Fatalf("frames = %d, want 6", doc.Frames)
-	}
-	pts, ok := doc.Series["g_end"]
-	if !ok || len(pts) != 6 || pts[5] != 5 {
-		t.Fatalf("g_end series = %v", pts)
-	}
-	if _, ok := doc.Series[SeriesBacklogGrowth]; !ok {
-		t.Fatalf("prefix selection missed derived series: %v", doc.Series)
-	}
-
-	resp, err = srv.Client().Get(srv.URL + "/debug/history?series=nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 404 {
-		t.Fatalf("unknown series → %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestPlanRebuildOnLateRegistration checks the generation guard: a
-// registration after ticking starts resets the plan and the new series
-// appears.
-func TestPlanRebuildOnLateRegistration(t *testing.T) {
-	reg := obs.NewRegistry()
-	reg.Gauge("g_first", "", func() float64 { return 1 })
-	r := New(reg, testConfig())
-	r.Tick()
-	if n := r.SeriesNames(); len(n) == 0 || n[0] != "g_first" {
-		t.Fatalf("initial plan: %v", n)
-	}
-	reg.Gauge("g_second", "", func() float64 { return 2 })
-	r.Tick()
-	found := false
-	for _, n := range r.SeriesNames() {
-		if n == "g_second" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("late registration missing after rebuild")
-	}
-	if got := len(r.History(0)); got != 1 {
-		t.Fatalf("history after rebuild has %d frames, want 1 (reset)", got)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -40,15 +41,16 @@ const (
 	satThreshold = 0.8
 )
 
-// rule is one declarative health check, evaluated every tick against
-// the freshly sampled frame.
+// rule is one declarative health check, evaluated every tick.
 type rule struct {
 	name      string
 	severity  State
 	threshold float64
-	// active reports whether this tick violates the rule; ok=false
-	// means the signal the rule needs is absent (rule disabled).
-	active func(p *plan, cur, prev []float64, dt float64) (value float64, active, ok bool)
+	// active samples the rule's inputs: dt is the seconds since the
+	// previous tick (0 on the first). value is what /healthz reports,
+	// bad whether this tick violates the rule; ok=false means the input
+	// the rule needs is absent (rule disabled).
+	active func(dt float64) (value float64, bad, ok bool)
 	// fire/clear hysteresis in ticks; filled from Config.
 	fire, clear int
 }
@@ -74,77 +76,109 @@ type health struct {
 	transitions atomic.Uint64
 }
 
+// newHealth builds the rule catalogue over the recorder's inputs. Each
+// rule owns the state it needs between ticks (the previous backlog per
+// shard, the previous request count, the latency windows), allocated
+// here so a tick allocates nothing.
 func newHealth(r *Recorder) *health {
-	cfg := r.cfg
+	in, cfg := r.in, r.cfg
 	h := &health{r: r}
 	add := func(ru rule) {
 		ru.fire, ru.clear = cfg.FireTicks, cfg.ClearTicks
 		h.rules = append(h.rules, ru)
 	}
+	backlog := make([]uint64, in.Shards)
 	add(rule{
 		name: "backlog_growth", severity: StateDegraded, threshold: 0,
-		active: func(p *plan, cur, prev []float64, dt float64) (float64, bool, bool) {
-			if p.backlogIdx < 0 {
+		active: func(dt float64) (float64, bool, bool) {
+			if in.Backlog == nil || len(backlog) == 0 {
 				return 0, false, false
 			}
-			growth := cur[p.dBacklog] // slots/sec, 0 on the first tick
-			bad := cur[p.backlogIdx] > prev[p.backlogIdx] && cur[p.backlogIdx] >= backlogFloor
+			// Any shard whose backlog grew and is above the floor makes
+			// the tick bad; the value is the fastest growth (slots/s).
+			var growth float64
+			bad := false
+			for i, prev := range backlog {
+				cur := in.Backlog(i)
+				g := 0.0
+				if dt > 0 {
+					g = (float64(cur) - float64(prev)) / dt
+				}
+				if i == 0 || g > growth {
+					growth = g
+				}
+				bad = bad || cur > prev && cur >= backlogFloor
+				backlog[i] = cur
+			}
 			return growth, bad, true
 		},
 	})
 	add(rule{
 		name: "ring_saturation", severity: StateDegraded, threshold: satThreshold,
-		active: func(p *plan, cur, prev []float64, dt float64) (float64, bool, bool) {
-			if p.ringCapIdx < 0 || len(p.depthIdxs) == 0 || cur[p.ringCapIdx] <= 0 {
+		active: func(float64) (float64, bool, bool) {
+			if in.Ring == nil {
 				return 0, false, false
 			}
-			sat := cur[p.dSat]
+			depth, capacity := in.Ring()
+			if capacity <= 0 {
+				return 0, false, false
+			}
+			sat := float64(depth) / float64(capacity)
 			return sat, sat >= satThreshold, true
 		},
 	})
 	add(rule{
 		name: "phase_stalled", severity: StateCritical, threshold: 1,
-		active: func(p *plan, cur, prev []float64, dt float64) (float64, bool, bool) {
-			if p.frozenIdx < 0 {
+		active: func(float64) (float64, bool, bool) {
+			if in.Frozen == nil || in.Shards == 0 {
 				return 0, false, false
 			}
-			v := cur[p.frozenIdx]
-			return v, v >= 1, true
+			frozen := 0
+			for i := 0; i < in.Shards; i++ {
+				if in.Frozen(i) {
+					frozen++
+				}
+			}
+			return float64(frozen), frozen >= 1, true
 		},
 	})
 	if cfg.SLOP99 > 0 {
 		target := float64(cfg.SLOP99.Nanoseconds())
+		wins := make([]window, in.Commands)
+		for i := range wins {
+			wins[i].ticks = make([]obs.Snapshot, max(4, int(p99Window/cfg.Interval)))
+		}
 		add(rule{
 			name: "slo_p99_burn", severity: StateDegraded, threshold: 1,
-			active: func(p *plan, cur, prev []float64, dt float64) (float64, bool, bool) {
-				worst := 0.0
-				seen := false
-				for _, ht := range p.hists {
-					if !ht.cmdLat {
-						continue
-					}
-					seen = true
-					if v := cur[ht.seriesIdx]; v > worst {
-						worst = v
-					}
-				}
-				if !seen {
+			active: func(float64) (float64, bool, bool) {
+				if in.Latency == nil || len(wins) == 0 {
 					return 0, false, false
 				}
-				burn := worst / target
+				var worst uint64
+				for c := range wins {
+					snap := in.Latency(c)
+					worst = max(worst, wins[c].push(&snap))
+				}
+				burn := float64(worst) / target
 				return burn, burn > 1, true
 			},
 		})
 	}
 	if cfg.SLOOps > 0 {
 		floor := cfg.SLOOps
+		var prev uint64
 		add(rule{
 			name: "slo_ops", severity: StateDegraded, threshold: floor,
-			active: func(p *plan, cur, prev []float64, dt float64) (float64, bool, bool) {
-				if p.opsIdx < 0 {
+			active: func(dt float64) (float64, bool, bool) {
+				if in.Requests == nil {
 					return 0, false, false
 				}
-				rate := cur[p.dOps]
+				cur := in.Requests()
+				rate := 0.0
+				if dt > 0 {
+					rate = (float64(cur) - float64(prev)) / dt
+				}
+				prev = cur
 				return rate, rate < floor, true
 			},
 		})
@@ -153,19 +187,19 @@ func newHealth(r *Recorder) *health {
 	return h
 }
 
-// eval runs every rule against the tick's samples and folds the firing
-// set into the process state, emitting an EvHealth trace event on each
-// transition. Tick-goroutine only; allocation-free.
-func (h *health) eval(p *plan, cur, prev []float64, dt float64, first bool) {
+// eval runs every rule over one tick and folds the firing set into the
+// process state, emitting an EvHealth trace event on each transition.
+// Tick-goroutine only; allocation-free.
+func (h *health) eval(dt float64) {
 	for i := range h.rules {
 		ru := &h.rules[i]
 		st := &h.states[i]
-		v, active, ok := ru.active(p, cur, prev, dt)
+		v, bad, ok := ru.active(dt)
 		st.value.Store(math.Float64bits(v))
-		if !ok || first {
+		if !ok || dt == 0 {
 			continue
 		}
-		if active {
+		if bad {
 			st.clearStreak = 0
 			st.fireStreak++
 			if st.fireStreak >= ru.fire && !st.firing.Load() {
@@ -232,9 +266,6 @@ type Status struct {
 
 // State returns the current aggregate state.
 func (r *Recorder) State() State { return State(r.health.state.Load()) }
-
-// Transitions returns how many state changes the engine has seen.
-func (r *Recorder) Transitions() uint64 { return r.health.transitions.Load() }
 
 // Health assembles the current Status. Safe to call concurrently with
 // ticking.

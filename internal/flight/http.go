@@ -3,7 +3,6 @@ package flight
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -11,22 +10,16 @@ import (
 
 func nowNs() int64 { return time.Now().UnixNano() }
 
-// RegisterObs exports the recorder's own signals on reg and attaches
-// the /healthz and /debug/history endpoints:
+// RegisterObs exports the recorder's state on reg and attaches /healthz:
 //
 //	oa_health_state                   0 ok / 1 degraded / 2 critical
-//	oa_health_transitions_total       state changes since start
 //	oa_health_rule_firing{rule="i"}   1 while rule i fires
-//	oa_health_rule_fired_total{rule}  times rule i ever fired
-//	flight_ticks_total                samples taken
 //
 // The rule label is the rule's index; the name↔index mapping is in
 // /healthz (rules are listed in index order).
 func (r *Recorder) RegisterObs(reg *obs.Registry) {
 	reg.Gauge("oa_health_state", "health engine state (0 ok, 1 degraded, 2 critical)",
 		func() float64 { return float64(r.health.state.Load()) })
-	reg.Counter("oa_health_transitions_total", "health state transitions",
-		r.health.transitions.Load)
 	reg.GaugeVec("oa_health_rule_firing", "1 while the indexed health rule fires (names in /healthz)", "rule",
 		len(r.health.rules), func(i int) float64 {
 			if r.health.states[i].firing.Load() {
@@ -34,14 +27,8 @@ func (r *Recorder) RegisterObs(reg *obs.Registry) {
 			}
 			return 0
 		})
-	reg.CounterVec("oa_health_rule_fired_total", "times the indexed health rule fired", "rule",
-		len(r.health.rules), func(i int) uint64 {
-			return r.health.states[i].firedTotal.Load()
-		})
-	reg.Counter("flight_ticks_total", "flight recorder samples taken", r.ticks.Load)
 	reg.Trace(r.tracer)
 	reg.Handle("/healthz", http.HandlerFunc(r.serveHealthz))
-	reg.Handle("/debug/history", http.HandlerFunc(r.serveHistory))
 }
 
 // serveHealthz renders the health Status. The process keeps serving
@@ -57,98 +44,4 @@ func (r *Recorder) serveHealthz(w http.ResponseWriter, req *http.Request) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(s)
-}
-
-// historyDoc is the /debug/history response.
-type historyDoc struct {
-	IntervalMs float64              `json:"interval_ms"`
-	WindowMs   float64              `json:"window_ms"`
-	Frames     int                  `json:"frames"`
-	TsUnixMs   []float64            `json:"ts_unix_ms,omitempty"`
-	Series     map[string][]float64 `json:"series,omitempty"`
-	Catalog    []string             `json:"catalog,omitempty"`
-}
-
-// serveHistory serves the recorded time series.
-//
-//	/debug/history                      → catalog of series names
-//	/debug/history?series=a,b           → frames for the named series
-//	/debug/history?series=oa_server_*   → trailing * matches a prefix
-//	...&window=30s                      → only the trailing window
-func (r *Recorder) serveHistory(w http.ResponseWriter, req *http.Request) {
-	names := r.SeriesNames()
-	doc := historyDoc{
-		IntervalMs: float64(r.cfg.Interval) / 1e6,
-		WindowMs:   float64(r.cfg.Window) / 1e6,
-	}
-	q := req.URL.Query()
-	sel := q.Get("series")
-	if sel == "" {
-		doc.Catalog = names
-		writeJSON(w, http.StatusOK, doc)
-		return
-	}
-	want := make([]int, 0, 8)
-	for _, pat := range strings.Split(sel, ",") {
-		pat = strings.TrimSpace(pat)
-		if pat == "" {
-			continue
-		}
-		if strings.HasSuffix(pat, "*") {
-			pfx := strings.TrimSuffix(pat, "*")
-			for i, n := range names {
-				if strings.HasPrefix(n, pfx) {
-					want = append(want, i)
-				}
-			}
-			continue
-		}
-		for i, n := range names {
-			if n == pat {
-				want = append(want, i)
-				break
-			}
-		}
-	}
-	if len(want) == 0 {
-		http.Error(w, "no matching series (drop ?series= for the catalog)", http.StatusNotFound)
-		return
-	}
-
-	maxFrames := 0
-	if ws := q.Get("window"); ws != "" {
-		d, err := time.ParseDuration(ws)
-		if err != nil || d <= 0 {
-			http.Error(w, "bad window: "+ws, http.StatusBadRequest)
-			return
-		}
-		maxFrames = int(d / r.cfg.Interval)
-		if maxFrames < 1 {
-			maxFrames = 1
-		}
-	}
-	frames := r.History(maxFrames)
-	doc.Frames = len(frames)
-	doc.TsUnixMs = make([]float64, len(frames))
-	doc.Series = make(map[string][]float64, len(want))
-	for _, i := range want {
-		doc.Series[names[i]] = make([]float64, len(frames))
-	}
-	for fi, f := range frames {
-		doc.TsUnixMs[fi] = float64(f.TS) / 1e6
-		for _, i := range want {
-			// A frame published by an older, shorter plan cannot reach
-			// here (rebuild swaps the ring), so i is always in range.
-			doc.Series[names[i]][fi] = f.Vals[i]
-		}
-	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
 }

@@ -16,7 +16,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/smr"
 )
 
@@ -107,11 +107,11 @@ type OpLatency struct {
 	// SampleEvery echoes the Workload.LatencySample that produced the data.
 	SampleEvery int
 	// Hists holds one histogram per OpKind.
-	Hists [NumOpKinds]metrics.Histogram
+	Hists [NumOpKinds]obs.Histogram
 }
 
 // Hist returns the histogram for one operation kind.
-func (l *OpLatency) Hist(k OpKind) *metrics.Histogram { return &l.Hists[k] }
+func (l *OpLatency) Hist(k OpKind) *obs.Histogram { return &l.Hists[k] }
 
 // Result reports one run.
 type Result struct {

@@ -171,7 +171,7 @@ func TestLatencySampling(t *testing.T) {
 			t.Fatalf("no %v samples", k)
 		}
 	}
-	if res.Latency.Hist(OpContains).Quantile(0.99) == 0 {
+	if s := res.Latency.Hist(OpContains).Snapshot(); s.QuantileNs(0.99) == 0 {
 		t.Fatal("contains p99 is zero")
 	}
 }

@@ -15,10 +15,12 @@ type StatSource interface {
 	Stats() smr.Stats
 }
 
-// Observe registers a structure's aggregate SMR statistics with reg: one
-// cumulative counter per smr.Stats field plus the retired-but-unreclaimed
-// backlog gauge. If the structure also implements obs.Registrar (the OA
-// wrappers do), its deep per-thread/pool/arena sources are registered too.
+// Observe registers a structure's scheme-neutral SMR signals with reg:
+// the retired-but-unreclaimed backlog gauge and the re-retired, restart
+// and phase counters — the same families whatever the scheme, so soaks
+// of different schemes compare on one dashboard. If the structure also
+// implements obs.Registrar (the OA wrappers do), its deep per-thread,
+// pool and arena sources are registered too.
 func Observe(reg *obs.Registry, src StatSource) {
 	if rr, ok := src.(obs.Registrar); ok {
 		rr.RegisterObs(reg)
@@ -26,9 +28,6 @@ func Observe(reg *obs.Registry, src StatSource) {
 	stat := func(pick func(smr.Stats) uint64) obs.CounterFunc {
 		return func() uint64 { return pick(src.Stats()) }
 	}
-	reg.Counter("smr_allocs_total", "successful slot allocations", stat(func(s smr.Stats) uint64 { return s.Allocs }))
-	reg.Counter("smr_retires_total", "retire calls issued by the data structure", stat(func(s smr.Stats) uint64 { return s.Retires }))
-	reg.Counter("smr_recycled_total", "slots made available for reallocation", stat(func(s smr.Stats) uint64 { return s.Recycled }))
 	reg.Counter("smr_re_retired_total", "slots deferred because a hazard pointer or anchor protected them", stat(func(s smr.Stats) uint64 { return s.ReRetired }))
 	reg.Counter("smr_restarts_total", "operation restarts forced by the scheme", stat(func(s smr.Stats) uint64 { return s.Restarts }))
 	reg.Counter("smr_phases_total", "reclamation phases (scans, epochs) completed", stat(func(s smr.Stats) uint64 { return s.Phases }))

@@ -1,9 +1,4 @@
-// Package metrics provides a tiny lock-free log₂ histogram used to record
-// reclamation-phase pause times. The paper's evaluation reports only
-// throughput; pause behaviour is the operational question a library user
-// asks next ("how long does Algorithm 6 stall my thread?"), so the core
-// manager records every Recycling call's duration here.
-package metrics
+package obs
 
 import (
 	"fmt"
@@ -13,12 +8,14 @@ import (
 	"time"
 )
 
-// Buckets is the number of log₂ buckets: bucket i counts samples in
-// [2^i, 2^(i+1)) nanoseconds; the last bucket absorbs the tail.
+// Buckets is the number of log₂ buckets of a Histogram: bucket i counts
+// samples of bits.Len64(ns) == i, i.e. [2^(i-1), 2^i) nanoseconds; the
+// last bucket absorbs the tail.
 const Buckets = 40
 
-// Histogram is a fixed-shape concurrent histogram. The zero value is
-// ready to use.
+// Histogram is a fixed-shape lock-free log₂ histogram of durations:
+// reclamation pauses (core), request latencies (server, oaload,
+// oastress). The zero value is ready to use.
 type Histogram struct {
 	counts [Buckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -67,8 +64,10 @@ type Snapshot struct {
 	Counts [Buckets]uint64
 }
 
-// QuantileNs returns an upper bound (in nanoseconds) for the q-quantile of
-// the snapshot, using each bucket's upper edge.
+// QuantileNs returns an upper bound (in nanoseconds) for the q-quantile
+// (0 < q <= 1) of the snapshot, using each bucket's upper edge. It is the
+// one quantile routine: STATS, RESP INFO, oaload -json and the health
+// engine's windowed p99 all read it.
 func (s *Snapshot) QuantileNs(q float64) uint64 {
 	if s.Count == 0 {
 		return 0
@@ -109,45 +108,18 @@ func (h *Histogram) Snapshot() Snapshot {
 	}
 }
 
-// Mean returns the mean sample duration.
-func (h *Histogram) Mean() time.Duration {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
-// Max returns the largest sample observed.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Quantile returns an upper bound for the q-quantile (0 < q <= 1), using
-// each bucket's upper edge.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	n := h.n.Load()
-	if n == 0 {
-		return 0
-	}
-	target := uint64(q * float64(n))
-	if target == 0 {
-		target = 1
-	}
-	var acc uint64
-	for i := 0; i < Buckets; i++ {
-		acc += h.counts[i].Load()
-		if acc >= target {
-			return time.Duration(uint64(1)<<uint(i) - 1)
-		}
-	}
-	return h.Max()
-}
-
-// String renders the non-empty buckets for reports.
+// String renders the summary and the non-empty buckets for reports.
 func (h *Histogram) String() string {
+	s := h.Snapshot()
+	var mean uint64
+	if s.Count > 0 {
+		mean = s.Sum / s.Count
+	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%v p99<=%v max=%v", h.Count(), h.Mean(), h.Quantile(0.99), h.Max())
-	for i := 0; i < Buckets; i++ {
-		if c := h.counts[i].Load(); c != 0 {
+	fmt.Fprintf(&b, "n=%d mean=%v p99<=%v max=%v", s.Count, time.Duration(mean),
+		time.Duration(s.QuantileNs(0.99)), time.Duration(s.Max))
+	for i, c := range s.Counts {
+		if c != 0 {
 			fmt.Fprintf(&b, " [<%v]=%d", time.Duration(uint64(1)<<uint(i)), c)
 		}
 	}

@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"sync"
@@ -9,7 +9,7 @@ import (
 
 func TestObserveBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if s := h.Snapshot(); h.Count() != 0 || s != (Snapshot{}) || s.QuantileNs(0.5) != 0 {
 		t.Fatal("zero histogram not zero")
 	}
 	h.Observe(100 * time.Nanosecond)
@@ -18,11 +18,12 @@ func TestObserveBasics(t *testing.T) {
 	if h.Count() != 3 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if got := h.Mean(); got != 200*time.Nanosecond {
-		t.Fatalf("Mean = %v", got)
+	s := h.Snapshot()
+	if s.Sum/s.Count != 200 {
+		t.Fatalf("mean = %dns", s.Sum/s.Count)
 	}
-	if got := h.Max(); got != 300*time.Nanosecond {
-		t.Fatalf("Max = %v", got)
+	if s.Max != 300 {
+		t.Fatalf("Max = %dns", s.Max)
 	}
 	if h.String() == "" {
 		t.Fatal("String empty")
@@ -32,24 +33,33 @@ func TestObserveBasics(t *testing.T) {
 func TestNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Observe(-time.Second)
-	if h.Max() != 0 || h.Count() != 1 {
-		t.Fatalf("negative sample mishandled: max=%v n=%d", h.Max(), h.Count())
+	if s := h.Snapshot(); s.Max != 0 || s.Count != 1 {
+		t.Fatalf("negative sample mishandled: max=%d n=%d", s.Max, s.Count)
 	}
 }
 
+// TestQuantileBounds pins the percentiles STATS, RESP INFO and oaload
+// -json report: p50 <= p90 <= p99, each a bucket upper edge at or above
+// the true quantile and below the next power of two.
 func TestQuantileBounds(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 100; i++ {
 		h.Observe(time.Duration(i+1) * time.Microsecond)
 	}
-	p50 := h.Quantile(0.5)
-	p99 := h.Quantile(0.99)
-	if p50 > p99 {
-		t.Fatalf("p50 %v > p99 %v", p50, p99)
+	s := h.Snapshot()
+	p50, p90, p99 := s.QuantileNs(0.5), s.QuantileNs(0.9), s.QuantileNs(0.99)
+	if p50 > p90 || p90 > p99 {
+		t.Fatalf("quantiles out of order: p50 %d p90 %d p99 %d", p50, p90, p99)
 	}
-	// Bucket upper bounds: p50 of 1..100µs must be within [50µs, 128µs).
-	if p50 < 50*time.Microsecond || p50 >= 128*time.Microsecond {
-		t.Fatalf("p50 = %v", p50)
+	for _, c := range []struct {
+		name    string
+		got, lo uint64
+	}{{"p50", p50, 50_000}, {"p90", p90, 90_000}, {"p99", p99, 99_000}} {
+		// Bucket upper bounds: the q-quantile of 1..100µs must lie within
+		// [q·100µs, 2^17 ns ≈ 131µs).
+		if c.got < c.lo || c.got >= 1<<17 {
+			t.Fatalf("%s = %dns", c.name, c.got)
+		}
 	}
 }
 
@@ -61,8 +71,8 @@ func TestMerge(t *testing.T) {
 	if a.Count() != 2 {
 		t.Fatalf("Count = %d", a.Count())
 	}
-	if a.Max() != time.Millisecond {
-		t.Fatalf("Max = %v", a.Max())
+	if s := a.Snapshot(); s.Max != uint64(time.Millisecond) {
+		t.Fatalf("Max = %dns", s.Max)
 	}
 }
 
@@ -99,7 +109,8 @@ func TestQuickQuantileUpperBound(t *testing.T) {
 				maxS = d
 			}
 		}
-		return h.Quantile(1.0) >= maxS/2 && h.Max() == maxS
+		s := h.Snapshot()
+		return time.Duration(s.QuantileNs(1.0)) >= maxS/2 && time.Duration(s.Max) == maxS
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -141,9 +152,6 @@ func TestSnapshotConsistent(t *testing.T) {
 	}
 	if bucketSum != s.Count {
 		t.Fatalf("bucket sum %d != count %d", bucketSum, s.Count)
-	}
-	if got, want := s.QuantileNs(0.99), uint64(h.Quantile(0.99)); got != want {
-		t.Fatalf("QuantileNs(0.99) = %d, histogram says %d", got, want)
 	}
 }
 

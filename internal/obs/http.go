@@ -14,10 +14,8 @@ import (
 // Routes:
 //
 //	/metrics       Prometheus text exposition
-//	/stats.json    JSON snapshot of every source
-//	/trace         protocol event trace: Chrome trace_event JSON by
-//	               default (load in chrome://tracing or Perfetto),
-//	               ?format=jsonl for one JSON object per event line
+//	/trace         protocol event trace as Chrome trace_event JSON (load
+//	               in chrome://tracing or Perfetto)
 //	/debug/pprof/  the standard net/http/pprof handlers
 //
 // Routes registered on the active registry with Registry.Handle (the
@@ -38,16 +36,7 @@ func HandlerFor(get func() *Registry) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = r.WritePrometheus(w)
 	}))
-	mux.HandleFunc("/stats.json", withReg(func(r *Registry, w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.WriteJSON(w)
-	}))
-	mux.HandleFunc("/trace", withReg(func(r *Registry, w http.ResponseWriter, req *http.Request) {
-		if req.URL.Query().Get("format") == "jsonl" {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			_ = r.WriteTraceJSONL(w)
-			return
-		}
+	mux.HandleFunc("/trace", withReg(func(r *Registry, w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = r.WriteTraceChrome(w)
 	}))
@@ -67,7 +56,7 @@ func HandlerFor(get func() *Registry) http.Handler {
 			http.NotFound(w, req)
 			return
 		}
-		fmt.Fprint(w, "oamem observability: /metrics /stats.json /trace /debug/pprof/")
+		fmt.Fprint(w, "oamem observability: /metrics /trace /debug/pprof/")
 		if r := get(); r != nil {
 			for _, p := range r.Routes() {
 				fmt.Fprint(w, " "+p)

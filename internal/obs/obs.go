@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the repository: lock-free,
-// cache-padded per-thread counter blocks, callback gauges sampled from the
-// scheme/arena/pool layers, and a registry that exports everything as
-// Prometheus text or JSON (optionally over HTTP with pprof attached).
+// cache-padded per-thread counter blocks, log₂ duration histograms,
+// callback gauges sampled from the scheme/arena/pool layers, and a
+// registry that exports everything as Prometheus text (optionally over
+// HTTP with the protocol trace and pprof attached).
 //
 // Design constraints, in order:
 //
@@ -12,9 +13,10 @@
 //     gated behind one global Enabled flag — a single predictable branch
 //     when observability is off (zeroalloc_test.go keeps this honest).
 //     Nothing counts an optimistic read: the read barrier counts only
-//     the warnings it acts on, so it stays a load and a branch that
-//     inlines. Cold counters (allocs, retires, recycle passes) are always
-//     on, which is what makes live Stats() aggregation race-free.
+//     the restarts its warnings cause, so it stays a load and a branch
+//     that inlines. Cold counters (allocs, retires, restarts, recycle passes)
+//     are always on, which is what makes live Stats() aggregation
+//     race-free.
 //  3. Aggregation never stops writers: readers sum the per-thread atomics
 //     on demand. Each individual counter is exact; a cross-counter
 //     snapshot may be torn by in-flight operations, so gauges derived from
@@ -31,7 +33,7 @@ type Counter int
 // maintained while Enabled; the rest are always on.
 const (
 	// Ops counts completed data-structure operations (fed by the driver
-	// that owns the thread: harness workers, oastress loops).
+	// that owns the thread: oastress's soak loops).
 	Ops Counter = iota
 	// Allocs counts successful slot allocations.
 	Allocs
@@ -42,9 +44,8 @@ const (
 	// ReRetired counts slots deferred to a later phase/scan because a
 	// hazard pointer (or anchor) protected them.
 	ReRetired
-	// Warnings counts warning checks that observed the bit set.
-	Warnings
-	// Restarts counts operation restarts forced by the scheme.
+	// Restarts counts operation restarts forced by the scheme (for OA,
+	// one per warning a check acts on).
 	Restarts
 	// DrainPasses counts Recycling calls that proceeded to drain the
 	// processing pool (Algorithm 6 reaching its scan+drain half).
@@ -61,7 +62,7 @@ const (
 
 var counterNames = [NumCounters]string{
 	"ops", "allocs", "retires", "recycled", "re_retired",
-	"warnings", "restarts", "drain_passes", "hp_publishes",
+	"restarts", "drain_passes", "hp_publishes",
 }
 
 // String returns the snake_case export name of the counter.
@@ -86,11 +87,8 @@ func SetEnabled(v bool) { enabled.Store(v) }
 // the owner's cache line.
 type PerThread struct {
 	c [NumCounters]atomic.Uint64
-	// localRetired is a gauge: slots currently buffered in the thread's
-	// local retire block, stored by the owner after each retire/flush.
-	localRetired atomic.Uint64
 	// pad the block to 128 bytes (2 cache lines) whatever the counter count
-	_ [128 - 8*(NumCounters+1)]byte
+	_ [128 - 8*NumCounters]byte
 }
 
 // Inc adds 1 to counter i.
@@ -106,12 +104,6 @@ func (p *PerThread) Load(i Counter) uint64 { return p.c[i].Load() }
 // count use it to publish the running total every few hundred operations
 // instead of paying an atomic add per operation.
 func (p *PerThread) Store(i Counter, v uint64) { p.c[i].Store(v) }
-
-// SetLocalRetired records the thread's local retired-slot gauge.
-func (p *PerThread) SetLocalRetired(n uint64) { p.localRetired.Store(n) }
-
-// LocalRetired returns the thread's local retired-slot gauge.
-func (p *PerThread) LocalRetired() uint64 { return p.localRetired.Load() }
 
 // ThreadStats is a fixed array of per-thread counter blocks, allocated
 // contiguously so blocks are padded against each other.
@@ -149,15 +141,6 @@ func (ts *ThreadStats) Total(c Counter) uint64 {
 	var n uint64
 	for i := range ts.blocks {
 		n += ts.blocks[i].c[c].Load()
-	}
-	return n
-}
-
-// TotalLocalRetired sums the per-thread local retired gauges.
-func (ts *ThreadStats) TotalLocalRetired() uint64 {
-	var n uint64
-	for i := range ts.blocks {
-		n += ts.blocks[i].localRetired.Load()
 	}
 	return n
 }

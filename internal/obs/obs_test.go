@@ -73,7 +73,6 @@ func TestConcurrentAggregation(t *testing.T) {
 				b.Inc(Allocs)
 				b.Add(Retires, 2)
 				b.Inc(Restarts)
-				b.SetLocalRetired(uint64(i))
 			}
 		}(w)
 	}
@@ -89,9 +88,6 @@ func TestConcurrentAggregation(t *testing.T) {
 	}
 	if got := ts.Totals()[Restarts]; got != writers*perOp {
 		t.Fatalf("Restarts total = %d, want %d", got, writers*perOp)
-	}
-	if got := ts.TotalLocalRetired(); got != uint64(writers*(perOp-1)) {
-		t.Fatalf("TotalLocalRetired = %d, want %d", got, writers*(perOp-1))
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"repro/internal/metrics"
 )
 
 // WritePrometheus renders every registered source in the Prometheus text
@@ -38,17 +36,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	for _, te := range r.threads {
-		for c := Counter(0); c < NumCounters; c++ {
+		for _, c := range te.cs {
 			name := te.prefix + "_" + c.String() + "_total"
 			p("# HELP %s per-thread %s counter\n# TYPE %s counter\n", name, c.String(), name)
 			for i := 0; i < te.ts.Threads(); i++ {
 				p("%s{thread=%q} %d\n", name, strconv.Itoa(i), te.ts.At(i).Load(c))
 			}
-		}
-		name := te.prefix + "_local_retired_slots"
-		p("# HELP %s slots buffered in the thread's local retire block\n# TYPE %s gauge\n", name, name)
-		for i := 0; i < te.ts.Threads(); i++ {
-			p("%s{thread=%q} %d\n", name, strconv.Itoa(i), te.ts.At(i).LocalRetired())
 		}
 	}
 	for _, he := range r.hists {
@@ -66,12 +59,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 // promHist renders one histogram's bucket/sum/count series. labels is
 // either empty or a `label="v",` prefix spliced before the le label.
-func promHist(p func(format string, args ...any), name, labels string, h *metrics.Histogram) {
+func promHist(p func(format string, args ...any), name, labels string, h *Histogram) {
 	snap := h.Snapshot()
 	var cum uint64
 	// The final log₂ bucket absorbs the tail, so it has no finite
 	// upper edge; it is folded into +Inf below.
-	for b := 0; b < metrics.Buckets-1; b++ {
+	for b := 0; b < Buckets-1; b++ {
 		cum += snap.Counts[b]
 		// Bucket b holds samples with bits.Len64(ns) == b, i.e.
 		// ns <= 2^b - 1; the edge is exported in seconds.

@@ -1,15 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
@@ -32,11 +29,12 @@ type counterEntry struct {
 type threadEntry struct {
 	prefix string
 	ts     *ThreadStats
+	cs     []Counter
 }
 
 type histEntry struct {
 	name, help string
-	h          *metrics.Histogram
+	h          *Histogram
 }
 
 type vecGaugeEntry struct {
@@ -54,11 +52,11 @@ type vecCounterEntry struct {
 type vecHistEntry struct {
 	name, help, label string
 	n                 int
-	fn                func(i int) *metrics.Histogram
+	fn                func(i int) *Histogram
 }
 
-// Registry collects metric sources and renders them as Prometheus text or
-// JSON. Registration happens at setup time; scrapes may run concurrently
+// Registry collects metric sources and renders them as Prometheus text.
+// Registration happens at setup time; scrapes may run concurrently
 // with the writers feeding the sources (sources are sampled, not locked).
 type Registry struct {
 	mu          sync.Mutex
@@ -76,11 +74,6 @@ type Registry struct {
 	// counter can sample them from inside a locked scrape without
 	// re-entering the mutex.
 	tracers atomic.Pointer[[]*trace.Recorder]
-
-	// gen counts series-affecting registrations so samplers holding a
-	// prebuilt plan (the flight recorder) can detect late registrations
-	// and rebuild instead of silently missing new families.
-	gen atomic.Uint64
 }
 
 // NewRegistry returns an empty registry.
@@ -92,7 +85,6 @@ func (r *Registry) Gauge(name, help string, fn GaugeFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.gauges = append(r.gauges, gaugeEntry{name, help, fn})
-	r.gen.Add(1)
 }
 
 // Counter registers a sampled cumulative counter. By Prometheus convention
@@ -101,7 +93,6 @@ func (r *Registry) Counter(name, help string, fn CounterFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.counters = append(r.counters, counterEntry{name, help, fn})
-	r.gen.Add(1)
 }
 
 // GaugeVec registers a family of n gauges sharing one name and help text,
@@ -113,7 +104,6 @@ func (r *Registry) GaugeVec(name, help, label string, n int, fn func(i int) floa
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.vecGauges = append(r.vecGauges, vecGaugeEntry{name, help, label, n, fn})
-	r.gen.Add(1)
 }
 
 // CounterVec registers a family of n cumulative counters sharing one name,
@@ -122,20 +112,18 @@ func (r *Registry) CounterVec(name, help, label string, n int, fn func(i int) ui
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.vecCounters = append(r.vecCounters, vecCounterEntry{name, help, label, n, fn})
-	r.gen.Add(1)
 }
 
 // HistogramVec registers a family of n histograms sharing one name and
 // help text, distinguished by a label: sample i exports in Prometheus
 // histogram format as name_bucket{label="i",le="..."} (plus the matching
-// _sum and _count series) and in the JSON snapshot as name{label="i"}.
+// _sum and _count series).
 // Used for the server's per-(command, shard) latency families, where a
 // metric per shard would drown the scrape output in headers.
-func (r *Registry) HistogramVec(name, help, label string, n int, fn func(i int) *metrics.Histogram) {
+func (r *Registry) HistogramVec(name, help, label string, n int, fn func(i int) *Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.vecHists = append(r.vecHists, vecHistEntry{name, help, label, n, fn})
-	r.gen.Add(1)
 }
 
 // Handle registers an extra HTTP route served by this registry's
@@ -172,23 +160,21 @@ func (r *Registry) Routes() []string {
 	return out
 }
 
-// ThreadCounters registers a per-thread counter block set; each counter
-// exports as <prefix>_<counter>_total{thread="i"} plus the local-retired
-// gauge as <prefix>_local_retired_slots{thread="i"}.
-func (r *Registry) ThreadCounters(prefix string, ts *ThreadStats) {
+// ThreadCounters registers the counters cs of a per-thread counter block
+// set; each exports as <prefix>_<counter>_total{thread="i"}. A caller
+// names only the counters it feeds, so no family is always zero.
+func (r *Registry) ThreadCounters(prefix string, ts *ThreadStats, cs ...Counter) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.threads = append(r.threads, threadEntry{prefix, ts})
-	r.gen.Add(1)
+	r.threads = append(r.threads, threadEntry{prefix, ts, cs})
 }
 
 // Histogram registers a pause histogram; it exports in Prometheus
 // histogram format with log₂ bucket edges converted to seconds.
-func (r *Registry) Histogram(name, help string, h *metrics.Histogram) {
+func (r *Registry) Histogram(name, help string, h *Histogram) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.hists = append(r.hists, histEntry{name, help, h})
-	r.gen.Add(1)
 }
 
 // Trace registers a protocol event recorder: its merged rings become the
@@ -212,7 +198,6 @@ func (r *Registry) Trace(rec *trace.Recorder) {
 			"protocol events recorded by the trace rings (including overwritten)",
 			r.TraceTotal,
 		})
-		r.gen.Add(1)
 	}
 }
 
@@ -271,201 +256,4 @@ func (r *Registry) TraceEvents() []trace.Event {
 // (chrome://tracing, Perfetto).
 func (r *Registry) WriteTraceChrome(w io.Writer) error {
 	return trace.WriteChrome(w, r.TraceEvents())
-}
-
-// WriteTraceJSONL writes the merged trace as one JSON object per line.
-func (r *Registry) WriteTraceJSONL(w io.Writer) error {
-	return trace.WriteJSONL(w, r.TraceEvents())
-}
-
-// jsonHist is the JSON rendering of a histogram snapshot. The original
-// fields keep their names and meaning (older tooling parses them); the
-// extra percentiles are additive.
-type jsonHist struct {
-	Count  uint64 `json:"count"`
-	SumNs  uint64 `json:"sum_ns"`
-	MeanNs uint64 `json:"mean_ns"`
-	MaxNs  uint64 `json:"max_ns"`
-	P50Ns  uint64 `json:"p50_ns"`
-	P90Ns  uint64 `json:"p90_ns"`
-	P99Ns  uint64 `json:"p99_ns"`
-	P999Ns uint64 `json:"p999_ns"`
-}
-
-// jsonSnapshot is the /stats.json document.
-type jsonSnapshot struct {
-	Counters   map[string]uint64              `json:"counters,omitempty"`
-	Gauges     map[string]float64             `json:"gauges,omitempty"`
-	PerThread  map[string][]map[string]uint64 `json:"per_thread,omitempty"`
-	Histograms map[string]jsonHist            `json:"histograms,omitempty"`
-}
-
-// snapshot samples every source under the registry lock.
-func (r *Registry) snapshot() jsonSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := jsonSnapshot{}
-	if len(r.counters) > 0 || len(r.threads) > 0 || len(r.vecCounters) > 0 {
-		s.Counters = map[string]uint64{}
-	}
-	for _, c := range r.counters {
-		s.Counters[c.name] = c.fn()
-	}
-	for _, vc := range r.vecCounters {
-		for i := 0; i < vc.n; i++ {
-			s.Counters[vc.name+"{"+vc.label+"=\""+strconv.Itoa(i)+"\"}"] = vc.fn(i)
-		}
-	}
-	if len(r.gauges) > 0 || len(r.vecGauges) > 0 {
-		s.Gauges = map[string]float64{}
-	}
-	for _, g := range r.gauges {
-		s.Gauges[g.name] = g.fn()
-	}
-	for _, vg := range r.vecGauges {
-		for i := 0; i < vg.n; i++ {
-			s.Gauges[vg.name+"{"+vg.label+"=\""+strconv.Itoa(i)+"\"}"] = vg.fn(i)
-		}
-	}
-	if len(r.threads) > 0 {
-		s.PerThread = map[string][]map[string]uint64{}
-	}
-	for _, te := range r.threads {
-		rows := make([]map[string]uint64, te.ts.Threads())
-		for i := 0; i < te.ts.Threads(); i++ {
-			b := te.ts.At(i)
-			row := map[string]uint64{"thread": uint64(i)}
-			for c := Counter(0); c < NumCounters; c++ {
-				row[c.String()] = b.Load(c)
-			}
-			row["local_retired"] = b.LocalRetired()
-			rows[i] = row
-		}
-		s.PerThread[te.prefix] = rows
-		// Aggregate totals next to the other counters for quick scans.
-		tot := te.ts.Totals()
-		for c := Counter(0); c < NumCounters; c++ {
-			s.Counters[te.prefix+"_"+c.String()+"_total"] = tot[c]
-		}
-	}
-	if len(r.hists) > 0 || len(r.vecHists) > 0 {
-		s.Histograms = map[string]jsonHist{}
-	}
-	for _, he := range r.hists {
-		s.Histograms[he.name] = histJSON(he.h)
-	}
-	for _, vh := range r.vecHists {
-		for i := 0; i < vh.n; i++ {
-			s.Histograms[vh.name+"{"+vh.label+"=\""+strconv.Itoa(i)+"\"}"] = histJSON(vh.fn(i))
-		}
-	}
-	return s
-}
-
-// histJSON renders one histogram snapshot as the JSON block /stats.json
-// carries.
-func histJSON(h *metrics.Histogram) jsonHist {
-	snap := h.Snapshot()
-	jh := jsonHist{Count: snap.Count, SumNs: snap.Sum, MaxNs: snap.Max}
-	if snap.Count > 0 {
-		jh.MeanNs = snap.Sum / snap.Count
-	}
-	jh.P50Ns = snap.QuantileNs(0.50)
-	jh.P90Ns = snap.QuantileNs(0.90)
-	jh.P99Ns = snap.QuantileNs(0.99)
-	jh.P999Ns = snap.QuantileNs(0.999)
-	return jh
-}
-
-// WriteJSON renders every registered source as an indented JSON document.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.snapshot())
-}
-
-// SeriesSource is one scalar time series a periodic sampler can poll:
-// a name (matching the /stats.json key, including any {label="i"}
-// suffix) and a closure returning the current value. Counters surface
-// as their cumulative value; consumers wanting rates difference
-// successive samples themselves.
-type SeriesSource struct {
-	Name   string
-	Sample func() float64
-}
-
-// HistSource is one histogram instance. Family is the base name shared
-// by every instance of a HistogramVec (equal to Name for plain
-// Histogram registrations) so samplers can merge per-shard instances
-// into one windowed family.
-type HistSource struct {
-	Name   string
-	Family string
-	Hist   *metrics.Histogram
-}
-
-// Generation returns a counter bumped on every series-affecting
-// registration. A sampler caches the plan built from Sources() and
-// rebuilds when the generation moves.
-func (r *Registry) Generation() uint64 { return r.gen.Load() }
-
-// Sources flattens every registered scalar metric into sampling
-// closures and enumerates every histogram instance. Per-thread counter
-// blocks surface as their aggregated <prefix>_<counter>_total series
-// (the per-thread rows would multiply the series count without adding
-// signal a time-series view needs). The returned slices are freshly
-// allocated; the closures are safe to call concurrently with the
-// writers feeding the sources, like any scrape.
-func (r *Registry) Sources() ([]SeriesSource, []HistSource) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var ss []SeriesSource
-	for _, c := range r.counters {
-		fn := c.fn
-		ss = append(ss, SeriesSource{c.name, func() float64 { return float64(fn()) }})
-	}
-	for _, vc := range r.vecCounters {
-		for i := 0; i < vc.n; i++ {
-			fn, j := vc.fn, i
-			name := vc.name + "{" + vc.label + "=\"" + strconv.Itoa(i) + "\"}"
-			ss = append(ss, SeriesSource{name, func() float64 { return float64(fn(j)) }})
-		}
-	}
-	for _, g := range r.gauges {
-		ss = append(ss, SeriesSource{g.name, g.fn})
-	}
-	for _, vg := range r.vecGauges {
-		for i := 0; i < vg.n; i++ {
-			fn, j := vg.fn, i
-			name := vg.name + "{" + vg.label + "=\"" + strconv.Itoa(i) + "\"}"
-			ss = append(ss, SeriesSource{name, func() float64 { return fn(j) }})
-		}
-	}
-	for _, te := range r.threads {
-		ts := te.ts
-		for c := Counter(0); c < NumCounters; c++ {
-			k := c
-			ss = append(ss, SeriesSource{
-				te.prefix + "_" + c.String() + "_total",
-				func() float64 {
-					var n uint64
-					for i := 0; i < ts.Threads(); i++ {
-						n += ts.At(i).Load(k)
-					}
-					return float64(n)
-				},
-			})
-		}
-	}
-	var hs []HistSource
-	for _, he := range r.hists {
-		hs = append(hs, HistSource{he.name, he.name, he.h})
-	}
-	for _, vh := range r.vecHists {
-		for i := 0; i < vh.n; i++ {
-			name := vh.name + "{" + vh.label + "=\"" + strconv.Itoa(i) + "\"}"
-			hs = append(hs, HistSource{name, vh.name, vh.fn(i)})
-		}
-	}
-	return ss, hs
 }

@@ -6,15 +6,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/trace"
 )
 
 // TestRegistryTrace covers recorder registration: the merged timeline
 // offsets thread ids per recorder, trace_events_total is registered exactly
-// once and sums across recorders, and both text renderings carry it.
+// once and sums across recorders, and /metrics carries it.
 func TestRegistryTrace(t *testing.T) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
@@ -58,24 +56,10 @@ func TestRegistryTrace(t *testing.T) {
 	if strings.Count(prom.String(), "# TYPE trace_events_total") != 1 {
 		t.Fatalf("trace_events_total registered more than once:\n%s", prom.String())
 	}
-
-	var js strings.Builder
-	if err := reg.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Counters map[string]uint64 `json:"counters"`
-	}
-	if err := json.Unmarshal([]byte(js.String()), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Counters["trace_events_total"] != 3 {
-		t.Fatalf("JSON counters = %v, want trace_events_total 3", doc.Counters)
-	}
 }
 
-// TestTraceEndpoint exercises the /trace route in both formats against a
-// live handler.
+// TestTraceEndpoint exercises the /trace route (Chrome trace_event JSON)
+// against a live handler.
 func TestTraceEndpoint(t *testing.T) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
@@ -125,59 +109,5 @@ func TestTraceEndpoint(t *testing.T) {
 	}
 	if len(chrome.TraceEvents) != 2 || chrome.TraceEvents[0].Name != "phase" || chrome.TraceEvents[0].Ph != "i" {
 		t.Fatalf("unexpected chrome events: %+v", chrome.TraceEvents)
-	}
-
-	body, ctype = get("/trace?format=jsonl")
-	if ctype != "application/x-ndjson" {
-		t.Fatalf("/trace?format=jsonl content-type = %q", ctype)
-	}
-	lines := strings.Split(strings.TrimSpace(body), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("jsonl line count = %d, want 2\n%s", len(lines), body)
-	}
-	for _, ln := range lines {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(ln), &obj); err != nil {
-			t.Fatalf("bad jsonl line %q: %v", ln, err)
-		}
-		for _, k := range []string{"ts_ns", "tid", "seq", "kind"} {
-			if _, ok := obj[k]; !ok {
-				t.Fatalf("jsonl line %q missing %q", ln, k)
-			}
-		}
-	}
-}
-
-// TestJSONHistogramPercentiles locks the additive percentile fields of the
-// /stats.json histogram block.
-func TestJSONHistogramPercentiles(t *testing.T) {
-	reg := NewRegistry()
-	var h metrics.Histogram
-	for i := 0; i < 1000; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-	reg.Histogram("demo_latency_seconds", "op latency", &h)
-
-	var b strings.Builder
-	if err := reg.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Histograms map[string]map[string]uint64 `json:"histograms"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatal(err)
-	}
-	jh, ok := doc.Histograms["demo_latency_seconds"]
-	if !ok {
-		t.Fatalf("histogram missing from JSON: %s", b.String())
-	}
-	for _, k := range []string{"count", "sum_ns", "mean_ns", "max_ns", "p50_ns", "p90_ns", "p99_ns", "p999_ns"} {
-		if _, present := jh[k]; !present {
-			t.Fatalf("histogram block missing %q: %v", k, jh)
-		}
-	}
-	if jh["count"] != 1000 || jh["p50_ns"] == 0 || jh["p99_ns"] < jh["p50_ns"] {
-		t.Fatalf("implausible percentiles: %v", jh)
 	}
 }

@@ -94,9 +94,8 @@ func (b *Block) Pop() uint32 { b.N--; return b.Slots[b.N] }
 // is plenty. The count half of the head word bumps on every push, defeating
 // ABA (pops alone cannot reintroduce a block).
 type BlockArena struct {
-	a     *arena.Arena[Block]
-	free  atomic.Uint64 // packed {count:32, idx:32}
-	nfree atomic.Int64  // freelist length gauge (occupancy observability)
+	a    *arena.Arena[Block]
+	free atomic.Uint64 // packed {count:32, idx:32}
 }
 
 // NewBlockArena creates a block arena sized for roughly cap slots of
@@ -127,7 +126,6 @@ func (ba *BlockArena) Get() uint32 {
 		}
 		next := ba.a.At(idx).next.Load()
 		if ba.free.CompareAndSwap(w, pack(c, next)) {
-			ba.nfree.Add(-1)
 			b := ba.a.At(idx)
 			b.N = 0
 			return idx
@@ -145,21 +143,11 @@ func (ba *BlockArena) Put(idx uint32) {
 		c, head := unpack(w)
 		b.next.Store(head)
 		if ba.free.CompareAndSwap(w, pack(c+1, idx)) {
-			ba.nfree.Add(1)
 			return
 		}
 		bo.Pause()
 	}
 }
-
-// Blocks returns the number of Block structs the arena has ever created —
-// the upper bound on pool occupancy.
-func (ba *BlockArena) Blocks() uint32 { return ba.a.Limit() }
-
-// FreeBlocks returns the current freelist length. It is maintained beside
-// the Treiber head (not inside its CAS), so concurrent readers see a value
-// that can momentarily lag the true length — fine for a gauge.
-func (ba *BlockArena) FreeBlocks() int64 { return ba.nfree.Load() }
 
 // VStack is a phase-versioned Treiber stack of blocks (the retirePool and
 // processingPool of Algorithm 6). The head packs {version:32, blockIdx:32}.

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/kvmap"
 	"repro/internal/lease"
-	"repro/internal/metrics"
 	"repro/internal/mpmc"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -100,7 +99,7 @@ type executor struct {
 	// executor, recorded from the request span for every completed data op
 	// (statuses OK/NOT_FOUND/CAS_MISMATCH). Only the OpGet..OpCAS rows are
 	// populated.
-	lat [OpCAS + 1]metrics.Histogram
+	lat [OpCAS + 1]obs.Histogram
 }
 
 // shardSession is what an executor holds in one shard.

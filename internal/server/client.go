@@ -8,7 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -59,7 +59,7 @@ type Client struct {
 	// server's batched flush — the client-observed latency a user
 	// program experiences). Load generators read the quantiles for
 	// their reports.
-	Latency *metrics.Histogram
+	Latency *obs.Histogram
 }
 
 // Dial connects a pipelined client. window bounds how many requests may

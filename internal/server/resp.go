@@ -471,8 +471,8 @@ func (r *respReader) appendReply(dst []byte, op uint8, _ uint64, status uint8, v
 // reply to one section (one of infoSections); empty means all.
 //
 // The Stats and Latency sections are rendered by reflecting over the
-// same Snapshot / CmdLatency structs the STATS op and /stats.json
-// serialize, via their JSON field names — INFO cannot drift from the
+// same Snapshot / CmdLatency structs the STATS op serializes, via
+// their JSON field names — INFO cannot drift from the
 // binary surfaces because there is no second field list to forget to
 // update (TestInfoStatsParity pins this).
 func (s *Server) respInfo(b []byte, section string) []byte {

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kvmap"
-	"repro/internal/metrics"
 	"repro/internal/mpmc"
 	"repro/internal/obs"
 	"repro/internal/ttlcache"
@@ -245,9 +244,6 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// NumShards returns how many keyspace shards the server routes across.
-func (s *Server) NumShards() int { return len(s.stripes) }
-
 func (s *Server) sumStripes(f func(*shardStripe) uint64) uint64 {
 	var n uint64
 	for i := range s.stripes {
@@ -267,8 +263,6 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		len(opNames), func(i int) uint64 {
 			return s.sumStripes(func(st *shardStripe) uint64 { return st.reqsTotal[i].Load() })
 		})
-	reg.Gauge("oa_server_shards", "keyspace shards the router spreads over",
-		func() float64 { return float64(s.NumShards()) })
 	reg.CounterVec("oa_server_shard_ops", "data requests routed to each keyspace shard (BUSY refusals included)", "shard",
 		len(s.stripes), func(i int) uint64 { return s.stripes[i].ops.Load() })
 	reg.GaugeVec("oa_server_shard_sessions_leased", "sessions currently leased per shard", "shard",
@@ -283,8 +277,7 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		func() uint64 { return s.goawaysSent.Load() })
 	reg.Counter("oa_server_force_closed_total", "connections cut at DrainTimeout",
 		func() uint64 { return s.forceClosed.Load() })
-	reg.Counter("oa_server_requests_read_total", "requests decoded off sockets",
-		func() uint64 { return s.sumStripes(func(st *shardStripe) uint64 { return st.reqsRead.Load() }) })
+	reg.Counter("oa_server_requests_read_total", "requests decoded off sockets", s.RequestsRead)
 	reg.Counter("oa_server_responses_sent_total", "responses queued to writers",
 		func() uint64 { return s.sumStripes(func(st *shardStripe) uint64 { return st.respsSent.Load() }) })
 	reg.Counter("oa_server_bad_requests_total", "requests answered BAD_REQUEST or FRAME_TOO_BIG",
@@ -318,9 +311,33 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 		reg.HistogramVec("oa_server_latency_"+opNames[op]+"_seconds",
 			"server-side "+opNames[op]+" latency (route+queue+exec, socket wait excluded)",
 			"executor", len(s.execs),
-			func(i int) *metrics.Histogram { return &s.execs[i].lat[op] })
+			func(i int) *obs.Histogram { return &s.execs[i].lat[op] })
 	}
 	reg.Handle("/debug/slowlog", http.HandlerFunc(s.serveSlowLog))
+}
+
+// RequestsRead returns the requests decoded off sockets so far.
+func (s *Server) RequestsRead() uint64 {
+	return s.sumStripes(func(st *shardStripe) uint64 { return st.reqsRead.Load() })
+}
+
+// RingDepth returns the deepest executor ring's queued requests and the
+// per-ring bound: the health engine's ring_saturation input.
+func (s *Server) RingDepth() (deepest, capacity int) {
+	for _, e := range s.execs {
+		deepest = max(deepest, int(e.depth.Load()))
+	}
+	return deepest, s.cfg.RingSize
+}
+
+// Latency returns the server-side latency histogram of data command op
+// (OpGet..OpCAS), merged across executors.
+func (s *Server) Latency(op int) obs.Snapshot {
+	var merged obs.Histogram
+	for _, e := range s.execs {
+		merged.Merge(&e.lat[op])
+	}
+	return merged.Snapshot()
 }
 
 // Serve accepts binary-protocol connections on ln until Shutdown (which
@@ -490,7 +507,7 @@ func (s *Server) snapshot() Snapshot {
 		MaxBatch:      maxBatch,
 		Connections:   s.active.Load(),
 		ConnsTotal:    s.connsTotal.Load(),
-		RequestsRead:  s.sumStripes(func(st *shardStripe) uint64 { return st.reqsRead.Load() }),
+		RequestsRead:  s.RequestsRead(),
 		ResponsesSent: s.sumStripes(func(st *shardStripe) uint64 { return st.respsSent.Load() }),
 		Busy:          s.busyTotal.Load(),
 		Capacity:      s.capTotal.Load(),
@@ -519,27 +536,27 @@ type CmdLatency struct {
 	MaxNs  uint64 `json:"max_ns"`
 }
 
-// latencySnapshot merges each command's per-executor histograms and
-// summarizes them. This one snapshot feeds STATS, stats.json's server
-// block and the RESP INFO latency section, so the three surfaces cannot
-// drift.
+// LatencyOf summarizes a latency histogram snapshot: the form of every
+// latency block (STATS, RESP INFO, oaload -json).
+func LatencyOf(snap obs.Snapshot) CmdLatency {
+	cl := CmdLatency{Count: snap.Count, MaxNs: snap.Max}
+	if snap.Count > 0 {
+		cl.MeanNs = snap.Sum / snap.Count
+		cl.P50Ns = snap.QuantileNs(0.50)
+		cl.P90Ns = snap.QuantileNs(0.90)
+		cl.P99Ns = snap.QuantileNs(0.99)
+		cl.P999Ns = snap.QuantileNs(0.999)
+	}
+	return cl
+}
+
+// latencySnapshot summarizes each command's latency, merged across
+// executors. This one snapshot feeds STATS and the RESP INFO latency
+// section, so the two surfaces cannot drift.
 func (s *Server) latencySnapshot() map[string]CmdLatency {
 	out := make(map[string]CmdLatency, OpCAS)
 	for op := OpGet; op <= OpCAS; op++ {
-		var merged metrics.Histogram
-		for _, e := range s.execs {
-			merged.Merge(&e.lat[op])
-		}
-		snap := merged.Snapshot()
-		cl := CmdLatency{Count: snap.Count, MaxNs: snap.Max}
-		if snap.Count > 0 {
-			cl.MeanNs = snap.Sum / snap.Count
-			cl.P50Ns = snap.QuantileNs(0.50)
-			cl.P90Ns = snap.QuantileNs(0.90)
-			cl.P99Ns = snap.QuantileNs(0.99)
-			cl.P999Ns = snap.QuantileNs(0.999)
-		}
-		out[opNames[op]] = cl
+		out[opNames[op]] = LatencyOf(s.Latency(op))
 	}
 	return out
 }

@@ -6,17 +6,15 @@ import (
 	"strconv"
 )
 
-// Exporters. Both operate on the merged []Event from Recorder.Events (or
-// any slice assembled by hand in tests) and write with stdlib only. The
-// JSONL form is one self-describing object per line — trivially greppable
-// and streamable. The Chrome form is the trace_event JSON array loadable
-// in chrome://tracing and Perfetto: every event becomes an instant event
-// ("ph":"i", thread scope) on the recording thread's track, with the
-// decoded payload in "args" so the UI shows cause/phase/shard at a click.
+// The exporter operates on the merged []Event from Recorder.Events (or
+// any slice assembled by hand in tests) and writes with stdlib only: the
+// Chrome trace_event JSON array loadable in chrome://tracing and
+// Perfetto. Every event becomes an instant event ("ph":"i", thread scope)
+// on the recording thread's track, with the decoded payload in "args" so
+// the UI shows cause/phase/shard at a click.
 
 // appendArgs decodes an event's payload word into JSON object fields
-// (without braces), shared by both exporters so the two outputs never
-// disagree on the decoding.
+// (without braces).
 func appendArgs(b []byte, e Event) []byte {
 	switch e.Kind {
 	case EvRestart:
@@ -61,35 +59,6 @@ func appendArgs(b []byte, e Event) []byte {
 		b = strconv.AppendUint(b, e.Arg, 10)
 	}
 	return b
-}
-
-// WriteJSONL writes one JSON object per event per line:
-//
-//	{"ts_ns":12345,"tid":3,"seq":17,"kind":"restart","cause":"read_barrier"}
-//
-// The raw payload word is decoded into kind-specific fields (cause,
-// recycled/re_retired, phase, shard) exactly as in the Chrome export.
-func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	var b []byte
-	for _, e := range events {
-		b = b[:0]
-		b = append(b, `{"ts_ns":`...)
-		b = strconv.AppendInt(b, e.TS, 10)
-		b = append(b, `,"tid":`...)
-		b = strconv.AppendInt(b, int64(e.TID), 10)
-		b = append(b, `,"seq":`...)
-		b = strconv.AppendUint(b, e.Seq, 10)
-		b = append(b, `,"kind":"`...)
-		b = append(b, e.Kind.String()...)
-		b = append(b, `",`...)
-		b = appendArgs(b, e)
-		b = append(b, '}', '\n')
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }
 
 // WriteChrome writes the events as a Chrome trace_event JSON document

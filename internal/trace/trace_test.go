@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -161,60 +160,19 @@ func TestRecorderEventsMerge(t *testing.T) {
 	}
 }
 
-func TestWriteJSONL(t *testing.T) {
-	events := []Event{
-		{TS: 1500, TID: 0, Seq: 0, Kind: EvPhase, Arg: 7},
-		{TS: 2000, TID: 1, Seq: 0, Kind: EvRestart, Arg: uint64(CauseWrite)},
-		{TS: 2500, TID: 1, Seq: 1, Kind: EvDrain, Arg: DrainPayload(11, 3)},
-		{TS: 3000, TID: 2, Seq: 0, Kind: EvFreeze, Arg: FreezePayload(9, 2)},
-		{TS: 3500, TID: 2, Seq: 1, Kind: EvSteal, Arg: 5},
-		{TS: 4000, TID: 3, Seq: 0, Kind: EvReqStage, Arg: StagePayload(StageExec, 42)},
-		{TS: 4500, TID: 3, Seq: 1, Kind: EvReqSpan, Arg: SpanPayload(2, 0, 3, 99)},
-	}
-	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, events); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
-	if len(lines) != len(events) {
-		t.Fatalf("got %d lines want %d", len(lines), len(events))
-	}
-	var decoded []map[string]any
-	for _, ln := range lines {
-		var m map[string]any
-		if err := json.Unmarshal([]byte(ln), &m); err != nil {
-			t.Fatalf("line %q: %v", ln, err)
-		}
-		decoded = append(decoded, m)
-	}
-	if decoded[0]["kind"] != "phase" || decoded[0]["phase"] != float64(7) {
-		t.Fatalf("phase line wrong: %v", decoded[0])
-	}
-	if decoded[1]["cause"] != "write_barrier" {
-		t.Fatalf("restart line wrong: %v", decoded[1])
-	}
-	if decoded[2]["recycled"] != float64(11) || decoded[2]["re_retired"] != float64(3) {
-		t.Fatalf("drain line wrong: %v", decoded[2])
-	}
-	if decoded[3]["phase"] != float64(9) || decoded[3]["shard"] != float64(2) {
-		t.Fatalf("freeze line wrong: %v", decoded[3])
-	}
-	if decoded[4]["shard"] != float64(5) || decoded[4]["tid"] != float64(2) {
-		t.Fatalf("steal line wrong: %v", decoded[4])
-	}
-	if decoded[5]["kind"] != "req_stage" || decoded[5]["stage"] != "exec" || decoded[5]["ns"] != float64(42) {
-		t.Fatalf("req_stage line wrong: %v", decoded[5])
-	}
-	if decoded[6]["kind"] != "req_span" || decoded[6]["op"] != float64(2) || decoded[6]["shard"] != float64(3) || decoded[6]["server_ns"] != float64(99) {
-		t.Fatalf("req_span line wrong: %v", decoded[6])
-	}
-}
-
+// TestWriteChrome holds the export to the trace_event shape and checks
+// every payload decoding in "args".
 func TestWriteChrome(t *testing.T) {
 	events := []Event{
 		{TS: 1500, TID: 0, Seq: 0, Kind: EvPhase, Arg: 7},
 		{TS: 123456789, TID: 3, Seq: 9, Kind: EvRestart, Arg: uint64(CauseRead)},
 		{TS: 2000, TID: 1, Seq: 0, Kind: EvRefill, Arg: 1},
+		{TS: 2500, TID: 1, Seq: 1, Kind: EvDrain, Arg: DrainPayload(11, 3)},
+		{TS: 3000, TID: 2, Seq: 0, Kind: EvFreeze, Arg: FreezePayload(9, 2)},
+		{TS: 3500, TID: 2, Seq: 1, Kind: EvSteal, Arg: 5},
+		{TS: 4000, TID: 3, Seq: 0, Kind: EvReqStage, Arg: StagePayload(StageExec, 42)},
+		{TS: 4500, TID: 3, Seq: 1, Kind: EvReqSpan, Arg: SpanPayload(2, 0, 3, 99)},
+		{TS: 5000, TID: 4, Seq: 0, Kind: EvRestart, Arg: uint64(CauseWrite)},
 	}
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, events); err != nil {
@@ -234,11 +192,11 @@ func TestWriteChrome(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("not valid chrome trace JSON: %v\n%s", err, buf.String())
 	}
-	if len(doc.TraceEvents) != 3 {
-		t.Fatalf("got %d events want 3", len(doc.TraceEvents))
+	if len(doc.TraceEvents) != len(events) {
+		t.Fatalf("got %d events want %d", len(doc.TraceEvents), len(events))
 	}
 	e0 := doc.TraceEvents[0]
-	if e0.Name != "phase" || e0.Ph != "i" || e0.S != "t" || e0.TS != 1.5 {
+	if e0.Name != "phase" || e0.Ph != "i" || e0.S != "t" || e0.TS != 1.5 || e0.Args["phase"] != float64(7) {
 		t.Fatalf("event 0 wrong: %+v", e0)
 	}
 	e1 := doc.TraceEvents[1]
@@ -248,6 +206,24 @@ func TestWriteChrome(t *testing.T) {
 	}
 	if doc.TraceEvents[2].TS != 2 {
 		t.Fatalf("whole-µs timestamp must have no fraction: %+v", doc.TraceEvents[2])
+	}
+	for i, want := range []map[string]any{
+		3: {"recycled": float64(11), "re_retired": float64(3)},
+		4: {"phase": float64(9), "shard": float64(2)},
+		5: {"shard": float64(5)},
+		6: {"stage": "exec", "ns": float64(42)},
+		7: {"op": float64(2), "status": float64(0), "shard": float64(3), "server_ns": float64(99)},
+		8: {"cause": "write_barrier"},
+	} {
+		e := doc.TraceEvents[i]
+		for k, v := range want {
+			if e.Args[k] != v {
+				t.Fatalf("event %d (%s) args[%q] = %v, want %v (args %v)", i, e.Name, k, e.Args[k], v, e.Args)
+			}
+		}
+	}
+	if doc.TraceEvents[6].Name != "req_stage" || doc.TraceEvents[7].Name != "req_span" || doc.TraceEvents[5].Tid != 2 {
+		t.Fatalf("request events wrong: %+v %+v", doc.TraceEvents[6], doc.TraceEvents[7])
 	}
 }
 
