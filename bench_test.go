@@ -10,9 +10,15 @@ package repro
 
 import (
 	"strconv"
+	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/arena"
 	"repro/internal/harness"
+	"repro/internal/hashtable"
+	"repro/internal/sizing"
+	"repro/internal/skiplist"
 	"repro/internal/smr"
 	"repro/oamem"
 )
@@ -129,9 +135,7 @@ func BenchmarkAblationWarning(b *testing.B) {
 // BenchmarkOAReadBarrier isolates the cost of the paper's Algorithm 1 read
 // barrier: the pure-read workload on the long list is a traversal
 // micro-benchmark where OA's warning check is its only per-hop work beyond
-// NoRecl's. The two also address nodes differently: OA indexes one flat
-// slice, NoRecl walks the arena's chunk directory (EXPERIMENTS.md,
-// "Per-hop decomposition").
+// NoRecl's; both reach nodes through the same arena.View lookup.
 func BenchmarkOAReadBarrier(b *testing.B) {
 	for _, sc := range []smr.Scheme{smr.NoRecl, smr.OA, smr.HP, smr.EBR} {
 		b.Run(sc.String(), func(b *testing.B) {
@@ -207,5 +211,132 @@ func hashMix(b *testing.B, scheme oamem.Scheme) {
 		default:
 			hashMixSink = s.Delete(key)
 		}
+	}
+}
+
+// BenchmarkContainsHop is the per-hop decomposition of Contains
+// (EXPERIMENTS.md, "Per-hop decomposition") on the skip list and the hash
+// table. Each sub-benchmark reports the ns per call of three rows, which
+// hold the same 10,000 of 20,000 keys after the same churn (hopFill):
+//   - OA, sized as bench/ sizes it: live set + δ = 50,000;
+//   - NoRecl-flat: NoRecl with every node inside its arena's flat region,
+//     sized for the whole churn;
+//   - NoRecl-past-flat: NoRecl built with capacity 1, whose flat region
+//     holds the structure's own nodes (the skip list's head, the hash
+//     table's bucket sentinels) and less than one chunk more. Two chunks
+//     of throwaway keys, inserted and deleted first, use that region up
+//     (NoRecl never reuses a slot), so every hop to a key's node takes the
+//     chunk directory.
+//
+// The rows run in turn, 4,096 calls at a time, so drift of the host hits
+// every row alike; they are built once per process. Run:
+//
+//	go test -run '^$' -bench ContainsHop -cpu 1 .
+func BenchmarkContainsHop(b *testing.B) {
+	for _, st := range []struct {
+		name string
+		rows func() []hopRow
+	}{{"SkipList", skipListHopRows}, {"Hash", hashHopRows}} {
+		b.Run(st.name, func(b *testing.B) { timeContains(b, st.rows()) })
+	}
+}
+
+const (
+	hopLive  = 10000
+	hopKeys  = 2 * hopLive
+	hopDelta = 50000
+	hopChurn = 1 << 20 // takes each OA row through one phase of ~50k recycled slots
+)
+
+type hopRow struct {
+	name string
+	s    smr.Session
+}
+
+var (
+	skipListHopRows = sync.OnceValue(func() []hopRow { return hopRows(skiplist.New) })
+	hashHopRows     = sync.OnceValue(func() []hopRow {
+		return hopRows(func(sc smr.Scheme, c sizing.Config) (smr.Set, error) { return hashtable.New(sc, c, hopLive) })
+	})
+)
+
+func hopRows(newSet func(smr.Scheme, sizing.Config) (smr.Set, error)) []hopRow {
+	session := func(sc smr.Scheme, capacity int) smr.Session {
+		set, err := newSet(sc, sizing.Config{MaxThreads: 1, Capacity: capacity})
+		if err != nil {
+			panic(err)
+		}
+		return set.Session(0)
+	}
+	oa := session(smr.OA, hopLive+hopDelta+4*126+64)
+	inserted := hopFill(oa)
+	flat := session(smr.NoRecl, hopLive+inserted+arena.ChunkSize)
+	hopFill(flat)
+	past := session(smr.NoRecl, 1)
+	for k := uint64(hopKeys); k < hopKeys+2*arena.ChunkSize; k++ {
+		past.Insert(k)
+		past.Delete(k)
+	}
+	hopFill(past)
+	return []hopRow{{"OA", oa}, {"NoRecl-flat", flat}, {"NoRecl-past-flat", past}}
+}
+
+// hopFill prefills s with the even keys, then churns it with 80 %
+// Contains, 10 % Insert and 10 % Delete over uniform keys, and returns how
+// many churn inserts succeeded. The draws are fixed, so every row ends
+// holding the same keys.
+func hopFill(s smr.Session) (inserted int) {
+	for k := uint64(0); k < hopKeys; k += 2 {
+		s.Insert(k)
+	}
+	x := uint64(0x9E3779B97F4A7C15)
+	for i := 0; i < hopChurn; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		k := (x >> 8) % hopKeys
+		switch x % 10 {
+		case 8:
+			if s.Insert(k) {
+				inserted++
+			}
+		case 9:
+			s.Delete(k)
+		default:
+			s.Contains(k)
+		}
+	}
+	return inserted
+}
+
+var hopSink bool
+
+// timeContains runs each row's Contains on uniform keys in turn, 4,096
+// calls at a time, until every row has made b.N calls, and reports each
+// row's mean ns per call as a metric named after the row.
+func timeContains(b *testing.B, rows []hopRow) {
+	const slice = 1 << 12
+	var keys [1 << 16]uint64
+	x := uint64(0xD1B54A32D192ED03)
+	for i := range keys {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		keys[i] = x % hopKeys
+	}
+	spent := make([]time.Duration, len(rows))
+	b.ResetTimer()
+	for done := 0; done < b.N; done += slice {
+		n := min(slice, b.N-done)
+		for r, row := range rows {
+			start := time.Now()
+			for i := done; i < done+n; i++ {
+				hopSink = row.s.Contains(keys[i%len(keys)])
+			}
+			spent[r] += time.Since(start)
+		}
+	}
+	for r, row := range rows {
+		b.ReportMetric(float64(spent[r].Nanoseconds())/float64(b.N), row.name+"-ns/op")
 	}
 }

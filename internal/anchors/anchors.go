@@ -160,7 +160,7 @@ type Thread[T any] struct {
 
 	buf   []retiredSlot
 	local alloc.Local
-	view  arena.View[T] // chunk-directory snapshot: atomic-free Node
+	view  arena.View[T] // Node's lookup: the flat region, else the directory
 
 	// Counters are atomic so Stats may aggregate them live (monitoring
 	// endpoints, harness snapshots) without stopping the owner thread.
@@ -188,10 +188,10 @@ type visits struct {
 func (t *Thread[T]) ID() int { return t.id }
 
 // Node dereferences a slot handle. The lookup goes through the thread's
-// directory view: two plain loads, no atomics.
+// view, as under every scheme.
 func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
 
-// View exposes the thread's directory view, for structure code written
+// View exposes the thread's node view, for structure code written
 // once against the concrete view instead of a scheme's thread type.
 func (t *Thread[T]) View() *arena.View[T] { return &t.view }
 

@@ -24,65 +24,50 @@ const chunkMask = ChunkSize - 1
 // Concurrency: At and Gen may be called from any goroutine at any time,
 // including with slot indices that were recycled long ago. Reserve may be
 // called concurrently with readers; growth publishes a copy-on-write chunk
-// table, so readers never observe a partially built table.
+// directory, so readers never observe a partially built one.
 type Arena[T any] struct {
-	mu    sync.Mutex                      // serializes growth
-	table atomic.Pointer[[]*[ChunkSize]T] // copy-on-write chunk directory
-	gens  atomic.Pointer[[]*genChunk]     // parallel generation counters
-	limit atomic.Uint32                   // slots handed out so far
-	capa  atomic.Uint32                   // slots backed by chunks
+	mu    sync.Mutex                   // serializes growth
+	dir   atomic.Pointer[directory[T]] // copy-on-write chunk directory
+	limit atomic.Uint32                // slots handed out so far
+	capa  atomic.Uint32                // slots backed by chunks
 
-	// flat and flatGens are the one allocation behind New's initial
-	// capacity: the directory's first chunks are windows onto them.
-	flat     []T
-	flatGens []atomic.Uint32
+	// flat is the View of every thread: the one allocation behind New's
+	// initial capacity, whose windows are the directory's first chunks.
+	flat View[T]
+}
+
+// directory holds, per chunk, its nodes and their generation counters.
+type directory[T any] struct {
+	nodes []*[ChunkSize]T
+	gens  []*genChunk
 }
 
 type genChunk [ChunkSize]atomic.Uint32
 
 // New creates an arena with capacity for at least initialCap slots, backed
-// by one contiguous allocation (see Flat).
+// by one contiguous allocation (the flat region of every View).
 func New[T any](initialCap int) *Arena[T] {
 	a := &Arena[T]{}
-	empty := make([]*[ChunkSize]T, 0)
-	emptyGens := make([]*genChunk, 0)
-	a.table.Store(&empty)
-	a.gens.Store(&emptyGens)
+	a.dir.Store(&directory[T]{})
+	a.flat.a = a
 	if initialCap > 0 {
-		a.flat, a.flatGens = a.grow(uint32(initialCap))
+		a.flat.nodes, a.flat.gens = a.grow(uint32(initialCap))
 	}
 	return a
 }
 
-// Flat returns the contiguous region behind the initial capacity given to
-// New: nodes[i] and gens[i] are the memory At(i) and Gen(i) reach through
-// the chunk directory, for every slot i < len(nodes). Slots created by
-// later growth lie outside it. A user whose slots all lie inside, such as
-// a manager that reserves its whole capacity once, can index the region
-// directly and skip the directory.
-func (a *Arena[T]) Flat() (nodes []T, gens []atomic.Uint32) { return a.flat, a.flatGens }
-
 // At returns the node stored in slot. The returned pointer stays valid
 // forever; it may alias a slot that has since been recycled (that is the
 // point of the optimistic access design).
-func (a *Arena[T]) At(slot uint32) *T {
-	t := *a.table.Load()
-	return &t[slot>>ChunkShift][slot&chunkMask]
-}
+func (a *Arena[T]) At(slot uint32) *T { return a.flat.At(slot) }
 
 // Gen returns the generation counter of slot. Schemes bump it on recycle;
 // tests use it to detect use-after-free in schemes that forbid it (HP, EBR)
 // and to validate that OA never commits work based on a stale slot.
-func (a *Arena[T]) Gen(slot uint32) uint32 {
-	g := *a.gens.Load()
-	return g[slot>>ChunkShift][slot&chunkMask].Load()
-}
+func (a *Arena[T]) Gen(slot uint32) uint32 { return a.flat.gen(slot).Load() }
 
 // BumpGen increments the generation counter of slot, marking one recycle.
-func (a *Arena[T]) BumpGen(slot uint32) {
-	g := *a.gens.Load()
-	g[slot>>ChunkShift][slot&chunkMask].Add(1)
-}
+func (a *Arena[T]) BumpGen(slot uint32) { a.flat.BumpGen(slot) }
 
 // Cap returns the number of slots currently backed by chunks.
 func (a *Arena[T]) Cap() uint32 { return a.capa.Load() }
@@ -115,24 +100,22 @@ func (a *Arena[T]) Reserve(n int) uint32 {
 // holds a.mu (or is the constructor).
 func (a *Arena[T]) grow(need uint32) ([]T, []atomic.Uint32) {
 	chunks := (int(need) + ChunkSize - 1) >> ChunkShift
-	old := *a.table.Load()
-	oldGens := *a.gens.Load()
-	if len(old) >= chunks {
+	old := a.dir.Load()
+	have := len(old.nodes)
+	if have >= chunks {
 		return nil, nil
 	}
-	nodes := make([]T, (chunks-len(old))<<ChunkShift)
+	nodes := make([]T, (chunks-have)<<ChunkShift)
 	gens := make([]atomic.Uint32, len(nodes))
-	next := make([]*[ChunkSize]T, chunks)
-	nextGens := make([]*genChunk, chunks)
-	copy(next, old)
-	copy(nextGens, oldGens)
-	for i := len(old); i < chunks; i++ {
-		off := (i - len(old)) << ChunkShift
-		next[i] = (*[ChunkSize]T)(nodes[off:])
-		nextGens[i] = (*genChunk)(gens[off:])
+	next := &directory[T]{
+		nodes: append(make([]*[ChunkSize]T, 0, chunks), old.nodes...),
+		gens:  append(make([]*genChunk, 0, chunks), old.gens...),
 	}
-	a.table.Store(&next)
-	a.gens.Store(&nextGens)
+	for off := 0; off < len(nodes); off += ChunkSize {
+		next.nodes = append(next.nodes, (*[ChunkSize]T)(nodes[off:]))
+		next.gens = append(next.gens, (*genChunk)(gens[off:]))
+	}
+	a.dir.Store(next)
 	a.capa.Store(uint32(chunks) << ChunkShift)
 	return nodes, gens
 }

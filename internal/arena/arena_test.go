@@ -131,12 +131,12 @@ func TestFlatCoversReservedSlots(t *testing.T) {
 	const n = 2*ChunkSize + 7 // three chunks, the last partly reserved
 	a := New[testNode](n)
 	base := a.Reserve(n)
-	nodes, gens := a.Flat()
+	v := a.View()
+	nodes, gens := v.nodes, v.gens
 	if base != 0 || len(nodes) < n || len(gens) != len(nodes) {
-		t.Fatalf("Reserve = %d, Flat = %d nodes and %d gens; want 0 and >= %d of each",
+		t.Fatalf("Reserve = %d, flat region = %d nodes and %d gens; want 0 and >= %d of each",
 			base, len(nodes), len(gens), n)
 	}
-	v := a.View()
 	for i := uint32(0); i < n; i++ {
 		p := &nodes[i]
 		if a.At(i) != p || v.At(i) != p {
@@ -145,11 +145,12 @@ func TestFlatCoversReservedSlots(t *testing.T) {
 	}
 	gens[n-1].Add(1)
 	a.BumpGen(n - 1)
-	if a.Gen(n-1) != 2 || v.Gen(n-1) != 2 || gens[n-1].Load() != 2 {
-		t.Fatalf("gen of slot %d: Gen %d, View.Gen %d, flat %d; want 2 everywhere",
-			n-1, a.Gen(n-1), v.Gen(n-1), gens[n-1].Load())
+	v.BumpGen(n - 1)
+	if a.Gen(n-1) != 3 || v.gen(n-1).Load() != 3 || gens[n-1].Load() != 3 {
+		t.Fatalf("gen of slot %d: Gen %d, View %d, flat %d; want 3 everywhere",
+			n-1, a.Gen(n-1), v.gen(n-1).Load(), gens[n-1].Load())
 	}
-	if nodes, gens := New[testNode](0).Flat(); nodes != nil || gens != nil {
+	if w := New[testNode](0).View(); w.nodes != nil || w.gens != nil {
 		t.Fatal("New(0) must have no flat region")
 	}
 }
@@ -159,7 +160,7 @@ func TestFlatCoversReservedSlots(t *testing.T) {
 func TestGrowthPastFlat(t *testing.T) {
 	a := New[testNode](ChunkSize)
 	a.Reserve(ChunkSize)
-	nodes, _ := a.Flat()
+	nodes := a.View().nodes
 	first, last := &nodes[0], &nodes[ChunkSize-1]
 	first.key, last.key = 1, 2
 	const more = 3 * ChunkSize
@@ -167,10 +168,10 @@ func TestGrowthPastFlat(t *testing.T) {
 	if base != ChunkSize {
 		t.Fatalf("Reserve past the region = %d, want %d", base, ChunkSize)
 	}
-	if again, _ := a.Flat(); len(again) != len(nodes) || &again[0] != first {
+	v := a.View()
+	if len(v.nodes) != len(nodes) || &v.nodes[0] != first {
 		t.Fatal("growth changed the flat region")
 	}
-	v := a.View()
 	seen := map[*testNode]bool{first: true, last: true}
 	for i := base; i < base+more; i++ {
 		p := a.At(i)

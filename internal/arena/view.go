@@ -1,73 +1,48 @@
 package arena
 
-// View is a per-thread snapshot of the arena's chunk directory (and of the
-// parallel generation-counter directory). It exists to take the atomic
-// table load off the node-dereference hot path: Arena.At pays one atomic
-// load plus a double indirection per call, which is exactly the kind of
-// per-read overhead the optimistic access scheme is designed to avoid.
+import "sync/atomic"
+
+// View is how a thread reaches nodes: the arena's flat region (the one
+// allocation behind New's initial capacity) and the arena itself. A slot
+// inside the flat region is one compare and one index; any other slot,
+// created by later growth, goes through the arena's current chunk
+// directory (one atomic pointer load, a plain MOV on amd64). Both paths
+// reach the same memory, since the directory's first chunks are windows
+// onto the flat region, and neither can be stale: the flat region never
+// changes, and the directory is read afresh on every lookup. Reserve
+// publishes a directory covering a slot before it returns the slot, so any
+// slot handle a thread holds is covered by the directory it loads.
 //
-// A stale snapshot is always safe to dereference. The chunk table is
-// copy-on-write and grow-only, and published chunks are never moved or
-// freed (Assumption 3.1 of the paper), so a snapshot simply covers a
-// prefix of the slot space. When a slot index falls beyond the snapshot's
-// capacity the view re-loads the directory — one atomic load amortized
-// over growth events, which cease once the arena reaches its steady-state
-// size. A slot handle can only be obtained after the growth that backs it
-// was published (Reserve publishes the table before the slot index), and
-// handles travel between threads through sequentially consistent node
-// words, so a refresh triggered by an out-of-range slot always observes a
-// table that covers it.
-//
-// A View must be used by a single goroutine at a time, like the scheme
-// thread contexts that embed it.
+// The fallback is written out rather than called: a call that does not
+// inline costs 57 of the inliner's budget of 80, which would keep At, and
+// every Node method that wraps it, out of line.
 type View[T any] struct {
-	src   *Arena[T]
-	table []*[ChunkSize]T
-	gens  []*genChunk
+	nodes []T
+	gens  []atomic.Uint32
+	a     *Arena[T]
 }
 
-// View returns a snapshot of the arena's current directories.
-func (a *Arena[T]) View() View[T] {
-	return View[T]{src: a, table: *a.table.Load(), gens: *a.gens.Load()}
-}
+// View returns a view of the arena. A View never goes stale, so it may be
+// taken once and kept, and copied freely.
+func (a *Arena[T]) View() View[T] { return a.flat }
 
-// refresh re-snapshots both directories from the arena.
-func (v *View[T]) refresh() {
-	v.table = *v.src.table.Load()
-	v.gens = *v.src.gens.Load()
-}
-
-// At returns the node stored in slot, like Arena.At, but with zero atomic
-// loads on the fast path.
+// At returns the node stored in slot, like Arena.At.
 func (v *View[T]) At(slot uint32) *T {
-	c := slot >> ChunkShift
-	if c >= uint32(len(v.table)) {
-		v.refresh()
+	if int(slot) < len(v.nodes) {
+		return &v.nodes[slot]
 	}
-	return &v.table[c][slot&chunkMask]
-}
-
-// Gen returns the generation counter of slot, like Arena.Gen.
-func (v *View[T]) Gen(slot uint32) uint32 {
-	c := slot >> ChunkShift
-	if c >= uint32(len(v.gens)) {
-		v.refresh()
-	}
-	return v.gens[c][slot&chunkMask].Load()
+	d := v.a.dir.Load()
+	return &d.nodes[slot>>ChunkShift][slot&chunkMask]
 }
 
 // BumpGen increments the generation counter of slot, like Arena.BumpGen.
-func (v *View[T]) BumpGen(slot uint32) {
-	c := slot >> ChunkShift
-	if c >= uint32(len(v.gens)) {
-		v.refresh()
+func (v *View[T]) BumpGen(slot uint32) { v.gen(slot).Add(1) }
+
+// gen returns the generation counter of slot.
+func (v *View[T]) gen(slot uint32) *atomic.Uint32 {
+	if int(slot) < len(v.gens) {
+		return &v.gens[slot]
 	}
-	v.gens[c][slot&chunkMask].Add(1)
+	d := v.a.dir.Load()
+	return &d.gens[slot>>ChunkShift][slot&chunkMask]
 }
-
-// Cap returns the number of slots covered by the snapshot without a
-// refresh.
-func (v *View[T]) Cap() uint32 { return uint32(len(v.table)) << ChunkShift }
-
-// Arena returns the arena the view snapshots.
-func (v *View[T]) Arena() *Arena[T] { return v.src }

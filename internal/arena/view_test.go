@@ -5,61 +5,70 @@ import (
 	"testing"
 )
 
-// A view taken before growth must (a) serve slots it covers without
-// refreshing, (b) transparently refresh for slots published later, and
-// (c) return pointers identical to Arena.At.
+// A View and the arena reach every slot alike, pointer for pointer and
+// count for count: slots inside the flat region (which View.At indexes
+// directly), slots beyond it, and slots created by growth after the View
+// was taken. Without an initial capacity there is no flat region, and
+// every slot goes through the directory.
 func TestViewSeesGrowth(t *testing.T) {
-	a := New[testNode](ChunkSize)
-	v := a.View()
-	base := a.Reserve(8)
-	for i := uint32(0); i < 8; i++ {
-		a.At(base + i).key = uint64(100 + i)
-	}
-	for i := uint32(0); i < 8; i++ {
-		if v.At(base+i) != a.At(base+i) {
-			t.Fatalf("slot %d: view and arena disagree on address", base+i)
+	for _, initial := range []int{2*ChunkSize + 7, 0} {
+		a := New[testNode](initial)
+		flat := (initial + ChunkSize - 1) &^ chunkMask
+		if initial > 0 {
+			a.Reserve(initial)
 		}
-		if got := v.At(base + i).key; got != uint64(100+i) {
-			t.Fatalf("slot %d: key = %d", base+i, got)
+		a.Reserve(ChunkSize + 3) // beyond the flat region, before the View
+		v := a.View()
+		if len(v.nodes) != flat || len(v.gens) != flat {
+			t.Fatalf("New(%d): flat region of %d nodes and %d gens, want %d", initial, len(v.nodes), len(v.gens), flat)
 		}
-	}
-	if v.Cap() != ChunkSize {
-		t.Fatalf("Cap = %d, want %d", v.Cap(), ChunkSize)
-	}
-
-	// Force growth past the snapshot; the stale view must refresh.
-	grown := a.Reserve(3 * ChunkSize)
-	far := grown + 2*ChunkSize + 17
-	a.At(far).key = 777
-	if got := v.At(far).key; got != 777 {
-		t.Fatalf("stale view read %d after growth, want 777", got)
-	}
-	if v.Cap() < far {
-		t.Fatalf("view did not refresh: Cap = %d <= slot %d", v.Cap(), far)
-	}
-	if v.Arena() != a {
-		t.Fatal("view lost its arena")
+		a.Reserve(2 * ChunkSize) // growth after the View was taken
+		seen := make(map[*testNode]bool, a.Limit())
+		for s := uint32(0); s < a.Limit(); s++ {
+			p := v.At(s)
+			if p != a.At(s) || seen[p] || (int(s) < flat && p != &v.nodes[s]) {
+				t.Fatalf("New(%d) slot %d: View.At %p, Arena.At %p, already seen %v", initial, s, p, a.At(s), seen[p])
+			}
+			seen[p] = true
+			p.key = uint64(s)
+			for k := uint32(0); k < s%3; k++ {
+				if k == 0 {
+					v.BumpGen(s)
+				} else {
+					a.BumpGen(s)
+				}
+			}
+		}
+		for s := uint32(0); s < a.Limit(); s++ {
+			if a.At(s).key != uint64(s) || a.Gen(s) != s%3 {
+				t.Fatalf("New(%d) slot %d: key %d, gen %d; want %d and %d", initial, s, a.At(s).key, a.Gen(s), s, s%3)
+			}
+		}
+		if w := a.View(); len(w.nodes) != flat || (flat > 0 && &w.nodes[0] != &v.nodes[0]) {
+			t.Fatalf("New(%d): growth moved the flat region", initial)
+		}
 	}
 }
 
+// A View and the arena bump one shared generation counter per slot, and a
+// View taken before growth reaches the counters of slots created after it.
 func TestViewGens(t *testing.T) {
 	a := New[testNode](ChunkSize)
 	v := a.View()
 	base := a.Reserve(4)
-	if g := v.Gen(base); g != 0 {
+	if g := v.gen(base).Load(); g != 0 {
 		t.Fatalf("fresh gen = %d", g)
 	}
 	v.BumpGen(base)
 	a.BumpGen(base)
-	if got := v.Gen(base); got != 2 {
+	if got := v.gen(base).Load(); got != 2 {
 		t.Fatalf("gen = %d after view+arena bump, want 2 (shared counter)", got)
 	}
-	// Gen access beyond the snapshot refreshes too.
 	grown := a.Reserve(2 * ChunkSize)
-	v2 := v // stale copy
+	v2 := v // copy taken before the growth
 	v2.BumpGen(grown + ChunkSize + 5)
 	if got := a.Gen(grown + ChunkSize + 5); got != 1 {
-		t.Fatalf("gen = %d after stale-view bump, want 1", got)
+		t.Fatalf("gen = %d after bump through an earlier View, want 1", got)
 	}
 }
 
@@ -96,29 +105,14 @@ func TestViewConcurrentGrowth(t *testing.T) {
 	wg.Wait()
 }
 
-// The benchmark contexts replicate the exact before/after shape of the
-// scheme threads' Node method: the old path chases thread → manager →
-// arena and pays the atomic table load on every dereference; the new path
-// reads the directory snapshot embedded in the thread itself.
-type benchMgr struct{ nodes *Arena[testNode] }
-
-type benchThreadAtomic struct{ mgr *benchMgr }
-
-func (t *benchThreadAtomic) Node(slot uint32) *testNode { return t.mgr.nodes.At(slot) }
-
-type benchThreadView struct{ view View[testNode] }
-
-func (t *benchThreadView) Node(slot uint32) *testNode { return t.view.At(slot) }
-
-// BenchmarkArenaAt compares the two Thread.Node implementations on the
-// hottest operation in the repository — one hop of a traversal. "Walk"
-// chases next links through a shuffled cycle (dependent loads, list-like);
-// "Sum" touches independent slots (throughput-bound, hash-bucket-like).
+// BenchmarkArenaAt times View.At, one hop of a traversal, on its two
+// paths: a slot inside the flat region, and a slot behind the chunk
+// directory (an arena with no initial capacity). "Walk" chases next links
+// through a shuffled cycle (dependent loads, list-like); "Sum" touches
+// independent slots (throughput-bound, hash-bucket-like).
 func BenchmarkArenaAt(b *testing.B) {
 	const n = 1 << 12 // cache-resident: isolates dereference cost from DRAM
 	const mask = n - 1
-	a := New[testNode](n)
-	base := a.Reserve(n)
 	// next links form one shuffled cycle through all n slots.
 	perm := make([]uint32, n)
 	for i := range perm {
@@ -129,41 +123,31 @@ func BenchmarkArenaAt(b *testing.B) {
 		j := rng.next() % uint64(i+1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
-	for i := range perm {
-		a.At(base + perm[i]).next = uint64(base + perm[(i+1)%n])
+	for _, path := range []struct {
+		name    string
+		initial int
+	}{{"Flat", n}, {"Directory", 0}} {
+		a := New[testNode](path.initial)
+		base := a.Reserve(n)
+		for i := range perm {
+			a.At(base + perm[i]).next = uint64(base + perm[(i+1)%n])
+		}
+		v := a.View()
+		b.Run("Walk/"+path.name, func(b *testing.B) {
+			slot := base
+			for i := 0; i < b.N; i++ {
+				slot = uint32(v.At(slot).next)
+			}
+			sinkHole = uint64(slot)
+		})
+		b.Run("Sum/"+path.name, func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink += v.At(base + uint32(i)&mask).key
+			}
+			sinkHole = sink
+		})
 	}
-
-	atomicTh := &benchThreadAtomic{mgr: &benchMgr{nodes: a}}
-	viewTh := &benchThreadView{view: a.View()}
-
-	b.Run("Walk/Atomic", func(b *testing.B) {
-		slot := base
-		for i := 0; i < b.N; i++ {
-			slot = uint32(atomicTh.Node(slot).next)
-		}
-		sinkHole = uint64(slot)
-	})
-	b.Run("Walk/View", func(b *testing.B) {
-		slot := base
-		for i := 0; i < b.N; i++ {
-			slot = uint32(viewTh.Node(slot).next)
-		}
-		sinkHole = uint64(slot)
-	})
-	b.Run("Sum/Atomic", func(b *testing.B) {
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			sink += atomicTh.Node(base + uint32(i)&mask).key
-		}
-		sinkHole = sink
-	})
-	b.Run("Sum/View", func(b *testing.B) {
-		var sink uint64
-		for i := 0; i < b.N; i++ {
-			sink += viewTh.Node(base + uint32(i)&mask).key
-		}
-		sinkHole = sink
-	})
 }
 
 type splitmix uint64

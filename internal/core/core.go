@@ -67,7 +67,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync/atomic"
 
@@ -199,22 +198,12 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 	} else {
 		m.ba.Put(blk)
 	}
-	// The manager never reserves again, so every slot it hands out lies in
-	// the arena's first growth: threads index that one region directly.
-	nodes, gens := m.nodes.Flat()
-	end := int(base) + cfg.Capacity
-	if end > len(nodes) {
-		panic(fmt.Sprintf("core: reserved slots [%d, %d) fall outside the arena's contiguous region of %d",
-			base, end, len(nodes)))
-	}
-	nodes, gens = nodes[:end:end], gens[:end:end]
 	m.stats = obs.NewThreadStats(cfg.MaxThreads)
 	m.tracer = trace.NewRecorder(cfg.MaxThreads, cfg.TraceRing)
 	m.threads = make([]*Thread[T], cfg.MaxThreads)
 	for i := range m.threads {
 		t := &Thread[T]{
-			nodes:     nodes,
-			gens:      gens,
+			view:      m.nodes.View(),
 			warning:   warning{stats: m.stats.At(i), ring: m.tracer.Ring(i)},
 			mgr:       m,
 			id:        i,

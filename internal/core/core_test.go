@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,9 +80,8 @@ func TestRetiredSlotNotRecycledSamePhase(t *testing.T) {
 	}
 }
 
-// Thread.Node indexes the manager's contiguous node slice, so for every
-// slot it must reach the node the arena's chunk directory reaches; the
-// capacity spans two chunks.
+// Thread.Node goes through the thread's view, so for every slot it must
+// reach the node Arena().At reaches; the capacity spans two chunks.
 func TestNodeMatchesArena(t *testing.T) {
 	m := newMgr(t, Config{MaxThreads: 2, Capacity: arena.ChunkSize + 1000, OwnerHPs: 3})
 	a := m.Arena()
@@ -98,7 +98,35 @@ func TestNodeMatchesArena(t *testing.T) {
 	}
 }
 
-// A drain bumps a recycled slot's generation through the thread's slice;
+// Every slot an OA manager hands out, across recycling phases, lies
+// inside its threads' view's flat region, so Thread.Node never takes the
+// chunk directory. Checked at a capacity that is not a chunk multiple and
+// at one above arena.ChunkSize.
+func TestSlotsStayInFlatRegion(t *testing.T) {
+	for _, capacity := range []int{3000, arena.ChunkSize + 1000} {
+		m := newMgr(t, Config{MaxThreads: 1, Capacity: capacity, LocalPool: 16})
+		th := m.Thread(0)
+		// The flat region is unexported; reflection reads its length.
+		flat := uint32(reflect.ValueOf(th.view).FieldByName("nodes").Len())
+		seen := make(map[uint32]bool, capacity)
+		for i := 0; i < 4*capacity; i++ {
+			s := th.Alloc()
+			if s >= flat {
+				t.Fatalf("capacity %d: Alloc handed out slot %d, outside the flat region of %d", capacity, s, flat)
+			}
+			seen[s] = true
+			th.Retire(s)
+		}
+		if len(seen) != capacity {
+			t.Fatalf("capacity %d: %d distinct slots handed out, want every one", capacity, len(seen))
+		}
+		if st := m.Stats(); st.Recycled == 0 {
+			t.Fatalf("capacity %d: no slot was recycled", capacity)
+		}
+	}
+}
+
+// A drain bumps a recycled slot's generation through the thread's view;
 // the bump must show in Arena().Gen, the oracle tests read. A slot that is
 // never retired keeps generation 0.
 func TestDrainBumpsArenaGen(t *testing.T) {

@@ -21,13 +21,11 @@ import (
 // any thread may concurrently *read* the hazard pointers and *update* the
 // warning word, which is why both are atomics.
 type Thread[T any] struct {
-	// nodes is the manager's whole slot space as one slice: the arena's
-	// first growth is one allocation, and an OA manager never grows past
-	// it, so a dereference is one bounds-checked index with no chunk
-	// directory in between. gens is the matching slice of generation
-	// counters, which drain bumps.
-	nodes []T
-	gens  []atomic.Uint32
+	// view reaches the manager's nodes and their generation counters. The
+	// manager never grows its arena past the first allocation, so every
+	// slot it hands out takes the view's flat path: one compare and an
+	// index, no chunk directory.
+	view arena.View[T]
 
 	// warning holds the warning word and the slow path of every check on
 	// it, with the thread's counter block and trace ring.
@@ -122,10 +120,9 @@ func (wn *warning) ack(cause trace.Cause) bool {
 func (t *Thread[T]) ID() int { return t.id }
 
 // Node dereferences a slot handle. The result may alias recycled memory;
-// callers must follow every read with Check per Algorithm 1. The lookup
-// indexes the thread's contiguous node slice: one load of its base and
-// bounds, no atomics and no chunk directory.
-func (t *Thread[T]) Node(slot uint32) *T { return &t.nodes[slot] }
+// callers must follow every read with Check per Algorithm 1. It inlines to
+// the view's flat-region index, as every scheme's Node does.
+func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
 
 // Warning reports whether the warning bit is set (a recycling phase started
 // since the thread last cleared it).
@@ -260,7 +257,7 @@ func (t *Thread[T]) Alloc() uint32 {
 			b := m.ba.B(t.allocBlk)
 			if !b.Empty() {
 				slot := b.Pop()
-				m.reset(&t.nodes[slot])
+				m.reset(t.view.At(slot))
 				t.stats.Inc(obs.Allocs)
 				return slot
 			}
@@ -438,8 +435,8 @@ func (t *Thread[T]) snapshotHPs() *smr.SlotSet {
 // drain processes the processingPool for phase t.localVer (Algorithm 6
 // lines 20–30) and returns how many slots it recycled and re-retired.
 // The active ready/re-retire block pointers are resolved once per block
-// swap, and generation bumps index the thread's gens slice, so the
-// per-slot loop performs no block-table or chunk-table loads. Pops prefer
+// swap, and generation bumps take the view's flat path, so the per-slot
+// loop performs no block-table or chunk-table loads. Pops prefer
 // the thread's home processing shard and steal from siblings, so
 // concurrent drainers of one phase spread across the shards instead of
 // convoying on one head word.
@@ -481,7 +478,7 @@ func (t *Thread[T]) drain(hp *smr.SlotSet) (uint64, uint64) {
 			} else {
 				// Unprotected: recycled. Bump the debug generation so tests
 				// can detect (HP/EBR) or account for (OA) stale accesses.
-				t.gens[slot].Add(1)
+				t.view.BumpGen(slot)
 				if readyBlk == pools.NoBlock {
 					readyBlk = m.ba.Get()
 					readyB = m.ba.B(readyBlk)

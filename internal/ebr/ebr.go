@@ -129,7 +129,7 @@ type Thread[T any] struct {
 	state atomic.Uint64
 	limbo [3][]uint32 // retired slots by epoch % 3
 	local alloc.Local
-	view  arena.View[T] // chunk-directory snapshot: atomic-free Node
+	view  arena.View[T] // Node's lookup: the flat region, else the directory
 	ring  *trace.Ring   // protocol event ring (gated on trace.Enabled)
 	ops   int
 
@@ -147,10 +147,10 @@ func (t *Thread[T]) ID() int { return t.id }
 
 // Node dereferences a slot handle; legal only between OnOpStart/OnOpEnd for
 // slots that were reachable when the operation started. The lookup goes
-// through the thread's directory view: two plain loads, no atomics.
+// through the thread's view, as under every scheme.
 func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
 
-// View exposes the thread's directory view, for structure code written
+// View exposes the thread's node view, for structure code written
 // once against the concrete view instead of a scheme's thread type.
 func (t *Thread[T]) View() *arena.View[T] { return &t.view }
 

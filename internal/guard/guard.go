@@ -127,7 +127,7 @@ func (m *Manager[N]) Guard(id int) Guard[N] { return m.guard(id) }
 // ebr is set; NoRecl sets none. sc names the scheme: the per-operation
 // hooks test it, the per-hop hooks test the pointer they use.
 type Guard[N any] struct {
-	// View is the scheme thread's directory view: every node dereference
+	// View is the scheme thread's node view: every node dereference
 	// goes through it.
 	View *arena.View[N]
 	mem  mem

@@ -133,7 +133,7 @@ type Thread[T any] struct {
 	hps     []atomic.Uint64 // slot+1; 0 = empty
 	retired []uint32        // local retired list awaiting scan
 	local   alloc.Local
-	view    arena.View[T] // chunk-directory snapshot: atomic-free Node
+	view    arena.View[T] // Node's lookup: the flat region, else the directory
 	scratch smr.SlotSet   // reused sorted hazard-pointer snapshot
 	ring    *trace.Ring   // protocol event ring (gated on trace.Enabled)
 
@@ -154,10 +154,10 @@ func (t *Thread[T]) ID() int { return t.id }
 
 // Node dereferences a slot handle. Under hazard pointers a dereference is
 // only legal while the slot is protected and validated. The lookup goes
-// through the thread's directory view: two plain loads, no atomics.
+// through the thread's view, as under every scheme.
 func (t *Thread[T]) Node(slot uint32) *T { return t.view.At(slot) }
 
-// View exposes the thread's directory view, for structure code written
+// View exposes the thread's node view, for structure code written
 // once against the concrete view instead of a scheme's thread type.
 func (t *Thread[T]) View() *arena.View[T] { return &t.view }
 

@@ -128,8 +128,8 @@ type Ctx[T any] struct {
 // TID returns the session's thread context id.
 func (c *Ctx[T]) TID() int { return c.Th.ID() }
 
-// Node resolves an arena slot: it inlines to an index into the thread's
-// flat node slice (core.Thread.Node).
+// Node resolves an arena slot: it inlines to core.Thread.Node, the
+// view's flat-region index.
 func (c *Ctx[T]) Node(slot uint32) *T { return c.Th.Node(slot) }
 
 // Check is the read barrier of Algorithm 1: call it after every batch of

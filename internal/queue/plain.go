@@ -27,7 +27,7 @@ func (q *guarded) QueueSession(tid int) smr.QueueSession {
 }
 
 // session is the queue under one thread's guard. Under NoRecl it has no
-// barrier at all: raw loads through the thread's directory view.
+// barrier at all: raw loads through the thread's view.
 type session struct {
 	r       *roots
 	g       guard.Guard[Node]

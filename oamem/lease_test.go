@@ -227,10 +227,9 @@ func TestOptionsValidation(t *testing.T) {
 		}
 	}
 
-	// The deprecated Options struct is itself an Option: non-zero fields
-	// apply, later options override earlier ones.
+	// Later options override earlier ones.
 	set, err := oamem.List(
-		oamem.Options{Threads: 2, Capacity: 4096},
+		oamem.WithThreads(2), oamem.WithCapacity(4096),
 		oamem.WithThreads(3),
 	)
 	if err != nil {

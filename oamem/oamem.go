@@ -87,33 +87,17 @@ type Set = smr.Set
 // Stats aggregates reclamation counters.
 type Stats = smr.Stats
 
-// Options sizes a structure.
-//
-// Deprecated: pass functional options (WithThreads, WithCapacity, ...)
-// instead. Options itself satisfies Option — its non-zero fields apply —
-// so existing call sites keep compiling against both constructor
-// families.
-type Options struct {
-	// Threads is the maximum number of concurrent sessions (thread ids
-	// 0..Threads-1). Fixed at construction.
-	Threads int
-	// Capacity is the node budget. For OA this is a hard limit: size it
-	// as the peak live set plus a reclamation slack δ (the paper uses
-	// δ ≈ 8,000-50,000; more δ means fewer reclamation phases). Other
-	// schemes grow past it on demand.
-	Capacity int
-	// LocalPool is the per-thread transfer block size, 1..126
-	// (126 default, the paper's choice).
-	LocalPool int
-	// ScanThreshold tunes HP (retires per scan) and Anchors; EBR uses
-	// 10× this as its operations-per-scan. Zero picks scheme defaults.
+// options sizes a structure; the With* options set its fields (see each
+// for its meaning and default).
+type options struct {
+	Threads       int
+	Capacity      int
+	LocalPool     int
 	ScanThreshold int
-	// AnchorsK is the anchors scheme's fence amortization distance
-	// (1000 default, as in the paper).
-	AnchorsK int
+	AnchorsK      int
 }
 
-func (o Options) threads() int {
+func (o options) threads() int {
 	if o.Threads <= 0 {
 		return 1
 	}
@@ -122,7 +106,7 @@ func (o Options) threads() int {
 
 // sizing projects the options onto the one struct every structure's New
 // takes (EBR scans every 10·ScanThreshold operations).
-func (o Options) sizing() sizing.Config {
+func (o options) sizing() sizing.Config {
 	return sizing.Config{
 		MaxThreads: o.threads(), Capacity: o.Capacity, LocalPool: o.LocalPool,
 		ScanThreshold: o.ScanThreshold, OpsPerScan: 10 * o.ScanThreshold, AnchorsK: o.AnchorsK,

@@ -17,10 +17,10 @@ func constructors() map[string]func(...oamem.Option) (*oamem.Structure, error) {
 }
 
 func TestAllConstructors(t *testing.T) {
-	opt := oamem.Options{Threads: 4, Capacity: 1 << 14}
+	size := []oamem.Option{oamem.WithThreads(4), oamem.WithCapacity(1 << 14)}
 	for name, mk := range constructors() {
 		for _, scheme := range []oamem.Scheme{oamem.NoRecl, oamem.OA, oamem.HP, oamem.EBR} {
-			set, err := mk(opt, oamem.WithScheme(scheme))
+			set, err := mk(append(size, oamem.WithScheme(scheme))...)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, scheme, err)
 			}
@@ -40,22 +40,22 @@ func TestAllConstructors(t *testing.T) {
 }
 
 func TestAnchorsListOnly(t *testing.T) {
-	opt := oamem.Options{Threads: 2, Capacity: 4096}
-	if _, err := oamem.List(opt, oamem.WithScheme(oamem.Anchors)); err != nil {
+	size := []oamem.Option{oamem.WithThreads(2), oamem.WithCapacity(4096)}
+	if _, err := oamem.List(append(size, oamem.WithScheme(oamem.Anchors))...); err != nil {
 		t.Fatalf("anchors list: %v", err)
 	}
-	if _, err := oamem.HashSet(opt, oamem.WithScheme(oamem.Anchors)); !errors.Is(err, oamem.ErrInvalidOptions) {
+	if _, err := oamem.HashSet(append(size, oamem.WithScheme(oamem.Anchors))...); !errors.Is(err, oamem.ErrInvalidOptions) {
 		t.Fatalf("anchors hash set: %v, want ErrInvalidOptions", err)
 	}
-	if _, err := oamem.SkipList(opt, oamem.WithScheme(oamem.Anchors)); !errors.Is(err, oamem.ErrInvalidOptions) {
+	if _, err := oamem.SkipList(append(size, oamem.WithScheme(oamem.Anchors))...); !errors.Is(err, oamem.ErrInvalidOptions) {
 		t.Fatalf("anchors skip list: %v, want ErrInvalidOptions", err)
 	}
 }
 
 func TestUnknownScheme(t *testing.T) {
-	opt := oamem.Options{Threads: 1, Capacity: 1024}
+	size := []oamem.Option{oamem.WithThreads(1), oamem.WithCapacity(1024)}
 	for name, mk := range constructors() {
-		if _, err := mk(opt, oamem.WithScheme(oamem.Scheme(99))); !errors.Is(err, oamem.ErrInvalidOptions) {
+		if _, err := mk(append(size, oamem.WithScheme(oamem.Scheme(99)))...); !errors.Is(err, oamem.ErrInvalidOptions) {
 			t.Fatalf("%s: unknown scheme: %v, want ErrInvalidOptions", name, err)
 		}
 	}

@@ -8,9 +8,7 @@ import (
 )
 
 // Option configures a constructor. Options are applied in order, so a
-// later option overrides an earlier one; the Options struct itself
-// satisfies Option (its non-zero fields apply), which keeps struct-style
-// call sites compiling against the functional constructors.
+// later option overrides an earlier one.
 type Option interface {
 	applyOption(*config)
 }
@@ -21,7 +19,7 @@ func (f optionFunc) applyOption(c *config) { f(c) }
 
 // config is the resolved constructor configuration.
 type config struct {
-	o        Options
+	o        options
 	scheme   Scheme
 	expected int
 	shards   int
@@ -30,26 +28,6 @@ type config struct {
 	ttl        time.Duration
 	maxEntries int
 	sweep      time.Duration
-}
-
-// applyOption merges the struct's non-zero fields, making the Options
-// struct usable wherever an Option is expected.
-func (o Options) applyOption(c *config) {
-	if o.Threads != 0 {
-		c.o.Threads = o.Threads
-	}
-	if o.Capacity != 0 {
-		c.o.Capacity = o.Capacity
-	}
-	if o.LocalPool != 0 {
-		c.o.LocalPool = o.LocalPool
-	}
-	if o.ScanThreshold != 0 {
-		c.o.ScanThreshold = o.ScanThreshold
-	}
-	if o.AnchorsK != 0 {
-		c.o.AnchorsK = o.AnchorsK
-	}
 }
 
 // WithScheme selects the reclamation scheme (default OA, the paper's

@@ -9,15 +9,20 @@
 # just under the inliner's budget of 80, so one added statement would
 # silently bring the call back. The original traversals of list, skip list
 # and queue (NoRecl, EBR, HP, Anchors) likewise rely on every per-hop hook
-# of guard.Guard inlining.
+# of guard.Guard inlining. Under every scheme the dereference ends in
+# arena.View.At, the one node lookup (the flat region, else the chunk
+# directory), which must inline at OA sites (oakit and the oa.go files)
+# and at guard sites (the plain.go files) alike; the drain's generation
+# bump, View.BumpGen, must inline too.
 #
 # The gate compiles the structure packages twice. With -gcflags=-m, the
-# compiler must report `inlining call to` for Check and Node, and for every
-# Guard hook. With -gcflags=-S, their assembly must hold no CALL to any of
-# them, which is what makes the check cover every call site: a site that
-# did not inline is a CALL. The only calls left on those paths are the ones
-# kept out of line on purpose — the warning slow path (core's warning.ack)
-# and Guard.end — which the patterns below do not match.
+# compiler must report `inlining call to` for Check, Node and View.At, and
+# for every Guard hook. With -gcflags=-S, their assembly must hold no CALL
+# to any of them or to View.BumpGen, which is what makes the check cover
+# every call site: a site that did not inline is a CALL. The only calls
+# left on those paths are the ones kept out of line on purpose — the
+# warning slow path (core's warning.ack) and Guard.end — which the
+# patterns below do not match.
 set -euo pipefail
 
 go=${GO:-go}
@@ -35,9 +40,9 @@ trap 'rm -rf "$tmp"' EXIT
 "$go" build -gcflags=-S $oa >"$tmp/S" 2>&1
 
 fail=0
-need() { # need <label> <regexp>: -m must report at least one inlined site
+need() { # need <label> <regexp> [<site regexp>]: -m must report an inlined site
 	local n
-	n=$(grep -cE "inlining call to $2\$" "$tmp/m" || true)
+	n=$(grep -E "inlining call to $2\$" "$tmp/m" | grep -cE "^${3:-}" || true)
 	if [ "$n" -eq 0 ]; then
 		echo "inline: no inlined call to $1" >&2
 		fail=1
@@ -48,18 +53,20 @@ need() { # need <label> <regexp>: -m must report at least one inlined site
 
 need "core.Thread.Check" 'core\.\(\*Thread\[.*\]\)\.Check'
 need "core.Thread.Node" 'core\.\(\*Thread\[.*\]\)\.Node'
+need "arena.View.At (OA)" 'arena\.\(\*View\[.*\]\)\.At' 'internal/(oakit/|[a-z]+/oa\.go)'
+need "arena.View.At (guard)" 'arena\.\(\*View\[.*\]\)\.At' 'internal/[a-z]+/plain\.go'
 for h in $hooks; do
 	need "guard.Guard.$h" "guard\\.\\(\\*Guard\\[.*\\]\\)\\.$h"
 done
 
 # A CALL left behind by a call site that did not inline.
 calls=$(grep -E $'\tCALL\t' "$tmp/S" |
-	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
+	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.(At|BumpGen)\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
 if [ -n "$calls" ]; then
 	echo "inline: call sites that did not inline:" >&2
 	echo "$calls" | sed -E 's/^[^(]*\(([^)]*)\).*CALL\t/  \1: /; s/go\.shape\.[^]]*\]/…]/g' >&2
 	fail=1
 else
-	echo "inline: no CALL to Check, Node or a Guard hook"
+	echo "inline: no CALL to Check, Node, View.At, View.BumpGen or a Guard hook"
 fi
 exit "$fail"
