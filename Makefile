@@ -40,10 +40,10 @@ zeroalloc:
 
 # The race detector focused where the lock-free interleavings live: the
 # reclamation core, the arena (readers racing growth through the chunk
-# directory) and the pool allocator the other schemes share, the sharded
-# block pools, the MPMC request rings, the
-# OA kit and the structure layer that sits on it (list, skip list, queue,
-# hash table, kvmap — the five add ~40 s on the 2-vCPU host), the
+# directory), the baseline manager (the pool NoRecl, EBR, HP and Anchors
+# share, and their reclaimers' churn tests), the sharded block pools, the
+# MPMC request rings, the OA kit and the structure layer that sits on it
+# (list, skip list, queue, hash table, kvmap — the five add ~40 s on the 2-vCPU host), the
 # aux-word protocol of the TTL/LRU cache, the server's burst hand-off,
 # lock-free outbox and lazily allocated trace rings, and the concurrent
 # histograms, counter blocks and health engine of obs and flight. -short
@@ -54,7 +54,7 @@ zeroalloc:
 # warning-storm suites, five times: a delete marks and unlinks under one
 # commit's hazard pointers, which stay published after it returns.
 race:
-	$(GO) test -race -short ./internal/core/... ./internal/arena/... ./internal/alloc/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/list/... ./internal/skiplist/... ./internal/queue/... ./internal/hashtable/... ./internal/kvmap/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/... ./internal/obs/... ./internal/flight/...
+	$(GO) test -race -short ./internal/core/... ./internal/arena/... ./internal/guard/... ./internal/pools/... ./internal/mpmc/... ./internal/oakit/... ./internal/list/... ./internal/skiplist/... ./internal/queue/... ./internal/hashtable/... ./internal/kvmap/... ./internal/ttlcache/... ./internal/trace/... ./internal/server/... ./internal/obs/... ./internal/flight/...
 	$(GO) test -race -count=10 -run TestConcurrentBurstsLedger ./internal/server
 	$(GO) test -race -short -count=5 -run 'Linearizability|WarningStorm|Concurrent' ./internal/list ./internal/hashtable ./internal/kvmap
 

@@ -11,10 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/kvmap"
-	"repro/internal/list"
 	"repro/internal/mpmc"
 	"repro/internal/queue"
 	"repro/internal/server"
@@ -118,33 +116,6 @@ func BenchmarkExtMPMC(b *testing.B) {
 				}
 			}
 		})
-	})
-}
-
-// BenchmarkAllocatorSanity reproduces the paper's §5 sanity check that the
-// object-pool allocator performs at least as well as the system allocator:
-// node churn through the shared pool vs native Go allocation of equivalent
-// nodes (which also drags the garbage collector into the loop).
-func BenchmarkAllocatorSanity(b *testing.B) {
-	b.Run("pool", func(b *testing.B) {
-		p := alloc.New(4096, 126, list.ResetNode)
-		var l alloc.Local
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			s := p.Alloc(&l)
-			p.Arena().At(s).Key.Store(uint64(i))
-			p.Free(&l, s)
-		}
-	})
-	b.Run("native", func(b *testing.B) {
-		var sink *list.Node
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n := &list.Node{}
-			n.Key.Store(uint64(i))
-			sink = n
-		}
-		_ = sink
 	})
 }
 

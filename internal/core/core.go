@@ -114,11 +114,6 @@ type Config struct {
 	// thread that can actually run concurrently — more would only lengthen
 	// the steal sweep without removing any contention.
 	Shards int
-	// TraceRing sets the per-thread event-trace ring capacity (rounded up
-	// to a power of two); zero means trace.DefaultRingSize. Events are
-	// recorded only while trace.Enabled(); the rings themselves always
-	// exist so toggling tracing mid-run needs no synchronization.
-	TraceRing int
 }
 
 func (c *Config) fill() {
@@ -199,7 +194,7 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 		m.ba.Put(blk)
 	}
 	m.stats = obs.NewThreadStats(cfg.MaxThreads)
-	m.tracer = trace.NewRecorder(cfg.MaxThreads, cfg.TraceRing)
+	m.tracer = trace.NewRecorder(cfg.MaxThreads, 0)
 	m.threads = make([]*Thread[T], cfg.MaxThreads)
 	for i := range m.threads {
 		t := &Thread[T]{
@@ -464,18 +459,9 @@ func (m *Manager[T]) completeSwap(v uint32) {
 				continue
 			}
 			// sv == v+1: move the frozen chain into the processing shard.
-			// Only the CAS winner transfers the occupancy gauges, and it
-			// does so by taking the retire shard's gauge wholesale rather
-			// than walking the chain: a helper that loses this CAS could
-			// still be mid-walk after the winner publishes the chain to
-			// drainers, racing their pops and block recycling. The gauge
-			// equals the frozen chain's block count up to in-flight pusher
-			// increments, which the next phase's take sweeps along.
 			pv, ph := m.process.LoadShard(i)
-			if pv == v && m.process.CASShard(i, pv, ph, v+2, h) {
-				if g := m.retire.TakeBlocks(i); g != 0 {
-					m.process.AdjustBlocks(i, g)
-				}
+			if pv == v {
+				m.process.CASShard(i, pv, ph, v+2, h)
 			}
 			m.retire.CASShard(i, v+1, h, v+2, pools.NoBlock)
 		}

@@ -1,41 +1,30 @@
-package anchors
+package guard
 
 import (
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/sizing"
+	"repro/internal/smr"
+	"repro/internal/trace"
 )
 
-type tnode struct {
-	key  atomic.Uint64
-	next atomic.Uint64
-}
-
-func reset(n *tnode) { n.key.Store(0); n.next.Store(0) }
-
-func newMgr(cfg Config) *Manager[tnode] {
-	var m *Manager[tnode]
-	succ := func(slot uint32) arena.Ptr {
-		return arena.Ptr(m.Arena().At(slot).next.Load())
-	}
-	m = NewManager[tnode](cfg, reset, succ)
-	return m
-}
+func newAnchors(t *testing.T, c sizing.Config) *Manager[tnode] { return newMgr(t, smr.Anchors, c, 0) }
 
 func TestVisitPublishesEveryK(t *testing.T) {
-	m := newMgr(Config{MaxThreads: 1, Capacity: 64, K: 3, ScanThreshold: 1000})
-	th := m.Thread(0)
-	th.OnOpStart()
-	s := th.Alloc()
+	m := newAnchors(t, sizing.Config{MaxThreads: 1, Capacity: 64, AnchorsK: 3, ScanThreshold: 1000})
+	g := m.Guard(0)
+	g.Begin()
+	s := g.Alloc()
 	// The source word never leads to s, so every anchor drop fails its
 	// validation: the failed visits are exactly the publications.
 	var src atomic.Uint64
 	published := 0
 	for i := 0; i < 10; i++ {
-		if !th.Visit(arena.MakePtr(s), &src) {
+		if !g.Visit(arena.MakePtr(s), &src) {
 			published++
-			if got := th.anchor.Load(); got != uint64(s)+1 {
+			if got := g.anchor.Load(); got != uint64(s)+1 {
 				t.Fatalf("visit %d: anchor = %d, want slot %d + 1", i+1, got, s)
 			}
 		}
@@ -49,50 +38,48 @@ func TestVisitPublishesEveryK(t *testing.T) {
 	}
 	src.Store(uint64(arena.MakePtr(s).Mark()))
 	for i := 0; i < 3; i++ {
-		if !th.Visit(arena.MakePtr(s), &src) {
+		if !g.Visit(arena.MakePtr(s), &src) {
 			t.Fatalf("visit with a (marked) source leading to s failed")
 		}
 	}
-	th.OnOpEnd()
-	if th.anchor.Load() != 0 {
-		t.Fatal("OnOpEnd must clear the anchor")
+	g.End()
+	if g.anchor.Load() != 0 {
+		t.Fatal("End must clear the anchor")
 	}
 }
 
 func TestAnchorProtectsKSegment(t *testing.T) {
-	m := newMgr(Config{MaxThreads: 2, Capacity: 256, K: 4, ScanThreshold: 1})
-	w, tr := m.Thread(0), m.Thread(1)
+	m := newAnchors(t, sizing.Config{MaxThreads: 2, Capacity: 256, AnchorsK: 4, ScanThreshold: 1})
+	w, tr := m.Guard(0), m.Guard(1)
 	// Build a chain a -> b -> c.
 	a, b, c := w.Alloc(), w.Alloc(), w.Alloc()
-	w.Node(a).next.Store(uint64(arena.MakePtr(b)))
-	w.Node(b).next.Store(uint64(arena.MakePtr(c)))
+	w.View.At(a).next.Store(uint64(arena.MakePtr(b)))
+	w.View.At(b).next.Store(uint64(arena.MakePtr(c)))
 	genB, genC := m.Arena().Gen(b), m.Arena().Gen(c)
 
 	// Traverser anchors at a and stays inside its operation.
-	tr.OnOpStart()
+	tr.Begin()
 	var src atomic.Uint64
 	src.Store(uint64(arena.MakePtr(a)))
 	tr.Visit(arena.MakePtr(a), &src)
 
-	w.OnOpStart()
+	w.Begin()
 	w.Retire(b) // triggers a scan each retire (threshold 1)
 	w.Retire(c)
-	w.OnOpEnd()
+	w.End()
 	for i := 0; i < 10; i++ { // more scans
-		w.OnOpStart()
-		x := w.Alloc()
-		w.Retire(x)
-		w.OnOpEnd()
+		w.Begin()
+		w.Retire(w.Alloc())
+		w.End()
 	}
 	if m.Arena().Gen(b) != genB || m.Arena().Gen(c) != genC {
 		t.Fatal("anchored segment was reclaimed")
 	}
-	tr.OnOpEnd()
+	tr.End()
 	for i := 0; i < 10; i++ {
-		w.OnOpStart()
-		x := w.Alloc()
-		w.Retire(x)
-		w.OnOpEnd()
+		w.Begin()
+		w.Retire(w.Alloc())
+		w.End()
 	}
 	if m.Arena().Gen(b) == genB && m.Arena().Gen(c) == genC {
 		t.Fatal("segment never reclaimed after the anchor lifted")
@@ -100,49 +87,45 @@ func TestAnchorProtectsKSegment(t *testing.T) {
 }
 
 func TestEraGracePeriod(t *testing.T) {
-	m := newMgr(Config{MaxThreads: 2, Capacity: 128, K: 1000, ScanThreshold: 1})
-	runner, w := m.Thread(0), m.Thread(1)
-	runner.OnOpStart() // long-running op, no anchor on the node
+	m := newAnchors(t, sizing.Config{MaxThreads: 2, Capacity: 128, AnchorsK: 1000, ScanThreshold: 1})
+	runner, w := m.Guard(0), m.Guard(1)
+	runner.Begin() // long-running op, no anchor on the node
 	s := w.Alloc()
 	gen := m.Arena().Gen(s)
-	w.OnOpStart()
+	w.Begin()
 	w.Retire(s)
-	w.OnOpEnd()
+	w.End()
 	for i := 0; i < 5; i++ {
-		w.OnOpStart()
+		w.Begin()
 		w.Retire(w.Alloc())
-		w.OnOpEnd()
+		w.End()
 	}
 	if m.Arena().Gen(s) != gen {
 		t.Fatal("slot freed while a pre-retire operation was still running")
 	}
-	runner.OnOpEnd()
+	runner.End()
 	for i := 0; i < 5; i++ {
-		w.OnOpStart()
+		w.Begin()
 		w.Retire(w.Alloc())
-		w.OnOpEnd()
+		w.End()
 	}
 	if m.Arena().Gen(s) == gen {
 		t.Fatal("slot never freed after the operation ended")
 	}
 }
 
-func TestStatsAndDefaults(t *testing.T) {
-	m := newMgr(Config{})
-	if m.MaxThreads() != 1 {
+func TestAnchorsStatsAndDefaults(t *testing.T) {
+	m := newAnchors(t, sizing.Config{})
+	if len(m.guards) != 1 || m.Guard(0).k != 1000 || m.scanThreshold != 256 {
 		t.Fatal("defaults")
 	}
-	th := m.Thread(0)
-	th.CountRestart()
-	th.OnOpStart()
-	s := th.Alloc()
-	th.Retire(s)
-	th.OnOpEnd()
+	g := m.Guard(0)
+	g.countRestart(trace.CauseAnchor)
+	g.Begin()
+	g.Retire(g.Alloc())
+	g.End()
 	st := m.Stats()
 	if st.Allocs != 1 || st.Retires != 1 || st.Restarts != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if th.ID() != 0 {
-		t.Fatal("ID")
 	}
 }

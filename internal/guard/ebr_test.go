@@ -1,46 +1,47 @@
-package ebr
+package guard
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
+
+	"repro/internal/sizing"
+	"repro/internal/smr"
 )
 
-type tnode struct {
-	key  atomic.Uint64
-	next atomic.Uint64
+func newEBR(t *testing.T, c sizing.Config) *Manager[tnode] { return newMgr(t, smr.EBR, c, 0) }
+
+func limboSize(g *Guard[tnode]) int {
+	return len(g.limbo[0]) + len(g.limbo[1]) + len(g.limbo[2])
 }
 
-func reset(n *tnode) { n.key.Store(0); n.next.Store(0) }
-
 func TestEpochAdvancesWhenQuiescent(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 2, Capacity: 64, OpsPerScan: 1}, reset)
-	th := m.Thread(0)
-	e0 := m.Epoch()
+	m := newEBR(t, sizing.Config{MaxThreads: 2, Capacity: 64, OpsPerScan: 1})
+	g := m.Guard(0)
+	e0 := m.clock.Load()
 	for i := 0; i < 10; i++ {
-		th.OnOpStart()
-		th.OnOpEnd()
+		g.Begin()
+		g.End()
 	}
-	if m.Epoch() <= e0 {
-		t.Fatalf("epoch stuck at %d", m.Epoch())
+	if m.clock.Load() <= e0 {
+		t.Fatalf("epoch stuck at %d", m.clock.Load())
 	}
 }
 
 func TestGracePeriodBeforeFree(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 1, Capacity: 64, OpsPerScan: 1}, reset)
-	th := m.Thread(0)
-	th.OnOpStart()
-	s := th.Alloc()
-	th.Retire(s)
+	m := newEBR(t, sizing.Config{MaxThreads: 1, Capacity: 64, OpsPerScan: 1})
+	g := m.Guard(0)
+	g.Begin()
+	s := g.Alloc()
+	g.Retire(s)
 	gen := m.Arena().Gen(s)
-	th.OnOpEnd()
+	g.End()
 	if m.Arena().Gen(s) != gen {
 		t.Fatal("slot freed with no grace period")
 	}
 	// Three epoch turns guarantee the retire generation is freed.
 	for i := 0; i < 6; i++ {
-		th.OnOpStart()
-		th.OnOpEnd()
+		g.Begin()
+		g.End()
 	}
 	if m.Arena().Gen(s) == gen {
 		t.Fatal("slot never freed after grace period")
@@ -51,25 +52,25 @@ func TestGracePeriodBeforeFree(t *testing.T) {
 // announcement may be held by an operation announced at the newer epoch;
 // it must survive until that operation ends.
 func TestRetireOutlivesReadersOfANewerEpoch(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 3, Capacity: 64, OpsPerScan: 1}, reset)
-	retirer, reader, driver := m.Thread(0), m.Thread(1), m.Thread(2)
-	retirer.OnOpStart()
+	m := newEBR(t, sizing.Config{MaxThreads: 3, Capacity: 64, OpsPerScan: 1})
+	retirer, reader, advancer := m.Guard(0), m.Guard(1), m.Guard(2)
+	retirer.Begin()
 	s := retirer.Alloc()
 	gen := m.Arena().Gen(s)
-	driver.OnOpStart() // the retirer announced the current epoch: advance
-	driver.OnOpEnd()
-	reader.OnOpStart() // announced at the newer epoch, while s is still linked
+	advancer.Begin() // the retirer announced the current epoch: advance
+	advancer.End()
+	reader.Begin() // announced at the newer epoch, while s is still linked
 	retirer.Retire(s)
-	retirer.OnOpEnd()
-	driver.OnOpStart()
-	driver.OnOpEnd()
+	retirer.End()
+	advancer.Begin()
+	advancer.End()
 	if m.Arena().Gen(s) != gen {
 		t.Fatal("slot freed while an operation that could reach it still runs")
 	}
-	reader.OnOpEnd()
+	reader.End()
 	for i := 0; i < 6; i++ {
-		retirer.OnOpStart()
-		retirer.OnOpEnd()
+		retirer.Begin()
+		retirer.End()
 	}
 	if m.Arena().Gen(s) == gen {
 		t.Fatal("slot never freed after the reader ended")
@@ -79,30 +80,30 @@ func TestRetireOutlivesReadersOfANewerEpoch(t *testing.T) {
 // The paper's central criticism of EBR: a stalled thread freezes
 // reclamation entirely.
 func TestStalledThreadBlocksReclamation(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 2, Capacity: 256, OpsPerScan: 1}, reset)
-	stalled, worker := m.Thread(0), m.Thread(1)
-	stalled.OnOpStart() // never ends its operation
-	e := m.Epoch()
+	m := newEBR(t, sizing.Config{MaxThreads: 2, Capacity: 256, OpsPerScan: 1})
+	stalled, worker := m.Guard(0), m.Guard(1)
+	stalled.Begin() // never ends its operation
+	e := m.clock.Load()
 	for i := 0; i < 500; i++ {
-		worker.OnOpStart()
+		worker.Begin()
 		s := worker.Alloc()
 		worker.Retire(s)
-		worker.OnOpEnd()
+		worker.End()
 	}
-	if m.Epoch() > e+1 {
-		t.Fatalf("epoch advanced %d -> %d past a stalled thread", e, m.Epoch())
+	if m.clock.Load() > e+1 {
+		t.Fatalf("epoch advanced %d -> %d past a stalled thread", e, m.clock.Load())
 	}
-	if got := worker.LimboSize(); got < 400 {
+	if got := limboSize(worker); got < 400 {
 		t.Fatalf("limbo should accumulate behind the stalled thread, got %d", got)
 	}
 	if m.Stats().Recycled > 100 {
 		t.Fatalf("reclamation should be (nearly) frozen, recycled %d", m.Stats().Recycled)
 	}
 	// Unstall: reclamation resumes.
-	stalled.OnOpEnd()
+	stalled.End()
 	for i := 0; i < 20; i++ {
-		worker.OnOpStart()
-		worker.OnOpEnd()
+		worker.Begin()
+		worker.End()
 	}
 	if m.Stats().Recycled < 400 {
 		t.Fatalf("reclamation did not resume: recycled = %d", m.Stats().Recycled)
@@ -113,26 +114,26 @@ func TestStalledThreadBlocksReclamation(t *testing.T) {
 // running: stress with an invariant cell per slot.
 func TestNoEarlyFreeUnderChurn(t *testing.T) {
 	const threads = 6
-	m := NewManager[tnode](Config{MaxThreads: threads, Capacity: 4096, OpsPerScan: 16}, reset)
+	m := newEBR(t, sizing.Config{MaxThreads: threads, Capacity: 4096, OpsPerScan: 16})
 	var wg sync.WaitGroup
 	for id := 0; id < threads; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := m.Thread(id)
+			g := m.Guard(id)
 			for i := 0; i < 20000; i++ {
-				th.OnOpStart()
-				s := th.Alloc()
-				n := th.Node(s)
+				g.Begin()
+				s := g.Alloc()
+				n := g.View.At(s)
 				n.key.Store(uint64(s) ^ 0xABCD)
 				// While this op runs, the slot we retired is unreachable to
 				// others but must stay intact for us.
-				th.Retire(s)
+				g.Retire(s)
 				if got := n.key.Load(); got != uint64(s)^0xABCD {
 					t.Errorf("retired slot mutated during its grace period: %#x", got)
 					return
 				}
-				th.OnOpEnd()
+				g.End()
 			}
 		}(id)
 	}
@@ -143,17 +144,17 @@ func TestNoEarlyFreeUnderChurn(t *testing.T) {
 }
 
 func TestStatsAggregation(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 1, Capacity: 32}, reset)
-	th := m.Thread(0)
-	th.OnOpStart()
-	s := th.Alloc()
-	th.Retire(s)
-	th.OnOpEnd()
+	m := newEBR(t, sizing.Config{MaxThreads: 1, Capacity: 32})
+	g := m.Guard(0)
+	g.Begin()
+	s := g.Alloc()
+	g.Retire(s)
+	g.End()
 	st := m.Stats()
 	if st.Allocs != 1 || st.Retires != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if th.ID() != 0 {
-		t.Fatal("ID")
+	if st.Phases != m.clock.Load() {
+		t.Fatalf("Phases = %d, want the epoch %d", st.Phases, m.clock.Load())
 	}
 }

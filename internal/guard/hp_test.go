@@ -1,41 +1,33 @@
-package hpscheme
+package guard
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/sizing"
+	"repro/internal/smr"
 )
 
-type tnode struct {
-	key  atomic.Uint64
-	next atomic.Uint64
-}
-
-func reset(n *tnode) { n.key.Store(0); n.next.Store(0) }
-
 func TestProtectBlocksReclaim(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 2, Capacity: 64, HPsPerThread: 3, ScanThreshold: 4}, reset)
-	w, g := m.Thread(0), m.Thread(1)
+	m := newMgr(t, smr.HP, sizing.Config{MaxThreads: 2, Capacity: 64, ScanThreshold: 4}, 3)
+	w, g := m.Guard(0), m.Guard(1)
 	s := w.Alloc()
 	gen := m.Arena().Gen(s)
 	g.Protect(0, arena.MakePtr(s))
 	w.Retire(s)
 	for i := 0; i < 200; i++ { // force many scans
-		x := w.Alloc()
-		w.Retire(x)
+		w.Retire(w.Alloc())
 	}
 	if m.Arena().Gen(s) != gen {
 		t.Fatal("protected slot was freed")
 	}
-	if w.RetiredLocally() == 0 {
+	if len(w.retired) == 0 {
 		t.Fatal("protected slot should remain in the retired list")
 	}
-	g.Clear(0)
+	g.Protect(0, arena.NilPtr)
 	for i := 0; i < 200; i++ {
-		x := w.Alloc()
-		w.Retire(x)
+		w.Retire(w.Alloc())
 	}
 	if m.Arena().Gen(s) == gen {
 		t.Fatal("slot never freed after protection cleared")
@@ -43,15 +35,14 @@ func TestProtectBlocksReclaim(t *testing.T) {
 }
 
 func TestProtectUnmarksPointers(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 2, Capacity: 64, HPsPerThread: 1, ScanThreshold: 2}, reset)
-	w, g := m.Thread(0), m.Thread(1)
+	m := newMgr(t, smr.HP, sizing.Config{MaxThreads: 2, Capacity: 64, ScanThreshold: 2}, 1)
+	w, g := m.Guard(0), m.Guard(1)
 	s := w.Alloc()
 	gen := m.Arena().Gen(s)
 	g.Protect(0, arena.MakePtr(s).Mark()) // marked handle must still protect
 	w.Retire(s)
 	for i := 0; i < 100; i++ {
-		x := w.Alloc()
-		w.Retire(x)
+		w.Retire(w.Alloc())
 	}
 	if m.Arena().Gen(s) != gen {
 		t.Fatal("marked-handle protection failed")
@@ -59,31 +50,30 @@ func TestProtectUnmarksPointers(t *testing.T) {
 }
 
 func TestProtectNilClears(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 1, Capacity: 32, HPsPerThread: 2}, reset)
-	th := m.Thread(0)
-	s := th.Alloc()
-	th.Protect(0, arena.MakePtr(s))
-	th.Protect(0, arena.NilPtr)
-	if th.hps[0].Load() != 0 {
+	g := newMgr(t, smr.HP, sizing.Config{MaxThreads: 1, Capacity: 32}, 2).Guard(0)
+	s := g.Alloc()
+	g.Protect(0, arena.MakePtr(s))
+	g.Protect(0, arena.NilPtr)
+	if g.hps[0].Load() != 0 {
 		t.Fatal("Protect(nil) must clear the hazard pointer")
 	}
-	th.Protect(1, arena.MakePtr(s))
-	th.ClearAll()
-	if th.hps[1].Load() != 0 {
-		t.Fatal("ClearAll left a hazard pointer")
+	g.Protect(1, arena.MakePtr(s))
+	g.Clear()
+	if g.hps[1].Load() != 0 {
+		t.Fatal("Clear left a hazard pointer")
 	}
 }
 
 func TestScanThresholdTriggers(t *testing.T) {
-	m := NewManager[tnode](Config{MaxThreads: 1, Capacity: 64, HPsPerThread: 1, ScanThreshold: 10}, reset)
-	th := m.Thread(0)
+	m := newMgr(t, smr.HP, sizing.Config{MaxThreads: 1, Capacity: 64, ScanThreshold: 10}, 1)
+	g := m.Guard(0)
 	for i := 0; i < 9; i++ {
-		th.Retire(th.Alloc())
+		g.Retire(g.Alloc())
 	}
 	if got := m.Stats().Phases; got != 0 {
 		t.Fatalf("scan ran early: %d", got)
 	}
-	th.Retire(th.Alloc())
+	g.Retire(g.Alloc())
 	if got := m.Stats().Phases; got != 1 {
 		t.Fatalf("scans = %d, want 1", got)
 	}
@@ -97,7 +87,7 @@ func TestScanThresholdTriggers(t *testing.T) {
 // across heavy concurrent churn, then release.
 func TestNoUseAfterFreeUnderChurn(t *testing.T) {
 	const threads = 6
-	m := NewManager[tnode](Config{MaxThreads: threads, Capacity: 2048, HPsPerThread: 2, ScanThreshold: 32}, reset)
+	m := newMgr(t, smr.HP, sizing.Config{MaxThreads: threads, Capacity: 2048, ScanThreshold: 32}, 2)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	// Churners allocate/retire constantly.
@@ -105,54 +95,53 @@ func TestNoUseAfterFreeUnderChurn(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			th := m.Thread(id)
+			g := m.Guard(id)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				s := th.Alloc()
-				th.Node(s).key.Store(uint64(id))
-				th.Retire(s)
+				s := g.Alloc()
+				g.View.At(s).key.Store(uint64(id))
+				g.Retire(s)
 			}
 		}(id)
 	}
 	// The observer publishes, validates via generation, and re-reads.
-	th := m.Thread(0)
+	g := m.Guard(0)
 	for i := 0; i < 5000; i++ {
-		s := th.Alloc()
-		th.Node(s).key.Store(0xDEAD)
+		s := g.Alloc()
+		g.View.At(s).key.Store(0xDEAD)
 		// Simulate handing the slot to a reader: protect, then retire from
-		// another conceptual owner; the value must persist until Clear.
-		th.Protect(0, arena.MakePtr(s))
-		th.Retire(s)
+		// another conceptual owner; the value must persist until cleared.
+		g.Protect(0, arena.MakePtr(s))
+		g.Retire(s)
 		for j := 0; j < 10; j++ {
-			if got := th.Node(s).key.Load(); got != 0xDEAD {
+			if got := g.View.At(s).key.Load(); got != 0xDEAD {
 				t.Errorf("iteration %d: protected slot mutated to %#x", i, got)
 				close(stop)
 				wg.Wait()
 				return
 			}
 		}
-		th.Clear(0)
+		g.Protect(0, arena.NilPtr)
 	}
 	close(stop)
 	wg.Wait()
 }
 
-func TestStatsAndDefaults(t *testing.T) {
-	m := NewManager[tnode](Config{}, reset)
-	if m.MaxThreads() != 1 {
-		t.Fatalf("MaxThreads = %d", m.MaxThreads())
+func TestHPStatsAndDefaults(t *testing.T) {
+	m := newMgr(t, smr.HP, sizing.Config{}, 3)
+	if len(m.guards) != 1 {
+		t.Fatalf("threads = %d", len(m.guards))
 	}
-	th := m.Thread(0)
-	if th.ID() != 0 {
-		t.Fatalf("ID = %d", th.ID())
+	if m.scanThreshold != 2*1*3+64 {
+		t.Fatalf("ScanThreshold = %d", m.scanThreshold)
 	}
-	th.CountRestart()
-	s := th.Alloc()
-	th.Retire(s)
+	g := m.Guard(0)
+	g.Restart()
+	g.Retire(g.Alloc())
 	st := m.Stats()
 	if st.Allocs != 1 || st.Retires != 1 || st.Restarts != 1 {
 		t.Fatalf("stats = %+v", st)

@@ -52,7 +52,7 @@ func (e *GuardedEngine) Thread(id int) Thread {
 
 // guardedThread is the Harris-Michael list under one thread's guard.
 type guardedThread struct {
-	g       guard.Guard[Node]
+	g       *guard.Guard[Node]
 	pending uint32
 }
 
@@ -62,8 +62,8 @@ type guardedThread struct {
 // sentinel) and hpCur protects cur; the caller may CAS on them until the
 // guard ends the operation.
 func (t *guardedThread) search(head uint32, key uint64) (prevSlot uint32, cur, next arena.Ptr, ckey uint64, ok bool) {
-	g := &t.g
-	v := g.View
+	g := t.g
+	v := &g.View
 restart:
 	for {
 		prevSlot = head
@@ -112,14 +112,14 @@ restart:
 // package guard), so under HP it runs search, and even the read-only
 // operation pays the full protect/validate protocol.
 func (t *guardedThread) ContainsAt(head uint32, key uint64) bool {
-	g := &t.g
+	g := t.g
 	if g.HP() {
 		_, _, next, ckey, ok := t.search(head, key)
 		g.End()
 		return ok && ckey == key && !next.Marked()
 	}
 	g.Begin()
-	v := g.View
+	v := &g.View
 	found := false
 restart:
 	for {
@@ -147,8 +147,8 @@ restart:
 
 // InsertAt adds key; false if present.
 func (t *guardedThread) InsertAt(head uint32, key uint64) bool {
-	g := &t.g
-	v := g.View
+	g := t.g
+	v := &g.View
 	g.Begin()
 	for {
 		prevSlot, cur, _, ckey, ok := t.search(head, key)
@@ -175,8 +175,8 @@ func (t *guardedThread) InsertAt(head uint32, key uint64) bool {
 // node; the physical delete is attempted once and otherwise left to later
 // searches (Michael's algorithm).
 func (t *guardedThread) DeleteAt(head uint32, key uint64) bool {
-	g := &t.g
-	v := g.View
+	g := t.g
+	v := &g.View
 	g.Begin()
 	for {
 		prevSlot, cur, next, ckey, ok := t.search(head, key)

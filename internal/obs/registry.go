@@ -97,9 +97,9 @@ func (r *Registry) Counter(name, help string, fn CounterFunc) {
 
 // GaugeVec registers a family of n gauges sharing one name and help text,
 // distinguished by a label (e.g. shard): sample i exports as
-// name{label="i"} under a single HELP/TYPE header. Used for per-shard pool
-// occupancy, where one metric per shard would drown the scrape output in
-// headers.
+// name{label="i"} under a single HELP/TYPE header. Used for per-shard and
+// per-executor gauges, where one metric each would drown the scrape output
+// in headers.
 func (r *Registry) GaugeVec(name, help, label string, n int, fn func(i int) float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

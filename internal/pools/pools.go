@@ -253,7 +253,8 @@ func (s *CountedStack) Pop(ba *BlockArena) (uint32, Status) {
 }
 
 // Drain pops every block currently in the stack and calls visit for each.
-// Used by tests and by NoRecl teardown accounting.
+// Only meaningful while no concurrent pushers run (tests, and the sharded
+// pool's Drain).
 func (s *CountedStack) Drain(ba *BlockArena, visit func(uint32)) {
 	for {
 		b, st := s.Pop(ba)

@@ -38,10 +38,10 @@ func NextPow2(n int) int {
 	return 1 << bits.Len(uint(n-1))
 }
 
-// shardPad pads each shard struct (3 words of state) to 128 bytes — two
+// shardPad pads each shard struct (2 words of state) to 128 bytes — two
 // cache lines, so adjacent shards never false-share even with the
 // spatial prefetcher pulling line pairs.
-const shardPad = 128 - 24
+const shardPad = 128 - 16
 
 // nextRand advances an xorshift64 state and returns the new value. Callers
 // keep the state thread-local (e.g. core.Thread), so steal probing costs
@@ -60,7 +60,6 @@ func nextRand(state *uint64) uint64 {
 
 type countedShard struct {
 	s      CountedStack
-	blocks atomic.Int64  // occupancy gauge: blocks pushed minus popped
 	steals atomic.Uint64 // pops served to a thread whose home is elsewhere
 	_      [shardPad]byte
 }
@@ -89,11 +88,6 @@ func (s *ShardedCountedStack) Init(n int) {
 // NumShards returns the shard count (a power of two).
 func (s *ShardedCountedStack) NumShards() int { return len(s.shards) }
 
-// Blocks returns shard i's occupancy gauge. Maintained beside the Treiber
-// heads (not inside their CAS), so concurrent readers can observe a value
-// that momentarily lags — fine for a gauge.
-func (s *ShardedCountedStack) Blocks(i int) int64 { return s.shards[i].blocks.Load() }
-
 // Steals returns how many pops were served from shard i to threads homed
 // elsewhere.
 func (s *ShardedCountedStack) Steals(i int) uint64 { return s.shards[i].steals.Load() }
@@ -109,9 +103,7 @@ func (s *ShardedCountedStack) TotalSteals() uint64 {
 
 // Push adds block idx to home's shard.
 func (s *ShardedCountedStack) Push(ba *BlockArena, idx, home uint32) {
-	sh := &s.shards[home&s.mask]
-	sh.s.Push(ba, idx)
-	sh.blocks.Add(1)
+	s.shards[home&s.mask].s.Push(ba, idx)
 }
 
 // Pop removes a block, preferring home's shard and then probing the rest
@@ -133,7 +125,6 @@ func (s *ShardedCountedStack) HomeShard(home uint32) int { return int(home & s.m
 func (s *ShardedCountedStack) PopFrom(ba *BlockArena, home uint32, rng *uint64) (uint32, int, Status) {
 	h := home & s.mask
 	if blk, st := s.shards[h].s.Pop(ba); st == StatusOK {
-		s.shards[h].blocks.Add(-1)
 		return blk, int(h), StatusOK
 	}
 	n := uint32(len(s.shards))
@@ -150,7 +141,6 @@ func (s *ShardedCountedStack) PopFrom(ba *BlockArena, home uint32, rng *uint64) 
 			continue
 		}
 		if blk, st := s.shards[j].s.Pop(ba); st == StatusOK {
-			s.shards[j].blocks.Add(-1)
 			s.shards[j].steals.Add(1)
 			return blk, int(j), StatusOK
 		}
@@ -162,17 +152,12 @@ func (s *ShardedCountedStack) PopFrom(ba *BlockArena, home uint32, rng *uint64) 
 // meaningful while no concurrent pushers run (tests, teardown accounting).
 func (s *ShardedCountedStack) Drain(ba *BlockArena, visit func(uint32)) {
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.s.Drain(ba, func(b uint32) {
-			sh.blocks.Add(-1)
-			visit(b)
-		})
+		s.shards[i].s.Drain(ba, visit)
 	}
 }
 
 type vShard struct {
 	s      VStack
-	blocks atomic.Int64
 	steals atomic.Uint64
 	_      [shardPad]byte
 }
@@ -203,24 +188,6 @@ func (s *ShardedVStack) Init(n int, ver uint32) {
 
 // NumShards returns the shard count (a power of two).
 func (s *ShardedVStack) NumShards() int { return len(s.shards) }
-
-// Blocks returns shard i's occupancy gauge (see ShardedCountedStack.Blocks
-// for the accuracy caveat). The phase swap moves whole chains between
-// pools with raw CASes; the swap winner transfers the gauge via
-// AdjustBlocks.
-func (s *ShardedVStack) Blocks(i int) int64 { return s.shards[i].blocks.Load() }
-
-// AdjustBlocks adds delta to shard i's occupancy gauge. Used by the phase
-// swap to account chains moved wholesale between pools.
-func (s *ShardedVStack) AdjustBlocks(i int, delta int64) { s.shards[i].blocks.Add(delta) }
-
-// TakeBlocks atomically drains shard i's occupancy gauge to zero and
-// returns the drained value. The phase swap's winner uses it to move a
-// frozen chain's gauge wholesale to the destination pool without walking
-// the chain (which races with drainers once the chain is published). A
-// pusher whose gauge increment lands after the take is swept up by the
-// next phase's take, so the per-pool gauges stay eventually consistent.
-func (s *ShardedVStack) TakeBlocks(i int) int64 { return s.shards[i].blocks.Swap(0) }
 
 // Steals returns how many pops were served from shard i to threads homed
 // elsewhere.
@@ -283,12 +250,7 @@ func (s *ShardedVStack) EmptyAt(ver uint32) bool {
 // Push adds block idx to home's shard, succeeding only while that shard's
 // version equals ver.
 func (s *ShardedVStack) Push(ba *BlockArena, idx, ver, home uint32) Status {
-	sh := &s.shards[home&s.mask]
-	if st := sh.s.Push(ba, idx, ver); st != StatusOK {
-		return st
-	}
-	sh.blocks.Add(1)
-	return StatusOK
+	return s.shards[home&s.mask].s.Push(ba, idx, ver)
 }
 
 // Pop removes a block at version ver, preferring home's shard then
@@ -312,7 +274,6 @@ func (s *ShardedVStack) PopFrom(ba *BlockArena, ver, home uint32, rng *uint64) (
 	mismatch := false
 	switch blk, st := s.shards[h].s.Pop(ba, ver); st {
 	case StatusOK:
-		s.shards[h].blocks.Add(-1)
 		return blk, int(h), StatusOK
 	case StatusVerMismatch:
 		mismatch = true
@@ -329,7 +290,6 @@ func (s *ShardedVStack) PopFrom(ba *BlockArena, ver, home uint32, rng *uint64) (
 			}
 			switch blk, st := s.shards[j].s.Pop(ba, ver); st {
 			case StatusOK:
-				s.shards[j].blocks.Add(-1)
 				s.shards[j].steals.Add(1)
 				return blk, int(j), StatusOK
 			case StatusVerMismatch:

@@ -39,12 +39,12 @@ func TestShardedCountedHomeAffinity(t *testing.T) {
 		idx := ba.Get()
 		ba.B(idx).Push(home)
 		s.Push(ba, idx, home)
-		if s.Blocks(int(home)) != 1 {
-			t.Fatalf("shard %d occupancy = %d, want 1", home, s.Blocks(int(home)))
-		}
 		got, st := s.Pop(ba, home, &rng)
 		if st != StatusOK || got != idx {
 			t.Fatalf("Pop(home=%d) = %d,%v, want %d,OK", home, got, st, idx)
+		}
+		if _, st := s.Pop(ba, home, &rng); st != StatusEmpty {
+			t.Fatalf("Pop(home=%d) after its one block = %v, want EMPTY", home, st)
 		}
 		ba.Put(got)
 	}
@@ -150,9 +150,10 @@ func TestShardedCountedConcurrentTransfer(t *testing.T) {
 			t.Fatalf("slot %d consumed %d times", slot, n)
 		}
 	}
+	rng := uint64(9)
 	for i := 0; i < s.NumShards(); i++ {
-		if s.Blocks(i) != 0 {
-			t.Fatalf("shard %d occupancy gauge = %d after full drain", i, s.Blocks(i))
+		if _, st := s.Pop(ba, uint32(i), &rng); st != StatusEmpty {
+			t.Fatalf("Pop(home=%d) after full drain = %v, want EMPTY", i, st)
 		}
 	}
 }
@@ -252,10 +253,8 @@ func TestShardedVStackStealAndConservation(t *testing.T) {
 	if s.TotalSteals() != blocks*3/4 {
 		t.Fatalf("TotalSteals = %d, want %d", s.TotalSteals(), blocks*3/4)
 	}
-	for i := 0; i < s.NumShards(); i++ {
-		if s.Blocks(i) != 0 {
-			t.Fatalf("shard %d occupancy gauge = %d after drain", i, s.Blocks(i))
-		}
+	if b, sl := s.ChainStats(ba); b != 0 || sl != 0 {
+		t.Fatalf("ChainStats after drain = %d,%d, want 0,0", b, sl)
 	}
 }
 

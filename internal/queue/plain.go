@@ -30,14 +30,14 @@ func (q *guarded) QueueSession(tid int) smr.QueueSession {
 // barrier at all: raw loads through the thread's view.
 type session struct {
 	r       *roots
-	g       guard.Guard[Node]
+	g       *guard.Guard[Node]
 	pending uint32
 }
 
 // Enqueue follows Michael's published HP protocol: protect last, validate
 // tail unchanged, then operate.
 func (s *session) Enqueue(v uint64) {
-	g := &s.g
+	g := s.g
 	g.Begin()
 	if s.pending == arena.NoSlot {
 		s.pending = g.Alloc()
@@ -75,7 +75,7 @@ func (s *session) Enqueue(v uint64) {
 // pointer 0 protects first and 1 protects next; ok is false when the head
 // moved meanwhile and the dequeue must retry.
 func (s *session) head() (first, last, next arena.Ptr, ok bool) {
-	g := &s.g
+	g := s.g
 	first = arena.Ptr(s.r.head.Load())
 	if !g.Validate(0, first, &s.r.head, first) {
 		return 0, 0, 0, false
@@ -88,7 +88,7 @@ func (s *session) head() (first, last, next arena.Ptr, ok bool) {
 
 // Dequeue follows Michael's published HP protocol with hp0=first, hp1=next.
 func (s *session) Dequeue() (uint64, bool) {
-	g := &s.g
+	g := s.g
 	g.Begin()
 	for {
 		first, last, next, ok := s.head()

@@ -1,18 +1,14 @@
 // Package sizing holds the one struct a caller fills to size a structure
-// under any reclamation scheme, and its projection onto each scheme's own
-// Config. It carries only fields those Configs already have; what a
-// structure forces (owner hazard pointers, hazard pointers per thread) is
-// set by the structure's constructor, not here.
+// under any reclamation scheme. OA reads it through its projection onto
+// core.Config; the four baselines' manager, guard.New, reads it directly.
+// What a structure forces (owner hazard pointers, hazard pointers per
+// thread) is set by the structure's constructor, not here.
 package sizing
 
 import (
 	"fmt"
 
-	"repro/internal/anchors"
 	"repro/internal/core"
-	"repro/internal/ebr"
-	"repro/internal/hpscheme"
-	"repro/internal/norecl"
 	"repro/internal/smr"
 )
 
@@ -43,35 +39,6 @@ func (c Config) OA() core.Config {
 		MaxThreads: c.MaxThreads, Capacity: c.Capacity, LocalPool: c.LocalPool,
 		WarningByStore: c.WarningByStore, Shards: c.Shards,
 	}
-}
-
-// HP projects onto the hazard-pointers manager's Config.
-func (c Config) HP() hpscheme.Config {
-	return hpscheme.Config{
-		MaxThreads: c.MaxThreads, Capacity: c.Capacity, LocalPool: c.LocalPool,
-		ScanThreshold: c.ScanThreshold,
-	}
-}
-
-// EBR projects onto the epoch manager's Config.
-func (c Config) EBR() ebr.Config {
-	return ebr.Config{
-		MaxThreads: c.MaxThreads, Capacity: c.Capacity, LocalPool: c.LocalPool,
-		OpsPerScan: c.OpsPerScan,
-	}
-}
-
-// Anchors projects onto the anchors manager's Config.
-func (c Config) Anchors() anchors.Config {
-	return anchors.Config{
-		MaxThreads: c.MaxThreads, Capacity: c.Capacity, LocalPool: c.LocalPool,
-		ScanThreshold: c.ScanThreshold, K: c.AnchorsK,
-	}
-}
-
-// NoRecl projects onto the no-reclamation manager's Config.
-func (c Config) NoRecl() norecl.Config {
-	return norecl.Config{MaxThreads: c.MaxThreads, Capacity: c.Capacity, LocalPool: c.LocalPool}
 }
 
 // Unsupported is the error every structure's New returns for a scheme it

@@ -53,7 +53,7 @@ func (s *guarded) Session(tid int) smr.Session {
 // variant normalizes. Under NoRecl a hop is plain loads through the view.
 type session struct {
 	head    uint32
-	g       guard.Guard[Node]
+	g       *guard.Guard[Node]
 	rng     levelRng
 	pending uint32
 	preds   [MaxLevel]uint32
@@ -66,10 +66,10 @@ type session struct {
 // validation "pred.next[level] holds exactly the unmarked handle of curr"
 // implies pred is not marked at that level, hence still the unique in-list
 // predecessor, hence curr is linked and cannot yet be retired — the
-// publication therefore races no scan (see package hpscheme).
+// publication therefore races no scan (see internal/guard/hp.go).
 func (s *session) find(key uint64) bool {
-	g := &s.g
-	v := g.View
+	g := s.g
+	v := &g.View
 retry:
 	for {
 		predSlot := s.head
@@ -120,7 +120,7 @@ retry:
 // snipping protocol — the HP overhead the paper measures on read-mostly
 // workloads.
 func (s *session) Contains(key uint64) bool {
-	g := &s.g
+	g := s.g
 	if g.HP() {
 		found := s.find(key)
 		g.End()
@@ -138,7 +138,7 @@ func (s *session) Contains(key uint64) bool {
 // deleted node's frozen next pointer cannot vouch for its successor's
 // liveness (see package guard).
 func (s *session) contains(key uint64) bool {
-	v := s.g.View
+	v := &s.g.View
 	predSlot := s.head
 	var curr arena.Ptr
 	for level := MaxLevel - 1; level >= 0; level-- {
@@ -168,8 +168,8 @@ func (s *session) contains(key uint64) bool {
 // linearization point; upper levels are linked best-effort afterwards
 // (Fraser's corrected protocol).
 func (s *session) Insert(key uint64) bool {
-	g := &s.g
-	v := g.View
+	g := s.g
+	v := &g.View
 	g.Begin()
 	height := s.rng.next()
 	for {
@@ -202,8 +202,8 @@ func (s *session) Insert(key uint64) bool {
 // linkUpper links levels 1..height-1 of a node already linked at the
 // bottom, stopping as soon as the node is marked (a deleter took over).
 func (s *session) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint64) {
-	g := &s.g
-	v := g.View
+	g := s.g
+	v := &g.View
 	for l := uint32(1); l < height; l++ {
 		for {
 			nl := arena.Ptr(n.Next[l].Load())
@@ -237,8 +237,8 @@ func (s *session) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint64
 // bottom mark is the linearization point and its winner cleans up and
 // retires.
 func (s *session) Delete(key uint64) bool {
-	g := &s.g
-	v := g.View
+	g := s.g
+	v := &g.View
 	g.Begin()
 	for {
 		if !s.find(key) {

@@ -52,8 +52,8 @@
 //   - EBR: epoch-based reclamation. Fast, but a single stalled thread
 //     stops reclamation; memory use is unbounded under stalls.
 //   - Anchors: amortized hazard pointers for linked lists (one fence per K
-//     hops); see internal/anchors for this implementation's cost-model
-//     simplifications.
+//     hops); see internal/guard/anchors.go for this implementation's
+//     cost-model simplifications.
 //   - NoRecl: no reclamation (baseline; leaks deleted nodes).
 package oamem
 

@@ -21,8 +21,9 @@
 # to any of them or to View.BumpGen, which is what makes the check cover
 # every call site: a site that did not inline is a CALL. The only calls
 # left on those paths are the ones kept out of line on purpose — the
-# warning slow path (core's warning.ack) and Guard.end — which the
-# patterns below do not match.
+# warning slow path (core's warning.ack) and a guard hook's own work
+# (Guard.alloc, .retire, .end and the Anchors visit) — which the patterns
+# below do not match.
 set -euo pipefail
 
 go=${GO:-go}
