@@ -41,7 +41,7 @@ zeroalloc:
 # The race detector focused where the lock-free interleavings live: the
 # reclamation core, the arena (readers racing growth through the chunk
 # directory), the baseline manager (the pool NoRecl, EBR, HP and Anchors
-# share, and their reclaimers' churn tests), the sharded block pools, the
+# share, and their reclaimers' churn tests), the block pools, the
 # MPMC request rings, the OA kit and the structure layer that sits on it
 # (list, skip list, queue, hash table, kvmap — the five add ~40 s on the 2-vCPU host), the
 # aux-word protocol of the TTL/LRU cache, the server's burst hand-off,

@@ -51,7 +51,6 @@ var (
 	interrupted  = make(chan struct{})
 	activeReg    atomic.Pointer[obs.Registry]
 	snapInterval time.Duration
-	poolShards   int    // -shards: OA block-pool shard override, 0 = default
 	tracePath    string // -trace: Chrome trace_event dump target, "" = off
 )
 
@@ -84,7 +83,7 @@ type keyCounter struct {
 
 func stress(st harness.Structure, sc smr.Scheme, threads int, d time.Duration, keys int) error {
 	set, err := harness.Build(harness.BuildConfig{
-		Structure: st, Scheme: sc, Threads: threads, Delta: 16384, Shards: poolShards,
+		Structure: st, Scheme: sc, Threads: threads, Delta: 16384,
 	})
 	if err != nil {
 		return err
@@ -280,7 +279,7 @@ func stressLinearizable(st harness.Structure, sc smr.Scheme, threads int, d time
 	rounds := 0
 	for time.Now().Before(deadline) && !isInterrupted() {
 		set, err := harness.Build(harness.BuildConfig{
-			Structure: st, Scheme: sc, Threads: threads, Delta: 4096, Shards: poolShards,
+			Structure: st, Scheme: sc, Threads: threads, Delta: 4096,
 		})
 		if err != nil {
 			return err
@@ -329,12 +328,10 @@ func main() {
 		lin       = flag.Bool("linearize", false, "record histories and run the Wing-Gong checker instead of conservation counting")
 		httpAddr  = flag.String("http", "", "serve /metrics, /trace and /debug/pprof/ on this address (e.g. :8080)")
 		snapshot  = flag.Duration("snapshot", 0, "print a live progress line at this interval (0 = off)")
-		shards    = flag.Int("shards", 0, "OA block-pool shard count (0 = min(threads, GOMAXPROCS) rounded to a power of two)")
 		traceOut  = flag.String("trace", "", "write the last soak's protocol event trace (Chrome trace_event JSON, loadable in Perfetto) to this file")
 	)
 	flag.Parse()
 	snapInterval = *snapshot
-	poolShards = *shards
 	tracePath = *traceOut
 
 	sigc := make(chan os.Signal, 1)

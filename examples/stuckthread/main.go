@@ -112,7 +112,10 @@ func main() {
 			return ebrSet.Session(id), func() {}
 		})
 
-	fmt.Println("\nexpected: OA reclaims essentially everything; EBR reclaims almost nothing")
-	fmt.Println("(its epoch cannot advance past the stuck announcement). This is why the")
-	fmt.Println("paper rejects EBR for lock-free settings despite its speed.")
+	fmt.Println("\nexpected: OA keeps reclaiming. What it has not recycled yet is what was")
+	fmt.Println("retired since its last phase (up to its 65,536-slot capacity), waiting")
+	fmt.Println("until allocation next runs dry, not slots the stuck thread pins. EBR")
+	fmt.Println("reclaims almost nothing (its epoch cannot advance past the stuck")
+	fmt.Println("announcement). This is why the paper rejects EBR for lock-free settings")
+	fmt.Println("despite its speed.")
 }

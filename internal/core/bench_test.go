@@ -98,33 +98,22 @@ func BenchmarkRecyclingDrain(b *testing.B) {
 }
 
 // BenchmarkAllocRetireContended drives the full alloc/retire/recycle
-// pipeline from all procs at once — the workload whose global-stack CAS
-// convoy motivated sharding. shards=1 is the flat layout; shards=cpus is
-// the sharded default on a multi-core host.
+// pipeline from all procs at once: every refill, flush and drain pass
+// meets the others on the three pools' head words.
 func BenchmarkAllocRetireContended(b *testing.B) {
 	procs := runtime.GOMAXPROCS(0)
-	seen := map[int]bool{}
-	for _, shards := range []int{1, procs, 2 * procs} {
-		if seen[shards] {
-			continue
+	// RunParallel spawns GOMAXPROCS goroutines by default; the 4× headroom
+	// covers -test.cpu sweeps without sharing contexts.
+	m := NewManager[node](Config{
+		MaxThreads: 4 * procs, Capacity: procs * 4096, LocalPool: 126,
+	}, resetNode)
+	var ids atomic.Int32
+	b.RunParallel(func(pb *testing.PB) {
+		th := m.Thread(int(ids.Add(1)-1) % (4 * procs))
+		for pb.Next() {
+			th.Retire(th.Alloc())
 		}
-		seen[shards] = true
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			// RunParallel spawns GOMAXPROCS goroutines by default; the 4×
-			// headroom covers -test.cpu sweeps without sharing contexts.
-			m := NewManager[node](Config{
-				MaxThreads: 4 * procs, Capacity: procs * 4096, LocalPool: 126, Shards: shards,
-			}, resetNode)
-			var ids atomic.Int32
-			b.RunParallel(func(pb *testing.PB) {
-				th := m.Thread(int(ids.Add(1)-1) % (4 * procs))
-				for pb.Next() {
-					th.Retire(th.Alloc())
-				}
-			})
-			b.ReportMetric(float64(m.ReadySteals())/float64(b.N), "steals/op")
-		})
-	}
+	})
 }
 
 var sinkInt int

@@ -25,22 +25,20 @@
 //
 // # Recycling pipeline
 //
-// Reclamation proceeds in phases (Algorithms 4–6) over three pools of
-// 126-slot blocks: retired slots accumulate in the retirePool; a phase
-// starts by atomically moving the whole retirePool into the processingPool
-// (the odd/even version freeze trick of §4); slots in the processingPool
-// that no hazard pointer protects move to the readyPool for reallocation,
-// and protected ones return to the retirePool for the next phase.
+// Reclamation proceeds in phases (Algorithms 4–6) over three pools, each
+// one lock-free stack of 126-slot blocks (see internal/pools): retired
+// slots accumulate in the retirePool; a phase starts by moving the whole
+// retirePool into the processingPool; slots in the processingPool that no
+// hazard pointer protects move to the readyPool for reallocation, and
+// protected ones return to the retirePool for the next phase.
 //
-// Each pool is sharded (see internal/pools): thread t pushes to and pops
-// from shard t&mask first and steals from the other shards only when its
-// home runs dry, so refills and flushes are uncontended in steady state.
-// The phase swap walks every retire shard, freezing each with the same
-// odd-version CAS the flat pool used; the pool counts as frozen once all
-// shards are odd at the same version, and helpers complete partial swaps
-// shard by shard. A swap in flight therefore leaves the shards spanning at
-// most {v, v+1, v+2}, and evenFloor(min shard version) always names the
-// phase being swapped.
+// The move is Algorithm 6's swap of phase v (even), three CASes on the
+// pools' {version, head} words: freeze the retirePool from (v, h) to
+// (v+1, h), install h in the processingPool from (v, empty) to (v+2, h),
+// and reset the retirePool from (v+1, h) to (v+2, empty). The odd version
+// makes the frozen head immutable — pushes at v fail and nothing pops the
+// retirePool — so any thread that sees an odd version can finish the swap
+// with the same two CASes, and a descheduled initiator blocks no one.
 //
 // # Deviations from the paper's pseudocode (documented per DESIGN.md)
 //
@@ -67,7 +65,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"repro/internal/arena"
@@ -108,12 +105,6 @@ type Config struct {
 	// manager panics with a sizing diagnostic (0 means 1<<22). The paper's
 	// algorithm spins forever; a panic is friendlier than a silent hang.
 	AllocSpinLimit int
-	// Shards sets the number of shards each global block pool is split
-	// into, rounded up to a power of two and capped at pools.MaxShards.
-	// Zero picks nextPow2(min(MaxThreads, GOMAXPROCS)): one shard per
-	// thread that can actually run concurrently — more would only lengthen
-	// the steal sweep without removing any contention.
-	Shards int
 }
 
 func (c *Config) fill() {
@@ -126,32 +117,22 @@ func (c *Config) fill() {
 	if c.AllocSpinLimit <= 0 {
 		c.AllocSpinLimit = 1 << 22
 	}
-	if c.Shards <= 0 {
-		c.Shards = c.MaxThreads
-		if p := runtime.GOMAXPROCS(0); p < c.Shards {
-			c.Shards = p
-		}
-	}
-	c.Shards = pools.NextPow2(c.Shards)
-	if c.Shards > pools.MaxShards {
-		c.Shards = pools.MaxShards
-	}
 	minCap := 2 * c.MaxThreads * c.LocalPool
 	if c.Capacity < minCap {
 		c.Capacity = minCap
 	}
 }
 
-// Manager owns the arena, the three sharded pools and the thread contexts
+// Manager owns the arena, the three block pools and the thread contexts
 // of one optimistic-access instance. T is the node type of the client
 // structure.
 type Manager[T any] struct {
 	cfg      Config
 	nodes    *arena.Arena[T]
 	ba       *pools.BlockArena
-	ready    pools.ShardedCountedStack
-	retire   pools.ShardedVStack
-	process  pools.ShardedVStack
+	ready    pools.CountedStack
+	retire   pools.VStack
+	process  pools.VStack
 	threads  []*Thread[T]
 	reset    func(*T) // zeroes a node on allocation (Algorithm 5's memset)
 	lessor   *lease.Registry
@@ -172,27 +153,10 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 		reset:  reset,
 		lessor: lease.NewRegistry(cfg.MaxThreads),
 	}
-	m.ready.Init(cfg.Shards)
-	m.retire.Init(cfg.Shards, 0)
-	m.process.Init(cfg.Shards, 0)
-	// Pre-chop the whole capacity into ready blocks, dealt round-robin
-	// across the shards so every thread's home shard starts stocked.
-	base := m.nodes.Reserve(cfg.Capacity)
-	blk := m.ba.Get()
-	shard := uint32(0)
-	for i := 0; i < cfg.Capacity; i++ {
-		m.ba.B(blk).Push(base + uint32(i))
-		if m.ba.B(blk).Full(int32(cfg.LocalPool)) {
-			m.ready.Push(m.ba, blk, shard)
-			shard++
-			blk = m.ba.Get()
-		}
-	}
-	if !m.ba.B(blk).Empty() {
-		m.ready.Push(m.ba, blk, shard)
-	} else {
-		m.ba.Put(blk)
-	}
+	m.ready.Init()
+	m.retire.Init(0)
+	m.process.Init(0)
+	m.ready.PushRange(m.ba, m.nodes.Reserve(cfg.Capacity), cfg.Capacity, int32(cfg.LocalPool))
 	m.stats = obs.NewThreadStats(cfg.MaxThreads)
 	m.tracer = trace.NewRecorder(cfg.MaxThreads, 0)
 	m.threads = make([]*Thread[T], cfg.MaxThreads)
@@ -205,7 +169,6 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 			hps:       make([]atomic.Uint64, writeWords+(cfg.OwnerHPs+1)/2),
 			allocBlk:  pools.NoBlock,
 			retireBlk: pools.NoBlock,
-			rng:       uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03,
 		}
 		m.threads[i] = t
 	}
@@ -261,11 +224,8 @@ func (m *Manager[T]) Close() { m.lessor.Close() }
 
 // Phase returns the current (even) phase version of the retire pool,
 // i.e. twice the number of completed phase swaps. While a swap is in
-// flight the minimum shard version is reported, rounded down to even.
-func (m *Manager[T]) Phase() uint64 {
-	v, _ := m.retire.Scan()
-	return uint64(v &^ 1)
-}
+// flight (the version is odd) the phase being swapped is reported.
+func (m *Manager[T]) Phase() uint64 { return uint64(m.retire.Ver() &^ 1) }
 
 // Quiesce drives reclamation phases (on the calling goroutine, using
 // thread context 0) until every retired slot that is not hazard-pointer
@@ -277,13 +237,19 @@ func (m *Manager[T]) Quiesce() int {
 	t.FlushRetired()
 	for i := 0; i < 4; i++ { // retire→swap→process needs at most two phases
 		t.Recycling()
-		if !m.retire.AnyBlocks() && !m.process.AnyBlocks() {
+		if m.slots(&m.retire)+m.slots(&m.process) == 0 {
 			break
 		}
 	}
-	_, retired := m.retire.ChainStats(m.ba)
-	_, processing := m.process.ChainStats(m.ba)
-	return retired + processing
+	return m.slots(&m.retire) + m.slots(&m.process)
+}
+
+// slots counts the slots on s's chain. Only safe while no thread runs
+// (Quiesce, tests).
+func (m *Manager[T]) slots(s *pools.VStack) int {
+	_, h := s.Load()
+	_, n := pools.ChainLen(m.ba, h)
+	return n
 }
 
 // InjectWarnings sets every thread's warning bit as if a recycler had
@@ -331,13 +297,10 @@ func (m *Manager[T]) Backlog() uint64 {
 	return tot[obs.Retires] - tot[obs.Recycled]
 }
 
-// RetireFrozen reports whether any retire shard's version is odd: a phase
+// RetireFrozen reports whether the retire pool's version is odd: a phase
 // swap is in flight. It is the input of the health engine's phase_stalled
 // rule and the oa_retire_pool_frozen gauge.
-func (m *Manager[T]) RetireFrozen() bool {
-	_, stable := m.retire.Scan()
-	return !stable
-}
+func (m *Manager[T]) RetireFrozen() bool { return m.retire.Ver()&1 == 1 }
 
 // RegisterObs registers the manager's live metric sources with reg: the
 // per-thread counters it feeds (prefix oa_smr), the phase-pause
@@ -361,17 +324,12 @@ func (m *Manager[T]) RegisterObs(reg *obs.Registry) {
 	reg.Gauge("oa_arena_slots_capacity", "node slots backed by arena chunks",
 		func() float64 { return float64(m.nodes.Cap()) })
 	reg.Gauge("oa_retire_pool_frozen",
-		"1 while any retire shard's version is odd (phase swap in flight)",
+		"1 while the retire pool's version is odd (phase swap in flight)",
 		func() float64 {
 			if m.RetireFrozen() {
 				return 1
 			}
 			return 0
-		})
-	reg.Counter("oa_pool_steals_total",
-		"block pops served by a shard other than the popping thread's home",
-		func() uint64 {
-			return m.ready.TotalSteals() + m.retire.TotalSteals() + m.process.TotalSteals()
 		})
 }
 
@@ -410,76 +368,46 @@ func (m *Manager[T]) setWarnings(phase uint32) {
 	}
 }
 
-// freezeRetire initiates the phase swap for even version v: every retire
-// shard is CASed from (v, head) to (v+1, head). Each shard's CAS retries
-// while concurrent retire pushes move its head, so the freeze — unlike a
-// single-attempt CAS — cannot silently fail and leave the caller's local
-// version ahead of the pool. Shards already frozen or advanced by helpers
-// are skipped. The caller must have verified every processing shard empty
-// at v first (the freeze precondition; see the package deviation note).
-// Shards this caller froze are recorded in rg (the initiator's trace
-// ring; helpers that race it ahead go untraced, which only under-counts).
+// freezeRetire initiates the phase swap for even version v: the retire
+// pool is CASed from (v, h) to (v+1, h). The CAS retries while concurrent
+// retire pushes move h, so the freeze — unlike a single-attempt CAS —
+// cannot silently fail and leave the caller's local version ahead of the
+// pool; it stops once a helper's freeze moved the version on. The caller
+// must have observed the processing pool empty at v first (the freeze
+// precondition; see the package deviation note). A freeze this caller
+// made is recorded in rg.
 func (m *Manager[T]) freezeRetire(v uint32, rg *trace.Ring) {
-	for i := 0; i < m.retire.NumShards(); i++ {
-		var bo pools.Backoff
-		for {
-			sv, h := m.retire.LoadShard(i)
-			if sv != v {
-				break // frozen (v+1) or completed (v+2) by a helper
-			}
-			if m.retire.CASShard(i, v, h, v+1, h) {
-				if trace.Enabled() {
-					rg.Record(trace.EvFreeze, trace.FreezePayload(v, i))
-				}
-				break
-			}
-			bo.Pause()
+	var bo pools.Backoff
+	for {
+		rv, h := m.retire.Load()
+		if rv != v {
+			return
 		}
-	}
-}
-
-// completeSwap drives the in-flight swap of phase v (even) to completion:
-// for every retire shard, finish freezing it at v+1, move its frozen chain
-// into the matching processing shard at v+2, and reset the retire shard to
-// (v+2, empty). A frozen shard's head is immutable (pushes fail on the odd
-// version and nothing pops the retire pool), so all helpers agree on the
-// chain they move, and every CAS is idempotent across helpers.
-func (m *Manager[T]) completeSwap(v uint32) {
-	for i := 0; i < m.retire.NumShards(); i++ {
-		var bo pools.Backoff
-		for {
-			sv, h := m.retire.LoadShard(i)
-			if sv >= v+2 {
-				break // this shard's swap already completed
+		if m.retire.CompareAndSwap(v, h, v+1, h) {
+			if trace.Enabled() {
+				rg.Record(trace.EvFreeze, uint64(v))
 			}
-			if sv == v {
-				if !m.retire.CASShard(i, v, h, v+1, h) {
-					bo.Pause()
-				}
-				continue
-			}
-			// sv == v+1: move the frozen chain into the processing shard.
-			pv, ph := m.process.LoadShard(i)
-			if pv == v {
-				m.process.CASShard(i, pv, ph, v+2, h)
-			}
-			m.retire.CASShard(i, v+1, h, v+2, pools.NoBlock)
+			return
 		}
+		bo.Pause()
 	}
 }
 
 // helpSwap completes any in-flight phase swap and returns the retire
-// pool's stable even version (all shards equal). The paper's single-CAS
-// swap becomes a walk over the shards; lock freedom is preserved because
-// every step is a helpable CAS on versioned state that only moves forward.
+// pool's even version. A frozen retire pool at v+1 holds the chain h of
+// phase v: it is installed in the processing pool, which the freezer saw
+// empty at v, and the retire pool is reset to (v+2, empty). Both CASes
+// fail harmlessly once another helper made them, so helpers need not
+// agree on who goes first.
 func (m *Manager[T]) helpSwap() uint32 {
 	var bo pools.Backoff
 	for {
-		v, stable := m.retire.Scan()
-		if stable {
-			return v
+		rv, h := m.retire.Load()
+		if rv&1 == 0 {
+			return rv
 		}
-		m.completeSwap(v &^ 1)
+		m.process.CompareAndSwap(rv-1, pools.NoBlock, rv+1, h)
+		m.retire.CompareAndSwap(rv, h, rv+1, pools.NoBlock)
 		bo.Pause()
 	}
 }

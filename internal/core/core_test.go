@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -400,54 +401,6 @@ func TestRecyclingNeverLeaks(t *testing.T) {
 	}
 }
 
-// The sharded pools must preserve slot conservation exactly as the flat
-// ones did: same interleaved traffic as TestRecyclingNeverLeaks, but with
-// four shards forced (the 1-CPU default would collapse to one) so laggard
-// threads drain shards frozen at mixed versions and allocation steals
-// across shards.
-func TestShardedRecyclingNeverLeaks(t *testing.T) {
-	const threads = 3
-	m := newMgr(t, Config{MaxThreads: threads, Capacity: 8 * threads * 8, LocalPool: 8, OwnerHPs: 0, Shards: 4})
-	if m.Shards() != 4 {
-		t.Fatalf("Shards = %d, want 4", m.Shards())
-	}
-	rng := rand.New(rand.NewSource(2))
-	live := map[uint32]bool{}
-	var liveList []uint32
-	for step := 0; step < 20000; step++ {
-		th := m.Thread(rng.Intn(threads))
-		if len(liveList) > 0 && rng.Intn(2) == 0 {
-			i := rng.Intn(len(liveList))
-			s := liveList[i]
-			liveList[i] = liveList[len(liveList)-1]
-			liveList = liveList[:len(liveList)-1]
-			delete(live, s)
-			th.Retire(s)
-		} else if len(liveList) < m.Capacity()/4 {
-			s := th.Alloc()
-			if live[s] {
-				t.Fatalf("slot %d double-allocated", s)
-			}
-			live[s] = true
-			liveList = append(liveList, s)
-		}
-	}
-	total := len(liveList)
-	for i := 0; i < threads; i++ {
-		m.Thread(i).FlushRetired()
-		total += m.Thread(i).LocalCounts()
-	}
-	ready, retire, processing := m.PoolCounts()
-	total += ready + retire + processing
-	if total != m.Capacity() {
-		t.Fatalf("slot leak: accounted %d of %d (ready=%d retire=%d processing=%d live=%d)",
-			total, m.Capacity(), ready, retire, processing, len(liveList))
-	}
-	if m.ReadySteals() == 0 {
-		t.Fatal("expected ready-pool steals with 3 threads on 4 shards")
-	}
-}
-
 // Regression test for the lost-warning race: setWarnings used to attempt
 // its CAS once per thread, so a concurrent Check (which CASes the warning
 // bit off) could make that attempt fail and leave the thread unstamped and
@@ -530,12 +483,12 @@ func TestConcurrentAllocRetireOwnership(t *testing.T) {
 	}
 }
 
-// Sharded pools under real concurrency: goroutines churn alloc/retire on
-// a 4-shard manager, then Quiesce must account for every slot (nothing
-// stranded on a shard the swap protocol missed).
-func TestShardedConcurrentChurnQuiesces(t *testing.T) {
+// Goroutines churn alloc/retire, racing each other through phase swaps,
+// then Quiesce must account for every slot (nothing stranded by a swap
+// some helper finished).
+func TestConcurrentChurnQuiesces(t *testing.T) {
 	const threads = 4
-	m := newMgr(t, Config{MaxThreads: threads, Capacity: threads * 300, LocalPool: 16, OwnerHPs: 0, Shards: 4})
+	m := newMgr(t, Config{MaxThreads: threads, Capacity: threads * 300, LocalPool: 16, OwnerHPs: 0})
 	var wg sync.WaitGroup
 	for id := 0; id < threads; id++ {
 		wg.Add(1)
@@ -550,7 +503,7 @@ func TestShardedConcurrentChurnQuiesces(t *testing.T) {
 	}
 	wg.Wait()
 	if left := m.Quiesce(); left != 0 {
-		t.Fatalf("Quiesce left %d slots unreclaimed across shards", left)
+		t.Fatalf("Quiesce left %d slots unreclaimed", left)
 	}
 	st := m.Stats()
 	if st.Recycled == 0 || st.Phases == 0 {
@@ -558,35 +511,67 @@ func TestShardedConcurrentChurnQuiesces(t *testing.T) {
 	}
 }
 
-// The sharded hot path must stay zero-alloc, including steals: with one
-// thread homed on shard 0 of 4, the round-robin pre-chop leaves most ready
-// blocks on shards 1-3, so refills exercise the steal probe.
-func TestShardedOpsDoNotAllocate(t *testing.T) {
-	m := newMgr(t, Config{MaxThreads: 1, Capacity: 1 << 12, LocalPool: 32, OwnerHPs: 0, Shards: 4})
-	th := m.Thread(0)
-	// Hold half the capacity live: the pre-chop dealt ready blocks round-
-	// robin across the shards, so this burst outruns home shard 0's quarter
-	// and forces refills through the steal probe.
-	held := make([]uint32, 0, m.Capacity()/2)
-	for i := 0; i < cap(held); i++ {
-		held = append(held, th.Alloc())
+// An initiator descheduled mid-swap leaves the pools in one of two states
+// that concurrency reaches only by chance: the retire pool frozen at v+1
+// with the processing pool still empty at v, or with the frozen chain
+// already installed in it at v+2. From each, every path that meets the
+// odd version must finish the swap exactly once: the retire pool ends at
+// v+2 and every slot is in exactly one place.
+func TestSwapHelpedFromEveryState(t *testing.T) {
+	const localPool = 4
+	finishers := []struct {
+		name   string
+		finish func(th *Thread[node], held []uint32) (live int)
+	}{
+		{"Retire", func(th *Thread[node], held []uint32) int {
+			// The last Retire fills the block: its push meets VER-MISMATCH
+			// and it runs Recycling.
+			for _, s := range held {
+				th.Retire(s)
+			}
+			return 0
+		}},
+		{"Recycling", func(th *Thread[node], held []uint32) int {
+			th.Recycling()
+			return len(held)
+		}},
+		{"pushRetireAnyPhase", func(th *Thread[node], held []uint32) int {
+			blk := th.mgr.ba.Get()
+			for _, s := range held {
+				th.mgr.ba.B(blk).Push(s)
+			}
+			th.pushRetireAnyPhase(blk)
+			return 0
+		}},
 	}
-	if m.ReadySteals() == 0 {
-		t.Fatal("allocation burst past the home shard never stole")
-	}
-	for _, s := range held {
-		th.Retire(s)
-	}
-	th.FlushRetired()
-	warm := func() {
-		th.Retire(th.Alloc())
-		th.Recycling()
-	}
-	for i := 0; i < 256; i++ {
-		warm()
-	}
-	if avg := testing.AllocsPerRun(500, warm); avg > 0.05 {
-		t.Fatalf("sharded alloc/retire/recycle allocates %.2f objects/run", avg)
+	for _, moved := range []bool{false, true} {
+		for _, f := range finishers {
+			t.Run(fmt.Sprintf("moved=%v/%s", moved, f.name), func(t *testing.T) {
+				m := newMgr(t, Config{MaxThreads: 1, Capacity: 16 * localPool, LocalPool: localPool})
+				th := m.Thread(0)
+				for i := 0; i < 2*localPool; i++ {
+					th.Retire(th.Alloc()) // two full blocks into the retire pool
+				}
+				held := make([]uint32, localPool)
+				for i := range held {
+					held[i] = th.Alloc()
+				}
+				m.StallSwap(moved)
+				if !m.RetireFrozen() || m.Phase() != 0 {
+					t.Fatalf("stalled swap: frozen=%v phase=%d, want true, 0", m.RetireFrozen(), m.Phase())
+				}
+				live := f.finish(th, held)
+				if v := m.retire.Ver(); v != 2 || m.Phase() != 2 || m.RetireFrozen() {
+					t.Fatalf("after %s: retire version %d, phase %d, frozen %v; want 2, 2, false",
+						f.name, v, m.Phase(), m.RetireFrozen())
+				}
+				ready, retire, processing := m.PoolCounts()
+				if total := ready + retire + processing + th.LocalCounts() + live; total != m.Capacity() {
+					t.Fatalf("accounted %d of %d slots (ready=%d retire=%d processing=%d local=%d live=%d)",
+						total, m.Capacity(), ready, retire, processing, th.LocalCounts(), live)
+				}
+			})
+		}
 	}
 }
 

@@ -9,24 +9,30 @@ import (
 // PoolCounts returns the number of slots sitting in (ready, retire,
 // processing) global pools. Only meaningful while no swap is in flight.
 func (m *Manager[T]) PoolCounts() (ready, retire, processing int) {
-	_, retire = m.retire.ChainStats(m.ba)
-	_, processing = m.process.ChainStats(m.ba)
+	retire = m.slots(&m.retire)
+	processing = m.slots(&m.process)
 	// Drain and refill ready to count it. A popped block's next link still
 	// points into the old chain, so count each block's own N only.
 	var blocks []uint32
 	m.ready.Drain(m.ba, func(b uint32) { blocks = append(blocks, b) })
 	for i := len(blocks) - 1; i >= 0; i-- {
 		ready += int(m.ba.B(blocks[i]).N)
-		m.ready.Push(m.ba, blocks[i], uint32(i))
+		m.ready.Push(m.ba, blocks[i])
 	}
 	return
 }
 
-// Shards exposes the configured shard count after defaulting.
-func (m *Manager[T]) Shards() int { return m.cfg.Shards }
-
-// ReadySteals exposes the ready pool's total steal count.
-func (m *Manager[T]) ReadySteals() uint64 { return m.ready.TotalSteals() }
+// StallSwap starts the phase swap of the retire pool's current version v
+// and stops part-way, as if its initiator were descheduled: the retire
+// pool is left frozen at v+1 and, when moved is set, its chain is also
+// installed in the processing pool at v+2. Finishing is left to helpers.
+func (m *Manager[T]) StallSwap(moved bool) {
+	v := m.retire.Ver()
+	m.freezeRetire(v, m.threads[0].ring)
+	if _, h := m.retire.Load(); moved {
+		m.process.CompareAndSwap(v, pools.NoBlock, v+2, h)
+	}
+}
 
 // LocalCounts returns the slots buffered in thread t's local blocks.
 func (t *Thread[T]) LocalCounts() int {

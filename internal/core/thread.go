@@ -47,10 +47,6 @@ type Thread[T any] struct {
 	allocBlk  uint32 // current allocation block, NoBlock if none
 	retireBlk uint32 // current local retire block, NoBlock if none
 
-	// rng drives the pseudo-random shard steal probing (xorshift64,
-	// thread-local so probing costs no shared memory traffic).
-	rng uint64
-
 	scratchHP smr.SlotSet // reused sorted hazard-pointer snapshot
 	// snapPhase/snapValid key the scratchHP cache: within one phase the
 	// sealed snapshot is rebuilt at most once per thread, because every
@@ -248,8 +244,7 @@ func (t *Thread[T]) PublishedHPs() int {
 
 // Alloc implements Algorithm 5: pop a slot from the local allocation block,
 // refilling from the readyPool and running Recycling as needed, then zero
-// the slot. Refills hit the thread's home shard first — uncontended in
-// steady state — and steal from sibling shards only when it runs dry.
+// the slot.
 func (t *Thread[T]) Alloc() uint32 {
 	m := t.mgr
 	for spins := 0; ; spins++ {
@@ -264,14 +259,10 @@ func (t *Thread[T]) Alloc() uint32 {
 			m.ba.Put(t.allocBlk)
 			t.allocBlk = pools.NoBlock
 		}
-		if blk, shard, st := m.ready.PopFrom(m.ba, uint32(t.id), &t.rng); st == pools.StatusOK {
+		if blk, st := m.ready.Pop(m.ba); st == pools.StatusOK {
 			t.allocBlk = blk
 			if trace.Enabled() {
-				k := trace.EvRefill
-				if shard != m.ready.HomeShard(uint32(t.id)) {
-					k = trace.EvSteal
-				}
-				t.ring.Record(k, uint64(shard))
+				t.ring.Record(trace.EvRefill, 0)
 			}
 			continue
 		}
@@ -309,7 +300,7 @@ func (t *Thread[T]) Retire(slot uint32) {
 		return
 	}
 	for {
-		if st := m.retire.Push(m.ba, t.retireBlk, t.localVer, uint32(t.id)); st == pools.StatusOK {
+		if st := m.retire.Push(m.ba, t.retireBlk, t.localVer); st == pools.StatusOK {
 			t.retireBlk = pools.NoBlock
 			return
 		}
@@ -326,7 +317,7 @@ func (t *Thread[T]) FlushRetired() {
 		return
 	}
 	for {
-		if st := m.retire.Push(m.ba, t.retireBlk, t.localVer, uint32(t.id)); st == pools.StatusOK {
+		if st := m.retire.Push(m.ba, t.retireBlk, t.localVer); st == pools.StatusOK {
 			t.retireBlk = pools.NoBlock
 			return
 		}
@@ -344,22 +335,21 @@ func (t *Thread[T]) Recycling() {
 	started := time.Now()
 	defer func() { m.phaseHst.Observe(time.Since(started)) }()
 	prevVer := t.localVer
-	rv, stable := m.retire.Scan()
+	rv := m.retire.Ver()
 	switch {
-	case stable && rv == t.localVer:
+	case rv == t.localVer:
 		// We are current. Start a new phase only once this phase's
-		// processing pool is drained across every shard (see the deviation
-		// note in the package comment); otherwise participate in the
-		// current phase below.
-		if m.process.EmptyAt(t.localVer) {
+		// processing pool is drained (see the deviation note in the
+		// package comment); otherwise participate in the current phase
+		// below.
+		if pv, ph := m.process.Load(); pv == t.localVer && ph == pools.NoBlock {
 			m.freezeRetire(t.localVer, t.ring)
 			m.helpSwap()
 			t.localVer += 2
 		}
-	case rv&^1 == t.localVer:
-		// A swap for our phase is in flight (some shards odd or already
-		// advanced): help complete it. The freezer verified the processing
-		// pool was empty.
+	case rv == t.localVer+1:
+		// A swap for our phase is in flight: help complete it. The
+		// freezer verified the processing pool was empty.
 		m.helpSwap()
 		t.localVer += 2
 	default:
@@ -377,7 +367,7 @@ func (t *Thread[T]) Recycling() {
 	if trace.Enabled() && t.localVer != prevVer {
 		t.ring.Record(trace.EvPhase, uint64(t.localVer))
 	}
-	if v, _ := m.retire.Scan(); v > t.localVer {
+	if m.retire.Ver() > t.localVer {
 		return // phase already finished (Algorithm 6 line 10)
 	}
 	if trace.Enabled() {
@@ -436,14 +426,9 @@ func (t *Thread[T]) snapshotHPs() *smr.SlotSet {
 // lines 20–30) and returns how many slots it recycled and re-retired.
 // The active ready/re-retire block pointers are resolved once per block
 // swap, and generation bumps take the view's flat path, so the per-slot
-// loop performs no block-table or chunk-table loads. Pops prefer
-// the thread's home processing shard and steal from siblings, so
-// concurrent drainers of one phase spread across the shards instead of
-// convoying on one head word.
+// loop performs no block-table or chunk-table loads.
 func (t *Thread[T]) drain(hp *smr.SlotSet) (uint64, uint64) {
 	m := t.mgr
-	home := uint32(t.id)
-	homeShard := m.process.HomeShard(home)
 	readyBlk := pools.NoBlock
 	reBlk := pools.NoBlock
 	var readyB, reB *pools.Block
@@ -452,12 +437,9 @@ func (t *Thread[T]) drain(hp *smr.SlotSet) (uint64, uint64) {
 	// at the end so the drain loop itself performs no atomic adds.
 	var recycled, reRetired uint64
 	for {
-		blk, shard, st := m.process.PopFrom(m.ba, t.localVer, home, &t.rng)
+		blk, st := m.process.Pop(m.ba, t.localVer)
 		if st != pools.StatusOK {
 			break // StatusEmpty: phase drained; StatusVerMismatch: superseded
-		}
-		if trace.Enabled() && shard != homeShard {
-			t.ring.Record(trace.EvSteal, uint64(shard))
 		}
 		b := m.ba.B(blk)
 		for i := int32(0); i < b.N; i++ {
@@ -486,7 +468,7 @@ func (t *Thread[T]) drain(hp *smr.SlotSet) (uint64, uint64) {
 				readyB.Push(slot)
 				recycled++
 				if readyB.Full(limit) {
-					m.ready.Push(m.ba, readyBlk, home)
+					m.ready.Push(m.ba, readyBlk)
 					readyBlk = pools.NoBlock
 					readyB = nil
 				}
@@ -499,7 +481,7 @@ func (t *Thread[T]) drain(hp *smr.SlotSet) (uint64, uint64) {
 		if readyB.Empty() {
 			m.ba.Put(readyBlk)
 		} else {
-			m.ready.Push(m.ba, readyBlk, home)
+			m.ready.Push(m.ba, readyBlk)
 		}
 	}
 	if reBlk != pools.NoBlock {
@@ -526,7 +508,7 @@ func (t *Thread[T]) pushRetireAnyPhase(blk uint32) {
 	m := t.mgr
 	for {
 		ver := m.helpSwap()
-		if st := m.retire.Push(m.ba, blk, ver, uint32(t.id)); st == pools.StatusOK {
+		if st := m.retire.Push(m.ba, blk, ver); st == pools.StatusOK {
 			return
 		}
 	}

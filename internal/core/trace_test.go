@@ -18,9 +18,9 @@ func countKinds(rec *trace.Recorder) map[trace.Kind]int {
 
 // TestTraceRecordsProtocolEvents drives the full OA pipeline with tracing
 // enabled and checks every event kind the scheme emits shows up: phase
-// transitions, warning broadcast, shard freezes, a drain pass with the
-// recycled count in its payload, refills, and a restart attributed to the
-// read barrier.
+// transitions, warning broadcast, one retire-pool freeze per phase with
+// the phase in its payload, a drain pass with the recycled count in its
+// payload, refills, and a restart attributed to the read barrier.
 func TestTraceRecordsProtocolEvents(t *testing.T) {
 	trace.SetEnabled(true)
 	defer trace.SetEnabled(false)
@@ -55,13 +55,23 @@ func TestTraceRecordsProtocolEvents(t *testing.T) {
 		}
 	}
 
-	// The drain payloads must account for recycled slots.
-	var recycled uint64
+	// The only thread started every swap: one freeze per phase, in order.
+	var recycled, freezes uint64
 	for _, e := range rec.Events() {
-		if e.Kind == trace.EvDrain {
+		switch e.Kind {
+		case trace.EvDrain:
 			recycled += e.Arg & 0xFFFFFFFF
+		case trace.EvFreeze:
+			if e.Arg != 2*freezes {
+				t.Fatalf("freeze %d carries phase %d, want %d", freezes, e.Arg, 2*freezes)
+			}
+			freezes++
 		}
 	}
+	if 2*freezes != m.Phase() {
+		t.Fatalf("%d freeze events for phase %d", freezes, m.Phase())
+	}
+	// The drain payloads must account for recycled slots.
 	if recycled == 0 {
 		t.Fatal("drain events carry no recycled counts")
 	}

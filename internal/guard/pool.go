@@ -39,20 +39,7 @@ func (p *pool[N]) init(capacity, localPool int, reset func(*N)) {
 	p.reset = reset
 	p.localPool = int32(localPool)
 	p.free.Init()
-	base := p.nodes.Reserve(capacity)
-	blk := p.ba.Get()
-	for i := 0; i < capacity; i++ {
-		p.ba.B(blk).Push(base + uint32(i))
-		if p.ba.B(blk).Full(p.localPool) {
-			p.free.Push(p.ba, blk)
-			blk = p.ba.Get()
-		}
-	}
-	if !p.ba.B(blk).Empty() {
-		p.free.Push(p.ba, blk)
-	} else {
-		p.ba.Put(blk)
-	}
+	p.free.PushRange(p.ba, p.nodes.Reserve(capacity), capacity, p.localPool)
 }
 
 // alloc returns a zeroed slot. A refill of the guard's block, from the

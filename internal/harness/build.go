@@ -63,10 +63,6 @@ type BuildConfig struct {
 	AnchorsK int
 	// WarningByStore enables the Appendix E ablation in the OA scheme.
 	WarningByStore bool
-	// Shards overrides the OA scheme's block-pool shard count (0 defaults
-	// to min(threads, GOMAXPROCS) rounded up to a power of two). Only the
-	// OA scheme has sharded pools; the other schemes ignore it.
-	Shards int
 }
 
 func (c *BuildConfig) fill() {
@@ -108,7 +104,6 @@ func Build(c BuildConfig) (smr.Set, error) {
 		OpsPerScan:     10 * c.perThread(),
 		AnchorsK:       c.AnchorsK,
 		WarningByStore: c.WarningByStore,
-		Shards:         c.Shards,
 	}
 	switch c.Structure {
 	case LinkedList5K, LinkedList128:

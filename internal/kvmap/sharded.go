@@ -1,19 +1,18 @@
 package kvmap
 
 import (
+	"math/bits"
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/pools"
 	"repro/internal/smr"
 )
 
 // Sharded partitions a keyspace across N independent Maps, each with its
 // own core.Manager — its own arena, block pools, reclamation phases and
-// session registry. This is the server-side mirror of the sharded block
-// pools (internal/pools): the paper's schemes scale because reclamation
-// work is thread-local, and a single shared structure instance re-couples
-// what the scheme decoupled — every phase swap freezes every connection's
+// session registry. The paper's schemes scale because reclamation work is
+// thread-local, and a single shared structure instance re-couples what
+// the scheme decoupled — every phase swap freezes every connection's
 // pools and every warning broadcast touches every thread context. With
 // per-core shards, a reclamation phase in one shard leaves the other
 // shards' operation streams untouched.
@@ -30,19 +29,26 @@ type Sharded struct {
 // round), distinct from the Fibonacci constant the bucket hash uses.
 const shardMultiplier = 0xD6E8FEB86659FD93
 
+// MaxShards bounds the shard count.
+const MaxShards = 64
+
+// NextPow2 returns the smallest power of two >= n (minimum 1).
+func NextPow2(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return 1 << bits.Len(uint(n-1))
+}
+
 // DefaultShards is the shard count used when n <= 0 is requested:
-// NextPow2(min(maxThreads, GOMAXPROCS)), the same formula the block pools
-// use — one shard per thread that can actually run concurrently.
+// NextPow2(min(maxThreads, GOMAXPROCS)), capped at MaxShards — one shard
+// per thread that can actually run concurrently.
 func DefaultShards(maxThreads int) int {
 	n := runtime.GOMAXPROCS(0)
 	if maxThreads > 0 && maxThreads < n {
 		n = maxThreads
 	}
-	n = pools.NextPow2(n)
-	if n > pools.MaxShards {
-		n = pools.MaxShards
-	}
-	return n
+	return min(NextPow2(n), MaxShards)
 }
 
 // NewSharded builds shards independent Maps. cfg.Capacity and expected
@@ -51,15 +57,11 @@ func DefaultShards(maxThreads int) int {
 // is per shard: every shard carries a full session registry, because a
 // connection whose keys spray across the keyspace leases one session per
 // shard it touches. shards is rounded up to a power of two (capped at
-// pools.MaxShards); shards <= 0 picks DefaultShards(cfg.MaxThreads).
+// MaxShards); shards <= 0 picks DefaultShards(cfg.MaxThreads).
 func NewSharded(cfg core.Config, expected, shards int) *Sharded {
-	n := shards
-	if n <= 0 {
-		n = DefaultShards(cfg.MaxThreads)
-	}
-	n = pools.NextPow2(n)
-	if n > pools.MaxShards {
-		n = pools.MaxShards
+	n := DefaultShards(cfg.MaxThreads)
+	if shards > 0 {
+		n = min(NextPow2(shards), MaxShards)
 	}
 	per := cfg
 	per.Capacity = cfg.Capacity / n

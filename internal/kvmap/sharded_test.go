@@ -47,6 +47,9 @@ func TestShardedRoundsUpAndDefaults(t *testing.T) {
 	if s.NumShards() != 4 {
 		t.Fatalf("shards=3 rounded to %d, want 4", s.NumShards())
 	}
+	if c := NewSharded(core.Config{MaxThreads: 1, Capacity: 1 << 12}, 16, 1000); c.NumShards() != MaxShards {
+		t.Fatalf("shards=1000 capped at %d, want %d", c.NumShards(), MaxShards)
+	}
 	d := NewSharded(core.Config{MaxThreads: 8, Capacity: 1 << 12}, 16, 0)
 	if want := DefaultShards(8); d.NumShards() != want {
 		t.Fatalf("default shards = %d, want %d", d.NumShards(), want)
@@ -136,4 +139,15 @@ func TestShardedOfValidation(t *testing.T) {
 	}()
 	m := New(core.Config{MaxThreads: 1, Capacity: 1 << 10}, 16)
 	ShardedOf(m, m, m)
+}
+
+func TestNextPow2(t *testing.T) {
+	cases := map[int]int{
+		-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 7: 8, 8: 8, 9: 16, 63: 64, 64: 64, 65: 128,
+	}
+	for n, want := range cases {
+		if got := NextPow2(n); got != want {
+			t.Fatalf("NextPow2(%d) = %d, want %d", n, got, want)
+		}
+	}
 }

@@ -252,9 +252,22 @@ func (s *CountedStack) Pop(ba *BlockArena) (uint32, Status) {
 	}
 }
 
+// PushRange pre-charges the stack with slots [base, base+n): it chops
+// them into blocks of limit slots and pushes each, the partial block last.
+func (s *CountedStack) PushRange(ba *BlockArena, base uint32, n int, limit int32) {
+	for n > 0 {
+		blk := ba.Get()
+		b := ba.B(blk)
+		for ; n > 0 && !b.Full(limit); n-- {
+			b.Push(base)
+			base++
+		}
+		s.Push(ba, blk)
+	}
+}
+
 // Drain pops every block currently in the stack and calls visit for each.
-// Only meaningful while no concurrent pushers run (tests, and the sharded
-// pool's Drain).
+// Only meaningful while no concurrent pushers run (tests).
 func (s *CountedStack) Drain(ba *BlockArena, visit func(uint32)) {
 	for {
 		b, st := s.Pop(ba)

@@ -1,6 +1,7 @@
 package pools
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -128,6 +129,17 @@ func TestVStackVerMismatch(t *testing.T) {
 	if st := s.Push(ba, idx2, 4); st != StatusVerMismatch {
 		t.Fatalf("Push into frozen stack = %v, want VER-MISMATCH", st)
 	}
+	// A pop at the old version sees the phase move on, not an empty stack.
+	if _, st := s.Pop(ba, 4); st != StatusVerMismatch {
+		t.Fatalf("Pop from frozen stack = %v, want VER-MISMATCH", st)
+	}
+	// Reset to the next even version, empty, as the phase swap does.
+	if !s.CompareAndSwap(5, top, 6, NoBlock) {
+		t.Fatal("reset CAS failed")
+	}
+	if _, st := s.Pop(ba, 6); st != StatusEmpty {
+		t.Fatalf("Pop after reset = %v, want EMPTY", st)
+	}
 }
 
 func TestVStackCASHead(t *testing.T) {
@@ -227,7 +239,9 @@ func TestCountedStackConcurrentTransfer(t *testing.T) {
 }
 
 func TestVStackConcurrentPushSingleVersion(t *testing.T) {
-	// Mirrors the retirePool during one phase: concurrent pushes only.
+	// Mirrors one phase: the retirePool takes concurrent pushes only, and
+	// the processingPool it becomes takes concurrent pops only. Every
+	// pushed block must be popped exactly once.
 	ba := NewBlockArena(4096)
 	var s VStack
 	s.Init(10)
@@ -252,6 +266,58 @@ func TestVStackConcurrentPushSingleVersion(t *testing.T) {
 	blocks, slots := ChainLen(ba, top)
 	if blocks != workers*per || slots != workers*per {
 		t.Fatalf("chain has %d blocks / %d slots, want %d", blocks, slots, workers*per)
+	}
+	popped := make([][]uint32, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				idx, st := s.Pop(ba, 10)
+				if st != StatusOK {
+					return
+				}
+				popped[w] = append(popped[w], ba.B(idx).Slots[0])
+			}
+		}(w)
+	}
+	wg.Wait()
+	seen := make(map[uint32]bool, workers*per)
+	for _, slots := range popped {
+		for _, slot := range slots {
+			if seen[slot] {
+				t.Fatalf("slot %d popped twice", slot)
+			}
+			seen[slot] = true
+		}
+	}
+	if len(seen) != workers*per {
+		t.Fatalf("popped %d slots, want %d", len(seen), workers*per)
+	}
+	if _, st := s.Pop(ba, 10); st != StatusEmpty {
+		t.Fatalf("drained Pop = %v, want EMPTY", st)
+	}
+}
+
+func TestCountedStackPushRange(t *testing.T) {
+	ba := NewBlockArena(64)
+	var s CountedStack
+	s.Init()
+	s.PushRange(ba, 100, 10, 4)
+	// LIFO: the partial block pushed last comes off first.
+	want := [][]uint32{{108, 109}, {104, 105, 106, 107}, {100, 101, 102, 103}}
+	for _, w := range want {
+		idx, st := s.Pop(ba)
+		if st != StatusOK {
+			t.Fatalf("Pop = %v", st)
+		}
+		b := ba.B(idx)
+		if got := b.Slots[:b.N]; !slices.Equal(got, w) {
+			t.Fatalf("block = %v, want %v", got, w)
+		}
+	}
+	if _, st := s.Pop(ba); st != StatusEmpty {
+		t.Fatalf("Pop past the range = %v, want EMPTY", st)
 	}
 }
 
@@ -309,4 +375,24 @@ func TestStatusString(t *testing.T) {
 			t.Fatalf("Status(%d).String() = %q, want %q", st, got, want)
 		}
 	}
+}
+
+// BenchmarkReadyPoolParallel measures the readyPool's push/pop cycle with
+// every goroutine on the one head word.
+func BenchmarkReadyPoolParallel(b *testing.B) {
+	ba := NewBlockArena(1 << 16)
+	var s CountedStack
+	s.Init()
+	for i := 0; i < 256; i++ {
+		s.Push(ba, ba.Get())
+	}
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			idx, st := s.Pop(ba)
+			if st != StatusOK {
+				idx = ba.Get()
+			}
+			s.Push(ba, idx)
+		}
+	})
 }

@@ -29,15 +29,13 @@ type Config struct {
 	AnchorsK int
 	// WarningByStore is OA's Appendix E ablation.
 	WarningByStore bool
-	// Shards is OA's block-pool shard count.
-	Shards int
 }
 
 // OA projects onto the optimistic access manager's Config.
 func (c Config) OA() core.Config {
 	return core.Config{
 		MaxThreads: c.MaxThreads, Capacity: c.Capacity, LocalPool: c.LocalPool,
-		WarningByStore: c.WarningByStore, Shards: c.Shards,
+		WarningByStore: c.WarningByStore,
 	}
 }
 

@@ -26,16 +26,8 @@ func appendArgs(b []byte, e Event) []byte {
 		b = strconv.AppendUint(b, e.Arg&0xFFFFFFFF, 10)
 		b = append(b, `,"re_retired":`...)
 		b = strconv.AppendUint(b, e.Arg>>32, 10)
-	case EvFreeze:
+	case EvPhase, EvWarnSet, EvWarnCheck, EvWarnAck, EvFreeze:
 		b = append(b, `"phase":`...)
-		b = strconv.AppendUint(b, e.Arg>>32, 10)
-		b = append(b, `,"shard":`...)
-		b = strconv.AppendUint(b, e.Arg&0xFFFFFFFF, 10)
-	case EvPhase, EvWarnSet, EvWarnCheck, EvWarnAck:
-		b = append(b, `"phase":`...)
-		b = strconv.AppendUint(b, e.Arg, 10)
-	case EvSteal, EvRefill:
-		b = append(b, `"shard":`...)
 		b = strconv.AppendUint(b, e.Arg, 10)
 	case EvLease, EvUnlease:
 		b = append(b, `"owner":`...)

@@ -1,7 +1,7 @@
 // Package trace is the reclamation event recorder: a lock-free,
 // per-thread fixed-size ring of small protocol events (phase transitions,
-// warning traffic, restarts with their cause, drain passes, shard
-// freezes/steals, allocation-pool refills) timestamped on a monotonic
+// warning traffic, restarts with their cause, drain passes, retire-pool
+// freezes, allocation-pool refills) timestamped on a monotonic
 // clock. Counters (package obs) answer "how many restarts"; the trace
 // answers "which phase transition caused this p999 spike" — the timeline
 // view RCU/epoch practice calls event tracing.
@@ -55,15 +55,12 @@ const (
 	// Payload: recycled count in the low 32 bits, re-retired (still
 	// protected) count in the high 32 bits — see DrainPayload.
 	EvDrain
-	// EvFreeze is one retire-pool shard frozen by this thread during a
-	// phase swap (the odd-version CAS of Algorithm 6 / §4). Payload:
-	// phase in the high 32 bits, shard index in the low 32.
+	// EvFreeze is the retire pool frozen by this thread to start a phase
+	// swap (the odd-version CAS of Algorithm 6 / §4). Payload: the phase
+	// being swapped.
 	EvFreeze
-	// EvSteal is a block pop served by a shard other than the popping
-	// thread's home. Payload: the shard the block came from.
-	EvSteal
 	// EvRefill is a local allocation-block refill from the shared pool.
-	// Payload: the shard the block came from (0 for unsharded pools).
+	// Payload: 0.
 	EvRefill
 	// EvLease is a thread context leased to a dynamic worker (a server
 	// connection binding itself to the fixed registry). Payload: an
@@ -105,7 +102,7 @@ const (
 
 var kindNames = [numKinds]string{
 	"", "phase", "warn_set", "warn_check", "warn_ack",
-	"restart", "drain", "shard_freeze", "shard_steal", "refill",
+	"restart", "drain", "freeze", "refill",
 	"lease", "unlease", "req_span", "req_stage",
 	"ring_enq", "ring_deq", "exec_batch", "health",
 }
@@ -174,11 +171,6 @@ func DrainPayload(recycled, reRetired uint64) uint64 {
 		reRetired = 0xFFFFFFFF
 	}
 	return reRetired<<32 | recycled
-}
-
-// FreezePayload packs a shard freeze's phase and shard index.
-func FreezePayload(phase uint32, shard int) uint64 {
-	return uint64(phase)<<32 | uint64(uint32(shard))
 }
 
 // RingPayload packs a ring event's ring index (high 32 bits) with its

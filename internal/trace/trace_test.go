@@ -36,10 +36,6 @@ func TestPayloadPacking(t *testing.T) {
 	if p := DrainPayload(1<<40, 1<<40); p&0xFFFFFFFF != 0xFFFFFFFF || p>>32 != 0xFFFFFFFF {
 		t.Fatalf("DrainPayload must saturate: %x", p)
 	}
-	f := FreezePayload(42, 3)
-	if f>>32 != 42 || f&0xFFFFFFFF != 3 {
-		t.Fatalf("FreezePayload mispacked: %x", f)
-	}
 }
 
 func TestEnabledToggle(t *testing.T) {
@@ -166,10 +162,9 @@ func TestWriteChrome(t *testing.T) {
 	events := []Event{
 		{TS: 1500, TID: 0, Seq: 0, Kind: EvPhase, Arg: 7},
 		{TS: 123456789, TID: 3, Seq: 9, Kind: EvRestart, Arg: uint64(CauseRead)},
-		{TS: 2000, TID: 1, Seq: 0, Kind: EvRefill, Arg: 1},
+		{TS: 2000, TID: 1, Seq: 0, Kind: EvRefill, Arg: 0},
 		{TS: 2500, TID: 1, Seq: 1, Kind: EvDrain, Arg: DrainPayload(11, 3)},
-		{TS: 3000, TID: 2, Seq: 0, Kind: EvFreeze, Arg: FreezePayload(9, 2)},
-		{TS: 3500, TID: 2, Seq: 1, Kind: EvSteal, Arg: 5},
+		{TS: 3000, TID: 2, Seq: 0, Kind: EvFreeze, Arg: 8},
 		{TS: 4000, TID: 3, Seq: 0, Kind: EvReqStage, Arg: StagePayload(StageExec, 42)},
 		{TS: 4500, TID: 3, Seq: 1, Kind: EvReqSpan, Arg: SpanPayload(2, 0, 3, 99)},
 		{TS: 5000, TID: 4, Seq: 0, Kind: EvRestart, Arg: uint64(CauseWrite)},
@@ -208,12 +203,12 @@ func TestWriteChrome(t *testing.T) {
 		t.Fatalf("whole-µs timestamp must have no fraction: %+v", doc.TraceEvents[2])
 	}
 	for i, want := range []map[string]any{
+		2: {"arg": float64(0)},
 		3: {"recycled": float64(11), "re_retired": float64(3)},
-		4: {"phase": float64(9), "shard": float64(2)},
-		5: {"shard": float64(5)},
-		6: {"stage": "exec", "ns": float64(42)},
-		7: {"op": float64(2), "status": float64(0), "shard": float64(3), "server_ns": float64(99)},
-		8: {"cause": "write_barrier"},
+		4: {"phase": float64(8)},
+		5: {"stage": "exec", "ns": float64(42)},
+		6: {"op": float64(2), "status": float64(0), "shard": float64(3), "server_ns": float64(99)},
+		7: {"cause": "write_barrier"},
 	} {
 		e := doc.TraceEvents[i]
 		for k, v := range want {
@@ -222,8 +217,11 @@ func TestWriteChrome(t *testing.T) {
 			}
 		}
 	}
-	if doc.TraceEvents[6].Name != "req_stage" || doc.TraceEvents[7].Name != "req_span" || doc.TraceEvents[5].Tid != 2 {
-		t.Fatalf("request events wrong: %+v %+v", doc.TraceEvents[6], doc.TraceEvents[7])
+	if doc.TraceEvents[4].Name != "freeze" || doc.TraceEvents[4].Tid != 2 {
+		t.Fatalf("freeze event wrong: %+v", doc.TraceEvents[4])
+	}
+	if doc.TraceEvents[5].Name != "req_stage" || doc.TraceEvents[6].Name != "req_span" {
+		t.Fatalf("request events wrong: %+v %+v", doc.TraceEvents[5], doc.TraceEvents[6])
 	}
 }
 

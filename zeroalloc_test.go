@@ -229,32 +229,6 @@ func TestRecyclingDoesNotAllocate(t *testing.T) {
 		}
 	})
 
-	t.Run("ListOAShardedRecycling", func(t *testing.T) {
-		// Forcing four pool shards (the 1-CPU default collapses to one)
-		// must not cost allocations either: refills that steal across
-		// shards and drains that sweep all shards reuse the same blocks
-		// and thread-local rng state.
-		l := list.NewOA(core.Config{MaxThreads: 1, Capacity: capacity, Shards: 4})
-		s := l.Session(0)
-		for k := uint64(1); k <= 512; k++ {
-			s.Insert(k)
-		}
-		th := l.Engine().Manager().Thread(0)
-		k := uint64(0)
-		warm := func() {
-			k++
-			s.Insert(k%512 + 600)
-			s.Delete(k%512 + 600)
-			th.Recycling()
-		}
-		for i := 0; i < 64; i++ {
-			warm()
-		}
-		if avg := testing.AllocsPerRun(500, warm); avg > 0.05 {
-			t.Fatalf("sharded ops + Recycling allocate %.2f objects/run", avg)
-		}
-	})
-
 	t.Run("ListHPScan", func(t *testing.T) {
 		l, err := list.New(smr.HP, sizing.Config{
 			MaxThreads: 1, Capacity: capacity, ScanThreshold: 64,
