@@ -6,7 +6,7 @@ GO ?= go
 
 all: build test
 
-# Everything a merge gate needs: compile+vet, tests, the allocation
+# Everything a merge gate needs: compile+vet (the benchmark module too), tests, the allocation
 # proofs, and the race detector over the reclamation core and the request
 # path. The process-level check — real oaserver/oaload/oastress binaries
 # through start, load, SIGTERM/SIGINT and the final-stats ledger — is the
@@ -16,9 +16,14 @@ all: build test
 # what is gated is that the per-hop fast paths compile without a call.
 ci: build inline test zeroalloc race
 
+# bench/ is its own module, outside ./..., and imports internal packages
+# (server, core, arena, mpmc): vetting and testing it here keeps an
+# internal API change from breaking the benchmark unseen.
 build:
 	$(GO) build ./...
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -short ./...
 
 # The inlining gate (scripts/inline.sh): every OA hop's warning check
 # and node dereference, and every guard hook of the original traversals,

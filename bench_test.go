@@ -222,8 +222,8 @@ func hashMix(b *testing.B, scheme oamem.Scheme) {
 //   - NoRecl-flat: NoRecl with every node inside its arena's flat region,
 //     sized for the whole churn;
 //   - NoRecl-past-flat: NoRecl built with capacity 1, whose flat region
-//     holds the structure's own nodes (the skip list's head, the hash
-//     table's bucket sentinels) and less than one chunk more. Two chunks
+//     holds the structure's own nodes (the skip list's head; the hash
+//     table's buckets are words, not nodes) and less than one chunk more. Two chunks
 //     of throwaway keys, inserted and deleted first, use that region up
 //     (NoRecl never reuses a slot), so every hop to a key's node takes the
 //     chunk directory.

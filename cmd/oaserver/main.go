@@ -34,12 +34,10 @@
 // STATS op and RESP `INFO health`, and -flight-interval 0 turns it off.
 //
 // -debug exposes the observability endpoint (/metrics, /trace,
-// /debug/slowlog, /healthz, pprof) with shard 0's SMR instrumentation,
-// the oa_server_* counters and the per-(command, executor) latency
-// histograms registered. (Only shard 0's manager is exported: the SMR
-// metric names are fixed, so per-shard managers would collide;
-// oa_server_shard_ops{shard="i"} carries the per-shard traffic split.
-// The health rules read every shard directly.)
+// /debug/slowlog, /healthz, pprof) with every shard's SMR instrumentation
+// (a shard label on the gauges and the pause histogram, per-thread
+// counters summed over the shards), the oa_server_* counters and the
+// per-(command, executor) latency histograms registered.
 package main
 
 import (
@@ -128,7 +126,7 @@ func main() {
 	// listener. It reads every shard's reclamation state and the
 	// server's rings, request count and latencies directly.
 	reg := obs.NewRegistry()
-	sh.Shard(0).Manager().RegisterObs(reg)
+	sh.RegisterObs(reg)
 	srv.RegisterObs(reg)
 	if *flightIntvl > 0 {
 		rec := flight.New(flight.Inputs{

@@ -302,30 +302,58 @@ func (m *Manager[T]) Backlog() uint64 {
 // rule and the oa_retire_pool_frozen gauge.
 func (m *Manager[T]) RetireFrozen() bool { return m.retire.Ver()&1 == 1 }
 
-// RegisterObs registers the manager's live metric sources with reg: the
-// per-thread counters it feeds (prefix oa_smr), the phase-pause
-// histogram, and gauges sampled from the arena, the block pools and the
-// phase state. Each family's consumer is in DESIGN.md §6's signal
-// catalogue. Gauges derived from counter pairs are approximate while
-// writers run.
-func (m *Manager[T]) RegisterObs(reg *obs.Registry) {
-	reg.ThreadCounters("oa_smr", m.stats, obs.Allocs, obs.Retires, obs.Recycled,
-		obs.ReRetired, obs.Restarts, obs.DrainPasses, obs.HPPublishes)
-	reg.Trace(m.tracer)
-	reg.Histogram("oa_phase_pause_seconds",
-		"duration of Recycling calls (Algorithm 6 reclamation pauses)", &m.phaseHst)
-	reg.Gauge("oa_phase", "completed reclamation phase swaps",
-		func() float64 { return float64(m.Phase() / 2) })
-	reg.Gauge("oa_retired_backlog_slots",
+// RegisterObs registers the manager's live metric sources with reg, as
+// the one shard of RegisterShards.
+func (m *Manager[T]) RegisterObs(reg *obs.Registry) { RegisterShards(reg, []*Manager[T]{m}) }
+
+// smrCounters are the per-thread counters OA feeds, exported as oa_smr_*.
+var smrCounters = [...]obs.Counter{obs.Allocs, obs.Retires, obs.Recycled,
+	obs.ReRetired, obs.Restarts, obs.DrainPasses, obs.HPPublishes}
+
+// RegisterShards registers the live metric sources of ms — the shards of
+// one keyspace, each its own manager — with reg. Each oa_smr_* counter has
+// one series per thread context (label thread), summing context i over
+// the shards. The phase-pause histogram and the gauges sampled from the
+// arena, the block pools and the phase state have one series per shard
+// (label shard). Every shard's trace ring joins the registry's trace.
+// Each family's consumer is in DESIGN.md §6's signal catalogue. Gauges
+// derived from counter pairs are approximate while writers run.
+func RegisterShards[T any](reg *obs.Registry, ms []*Manager[T]) {
+	threads := 0
+	for _, m := range ms {
+		threads = max(threads, m.stats.Threads())
+		reg.Trace(m.tracer)
+	}
+	for _, c := range smrCounters {
+		reg.CounterVec("oa_smr_"+c.String()+"_total", "per-thread "+c.String()+" counter, summed over shards",
+			"thread", threads, func(i int) uint64 {
+				var n uint64
+				for _, m := range ms {
+					if i < m.stats.Threads() {
+						n += m.stats.At(i).Load(c)
+					}
+				}
+				return n
+			})
+	}
+	reg.HistogramVec("oa_phase_pause_seconds",
+		"duration of Recycling calls (Algorithm 6 reclamation pauses)",
+		"shard", len(ms), func(i int) *obs.Histogram { return &ms[i].phaseHst })
+	gauge := func(name, help string, fn func(m *Manager[T]) float64) {
+		reg.GaugeVec(name, help, "shard", len(ms), func(i int) float64 { return fn(ms[i]) })
+	}
+	gauge("oa_phase", "completed reclamation phase swaps",
+		func(m *Manager[T]) float64 { return float64(m.Phase() / 2) })
+	gauge("oa_retired_backlog_slots",
 		"retired slots not yet recycled (retires - recycled, approximate)",
-		func() float64 { return float64(m.Backlog()) })
-	reg.Gauge("oa_arena_slots_reserved", "node slots handed out by the arena",
-		func() float64 { return float64(m.nodes.Limit()) })
-	reg.Gauge("oa_arena_slots_capacity", "node slots backed by arena chunks",
-		func() float64 { return float64(m.nodes.Cap()) })
-	reg.Gauge("oa_retire_pool_frozen",
+		func(m *Manager[T]) float64 { return float64(m.Backlog()) })
+	gauge("oa_arena_slots_reserved", "node slots handed out by the arena",
+		func(m *Manager[T]) float64 { return float64(m.nodes.Limit()) })
+	gauge("oa_arena_slots_capacity", "node slots backed by arena chunks",
+		func(m *Manager[T]) float64 { return float64(m.nodes.Cap()) })
+	gauge("oa_retire_pool_frozen",
 		"1 while the retire pool's version is odd (phase swap in flight)",
-		func() float64 {
+		func(m *Manager[T]) float64 {
 			if m.RetireFrozen() {
 				return 1
 			}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -99,6 +100,25 @@ func checkMetrics(t *testing.T, cmd, base string) {
 	}
 }
 
+// samples scrapes base's /metrics and returns family's samples, keyed by
+// their label set ("" when unlabelled).
+func samples(t *testing.T, base, family string) map[string]float64 {
+	t.Helper()
+	out := map[string]float64{}
+	for _, line := range strings.Split(string(get(t, base+"/metrics")), "\n") {
+		m := sampleLine.FindStringSubmatch(line)
+		if m == nil || m[1] != family {
+			continue
+		}
+		v, err := strconv.ParseFloat(m[3], 64)
+		if err != nil {
+			t.Fatalf("/metrics sample %q: %v", line, err)
+		}
+		out[m[2]] = v
+	}
+	return out
+}
+
 // traceKinds holds data to the Chrome trace_event shape chrome://tracing
 // and Perfetto load — well-formed instant events in timestamp order — and
 // returns how many events of each kind it carries.
@@ -178,9 +198,11 @@ func TestObservability(t *testing.T) {
 	})
 
 	// oaserver: -debug mounts the registry's routes, -slow-threshold
-	// reaches the slow log, the flight recorder runs by default.
+	// reaches the slow log, the flight recorder runs by default, and the
+	// SMR families cover every shard: the two shards' reserved arena slots
+	// add up to -capacity, each shard holding its half.
 	t.Run("oaserver", func(t *testing.T) {
-		s := serve(t, "-debug", "127.0.0.1:0", "-threads", "8", "-capacity", "65536", "-slow-threshold", "1ns")
+		s := serve(t, "-debug", "127.0.0.1:0", "-threads", "8", "-shards", "2", "-capacity", "65536", "-slow-threshold", "1ns")
 		c, err := server.Dial(s.addr, 16)
 		if err != nil {
 			t.Fatal(err)
@@ -199,6 +221,10 @@ func TestObservability(t *testing.T) {
 		}
 		c.Close()
 		checkMetrics(t, "oaserver", s.debug)
+		reserved := samples(t, s.debug, "oa_arena_slots_reserved")
+		if len(reserved) != 2 || reserved[`{shard="0"}`] != 32768 || reserved[`{shard="1"}`] != 32768 {
+			t.Errorf("oa_arena_slots_reserved series %v, want 32768 on each of shards 0 and 1 (-capacity 65536)", reserved)
+		}
 
 		var slow struct {
 			ThresholdNs int64             `json:"threshold_ns"`

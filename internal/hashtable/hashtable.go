@@ -7,8 +7,10 @@
 // (HP's fences) matter less (Figure 1, "Hash").
 //
 // The bucket count is fixed at construction (sized from the expected
-// element count and load factor), as in the paper's benchmark. Each bucket
-// owns a sentinel head node that is never retired.
+// element count and load factor), as in the paper's benchmark. The buckets
+// are Michael's array of list-head words (oakit.Buckets): a bucket is one
+// word holding its first node's handle, not a node, so the configured
+// Capacity is all entry nodes.
 //
 // An Anchors hash table is intentionally absent: the paper does not
 // implement one because bucket lists average under one node, where anchors'
@@ -18,49 +20,29 @@ package hashtable
 import (
 	"repro/internal/core"
 	"repro/internal/list"
+	"repro/internal/oakit"
 	"repro/internal/obs"
 	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
-// DefaultLoadFactor is the paper's benchmark load factor.
-const DefaultLoadFactor = 0.75
-
-// Buckets returns the bucket count for an expected size at a load factor,
-// rounded up to a power of two so that indexing is a mask.
-func Buckets(expected int, loadFactor float64) int {
-	if loadFactor <= 0 {
-		loadFactor = DefaultLoadFactor
-	}
-	want := int(float64(expected)/loadFactor) + 1
-	b := 1
-	for b < want {
-		b <<= 1
-	}
-	return b
-}
-
-// Table is the hash table on list engine E: one engine, one sentinel head
-// per bucket.
+// Table is the hash table on list engine E: one engine, one root word per
+// bucket.
 type Table[E list.Engine] struct {
-	e     E
-	heads []uint32
-	mask  uint32
+	e       E
+	buckets oakit.Buckets
 }
 
-// newTable allocates the bucket sentinels of a table for expected
-// elements; the engine's capacity must already include them.
+// newTable builds a table for expected elements on engine e.
 func newTable[E list.Engine](e E, expected int) *Table[E] {
-	h := &Table[E]{e: e, heads: make([]uint32, Buckets(expected, DefaultLoadFactor))}
-	h.mask = uint32(len(h.heads) - 1)
-	for i := range h.heads {
-		h.heads[i] = e.NewHead()
-	}
-	return h
+	return &Table[E]{e: e, buckets: oakit.NewBuckets(expected)}
 }
 
 // Engine exposes the underlying list engine.
 func (h *Table[E]) Engine() E { return h.e }
+
+// Buckets returns the bucket count.
+func (h *Table[E]) Buckets() int { return len(h.buckets) }
 
 // Scheme implements smr.Set.
 func (h *Table[E]) Scheme() smr.Scheme { return h.e.Scheme() }
@@ -73,28 +55,21 @@ func (h *Table[E]) RegisterObs(reg *obs.Registry) { h.e.RegisterObs(reg) }
 
 // Session implements smr.Set.
 func (h *Table[E]) Session(tid int) smr.Session {
-	return &session{t: h.e.Thread(tid), heads: h.heads, mask: h.mask}
+	return &session{t: h.e.Thread(tid), buckets: h.buckets}
 }
 
-// session routes a key to its bucket and runs the engine's head-relative
+// session routes a key to its bucket and runs the engine's root-relative
 // operation there: one dispatch per operation, whatever the scheme.
 type session struct {
-	t     list.Thread
-	heads []uint32
-	mask  uint32
+	t       list.Thread
+	buckets oakit.Buckets
 }
 
-// head is Fibonacci multiplicative hashing onto the bucket mask.
-func (s *session) head(key uint64) uint32 {
-	return s.heads[uint32((key*0x9E3779B97F4A7C15)>>33)&s.mask]
-}
+func (s *session) Insert(key uint64) bool   { return s.t.InsertAt(s.buckets.Root(key), key) }
+func (s *session) Delete(key uint64) bool   { return s.t.DeleteAt(s.buckets.Root(key), key) }
+func (s *session) Contains(key uint64) bool { return s.t.ContainsAt(s.buckets.Root(key), key) }
 
-func (s *session) Insert(key uint64) bool   { return s.t.InsertAt(s.head(key), key) }
-func (s *session) Delete(key uint64) bool   { return s.t.DeleteAt(s.head(key), key) }
-func (s *session) Contains(key uint64) bool { return s.t.ContainsAt(s.head(key), key) }
-
-// The two tables. Each constructor adds the bucket sentinels to the
-// capacity, so the configured Capacity is the live set plus δ.
+// The two tables.
 type (
 	// OA is the hash table under optimistic access.
 	OA = Table[*list.OAEngine]
@@ -105,7 +80,6 @@ type (
 
 // NewOA builds a table with expected elements.
 func NewOA(cfg core.Config, expected int) *OA {
-	cfg.Capacity += Buckets(expected, DefaultLoadFactor)
 	return newTable(list.NewOAEngine(cfg), expected)
 }
 
@@ -117,7 +91,6 @@ func NewGuarded(sc smr.Scheme, c sizing.Config, expected int) (*Guarded, error) 
 	default:
 		return nil, sizing.Unsupported("hash table", sc)
 	}
-	c.Capacity += Buckets(expected, DefaultLoadFactor)
 	e, err := list.NewGuardedEngine(sc, c)
 	if err != nil {
 		return nil, err

@@ -57,23 +57,21 @@ func TestHashStats(t *testing.T) {
 	}
 }
 
+// TestBucketsSizing: a table's bucket count is the expected size over the
+// paper's load factor of 0.75, rounded up to a power of two.
 func TestBucketsSizing(t *testing.T) {
-	cases := []struct {
-		expected int
-		lf       float64
-		min      int
-	}{
-		{10000, 0.75, 13334},
-		{1, 0.75, 2},
-		{100, 0, 134}, // 0 → default load factor
+	cases := []struct{ expected, min int }{
+		{10000, 13334},
+		{1, 2},
+		{100, 134},
 	}
 	for _, c := range cases {
-		got := hashtable.Buckets(c.expected, c.lf)
+		got := hashtable.NewOA(core.Config{MaxThreads: 1, Capacity: 64}, c.expected).Buckets()
 		if got < c.min {
-			t.Fatalf("Buckets(%d, %v) = %d, want >= %d", c.expected, c.lf, got, c.min)
+			t.Fatalf("expected %d: %d buckets, want >= %d", c.expected, got, c.min)
 		}
 		if got&(got-1) != 0 {
-			t.Fatalf("Buckets(%d, %v) = %d, not a power of two", c.expected, c.lf, got)
+			t.Fatalf("expected %d: %d buckets, not a power of two", c.expected, got)
 		}
 	}
 }

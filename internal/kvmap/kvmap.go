@@ -58,33 +58,19 @@ func ResetNode(n *Node) {
 
 // Map is a lock-free hash map of uint64→uint64 under optimistic access.
 type Map struct {
-	kit   *oakit.Engine[Node]
-	heads []uint32
-	mask  uint32
+	kit     *oakit.Engine[Node]
+	buckets oakit.Buckets
 	// sessions holds the one Session of each thread context, a view of
 	// the kit's cached context (which keeps the pending pre-allocated
 	// node across lease churn).
 	sessions []*Session
 }
 
-// loadFactor matches the paper's hash benchmarks.
-const loadFactor = 0.75
-
 // New builds a map sized for expected entries. cfg.Capacity is the node
-// budget (live entries + reclamation slack δ); bucket sentinels are added
-// on top automatically.
+// budget (live entries + reclamation slack δ); the buckets are root words
+// beside the arena (oakit.Buckets), not nodes in it.
 func New(cfg core.Config, expected int) *Map {
-	want := int(float64(expected)/loadFactor) + 1
-	n := 1
-	for n < want {
-		n <<= 1
-	}
-	cfg.Capacity += n
-	m := &Map{kit: oakit.NewChain(cfg, ResetNode), mask: uint32(n - 1)}
-	m.heads = make([]uint32, n)
-	for i := range m.heads {
-		m.heads[i] = m.kit.NewRoot()
-	}
+	m := &Map{kit: oakit.NewChain(cfg, ResetNode), buckets: oakit.NewBuckets(expected)}
 	m.sessions = make([]*Session, m.kit.Manager().MaxThreads())
 	for i := range m.sessions {
 		m.sessions[i] = &Session{m: m, c: m.kit.Ctx(i)}
@@ -99,11 +85,7 @@ func (m *Map) Manager() *core.Manager[Node] { return m.kit.Manager() }
 func (m *Map) Stats() smr.Stats { return m.kit.Stats() }
 
 // Buckets returns the bucket count (for WalkBucket sweeps).
-func (m *Map) Buckets() int { return len(m.heads) }
-
-func (m *Map) bucket(key uint64) uint32 {
-	return m.heads[uint32((key*0x9E3779B97F4A7C15)>>33)&m.mask]
-}
+func (m *Map) Buckets() int { return len(m.buckets) }
 
 // Session binds the map to worker tid; one session per goroutine.
 //
@@ -160,13 +142,10 @@ func (s *Session) Get(key uint64) (uint64, bool) {
 // some instant during the call (Algorithm 1).
 func (s *Session) GetWithAux(key uint64) (val, aux uint64, ok bool) {
 	th := s.c.Th
-	head := s.m.bucket(key)
+	root := s.m.buckets.Root(key)
 restart:
 	for {
-		cur := arena.Ptr(th.Node(head).Next.Load())
-		if th.Check() {
-			continue restart
-		}
+		cur := arena.Ptr(root.Load())
 		for !cur.IsNil() {
 			n := th.Node(cur.Unmark().Slot())
 			next := arena.Ptr(n.Next.Load())
@@ -196,7 +175,7 @@ func (s *Session) PutIfAbsent(key, val uint64) bool { return s.PutIfAbsentWithAu
 // before it is linked (the node is private until the linking CAS, so the
 // value/aux pair publishes atomically with the insert).
 func (s *Session) PutIfAbsentWithAux(key, val, aux uint64) bool {
-	return oakit.Insert(s.c, s.m.bucket(key), key, func(n *Node) {
+	return oakit.Insert(s.c, s.m.buckets.Root(key), key, func(n *Node) {
 		n.V.Val.Store(val)
 		n.V.Aux.Store(aux)
 	})
@@ -207,10 +186,10 @@ func (s *Session) PutIfAbsentWithAux(key, val, aux uint64) bool {
 // word untouched; a fresh insert zeroes it.
 func (s *Session) Put(key, val uint64) (uint64, bool) {
 	th := s.c.Th
-	head := s.m.bucket(key)
+	root := s.m.buckets.Root(key)
 	for {
 		// --- CAS generator ---
-		pos, restart := oakit.Find(s.c, head, key)
+		pos, restart := oakit.Find(s.c, root, key)
 		if restart {
 			continue
 		}
@@ -234,8 +213,8 @@ func (s *Session) Put(key, val uint64) (uint64, bool) {
 		n.V.Val.Store(val)
 		n.V.Aux.Store(0)
 		n.Next.Store(uint64(pos.Cur))
-		if !s.c.Commit(&th.Node(pos.Prev).Next, uint64(pos.Cur), uint64(arena.MakePtr(slot)),
-			arena.MakePtr(pos.Prev), pos.Cur, arena.MakePtr(slot)) {
+		if !s.c.Commit(oakit.Link(s.c, root, pos.Prev), uint64(pos.Cur), uint64(arena.MakePtr(slot)),
+			pos.Prev, pos.Cur, arena.MakePtr(slot)) {
 			continue
 		}
 		s.c.ConsumePending()
@@ -262,9 +241,9 @@ func (s *Session) AuxCAS(key, old, new uint64) (swapped, found bool) {
 
 func (s *Session) casWord(key, old, new uint64, aux bool) (swapped, found bool) {
 	th := s.c.Th
-	head := s.m.bucket(key)
+	root := s.m.buckets.Root(key)
 	for {
-		pos, restart := oakit.Find(s.c, head, key)
+		pos, restart := oakit.Find(s.c, root, key)
 		if restart {
 			continue
 		}
@@ -297,7 +276,8 @@ func (s *Session) casWord(key, old, new uint64, aux bool) (swapped, found bool) 
 
 // Remove deletes key, returning the removed value and whether key existed.
 func (s *Session) Remove(key uint64) (uint64, bool) {
-	pos, ok := oakit.Mark(s.c, s.m.bucket(key), key, nil)
+	root := s.m.buckets.Root(key)
+	pos, ok := oakit.Mark(s.c, root, key, nil)
 	if !ok {
 		return 0, false
 	}
@@ -306,7 +286,7 @@ func (s *Session) Remove(key uint64) (uint64, bool) {
 	// between the generator's read and the mark linearizes before this
 	// Remove, so the post-mark value is the one removed.
 	val := s.c.Node(pos.Cur.Slot()).V.Val.Load()
-	oakit.UnlinkMarked(s.c, pos)
+	oakit.UnlinkMarked(s.c, root, pos)
 	return val, true
 }
 
@@ -317,7 +297,7 @@ func (s *Session) Remove(key uint64) (uint64, bool) {
 // whose aux was CASed away from the matching state) is never removed by
 // a stale decision. Reports whether the removal happened.
 func (s *Session) RemoveIfAux(key, mask, want uint64) bool {
-	return oakit.DeleteIf(s.c, s.m.bucket(key), key, func(n *Node) bool {
+	return oakit.DeleteIf(s.c, s.m.buckets.Root(key), key, func(n *Node) bool {
 		return n.V.Aux.Load()&mask == want
 	})
 }
@@ -330,13 +310,10 @@ func (s *Session) RemoveIfAux(key, mask, want uint64) bool {
 // samplers — the intended callers — tolerate both.
 func (s *Session) WalkBucket(b int, fn func(key, val, aux uint64) bool) {
 	th := s.c.Th
-	head := s.m.heads[b]
+	root := &s.m.buckets[b]
 restart:
 	for {
-		cur := arena.Ptr(th.Node(head).Next.Load())
-		if th.Check() {
-			continue restart
-		}
+		cur := arena.Ptr(root.Load())
 		for !cur.IsNil() {
 			n := th.Node(cur.Unmark().Slot())
 			next := arena.Ptr(n.Next.Load())

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/smr"
 )
 
@@ -112,6 +113,17 @@ func (s *Sharded) Close() {
 	for _, m := range s.maps {
 		m.Close()
 	}
+}
+
+// RegisterObs registers every shard's reclamation families with reg
+// (core.RegisterShards: a shard label on the gauges and the pause
+// histogram, per-thread counters summed over the shards).
+func (s *Sharded) RegisterObs(reg *obs.Registry) {
+	ms := make([]*core.Manager[Node], len(s.maps))
+	for i, m := range s.maps {
+		ms[i] = m.Manager()
+	}
+	core.RegisterShards(reg, ms)
 }
 
 // Stats returns per-shard reclamation counters, indexed by shard.

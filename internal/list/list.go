@@ -6,17 +6,19 @@
 //	GuardedEngine — the original algorithm (plain.go) under NoRecl, EBR,
 //	                HP or Anchors, driven by a per-thread guard (package guard)
 //
-// Engines expose head-relative operations (InsertAt/DeleteAt/ContainsAt) so
+// Engines expose root-relative operations (InsertAt/DeleteAt/ContainsAt) so
 // the hash table can run one engine across many bucket lists; Set binds an
-// engine to a single head and implements smr.Set.
+// engine to a single root and implements smr.Set.
 //
-// The list is an ordered set of uint64 keys. Each bucket/list starts with a
-// sentinel head node that is never marked, never retired and never
-// reclaimed — so traversals may read it without protection (Appendix E,
-// optimization 1).
+// The list is an ordered set of uint64 keys. A list starts at a root word
+// holding the first node's arena.Ptr, as in Michael's bucket array: a
+// root is not a node, so it is never marked, retired or reclaimed, and
+// traversals read it without protection (Appendix E, optimization 1).
 package list
 
 import (
+	"sync/atomic"
+
 	"repro/internal/oakit"
 	"repro/internal/obs"
 	"repro/internal/sizing"
@@ -37,19 +39,16 @@ func ResetNode(n *Node) {
 }
 
 // Thread is a per-worker handle of an engine: the set operations relative
-// to a head sentinel.
+// to a list's root word.
 type Thread interface {
-	InsertAt(head uint32, key uint64) bool
-	DeleteAt(head uint32, key uint64) bool
-	ContainsAt(head uint32, key uint64) bool
+	InsertAt(root *atomic.Uint64, key uint64) bool
+	DeleteAt(root *atomic.Uint64, key uint64) bool
+	ContainsAt(root *atomic.Uint64, key uint64) bool
 }
 
 // Engine is what the two list engines have in common: one scheme manager
-// shared by any number of heads.
+// shared by any number of roots.
 type Engine interface {
-	// NewHead allocates a sentinel head for a new (empty) list. Called
-	// during single-threaded setup; it borrows thread context 0.
-	NewHead() uint32
 	// Thread binds worker id to the engine.
 	Thread(id int) Thread
 	Scheme() smr.Scheme
@@ -60,10 +59,8 @@ type Engine interface {
 // Set is a single linked-list set on engine E.
 type Set[E Engine] struct {
 	e    E
-	head uint32
+	root atomic.Uint64
 }
-
-func newSet[E Engine](e E) *Set[E] { return &Set[E]{e: e, head: e.NewHead()} }
 
 // Engine exposes the underlying engine (stats, manager).
 func (l *Set[E]) Engine() E { return l.e }
@@ -78,16 +75,16 @@ func (l *Set[E]) Stats() smr.Stats { return l.e.Stats() }
 func (l *Set[E]) RegisterObs(reg *obs.Registry) { l.e.RegisterObs(reg) }
 
 // Session implements smr.Set.
-func (l *Set[E]) Session(tid int) smr.Session { return &session{t: l.e.Thread(tid), head: l.head} }
+func (l *Set[E]) Session(tid int) smr.Session { return &session{t: l.e.Thread(tid), root: &l.root} }
 
 type session struct {
 	t    Thread
-	head uint32
+	root *atomic.Uint64
 }
 
-func (s *session) Insert(key uint64) bool   { return s.t.InsertAt(s.head, key) }
-func (s *session) Delete(key uint64) bool   { return s.t.DeleteAt(s.head, key) }
-func (s *session) Contains(key uint64) bool { return s.t.ContainsAt(s.head, key) }
+func (s *session) Insert(key uint64) bool   { return s.t.InsertAt(s.root, key) }
+func (s *session) Delete(key uint64) bool   { return s.t.DeleteAt(s.root, key) }
+func (s *session) Contains(key uint64) bool { return s.t.ContainsAt(s.root, key) }
 
 // New builds an empty list under scheme sc.
 func New(sc smr.Scheme, c sizing.Config) (smr.Set, error) {
@@ -98,5 +95,5 @@ func New(sc smr.Scheme, c sizing.Config) (smr.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newSet(e), nil
+	return &Set[*GuardedEngine]{e: e}, nil
 }

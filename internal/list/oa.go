@@ -1,6 +1,8 @@
 package list
 
 import (
+	"sync/atomic"
+
 	"repro/internal/core"
 	"repro/internal/oakit"
 	"repro/internal/obs"
@@ -9,7 +11,7 @@ import (
 
 // OAEngine runs Harris-Michael lists under the optimistic access scheme:
 // it is the kit's chain (oakit.Find/Contains/Insert/Delete) over nodes
-// with no payload, exposed head-relative for the hash table.
+// with no payload, exposed root-relative for the hash table.
 type OAEngine struct {
 	kit *oakit.Engine[Node]
 }
@@ -21,9 +23,6 @@ func NewOAEngine(cfg core.Config) *OAEngine {
 
 // Manager exposes the underlying optimistic access manager.
 func (e *OAEngine) Manager() *core.Manager[Node] { return e.kit.Manager() }
-
-// NewHead implements Engine.
-func (e *OAEngine) NewHead() uint32 { return e.kit.NewRoot() }
 
 // Scheme implements Engine.
 func (e *OAEngine) Scheme() smr.Scheme { return smr.OA }
@@ -43,16 +42,20 @@ type OAThread struct {
 // insert slot) are cached per id in the kit engine.
 func (e *OAEngine) Thread(id int) Thread { return OAThread{c: e.kit.Ctx(id)} }
 
-// ContainsAt reports whether key is in the list rooted at head.
-func (t OAThread) ContainsAt(head uint32, key uint64) bool { return oakit.Contains(t.c, head, key) }
-
-// InsertAt adds key to the list rooted at head; false if already present.
-func (t OAThread) InsertAt(head uint32, key uint64) bool {
-	return oakit.Insert(t.c, head, key, nil)
+// ContainsAt reports whether key is in the list at root.
+func (t OAThread) ContainsAt(root *atomic.Uint64, key uint64) bool {
+	return oakit.Contains(t.c, root, key)
 }
 
-// DeleteAt removes key from the list rooted at head; false if absent.
-func (t OAThread) DeleteAt(head uint32, key uint64) bool { return oakit.Delete(t.c, head, key) }
+// InsertAt adds key to the list at root; false if already present.
+func (t OAThread) InsertAt(root *atomic.Uint64, key uint64) bool {
+	return oakit.Insert(t.c, root, key, nil)
+}
+
+// DeleteAt removes key from the list at root; false if absent.
+func (t OAThread) DeleteAt(root *atomic.Uint64, key uint64) bool {
+	return oakit.Delete(t.c, root, key)
+}
 
 // OA is a single linked-list set under optimistic access: the kit's list.
 type OA = oakit.List[struct{}]

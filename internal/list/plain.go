@@ -39,12 +39,6 @@ func NewGuardedEngine(sc smr.Scheme, c sizing.Config) (*GuardedEngine, error) {
 
 func nextWord(n *Node) *atomic.Uint64 { return &n.Next }
 
-// NewHead implements Engine.
-func (e *GuardedEngine) NewHead() uint32 {
-	g := e.Guard(0)
-	return g.Alloc()
-}
-
 // Thread implements Engine.
 func (e *GuardedEngine) Thread(id int) Thread {
 	return &guardedThread{g: e.Guard(id), pending: arena.NoSlot}
@@ -57,24 +51,24 @@ type guardedThread struct {
 }
 
 // search is Michael's find: it positions on the first unmarked node with
-// key ≥ key, helping to physically delete marked nodes on the way. On
-// return with ok, HP's hpPrev protects prevSlot (unless it is the head
-// sentinel) and hpCur protects cur; the caller may CAS on them until the
-// guard ends the operation.
-func (t *guardedThread) search(head uint32, key uint64) (prevSlot uint32, cur, next arena.Ptr, ckey uint64, ok bool) {
+// key ≥ key, helping to physically delete marked nodes on the way, and
+// returns the word that links cur in — root, or its predecessor's next
+// word. On return with ok, HP's hpPrev protects that predecessor (nil when
+// it is the root word, which is never reclaimed) and hpCur protects cur;
+// the caller may CAS on them until the guard ends the operation.
+func (t *guardedThread) search(root *atomic.Uint64, key uint64) (link *atomic.Uint64, cur, next arena.Ptr, ckey uint64, ok bool) {
 	g := t.g
 	v := &g.View
 restart:
 	for {
-		prevSlot = head
-		prev := v.At(head)
+		link = root
 		g.Protect(hpPrev, arena.NilPtr)
-		cur = arena.Ptr(prev.Next.Load())
+		cur = arena.Ptr(link.Load())
 		for {
 			if cur.IsNil() {
-				return prevSlot, cur, 0, 0, false
+				return link, cur, 0, 0, false
 			}
-			if !g.Validate(hpCur, cur, &prev.Next, cur) || !g.Visit(cur, &prev.Next) {
+			if !g.Validate(hpCur, cur, link, cur) || !g.Visit(cur, link) {
 				g.Restart()
 				continue restart
 			}
@@ -85,17 +79,17 @@ restart:
 				continue restart
 			}
 			ckey = n.Key.Load()
-			if arena.Ptr(prev.Next.Load()) != cur {
+			if arena.Ptr(link.Load()) != cur {
 				g.Restart()
 				continue restart
 			}
 			if !next.Marked() {
 				if ckey >= key {
-					return prevSlot, cur, next, ckey, true
+					return link, cur, next, ckey, true
 				}
-				prevSlot, prev = cur.Slot(), n
+				link = &n.Next
 				g.Protect(hpPrev, cur)
-			} else if prev.Next.CompareAndSwap(uint64(cur), uint64(next.Unmark())) {
+			} else if link.CompareAndSwap(uint64(cur), uint64(next.Unmark())) {
 				// Help the physical delete; the unlinker retires.
 				g.Retire(cur.Slot())
 			} else {
@@ -111,10 +105,10 @@ restart:
 // loads that step over marked nodes without helping. HP cannot run it (see
 // package guard), so under HP it runs search, and even the read-only
 // operation pays the full protect/validate protocol.
-func (t *guardedThread) ContainsAt(head uint32, key uint64) bool {
+func (t *guardedThread) ContainsAt(root *atomic.Uint64, key uint64) bool {
 	g := t.g
 	if g.HP() {
-		_, _, next, ckey, ok := t.search(head, key)
+		_, _, next, ckey, ok := t.search(root, key)
 		g.End()
 		return ok && ckey == key && !next.Marked()
 	}
@@ -123,10 +117,10 @@ func (t *guardedThread) ContainsAt(head uint32, key uint64) bool {
 	found := false
 restart:
 	for {
-		prev := v.At(head)
-		cur := arena.Ptr(prev.Next.Load())
+		link := root
+		cur := arena.Ptr(link.Load())
 		for !cur.IsNil() {
-			if !g.Visit(cur, &prev.Next) {
+			if !g.Visit(cur, link) {
 				continue restart
 			}
 			n := v.At(cur.Unmark().Slot())
@@ -136,7 +130,7 @@ restart:
 				found = ckey == key && !next.Marked()
 				break restart
 			}
-			prev = n
+			link = &n.Next
 			cur = next.Unmark()
 		}
 		break
@@ -146,12 +140,12 @@ restart:
 }
 
 // InsertAt adds key; false if present.
-func (t *guardedThread) InsertAt(head uint32, key uint64) bool {
+func (t *guardedThread) InsertAt(root *atomic.Uint64, key uint64) bool {
 	g := t.g
 	v := &g.View
 	g.Begin()
 	for {
-		prevSlot, cur, _, ckey, ok := t.search(head, key)
+		link, cur, _, ckey, ok := t.search(root, key)
 		if ok && ckey == key {
 			g.End()
 			return false
@@ -162,7 +156,7 @@ func (t *guardedThread) InsertAt(head uint32, key uint64) bool {
 		n := v.At(t.pending)
 		n.Key.Store(key)
 		n.Next.Store(uint64(cur))
-		if v.At(prevSlot).Next.CompareAndSwap(uint64(cur), uint64(arena.MakePtr(t.pending))) {
+		if link.CompareAndSwap(uint64(cur), uint64(arena.MakePtr(t.pending))) {
 			t.pending = arena.NoSlot
 			g.End()
 			return true
@@ -174,12 +168,12 @@ func (t *guardedThread) InsertAt(head uint32, key uint64) bool {
 // DeleteAt removes key; false if absent. The logical delete marks the
 // node; the physical delete is attempted once and otherwise left to later
 // searches (Michael's algorithm).
-func (t *guardedThread) DeleteAt(head uint32, key uint64) bool {
+func (t *guardedThread) DeleteAt(root *atomic.Uint64, key uint64) bool {
 	g := t.g
 	v := &g.View
 	g.Begin()
 	for {
-		prevSlot, cur, next, ckey, ok := t.search(head, key)
+		link, cur, next, ckey, ok := t.search(root, key)
 		if !ok || ckey != key {
 			g.End()
 			return false
@@ -188,7 +182,7 @@ func (t *guardedThread) DeleteAt(head uint32, key uint64) bool {
 			g.Restart()
 			continue
 		}
-		if v.At(prevSlot).Next.CompareAndSwap(uint64(cur), uint64(next)) {
+		if link.CompareAndSwap(uint64(cur), uint64(next)) {
 			g.Retire(cur.Slot())
 		}
 		g.End()

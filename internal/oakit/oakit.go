@@ -54,8 +54,10 @@ import (
 
 // Engine owns one OA universe for a structure of T-nodes: the manager
 // (arena, session registry, reclamation phases) and the cached
-// per-context sessions. Several roots (bucket heads, queue sentinels)
-// may share one engine.
+// per-context sessions. Any number of roots may share one engine: a
+// chain's root is a word outside the arena (a list's root, a bucket of
+// Buckets), and structures that keep sentinel nodes (the skip list's
+// head, the queues' dummy nodes) allocate them with NewRoot.
 type Engine[T any] struct {
 	mgr  *core.Manager[T]
 	ctxs []*Ctx[T]
@@ -79,8 +81,9 @@ func NewEngine[T any](cfg core.Config, reset func(*T), ownerHPs int) *Engine[T] 
 // Manager exposes the underlying optimistic access manager.
 func (e *Engine[T]) Manager() *core.Manager[T] { return e.mgr }
 
-// NewRoot allocates a structure root (sentinel) during single-threaded
-// setup; roots are never retired. It borrows thread context 0.
+// NewRoot allocates a sentinel node during single-threaded setup: the
+// skip list's head, an MS-queue's first dummy node. It borrows thread
+// context 0.
 func (e *Engine[T]) NewRoot() uint32 { return e.mgr.Thread(0).Alloc() }
 
 // Ctx returns the cached session for thread context tid. Sessions are

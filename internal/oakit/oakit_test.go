@@ -48,13 +48,13 @@ func TestGenericListConcurrentTight(t *testing.T) {
 func TestGenericListLinearizability(t *testing.T) { dstest.RunLinearizability(t, mkList(1<<16)) }
 func TestGenericListStats(t *testing.T)           { dstest.RunStats(t, mkList(1<<16), smr.OA) }
 
-func newEngine(t *testing.T, threads, capacity int) (*oakit.Engine[tnode], uint32) {
+func newEngine(t *testing.T, threads, capacity int) (*oakit.Engine[tnode], *atomic.Uint64) {
 	t.Helper()
 	e := oakit.NewEngine(core.Config{
 		MaxThreads: threads, Capacity: capacity, LocalPool: 16,
 	}, resetTNode, 3)
 	t.Cleanup(e.Close)
-	return e, e.NewRoot()
+	return e, new(atomic.Uint64)
 }
 
 // TestPendingLifecycle pins the pre-allocated insert slot contract: the
@@ -74,20 +74,25 @@ func TestPendingLifecycle(t *testing.T) {
 }
 
 // TestInsertInitPublishes checks init-filled payload words are visible
-// atomically with the insert, and that DeleteIf's predicate gates the
-// delete on the node's current payload.
+// atomically with an insert into an empty chain, and that DeleteIf's
+// predicate gates the delete on the node's current payload.
 func TestInsertInitPublishes(t *testing.T) {
-	e, head := newEngine(t, 1, 4096)
+	e, root := newEngine(t, 1, 4096)
 	c := e.Ctx(0)
-	if !oakit.Insert(c, head, 10, func(n *tnode) { n.V.val.Store(111) }) {
+	if !oakit.Insert(c, root, 10, func(n *tnode) { n.V.val.Store(111) }) {
 		t.Fatal("fresh insert failed")
 	}
-	if oakit.Insert(c, head, 10, nil) {
+	if oakit.Insert(c, root, 10, nil) {
 		t.Fatal("duplicate insert succeeded")
 	}
-	pos, restart := oakit.Find(c, head, uint64(10))
+	pos, restart := oakit.Find(c, root, uint64(10))
 	if restart || !pos.At(10) {
 		t.Fatalf("Find(10) = %+v restart=%v", pos, restart)
+	}
+	// The insert into the empty chain linked its node through the root
+	// word, with a nil successor.
+	if pos.Prev != arena.NilPtr || arena.Ptr(root.Load()) != pos.Cur || !pos.Next.IsNil() {
+		t.Fatalf("Find(10) = %+v with root word %v, want the root's only node", pos, arena.Ptr(root.Load()))
 	}
 	if v := c.Node(pos.Cur.Slot()).V.val.Load(); v != 111 {
 		t.Fatalf("payload = %d, want 111", v)
@@ -95,19 +100,19 @@ func TestInsertInitPublishes(t *testing.T) {
 
 	// Predicate sees the live payload; a non-matching value blocks the
 	// delete without disturbing the entry.
-	if oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.V.val.Load() == 999 }) {
+	if oakit.DeleteIf(c, root, 10, func(n *tnode) bool { return n.V.val.Load() == 999 }) {
 		t.Fatal("DeleteIf deleted on a false predicate")
 	}
-	if !oakit.Contains(c, head, uint64(10)) {
+	if !oakit.Contains(c, root, uint64(10)) {
 		t.Fatal("entry vanished after refused DeleteIf")
 	}
-	if !oakit.DeleteIf(c, head, 10, func(n *tnode) bool { return n.V.val.Load() == 111 }) {
+	if !oakit.DeleteIf(c, root, 10, func(n *tnode) bool { return n.V.val.Load() == 111 }) {
 		t.Fatal("DeleteIf refused a true predicate")
 	}
-	if oakit.Contains(c, head, uint64(10)) {
+	if oakit.Contains(c, root, uint64(10)) {
 		t.Fatal("entry alive after DeleteIf")
 	}
-	if oakit.DeleteIf(c, head, 10, func(*tnode) bool { return true }) {
+	if oakit.DeleteIf(c, root, 10, func(*tnode) bool { return true }) {
 		t.Fatal("DeleteIf deleted an absent key")
 	}
 }
@@ -115,14 +120,14 @@ func TestInsertInitPublishes(t *testing.T) {
 // TestWordCAS drives the in-place update primitive: a payload CAS under
 // the write barrier, with the usual restart-on-warning loop around it.
 func TestWordCAS(t *testing.T) {
-	e, head := newEngine(t, 1, 4096)
+	e, root := newEngine(t, 1, 4096)
 	c := e.Ctx(0)
-	if !oakit.Insert(c, head, 7, func(n *tnode) { n.V.val.Store(100) }) {
+	if !oakit.Insert(c, root, 7, func(n *tnode) { n.V.val.Store(100) }) {
 		t.Fatal("insert failed")
 	}
 	casVal := func(old, new uint64) bool {
 		for {
-			pos, restart := oakit.Find(c, head, uint64(7))
+			pos, restart := oakit.Find(c, root, uint64(7))
 			if restart {
 				continue
 			}
@@ -143,7 +148,7 @@ func TestWordCAS(t *testing.T) {
 	if casVal(100, 300) {
 		t.Fatal("CAS with stale expectation succeeded")
 	}
-	pos, _ := oakit.Find(c, head, uint64(7))
+	pos, _ := oakit.Find(c, root, uint64(7))
 	if v := c.Node(pos.Cur.Slot()).V.val.Load(); v != 200 {
 		t.Fatalf("payload = %d, want 200", v)
 	}
@@ -258,25 +263,31 @@ func TestCommitAll(t *testing.T) {
 // it just unlinked and retired — until Release clears every word, after
 // which the next phase recycles that node. Clearing belongs to Release,
 // not to FlushRetired or Quiesce: TestCommitAll's control withholds
-// nodes owned across a Quiesce.
+// nodes owned across a Quiesce. The deleted node is the chain's first, so
+// the unlink goes through the root word, and it is retired once.
 func TestReleaseClearsHazardPointers(t *testing.T) {
-	e, head := newEngine(t, 2, 4096)
+	e, root := newEngine(t, 2, 4096)
 	mgr := e.Manager()
 	c, err := e.Acquire()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !oakit.Insert(c, head, 1, nil) {
-		t.Fatal("insert failed")
+	for _, k := range []uint64{1, 2} {
+		if !oakit.Insert(c, root, k, nil) {
+			t.Fatalf("insert %d failed", k)
+		}
 	}
-	pos, restart := oakit.Find(c, head, uint64(1))
-	if restart || !pos.At(1) {
-		t.Fatalf("Find(1) = %+v restart=%v", pos, restart)
+	pos, restart := oakit.Find(c, root, uint64(1))
+	if restart || !pos.At(1) || pos.Prev != arena.NilPtr {
+		t.Fatalf("Find(1) = %+v restart=%v, want key 1 behind the root", pos, restart)
 	}
 	victim := pos.Cur.Slot()
 	gen := mgr.Arena().Gen(victim)
-	if !oakit.Delete(c, head, 1) {
+	if !oakit.Delete(c, root, 1) {
 		t.Fatal("delete failed")
+	}
+	if got := arena.Ptr(root.Load()); got != pos.Next {
+		t.Fatalf("root word %v after deleting the first node, want its successor %v", got, pos.Next)
 	}
 	if st := e.Stats(); st.Retires != 1 {
 		t.Fatalf("Delete retired %d nodes, want 1", st.Retires)
@@ -298,6 +309,46 @@ func TestReleaseClearsHazardPointers(t *testing.T) {
 	if mgr.Arena().Gen(victim) == gen {
 		t.Fatal("the node the released context last pinned was not recycled")
 	}
+	if st := e.Stats(); st.Retires != 1 {
+		t.Fatalf("%d retires in all, want 1", st.Retires)
+	}
+}
+
+// TestRootHelpingUnlink: a first node marked by a deleter that has not yet
+// unlinked it is snipped through the root word by another context's Find,
+// and retired exactly once: the deleter's own unlink, run afterwards,
+// loses its CAS and retires nothing.
+func TestRootHelpingUnlink(t *testing.T) {
+	e, root := newEngine(t, 2, 4096)
+	deleter, helper := e.Ctx(0), e.Ctx(1)
+	for _, k := range []uint64{1, 2} {
+		if !oakit.Insert(deleter, root, k, nil) {
+			t.Fatalf("insert %d failed", k)
+		}
+	}
+	pos, ok := oakit.Mark(deleter, root, 1, nil)
+	if !ok || pos.Prev != arena.NilPtr {
+		t.Fatalf("Mark(1) = %+v %v, want a win behind the root", pos, ok)
+	}
+	if got := arena.Ptr(root.Load()); got != pos.Cur {
+		t.Fatalf("root word %v after the mark alone, want the marked node %v", got, pos.Cur)
+	}
+	if hp, restart := oakit.Find(helper, root, 2); restart || !hp.At(2) || hp.Prev != arena.NilPtr {
+		t.Fatalf("helper Find(2) = %+v restart=%v, want key 2 behind the root", hp, restart)
+	}
+	if got := arena.Ptr(root.Load()); got != pos.Next {
+		t.Fatalf("root word %v after the helper's Find, want %v", got, pos.Next)
+	}
+	if st := e.Stats(); st.Retires != 1 {
+		t.Fatalf("the helping unlink retired %d nodes, want 1", st.Retires)
+	}
+	oakit.UnlinkMarked(deleter, root, pos)
+	if st := e.Stats(); st.Retires != 1 {
+		t.Fatalf("%d retires after the deleter's late unlink, want 1", st.Retires)
+	}
+	if oakit.Contains(helper, root, 1) || !oakit.Contains(helper, root, 2) {
+		t.Fatal("chain contents wrong after the helped delete")
+	}
 }
 
 // TestHelpingRetires checks the logical-delete → helping-unlink → retire
@@ -306,17 +357,17 @@ func TestReleaseClearsHazardPointers(t *testing.T) {
 // whose unlink CAS lost) are physically unlinked and retired by later
 // traversals, every one of them.
 func TestHelpingRetires(t *testing.T) {
-	e, head := newEngine(t, 1, 8192)
+	e, root := newEngine(t, 1, 8192)
 	c := e.Ctx(0)
 	const n = 500
 	for k := uint64(1); k <= n; k++ {
-		if !oakit.Insert(c, head, k, nil) {
+		if !oakit.Insert(c, root, k, nil) {
 			t.Fatalf("insert %d", k)
 		}
 	}
 	// Highest key first, so no Mark's search passes an already marked node.
 	for k := uint64(n); k >= 1; k-- {
-		if _, ok := oakit.Mark(c, head, k, nil); !ok {
+		if _, ok := oakit.Mark(c, root, k, nil); !ok {
 			t.Fatalf("mark %d", k)
 		}
 	}
@@ -326,7 +377,7 @@ func TestHelpingRetires(t *testing.T) {
 	// A traversal past the marked span helps-unlink all of it. Find with
 	// a key beyond every deleted one walks the whole chain.
 	for {
-		if _, restart := oakit.Find(c, head, uint64(n+1)); !restart {
+		if _, restart := oakit.Find(c, root, uint64(n+1)); !restart {
 			break
 		}
 	}
@@ -334,7 +385,7 @@ func TestHelpingRetires(t *testing.T) {
 		t.Fatalf("retired %d of %d deleted nodes", st.Retires, n)
 	}
 	for k := uint64(1); k <= n; k++ {
-		if oakit.Contains(c, head, k) {
+		if oakit.Contains(c, root, k) {
 			t.Fatalf("deleted key %d still visible", k)
 		}
 	}
@@ -354,18 +405,18 @@ func TestStuckReaderDuringSweep(t *testing.T) {
 		MaxThreads: 2, Capacity: 1024, LocalPool: 8,
 	}, resetTNode, 3)
 	t.Cleanup(e.Close)
-	head := e.NewRoot()
+	root := new(atomic.Uint64)
 	reader := e.Ctx(0)
 	churn := e.Ctx(1)
 
 	for k := uint64(1); k <= 100; k++ {
-		if !oakit.Insert(churn, head, k, func(n *tnode) { n.V.val.Store(k * 10) }) {
+		if !oakit.Insert(churn, root, k, func(n *tnode) { n.V.val.Store(k * 10) }) {
 			t.Fatalf("seed insert %d", k)
 		}
 	}
 	var pos oakit.Pos
 	for {
-		p, restart := oakit.Find(reader, head, uint64(50))
+		p, restart := oakit.Find(reader, root, uint64(50))
 		if !restart {
 			if !p.At(50) {
 				t.Fatalf("Find(50) = %+v", p)
@@ -379,14 +430,14 @@ func TestStuckReaderDuringSweep(t *testing.T) {
 	// arena hard enough that real phases recycle the swept slots.
 	before := e.Stats()
 	for k := uint64(1); k <= 100; k++ {
-		if !oakit.Delete(churn, head, k) {
+		if !oakit.Delete(churn, root, k) {
 			t.Fatalf("sweep delete %d", k)
 		}
 	}
 	for i := 0; i < 20000; i++ {
 		k := uint64(200 + i%300)
-		oakit.Insert(churn, head, k, nil)
-		oakit.Delete(churn, head, k)
+		oakit.Insert(churn, root, k, nil)
+		oakit.Delete(churn, root, k)
 	}
 	after := e.Stats()
 	if after.Recycled <= before.Recycled {
@@ -404,11 +455,11 @@ func TestStuckReaderDuringSweep(t *testing.T) {
 	if !reader.Check() {
 		t.Fatal("warning check missed the phases that recycled under the stuck reader")
 	}
-	if oakit.Contains(reader, head, uint64(50)) {
+	if oakit.Contains(reader, root, uint64(50)) {
 		t.Fatal("restarted traversal still sees the swept key")
 	}
 	for k := uint64(200); k < 500; k++ {
-		if oakit.Contains(reader, head, k) {
+		if oakit.Contains(reader, root, k) {
 			t.Fatalf("churn key %d leaked into the final state", k)
 		}
 	}

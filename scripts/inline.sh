@@ -13,7 +13,9 @@
 # arena.View.At, the one node lookup (the flat region, else the chunk
 # directory), which must inline at OA sites (oakit and the oa.go files)
 # and at guard sites (the plain.go files) alike; the drain's generation
-# bump, View.BumpGen, must inline too.
+# bump, View.BumpGen, must inline too. So must oakit.Link, which resolves a
+# chain predecessor's next word (or the root word) for every commit: it
+# sits a few units under the budget.
 #
 # The gate compiles the structure packages twice. With -gcflags=-m, the
 # compiler must report `inlining call to` for Check, Node and View.At, and
@@ -56,18 +58,19 @@ need "core.Thread.Check" 'core\.\(\*Thread\[.*\]\)\.Check'
 need "core.Thread.Node" 'core\.\(\*Thread\[.*\]\)\.Node'
 need "arena.View.At (OA)" 'arena\.\(\*View\[.*\]\)\.At' 'internal/(oakit/|[a-z]+/oa\.go)'
 need "arena.View.At (guard)" 'arena\.\(\*View\[.*\]\)\.At' 'internal/[a-z]+/plain\.go'
+need "oakit.Link" 'oakit\.Link\[.*\]'
 for h in $hooks; do
 	need "guard.Guard.$h" "guard\\.\\(\\*Guard\\[.*\\]\\)\\.$h"
 done
 
 # A CALL left behind by a call site that did not inline.
 calls=$(grep -E $'\tCALL\t' "$tmp/S" |
-	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.(At|BumpGen)\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
+	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.(At|BumpGen)\(SB\)|oakit\.Link\[.*\]\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
 if [ -n "$calls" ]; then
 	echo "inline: call sites that did not inline:" >&2
 	echo "$calls" | sed -E 's/^[^(]*\(([^)]*)\).*CALL\t/  \1: /; s/go\.shape\.[^]]*\]/…]/g' >&2
 	fail=1
 else
-	echo "inline: no CALL to Check, Node, View.At, View.BumpGen or a Guard hook"
+	echo "inline: no CALL to Check, Node, View.At, View.BumpGen, oakit.Link or a Guard hook"
 fi
 exit "$fail"
