@@ -77,16 +77,6 @@ func NewSharded(cfg core.Config, expected, shards int) *Sharded {
 	return s
 }
 
-// ShardedOf wraps existing Maps (len must be a power of two) — the
-// single-Map compatibility path and the test hook for heterogeneous
-// shard configs.
-func ShardedOf(maps ...*Map) *Sharded {
-	if len(maps) == 0 || len(maps)&(len(maps)-1) != 0 {
-		panic("kvmap: ShardedOf needs a power-of-two shard count")
-	}
-	return &Sharded{maps: maps, shift: uint(64 - log2(len(maps)))}
-}
-
 func log2(n int) int {
 	l := 0
 	for 1<<l < n {

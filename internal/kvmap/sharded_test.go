@@ -131,16 +131,6 @@ func TestShardedClose(t *testing.T) {
 	}
 }
 
-func TestShardedOfValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ShardedOf with 3 maps did not panic")
-		}
-	}()
-	m := New(core.Config{MaxThreads: 1, Capacity: 1 << 10}, 16)
-	ShardedOf(m, m, m)
-}
-
 func TestNextPow2(t *testing.T) {
 	cases := map[int]int{
 		-3: 1, 0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 8, 7: 8, 8: 8, 9: 16, 63: 64, 64: 64, 65: 128,

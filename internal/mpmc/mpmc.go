@@ -3,11 +3,9 @@
 // the work-distribution structure the ROADMAP asks OA to prove itself
 // on, and the server's per-shard request ring.
 //
-// Internally each queue is a Michael-Scott linked queue over the shared
-// OA arena (the same normalized enqueue/dequeue as internal/queue, on the
-// same oakit barriers — the two generators stay apart because payload
-// width, the node initialised once before the loop and the bound credit
-// differ), plus an atomic length word that
+// Internally each queue is the kit's Michael-Scott queue (oakit.Enqueue,
+// Head, Take — the same generator internal/queue runs with a one-word
+// payload) over an eight-word payload, plus an atomic length word that
 // enforces the bound: TryEnqueue reserves a length credit before
 // touching the structure and refuses when none is left, so
 // the bound is conservative — a full answer can race a concurrent
@@ -43,11 +41,9 @@ const PayloadWords = 8
 // TryEnqueue/Dequeue so the hot path stays allocation-free.
 type Payload [PayloadWords]uint64
 
-// Node is the queue node; all fields atomic (stale reads under OA).
-type Node struct {
-	Vals [PayloadWords]atomic.Uint64
-	Next atomic.Uint64
-}
+// Node is the queue node: the kit's queue node with an eight-word
+// payload; all fields atomic (stale reads under OA).
+type Node = oakit.QNode[[PayloadWords]atomic.Uint64]
 
 // resetNode is the allocation hook, and does nothing: TryEnqueue stores
 // every word of a node it allocates — the eight payload words and a nil
@@ -67,11 +63,10 @@ type Group struct {
 	sessions []*Session
 }
 
-// Queue is one bounded MPMC queue of a Group. The head and tail are
-// structure roots (never recycled); length is the bound credit counter.
+// Queue is one bounded MPMC queue of a Group: the kit queue's two root
+// words (never recycled) and the bound credit counter.
 type Queue struct {
-	head   atomic.Uint64 // arena.Ptr of the sentinel
-	tail   atomic.Uint64
+	oakit.Queue
 	length atomic.Int64 // reserved elements, counted before linking
 	bound  int64
 	_      [96]byte // keep adjacent queues' hot words on separate lines
@@ -105,9 +100,7 @@ func NewGroup(cfg core.Config, n, bound int) *Group {
 	for i := range g.queues {
 		q := &g.queues[i]
 		q.bound = int64(bound)
-		s := arena.MakePtr(g.kit.NewRoot())
-		q.head.Store(uint64(s))
-		q.tail.Store(uint64(s))
+		q.Init(g.kit.NewRoot())
 	}
 	for i := range g.sessions {
 		g.sessions[i] = &Session{c: g.kit.Ctx(i)}
@@ -180,9 +173,7 @@ func (s *Session) Release() { s.c.Release() }
 
 // TryEnqueue appends *p to q, or reports false immediately when the
 // queue is at capacity. Once the length credit is reserved the enqueue
-// is lock-free and always completes (normalized form: the generator
-// finds the tail cell and emits the single link CAS; wrap-up swings the
-// tail).
+// is lock-free and always completes.
 func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
 	// Reserve by CAS, not add-then-roll-back: a refused producer must
 	// never push the counter past the bound, even transiently, or Len
@@ -197,88 +188,39 @@ func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
 		}
 	}
 	c := s.c
-	// The node is private to this session until the link CAS below
-	// publishes it, so it is initialised once here, not per attempt.
-	newPtr := arena.MakePtr(c.Th.Alloc())
-	n := c.Node(newPtr.Slot())
+	// The node is private to this session until the link CAS publishes
+	// it, so it is initialised once here, not per attempt.
+	slot := c.Th.Alloc()
+	n := c.Node(slot)
 	for i, w := range p {
-		n.Vals[i].Store(w)
+		n.V[i].Store(w)
 	}
 	n.Next.Store(0)
-	for {
-		// --- CAS generator ---
-		last := arena.Ptr(q.tail.Load())
-		if c.Check() {
-			continue
-		}
-		next := arena.Ptr(c.Node(last.Slot()).Next.Load())
-		tailNow := arena.Ptr(q.tail.Load())
-		if c.Check() {
-			continue
-		}
-		if tailNow != last {
-			continue
-		}
-		if !next.IsNil() {
-			// Tail lags: help swing (a root CAS on node operands).
-			c.HelpCAS(&q.tail, last, next)
-			continue
-		}
-		// --- executor + wrap-up: O=last, A3=new node ---
-		if !c.Commit(&c.Node(last.Slot()).Next, 0, uint64(newPtr), last, newPtr, arena.NilPtr) {
-			continue
-		}
-		// Swing the tail while the owner hazard pointers still pin last
-		// and newPtr (no ABA window).
-		q.tail.CompareAndSwap(uint64(last), uint64(newPtr))
-		return true
-	}
+	oakit.Enqueue(c, &q.Queue, arena.MakePtr(slot))
+	return true
 }
 
 // Dequeue removes the oldest element into *p, reporting false when the
 // queue is empty. The payload words are read optimistically from the
-// successor node and validated by a warning check before the head-swing
-// CAS is sealed, so a recycled node's new occupant is never returned.
+// successor node between the kit's generator and its commit, whose seal
+// validates them, so a recycled node's new occupant is never returned.
 func (s *Session) Dequeue(q *Queue, p *Payload) bool {
 	c := s.c
 	for {
-		// --- CAS generator ---
-		first := arena.Ptr(q.head.Load())
-		last := arena.Ptr(q.tail.Load())
-		if c.Check() {
+		first, next, empty, restart := oakit.Head(c, &q.Queue)
+		if restart {
 			continue
 		}
-		next := arena.Ptr(c.Node(first.Slot()).Next.Load())
-		headNow := arena.Ptr(q.head.Load())
-		if c.Check() {
-			continue
-		}
-		if headNow != first {
-			continue
-		}
-		if first == last {
-			if next.IsNil() {
-				if c.Check() {
-					continue
-				}
-				return false
-			}
-			c.HelpCAS(&q.tail, last, next)
-			continue
+		if empty {
+			return false
 		}
 		n := c.Node(next.Slot())
 		for i := range p {
-			p[i] = n.Vals[i].Load()
+			p[i] = n.V[i].Load()
 		}
-		if c.Check() {
-			continue
+		if oakit.Take(c, &q.Queue, first, next) {
+			q.length.Add(-1)
+			return true
 		}
-		// --- executor + wrap-up: A2=first, A3=next; the target is a root ---
-		if !c.Commit(&q.head, uint64(first), uint64(next), first, next, arena.NilPtr) {
-			continue
-		}
-		c.Th.Retire(first.Slot()) // the old sentinel: unlinked, single retirer
-		q.length.Add(-1)
-		return true
 	}
 }

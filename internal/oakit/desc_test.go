@@ -1,4 +1,4 @@
-package normalized
+package oakit
 
 import (
 	"sync/atomic"
@@ -8,13 +8,13 @@ import (
 
 func TestExecuteAllSucceed(t *testing.T) {
 	var words [5]atomic.Uint64
-	var dl DescList
+	var dl descList
 	for i := range words {
 		words[i].Store(uint64(i))
-		dl.Append(&words[i], uint64(i), uint64(i)+100)
+		dl.append(&words[i], uint64(i), uint64(i)+100)
 	}
-	if failed := Execute(&dl); failed != 0 {
-		t.Fatalf("Execute = %d, want 0", failed)
+	if failed := dl.execute(); failed != 0 {
+		t.Fatalf("execute = %d, want 0", failed)
 	}
 	for i := range words {
 		if got := words[i].Load(); got != uint64(i)+100 {
@@ -25,15 +25,15 @@ func TestExecuteAllSucceed(t *testing.T) {
 
 func TestExecuteStopsAtFirstFailure(t *testing.T) {
 	var words [4]atomic.Uint64
-	var dl DescList
+	var dl descList
 	for i := range words {
 		words[i].Store(uint64(i))
 	}
-	dl.Append(&words[0], 0, 10)
-	dl.Append(&words[1], 999, 11) // wrong expected: fails
-	dl.Append(&words[2], 2, 12)   // must not run
-	if failed := Execute(&dl); failed != 2 {
-		t.Fatalf("Execute = %d, want 2 (1-based index)", failed)
+	dl.append(&words[0], 0, 10)
+	dl.append(&words[1], 999, 11) // wrong expected: fails
+	dl.append(&words[2], 2, 12)   // must not run
+	if failed := dl.execute(); failed != 2 {
+		t.Fatalf("execute = %d, want 2 (1-based index)", failed)
 	}
 	if words[0].Load() != 10 {
 		t.Fatal("first CAS should have applied")
@@ -45,15 +45,15 @@ func TestExecuteStopsAtFirstFailure(t *testing.T) {
 
 func TestResetReuses(t *testing.T) {
 	var w atomic.Uint64
-	var dl DescList
-	dl.Append(&w, 0, 1)
-	dl.Reset()
-	if dl.Len != 0 {
-		t.Fatalf("Len = %d after Reset", dl.Len)
+	var dl descList
+	dl.append(&w, 0, 1)
+	dl.reset()
+	if dl.n != 0 {
+		t.Fatalf("n = %d after reset", dl.n)
 	}
-	dl.Append(&w, 0, 2)
-	if failed := Execute(&dl); failed != 0 {
-		t.Fatalf("Execute = %d", failed)
+	dl.append(&w, 0, 2)
+	if failed := dl.execute(); failed != 0 {
+		t.Fatalf("execute = %d", failed)
 	}
 	if w.Load() != 2 {
 		t.Fatal("reused list executed stale descriptor")
@@ -61,35 +61,34 @@ func TestResetReuses(t *testing.T) {
 }
 
 func TestEmptyListExecutes(t *testing.T) {
-	var dl DescList
-	if failed := Execute(&dl); failed != 0 {
-		t.Fatalf("empty Execute = %d", failed)
+	var dl descList
+	if failed := dl.execute(); failed != 0 {
+		t.Fatalf("empty execute = %d", failed)
 	}
 }
 
 // Property: for any prefix of matching expectations followed by a mismatch,
-// Execute applies exactly the prefix.
+// execute applies exactly the prefix.
 func TestExecuteQuickPrefix(t *testing.T) {
 	f := func(vals []uint64, cut uint8) bool {
 		if len(vals) == 0 {
 			return true
 		}
-		if len(vals) > MaxCas {
-			vals = vals[:MaxCas]
+		if len(vals) > maxCAS {
+			vals = vals[:maxCAS]
 		}
 		k := int(cut) % len(vals) // index of the first failing CAS
 		words := make([]atomic.Uint64, len(vals))
-		var dl DescList
+		var dl descList
 		for i, v := range vals {
 			words[i].Store(v)
 			exp := v
 			if i == k {
 				exp = v + 1 // guaranteed mismatch
 			}
-			dl.Append(&words[i], exp, v+7)
+			dl.append(&words[i], exp, v+7)
 		}
-		failed := Execute(&dl)
-		if failed != k+1 {
+		if dl.execute() != k+1 {
 			return false
 		}
 		for i := range vals {

@@ -14,8 +14,9 @@
 //     read barrier. Unlink/UnlinkRetire, WordCAS and HelpCAS are the
 //     write barrier around the three shapes of observable CAS (a
 //     physical delete, a payload word, a structure root). Commit (one
-//     CAS) and the Begin/Own/Emit/CommitAll sequence (a descriptor list)
-//     are the normalized commit: owner hazard pointers, seal, executor.
+//     CAS) and the Begin/Own/Emit/CommitAll sequence (a descriptor list,
+//     run by the one CAS executor of the normalized form) are the
+//     normalized commit: owner hazard pointers, seal, executor.
 //     Hazard pointers are packed two per word and a word is stored only
 //     when it changes (core.Thread); after a successful CAS or Commit
 //     they stay published until the next publication overwrites them,
@@ -27,15 +28,23 @@
 //     payload; internal/kvmap is the chain with a {Val, Aux} payload. A
 //     delete unlinks the node it marked under the pins of its own
 //     commit, so one barrier both marks and snips.
+//   - The queue (queue.go): the OA Michael-Scott queue over QNode[V],
+//     the only copy of its generators. Enqueue links a node the caller
+//     filled; a dequeue is Head (the generator), the caller's payload
+//     loads, and Take (the commit, whose seal validates those loads).
+//     One warning check per round: the root loads need none (DESIGN §4).
+//     internal/queue is that queue with a one-word payload, internal/mpmc
+//     with eight words and a length credit.
 //
-// Who rides it: list, hashtable and kvmap ride the chain; skiplist,
-// queue and mpmc sit on Engine/Ctx and keep their own per-hop reads.
+// Who rides it: list, hashtable and kvmap ride the chain; queue and
+// mpmc ride the queue; skiplist sits on Engine/Ctx and keeps its own
+// per-hop reads.
 //
 // What stays hand-written, and why. A structure's optimistic loads are
 // its own: the kit cannot know which words of which node form one check
 // batch. The skip list reads Next[level] of a multi-level node, the
-// queues read two roots and one successor, and kvmap's Get and
-// WalkBucket read the payload words inside the same batch as key and
+// queues read their payload words between Head and Take, and kvmap's Get
+// and WalkBucket read the payload words inside the same batch as key and
 // next — a callback per hop through a type parameter measured +6.9 % on
 // a 5,000-key contains, so those loops load fields directly and call
 // only Check. Everything after the loads — what to publish, when to
@@ -47,7 +56,6 @@ import (
 
 	"repro/internal/arena"
 	"repro/internal/core"
-	"repro/internal/normalized"
 	"repro/internal/obs"
 	"repro/internal/smr"
 )
@@ -124,7 +132,7 @@ type Ctx[T any] struct {
 	Th       *core.Thread[T]
 	e        *Engine[T]
 	pending  uint32
-	dl       *normalized.DescList
+	dl       *descList
 	released atomic.Bool
 }
 
@@ -183,19 +191,60 @@ func (c *Ctx[T]) ConsumePending() { c.pending = arena.NoSlot }
 // registry sized for a thousand connections.
 func (c *Ctx[T]) Begin() {
 	if c.dl == nil {
-		c.dl = new(normalized.DescList)
+		c.dl = new(descList)
 	}
-	c.dl.Reset()
+	c.dl.reset()
 }
 
 // Emit appends CAS(target: old → new) to the round's descriptor list.
-func (c *Ctx[T]) Emit(target *atomic.Uint64, old, new uint64) { c.dl.Append(target, old, new) }
+func (c *Ctx[T]) Emit(target *atomic.Uint64, old, new uint64) { c.dl.append(target, old, new) }
 
 // Own publishes owner hazard pointer i: every node a descriptor of the
 // round mentions — as target object, expected or new value — must be
 // owned before the commit (pointers sharing a slot, such as next and
 // mark(next), need one). Indices run from 0 up to the engine's ownerHPs.
 func (c *Ctx[T]) Own(i int, p arena.Ptr) { c.Th.SetOwnerHP(i, p) }
+
+// maxCAS bounds the CAS descriptors one round may emit. The largest
+// round is the skip list's delete, which marks every level of a node:
+// MaxLevel+1 descriptors (§5).
+const maxCAS = 40
+
+// casDesc is one pending compare-and-swap on a node word — Appendix A's
+// (address, expectedVal, newVal) descriptor tuple.
+type casDesc struct {
+	addr     *atomic.Uint64
+	expected uint64
+	new      uint64
+}
+
+// descList is a generator round's output (Timnat & Petrank's normalized
+// form, Appendix A): a fixed-capacity descriptor list, owned by its Ctx
+// and never shared.
+type descList struct {
+	n     int
+	descs [maxCAS]casDesc
+}
+
+func (l *descList) reset() { l.n = 0 }
+
+func (l *descList) append(addr *atomic.Uint64, expected, new uint64) {
+	l.descs[l.n] = casDesc{addr: addr, expected: expected, new: new}
+	l.n++
+}
+
+// execute is the CAS executor, common to every normalized structure
+// (Appendix A, method 2): it attempts the CASes in order and returns the
+// 1-based index of the first that failed, or 0 if every CAS succeeded.
+func (l *descList) execute() int {
+	for i := 0; i < l.n; i++ {
+		d := &l.descs[i]
+		if !d.addr.CompareAndSwap(d.expected, d.new) {
+			return i + 1
+		}
+	}
+	return 0
+}
 
 // CommitAll runs the round staged since Begin: seal the generator with a
 // warning check, execute the emitted CASes in order until the first
@@ -211,7 +260,7 @@ func (c *Ctx[T]) CommitAll() bool {
 	if th.SealGenerator() {
 		return false
 	}
-	failed := normalized.Execute(c.dl)
+	failed := c.dl.execute()
 	th.ClearOwnerHPs()
 	return failed == 0
 }

@@ -3,6 +3,7 @@ package queue
 import (
 	"repro/internal/arena"
 	"repro/internal/guard"
+	"repro/internal/oakit"
 	"repro/internal/smr"
 )
 
@@ -11,25 +12,25 @@ import (
 // example of Michael's TPDS 2004 paper, with two hazard pointers.
 type guarded struct {
 	*guard.Manager[Node]
-	roots
+	oakit.Queue
 }
 
 func newGuarded(m *guard.Manager[Node]) *guarded {
 	q := &guarded{Manager: m}
 	g := m.Guard(0)
-	q.init(g.Alloc())
+	q.Init(g.Alloc())
 	return q
 }
 
 // QueueSession implements smr.Queue.
 func (q *guarded) QueueSession(tid int) smr.QueueSession {
-	return &session{r: &q.roots, g: q.Guard(tid), pending: arena.NoSlot}
+	return &session{r: &q.Queue, g: q.Guard(tid), pending: arena.NoSlot}
 }
 
 // session is the queue under one thread's guard. Under NoRecl it has no
 // barrier at all: raw loads through the thread's view.
 type session struct {
-	r       *roots
+	r       *oakit.Queue
 	g       *guard.Guard[Node]
 	pending uint32
 }
@@ -43,26 +44,26 @@ func (s *session) Enqueue(v uint64) {
 		s.pending = g.Alloc()
 	}
 	n := g.View.At(s.pending)
-	n.Val.Store(v)
+	n.V.Store(v)
 	n.Next.Store(0)
 	newPtr := arena.MakePtr(s.pending)
 	for {
-		last := arena.Ptr(s.r.tail.Load())
-		if !g.Validate(0, last, &s.r.tail, last) {
+		last := arena.Ptr(s.r.Tail.Load())
+		if !g.Validate(0, last, &s.r.Tail, last) {
 			g.Restart()
 			continue
 		}
 		next := arena.Ptr(g.View.At(last.Slot()).Next.Load())
-		if arena.Ptr(s.r.tail.Load()) != last {
+		if arena.Ptr(s.r.Tail.Load()) != last {
 			g.Restart()
 			continue
 		}
 		if !next.IsNil() {
-			s.r.tail.CompareAndSwap(uint64(last), uint64(next))
+			s.r.Tail.CompareAndSwap(uint64(last), uint64(next))
 			continue
 		}
 		if g.View.At(last.Slot()).Next.CompareAndSwap(0, uint64(newPtr)) {
-			s.r.tail.CompareAndSwap(uint64(last), uint64(newPtr))
+			s.r.Tail.CompareAndSwap(uint64(last), uint64(newPtr))
 			s.pending = arena.NoSlot
 			g.End()
 			return
@@ -76,14 +77,14 @@ func (s *session) Enqueue(v uint64) {
 // moved meanwhile and the dequeue must retry.
 func (s *session) head() (first, last, next arena.Ptr, ok bool) {
 	g := s.g
-	first = arena.Ptr(s.r.head.Load())
-	if !g.Validate(0, first, &s.r.head, first) {
+	first = arena.Ptr(s.r.Head.Load())
+	if !g.Validate(0, first, &s.r.Head, first) {
 		return 0, 0, 0, false
 	}
-	last = arena.Ptr(s.r.tail.Load())
+	last = arena.Ptr(s.r.Tail.Load())
 	next = arena.Ptr(g.View.At(first.Slot()).Next.Load())
 	g.Protect(1, next)
-	return first, last, next, arena.Ptr(s.r.head.Load()) == first
+	return first, last, next, arena.Ptr(s.r.Head.Load()) == first
 }
 
 // Dequeue follows Michael's published HP protocol with hp0=first, hp1=next.
@@ -101,11 +102,11 @@ func (s *session) Dequeue() (uint64, bool) {
 				g.End()
 				return 0, false
 			}
-			s.r.tail.CompareAndSwap(uint64(last), uint64(next))
+			s.r.Tail.CompareAndSwap(uint64(last), uint64(next))
 			continue
 		}
-		v := g.View.At(next.Slot()).Val.Load()
-		if s.r.head.CompareAndSwap(uint64(first), uint64(next)) {
+		v := g.View.At(next.Slot()).V.Load()
+		if s.r.Head.CompareAndSwap(uint64(first), uint64(next)) {
 			g.Clear()
 			g.Retire(first.Slot())
 			g.End()

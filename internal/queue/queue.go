@@ -16,42 +16,30 @@
 // roots, not nodes, so the reclamation schemes never recycle them); CASes
 // on them need no object protection, but their pointer *operands* do —
 // exactly the distinction Algorithm 2 draws.
+//
+// The OA form is the kit's queue (oakit.Enqueue, Head, Take) with a
+// one-word payload; the original algorithm shares its node and its two
+// root words (oakit.Queue).
 package queue
 
 import (
 	"sync/atomic"
 
-	"repro/internal/arena"
 	"repro/internal/guard"
+	"repro/internal/oakit"
 	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
-// Node is the queue node; all fields atomic (stale reads under OA).
-type Node struct {
-	// Val is the enqueued value; written between allocation and linking.
-	Val atomic.Uint64
-	// Next holds arena.Ptr bits of the successor (no marks in a queue).
-	Next atomic.Uint64
-}
+// Node is the queue node: the kit's queue node with a one-word payload,
+// the enqueued value, written between allocation and linking. All fields
+// are atomic (stale reads under OA).
+type Node = oakit.QNode[atomic.Uint64]
 
 // ResetNode zeroes a node (the allocation memset hook).
 func ResetNode(n *Node) {
-	n.Val.Store(0)
+	n.V.Store(0)
 	n.Next.Store(0)
-}
-
-// roots are a queue's head and tail words: arena.Ptr bits of the sentinel
-// and of the last (or second to last) node.
-type roots struct {
-	head atomic.Uint64
-	tail atomic.Uint64
-}
-
-// init points both roots at the sentinel of an empty queue.
-func (r *roots) init(sentinel uint32) {
-	r.head.Store(uint64(arena.MakePtr(sentinel)))
-	r.tail.Store(uint64(arena.MakePtr(sentinel)))
 }
 
 // New builds an empty queue under scheme sc.

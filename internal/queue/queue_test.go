@@ -1,6 +1,7 @@
 package queue_test
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -228,5 +229,102 @@ func TestQueueChurnReclaims(t *testing.T) {
 			}
 			dstest.CheckChurnStats(t, sc, q.Stats(), 2*rounds, opsPerScan)
 		})
+	}
+}
+
+// TestQueueWarningStorm runs producers and consumers on the OA queue while
+// a storm goroutine broadcasts fake phases, so warnings land inside every
+// generator round and between a dequeue's payload read and its commit.
+// Spurious warnings may only restart rounds: every value must come out
+// exactly once, each producer's values in production order.
+func TestQueueWarningStorm(t *testing.T) {
+	const producers, consumers, perProducer = 2, 2, 10000
+	q := queue.NewOA(core.Config{MaxThreads: producers + consumers, Capacity: 1 << 15, LocalPool: 16})
+	mgr := q.Manager()
+
+	stop := make(chan struct{})
+	storming := make(chan struct{})
+	go func() {
+		defer close(storming)
+		fake := uint32(1 << 20)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mgr.InjectWarnings(fake)
+			fake += 2
+			runtime.Gosched()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	var producing atomic.Int32
+	producing.Store(producers)
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			defer producing.Add(-1)
+			s := q.QueueSession(p)
+			for i := 0; i < perProducer; i++ {
+				if i%512 == 0 {
+					runtime.Gosched() // let the storm land mid-stream
+				}
+				s.Enqueue(uint64(p)<<32 | uint64(i))
+			}
+		}(p)
+	}
+	got := make([][]uint64, consumers)
+	for c := 0; c < consumers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			s := q.QueueSession(producers + c)
+			for {
+				v, ok := s.Dequeue()
+				if !ok {
+					if producing.Load() > 0 {
+						runtime.Gosched()
+						continue
+					}
+					// The flag dropped after the last enqueue linearized,
+					// so an empty queue now means the backlog was taken.
+					if v, ok = s.Dequeue(); !ok {
+						return
+					}
+				}
+				got[c] = append(got[c], v)
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	<-storming
+
+	seen := make(map[uint64]bool, producers*perProducer)
+	for c, vs := range got {
+		last := make([]int, producers)
+		for p := range last {
+			last[p] = -1
+		}
+		for _, v := range vs {
+			p, i := int(v>>32), int(v&0xFFFFFFFF)
+			if i <= last[p] {
+				t.Fatalf("consumer %d saw producer %d's %d after %d", c, p, i, last[p])
+			}
+			last[p] = i
+			if seen[v] {
+				t.Fatalf("value %#x dequeued twice", v)
+			}
+			seen[v] = true
+		}
+	}
+	if len(seen) != producers*perProducer {
+		t.Fatalf("dequeued %d distinct values, want %d", len(seen), producers*perProducer)
+	}
+	if q.Stats().Restarts == 0 {
+		t.Fatal("no restarts: the storm never landed")
 	}
 }

@@ -18,25 +18,23 @@ import (
 	"repro/internal/ttlcache"
 )
 
-// Config sizes a Server. One of Map or Shards is required; zero values
-// elsewhere pick the documented defaults.
+// Config sizes a Server. Shards (or Cache, whose shards the server then
+// adopts) is required; zero values elsewhere pick the documented
+// defaults.
 type Config struct {
-	// Map is the single-structure path: serve one kvmap instance. Kept
-	// for existing callers; internally it is wrapped as one shard.
-	Map *kvmap.Map
-	// Shards is the scale-out path: the keyspace is partitioned across
-	// per-core kvmap instances, each with its own arena, session registry
-	// and reclamation phases, and each request runs on its key's shard.
+	// Shards is the keyspace, partitioned across per-core kvmap
+	// instances, each with its own arena, session registry and
+	// reclamation phases; each request runs on its key's shard.
 	// The server runs min(shards, per-shard registry size − 1) executors,
 	// at least one, each holding one session in every shard; the free
-	// session is the cache sweeper's. Takes precedence over Map.
+	// session is the cache sweeper's.
 	Shards *kvmap.Sharded
 	// Cache, when set, layers TTL/LRU cache semantics over the shards on
 	// the RESP surface: GET applies lazy expiry, SET takes the cache's
 	// default TTL and evicts under pressure instead of failing, and the
 	// EXPIRE/TTL/SETEX commands come alive. It must wrap the same
-	// sharded map the server serves; when Shards (and Map) are nil the
-	// server adopts Cache.Shards(). The binary protocol keeps serving
+	// sharded map the server serves; when Shards is nil the server
+	// adopts Cache.Shards(). The binary protocol keeps serving
 	// the raw map words underneath: the executors pick the op table by
 	// the connection's listener.
 	Cache *ttlcache.Sharded
@@ -149,17 +147,14 @@ type Server struct {
 
 var opNames = [8]string{"", "get", "put", "del", "cas", "ping", "stats", "goaway"}
 
-// New builds a Server around cfg.Shards (or cfg.Map, wrapped as one
-// shard).
+// New builds a Server around cfg.Shards, or around cfg.Cache's shards
+// when Shards is nil.
 func New(cfg Config) *Server {
-	if cfg.Shards == nil && cfg.Map == nil && cfg.Cache != nil {
+	if cfg.Shards == nil && cfg.Cache != nil {
 		cfg.Shards = cfg.Cache.Shards()
 	}
 	if cfg.Shards == nil {
-		if cfg.Map == nil {
-			panic("server: Config.Map, Config.Shards or Config.Cache is required")
-		}
-		cfg.Shards = kvmap.ShardedOf(cfg.Map)
+		panic("server: Config.Shards or Config.Cache is required")
 	}
 	if cfg.Cache != nil && cfg.Cache.Shards() != cfg.Shards {
 		panic("server: Config.Cache must wrap Config.Shards")

@@ -40,7 +40,7 @@ func startTestServer(t *testing.T, cfg Config) (s *Server, addr, respAddr string
 
 func newTestServer(t *testing.T, threads int, cfg Config) (*Server, string) {
 	t.Helper()
-	cfg.Map = kvmap.New(core.Config{MaxThreads: threads, Capacity: 1 << 16}, 1<<14)
+	cfg.Shards = kvmap.NewSharded(core.Config{MaxThreads: threads, Capacity: 1 << 16}, 1<<14, 1)
 	s, addr, _ := startTestServer(t, cfg)
 	return s, addr
 }
@@ -194,8 +194,8 @@ func TestGracefulDrain(t *testing.T) {
 	if got := s.sumStripes(func(st *shardStripe) uint64 { return st.reqsRead.Load() }); got < resolved.Load() {
 		t.Fatalf("server read %d < client resolved %d", got, resolved.Load())
 	}
-	if s.cfg.Map.Manager().Lessor().Leased() != 0 {
-		t.Fatalf("%d leases outstanding after drain", s.cfg.Map.Manager().Lessor().Leased())
+	if n := s.shards.Shard(0).Manager().Lessor().Leased(); n != 0 {
+		t.Fatalf("%d leases outstanding after drain", n)
 	}
 	t.Logf("drained cleanly: %d requests resolved across %d clients", resolved.Load(), clients)
 }
