@@ -45,8 +45,10 @@ type directory[T any] struct {
 type genChunk [ChunkSize]atomic.Uint32
 
 // New creates an arena with capacity for at least initialCap slots, backed
-// by one contiguous allocation (the flat region of every View).
+// by one contiguous allocation (the flat region of every View). It panics,
+// before allocating anything, if initialCap exceeds MaxSlots.
 func New[T any](initialCap int) *Arena[T] {
+	checkSlots(initialCap)
 	a := &Arena[T]{}
 	a.dir.Store(&directory[T]{})
 	a.flat.a = a
@@ -76,7 +78,9 @@ func (a *Arena[T]) Cap() uint32 { return a.capa.Load() }
 func (a *Arena[T]) Limit() uint32 { return a.limit.Load() }
 
 // Reserve hands out n brand-new consecutive slots and returns the first
-// index. It grows the arena as needed. Reserve is safe for concurrent use.
+// index. It grows the arena as needed, and panics, before growing, if the
+// arena would then hold more than MaxSlots slots. Reserve is safe for
+// concurrent use.
 func (a *Arena[T]) Reserve(n int) uint32 {
 	if n <= 0 {
 		panic(fmt.Sprintf("arena: Reserve(%d)", n))
@@ -84,15 +88,21 @@ func (a *Arena[T]) Reserve(n int) uint32 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	base := a.limit.Load()
+	checkSlots(int(base) + n)
 	need := base + uint32(n)
-	if need < base {
-		panic("arena: slot space exhausted")
-	}
 	if need > a.capa.Load() {
 		a.grow(need)
 	}
 	a.limit.Store(need)
 	return base
+}
+
+// checkSlots refuses an arena of more than MaxSlots slots: a handle to
+// any slot beyond would not fit a Link.
+func checkSlots(n int) {
+	if n > MaxSlots {
+		panic(fmt.Sprintf("arena: %d slots exceed the link limit of %d", n, MaxSlots))
+	}
 }
 
 // grow extends capacity to at least need slots and returns the one

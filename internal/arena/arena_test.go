@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -278,4 +279,58 @@ func TestReservePanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	New[testNode](1).Reserve(0)
+}
+
+// The largest slot an arena hands out survives a Link marked and unmarked:
+// its marked handle uses all 32 bits.
+func TestLinkRoundTrip(t *testing.T) {
+	var l Link
+	if !l.Load().IsNil() {
+		t.Fatal("zero Link must hold nil")
+	}
+	top := MakePtr(MaxSlots - 1)
+	for _, p := range []Ptr{NilPtr, MakePtr(0), top, top.Mark()} {
+		l.Store(p)
+		if got := l.Load(); got != p {
+			t.Fatalf("Link holds %v after Store(%v)", got, p)
+		}
+	}
+	if !l.CompareAndSwap(top.Mark(), top) || l.Load() != top || l.Load().Slot() != MaxSlots-1 {
+		t.Fatalf("CompareAndSwap(%v, %v) left %v", top.Mark(), top, l.Load())
+	}
+	if l.CompareAndSwap(top.Mark(), NilPtr) {
+		t.Fatal("CompareAndSwap succeeded on a stale expected value")
+	}
+}
+
+// An arena refuses to grow past MaxSlots, and refuses before it allocates
+// or reserves anything.
+func TestSlotLimit(t *testing.T) {
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	checkSlots(MaxSlots)
+	mustPanic("checkSlots(MaxSlots+1)", func() { checkSlots(MaxSlots + 1) })
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mustPanic("New(MaxSlots+1)", func() { New[testNode](MaxSlots + 1) })
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("New(MaxSlots+1) allocated %d bytes before refusing", grew)
+	}
+
+	a := New[testNode](1)
+	a.Reserve(1)
+	a.limit.Store(MaxSlots - 1) // pretend the arena is one slot short of full
+	mustPanic("Reserve past MaxSlots", func() { a.Reserve(2) })
+	if a.Limit() != MaxSlots-1 || a.Cap() != ChunkSize {
+		t.Fatalf("refused Reserve changed the arena: limit %d, cap %d", a.Limit(), a.Cap())
+	}
 }

@@ -15,15 +15,22 @@
 // Assumption 3.1 by construction.
 package arena
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
-// Ptr is a packed, markable handle to an arena slot, stored in the pointer
-// fields of lock-free nodes (inside atomic.Uint64 words).
+// Ptr is a packed, markable handle to an arena slot. In registers it is a
+// uint64; in memory it lives in a Link, the 32-bit link word of every
+// node and root.
 //
 // Layout (low to high bits):
 //
 //	bit 0      delete mark (the "marked pointer" of Harris' linked list)
-//	bits 1..32 slot index + 1 (zero means nil)
+//	bits 1..31 slot index + 1 (zero means nil)
+//
+// An arena hands out at most MaxSlots slots, so a handle and its mark
+// always fit the 32 bits of a Link.
 //
 // The zero Ptr is the nil pointer. Marks survive Slot extraction via
 // Unmark, mirroring the unmark(O) operation the paper requires of the data
@@ -32,6 +39,10 @@ type Ptr uint64
 
 // NilPtr is the null handle. Its mark bit is clear and IsNil reports true.
 const NilPtr Ptr = 0
+
+// MaxSlots is the number of slots an arena may hold: slots 0..MaxSlots-1,
+// the largest whose marked handle, (slot+1)<<1|1, still fits 32 bits.
+const MaxSlots = 1<<31 - 1
 
 // NoSlot is a sentinel slot index that is never returned by an arena.
 const NoSlot uint32 = ^uint32(0)
@@ -79,4 +90,20 @@ func (p Ptr) String() string {
 		return fmt.Sprintf("#%d*", p.Slot())
 	}
 	return fmt.Sprintf("#%d", p.Slot())
+}
+
+// Link is a link word: a node's successor or a structure's root, holding a
+// Ptr in 32 bits. Every link word of every structure is a Link; payload
+// words stay atomic.Uint64.
+type Link struct{ w atomic.Uint32 }
+
+// Load atomically loads the handle.
+func (l *Link) Load() Ptr { return Ptr(l.w.Load()) }
+
+// Store atomically stores p.
+func (l *Link) Store(p Ptr) { l.w.Store(uint32(p)) }
+
+// CompareAndSwap executes the compare-and-swap of the link word: old → new.
+func (l *Link) CompareAndSwap(old, new Ptr) bool {
+	return l.w.CompareAndSwap(uint32(old), uint32(new))
 }

@@ -36,7 +36,16 @@ func (v *View[T]) At(slot uint32) *T {
 }
 
 // BumpGen increments the generation counter of slot, like Arena.BumpGen.
-func (v *View[T]) BumpGen(slot uint32) { v.gen(slot).Add(1) }
+func (v *View[T]) BumpGen(slot uint32) { bump(v.gen(slot)) }
+
+// bump keeps the atomic increment out of BumpGen's generic body. A package
+// compiles the instantiations of a generic function with the inline bodies
+// it has, and it has sync/atomic's methods only by importing sync/atomic or
+// through a non-generic inlinable function that calls them, such as this.
+// Called directly from BumpGen, Add stayed a call in packages that do not
+// import sync/atomic (the list package, whose links are arena.Links), and
+// that call pushed BumpGen past the inliner's budget.
+func bump(g *atomic.Uint32) { g.Add(1) }
 
 // gen returns the generation counter of slot.
 func (v *View[T]) gen(slot uint32) *atomic.Uint32 {

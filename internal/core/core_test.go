@@ -15,12 +15,12 @@ import (
 // clients of the scheme.
 type node struct {
 	key  atomic.Uint64
-	next atomic.Uint64
+	next arena.Link
 }
 
 func resetNode(n *node) {
 	n.key.Store(0)
-	n.next.Store(0)
+	n.next.Store(arena.NilPtr)
 }
 
 func newMgr(t testing.TB, cfg Config) *Manager[node] {
@@ -34,7 +34,7 @@ func TestAllocZeroesAndCounts(t *testing.T) {
 	s := th.Alloc()
 	n := th.Node(s)
 	n.key.Store(42)
-	n.next.Store(7)
+	n.next.Store(arena.MakePtr(7))
 	th.Retire(s)
 	th.FlushRetired()
 	// Two recycling passes: one to swap the retired block in, one not needed —
@@ -47,7 +47,7 @@ func TestAllocZeroesAndCounts(t *testing.T) {
 		}
 		seen[s2] = true
 		if s2 == s {
-			if n.key.Load() != 0 || n.next.Load() != 0 {
+			if n.key.Load() != 0 || n.next.Load() != arena.NilPtr {
 				t.Fatal("recycled slot was not zeroed on allocation")
 			}
 		}

@@ -55,7 +55,7 @@ type retiredSlot struct {
 	era  uint64
 }
 
-// visit counts one visit of cur, reached through the word *src. Every K
+// visit counts one visit of cur, reached through the link *src. Every K
 // visits it drops an anchor on cur: one sequentially consistent store (the
 // amortized fence). It then validates the anchor: if *src no longer leads
 // to cur, it counts a restart and returns false, and the structure must
@@ -63,19 +63,19 @@ type retiredSlot struct {
 // inlined, it would push the Visit hook past the budget.
 //
 //go:noinline
-func (v *visits) visit(cur arena.Ptr, src *atomic.Uint64) bool {
+func (v *visits) visit(cur arena.Ptr, src *arena.Link) bool {
 	v.sinceHP++
 	return v.sinceHP < v.k || v.drop(cur, src)
 }
 
-func (v *visits) drop(cur arena.Ptr, src *atomic.Uint64) bool {
+func (v *visits) drop(cur arena.Ptr, src *arena.Link) bool {
 	v.sinceHP = 0
 	if cur.IsNil() {
 		v.anchor.Store(0)
 		return true
 	}
 	v.anchor.Store(uint64(cur.Unmark().Slot()) + 1)
-	if arena.Ptr(src.Load()).Unmark() == cur.Unmark() {
+	if src.Load().Unmark() == cur.Unmark() {
 		return true
 	}
 	v.countRestart(trace.CauseAnchor)
@@ -131,7 +131,7 @@ func (g *Guard[N]) scanAnchors() {
 		p := arena.MakePtr(uint32(a - 1))
 		for hop := 0; hop <= g.k && !p.IsNil(); hop++ {
 			protected.Add(p.Unmark().Slot())
-			p = arena.Ptr(m.next(m.pool.nodes.At(p.Unmark().Slot())).Load())
+			p = m.next(m.pool.nodes.At(p.Unmark().Slot())).Load()
 		}
 	}
 	protected.Seal()

@@ -1,7 +1,6 @@
 package guard
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
@@ -19,7 +18,7 @@ func TestVisitPublishesEveryK(t *testing.T) {
 	s := g.Alloc()
 	// The source word never leads to s, so every anchor drop fails its
 	// validation: the failed visits are exactly the publications.
-	var src atomic.Uint64
+	var src arena.Link
 	published := 0
 	for i := 0; i < 10; i++ {
 		if !g.Visit(arena.MakePtr(s), &src) {
@@ -36,7 +35,7 @@ func TestVisitPublishesEveryK(t *testing.T) {
 	if st := m.Stats(); st.Restarts != 4 {
 		t.Fatalf("restarts = %d, want one per failed anchor validation", st.Restarts)
 	}
-	src.Store(uint64(arena.MakePtr(s).Mark()))
+	src.Store(arena.MakePtr(s).Mark())
 	for i := 0; i < 3; i++ {
 		if !g.Visit(arena.MakePtr(s), &src) {
 			t.Fatalf("visit with a (marked) source leading to s failed")
@@ -53,14 +52,14 @@ func TestAnchorProtectsKSegment(t *testing.T) {
 	w, tr := m.Guard(0), m.Guard(1)
 	// Build a chain a -> b -> c.
 	a, b, c := w.Alloc(), w.Alloc(), w.Alloc()
-	w.View.At(a).next.Store(uint64(arena.MakePtr(b)))
-	w.View.At(b).next.Store(uint64(arena.MakePtr(c)))
+	w.View.At(a).next.Store(arena.MakePtr(b))
+	w.View.At(b).next.Store(arena.MakePtr(c))
 	genB, genC := m.Arena().Gen(b), m.Arena().Gen(c)
 
 	// Traverser anchors at a and stays inside its operation.
 	tr.Begin()
-	var src atomic.Uint64
-	src.Store(uint64(arena.MakePtr(a)))
+	var src arena.Link
+	src.Store(arena.MakePtr(a))
 	tr.Visit(arena.MakePtr(a), &src)
 
 	w.Begin()

@@ -57,10 +57,10 @@ type Spec[N any] struct {
 	// HPs is the number of hazard pointers per thread under HP (3 for
 	// the linked list, 2·MAXLEVEL+3 for the skip list, §5).
 	HPs int
-	// Next returns a node's successor word, which the anchors reclaimer
+	// Next returns a node's successor link, which the anchors reclaimer
 	// walks from each anchor. Nil means the structure has no Anchors
 	// variant; as in the paper, only the list has one.
-	Next func(*N) *atomic.Uint64
+	Next func(*N) *arena.Link
 }
 
 // Manager is one structure's scheme manager: the pool, the guards, the
@@ -80,7 +80,7 @@ type Manager[N any] struct {
 	// buffered retires that trigger an Anchors scan.
 	scanThreshold int
 	// Anchors' reclaimer; see anchors.go.
-	next      func(*N) *atomic.Uint64
+	next      func(*N) *arena.Link
 	scanMu    sync.Mutex
 	retMu     sync.Mutex    // guards the handoff of guard buffers into retired
 	retired   []retiredSlot // owned by the scanMu holder
@@ -279,19 +279,19 @@ func (g *Guard[N]) Protect(i int, p arena.Ptr) {
 // Validate publishes HP hazard pointer i on p and reports whether *src
 // still holds want. If it does not, the traversal must restart. It always
 // reports true under the other schemes.
-func (g *Guard[N]) Validate(i int, p arena.Ptr, src *atomic.Uint64, want arena.Ptr) bool {
+func (g *Guard[N]) Validate(i int, p arena.Ptr, src *arena.Link, want arena.Ptr) bool {
 	if g.sc != smr.HP {
 		return true
 	}
 	g.protect(i, p)
-	return arena.Ptr(src.Load()) == want
+	return src.Load() == want
 }
 
 // Visit counts one Anchors node visit of cur, reached through *src. On
 // every K-th visit it drops an anchor on cur and reports false if *src no
 // longer leads to cur; the traversal must then restart. It always reports
 // true under the other schemes.
-func (g *Guard[N]) Visit(cur arena.Ptr, src *atomic.Uint64) bool {
+func (g *Guard[N]) Visit(cur arena.Ptr, src *arena.Link) bool {
 	return g.sc != smr.Anchors || g.visits.visit(cur, src)
 }
 

@@ -1,7 +1,6 @@
 package guard
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
@@ -58,8 +57,8 @@ func TestHookTable(t *testing.T) {
 			g := m.Guard(0)
 			a, b := g.Alloc(), g.Alloc()
 			pa, pb := arena.MakePtr(a), arena.MakePtr(b)
-			var src atomic.Uint64
-			src.Store(uint64(pa))
+			var src arena.Link
+			src.Store(pa)
 			// shared reads every word another thread's reclaimer reads:
 			// the clock, and each guard's announce word, anchor and
 			// hazard pointers.

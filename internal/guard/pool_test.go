@@ -5,22 +5,23 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/sizing"
 	"repro/internal/smr"
 )
 
 type tnode struct {
 	key  atomic.Uint64
-	next atomic.Uint64
+	next arena.Link
 }
 
-func reset(n *tnode) { n.key.Store(0); n.next.Store(0) }
+func reset(n *tnode) { n.key.Store(0); n.next.Store(arena.NilPtr) }
 
 // newMgr builds a manager of tnodes under sc, with hps hazard pointers per
-// thread under HP and the next word as the anchors successor.
+// thread under HP and the next link as the anchors successor.
 func newMgr(t testing.TB, sc smr.Scheme, c sizing.Config, hps int) *Manager[tnode] {
 	t.Helper()
-	m, err := New(sc, c, Spec[tnode]{Name: "test", Reset: reset, HPs: hps, Next: func(n *tnode) *atomic.Uint64 { return &n.next }})
+	m, err := New(sc, c, Spec[tnode]{Name: "test", Reset: reset, HPs: hps, Next: func(n *tnode) *arena.Link { return &n.next }})
 	if err != nil {
 		t.Fatal(err)
 	}

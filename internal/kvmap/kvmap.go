@@ -53,7 +53,7 @@ func ResetNode(n *Node) {
 	n.Key.Store(0)
 	n.V.Val.Store(0)
 	n.V.Aux.Store(0)
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 }
 
 // Map is a lock-free hash map of uint64→uint64 under optimistic access.
@@ -145,10 +145,10 @@ func (s *Session) GetWithAux(key uint64) (val, aux uint64, ok bool) {
 	root := s.m.buckets.Root(key)
 restart:
 	for {
-		cur := arena.Ptr(root.Load())
+		cur := root.Load()
 		for !cur.IsNil() {
 			n := th.Node(cur.Unmark().Slot())
-			next := arena.Ptr(n.Next.Load())
+			next := n.Next.Load()
 			ckey := n.Key.Load()
 			v := n.V.Val.Load()
 			a := n.V.Aux.Load()
@@ -212,8 +212,8 @@ func (s *Session) Put(key, val uint64) (uint64, bool) {
 		n.Key.Store(key)
 		n.V.Val.Store(val)
 		n.V.Aux.Store(0)
-		n.Next.Store(uint64(pos.Cur))
-		if !s.c.Commit(oakit.Link(s.c, root, pos.Prev), uint64(pos.Cur), uint64(arena.MakePtr(slot)),
+		n.Next.Store(pos.Cur)
+		if !s.c.Commit(oakit.Link(s.c, root, pos.Prev), pos.Cur, arena.MakePtr(slot),
 			pos.Prev, pos.Cur, arena.MakePtr(slot)) {
 			continue
 		}
@@ -313,10 +313,10 @@ func (s *Session) WalkBucket(b int, fn func(key, val, aux uint64) bool) {
 	root := &s.m.buckets[b]
 restart:
 	for {
-		cur := arena.Ptr(root.Load())
+		cur := root.Load()
 		for !cur.IsNil() {
 			n := th.Node(cur.Unmark().Slot())
-			next := arena.Ptr(n.Next.Load())
+			next := n.Next.Load()
 			ckey := n.Key.Load()
 			v := n.V.Val.Load()
 			a := n.V.Aux.Load()

@@ -17,8 +17,7 @@
 package list
 
 import (
-	"sync/atomic"
-
+	"repro/internal/arena"
 	"repro/internal/oakit"
 	"repro/internal/obs"
 	"repro/internal/sizing"
@@ -35,15 +34,15 @@ type Node = oakit.Node[struct{}]
 // (Algorithm 5's memset).
 func ResetNode(n *Node) {
 	n.Key.Store(0)
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 }
 
 // Thread is a per-worker handle of an engine: the set operations relative
 // to a list's root word.
 type Thread interface {
-	InsertAt(root *atomic.Uint64, key uint64) bool
-	DeleteAt(root *atomic.Uint64, key uint64) bool
-	ContainsAt(root *atomic.Uint64, key uint64) bool
+	InsertAt(root *arena.Link, key uint64) bool
+	DeleteAt(root *arena.Link, key uint64) bool
+	ContainsAt(root *arena.Link, key uint64) bool
 }
 
 // Engine is what the two list engines have in common: one scheme manager
@@ -59,7 +58,7 @@ type Engine interface {
 // Set is a single linked-list set on engine E.
 type Set[E Engine] struct {
 	e    E
-	root atomic.Uint64
+	root arena.Link
 }
 
 // Engine exposes the underlying engine (stats, manager).
@@ -79,7 +78,7 @@ func (l *Set[E]) Session(tid int) smr.Session { return &session{t: l.e.Thread(ti
 
 type session struct {
 	t    Thread
-	root *atomic.Uint64
+	root *arena.Link
 }
 
 func (s *session) Insert(key uint64) bool   { return s.t.InsertAt(s.root, key) }

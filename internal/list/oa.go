@@ -1,8 +1,7 @@
 package list
 
 import (
-	"sync/atomic"
-
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/oakit"
 	"repro/internal/obs"
@@ -43,17 +42,17 @@ type OAThread struct {
 func (e *OAEngine) Thread(id int) Thread { return OAThread{c: e.kit.Ctx(id)} }
 
 // ContainsAt reports whether key is in the list at root.
-func (t OAThread) ContainsAt(root *atomic.Uint64, key uint64) bool {
+func (t OAThread) ContainsAt(root *arena.Link, key uint64) bool {
 	return oakit.Contains(t.c, root, key)
 }
 
 // InsertAt adds key to the list at root; false if already present.
-func (t OAThread) InsertAt(root *atomic.Uint64, key uint64) bool {
+func (t OAThread) InsertAt(root *arena.Link, key uint64) bool {
 	return oakit.Insert(t.c, root, key, nil)
 }
 
 // DeleteAt removes key from the list at root; false if absent.
-func (t OAThread) DeleteAt(root *atomic.Uint64, key uint64) bool {
+func (t OAThread) DeleteAt(root *arena.Link, key uint64) bool {
 	return oakit.Delete(t.c, root, key)
 }
 

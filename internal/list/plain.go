@@ -1,8 +1,6 @@
 package list
 
 import (
-	"sync/atomic"
-
 	"repro/internal/arena"
 	"repro/internal/guard"
 	"repro/internal/sizing"
@@ -37,7 +35,7 @@ func NewGuardedEngine(sc smr.Scheme, c sizing.Config) (*GuardedEngine, error) {
 	return &GuardedEngine{m}, nil
 }
 
-func nextWord(n *Node) *atomic.Uint64 { return &n.Next }
+func nextWord(n *Node) *arena.Link { return &n.Next }
 
 // Thread implements Engine.
 func (e *GuardedEngine) Thread(id int) Thread {
@@ -56,14 +54,14 @@ type guardedThread struct {
 // word. On return with ok, HP's hpPrev protects that predecessor (nil when
 // it is the root word, which is never reclaimed) and hpCur protects cur;
 // the caller may CAS on them until the guard ends the operation.
-func (t *guardedThread) search(root *atomic.Uint64, key uint64) (link *atomic.Uint64, cur, next arena.Ptr, ckey uint64, ok bool) {
+func (t *guardedThread) search(root *arena.Link, key uint64) (link *arena.Link, cur, next arena.Ptr, ckey uint64, ok bool) {
 	g := t.g
 	v := &g.View
 restart:
 	for {
 		link = root
 		g.Protect(hpPrev, arena.NilPtr)
-		cur = arena.Ptr(link.Load())
+		cur = link.Load()
 		for {
 			if cur.IsNil() {
 				return link, cur, 0, 0, false
@@ -73,13 +71,13 @@ restart:
 				continue restart
 			}
 			n := v.At(cur.Slot())
-			next = arena.Ptr(n.Next.Load())
+			next = n.Next.Load()
 			if !g.Validate(hpNext, next, &n.Next, next) {
 				g.Restart()
 				continue restart
 			}
 			ckey = n.Key.Load()
-			if arena.Ptr(link.Load()) != cur {
+			if link.Load() != cur {
 				g.Restart()
 				continue restart
 			}
@@ -89,7 +87,7 @@ restart:
 				}
 				link = &n.Next
 				g.Protect(hpPrev, cur)
-			} else if link.CompareAndSwap(uint64(cur), uint64(next.Unmark())) {
+			} else if link.CompareAndSwap(cur, next.Unmark()) {
 				// Help the physical delete; the unlinker retires.
 				g.Retire(cur.Slot())
 			} else {
@@ -105,7 +103,7 @@ restart:
 // loads that step over marked nodes without helping. HP cannot run it (see
 // package guard), so under HP it runs search, and even the read-only
 // operation pays the full protect/validate protocol.
-func (t *guardedThread) ContainsAt(root *atomic.Uint64, key uint64) bool {
+func (t *guardedThread) ContainsAt(root *arena.Link, key uint64) bool {
 	g := t.g
 	if g.HP() {
 		_, _, next, ckey, ok := t.search(root, key)
@@ -118,13 +116,13 @@ func (t *guardedThread) ContainsAt(root *atomic.Uint64, key uint64) bool {
 restart:
 	for {
 		link := root
-		cur := arena.Ptr(link.Load())
+		cur := link.Load()
 		for !cur.IsNil() {
 			if !g.Visit(cur, link) {
 				continue restart
 			}
 			n := v.At(cur.Unmark().Slot())
-			next := arena.Ptr(n.Next.Load())
+			next := n.Next.Load()
 			ckey := n.Key.Load()
 			if ckey >= key {
 				found = ckey == key && !next.Marked()
@@ -140,7 +138,7 @@ restart:
 }
 
 // InsertAt adds key; false if present.
-func (t *guardedThread) InsertAt(root *atomic.Uint64, key uint64) bool {
+func (t *guardedThread) InsertAt(root *arena.Link, key uint64) bool {
 	g := t.g
 	v := &g.View
 	g.Begin()
@@ -155,8 +153,8 @@ func (t *guardedThread) InsertAt(root *atomic.Uint64, key uint64) bool {
 		}
 		n := v.At(t.pending)
 		n.Key.Store(key)
-		n.Next.Store(uint64(cur))
-		if link.CompareAndSwap(uint64(cur), uint64(arena.MakePtr(t.pending))) {
+		n.Next.Store(cur)
+		if link.CompareAndSwap(cur, arena.MakePtr(t.pending)) {
 			t.pending = arena.NoSlot
 			g.End()
 			return true
@@ -168,7 +166,7 @@ func (t *guardedThread) InsertAt(root *atomic.Uint64, key uint64) bool {
 // DeleteAt removes key; false if absent. The logical delete marks the
 // node; the physical delete is attempted once and otherwise left to later
 // searches (Michael's algorithm).
-func (t *guardedThread) DeleteAt(root *atomic.Uint64, key uint64) bool {
+func (t *guardedThread) DeleteAt(root *arena.Link, key uint64) bool {
 	g := t.g
 	v := &g.View
 	g.Begin()
@@ -178,11 +176,11 @@ func (t *guardedThread) DeleteAt(root *atomic.Uint64, key uint64) bool {
 			g.End()
 			return false
 		}
-		if !v.At(cur.Slot()).Next.CompareAndSwap(uint64(next), uint64(next.Mark())) {
+		if !v.At(cur.Slot()).Next.CompareAndSwap(next, next.Mark()) {
 			g.Restart()
 			continue
 		}
-		if link.CompareAndSwap(uint64(cur), uint64(next)) {
+		if link.CompareAndSwap(cur, next) {
 			g.Retire(cur.Slot())
 		}
 		g.End()

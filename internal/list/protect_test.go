@@ -1,7 +1,6 @@
 package list
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
@@ -36,12 +35,12 @@ func readerPins(t *testing.T, sc smr.Scheme, key uint64, threshold int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var root atomic.Uint64
+	var root arena.Link
 	reader, writer := e.Thread(0).(*guardedThread), e.Thread(1)
 	for k := uint64(1); k <= 3; k++ {
 		writer.InsertAt(&root, k)
 	}
-	first := arena.Ptr(root.Load()).Slot() // key 1's node
+	first := root.Load().Slot() // key 1's node
 	link, cur, next, _, ok := reader.search(&root, key)
 	if !ok {
 		t.Fatalf("search did not find key %d", key)

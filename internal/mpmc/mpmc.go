@@ -195,7 +195,7 @@ func (s *Session) TryEnqueue(q *Queue, p *Payload) bool {
 	for i, w := range p {
 		n.V[i].Store(w)
 	}
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 	oakit.Enqueue(c, &q.Queue, arena.MakePtr(slot))
 	return true
 }

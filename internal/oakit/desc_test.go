@@ -1,33 +1,34 @@
 package oakit
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/arena"
 )
 
 func TestExecuteAllSucceed(t *testing.T) {
-	var words [5]atomic.Uint64
+	var words [5]arena.Link
 	var dl descList
 	for i := range words {
-		words[i].Store(uint64(i))
-		dl.append(&words[i], uint64(i), uint64(i)+100)
+		words[i].Store(arena.Ptr(i))
+		dl.append(&words[i], arena.Ptr(i), arena.Ptr(i)+100)
 	}
 	if failed := dl.execute(); failed != 0 {
 		t.Fatalf("execute = %d, want 0", failed)
 	}
 	for i := range words {
-		if got := words[i].Load(); got != uint64(i)+100 {
+		if got := words[i].Load(); got != arena.Ptr(i)+100 {
 			t.Fatalf("word %d = %d", i, got)
 		}
 	}
 }
 
 func TestExecuteStopsAtFirstFailure(t *testing.T) {
-	var words [4]atomic.Uint64
+	var words [4]arena.Link
 	var dl descList
 	for i := range words {
-		words[i].Store(uint64(i))
+		words[i].Store(arena.Ptr(i))
 	}
 	dl.append(&words[0], 0, 10)
 	dl.append(&words[1], 999, 11) // wrong expected: fails
@@ -44,7 +45,7 @@ func TestExecuteStopsAtFirstFailure(t *testing.T) {
 }
 
 func TestResetReuses(t *testing.T) {
-	var w atomic.Uint64
+	var w arena.Link
 	var dl descList
 	dl.append(&w, 0, 1)
 	dl.reset()
@@ -70,7 +71,12 @@ func TestEmptyListExecutes(t *testing.T) {
 // Property: for any prefix of matching expectations followed by a mismatch,
 // execute applies exactly the prefix.
 func TestExecuteQuickPrefix(t *testing.T) {
-	f := func(vals []uint64, cut uint8) bool {
+	f := func(raw []uint32, cut uint8) bool {
+		// Link values: the 32-bit handles, with room for the +7 below.
+		vals := make([]arena.Ptr, len(raw))
+		for i, r := range raw {
+			vals[i] = arena.Ptr(r >> 1)
+		}
 		if len(vals) == 0 {
 			return true
 		}
@@ -78,7 +84,7 @@ func TestExecuteQuickPrefix(t *testing.T) {
 			vals = vals[:maxCAS]
 		}
 		k := int(cut) % len(vals) // index of the first failing CAS
-		words := make([]atomic.Uint64, len(vals))
+		words := make([]arena.Link, len(vals))
 		var dl descList
 		for i, v := range vals {
 			words[i].Store(v)

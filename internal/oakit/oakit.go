@@ -197,7 +197,7 @@ func (c *Ctx[T]) Begin() {
 }
 
 // Emit appends CAS(target: old → new) to the round's descriptor list.
-func (c *Ctx[T]) Emit(target *atomic.Uint64, old, new uint64) { c.dl.append(target, old, new) }
+func (c *Ctx[T]) Emit(target *arena.Link, old, new arena.Ptr) { c.dl.append(target, old, new) }
 
 // Own publishes owner hazard pointer i: every node a descriptor of the
 // round mentions — as target object, expected or new value — must be
@@ -210,12 +210,12 @@ func (c *Ctx[T]) Own(i int, p arena.Ptr) { c.Th.SetOwnerHP(i, p) }
 // MaxLevel+1 descriptors (§5).
 const maxCAS = 40
 
-// casDesc is one pending compare-and-swap on a node word — Appendix A's
+// casDesc is one pending compare-and-swap on a link word — Appendix A's
 // (address, expectedVal, newVal) descriptor tuple.
 type casDesc struct {
-	addr     *atomic.Uint64
-	expected uint64
-	new      uint64
+	addr     *arena.Link
+	expected arena.Ptr
+	new      arena.Ptr
 }
 
 // descList is a generator round's output (Timnat & Petrank's normalized
@@ -228,7 +228,7 @@ type descList struct {
 
 func (l *descList) reset() { l.n = 0 }
 
-func (l *descList) append(addr *atomic.Uint64, expected, new uint64) {
+func (l *descList) append(addr *arena.Link, expected, new arena.Ptr) {
 	l.descs[l.n] = casDesc{addr: addr, expected: expected, new: new}
 	l.n++
 }
@@ -276,7 +276,7 @@ func (c *Ctx[T]) Unpin() { c.Th.ClearOwnerHPs() }
 // publication overwrites it, so the wrap-up may keep reading, or CASing
 // next to, the pinned operands without an ABA window — a post-mark value
 // read, the unlink of a node just marked, an MS-queue tail swing.
-func (c *Ctx[T]) Commit(target *atomic.Uint64, old, new uint64, h0, h1, h2 arena.Ptr) bool {
+func (c *Ctx[T]) Commit(target *arena.Link, old, new, h0, h1, h2 arena.Ptr) bool {
 	th := c.Th
 	th.SetOwnerHPs(h0, h1, h2)
 	if th.SealGenerator() {
@@ -307,17 +307,17 @@ func (c *Ctx[T]) WordCAS(ptr arena.Ptr, w *atomic.Uint64, old, new uint64) (swap
 // the bottom mark retires, after the node is out of every level. False
 // means restart the traversal: the barrier caught a warning, or the CAS
 // lost a race.
-func (c *Ctx[T]) Unlink(prevNext *atomic.Uint64, prev, cur, next arena.Ptr) bool {
+func (c *Ctx[T]) Unlink(prevNext *arena.Link, prev, cur, next arena.Ptr) bool {
 	if c.Th.ProtectCAS(prev, cur, next) {
 		return false
 	}
-	return prevNext.CompareAndSwap(uint64(cur), uint64(next))
+	return prevNext.CompareAndSwap(cur, next)
 }
 
 // UnlinkRetire is Unlink for a single-level chain, where the unlinker is
 // the single retirer: on success it retires the slot — the helping
 // physical delete every Harris-Michael traversal performs.
-func (c *Ctx[T]) UnlinkRetire(prevNext *atomic.Uint64, prev, cur, next arena.Ptr) bool {
+func (c *Ctx[T]) UnlinkRetire(prevNext *arena.Link, prev, cur, next arena.Ptr) bool {
 	if !c.Unlink(prevNext, prev, cur, next) {
 		return false
 	}
@@ -330,10 +330,10 @@ func (c *Ctx[T]) UnlinkRetire(prevNext *atomic.Uint64, prev, cur, next arena.Ptr
 // root, so Algorithm 2 applies to the operands only. False means the
 // barrier caught a warning and the caller must restart; the CAS outcome
 // itself is irrelevant to helpers (someone advanced the root).
-func (c *Ctx[T]) HelpCAS(root *atomic.Uint64, old, new arena.Ptr) bool {
+func (c *Ctx[T]) HelpCAS(root *arena.Link, old, new arena.Ptr) bool {
 	if c.Th.ProtectCAS(arena.NilPtr, old, new) {
 		return false
 	}
-	root.CompareAndSwap(uint64(old), uint64(new))
+	root.CompareAndSwap(old, new)
 	return true
 }

@@ -23,7 +23,7 @@ type tnode = oakit.Node[tval]
 
 func resetTNode(n *tnode) {
 	n.Key.Store(0)
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 	n.V.val.Store(0)
 }
 
@@ -48,13 +48,13 @@ func TestGenericListConcurrentTight(t *testing.T) {
 func TestGenericListLinearizability(t *testing.T) { dstest.RunLinearizability(t, mkList(1<<16)) }
 func TestGenericListStats(t *testing.T)           { dstest.RunStats(t, mkList(1<<16), smr.OA) }
 
-func newEngine(t *testing.T, threads, capacity int) (*oakit.Engine[tnode], *atomic.Uint64) {
+func newEngine(t *testing.T, threads, capacity int) (*oakit.Engine[tnode], *arena.Link) {
 	t.Helper()
 	e := oakit.NewEngine(core.Config{
 		MaxThreads: threads, Capacity: capacity, LocalPool: 16,
 	}, resetTNode, 3)
 	t.Cleanup(e.Close)
-	return e, new(atomic.Uint64)
+	return e, new(arena.Link)
 }
 
 // TestPendingLifecycle pins the pre-allocated insert slot contract: the
@@ -91,8 +91,8 @@ func TestInsertInitPublishes(t *testing.T) {
 	}
 	// The insert into the empty chain linked its node through the root
 	// word, with a nil successor.
-	if pos.Prev != arena.NilPtr || arena.Ptr(root.Load()) != pos.Cur || !pos.Next.IsNil() {
-		t.Fatalf("Find(10) = %+v with root word %v, want the root's only node", pos, arena.Ptr(root.Load()))
+	if pos.Prev != arena.NilPtr || root.Load() != pos.Cur || !pos.Next.IsNil() {
+		t.Fatalf("Find(10) = %+v with root word %v, want the root's only node", pos, root.Load())
 	}
 	if v := c.Node(pos.Cur.Slot()).V.val.Load(); v != 111 {
 		t.Fatalf("payload = %d, want 111", v)
@@ -168,26 +168,26 @@ func TestCommitAll(t *testing.T) {
 	t.Cleanup(e.Close)
 	c, mgr := e.Ctx(0), e.Manager()
 
-	// stage emits val: i+1 → 10(i+1) on three fresh nodes, expecting
+	// stage emits next: i+1 → 10(i+1) on three fresh nodes, expecting
 	// wrong on the k-th (k < 0: none wrong), and owns each node.
 	stage := func(k int) (slots [3]uint32) {
 		c.Begin()
 		for i := range slots {
 			slots[i] = c.Th.Alloc()
-			w := &c.Node(slots[i]).V.val
-			w.Store(uint64(i + 1))
-			old := uint64(i + 1)
+			w := &c.Node(slots[i]).Next
+			w.Store(arena.Ptr(i + 1))
+			old := arena.Ptr(i + 1)
 			if i == k {
 				old = 99
 			}
-			c.Emit(w, old, uint64(10*(i+1)))
+			c.Emit(w, old, arena.Ptr(10*(i+1)))
 			c.Own(i, arena.MakePtr(slots[i]))
 		}
 		return slots
 	}
-	vals := func(slots [3]uint32) (v [3]uint64) {
+	vals := func(slots [3]uint32) (v [3]arena.Ptr) {
 		for i, s := range slots {
-			v[i] = c.Node(s).V.val.Load()
+			v[i] = c.Node(s).Next.Load()
 		}
 		return v
 	}
@@ -214,7 +214,7 @@ func TestCommitAll(t *testing.T) {
 	if c.CommitAll() {
 		t.Fatal("CommitAll succeeded with a failing second CAS")
 	}
-	if got, want := vals(failed), [3]uint64{10, 2, 3}; got != want {
+	if got, want := vals(failed), [3]arena.Ptr{10, 2, 3}; got != want {
 		t.Fatalf("after a failing second CAS the words are %v, want %v", got, want)
 	}
 	if n := withheld(failed); n != 0 {
@@ -228,7 +228,7 @@ func TestCommitAll(t *testing.T) {
 	if c.CommitAll() {
 		t.Fatal("CommitAll succeeded past a pending warning")
 	}
-	if got, want := vals(warned), [3]uint64{1, 2, 3}; got != want {
+	if got, want := vals(warned), [3]arena.Ptr{1, 2, 3}; got != want {
 		t.Fatalf("a sealed-off round executed CASes: words %v, want %v", got, want)
 	}
 	if mgr.Stats().Restarts != before+1 {
@@ -250,7 +250,7 @@ func TestCommitAll(t *testing.T) {
 	if !c.CommitAll() {
 		t.Fatal("CommitAll failed with nothing in its way")
 	}
-	if got, want := vals(ok), [3]uint64{10, 20, 30}; got != want {
+	if got, want := vals(ok), [3]arena.Ptr{10, 20, 30}; got != want {
 		t.Fatalf("after CommitAll the words are %v, want %v", got, want)
 	}
 	if n := withheld(ok); n != 0 {
@@ -286,7 +286,7 @@ func TestReleaseClearsHazardPointers(t *testing.T) {
 	if !oakit.Delete(c, root, 1) {
 		t.Fatal("delete failed")
 	}
-	if got := arena.Ptr(root.Load()); got != pos.Next {
+	if got := root.Load(); got != pos.Next {
 		t.Fatalf("root word %v after deleting the first node, want its successor %v", got, pos.Next)
 	}
 	if st := e.Stats(); st.Retires != 1 {
@@ -330,13 +330,13 @@ func TestRootHelpingUnlink(t *testing.T) {
 	if !ok || pos.Prev != arena.NilPtr {
 		t.Fatalf("Mark(1) = %+v %v, want a win behind the root", pos, ok)
 	}
-	if got := arena.Ptr(root.Load()); got != pos.Cur {
+	if got := root.Load(); got != pos.Cur {
 		t.Fatalf("root word %v after the mark alone, want the marked node %v", got, pos.Cur)
 	}
 	if hp, restart := oakit.Find(helper, root, 2); restart || !hp.At(2) || hp.Prev != arena.NilPtr {
 		t.Fatalf("helper Find(2) = %+v restart=%v, want key 2 behind the root", hp, restart)
 	}
-	if got := arena.Ptr(root.Load()); got != pos.Next {
+	if got := root.Load(); got != pos.Next {
 		t.Fatalf("root word %v after the helper's Find, want %v", got, pos.Next)
 	}
 	if st := e.Stats(); st.Retires != 1 {
@@ -405,7 +405,7 @@ func TestStuckReaderDuringSweep(t *testing.T) {
 		MaxThreads: 2, Capacity: 1024, LocalPool: 8,
 	}, resetTNode, 3)
 	t.Cleanup(e.Close)
-	root := new(atomic.Uint64)
+	root := new(arena.Link)
 	reader := e.Ctx(0)
 	churn := e.Ctx(1)
 

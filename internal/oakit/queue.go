@@ -1,10 +1,6 @@
 package oakit
 
-import (
-	"sync/atomic"
-
-	"repro/internal/arena"
-)
+import "repro/internal/arena"
 
 // QNode is the node of the OA Michael-Scott queue, with the structure's
 // payload words in V (all atomics — under OA a node may be read after its
@@ -13,23 +9,23 @@ import (
 // eight-word payload.
 type QNode[V any] struct {
 	V V
-	// Next holds arena.Ptr bits of the successor (no marks in a queue).
-	Next atomic.Uint64
+	// Next is the successor handle (no marks in a queue).
+	Next arena.Link
 }
 
-// Queue is an MS queue's two root words: arena.Ptr bits of the sentinel
-// (Head) and of the last or second-to-last node (Tail). Like a chain's
+// Queue is an MS queue's two root links: the sentinel (Head) and the
+// last or second-to-last node (Tail). Like a chain's
 // root they live outside the arena and are never recycled, so loading
 // them needs no warning check (DESIGN §4).
 type Queue struct {
-	Head atomic.Uint64
-	Tail atomic.Uint64
+	Head arena.Link
+	Tail arena.Link
 }
 
 // Init points both roots at the sentinel of an empty queue.
 func (q *Queue) Init(sentinel uint32) {
-	q.Head.Store(uint64(arena.MakePtr(sentinel)))
-	q.Tail.Store(uint64(arena.MakePtr(sentinel)))
+	q.Head.Store(arena.MakePtr(sentinel))
+	q.Tail.Store(arena.MakePtr(sentinel))
 }
 
 // Enqueue links n, a private node whose payload and nil Next the caller
@@ -41,9 +37,9 @@ func Enqueue[V any](c *Ctx[QNode[V]], q *Queue, n arena.Ptr) {
 	th := c.Th
 	for {
 		// --- CAS generator ---
-		last := arena.Ptr(q.Tail.Load())
-		next := arena.Ptr(th.Node(last.Slot()).Next.Load())
-		tailNow := arena.Ptr(q.Tail.Load())
+		last := q.Tail.Load()
+		next := th.Node(last.Slot()).Next.Load()
+		tailNow := q.Tail.Load()
 		if th.Check() || tailNow != last {
 			continue
 		}
@@ -54,12 +50,12 @@ func Enqueue[V any](c *Ctx[QNode[V]], q *Queue, n arena.Ptr) {
 			continue
 		}
 		// --- executor + wrap-up: O=last, A3=n ---
-		if !c.Commit(&th.Node(last.Slot()).Next, 0, uint64(n), last, n, arena.NilPtr) {
+		if !c.Commit(&th.Node(last.Slot()).Next, arena.NilPtr, n, last, n, arena.NilPtr) {
 			continue
 		}
 		// Swing the tail while the owner hazard pointers still pin last
 		// and n (no ABA window).
-		q.Tail.CompareAndSwap(uint64(last), uint64(n))
+		q.Tail.CompareAndSwap(last, n)
 		return
 	}
 }
@@ -72,10 +68,10 @@ func Enqueue[V any](c *Ctx[QNode[V]], q *Queue, n arena.Ptr) {
 // and calls Take; Take's seal validates those reads.
 func Head[V any](c *Ctx[QNode[V]], q *Queue) (first, next arena.Ptr, empty, restart bool) {
 	th := c.Th
-	first = arena.Ptr(q.Head.Load())
-	last := arena.Ptr(q.Tail.Load())
-	next = arena.Ptr(th.Node(first.Slot()).Next.Load())
-	headNow := arena.Ptr(q.Head.Load())
+	first = q.Head.Load()
+	last := q.Tail.Load()
+	next = th.Node(first.Slot()).Next.Load()
+	headNow := q.Head.Load()
 	if th.Check() || headNow != first {
 		return 0, 0, false, true
 	}
@@ -95,7 +91,7 @@ func Head[V any](c *Ctx[QNode[V]], q *Queue) (first, next arena.Ptr, empty, rest
 // On success the old sentinel is retired (unlinked, single retirer);
 // false means restart from Head and discard the payload.
 func Take[V any](c *Ctx[QNode[V]], q *Queue, first, next arena.Ptr) bool {
-	if !c.Commit(&q.Head, uint64(first), uint64(next), first, next, arena.NilPtr) {
+	if !c.Commit(&q.Head, first, next, first, next, arena.NilPtr) {
 		return false
 	}
 	c.Th.Retire(first.Slot())

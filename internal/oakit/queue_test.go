@@ -25,7 +25,7 @@ type testQueue struct {
 func newTestQueue(t *testing.T) *testQueue {
 	t.Helper()
 	e := oakit.NewEngine(core.Config{MaxThreads: 1, Capacity: 1024, LocalPool: 16},
-		func(n *qnode) { n.V.Store(0); n.Next.Store(0) }, 3)
+		func(n *qnode) { n.V.Store(0); n.Next.Store(arena.NilPtr) }, 3)
 	t.Cleanup(e.Close)
 	tq := &testQueue{e: e, c: e.Ctx(0), fake: 1 << 20}
 	tq.q.Init(e.NewRoot())
@@ -44,7 +44,7 @@ func (tq *testQueue) node(v uint64) arena.Ptr {
 	slot := tq.c.Th.Alloc()
 	n := tq.c.Node(slot)
 	n.V.Store(v)
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 	return arena.MakePtr(slot)
 }
 
@@ -84,7 +84,7 @@ func TestQueueSealValidatesPayload(t *testing.T) {
 	if oakit.Take(tq.c, &tq.q, first, next) {
 		t.Fatal("Take committed under a warning raised after Head")
 	}
-	if got := arena.Ptr(tq.q.Head.Load()); got != first {
+	if got := tq.q.Head.Load(); got != first {
 		t.Fatalf("head moved to %v by a refused Take, want %v", got, first)
 	}
 	if got := tq.restarts(); got != r0+1 {

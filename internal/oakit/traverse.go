@@ -20,17 +20,17 @@ type Node[V any] struct {
 	V V
 	// Key is the node's key; written only between allocation and linking.
 	Key atomic.Uint64
-	// Next holds arena.Ptr bits: successor handle plus the logical-delete
-	// mark in bit 0 (Harris' marked pointer).
-	Next atomic.Uint64
+	// Next is the successor handle plus the logical-delete mark in bit 0
+	// (Harris' marked pointer).
+	Next arena.Link
 }
 
-// Buckets is Michael's bucket array (SPAA 2002): one root word per
-// chain, holding the first node's arena.Ptr (nil for an empty bucket).
+// Buckets is Michael's bucket array (SPAA 2002): one root link per
+// chain, holding the first node's handle (nil for an empty bucket).
 // A root is not a node: it is never retired, so it needs no slot of the
 // arena and loading it needs no warning check (DESIGN §4). The hash
 // table (every scheme) and kvmap route keys through it.
-type Buckets []atomic.Uint64
+type Buckets []arena.Link
 
 // loadFactor is the paper's hash benchmark load factor.
 const loadFactor = 0.75
@@ -48,7 +48,7 @@ func NewBuckets(expected int) Buckets {
 
 // Root returns the root word of key's bucket: Fibonacci multiplicative
 // hashing onto the mask.
-func (b Buckets) Root(key uint64) *atomic.Uint64 {
+func (b Buckets) Root(key uint64) *arena.Link {
 	return &b[uint32((key*0x9E3779B97F4A7C15)>>33)&uint32(len(b)-1)]
 }
 
@@ -67,7 +67,7 @@ func (p Pos) At(key uint64) bool { return !p.Cur.IsNil() && p.Key == key }
 
 // Link returns the word that links prev to its successor: root when prev
 // is NilPtr (the chain's root word), else prev's next word.
-func Link[V any](c *Ctx[Node[V]], root *atomic.Uint64, prev arena.Ptr) *atomic.Uint64 {
+func Link[V any](c *Ctx[Node[V]], root *arena.Link, prev arena.Ptr) *arena.Link {
 	if prev == arena.NilPtr {
 		return root
 	}
@@ -83,18 +83,18 @@ func Link[V any](c *Ctx[Node[V]], root *atomic.Uint64, prev arena.Ptr) *atomic.U
 // at that instant, and the check after the first hop covers every load
 // since. restart=true means the caller must restart its generator; the
 // position is then invalid.
-func Find[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64) (pos Pos, restart bool) {
+func Find[V any](c *Ctx[Node[V]], root *arena.Link, key uint64) (pos Pos, restart bool) {
 	th := c.Th
 	prev, link := arena.NilPtr, root
-	cur := arena.Ptr(root.Load())
+	cur := root.Load()
 	for {
 		if cur.IsNil() {
 			return Pos{Prev: prev}, false
 		}
 		n := th.Node(cur.Slot())
-		next := arena.Ptr(n.Next.Load())
+		next := n.Next.Load()
 		ckey := n.Key.Load()
-		tmp := arena.Ptr(link.Load())
+		tmp := link.Load()
 		if th.Check() {
 			return Pos{}, true
 		}
@@ -117,14 +117,14 @@ func Find[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64) (pos Pos, res
 // the independent-reads optimization of Appendix E batching the key and
 // next reads): two loads plus one warning check per hop, no hazard
 // pointers, no fences.
-func Contains[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64) bool {
+func Contains[V any](c *Ctx[Node[V]], root *arena.Link, key uint64) bool {
 	th := c.Th
 restart:
 	for {
-		cur := arena.Ptr(root.Load())
+		cur := root.Load()
 		for !cur.IsNil() {
 			n := th.Node(cur.Unmark().Slot())
-			next := arena.Ptr(n.Next.Load())
+			next := n.Next.Load()
 			ckey := n.Key.Load()
 			if th.Check() {
 				continue restart
@@ -143,7 +143,7 @@ restart:
 // pending node's payload words after the key is set and before the node
 // is linked (the node is still thread-private, so the stores publish
 // with the linking CAS).
-func Insert[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64, init func(*Node[V])) bool {
+func Insert[V any](c *Ctx[Node[V]], root *arena.Link, key uint64, init func(*Node[V])) bool {
 	th := c.Th
 	for {
 		// --- CAS generator ---
@@ -157,13 +157,13 @@ func Insert[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64, init func(*
 		slot := c.Pending()
 		n := th.Node(slot)
 		n.Key.Store(key)
-		n.Next.Store(uint64(pos.Cur))
+		n.Next.Store(pos.Cur)
 		if init != nil {
 			init(n)
 		}
 		// Algorithm 3: protect O=prev (nil for the root), A2=cur, A3=new
 		// node; seal and executor inside Commit.
-		if !c.Commit(Link(c, root, pos.Prev), uint64(pos.Cur), uint64(arena.MakePtr(slot)),
+		if !c.Commit(Link(c, root, pos.Prev), pos.Cur, arena.MakePtr(slot),
 			pos.Prev, pos.Cur, arena.MakePtr(slot)) {
 			continue // RESTART_GENERATOR
 		}
@@ -174,7 +174,7 @@ func Insert[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64, init func(*
 
 // Delete deletes key from the chain at root; false if absent. See
 // DeleteIf.
-func Delete[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64) bool {
+func Delete[V any](c *Ctx[Node[V]], root *arena.Link, key uint64) bool {
 	return DeleteIf(c, root, key, nil)
 }
 
@@ -187,7 +187,7 @@ func Delete[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64) bool {
 // is re-evaluated inside the generator on every restart. A nil pred
 // always approves and costs no check. The winner of the mark unlinks and
 // retires the node at once (UnlinkMarked).
-func DeleteIf[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64, pred func(*Node[V]) bool) bool {
+func DeleteIf[V any](c *Ctx[Node[V]], root *arena.Link, key uint64, pred func(*Node[V]) bool) bool {
 	pos, ok := Mark(c, root, key, pred)
 	if ok {
 		UnlinkMarked(c, root, pos)
@@ -201,7 +201,7 @@ func DeleteIf[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64, pred func
 // are still published, so the caller may read the marked node before it
 // calls UnlinkMarked(c, root, pos); a marked node never unlinked this
 // way is left to the helping traversals.
-func Mark[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64, pred func(*Node[V]) bool) (Pos, bool) {
+func Mark[V any](c *Ctx[Node[V]], root *arena.Link, key uint64, pred func(*Node[V]) bool) (Pos, bool) {
 	th := c.Th
 	for {
 		// --- CAS generator ---
@@ -225,7 +225,7 @@ func Mark[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64, pred func(*No
 		// Listing 4: HP[3]=cur, HP[4]=next; the new value mark(next)
 		// dedups with next (basic optimization). prev is owned too, for
 		// the unlink the wrap-up performs (nil when prev is the root).
-		if !c.Commit(&n.Next, uint64(pos.Next), uint64(pos.Next.Mark()),
+		if !c.Commit(&n.Next, pos.Next, pos.Next.Mark(),
 			pos.Cur, pos.Next, pos.Prev) {
 			continue // RESTART_GENERATOR
 		}
@@ -241,8 +241,8 @@ func Mark[V any](c *Ctx[Node[V]], root *atomic.Uint64, key uint64, pred func(*No
 // MS-queue tail swing follows the same pattern). A lost CAS — prev was
 // deleted, or an insert linked a node in front of cur — leaves cur to the
 // helpers.
-func UnlinkMarked[V any](c *Ctx[Node[V]], root *atomic.Uint64, pos Pos) {
-	if Link(c, root, pos.Prev).CompareAndSwap(uint64(pos.Cur), uint64(pos.Next)) {
+func UnlinkMarked[V any](c *Ctx[Node[V]], root *arena.Link, pos Pos) {
+	if Link(c, root, pos.Prev).CompareAndSwap(pos.Cur, pos.Next) {
 		c.Th.Retire(pos.Cur.Slot()) // proper: now unlinked, single unlinker
 	}
 }
@@ -251,7 +251,7 @@ func UnlinkMarked[V any](c *Ctx[Node[V]], root *atomic.Uint64, pos Pos) {
 // smr.Set). internal/list's OA list is List[struct{}].
 type List[V any] struct {
 	e    *Engine[Node[V]]
-	root atomic.Uint64
+	root arena.Link
 }
 
 // NewChain builds an engine for chains of Node[V], any number of roots.
@@ -286,7 +286,7 @@ func (l *List[V]) RegisterObs(reg *obs.Registry) { l.e.RegisterObs(reg) }
 
 type listSession[V any] struct {
 	c    *Ctx[Node[V]]
-	root *atomic.Uint64
+	root *arena.Link
 }
 
 func (s listSession[V]) Insert(key uint64) bool   { return Insert(s.c, s.root, key, nil) }

@@ -53,7 +53,7 @@ func (s *oaQSession) Enqueue(v uint64) {
 	slot := s.c.Th.Alloc()
 	n := s.c.Node(slot)
 	n.V.Store(v)
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 	oakit.Enqueue(s.c, s.q, arena.MakePtr(slot))
 }
 

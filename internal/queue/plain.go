@@ -45,25 +45,25 @@ func (s *session) Enqueue(v uint64) {
 	}
 	n := g.View.At(s.pending)
 	n.V.Store(v)
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 	newPtr := arena.MakePtr(s.pending)
 	for {
-		last := arena.Ptr(s.r.Tail.Load())
+		last := s.r.Tail.Load()
 		if !g.Validate(0, last, &s.r.Tail, last) {
 			g.Restart()
 			continue
 		}
-		next := arena.Ptr(g.View.At(last.Slot()).Next.Load())
-		if arena.Ptr(s.r.Tail.Load()) != last {
+		next := g.View.At(last.Slot()).Next.Load()
+		if s.r.Tail.Load() != last {
 			g.Restart()
 			continue
 		}
 		if !next.IsNil() {
-			s.r.Tail.CompareAndSwap(uint64(last), uint64(next))
+			s.r.Tail.CompareAndSwap(last, next)
 			continue
 		}
-		if g.View.At(last.Slot()).Next.CompareAndSwap(0, uint64(newPtr)) {
-			s.r.Tail.CompareAndSwap(uint64(last), uint64(newPtr))
+		if g.View.At(last.Slot()).Next.CompareAndSwap(arena.NilPtr, newPtr) {
+			s.r.Tail.CompareAndSwap(last, newPtr)
 			s.pending = arena.NoSlot
 			g.End()
 			return
@@ -77,14 +77,14 @@ func (s *session) Enqueue(v uint64) {
 // moved meanwhile and the dequeue must retry.
 func (s *session) head() (first, last, next arena.Ptr, ok bool) {
 	g := s.g
-	first = arena.Ptr(s.r.Head.Load())
+	first = s.r.Head.Load()
 	if !g.Validate(0, first, &s.r.Head, first) {
 		return 0, 0, 0, false
 	}
-	last = arena.Ptr(s.r.Tail.Load())
-	next = arena.Ptr(g.View.At(first.Slot()).Next.Load())
+	last = s.r.Tail.Load()
+	next = g.View.At(first.Slot()).Next.Load()
 	g.Protect(1, next)
-	return first, last, next, arena.Ptr(s.r.Head.Load()) == first
+	return first, last, next, s.r.Head.Load() == first
 }
 
 // Dequeue follows Michael's published HP protocol with hp0=first, hp1=next.
@@ -102,11 +102,11 @@ func (s *session) Dequeue() (uint64, bool) {
 				g.End()
 				return 0, false
 			}
-			s.r.Tail.CompareAndSwap(uint64(last), uint64(next))
+			s.r.Tail.CompareAndSwap(last, next)
 			continue
 		}
 		v := g.View.At(next.Slot()).V.Load()
-		if s.r.Head.CompareAndSwap(uint64(first), uint64(next)) {
+		if s.r.Head.CompareAndSwap(first, next) {
 			g.Clear()
 			g.Retire(first.Slot())
 			g.End()

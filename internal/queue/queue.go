@@ -12,7 +12,7 @@
 // owner hazard pointers and sealing warning check ensure its executor CAS
 // either targets a live node or restarts.
 //
-// The head and tail live in plain shared atomic words (they are structure
+// The head and tail live in plain shared link words (they are structure
 // roots, not nodes, so the reclamation schemes never recycle them); CASes
 // on them need no object protection, but their pointer *operands* do —
 // exactly the distinction Algorithm 2 draws.
@@ -25,6 +25,7 @@ package queue
 import (
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/guard"
 	"repro/internal/oakit"
 	"repro/internal/sizing"
@@ -39,7 +40,7 @@ type Node = oakit.QNode[atomic.Uint64]
 // ResetNode zeroes a node (the allocation memset hook).
 func ResetNode(n *Node) {
 	n.V.Store(0)
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 }
 
 // New builds an empty queue under scheme sc.

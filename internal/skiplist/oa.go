@@ -97,13 +97,13 @@ func (s *oaSession) find(key uint64) (found, restart bool) {
 	th := s.c.Th
 	predSlot := s.head
 	for level := MaxLevel - 1; level >= 0; level-- {
-		curr := arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
+		curr := th.Node(predSlot).Next[level].Load().Unmark()
 		if th.Check() {
 			return false, true
 		}
 		for !curr.IsNil() {
 			n := th.Node(curr.Slot())
-			succ := arena.Ptr(n.Next[level].Load())
+			succ := n.Next[level].Load()
 			ckey := n.Key.Load()
 			if th.Check() {
 				return false, true
@@ -149,14 +149,14 @@ restart:
 		predSlot := s.head
 		var curr arena.Ptr
 		for level := MaxLevel - 1; level >= 0; level-- {
-			curr = arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
+			curr = th.Node(predSlot).Next[level].Load().Unmark()
 			if th.Check() {
 				continue restart
 			}
 			var ckey uint64
 			for !curr.IsNil() {
 				n := th.Node(curr.Slot())
-				succ := arena.Ptr(n.Next[level].Load())
+				succ := n.Next[level].Load()
 				ckey = n.Key.Load()
 				if th.Check() {
 					continue restart
@@ -200,10 +200,10 @@ func (s *oaSession) Insert(key uint64) bool {
 		n.Key.Store(key)
 		n.Height.Store(height)
 		for l := uint32(0); l < height; l++ {
-			n.Next[l].Store(uint64(s.succs[l]))
+			n.Next[l].Store(s.succs[l])
 		}
 		// --- executor + wrap-up: O=pred, A2=succ, A3=new node ---
-		if !s.c.Commit(&th.Node(s.preds[0]).Next[0], uint64(s.succs[0]), uint64(newPtr),
+		if !s.c.Commit(&th.Node(s.preds[0]).Next[0], s.succs[0], newPtr,
 			arena.MakePtr(s.preds[0]), s.succs[0], newPtr) {
 			continue
 		}
@@ -232,7 +232,7 @@ func (s *oaSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint
 				}
 				valid = true
 			}
-			nl := arena.Ptr(n.Next[l].Load())
+			nl := n.Next[l].Load()
 			if th.Check() {
 				valid = false
 				continue
@@ -246,9 +246,9 @@ func (s *oaSession) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint
 			}
 			s.c.Begin()
 			if nl != succ {
-				s.c.Emit(&n.Next[l], uint64(nl), uint64(succ))
+				s.c.Emit(&n.Next[l], nl, succ)
 			}
-			s.c.Emit(&th.Node(s.preds[l]).Next[l], uint64(succ), uint64(newPtr))
+			s.c.Emit(&th.Node(s.preds[l]).Next[l], succ, newPtr)
 			s.c.Own(0, arena.MakePtr(s.preds[l]))
 			s.c.Own(1, succ)
 			s.c.Own(2, newPtr)
@@ -283,7 +283,7 @@ func (s *oaSession) Delete(key uint64) bool {
 			continue
 		}
 		for l := uint32(0); l < height; l++ {
-			levelSucc[l] = arena.Ptr(n.Next[l].Load())
+			levelSucc[l] = n.Next[l].Load()
 		}
 		if th.Check() {
 			continue
@@ -301,7 +301,7 @@ func (s *oaSession) Delete(key uint64) bool {
 			if sl.Marked() {
 				continue
 			}
-			s.c.Emit(&n.Next[l], uint64(sl), uint64(sl.Mark()))
+			s.c.Emit(&n.Next[l], sl, sl.Mark())
 			s.c.Own(owned, sl) // new value mark(sl) dedups with sl
 			owned++
 		}

@@ -75,14 +75,14 @@ retry:
 		predSlot := s.head
 		pred := v.At(predSlot)
 		for level := MaxLevel - 1; level >= 0; level-- {
-			curr := arena.Ptr(pred.Next[level].Load()).Unmark()
+			curr := pred.Next[level].Load().Unmark()
 			for !curr.IsNil() {
 				if !g.Validate(hpCur, curr, &pred.Next[level], curr) {
 					g.Restart()
 					continue retry
 				}
 				n := v.At(curr.Slot())
-				succ := arena.Ptr(n.Next[level].Load())
+				succ := n.Next[level].Load()
 				if !g.Validate(hpNext, succ, &n.Next[level], succ) {
 					g.Restart()
 					continue retry
@@ -91,7 +91,7 @@ retry:
 					// curr is deleted at this level: snip it out. The CAS
 					// expects an unmarked pred.next, so a deleted pred
 					// fails here and restarts the find.
-					if !pred.Next[level].CompareAndSwap(uint64(curr), uint64(succ.Unmark())) {
+					if !pred.Next[level].CompareAndSwap(curr, succ.Unmark()) {
 						g.Restart()
 						continue retry
 					}
@@ -142,10 +142,10 @@ func (s *session) contains(key uint64) bool {
 	predSlot := s.head
 	var curr arena.Ptr
 	for level := MaxLevel - 1; level >= 0; level-- {
-		curr = arena.Ptr(v.At(predSlot).Next[level].Load()).Unmark()
+		curr = v.At(predSlot).Next[level].Load().Unmark()
 		for !curr.IsNil() {
 			n := v.At(curr.Slot())
-			succ := arena.Ptr(n.Next[level].Load())
+			succ := n.Next[level].Load()
 			if succ.Marked() {
 				curr = succ.Unmark()
 				continue
@@ -184,11 +184,11 @@ func (s *session) Insert(key uint64) bool {
 		n.Key.Store(key)
 		n.Height.Store(height)
 		for l := uint32(0); l < height; l++ {
-			n.Next[l].Store(uint64(s.succs[l]))
+			n.Next[l].Store(s.succs[l])
 		}
 		newPtr := arena.MakePtr(s.pending)
 		g.Protect(hpExtra, newPtr) // survives the re-finds below
-		if !v.At(s.preds[0]).Next[0].CompareAndSwap(uint64(s.succs[0]), uint64(newPtr)) {
+		if !v.At(s.preds[0]).Next[0].CompareAndSwap(s.succs[0], newPtr) {
 			g.Restart()
 			continue
 		}
@@ -206,7 +206,7 @@ func (s *session) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint64
 	v := &g.View
 	for l := uint32(1); l < height; l++ {
 		for {
-			nl := arena.Ptr(n.Next[l].Load())
+			nl := n.Next[l].Load()
 			if nl.Marked() {
 				return
 			}
@@ -217,11 +217,11 @@ func (s *session) linkUpper(n *Node, newPtr arena.Ptr, height uint32, key uint64
 			}
 			if nl != succ {
 				// Re-point our own next before exposing the level.
-				if !n.Next[l].CompareAndSwap(uint64(nl), uint64(succ)) {
+				if !n.Next[l].CompareAndSwap(nl, succ) {
 					return // concurrently marked
 				}
 			}
-			if v.At(s.preds[l]).Next[l].CompareAndSwap(uint64(succ), uint64(newPtr)) {
+			if v.At(s.preds[l]).Next[l].CompareAndSwap(succ, newPtr) {
 				break
 			}
 			g.Restart()
@@ -251,20 +251,20 @@ func (s *session) Delete(key uint64) bool {
 		height := n.Height.Load()
 		for l := int(height) - 1; l >= 1; l-- {
 			for {
-				sl := arena.Ptr(n.Next[l].Load())
+				sl := n.Next[l].Load()
 				if sl.Marked() {
 					break
 				}
-				n.Next[l].CompareAndSwap(uint64(sl), uint64(sl.Mark()))
+				n.Next[l].CompareAndSwap(sl, sl.Mark())
 			}
 		}
 		for {
-			sl := arena.Ptr(n.Next[0].Load())
+			sl := n.Next[0].Load()
 			if sl.Marked() {
 				g.End()
 				return false // another deleter won
 			}
-			if n.Next[0].CompareAndSwap(uint64(sl), uint64(sl.Mark())) {
+			if n.Next[0].CompareAndSwap(sl, sl.Mark()) {
 				s.find(key) // snip the node out of every level
 				g.Clear()
 				g.Retire(victim.Slot())

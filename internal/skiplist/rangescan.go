@@ -37,13 +37,13 @@ func (s *oaSession) RangeScan(from, to uint64, visit func(uint64) bool) {
 		predSlot := s.head
 		var curr arena.Ptr
 		for level := MaxLevel - 1; level >= 0; level-- {
-			curr = arena.Ptr(th.Node(predSlot).Next[level].Load()).Unmark()
+			curr = th.Node(predSlot).Next[level].Load().Unmark()
 			if th.Check() {
 				goto restart
 			}
 			for !curr.IsNil() {
 				n := th.Node(curr.Slot())
-				succ := arena.Ptr(n.Next[level].Load())
+				succ := n.Next[level].Load()
 				ckey := n.Key.Load()
 				if th.Check() {
 					goto restart
@@ -68,7 +68,7 @@ func (s *oaSession) RangeScan(from, to uint64, visit func(uint64) bool) {
 				return
 			}
 			n := th.Node(curr.Slot())
-			succ := arena.Ptr(n.Next[0].Load())
+			succ := n.Next[0].Load()
 			ckey := n.Key.Load()
 			if th.Check() {
 				goto restart

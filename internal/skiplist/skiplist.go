@@ -29,6 +29,7 @@ package skiplist
 import (
 	"sync/atomic"
 
+	"repro/internal/arena"
 	"repro/internal/guard"
 	"repro/internal/sizing"
 	"repro/internal/smr"
@@ -58,9 +59,9 @@ type Node struct {
 	// Height is the number of levels the node occupies (1..MaxLevel);
 	// written before the node is linked.
 	Height atomic.Uint32
-	// Next[l] holds arena.Ptr bits for level l; bit 0 is the logical
+	// Next[l] is the successor handle at level l; bit 0 is the logical
 	// delete mark of that level.
-	Next [MaxLevel]atomic.Uint64
+	Next [MaxLevel]arena.Link
 }
 
 // ResetNode zeroes a node (the allocation memset hook).
@@ -68,7 +69,7 @@ func ResetNode(n *Node) {
 	n.Key.Store(0)
 	n.Height.Store(0)
 	for l := range n.Next {
-		n.Next[l].Store(0)
+		n.Next[l].Store(arena.NilPtr)
 	}
 }
 

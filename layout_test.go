@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/hashtable"
 	"repro/internal/kvmap"
@@ -13,16 +14,24 @@ import (
 	"repro/internal/obs"
 	"repro/internal/queue"
 	"repro/internal/sizing"
+	"repro/internal/skiplist"
 	"repro/internal/smr"
 )
 
 // Node sizes are part of the measured design, not an accident of field
-// order. The list and map nodes are instances of the kit's generic chain
-// node, whose payload comes first: Go pads a struct that ends in a
-// zero-size field, so with the (empty) list payload last the node grew
-// from 16 to 24 bytes and a contains over 5,000 keys ran 6 % slower —
-// fewer nodes per cache line. A node that grows past these sizes changes
-// every structure number in EXPERIMENTS.md and the bench ledger.
+// order. Every link word is an arena.Link of 4 bytes: a slot handle and
+// its mark fit 32 bits, and the arena refuses slots past that. With 8-byte
+// links the skip list's 20 levels made its node 176 bytes; with Links it
+// is 96 (8 key, 4 height, 80 of links, 4 of padding), which shrinks
+// skiplist-read's resident memory by about a quarter. The list and map
+// nodes are instances of the kit's generic chain node, whose payload comes
+// first: Go pads a struct that ends in a zero-size field, so with the
+// (empty) list payload last the node grew from 16 to 24 bytes and a
+// contains over 5,000 keys ran 6 % slower — fewer nodes per cache line.
+// The chain and queue nodes keep their sizes with a 4-byte link, since
+// their 8-byte payload or key words align them to 8. A node that grows
+// past these sizes changes every structure number in EXPERIMENTS.md and
+// the bench ledger.
 func TestNodeLayout(t *testing.T) {
 	for _, c := range []struct {
 		name      string
@@ -32,6 +41,8 @@ func TestNodeLayout(t *testing.T) {
 		{"kvmap.Node", unsafe.Sizeof(kvmap.Node{}), 32},
 		{"queue.Node", unsafe.Sizeof(queue.Node{}), 16},
 		{"mpmc.Node", unsafe.Sizeof(mpmc.Node{}), 72},
+		{"skiplist.Node", unsafe.Sizeof(skiplist.Node{}), 96},
+		{"arena.Link", unsafe.Sizeof(arena.Link{}), 4},
 		// Two cache lines, so neighbouring threads' counters never share one.
 		{"obs.PerThread", unsafe.Sizeof(obs.PerThread{}), 128},
 	} {

@@ -14,13 +14,16 @@
 # directory), which must inline at OA sites (oakit and the oa.go files)
 # and at guard sites (the plain.go files) alike; the drain's generation
 # bump, View.BumpGen, must inline too. So must oakit.Link, which resolves a
-# chain predecessor's next word (or the root word) for every commit: it
-# sits a few units under the budget.
+# chain predecessor's next link (or the root link) for every commit: it
+# sits a few units under the budget. And so must the three methods of
+# arena.Link, the 32-bit link word every hop loads and every commit CASes
+# (Load, Store, CompareAndSwap), at OA sites and guard sites alike.
 #
 # The gate compiles the structure packages twice. With -gcflags=-m, the
-# compiler must report `inlining call to` for Check, Node and View.At, and
-# for every Guard hook. With -gcflags=-S, their assembly must hold no CALL
-# to any of them or to View.BumpGen, which is what makes the check cover
+# compiler must report `inlining call to` for Check, Node, View.At and the
+# Link methods, and for every Guard hook. With -gcflags=-S, their assembly
+# must hold no CALL to any of them or to View.BumpGen, which is what makes
+# the check cover
 # every call site: a site that did not inline is a CALL. The only calls
 # left on those paths are the ones kept out of line on purpose — the
 # warning slow path (core's warning.ack) and a guard hook's own work
@@ -59,18 +62,22 @@ need "core.Thread.Node" 'core\.\(\*Thread\[.*\]\)\.Node'
 need "arena.View.At (OA)" 'arena\.\(\*View\[.*\]\)\.At' 'internal/(oakit/|[a-z]+/oa\.go)'
 need "arena.View.At (guard)" 'arena\.\(\*View\[.*\]\)\.At' 'internal/[a-z]+/plain\.go'
 need "oakit.Link" 'oakit\.Link\[.*\]'
+for m in Load Store CompareAndSwap; do
+	need "arena.Link.$m (OA)" "arena\\.\\(\\*Link\\)\\.$m" 'internal/(oakit/|[a-z]+/oa\.go)'
+	need "arena.Link.$m (guard)" "arena\\.\\(\\*Link\\)\\.$m" 'internal/[a-z]+/plain\.go'
+done
 for h in $hooks; do
 	need "guard.Guard.$h" "guard\\.\\(\\*Guard\\[.*\\]\\)\\.$h"
 done
 
 # A CALL left behind by a call site that did not inline.
 calls=$(grep -E $'\tCALL\t' "$tmp/S" |
-	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.(At|BumpGen)\(SB\)|oakit\.Link\[.*\]\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
+	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.(At|BumpGen)\(SB\)|arena\.\(\*Link\)\.(Load|Store|CompareAndSwap)\(SB\)|oakit\.Link\[.*\]\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
 if [ -n "$calls" ]; then
 	echo "inline: call sites that did not inline:" >&2
 	echo "$calls" | sed -E 's/^[^(]*\(([^)]*)\).*CALL\t/  \1: /; s/go\.shape\.[^]]*\]/…]/g' >&2
 	fail=1
 else
-	echo "inline: no CALL to Check, Node, View.At, View.BumpGen, oakit.Link or a Guard hook"
+	echo "inline: no CALL to Check, Node, View.At, View.BumpGen, oakit.Link, a Link method or a Guard hook"
 fi
 exit "$fail"

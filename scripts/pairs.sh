@@ -14,9 +14,12 @@
 #
 # For every end-to-end metric of BENCHMARK.json it prints each side's median
 # and quartiles (linear interpolation), the ratio of the medians, and the
-# change's wins out of N by the metric's direction (ties count for neither);
-# then attempted/failed operations and correctness per side. A run that
-# fails stops the script with its exit status.
+# change's wins out of N by the metric's direction (ties count for neither).
+# On the structure workloads it adds the same row for the per-layer metric
+# oa_over_norecl (OA's throughput over NoRecl's, which bench compare gates),
+# read from the `layer oa_over_norecl` line of the kept run logs. Then come
+# attempted/failed operations and correctness per side. A run that fails
+# stops the script with its exit status.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -74,21 +77,21 @@ done
 
 # value <metric> <file>: the metric's value in each result line, one a line.
 value() { grep -o "\"$1\":{\"value\":[^,}]*" "$2" | sed 's/.*://'; }
+# layer <metric> <side>: the per-layer metric's value in each of the side's
+# run logs, one a line; nothing where the workload does not report it.
+layer() {
+	local i
+	for ((i = 1; i <= n; i++)); do
+		awk -v m="$1" '$1 == "layer" && $2 == m && !/not applicable/ { print $3 }' "$out/logs/$workload-$2-$i.log"
+	done
+}
 # field <name> <file>: a top-level field of each result line.
 field() { grep -o "\"$1\":[^,}]*" "$2" | sed 's/.*://'; }
 
-dirty=$(git -C "$root" status --porcelain --untracked-files=no | grep -q . && echo " + uncommitted changes" || true)
-echo "workload $workload: $n pairs, parent ${sha:0:12} vs the working tree ($(git -C "$root" rev-parse --short=12 HEAD)$dirty)"
-printf '%-10s %-5s %-6s  %-36s  %-36s  %7s  %s\n' metric unit better \
-	"parent median [q1, q3]" "change median [q1, q3]" "chg/par" wins
-awk -F': *' '
-	/"end_to_end"/ { on = 1 }
-	/"per_layer"/ { on = 0 }
-	on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
-	on && /"unit"/ { gsub(/[",]/, "", $2); unit = $2 }
-	on && /"better"/ { gsub(/[",]/, "", $2); print name, unit, $2 }
-' "$root/BENCHMARK.json" | while read -r name unit better; do
-	paste <(value "$name" "$pj") <(value "$name" "$cj") | awk -v name="$name" -v unit="$unit" -v better="$better" '
+# row <name> <unit> <better>: one table row from the parent's and the
+# change's values, read as two tab-separated columns, one pair a line.
+row() {
+	awk -v name="$1" -v unit="$2" -v better="$3" '
 		function sort(a, k,   i, j, t) {
 			for (i = 2; i <= k; i++)
 				for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
@@ -100,12 +103,29 @@ awk -F': *' '
 		{ p[NR] = $1; c[NR] = $2; if (better == "higher" ? $2 > $1 : $2 < $1) w++ }
 		END {
 			sort(p, NR); sort(c, NR)
-			printf "%-10s %-5s %-6s  %-36s  %-36s  %7.3f  %d/%d\n", name, unit, better,
+			printf "%-14s %-5s %-6s  %-36s  %-36s  %7.3f  %d/%d\n", name, unit, better,
 				sprintf("%.4g [%.4g, %.4g]", q(p, NR, .5), q(p, NR, .25), q(p, NR, .75)),
 				sprintf("%.4g [%.4g, %.4g]", q(c, NR, .5), q(c, NR, .25), q(c, NR, .75)),
 				q(p, NR, .5) ? q(c, NR, .5) / q(p, NR, .5) : 0, w, NR
 		}'
+}
+
+dirty=$(git -C "$root" status --porcelain --untracked-files=no | grep -q . && echo " + uncommitted changes" || true)
+echo "workload $workload: $n pairs, parent ${sha:0:12} vs the working tree ($(git -C "$root" rev-parse --short=12 HEAD)$dirty)"
+printf '%-14s %-5s %-6s  %-36s  %-36s  %7s  %s\n' metric unit better \
+	"parent median [q1, q3]" "change median [q1, q3]" "chg/par" wins
+awk -F': *' '
+	/"end_to_end"/ { on = 1 }
+	/"per_layer"/ { on = 0 }
+	on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+	on && /"unit"/ { gsub(/[",]/, "", $2); unit = $2 }
+	on && /"better"/ { gsub(/[",]/, "", $2); print name, unit, $2 }
+' "$root/BENCHMARK.json" | while read -r name unit better; do
+	paste <(value "$name" "$pj") <(value "$name" "$cj") | row "$name" "$unit" "$better"
 done
+if [ -n "$(layer oa_over_norecl parent)" ]; then
+	paste <(layer oa_over_norecl parent) <(layer oa_over_norecl change) | row oa_over_norecl ratio higher
+fi
 for side in parent change; do
 	file=$pj
 	[ "$side" = change ] && file=$cj

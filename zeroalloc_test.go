@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/core"
 	"repro/internal/kvmap"
 	"repro/internal/list"
@@ -25,7 +26,7 @@ type zanode = oakit.Node[struct{ tag atomic.Uint64 }]
 
 func resetZANode(n *zanode) {
 	n.Key.Store(0)
-	n.Next.Store(0)
+	n.Next.Store(arena.NilPtr)
 	n.V.tag.Store(0)
 }
 
