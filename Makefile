@@ -8,8 +8,8 @@ all: build test
 
 # Everything a merge gate needs: compile+vet (the benchmark module too), tests, the allocation
 # proofs, and the race detector over the reclamation core and the request
-# path. The process-level check — real oaserver/oaload/oastress binaries
-# through start, load, SIGTERM/SIGINT and the final-stats ledger — is the
+# path. The process-level check — real oaserver/oastress binaries through
+# start, in-process load, SIGTERM/SIGINT and the final-stats ledger — is the
 # internal/e2e test package, so it runs inside `test` (go test ./...;
 # one check alone: go test -run TestLifecycle/cache ./internal/e2e).
 # Performance is recorded by bench/ (BENCHMARK.json), not gated here;

@@ -1,37 +1,13 @@
 package e2e
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/server"
 )
-
-// loadReport is the part of oaload's -json document the slo row reads.
-type loadReport struct {
-	Ops     uint64            `json:"ops"`
-	Busy    uint64            `json:"busy"`
-	Dropped uint64            `json:"dropped"`
-	Errs    uint64            `json:"errs"`
-	Latency server.CmdLatency `json:"latency"`
-	Exec    *struct {
-		RingCap       int     `json:"ring_cap"`
-		MaxQueueDepth int     `json:"max_queue_depth"`
-		Batches       uint64  `json:"batches"`
-		BatchedOps    uint64  `json:"batched_ops"`
-		AvgBatch      float64 `json:"avg_batch"`
-	} `json:"exec"`
-	Health *struct {
-		Final  string `json:"final"`
-		Firing []struct {
-			Name string `json:"name"`
-		} `json:"firing"`
-	} `json:"health"`
-}
 
 // respOK fails unless the next n pipelined replies are all +OK.
 func respOK(c *server.RESPClient, n int) error {
@@ -89,10 +65,15 @@ func allShardsActive(n int) func(*testing.T, stats) {
 func TestLifecycle(t *testing.T) {
 	skipShort(t)
 	const listen = "127.0.0.1:0"
-	var report loadReport // oaload -json document of the slo row
-	var textOps [4]uint64 // ... and the same run's summary line
+	var slo struct { // what the slo row's drive saw, for its check
+		load    counts
+		lat     server.CmdLatency // client round trips
+		peak    int               // deepest executor ring during the load
+		healthy bool              // health settled ok, or only slo_p99_burn fires
+		health  string            // the last health document, for the failure
+	}
 	zipfThroughDrain := func(t *testing.T, s *oaserver) func() {
-		return s.loadThroughDrain(t, "-conns", "16", "-burst", "0", "-dist", "zipf", "-theta", "0.99", "-keys", "65536")
+		return s.loadThroughDrain(t, &load{conns: 16, zipf: true})
 	}
 	rows := []struct {
 		name  string
@@ -106,8 +87,8 @@ func TestLifecycle(t *testing.T) {
 			name:  "serve",
 			flags: []string{"-shards", "1", "-threads", "32", "-capacity", "1048576"},
 			drive: func(t *testing.T, s *oaserver) func() {
-				finish(t, start(t, "oaload", "-addr", s.addr, "-conns", "64", "-duration", "1s", "-burst", "2000"))
-				return s.loadThroughDrain(t, "-conns", "64", "-burst", "0")
+				(&load{addr: s.addr, conns: 64, burst: 2000}).run(t, time.Second)
+				return s.loadThroughDrain(t, &load{conns: 64})
 			},
 			check: func(t *testing.T, st stats) {
 				allShardsActive(1)(t, st)
@@ -124,7 +105,7 @@ func TestLifecycle(t *testing.T) {
 			name:  "resp",
 			flags: []string{"-resp", listen, "-shards", "2", "-threads", "8", "-capacity", "262144"},
 			drive: func(t *testing.T, s *oaserver) func() {
-				finish(t, start(t, "oaload", "-addr", s.resp, "-resp", "-conns", "4", "-duration", "300ms"))
+				(&load{addr: s.resp, resp: true, conns: 4, burst: 2000}).run(t, 300*time.Millisecond)
 				c := dialRESP(t, s.resp)
 				defer c.Close()
 				if v, err := c.Do("SET", "k", "v"); err != nil || string(v.Str) != "OK" {
@@ -222,28 +203,37 @@ func TestLifecycle(t *testing.T) {
 			},
 		},
 		{
-			// oaload's two reports against the server's own histograms.
+			// The client's own histogram, STATS polled during the load and
+			// the health block after it, against the server's histograms.
 			name:  "slo",
 			flags: []string{"-threads", "32", "-capacity", "1048576", "-slow-threshold", "5ms"},
 			drive: func(t *testing.T, s *oaserver) func() {
-				path := filepath.Join(t.TempDir(), "load.json")
-				textOps = finish(t, start(t, "oaload", "-addr", s.addr, "-conns", "16", "-duration", "1s", "-burst", "0", "-json", path))
-				raw, err := os.ReadFile(path)
-				if err == nil {
-					err = json.Unmarshal(raw, &report)
+				l := (&load{addr: s.addr, conns: 16}).start(t)
+				for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(20 * time.Millisecond) {
+					for _, d := range s.stats(t).Server.RingDepth {
+						slo.peak = max(slo.peak, d)
+					}
 				}
-				if err != nil {
-					t.Fatalf("oaload -json report: %v", err)
+				l.stop()
+				slo.load = l.wait(t)
+				slo.lat = server.LatencyOf(l.lat.Snapshot())
+				// Health rules clear with hysteresis: the default engine
+				// needs 8 calm ticks at 250 ms, so a rule firing at the
+				// last request settles within 6 s.
+				for settle := time.Now().Add(6 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+					h := s.stats(t).Health
+					slo.healthy = h != nil && (h.State == "ok" || h.Firing == "slo_p99_burn")
+					slo.health = fmt.Sprintf("%+v", h)
+					if h == nil || h.State == "ok" || time.Now().After(settle) {
+						break
+					}
 				}
 				return nil
 			},
 			check: func(t *testing.T, st stats) {
-				r := report
-				if [4]uint64{r.Ops, r.Busy, r.Dropped, r.Errs} != textOps {
-					t.Errorf("-json report %+v disagrees with the summary line %v", r, textOps)
-				}
-				if r.Latency.Count == 0 || r.Latency.P99Ns == 0 {
-					t.Errorf("client latency histogram empty: %+v", r.Latency)
+				n := slo.load
+				if slo.lat.Count == 0 || slo.lat.P99Ns == 0 {
+					t.Errorf("client latency histogram empty: %+v", slo.lat)
 				}
 				var served uint64
 				for _, op := range []string{"get", "put", "del", "cas"} {
@@ -253,19 +243,18 @@ func TestLifecycle(t *testing.T) {
 					}
 					served += cl.Count
 				}
-				if served < r.Ops {
-					t.Errorf("server histograms hold %d ops, the client completed %d", served, r.Ops)
+				if served < n.ops {
+					t.Errorf("server histograms hold %d ops, the client completed %d", served, n.ops)
 				}
-				ex := r.Exec
-				if ex == nil || ex.RingCap == 0 || ex.MaxQueueDepth > ex.RingCap ||
-					ex.Batches == 0 || ex.BatchedOps < r.Ops || ex.AvgBatch < 1 {
-					t.Errorf("exec block %+v does not describe a sized ring that carried %d ops", ex, r.Ops)
+				f := st.Server
+				if f.RingCap == 0 || slo.peak > f.RingCap || f.Batches == 0 || f.BatchedOps < n.ops || f.BatchedOps < f.Batches {
+					t.Errorf("ring_cap=%d peak ring_depth=%d exec_batches=%d exec_batched_ops=%d: not a sized ring that carried %d ops",
+						f.RingCap, slo.peak, f.Batches, f.BatchedOps, n.ops)
 				}
 				// slo_p99_burn alone is the latency SLO itself, which no
 				// test gates: it is unverified on available hardware.
-				h := r.Health
-				if h == nil || (h.Final != "ok" && !(len(h.Firing) == 1 && h.Firing[0].Name == "slo_p99_burn")) {
-					t.Errorf("health block %+v, want a final state of ok", h)
+				if !slo.healthy {
+					t.Errorf("health block %s, want a final state of ok", slo.health)
 				}
 			},
 		},

@@ -9,18 +9,18 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"testing"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/server"
 	"repro/internal/ttlcache"
 )
 
-// binDir holds oaserver, oaload and oastress, built once for the package.
+// binDir holds oaserver and oastress, built once for the package.
 var binDir string
 
 func TestMain(m *testing.M) {
@@ -32,7 +32,7 @@ func TestMain(m *testing.M) {
 			os.Exit(1)
 		}
 		build := exec.Command("go", "build", "-o", dir+string(filepath.Separator),
-			"./cmd/oaserver", "./cmd/oaload", "./cmd/oastress")
+			"./cmd/oaserver", "./cmd/oastress")
 		build.Dir = filepath.Join("..", "..")
 		if out, err := build.CombinedOutput(); err != nil {
 			fmt.Fprintf(os.Stderr, "e2e: building the commands: %v\n%s", err, out)
@@ -168,6 +168,7 @@ type stats struct {
 	Server  server.Snapshot              `json:"server"`
 	Latency map[string]server.CmdLatency `json:"latency"`
 	Cache   *ttlcache.Stats              `json:"cache"`
+	Health  *flight.Status               `json:"health"`
 }
 
 // cache returns the cache block, which only a server started with -cache
@@ -247,33 +248,13 @@ func (s *oaserver) drain(t *testing.T, settle func()) (st stats) {
 	return st
 }
 
-var loadLine = regexp.MustCompile(`oaload: ops=(\d+) busy=(\d+) dropped=(\d+) errs=(\d+) elapsed=\S+ ops_per_sec=\d+`)
-
-// finish waits for an oaload and holds it to its contract — exit 0, a
-// summary line, work done, nothing dropped — returning the line's ops,
-// busy, dropped and errs.
-func finish(t *testing.T, p *proc) (n [4]uint64) {
-	t.Helper()
-	code := p.exit(t)
-	m := loadLine.FindStringSubmatch(p.stdout.String())
-	if m == nil {
-		t.Fatalf("oaload exit %d without a summary line:\n%s%s", code, p.stdout.String(), p.stderr.String())
-	}
-	for i := range n {
-		n[i], _ = strconv.ParseUint(m[i+1], 10, 64)
-	}
-	if code != 0 || n[0] == 0 || n[2] != 0 || n[3] != 0 {
-		t.Fatalf("oaload exit %d: %s", code, m[0])
-	}
-	return n
-}
-
-// loadThroughDrain starts an oaload that only the drain will stop, waits
-// until its traffic is flowing, and returns the settle step for drain.
-func (s *oaserver) loadThroughDrain(t *testing.T, args ...string) func() {
+// loadThroughDrain starts l, which only the drain will end, waits until
+// its traffic is flowing, and returns the settle step for drain.
+func (s *oaserver) loadThroughDrain(t *testing.T, l *load) func() {
 	t.Helper()
 	before := s.stats(t).Server.RequestsRead
-	p := start(t, "oaload", append([]string{"-addr", s.addr, "-duration", "60s"}, args...)...)
+	l.addr = s.addr
+	l.start(t)
 	eventually(t, "the load to flow", func() bool { return s.stats(t).Server.RequestsRead > before+20000 })
-	return func() { finish(t, p) }
+	return func() { l.wait(t) }
 }

@@ -156,11 +156,17 @@ func (c *Ctx[T]) Check() bool { return c.Th.Check() }
 // (core.Manager.ReleaseThread); the pending slot stays attached to the
 // cached session for the next lessee.
 func (c *Ctx[T]) Release() {
-	if c.released.Swap(true) {
+	if release(&c.released) {
 		panic("oakit: double Release of Ctx")
 	}
 	c.e.mgr.ReleaseThread(c.Th)
 }
+
+// release sets the released flag and reports whether it was already set.
+// It keeps the Swap out of Release's generic body for the reason
+// arena.bump gives: a package compiling Release's instantiation without
+// sync/atomic's method bodies would leave Swap a call.
+func release(b *atomic.Bool) bool { return b.Swap(true) }
 
 // FlushRetired pushes locally buffered retired nodes onward (call when a
 // worker finishes).

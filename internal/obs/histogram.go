@@ -14,8 +14,8 @@ import (
 const Buckets = 40
 
 // Histogram is a fixed-shape lock-free log₂ histogram of durations:
-// reclamation pauses (core), request latencies (server, oaload,
-// oastress). The zero value is ready to use.
+// reclamation pauses (core), request latencies (server, oastress, the
+// e2e tests' client). The zero value is ready to use.
 type Histogram struct {
 	counts [Buckets]atomic.Uint64
 	sum    atomic.Uint64
@@ -66,8 +66,8 @@ type Snapshot struct {
 
 // QuantileNs returns an upper bound (in nanoseconds) for the q-quantile
 // (0 < q <= 1) of the snapshot, using each bucket's upper edge. It is the
-// one quantile routine: STATS, RESP INFO, oaload -json and the health
-// engine's windowed p99 all read it.
+// one quantile routine: STATS, RESP INFO and the health engine's
+// windowed p99 all read it.
 func (s *Snapshot) QuantileNs(q float64) uint64 {
 	if s.Count == 0 {
 		return 0

@@ -38,9 +38,9 @@ func TestNegativeClamped(t *testing.T) {
 	}
 }
 
-// TestQuantileBounds pins the percentiles STATS, RESP INFO and oaload
-// -json report: p50 <= p90 <= p99, each a bucket upper edge at or above
-// the true quantile and below the next power of two.
+// TestQuantileBounds pins the percentiles STATS and RESP INFO report:
+// p50 <= p90 <= p99, each a bucket upper edge at or above the true
+// quantile and below the next power of two.
 func TestQuantileBounds(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 100; i++ {

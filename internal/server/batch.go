@@ -91,7 +91,6 @@ type executor struct {
 	batches  atomic.Uint64
 	nodes    atomic.Uint64 // ring nodes drained: ops/nodes is the batch factor of the hand-off
 	ops      atomic.Uint64
-	maxBatch atomic.Uint64
 	spanSeq  uint64 // sampled per-request trace emission
 	batchSeq uint64 // sampled exec_batch emission
 
@@ -199,9 +198,6 @@ func (e *executor) run() {
 			e.idle.Store(false)
 		}
 		e.batches.Add(1)
-		if uint64(n) > e.maxBatch.Load() {
-			e.maxBatch.Store(uint64(n))
-		}
 		if trace.Enabled() {
 			e.batchSeq++
 			if e.batchSeq%uint64(e.s.cfg.SpanSample) == 0 {

@@ -31,10 +31,19 @@ type Call struct {
 
 // Wait blocks for the response. It flushes the client's send buffer
 // first, so a lone Wait never deadlocks on its own unsent request; flush
-// errors surface through the read loop, which fails pending Calls.
+// errors surface through the read loop, which fails pending Calls. A Call
+// sent after the read loop ended, which nothing will answer, fails.
 func (ca *Call) Wait() error {
 	ca.c.Flush()
-	<-ca.done
+	select {
+	case <-ca.done:
+	case <-ca.c.done:
+		select {
+		case <-ca.done:
+		default:
+			return errors.New("server: connection closed before the request was sent")
+		}
+	}
 	return ca.Err
 }
 
@@ -57,8 +66,7 @@ type Client struct {
 	// Latency, when set before the first send, records each Call's
 	// send→response round trip (including local queueing and the
 	// server's batched flush — the client-observed latency a user
-	// program experiences). Load generators read the quantiles for
-	// their reports.
+	// program experiences). The e2e tests' slo row reads its quantiles.
 	Latency *obs.Histogram
 }
 

@@ -21,10 +21,10 @@ type RESPValue struct {
 // IsError reports an -ERR/-BUSY/-OOM style reply.
 func (v RESPValue) IsError() bool { return v.Type == '-' }
 
-// RESPClient is a minimal pipelined RESP2 client for the tests and the
-// load generator: Send queues commands, Flush pushes them, Recv reads
-// one reply in order. Do round-trips a single command. Not safe for
-// concurrent use; pipeline depth is the caller's Send/Recv discipline.
+// RESPClient is a minimal pipelined RESP2 client for the tests: Send
+// queues commands, Flush pushes them, Recv reads one reply in order. Do
+// round-trips a single command. Not safe for concurrent use; pipeline
+// depth is the caller's Send/Recv discipline.
 type RESPClient struct {
 	nc net.Conn
 	bw *bufio.Writer

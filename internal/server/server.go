@@ -474,7 +474,6 @@ type Snapshot struct {
 	Batches    uint64 `json:"exec_batches"`
 	RingNodes  uint64 `json:"ring_nodes"`
 	BatchedOps uint64 `json:"exec_batched_ops"`
-	MaxBatch   uint64 `json:"exec_max_batch"`
 }
 
 func (s *Server) snapshot() Snapshot {
@@ -483,13 +482,12 @@ func (s *Server) snapshot() Snapshot {
 		shardOps[i] = s.stripes[i].ops.Load()
 	}
 	depth := make([]int, len(s.execs))
-	var batches, nodes, batchedOps, maxBatch uint64
+	var batches, nodes, batchedOps uint64
 	for i, e := range s.execs {
 		depth[i] = int(e.depth.Load())
 		batches += e.batches.Load()
 		nodes += e.nodes.Load()
 		batchedOps += e.ops.Load()
-		maxBatch = max(maxBatch, e.maxBatch.Load())
 	}
 	return Snapshot{
 		Executors:     len(s.execs),
@@ -499,7 +497,6 @@ func (s *Server) snapshot() Snapshot {
 		Batches:       batches,
 		RingNodes:     nodes,
 		BatchedOps:    batchedOps,
-		MaxBatch:      maxBatch,
 		Connections:   s.active.Load(),
 		ConnsTotal:    s.connsTotal.Load(),
 		RequestsRead:  s.RequestsRead(),
@@ -532,7 +529,7 @@ type CmdLatency struct {
 }
 
 // LatencyOf summarizes a latency histogram snapshot: the form of every
-// latency block (STATS, RESP INFO, oaload -json).
+// latency block (STATS, RESP INFO, the e2e tests' client histogram).
 func LatencyOf(snap obs.Snapshot) CmdLatency {
 	cl := CmdLatency{Count: snap.Count, MaxNs: snap.Max}
 	if snap.Count > 0 {

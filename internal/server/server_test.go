@@ -129,6 +129,23 @@ func TestPipelining(t *testing.T) {
 	}
 }
 
+// TestCallAfterClose: a request sent after the server closed the
+// connection fails its Wait instead of waiting for a reply that cannot
+// come, so a client that ignores GOAWAY counts its lost replies.
+func TestCallAfterClose(t *testing.T) {
+	cn, sn := net.Pipe()
+	c := NewClient(cn, 4)
+	sn.Close()
+	<-c.done // the read loop has seen the close
+	ca, err := c.Get(1)
+	if err == nil {
+		err = ca.Wait()
+	}
+	if err == nil {
+		t.Fatal("a request sent after the connection closed succeeded")
+	}
+}
+
 // TestGracefulDrain shuts the server down in the middle of a pipelined
 // load and asserts the drain contract: the client sees GOAWAY, every
 // request issued before (and racing with) the drain gets its response,

@@ -17,14 +17,17 @@
 # chain predecessor's next link (or the root link) for every commit: it
 # sits a few units under the budget. And so must the three methods of
 # arena.Link, the 32-bit link word every hop loads and every commit CASes
-# (Load, Store, CompareAndSwap), at OA sites and guard sites alike.
+# (Load, Store, CompareAndSwap), at OA sites and guard sites alike. Off the
+# per-hop path, Ctx.Release's double-release swap (atomic.Bool.Swap, through
+# oakit.release) must inline too: a generic body calling Swap directly left
+# it a call in the packages that instantiate Ctx.
 #
 # The gate compiles the structure packages twice. With -gcflags=-m, the
 # compiler must report `inlining call to` for Check, Node, View.At and the
 # Link methods, and for every Guard hook. With -gcflags=-S, their assembly
-# must hold no CALL to any of them or to View.BumpGen, which is what makes
-# the check cover
-# every call site: a site that did not inline is a CALL. The only calls
+# must hold no CALL to any of them, to View.BumpGen or to the swap, which
+# is what makes the check cover every call site: a site that did not
+# inline is a CALL. The only calls
 # left on those paths are the ones kept out of line on purpose — the
 # warning slow path (core's warning.ack) and a guard hook's own work
 # (Guard.alloc, .retire, .end and the Anchors visit) — which the patterns
@@ -72,12 +75,12 @@ done
 
 # A CALL left behind by a call site that did not inline.
 calls=$(grep -E $'\tCALL\t' "$tmp/S" |
-	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.(At|BumpGen)\(SB\)|arena\.\(\*Link\)\.(Load|Store|CompareAndSwap)\(SB\)|oakit\.Link\[.*\]\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
+	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.(At|BumpGen)\(SB\)|arena\.\(\*Link\)\.(Load|Store|CompareAndSwap)\(SB\)|oakit\.Link\[.*\]\(SB\)|oakit\.release\(SB\)|sync/atomic\.\(\*Bool\)\.Swap\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
 if [ -n "$calls" ]; then
 	echo "inline: call sites that did not inline:" >&2
 	echo "$calls" | sed -E 's/^[^(]*\(([^)]*)\).*CALL\t/  \1: /; s/go\.shape\.[^]]*\]/…]/g' >&2
 	fail=1
 else
-	echo "inline: no CALL to Check, Node, View.At, View.BumpGen, oakit.Link, a Link method or a Guard hook"
+	echo "inline: no CALL to Check, Node, View.At, View.BumpGen, oakit.Link, a Link method, a Guard hook or Bool.Swap"
 fi
 exit "$fail"
