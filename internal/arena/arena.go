@@ -28,11 +28,12 @@ const chunkMask = ChunkSize - 1
 type Arena[T any] struct {
 	mu    sync.Mutex                   // serializes growth
 	dir   atomic.Pointer[directory[T]] // copy-on-write chunk directory
-	limit atomic.Uint32                // slots handed out so far
-	capa  atomic.Uint32                // slots backed by chunks
+	limit atomic.Uint32                // one past the last slot handed out
+	capa  atomic.Uint32                // one past the last slot backed
 
-	// flat is the View of every thread: the one allocation behind New's
-	// initial capacity, whose windows are the directory's first chunks.
+	// flat is the View of every thread: the one allocation of exactly
+	// New's initial capacity. The directory does not window onto it: its
+	// entries for the chunks the region touches stay nil.
 	flat View[T]
 }
 
@@ -44,17 +45,21 @@ type directory[T any] struct {
 
 type genChunk [ChunkSize]atomic.Uint32
 
-// New creates an arena with capacity for at least initialCap slots, backed
-// by one contiguous allocation (the flat region of every View). It panics,
-// before allocating anything, if initialCap exceeds MaxSlots.
-func New[T any](initialCap int) *Arena[T] {
-	checkSlots(initialCap)
+// New creates an arena whose first n slots are backed by one contiguous
+// allocation of exactly n nodes and n generations: the flat region of
+// every View. Growth past it starts at the next chunk boundary, so the
+// tail of the region's last chunk is never handed out. New panics,
+// before allocating anything, if n exceeds MaxSlots.
+func New[T any](n int) *Arena[T] {
+	checkSlots(n)
 	a := &Arena[T]{}
-	a.dir.Store(&directory[T]{})
+	chunks := (n + chunkMask) >> ChunkShift
+	a.dir.Store(&directory[T]{nodes: make([]*[ChunkSize]T, chunks), gens: make([]*genChunk, chunks)})
 	a.flat.a = a
-	if initialCap > 0 {
-		a.flat.nodes, a.flat.gens = a.grow(uint32(initialCap))
+	if n > 0 {
+		a.flat.nodes, a.flat.gens = make([]T, n), make([]atomic.Uint32, n)
 	}
+	a.capa.Store(uint32(n))
 	return a
 }
 
@@ -71,15 +76,19 @@ func (a *Arena[T]) Gen(slot uint32) uint32 { return a.flat.gen(slot).Load() }
 // BumpGen increments the generation counter of slot, marking one recycle.
 func (a *Arena[T]) BumpGen(slot uint32) { a.flat.BumpGen(slot) }
 
-// Cap returns the number of slots currently backed by chunks.
+// Cap returns one past the last slot backed by memory: New's n until the
+// arena first grows, a chunk boundary after.
 func (a *Arena[T]) Cap() uint32 { return a.capa.Load() }
 
-// Limit returns the number of slots handed out by Reserve so far.
+// Limit returns one past the last slot Reserve has handed out. Below it,
+// only the skipped tail of the flat region's last chunk was never handed
+// out.
 func (a *Arena[T]) Limit() uint32 { return a.limit.Load() }
 
 // Reserve hands out n brand-new consecutive slots and returns the first
-// index. It grows the arena as needed, and panics, before growing, if the
-// arena would then hold more than MaxSlots slots. Reserve is safe for
+// index. Slots that do not fit the flat region start at the chunk boundary
+// after it. Reserve grows the arena as needed, and panics, before growing,
+// if the arena would then hold more than MaxSlots slots. It is safe for
 // concurrent use.
 func (a *Arena[T]) Reserve(n int) uint32 {
 	if n <= 0 {
@@ -88,6 +97,10 @@ func (a *Arena[T]) Reserve(n int) uint32 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	base := a.limit.Load()
+	flat := uint32(len(a.flat.nodes))
+	if end := (flat + chunkMask) &^ chunkMask; flat < end && base < end && int(base)+n > int(flat) {
+		base = end // the directory has no chunk for the region's tail
+	}
 	checkSlots(int(base) + n)
 	need := base + uint32(n)
 	if need > a.capa.Load() {
@@ -105,16 +118,12 @@ func checkSlots(n int) {
 	}
 }
 
-// grow extends capacity to at least need slots and returns the one
-// allocation that backs the new chunks (nil if none were needed). Caller
-// holds a.mu (or is the constructor).
-func (a *Arena[T]) grow(need uint32) ([]T, []atomic.Uint32) {
-	chunks := (int(need) + ChunkSize - 1) >> ChunkShift
+// grow backs every chunk below need that the directory lacks with one new
+// allocation, appended after the directory's last entry. Caller holds a.mu.
+func (a *Arena[T]) grow(need uint32) {
+	chunks := (int(need) + chunkMask) >> ChunkShift
 	old := a.dir.Load()
 	have := len(old.nodes)
-	if have >= chunks {
-		return nil, nil
-	}
 	nodes := make([]T, (chunks-have)<<ChunkShift)
 	gens := make([]atomic.Uint32, len(nodes))
 	next := &directory[T]{
@@ -127,5 +136,4 @@ func (a *Arena[T]) grow(need uint32) ([]T, []atomic.Uint32) {
 	}
 	a.dir.Store(next)
 	a.capa.Store(uint32(chunks) << ChunkShift)
-	return nodes, gens
 }

@@ -125,17 +125,17 @@ func TestArenaGrowthPreservesSlots(t *testing.T) {
 	}
 }
 
-// The region behind New's capacity is one slice aliasing the chunk
-// directory: indexing it, At and a View reach the same node and the same
-// generation counter.
+// The region behind New's capacity is one slice of exactly that many
+// nodes and generations: indexing it, At and a View reach the same node
+// and the same generation counter.
 func TestFlatCoversReservedSlots(t *testing.T) {
-	const n = 2*ChunkSize + 7 // three chunks, the last partly reserved
+	const n = 2*ChunkSize + 7 // not a chunk multiple
 	a := New[testNode](n)
 	base := a.Reserve(n)
 	v := a.View()
 	nodes, gens := v.nodes, v.gens
-	if base != 0 || len(nodes) < n || len(gens) != len(nodes) {
-		t.Fatalf("Reserve = %d, flat region = %d nodes and %d gens; want 0 and >= %d of each",
+	if base != 0 || len(nodes) != n || len(gens) != n {
+		t.Fatalf("Reserve = %d, flat region = %d nodes and %d gens; want 0 and %d of each",
 			base, len(nodes), len(gens), n)
 	}
 	for i := uint32(0); i < n; i++ {
@@ -330,7 +330,7 @@ func TestSlotLimit(t *testing.T) {
 	a.Reserve(1)
 	a.limit.Store(MaxSlots - 1) // pretend the arena is one slot short of full
 	mustPanic("Reserve past MaxSlots", func() { a.Reserve(2) })
-	if a.Limit() != MaxSlots-1 || a.Cap() != ChunkSize {
+	if a.Limit() != MaxSlots-1 || a.Cap() != 1 {
 		t.Fatalf("refused Reserve changed the arena: limit %d, cap %d", a.Limit(), a.Cap())
 	}
 }

@@ -10,9 +10,15 @@
 // *next* occupant, which is precisely the stale-read hazard the optimistic
 // access scheme detects and rolls back.
 //
-// The arena never shrinks and chunks are never moved, so a handle obtained
-// at any time in the past remains safe to dereference forever, establishing
-// Assumption 3.1 by construction.
+// An arena backs exactly the slots it is asked for: New(n) allocates one
+// flat region of n nodes and n generation counters, and only growth past
+// it allocates whole chunks of ChunkSize slots, starting at the chunk
+// boundary after the region. A pool sized from a bound (the block pools
+// of internal/pools) thus pays for its bound and no more.
+//
+// The arena never shrinks and neither the flat region nor a chunk is ever
+// moved, so a handle obtained at any time in the past remains safe to
+// dereference forever, establishing Assumption 3.1 by construction.
 package arena
 
 import (

@@ -7,26 +7,33 @@ import (
 
 // A View and the arena reach every slot alike, pointer for pointer and
 // count for count: slots inside the flat region (which View.At indexes
-// directly), slots beyond it, and slots created by growth after the View
-// was taken. Without an initial capacity there is no flat region, and
-// every slot goes through the directory.
+// directly and which holds exactly New's initial capacity), slots beyond
+// it, and slots created by growth after the View was taken. Without an
+// initial capacity there is no flat region, and every slot goes through
+// the directory.
 func TestViewSeesGrowth(t *testing.T) {
 	for _, initial := range []int{2*ChunkSize + 7, 0} {
 		a := New[testNode](initial)
-		flat := (initial + ChunkSize - 1) &^ chunkMask
+		var slots []uint32 // every slot handed out, in order
+		reserve := func(n int) {
+			base := a.Reserve(n)
+			for i := range uint32(n) {
+				slots = append(slots, base+i)
+			}
+		}
 		if initial > 0 {
-			a.Reserve(initial)
+			reserve(initial)
 		}
-		a.Reserve(ChunkSize + 3) // beyond the flat region, before the View
+		reserve(ChunkSize + 3) // beyond the flat region, before the View
 		v := a.View()
-		if len(v.nodes) != flat || len(v.gens) != flat {
-			t.Fatalf("New(%d): flat region of %d nodes and %d gens, want %d", initial, len(v.nodes), len(v.gens), flat)
+		if len(v.nodes) != initial || len(v.gens) != initial {
+			t.Fatalf("New(%d): flat region of %d nodes and %d gens, want %d", initial, len(v.nodes), len(v.gens), initial)
 		}
-		a.Reserve(2 * ChunkSize) // growth after the View was taken
-		seen := make(map[*testNode]bool, a.Limit())
-		for s := uint32(0); s < a.Limit(); s++ {
+		reserve(2 * ChunkSize) // growth after the View was taken
+		seen := make(map[*testNode]bool, len(slots))
+		for _, s := range slots {
 			p := v.At(s)
-			if p != a.At(s) || seen[p] || (int(s) < flat && p != &v.nodes[s]) {
+			if p != a.At(s) || seen[p] || (int(s) < initial && p != &v.nodes[s]) {
 				t.Fatalf("New(%d) slot %d: View.At %p, Arena.At %p, already seen %v", initial, s, p, a.At(s), seen[p])
 			}
 			seen[p] = true
@@ -39,13 +46,75 @@ func TestViewSeesGrowth(t *testing.T) {
 				}
 			}
 		}
-		for s := uint32(0); s < a.Limit(); s++ {
+		for _, s := range slots {
 			if a.At(s).key != uint64(s) || a.Gen(s) != s%3 {
 				t.Fatalf("New(%d) slot %d: key %d, gen %d; want %d and %d", initial, s, a.At(s).key, a.Gen(s), s, s%3)
 			}
 		}
-		if w := a.View(); len(w.nodes) != flat || (flat > 0 && &w.nodes[0] != &v.nodes[0]) {
+		if w := a.View(); len(w.nodes) != initial || (initial > 0 && &w.nodes[0] != &v.nodes[0]) {
 			t.Fatalf("New(%d): growth moved the flat region", initial)
+		}
+	}
+}
+
+// A reservation that does not fit what is left of the flat region starts
+// at the chunk boundary after it: the directory has no chunk for the
+// region's last, partial one, so that chunk's tail is skipped and its
+// directory entries stay nil. A region that ends on a boundary has no
+// tail, and a reservation runs straight across its end. Either way every
+// slot handed out reaches one node and one generation counter, by View
+// and by Arena alike.
+func TestReserveAcrossFlatEnd(t *testing.T) {
+	for _, c := range []struct {
+		flat, first, across int
+		wantAcross          uint32 // where the reservation across the end starts
+		wantCap             uint32 // Cap after it
+	}{
+		{ChunkSize + 100, ChunkSize + 90, 20, 2 * ChunkSize, 3 * ChunkSize},
+		{ChunkSize, ChunkSize - 4, 8, ChunkSize - 4, 2 * ChunkSize},
+	} {
+		a := New[testNode](c.flat)
+		if a.Cap() != uint32(c.flat) {
+			t.Fatalf("New(%d): Cap %d, want %d", c.flat, a.Cap(), c.flat)
+		}
+		first := a.Reserve(c.first)
+		across := a.Reserve(c.across)
+		after := a.Reserve(5)
+		if first != 0 || across != c.wantAcross || after != across+uint32(c.across) || a.Cap() != c.wantCap {
+			t.Fatalf("New(%d): Reserve at %d, %d, %d and Cap %d; want 0, %d, %d and %d",
+				c.flat, first, across, after, a.Cap(), c.wantAcross, c.wantAcross+uint32(c.across), c.wantCap)
+		}
+		d := a.dir.Load()
+		for i := uint32(0); i < c.wantAcross>>ChunkShift; i++ {
+			if d.nodes[i] != nil || d.gens[i] != nil {
+				t.Fatalf("New(%d): directory entry %d below the boundary is set", c.flat, i)
+			}
+		}
+		var slots []uint32
+		for s := uint32(0); s < uint32(c.first); s++ {
+			slots = append(slots, s)
+		}
+		for s := across; s < a.Limit(); s++ {
+			slots = append(slots, s)
+		}
+		v := a.View()
+		seen := make(map[*testNode]bool, len(slots))
+		for _, s := range slots {
+			p := v.At(s)
+			if p != a.At(s) || seen[p] {
+				t.Fatalf("New(%d) slot %d: View.At %p, Arena.At %p, already seen %v", c.flat, s, p, a.At(s), seen[p])
+			}
+			seen[p] = true
+			if s%2 == 0 {
+				v.BumpGen(s)
+			} else {
+				a.BumpGen(s)
+			}
+		}
+		for _, s := range slots {
+			if a.Gen(s) != 1 || v.gen(s).Load() != 1 {
+				t.Fatalf("New(%d) slot %d: Gen %d, View gen %d; want 1 and 1", c.flat, s, a.Gen(s), v.gen(s).Load())
+			}
 		}
 	}
 }

@@ -149,7 +149,7 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 	m := &Manager[T]{
 		cfg:    cfg,
 		nodes:  arena.New[T](cfg.Capacity),
-		ba:     pools.NewBlockArena(cfg.Capacity),
+		ba:     pools.NewBlockArena(cfg.Capacity, cfg.LocalPool, cfg.MaxThreads),
 		reset:  reset,
 		lessor: lease.NewRegistry(cfg.MaxThreads),
 	}
@@ -349,7 +349,7 @@ func RegisterShards[T any](reg *obs.Registry, ms []*Manager[T]) {
 		func(m *Manager[T]) float64 { return float64(m.Backlog()) })
 	gauge("oa_arena_slots_reserved", "node slots handed out by the arena",
 		func(m *Manager[T]) float64 { return float64(m.nodes.Limit()) })
-	gauge("oa_arena_slots_capacity", "node slots backed by arena chunks",
+	gauge("oa_arena_slots_capacity", "node slots backed by the arena: the shard's capacity, exactly",
 		func(m *Manager[T]) float64 { return float64(m.nodes.Cap()) })
 	gauge("oa_retire_pool_frozen",
 		"1 while the retire pool's version is odd (phase swap in flight)",

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/lease"
+	"repro/internal/pools"
 )
 
 // node is a minimal test node: all shared fields atomic, as required of
@@ -125,6 +129,70 @@ func TestSlotsStayInFlatRegion(t *testing.T) {
 			t.Fatalf("capacity %d: no slot was recycled", capacity)
 		}
 	}
+}
+
+// A manager's block pool stays inside the flat region of its block
+// arena: eight contexts leased and released by eight goroutines churn
+// slots through blocks of 16, flush partial retire blocks and drive phase
+// after phase, and the arena never hands out a block past
+// pools.BlockBound (DESIGN.md §4, "Block bound"), so it never grows.
+func TestBlockPoolStaysInBound(t *testing.T) {
+	const threads, localPool, capacity = 8, 16, 4096
+	m := newMgr(t, Config{MaxThreads: threads, Capacity: capacity, LocalPool: localPool, OwnerHPs: 3})
+	blocks := m.Blocks().Arena()
+	// The flat region is unexported; reflection reads its length.
+	flat := uint32(reflect.ValueOf(blocks.View()).FieldByName("nodes").Len())
+	bound := uint32(pools.BlockBound(capacity, localPool, threads))
+	const rounds = 200
+	var wg sync.WaitGroup
+	for w := range threads {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var live []uint32 // slots this goroutine holds, across leases
+			for r := 0; r < rounds; r++ {
+				th, err := m.AcquireThread()
+				for errors.Is(err, lease.ErrNoFreeSessions) {
+					// One scan can miss a slot freed behind it while the
+					// slots ahead are leased: a load condition, so retry.
+					runtime.Gosched()
+					th, err = m.AcquireThread()
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 64; i++ {
+					live = append(live, th.Alloc())
+					if len(live) > 24 || rng.Intn(3) == 0 {
+						j := rng.Intn(len(live))
+						th.Retire(live[j])
+						live[j] = live[len(live)-1]
+						live = live[:len(live)-1]
+					}
+				}
+				if rng.Intn(4) == 0 {
+					th.FlushRetired()
+				}
+				m.ReleaseThread(th)
+			}
+		}()
+	}
+	wg.Wait()
+	if m.Phase()/2 < 10 {
+		t.Fatalf("only %d phases ran", m.Phase()/2)
+	}
+	m.Quiesce()
+	// Limit only grows, so its final value is the peak.
+	if l := blocks.Limit(); l > flat || blocks.Cap() != flat {
+		t.Fatalf("block arena handed out %d blocks and backs %d: past its flat region of %d", l, blocks.Cap(), flat)
+	}
+	if flat != bound {
+		t.Fatalf("block arena's flat region holds %d blocks, want the bound %d", flat, bound)
+	}
+	t.Logf("%d phases; blocks handed out %d of the bound %d (%d full blocks)",
+		m.Phase()/2, blocks.Limit(), bound, (capacity+localPool-1)/localPool)
 }
 
 // A drain bumps a recycled slot's generation through the thread's view;

@@ -34,6 +34,9 @@ func (m *Manager[T]) StallSwap(moved bool) {
 	}
 }
 
+// Blocks exposes the manager's block pool.
+func (m *Manager[T]) Blocks() *pools.BlockArena { return m.ba }
+
 // LocalCounts returns the slots buffered in thread t's local blocks.
 func (t *Thread[T]) LocalCounts() int {
 	n := 0

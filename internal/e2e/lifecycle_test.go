@@ -22,6 +22,19 @@ func respOK(c *server.RESPClient, n int) error {
 	return nil
 }
 
+// servedThroughDrain is allShardsActive for a load that runs into the
+// drain: the executors must also have run data ops after the drain began
+// (opAfterGoAway sends one), or the row never held a drain to answering
+// the work it is handed.
+func servedThroughDrain(n int) func(*testing.T, stats) {
+	return func(t *testing.T, st stats) {
+		allShardsActive(n)(t, st)
+		if st.Server.DrainOps == 0 {
+			t.Errorf("drain_ops=0: no data op ran after the drain began (exec_batched_ops %d)", st.Server.BatchedOps)
+		}
+	}
+}
+
 func dialRESP(t *testing.T, addr string) *server.RESPClient {
 	t.Helper()
 	c, err := server.DialRESP(addr)
@@ -73,7 +86,9 @@ func TestLifecycle(t *testing.T) {
 		health  string            // the last health document, for the failure
 	}
 	zipfThroughDrain := func(t *testing.T, s *oaserver) func() {
-		return s.loadThroughDrain(t, &load{conns: 16, zipf: true})
+		settle := s.loadThroughDrain(t, &load{conns: 16, zipf: true})
+		late := s.opAfterGoAway(t)
+		return func() { late(); settle() }
 	}
 	rows := []struct {
 		name  string
@@ -98,9 +113,9 @@ func TestLifecycle(t *testing.T) {
 				}
 			},
 		},
-		{name: "shards-1", flags: []string{"-shards", "1"}, drive: zipfThroughDrain, check: allShardsActive(1)},
-		{name: "shards-2", flags: []string{"-shards", "2"}, drive: zipfThroughDrain, check: allShardsActive(2)},
-		{name: "shards-4", flags: []string{"-shards", "4"}, drive: zipfThroughDrain, check: allShardsActive(4)},
+		{name: "shards-1", flags: []string{"-shards", "1"}, drive: zipfThroughDrain, check: servedThroughDrain(1)},
+		{name: "shards-2", flags: []string{"-shards", "2"}, drive: zipfThroughDrain, check: servedThroughDrain(2)},
+		{name: "shards-4", flags: []string{"-shards", "4"}, drive: zipfThroughDrain, check: servedThroughDrain(4)},
 		{
 			name:  "resp",
 			flags: []string{"-resp", listen, "-shards", "2", "-threads", "8", "-capacity", "262144"},

@@ -1,9 +1,12 @@
 package e2e
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -257,4 +260,54 @@ func (s *oaserver) loadThroughDrain(t *testing.T, l *load) func() {
 	l.start(t)
 	eventually(t, "the load to flow", func() bool { return s.stats(t).Server.RequestsRead > before+20000 })
 	return func() { l.wait(t) }
+}
+
+// opAfterGoAway connects now and returns a step for drain's settle: it
+// waits on that connection for the GOAWAY frame, which the server sends
+// only once its drain has begun, then sends one GET, whose reply must
+// come back. The server therefore runs at least one data op while it
+// drains. The connection speaks the wire format directly, since
+// server.Client refuses to send after a GOAWAY.
+func (s *oaserver) opAfterGoAway(t *testing.T) func() {
+	t.Helper()
+	nc, err := net.Dial("tcp", s.addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(func() { nc.Close() })
+	// readFrame returns the id and code of the next frame.
+	readFrame := func() (uint64, byte) {
+		var hdr [4]byte
+		if _, err := io.ReadFull(nc, hdr[:]); err != nil {
+			t.Fatalf("late op: reading a frame: %v", err)
+		}
+		body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+		if _, err := io.ReadFull(nc, body); err != nil || len(body) < 9 {
+			t.Fatalf("late op: reading a %d-byte frame: %v", len(body), err)
+		}
+		return binary.LittleEndian.Uint64(body), body[8]
+	}
+	// A PING answered means the server accepted the connection, so the
+	// drain will send it the GOAWAY rather than reset it from the backlog.
+	nc.SetDeadline(time.Now().Add(15 * time.Second))
+	if _, err := nc.Write(server.AppendFrame(nil, 1, server.OpPing)); err != nil {
+		t.Fatalf("late op: sending PING: %v", err)
+	}
+	if id, code := readFrame(); id != 1 || code != server.StOK {
+		t.Fatalf("late op: PING reply id %d status %d, want 1 and OK", id, code)
+	}
+	return func() {
+		t.Helper()
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(15 * time.Second))
+		if id, code := readFrame(); id != 0 || code != server.StGoAway {
+			t.Fatalf("late op: frame id %d code %d, want the GOAWAY (id 0, code %d)", id, code, server.StGoAway)
+		}
+		if _, err := nc.Write(server.AppendFrame(nil, 2, server.OpGet, 1)); err != nil {
+			t.Fatalf("late op: sending GET: %v", err)
+		}
+		if id, code := readFrame(); id != 2 || (code != server.StOK && code != server.StNotFound) {
+			t.Fatalf("late op: reply id %d status %d, want id 2 and OK or NOT_FOUND", id, code)
+		}
+	}
 }

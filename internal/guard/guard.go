@@ -102,7 +102,7 @@ func New[N any](sc smr.Scheme, c sizing.Config, s Spec[N]) (*Manager[N], error) 
 		scanThreshold: c.ScanThreshold,
 		next:          s.Next,
 	}
-	m.pool.init(c.Capacity, c.LocalPool, s.Reset)
+	m.pool.init(c.Capacity, c.LocalPool, threads, s.Reset)
 	k := 0
 	switch sc {
 	case smr.EBR:

@@ -28,14 +28,14 @@ type pool[N any] struct {
 }
 
 // init pre-charges the pool with capacity slots, in blocks of localPool
-// (<= 126) slots.
-func (p *pool[N]) init(capacity, localPool int, reset func(*N)) {
+// (<= 126) slots, for threads guards.
+func (p *pool[N]) init(capacity, localPool, threads int, reset func(*N)) {
 	if localPool <= 0 || localPool > pools.BlockCap {
 		localPool = pools.BlockCap
 	}
 	capacity = max(capacity, localPool)
 	p.nodes = arena.New[N](capacity)
-	p.ba = pools.NewBlockArena(capacity)
+	p.ba = pools.NewBlockArena(capacity, localPool, threads)
 	p.reset = reset
 	p.localPool = int32(localPool)
 	p.free.Init()

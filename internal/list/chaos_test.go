@@ -1,12 +1,10 @@
 package list_test
 
 import (
-	"math/rand"
-	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dstest"
 	"repro/internal/list"
 )
 
@@ -17,61 +15,5 @@ import (
 // organic phase changes produce.
 func TestOAListWarningStorm(t *testing.T) {
 	l := list.NewOA(core.Config{MaxThreads: 2, Capacity: 8192, LocalPool: 16})
-	mgr := l.Engine().Manager()
-
-	stop := make(chan struct{})
-	storming := make(chan struct{})
-	go func() {
-		defer close(storming)
-		// Fake phases far above anything the real recycler uses, changing
-		// every round so the stamp check never suppresses them.
-		fake := uint32(1 << 20)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			mgr.InjectWarnings(fake)
-			fake += 2
-			// Let the worker make progress between storms.
-			for i := 0; i < 200; i++ {
-				atomic.LoadUint32(&fake)
-			}
-		}
-	}()
-
-	s := l.Session(0)
-	model := map[uint64]bool{}
-	rng := rand.New(rand.NewSource(31337))
-	for i := 0; i < 40000; i++ {
-		if i%512 == 0 {
-			// On a single-CPU runner the op loop can finish inside one
-			// scheduler timeslice, before the storm goroutine ever runs;
-			// yield so warnings actually land between operations.
-			runtime.Gosched()
-		}
-		k := uint64(rng.Intn(128)) + 1
-		switch rng.Intn(3) {
-		case 0:
-			if got, want := s.Insert(k), !model[k]; got != want {
-				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, want)
-			}
-			model[k] = true
-		case 1:
-			if got, want := s.Delete(k), model[k]; got != want {
-				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
-			}
-			delete(model, k)
-		default:
-			if got, want := s.Contains(k), model[k]; got != want {
-				t.Fatalf("op %d: Contains(%d) = %v, want %v", i, k, got, want)
-			}
-		}
-	}
-	close(stop)
-	<-storming
-	if st := l.Stats(); st.Restarts == 0 {
-		t.Fatal("storm produced no restarts — injection not reaching the barriers")
-	}
+	dstest.WarningStorm(t, l.Session(0), l.Engine().Manager().InjectWarnings, l.Stats, 40000, 31337)
 }

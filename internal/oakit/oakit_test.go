@@ -1,8 +1,6 @@
 package oakit_test
 
 import (
-	"math/rand"
-	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -474,59 +472,5 @@ func TestGenericListWarningStorm(t *testing.T) {
 	l := oakit.NewList(core.Config{
 		MaxThreads: 2, Capacity: 8192, LocalPool: 16,
 	}, resetTNode)
-	mgr := l.Engine().Manager()
-
-	stop := make(chan struct{})
-	storming := make(chan struct{})
-	go func() {
-		defer close(storming)
-		fake := uint32(1 << 20)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			mgr.InjectWarnings(fake)
-			fake += 2
-			for i := 0; i < 200; i++ {
-				atomic.LoadUint32(&fake)
-			}
-		}
-	}()
-
-	s := l.Session(0)
-	model := map[uint64]bool{}
-	rng := rand.New(rand.NewSource(31337))
-	for i := 0; i < 40000; i++ {
-		if i%512 == 0 {
-			// Single-CPU runners can finish the op loop inside one
-			// timeslice; yield so warnings actually land mid-stream.
-			runtime.Gosched()
-		}
-		k := uint64(rng.Intn(128)) + 1
-		switch rng.Intn(3) {
-		case 0:
-			if got, want := s.Insert(k), !model[k]; got != want {
-				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, want)
-			}
-			model[k] = true
-		case 1:
-			if got, want := s.Delete(k), model[k]; got != want {
-				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
-			}
-			delete(model, k)
-		default:
-			if got, want := s.Contains(k), model[k]; got != want {
-				t.Fatalf("op %d: Contains(%d) = %v, want %v", i, k, got, want)
-			}
-		}
-	}
-	close(stop)
-	<-storming
-	for k := uint64(1); k <= 128; k++ {
-		if got, want := s.Contains(k), model[k]; got != want {
-			t.Fatalf("final: Contains(%d) = %v, want %v", k, got, want)
-		}
-	}
+	dstest.WarningStorm(t, l.Session(0), l.Engine().Manager().InjectWarnings, l.Stats, 40000, 31337)
 }

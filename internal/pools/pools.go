@@ -98,13 +98,27 @@ type BlockArena struct {
 	free atomic.Uint64 // packed {count:32, idx:32}
 }
 
-// NewBlockArena creates a block arena sized for roughly cap slots of
-// traffic.
-func NewBlockArena(capSlots int) *BlockArena {
-	ba := &BlockArena{a: arena.New[Block](capSlots/BlockCap + 8)}
+// NewBlockArena creates a block arena whose flat region holds
+// BlockBound(capacity, localPool, maxThreads) blocks: the blocks a pool of
+// capacity slots needs when maxThreads contexts move them localPool at a
+// time. A pool that outruns the bound grows the arena by a chunk.
+func NewBlockArena(capacity, localPool, maxThreads int) *BlockArena {
+	ba := &BlockArena{a: arena.New[Block](BlockBound(capacity, localPool, maxThreads))}
 	ba.free.Store(pack(0, NoBlock))
 	return ba
 }
+
+// BlockBound is the number of blocks a pool of capacity slots, moved in
+// blocks of localPool (1..BlockCap) slots by maxThreads contexts, takes
+// out of its block arena at once: every slot in a full block, plus
+// 8 partial blocks per context and 8 more (DESIGN.md §4, "Block bound").
+func BlockBound(capacity, localPool, maxThreads int) int {
+	return (capacity+localPool-1)/localPool + 8*maxThreads + 8
+}
+
+// Arena exposes the arena behind the blocks, so tests can hold the pool
+// to its bound.
+func (ba *BlockArena) Arena() *arena.Arena[Block] { return ba.a }
 
 func pack(ver, idx uint32) uint64 { return uint64(ver)<<32 | uint64(idx) }
 

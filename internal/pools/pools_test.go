@@ -8,7 +8,7 @@ import (
 )
 
 func TestBlockPushPop(t *testing.T) {
-	ba := NewBlockArena(1000)
+	ba := NewBlockArena(1000, BlockCap, 1)
 	idx := ba.Get()
 	b := ba.B(idx)
 	if !b.Empty() {
@@ -31,7 +31,7 @@ func TestBlockPushPop(t *testing.T) {
 }
 
 func TestBlockArenaRecycles(t *testing.T) {
-	ba := NewBlockArena(1000)
+	ba := NewBlockArena(1000, BlockCap, 1)
 	a := ba.Get()
 	ba.B(a).Push(1)
 	ba.B(a).Pop()
@@ -46,7 +46,7 @@ func TestBlockArenaRecycles(t *testing.T) {
 }
 
 func TestBlockArenaGetConcurrent(t *testing.T) {
-	ba := NewBlockArena(100)
+	ba := NewBlockArena(100, BlockCap, 1)
 	const workers, per = 8, 500
 	var mu sync.Mutex
 	seen := map[uint32]int{}
@@ -80,7 +80,7 @@ func TestBlockArenaGetConcurrent(t *testing.T) {
 }
 
 func TestVStackLIFO(t *testing.T) {
-	ba := NewBlockArena(1000)
+	ba := NewBlockArena(1000, BlockCap, 1)
 	var s VStack
 	s.Init(0)
 	var blocks []uint32
@@ -107,7 +107,7 @@ func TestVStackLIFO(t *testing.T) {
 }
 
 func TestVStackVerMismatch(t *testing.T) {
-	ba := NewBlockArena(100)
+	ba := NewBlockArena(100, BlockCap, 1)
 	var s VStack
 	s.Init(4)
 	idx := ba.Get()
@@ -143,7 +143,7 @@ func TestVStackVerMismatch(t *testing.T) {
 }
 
 func TestVStackCASHead(t *testing.T) {
-	ba := NewBlockArena(100)
+	ba := NewBlockArena(100, BlockCap, 1)
 	var s VStack
 	s.Init(0)
 	idx := ba.Get()
@@ -167,7 +167,7 @@ func TestCountedStackConcurrentTransfer(t *testing.T) {
 	// Producers push blocks of slots; consumers pop and recycle the block
 	// structs, maximizing block-reuse ABA pressure. Every produced slot
 	// must be consumed exactly once.
-	ba := NewBlockArena(4096)
+	ba := NewBlockArena(4096, BlockCap, 1)
 	var s CountedStack
 	s.Init()
 	const producers, consumers, perProducer = 4, 4, 20000
@@ -242,7 +242,7 @@ func TestVStackConcurrentPushSingleVersion(t *testing.T) {
 	// Mirrors one phase: the retirePool takes concurrent pushes only, and
 	// the processingPool it becomes takes concurrent pops only. Every
 	// pushed block must be popped exactly once.
-	ba := NewBlockArena(4096)
+	ba := NewBlockArena(4096, BlockCap, 1)
 	var s VStack
 	s.Init(10)
 	const workers, per = 8, 200
@@ -300,7 +300,7 @@ func TestVStackConcurrentPushSingleVersion(t *testing.T) {
 }
 
 func TestCountedStackPushRange(t *testing.T) {
-	ba := NewBlockArena(64)
+	ba := NewBlockArena(64, BlockCap, 1)
 	var s CountedStack
 	s.Init()
 	s.PushRange(ba, 100, 10, 4)
@@ -325,7 +325,7 @@ func TestCountedStackPushRange(t *testing.T) {
 // behaves like a stack of blocks.
 func TestVStackQuickLIFO(t *testing.T) {
 	f := func(ops []bool) bool {
-		ba := NewBlockArena(256)
+		ba := NewBlockArena(256, BlockCap, 1)
 		var s VStack
 		s.Init(0)
 		var model []uint32
@@ -360,7 +360,7 @@ func TestVStackQuickLIFO(t *testing.T) {
 }
 
 func TestChainLenEmpty(t *testing.T) {
-	ba := NewBlockArena(16)
+	ba := NewBlockArena(16, BlockCap, 1)
 	if b, s := ChainLen(ba, NoBlock); b != 0 || s != 0 {
 		t.Fatalf("ChainLen(NoBlock) = %d,%d", b, s)
 	}
@@ -380,7 +380,7 @@ func TestStatusString(t *testing.T) {
 // BenchmarkReadyPoolParallel measures the readyPool's push/pop cycle with
 // every goroutine on the one head word.
 func BenchmarkReadyPoolParallel(b *testing.B) {
-	ba := NewBlockArena(1 << 16)
+	ba := NewBlockArena(1<<16, BlockCap, 1)
 	var s CountedStack
 	s.Init()
 	for i := 0; i < 256; i++ {

@@ -240,24 +240,8 @@ func TestQueueChurnReclaims(t *testing.T) {
 func TestQueueWarningStorm(t *testing.T) {
 	const producers, consumers, perProducer = 2, 2, 10000
 	q := queue.NewOA(core.Config{MaxThreads: producers + consumers, Capacity: 1 << 15, LocalPool: 16})
-	mgr := q.Manager()
-
-	stop := make(chan struct{})
-	storming := make(chan struct{})
-	go func() {
-		defer close(storming)
-		fake := uint32(1 << 20)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			mgr.InjectWarnings(fake)
-			fake += 2
-			runtime.Gosched()
-		}
-	}()
+	storm := dstest.StartStorm(q.Manager().InjectWarnings, runtime.Gosched)
+	defer storm.Stop()
 
 	var wg sync.WaitGroup
 	var producing atomic.Int32
@@ -268,9 +252,10 @@ func TestQueueWarningStorm(t *testing.T) {
 			defer wg.Done()
 			defer producing.Add(-1)
 			s := q.QueueSession(p)
+			var seen uint64
 			for i := 0; i < perProducer; i++ {
 				if i%512 == 0 {
-					runtime.Gosched() // let the storm land mid-stream
+					seen = storm.Await(seen) // let the storm land mid-stream
 				}
 				s.Enqueue(uint64(p)<<32 | uint64(i))
 			}
@@ -300,8 +285,7 @@ func TestQueueWarningStorm(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	close(stop)
-	<-storming
+	storm.Stop()
 
 	seen := make(map[uint64]bool, producers*perProducer)
 	for c, vs := range got {

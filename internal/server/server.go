@@ -112,6 +112,7 @@ type Server struct {
 
 	nextConnID atomic.Uint64
 	draining   atomic.Bool
+	drainFrom  atomic.Uint64 // 1 + the executors' op count when the drain began; 0 before
 
 	// Hot striped counters (one stripe per shard) plus cold shared ones,
 	// exported via RegisterObs and the STATS op.
@@ -293,14 +294,7 @@ func (s *Server) RegisterObs(reg *obs.Registry) {
 			}
 			return n
 		})
-	reg.Counter("oa_server_exec_batched_ops_total", "data requests executed via the executor rings",
-		func() uint64 {
-			var n uint64
-			for _, e := range s.execs {
-				n += e.ops.Load()
-			}
-			return n
-		})
+	reg.Counter("oa_server_exec_batched_ops_total", "data requests executed via the executor rings", s.execOps)
 	reg.Trace(s.rings.Manager().TraceRecorder())
 	for op := OpGet; op <= OpCAS; op++ {
 		reg.HistogramVec("oa_server_latency_"+opNames[op]+"_seconds",
@@ -397,6 +391,7 @@ func (s *Server) Shutdown() int {
 	if s.draining.Swap(true) {
 		return 0 // already draining; first caller reports
 	}
+	s.drainFrom.Store(1 + s.execOps())
 	s.mu.Lock()
 	for _, ln := range s.lns {
 		ln.Close()
@@ -447,6 +442,15 @@ func (s *Server) Shutdown() int {
 	return forced
 }
 
+// execOps sums the data requests the executors have executed.
+func (s *Server) execOps() uint64 {
+	var n uint64
+	for _, e := range s.execs {
+		n += e.ops.Load()
+	}
+	return n
+}
+
 // Snapshot is the server-side counter block of a STATS response.
 // Session fields aggregate across shards; ring_depth is indexed by
 // executor, shard_ops by shard.
@@ -474,9 +478,13 @@ type Snapshot struct {
 	Batches    uint64 `json:"exec_batches"`
 	RingNodes  uint64 `json:"ring_nodes"`
 	BatchedOps uint64 `json:"exec_batched_ops"`
+	// DrainOps counts the data ops executed after the drain began (0
+	// before it): the in-flight work a drain must still answer.
+	DrainOps uint64 `json:"drain_ops"`
 }
 
 func (s *Server) snapshot() Snapshot {
+	from := s.drainFrom.Load() // before the op counts it is subtracted from
 	shardOps := make([]uint64, len(s.stripes))
 	for i := range s.stripes {
 		shardOps[i] = s.stripes[i].ops.Load()
@@ -489,7 +497,12 @@ func (s *Server) snapshot() Snapshot {
 		nodes += e.nodes.Load()
 		batchedOps += e.ops.Load()
 	}
+	var drainOps uint64
+	if from != 0 {
+		drainOps = batchedOps - (from - 1)
+	}
 	return Snapshot{
+		DrainOps:      drainOps,
 		Executors:     len(s.execs),
 		RingCap:       s.cfg.RingSize,
 		RingDepth:     depth,

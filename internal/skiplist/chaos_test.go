@@ -1,11 +1,10 @@
 package skiplist
 
 import (
-	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dstest"
 )
 
 // TestOASkipListWarningStorm mirrors the list's storm test on the skip
@@ -13,58 +12,5 @@ import (
 // restarts per-level link rounds — many more restart edges.
 func TestOASkipListWarningStorm(t *testing.T) {
 	sl := NewOA(core.Config{MaxThreads: 2, Capacity: 8192, LocalPool: 16})
-	mgr := sl.Manager()
-
-	stop := make(chan struct{})
-	storming := make(chan struct{})
-	go func() {
-		defer close(storming)
-		fake := uint32(1 << 20)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			mgr.InjectWarnings(fake)
-			fake += 2
-			for i := 0; i < 300; i++ {
-				_ = i
-			}
-		}
-	}()
-
-	s := sl.Session(0)
-	model := map[uint64]bool{}
-	rng := rand.New(rand.NewSource(424242))
-	for i := 0; i < 30000; i++ {
-		if i%512 == 0 {
-			// On a single-CPU runner the op loop can finish inside one
-			// scheduler timeslice, before the storm goroutine ever runs;
-			// yield so warnings actually land between operations.
-			runtime.Gosched()
-		}
-		k := uint64(rng.Intn(128)) + 1
-		switch rng.Intn(3) {
-		case 0:
-			if got, want := s.Insert(k), !model[k]; got != want {
-				t.Fatalf("op %d: Insert(%d) = %v, want %v", i, k, got, want)
-			}
-			model[k] = true
-		case 1:
-			if got, want := s.Delete(k), model[k]; got != want {
-				t.Fatalf("op %d: Delete(%d) = %v, want %v", i, k, got, want)
-			}
-			delete(model, k)
-		default:
-			if got, want := s.Contains(k), model[k]; got != want {
-				t.Fatalf("op %d: Contains(%d) = %v, want %v", i, k, got, want)
-			}
-		}
-	}
-	close(stop)
-	<-storming
-	if st := sl.Stats(); st.Restarts == 0 {
-		t.Fatal("storm produced no restarts")
-	}
+	dstest.WarningStorm(t, sl.Session(0), sl.Manager().InjectWarnings, sl.Stats, 30000, 424242)
 }

@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -11,11 +12,14 @@ import (
 	"repro/internal/kvmap"
 	"repro/internal/list"
 	"repro/internal/mpmc"
+	"repro/internal/oakit"
 	"repro/internal/obs"
+	"repro/internal/pools"
 	"repro/internal/queue"
 	"repro/internal/sizing"
 	"repro/internal/skiplist"
 	"repro/internal/smr"
+	"repro/oamem"
 )
 
 // Node sizes are part of the measured design, not an accident of field
@@ -81,5 +85,44 @@ func TestCapacityCountsEntries(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Building a structure allocates what its capacity asks for and little
+// more: capacity nodes and their 4-byte generations, the block pool's
+// bound (pools.BlockBound) of 516-byte blocks (a Block and its
+// generation), the bucket array, and 64 KiB for everything else. Checked
+// at the capacity of bench/'s structure workloads, under OA and NoRecl.
+// When the block arena rounded its 497 blocks up to one chunk of 16,384,
+// the OA hash set allocated 9.65 MB here, 8.3 MB of it that chunk.
+func TestConstructionFootprint(t *testing.T) {
+	const capacity = 10000 + 50000 + 4*126 + 64 // prefill, δ, the pools' float
+	const expected = 10000
+	blocks := uintptr(pools.BlockBound(capacity, pools.BlockCap, 1)) * (unsafe.Sizeof(pools.Block{}) + 4)
+	for _, c := range []struct {
+		name          string
+		build         func(...oamem.Option) (*oamem.Structure, error)
+		node, buckets uintptr
+	}{
+		{"HashSet", oamem.HashSet, unsafe.Sizeof(list.Node{}), uintptr(len(oakit.NewBuckets(expected))) * unsafe.Sizeof(arena.Link{})},
+		{"SkipList", oamem.SkipList, unsafe.Sizeof(skiplist.Node{}), 0},
+	} {
+		for _, sc := range []oamem.Scheme{oamem.OA, oamem.NoRecl} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			st, err := c.build(oamem.WithScheme(sc), oamem.WithThreads(1),
+				oamem.WithCapacity(capacity), oamem.WithExpected(expected))
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(st)
+			got := after.TotalAlloc - before.TotalAlloc
+			bound := uint64(capacity*(c.node+4) + blocks + c.buckets + 64<<10)
+			if got > bound {
+				t.Errorf("%s/%v: building allocated %d bytes, want at most %d", c.name, sc, got, bound)
+			}
+			t.Logf("%s/%v: %d bytes of at most %d", c.name, sc, got, bound)
+		}
 	}
 }
