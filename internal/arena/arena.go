@@ -21,8 +21,8 @@ const chunkMask = ChunkSize - 1
 // alloc/free recycling of slots is the job of the reclamation schemes built
 // on top (which run slots through the paper's pool pipeline).
 //
-// Concurrency: At and Gen may be called from any goroutine at any time,
-// including with slot indices that were recycled long ago. Reserve may be
+// Concurrency: At may be called from any goroutine at any time, including
+// with slot indices that were recycled long ago. Reserve may be
 // called concurrently with readers; growth publishes a copy-on-write chunk
 // directory, so readers never observe a partially built one.
 type Arena[T any] struct {
@@ -37,27 +37,24 @@ type Arena[T any] struct {
 	flat View[T]
 }
 
-// directory holds, per chunk, its nodes and their generation counters.
+// directory holds, per chunk, its nodes.
 type directory[T any] struct {
 	nodes []*[ChunkSize]T
-	gens  []*genChunk
 }
 
-type genChunk [ChunkSize]atomic.Uint32
-
 // New creates an arena whose first n slots are backed by one contiguous
-// allocation of exactly n nodes and n generations: the flat region of
-// every View. Growth past it starts at the next chunk boundary, so the
-// tail of the region's last chunk is never handed out. New panics,
+// allocation of exactly n nodes: the flat region of every View. Growth
+// past it starts at the next chunk boundary, so the tail of the region's
+// last chunk is never handed out. New panics,
 // before allocating anything, if n exceeds MaxSlots.
 func New[T any](n int) *Arena[T] {
 	checkSlots(n)
 	a := &Arena[T]{}
 	chunks := (n + chunkMask) >> ChunkShift
-	a.dir.Store(&directory[T]{nodes: make([]*[ChunkSize]T, chunks), gens: make([]*genChunk, chunks)})
+	a.dir.Store(&directory[T]{nodes: make([]*[ChunkSize]T, chunks)})
 	a.flat.a = a
 	if n > 0 {
-		a.flat.nodes, a.flat.gens = make([]T, n), make([]atomic.Uint32, n)
+		a.flat.nodes = make([]T, n)
 	}
 	a.capa.Store(uint32(n))
 	return a
@@ -67,14 +64,6 @@ func New[T any](n int) *Arena[T] {
 // forever; it may alias a slot that has since been recycled (that is the
 // point of the optimistic access design).
 func (a *Arena[T]) At(slot uint32) *T { return a.flat.At(slot) }
-
-// Gen returns the generation counter of slot. Schemes bump it on recycle;
-// tests use it to detect use-after-free in schemes that forbid it (HP, EBR)
-// and to validate that OA never commits work based on a stale slot.
-func (a *Arena[T]) Gen(slot uint32) uint32 { return a.flat.gen(slot).Load() }
-
-// BumpGen increments the generation counter of slot, marking one recycle.
-func (a *Arena[T]) BumpGen(slot uint32) { a.flat.BumpGen(slot) }
 
 // Cap returns one past the last slot backed by memory: New's n until the
 // arena first grows, a chunk boundary after.
@@ -125,14 +114,9 @@ func (a *Arena[T]) grow(need uint32) {
 	old := a.dir.Load()
 	have := len(old.nodes)
 	nodes := make([]T, (chunks-have)<<ChunkShift)
-	gens := make([]atomic.Uint32, len(nodes))
-	next := &directory[T]{
-		nodes: append(make([]*[ChunkSize]T, 0, chunks), old.nodes...),
-		gens:  append(make([]*genChunk, 0, chunks), old.gens...),
-	}
+	next := &directory[T]{nodes: append(make([]*[ChunkSize]T, 0, chunks), old.nodes...)}
 	for off := 0; off < len(nodes); off += ChunkSize {
 		next.nodes = append(next.nodes, (*[ChunkSize]T)(nodes[off:]))
-		next.gens = append(next.gens, (*genChunk)(gens[off:]))
 	}
 	a.dir.Store(next)
 	a.capa.Store(uint32(chunks) << ChunkShift)

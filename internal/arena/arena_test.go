@@ -3,6 +3,7 @@ package arena
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -89,9 +90,13 @@ func TestPtrDistinct(t *testing.T) {
 	}
 }
 
+// testNode carries its own generation counter: the arena keeps none, so
+// a test that counts per-slot events counts them in the node, and a slot
+// reached through At or any View is one counter.
 type testNode struct {
 	key  uint64
 	next uint64
+	gen  atomic.Uint32
 }
 
 func TestArenaReserveAndAccess(t *testing.T) {
@@ -126,17 +131,16 @@ func TestArenaGrowthPreservesSlots(t *testing.T) {
 }
 
 // The region behind New's capacity is one slice of exactly that many
-// nodes and generations: indexing it, At and a View reach the same node
-// and the same generation counter.
+// nodes: indexing it, At and a View reach the same node and so the same
+// generation counter in it.
 func TestFlatCoversReservedSlots(t *testing.T) {
 	const n = 2*ChunkSize + 7 // not a chunk multiple
 	a := New[testNode](n)
 	base := a.Reserve(n)
 	v := a.View()
-	nodes, gens := v.nodes, v.gens
-	if base != 0 || len(nodes) != n || len(gens) != n {
-		t.Fatalf("Reserve = %d, flat region = %d nodes and %d gens; want 0 and %d of each",
-			base, len(nodes), len(gens), n)
+	nodes := v.nodes
+	if base != 0 || len(nodes) != n {
+		t.Fatalf("Reserve = %d, flat region = %d nodes; want 0 and %d", base, len(nodes), n)
 	}
 	for i := uint32(0); i < n; i++ {
 		p := &nodes[i]
@@ -144,14 +148,14 @@ func TestFlatCoversReservedSlots(t *testing.T) {
 			t.Fatalf("slot %d: flat %p, At %p, View.At %p", i, p, a.At(i), v.At(i))
 		}
 	}
-	gens[n-1].Add(1)
-	a.BumpGen(n - 1)
-	v.BumpGen(n - 1)
-	if a.Gen(n-1) != 3 || v.gen(n-1).Load() != 3 || gens[n-1].Load() != 3 {
-		t.Fatalf("gen of slot %d: Gen %d, View %d, flat %d; want 3 everywhere",
-			n-1, a.Gen(n-1), v.gen(n-1).Load(), gens[n-1].Load())
+	nodes[n-1].gen.Add(1)
+	a.At(n - 1).gen.Add(1)
+	v.At(n - 1).gen.Add(1)
+	if a.At(n-1).gen.Load() != 3 || v.At(n-1).gen.Load() != 3 || nodes[n-1].gen.Load() != 3 {
+		t.Fatalf("gen of slot %d: At %d, View %d, flat %d; want 3 everywhere",
+			n-1, a.At(n-1).gen.Load(), v.At(n-1).gen.Load(), nodes[n-1].gen.Load())
 	}
-	if w := New[testNode](0).View(); w.nodes != nil || w.gens != nil {
+	if w := New[testNode](0).View(); w.nodes != nil {
 		t.Fatal("New(0) must have no flat region")
 	}
 }
@@ -204,15 +208,17 @@ func TestArenaReserveSequential(t *testing.T) {
 	}
 }
 
+// A generation lives in the node, not in the arena: a fresh slot's
+// counter reads 0, and bumps through At accumulate.
 func TestArenaGenerations(t *testing.T) {
 	a := New[testNode](8)
 	s := a.Reserve(1)
-	if g := a.Gen(s); g != 0 {
+	if g := a.At(s).gen.Load(); g != 0 {
 		t.Fatalf("fresh gen = %d", g)
 	}
-	a.BumpGen(s)
-	a.BumpGen(s)
-	if g := a.Gen(s); g != 2 {
+	a.At(s).gen.Add(1)
+	a.At(s).gen.Add(1)
+	if g := a.At(s).gen.Load(); g != 2 {
 		t.Fatalf("gen = %d, want 2", g)
 	}
 }

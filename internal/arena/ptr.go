@@ -11,10 +11,14 @@
 // access scheme detects and rolls back.
 //
 // An arena backs exactly the slots it is asked for: New(n) allocates one
-// flat region of n nodes and n generation counters, and only growth past
-// it allocates whole chunks of ChunkSize slots, starting at the chunk
-// boundary after the region. A pool sized from a bound (the block pools
+// flat region of n nodes, and only growth past it allocates whole chunks
+// of ChunkSize slots, starting at the chunk boundary after the region. A pool sized from a bound (the block pools
 // of internal/pools) thus pays for its bound and no more.
+//
+// An arena keeps nothing per slot but the node. Whether a slot was
+// recycled is the reclamation scheme's business, and production code
+// never asks: tests observe recycles through the managers' recycle hooks
+// (smr.Gens), so a generation is a test-only observation.
 //
 // The arena never shrinks and neither the flat region nor a chunk is ever
 // moved, so a handle obtained at any time in the past remains safe to

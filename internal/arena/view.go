@@ -1,7 +1,5 @@
 package arena
 
-import "sync/atomic"
-
 // View is how a thread reaches nodes: the arena's flat region (the one
 // allocation of New's initial capacity) and the arena itself. A slot
 // inside the flat region is one compare and one index; any other slot,
@@ -19,7 +17,6 @@ import "sync/atomic"
 // every Node method that wraps it, out of line.
 type View[T any] struct {
 	nodes []T
-	gens  []atomic.Uint32
 	a     *Arena[T]
 }
 
@@ -34,25 +31,4 @@ func (v *View[T]) At(slot uint32) *T {
 	}
 	d := v.a.dir.Load()
 	return &d.nodes[slot>>ChunkShift][slot&chunkMask]
-}
-
-// BumpGen increments the generation counter of slot, like Arena.BumpGen.
-func (v *View[T]) BumpGen(slot uint32) { bump(v.gen(slot)) }
-
-// bump keeps the atomic increment out of BumpGen's generic body. A package
-// compiles the instantiations of a generic function with the inline bodies
-// it has, and it has sync/atomic's methods only by importing sync/atomic or
-// through a non-generic inlinable function that calls them, such as this.
-// Called directly from BumpGen, Add stayed a call in packages that do not
-// import sync/atomic (the list package, whose links are arena.Links), and
-// that call pushed BumpGen past the inliner's budget.
-func bump(g *atomic.Uint32) { g.Add(1) }
-
-// gen returns the generation counter of slot.
-func (v *View[T]) gen(slot uint32) *atomic.Uint32 {
-	if int(slot) < len(v.gens) {
-		return &v.gens[slot]
-	}
-	d := v.a.dir.Load()
-	return &d.gens[slot>>ChunkShift][slot&chunkMask]
 }

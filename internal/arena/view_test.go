@@ -26,8 +26,8 @@ func TestViewSeesGrowth(t *testing.T) {
 		}
 		reserve(ChunkSize + 3) // beyond the flat region, before the View
 		v := a.View()
-		if len(v.nodes) != initial || len(v.gens) != initial {
-			t.Fatalf("New(%d): flat region of %d nodes and %d gens, want %d", initial, len(v.nodes), len(v.gens), initial)
+		if len(v.nodes) != initial {
+			t.Fatalf("New(%d): flat region of %d nodes, want %d", initial, len(v.nodes), initial)
 		}
 		reserve(2 * ChunkSize) // growth after the View was taken
 		seen := make(map[*testNode]bool, len(slots))
@@ -40,15 +40,15 @@ func TestViewSeesGrowth(t *testing.T) {
 			p.key = uint64(s)
 			for k := uint32(0); k < s%3; k++ {
 				if k == 0 {
-					v.BumpGen(s)
+					v.At(s).gen.Add(1)
 				} else {
-					a.BumpGen(s)
+					a.At(s).gen.Add(1)
 				}
 			}
 		}
 		for _, s := range slots {
-			if a.At(s).key != uint64(s) || a.Gen(s) != s%3 {
-				t.Fatalf("New(%d) slot %d: key %d, gen %d; want %d and %d", initial, s, a.At(s).key, a.Gen(s), s, s%3)
+			if a.At(s).key != uint64(s) || a.At(s).gen.Load() != s%3 {
+				t.Fatalf("New(%d) slot %d: key %d, gen %d; want %d and %d", initial, s, a.At(s).key, a.At(s).gen.Load(), s, s%3)
 			}
 		}
 		if w := a.View(); len(w.nodes) != initial || (initial > 0 && &w.nodes[0] != &v.nodes[0]) {
@@ -86,7 +86,7 @@ func TestReserveAcrossFlatEnd(t *testing.T) {
 		}
 		d := a.dir.Load()
 		for i := uint32(0); i < c.wantAcross>>ChunkShift; i++ {
-			if d.nodes[i] != nil || d.gens[i] != nil {
+			if d.nodes[i] != nil {
 				t.Fatalf("New(%d): directory entry %d below the boundary is set", c.flat, i)
 			}
 		}
@@ -106,37 +106,38 @@ func TestReserveAcrossFlatEnd(t *testing.T) {
 			}
 			seen[p] = true
 			if s%2 == 0 {
-				v.BumpGen(s)
+				v.At(s).gen.Add(1)
 			} else {
-				a.BumpGen(s)
+				a.At(s).gen.Add(1)
 			}
 		}
 		for _, s := range slots {
-			if a.Gen(s) != 1 || v.gen(s).Load() != 1 {
-				t.Fatalf("New(%d) slot %d: Gen %d, View gen %d; want 1 and 1", c.flat, s, a.Gen(s), v.gen(s).Load())
+			if a.At(s).gen.Load() != 1 || v.At(s).gen.Load() != 1 {
+				t.Fatalf("New(%d) slot %d: gen %d by Arena, %d by View; want 1 and 1", c.flat, s, a.At(s).gen.Load(), v.At(s).gen.Load())
 			}
 		}
 	}
 }
 
-// A View and the arena bump one shared generation counter per slot, and a
-// View taken before growth reaches the counters of slots created after it.
+// A View and the arena bump one shared generation counter per slot (the
+// test node's), and a View taken before growth reaches the counters of
+// slots created after it.
 func TestViewGens(t *testing.T) {
 	a := New[testNode](ChunkSize)
 	v := a.View()
 	base := a.Reserve(4)
-	if g := v.gen(base).Load(); g != 0 {
+	if g := v.At(base).gen.Load(); g != 0 {
 		t.Fatalf("fresh gen = %d", g)
 	}
-	v.BumpGen(base)
-	a.BumpGen(base)
-	if got := v.gen(base).Load(); got != 2 {
+	v.At(base).gen.Add(1)
+	a.At(base).gen.Add(1)
+	if got := v.At(base).gen.Load(); got != 2 {
 		t.Fatalf("gen = %d after view+arena bump, want 2 (shared counter)", got)
 	}
 	grown := a.Reserve(2 * ChunkSize)
 	v2 := v // copy taken before the growth
-	v2.BumpGen(grown + ChunkSize + 5)
-	if got := a.Gen(grown + ChunkSize + 5); got != 1 {
+	v2.At(grown + ChunkSize + 5).gen.Add(1)
+	if got := a.At(grown + ChunkSize + 5).gen.Load(); got != 1 {
 		t.Fatalf("gen = %d after bump through an earlier View, want 1", got)
 	}
 }

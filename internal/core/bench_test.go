@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/arena"
 )
 
 // BenchmarkHPSnapshot compares the sorted-array hazard-pointer snapshot
@@ -15,15 +17,16 @@ import (
 func BenchmarkHPSnapshot(b *testing.B) {
 	const probes = 1024
 	for _, threads := range []int{4, 16, 64} {
-		const hpsPerThread = 8 // WriteHPs + 5 owner HPs, in 2 + 3 packed words
+		const hpsPerThread = 8 // WriteHPs + 5 owner HPs, in three triples
 		totalHPs := threads * hpsPerThread
 		m := NewManager[node](Config{
 			MaxThreads: threads, Capacity: 1 << 14, OwnerHPs: hpsPerThread - WriteHPs,
 		}, resetNode)
 		for ti, th := range m.threads {
-			for i := range th.hps {
-				lo := uint64(ti*131+i*34) + 1
-				th.hps[i].Store(lo | (lo+17)<<32)
+			base := uint32(ti * 131)
+			th.ProtectCAS(arena.MakePtr(base), arena.MakePtr(base+17), arena.MakePtr(base+34))
+			for i := range hpsPerThread - WriteHPs {
+				th.SetOwnerHP(i, arena.MakePtr(base+51+uint32(i)*17))
 			}
 		}
 		t0 := m.threads[0]
@@ -46,13 +49,11 @@ func BenchmarkHPSnapshot(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				clear(scratch)
 				for _, other := range m.threads {
-					for j := range other.hps {
-						w := other.hps[j].Load()
-						if lo := uint32(w); lo != 0 {
-							scratch[lo-1] = struct{}{}
-						}
-						if hi := uint32(w >> 32); hi != 0 {
-							scratch[hi-1] = struct{}{}
+					for j := 0; j < len(other.hps); j += tripleWords {
+						for _, h := range other.triple(j) {
+							if h != 0 {
+								scratch[uint32(h-1)] = struct{}{}
+							}
 						}
 					}
 				}
@@ -70,7 +71,7 @@ func BenchmarkHPSnapshot(b *testing.B) {
 // BenchmarkRecyclingDrain measures the full retire → phase swap → drain
 // pipeline on one thread: per iteration it retires four blocks' worth of
 // slots and runs the phases needed to recycle them, exercising the hoisted
-// block pointers, the gens-view BumpGen and the sorted snapshot probe.
+// block pointers, the nil recycle hook and the sorted snapshot probe.
 func BenchmarkRecyclingDrain(b *testing.B) {
 	const localPool = 126
 	m := NewManager[node](Config{
@@ -79,9 +80,11 @@ func BenchmarkRecyclingDrain(b *testing.B) {
 	// Publish hazard pointers on the other threads so drain exercises both
 	// the protected and unprotected routes.
 	for _, th := range m.threads[1:] {
-		for i := range th.hps {
-			lo := uint64(2*i*localPool) + 1
-			th.hps[i].Store(lo | (lo+localPool)<<32)
+		for i := 0; i < len(th.hps); i += tripleWords {
+			lo := uint64(3*i*localPool) + 1
+			a, b := th.pack(lo, lo+localPool, lo+2*localPool)
+			th.hps[i].Store(a)
+			th.hps[i+1].Store(b)
 		}
 	}
 	t0 := m.Thread(0)

@@ -56,8 +56,9 @@
 //     (Algorithm 6 line 28 returns), the slots in hand are pushed into the
 //     retirePool at its *newer* version instead of being dropped — retiring
 //     into a later phase is always proper.
-//   - Hazard-pointer publication. Two HPs share one word, a word is stored
-//     only when it changes, and HPs stay published after a successful CAS
+//   - Hazard-pointer publication. Three HPs share one word (two words
+//     when the capacity exceeds 2²¹−1 slots), a word is stored only when
+//     it changes, and HPs stay published after a successful CAS
 //     until the next publication overwrites them (restart paths and
 //     ReleaseThread clear them). Each atomic store is a full fence, so
 //     this cuts the paper's per-barrier fence to the words that change;
@@ -139,6 +140,8 @@ type Manager[T any] struct {
 	phaseHst obs.Histogram
 	stats    *obs.ThreadStats // per-thread counter blocks, one per context
 	tracer   *trace.Recorder  // per-thread protocol event rings
+	// onRecycle, when set, sees every slot a drain recycles (OnRecycle).
+	onRecycle func(slot uint32)
 }
 
 // NewManager builds a manager. reset must zero every field of a node using
@@ -160,13 +163,15 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 	m.stats = obs.NewThreadStats(cfg.MaxThreads)
 	m.tracer = trace.NewRecorder(cfg.MaxThreads, 0)
 	m.threads = make([]*Thread[T], cfg.MaxThreads)
+	hpw := hpWidth(cfg.Capacity)
 	for i := range m.threads {
 		t := &Thread[T]{
 			view:      m.nodes.View(),
 			warning:   warning{stats: m.stats.At(i), ring: m.tracer.Ring(i)},
 			mgr:       m,
 			id:        i,
-			hps:       make([]atomic.Uint64, writeWords+(cfg.OwnerHPs+1)/2),
+			hps:       make([]atomic.Uint64, tripleWords*(1+(cfg.OwnerHPs+2)/3)),
+			hpw:       hpw,
 			allocBlk:  pools.NoBlock,
 			retireBlk: pools.NoBlock,
 		}
@@ -174,6 +179,12 @@ func NewManager[T any](cfg Config, reset func(*T)) *Manager[T] {
 	}
 	return m
 }
+
+// OnRecycle installs fn as the manager's recycle hook: every drain calls
+// it with each slot it recycles. It is a test seam (smr.Gens records
+// generations through it) and must be installed before any thread runs.
+// Without one, a recycle costs a nil check.
+func (m *Manager[T]) OnRecycle(fn func(slot uint32)) { m.onRecycle = fn }
 
 // Arena exposes the node arena so client structures can dereference
 // handles.

@@ -13,6 +13,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/lease"
 	"repro/internal/pools"
+	"repro/internal/smr"
 )
 
 // node is a minimal test node: all shared fields atomic, as required of
@@ -30,6 +31,14 @@ func resetNode(n *node) {
 func newMgr(t testing.TB, cfg Config) *Manager[node] {
 	t.Helper()
 	return NewManager[node](cfg, resetNode)
+}
+
+// recycles installs a generation counter as m's recycle hook, before any
+// thread runs: rec.Gen(slot) counts the drains that recycled slot.
+func recycles[T any](m *Manager[T]) *smr.Gens {
+	rec := new(smr.Gens)
+	m.OnRecycle(rec.Bump)
+	return rec
 }
 
 func TestAllocZeroesAndCounts(t *testing.T) {
@@ -74,13 +83,14 @@ func TestAllocZeroesAndCounts(t *testing.T) {
 func TestRetiredSlotNotRecycledSamePhase(t *testing.T) {
 	// An object must never be reclaimed in the phase it was unlinked (§2).
 	m := newMgr(t, Config{MaxThreads: 1, Capacity: 8, LocalPool: 2, OwnerHPs: 0})
+	rec := recycles(m)
 	th := m.Thread(0)
 	s := th.Alloc()
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	th.Retire(s)
 	th.FlushRetired()
 	// No recycling has run; generation must be untouched.
-	if m.Arena().Gen(s) != gen {
+	if rec.Gen(s) != gen {
 		t.Fatal("slot recycled before any phase change")
 	}
 }
@@ -195,11 +205,12 @@ func TestBlockPoolStaysInBound(t *testing.T) {
 		m.Phase()/2, blocks.Limit(), bound, (capacity+localPool-1)/localPool)
 }
 
-// A drain bumps a recycled slot's generation through the thread's view;
-// the bump must show in Arena().Gen, the oracle tests read. A slot that is
-// never retired keeps generation 0.
-func TestDrainBumpsArenaGen(t *testing.T) {
+// A drain reports each slot it recycles to the manager's recycle hook,
+// once per recycle, and the hook is where tests read a generation. A
+// slot that is never retired is never reported.
+func TestDrainReportsRecycles(t *testing.T) {
 	m := newMgr(t, Config{MaxThreads: 1, Capacity: 8, LocalPool: 2})
+	rec := recycles(m)
 	th := m.Thread(0)
 	s, kept := th.Alloc(), th.Alloc()
 	th.Retire(s)
@@ -209,11 +220,11 @@ func TestDrainBumpsArenaGen(t *testing.T) {
 	if st := m.Stats(); st.Recycled != 1 {
 		t.Fatalf("Recycled = %d, want 1", st.Recycled)
 	}
-	if g := m.Arena().Gen(s); g != 1 {
-		t.Fatalf("recycled slot's Arena().Gen = %d, want 1", g)
+	if g := rec.Gen(s); g != 1 {
+		t.Fatalf("recycled slot's generation = %d, want 1", g)
 	}
-	if g := m.Arena().Gen(kept); g != 0 {
-		t.Fatalf("live slot's Arena().Gen = %d, want 0", g)
+	if g := rec.Gen(kept); g != 0 {
+		t.Fatalf("live slot's generation = %d, want 0", g)
 	}
 }
 
@@ -262,10 +273,11 @@ func TestWarningByStoreAblation(t *testing.T) {
 
 func TestHazardPointerBlocksRecycle(t *testing.T) {
 	m := newMgr(t, Config{MaxThreads: 2, Capacity: 256, LocalPool: 4, OwnerHPs: 3})
+	rec := recycles(m)
 	worker, guard := m.Thread(0), m.Thread(1)
 
 	s := worker.Alloc()
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	// Thread 1 protects the slot as a CAS target (Algorithm 2 prologue).
 	if guard.ProtectCAS(arena.MakePtr(s), arena.NilPtr, arena.NilPtr) {
 		t.Fatal("unexpected restart")
@@ -279,7 +291,7 @@ func TestHazardPointerBlocksRecycle(t *testing.T) {
 		worker.Retire(x)
 	}
 	worker.FlushRetired()
-	if m.Arena().Gen(s) != gen {
+	if rec.Gen(s) != gen {
 		t.Fatal("hazard-pointer-protected slot was recycled")
 	}
 	st := m.Stats()
@@ -294,16 +306,17 @@ func TestHazardPointerBlocksRecycle(t *testing.T) {
 		worker.Retire(x)
 	}
 	worker.FlushRetired()
-	if m.Arena().Gen(s) == gen {
+	if rec.Gen(s) == gen {
 		t.Fatal("slot never recycled after hazard pointer cleared")
 	}
 }
 
 func TestOwnerHPBlocksRecycle(t *testing.T) {
 	m := newMgr(t, Config{MaxThreads: 2, Capacity: 128, LocalPool: 4, OwnerHPs: 6})
+	rec := recycles(m)
 	worker, guard := m.Thread(0), m.Thread(1)
 	s := worker.Alloc()
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	guard.SetOwnerHP(4, arena.MakePtr(s).Mark()) // marked pointers are unmarked before publication
 	if guard.SealGenerator() {
 		t.Fatal("unexpected restart")
@@ -315,7 +328,7 @@ func TestOwnerHPBlocksRecycle(t *testing.T) {
 		worker.Retire(x)
 	}
 	worker.FlushRetired()
-	if m.Arena().Gen(s) != gen {
+	if rec.Gen(s) != gen {
 		t.Fatal("owner-HP-protected slot was recycled")
 	}
 	guard.ClearOwnerHPs()
@@ -323,77 +336,156 @@ func TestOwnerHPBlocksRecycle(t *testing.T) {
 		x := worker.Alloc()
 		worker.Retire(x)
 	}
-	if m.Arena().Gen(s) == gen {
+	if rec.Gen(s) == gen {
 		t.Fatal("slot never recycled after owner HPs cleared")
 	}
 }
 
-// TestPackedHazardPointersBlockRecycle: two hazard pointers share each
-// word, so a slot published in the high half must protect exactly as one
-// in the low half — write and owner HPs alike, up to the largest index a
-// half carries (NoSlot-1, published as 0xffffffff) — and clearing one
-// half must leave its neighbour published.
-func TestPackedHazardPointersBlockRecycle(t *testing.T) {
-	m := newMgr(t, Config{MaxThreads: 2, Capacity: 256, LocalPool: 4, OwnerHPs: 3})
-	worker, guard := m.Thread(0), m.Thread(1)
-	lo, hi, own0, own1 := worker.Alloc(), worker.Alloc(), worker.Alloc(), worker.Alloc()
-	top := arena.NoSlot - 1
-	if guard.ProtectCAS(arena.MakePtr(lo), arena.MakePtr(hi), arena.MakePtr(top)) {
-		t.Fatal("unexpected restart")
-	}
-	guard.SetOwnerHP(0, arena.MakePtr(own0))
-	guard.SetOwnerHP(1, arena.MakePtr(own1).Mark())
-	guard.SetOwnerHP(2, arena.MakePtr(top))
-	if guard.SealGenerator() {
-		t.Fatal("unexpected restart")
-	}
-	if n := guard.PublishedHPs(); n != 6 {
-		t.Fatalf("PublishedHPs = %d, want 6", n)
-	}
-	hp := worker.snapshotHPs()
-	for _, s := range []uint32{lo, hi, own0, own1, top} {
-		if !hp.Contains(s) {
-			t.Fatalf("snapshot misses published slot %#x", s)
+// TestHPWidth: a manager packs its hazard-pointer fields at 21 bits while
+// every slot+1 fits them, so up to 2²¹−1 slots, and at 32 from 2²¹ on.
+// The choice is checked without building either arena. At both widths a
+// triple of the largest fields survives packing, and a narrow triple's
+// second word is 0, which is what lets publish skip it.
+func TestHPWidth(t *testing.T) {
+	for _, c := range []struct {
+		capacity int
+		want     uint
+	}{{1, narrowBits}, {1<<narrowBits - 1, narrowBits}, {1 << narrowBits, 32}, {arena.MaxSlots, 32}} {
+		if got := hpWidth(c.capacity); got != c.want {
+			t.Errorf("hpWidth(%d) = %d, want %d", c.capacity, got, c.want)
 		}
 	}
-	if hp.Contains(top - 1) {
-		t.Fatal("snapshot contains a slot nobody published")
+	for _, w := range []uint{narrowBits, 32} {
+		th := &Thread[node]{hpw: w}
+		top := uint64(1)<<w - 1
+		for _, h := range [][3]uint64{{top, top, top}, {1, 0, top}, {top, 1, 0}, {0, top, 1}} {
+			a, b := th.pack(h[0], h[1], h[2])
+			if w == narrowBits && b != 0 {
+				t.Errorf("width %d: pack%v left %#x in the second word", w, h, b)
+			}
+			if got := unpack(a, b, w); got != h {
+				t.Errorf("width %d: pack%v = %#x, %#x unpacks to %v", w, h, a, b, got)
+			}
+		}
 	}
+}
 
-	gens := map[uint32]uint32{}
-	for _, s := range []uint32{lo, hi, own0, own1} {
-		gens[s] = m.Arena().Gen(s)
-		worker.Retire(s)
-	}
-	churn := func() {
-		for i := 0; i < 4*m.Capacity(); i++ {
-			worker.Retire(worker.Alloc())
-		}
-		worker.FlushRetired()
-	}
-	recycled := func(s uint32) bool { return m.Arena().Gen(s) != gens[s] }
-	churn()
-	for s := range gens {
-		if recycled(s) {
-			t.Fatalf("slot %d recycled while published", s)
-		}
-	}
-	guard.SetOwnerHP(1, arena.NilPtr)
-	churn()
-	if !recycled(own1) || recycled(own0) {
-		t.Fatalf("after clearing the high owner half: own1 recycled=%v (want true), own0 recycled=%v (want false)",
-			recycled(own1), recycled(own0))
-	}
-	guard.ClearCAS()
-	guard.ClearOwnerHPs()
-	if n := guard.PublishedHPs(); n != 0 {
-		t.Fatalf("PublishedHPs after clearing = %d", n)
-	}
-	churn()
-	for s := range gens {
-		if !recycled(s) {
-			t.Fatalf("slot %d never recycled after its hazard pointer was cleared", s)
-		}
+// TestPackedHazardPointersBlockRecycle: a triple of hazard pointers is one
+// word at the narrow width (21-bit fields) and two at the wide one (32-bit
+// fields, forced here through ForceWideHPs). Each of the three write fields
+// and the three owner fields must keep its slot out of a drain —
+// re-retired, not recycled — and clearing one field must leave the others
+// published. The narrow manager holds 2²¹−1 slots, so its largest slot,
+// 2²¹−2, fills every bit of the owner triple's last field (bits 42–62).
+// The wide snapshot must decode the largest index a 32-bit field carries,
+// NoSlot−1 (published as 0xffffffff), which no arena this small hands out.
+func TestPackedHazardPointersBlockRecycle(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		capacity int
+		width    uint
+	}{
+		{"narrow", 1<<narrowBits - 1, narrowBits},
+		{"wide", 256, 32},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			// Empty nodes keep the narrow arena's 2²¹−1 slots free of memory.
+			m := NewManager[struct{}](Config{MaxThreads: 2, Capacity: c.capacity, OwnerHPs: 3}, func(*struct{}) {})
+			if c.width == 32 {
+				m.ForceWideHPs()
+			}
+			rec := recycles(m)
+			worker, guard := m.Thread(0), m.Thread(1)
+			if guard.hpw != c.width {
+				t.Fatalf("field width %d, want %d", guard.hpw, c.width)
+			}
+			// slots[0..2] go in the write fields, slots[3..5] in the owner
+			// fields. The first Alloc pops the capacity's largest slot, and
+			// it goes in the last owner field.
+			var slots [6]uint32
+			for i := len(slots) - 1; i >= 0; i-- {
+				slots[i] = worker.Alloc()
+			}
+			if top := uint32(m.Capacity() - 1); slots[5] != top {
+				t.Fatalf("first Alloc = %d, want the largest slot %d", slots[5], top)
+			}
+			ptr := func(f int) arena.Ptr { return arena.MakePtr(slots[f]) }
+			if guard.ProtectCAS(ptr(0), ptr(1), ptr(2)) {
+				t.Fatal("unexpected restart")
+			}
+			guard.SetOwnerHP(0, ptr(3))
+			guard.SetOwnerHP(1, ptr(4).Mark()) // marked pointers are unmarked before publication
+			guard.SetOwnerHP(2, ptr(5))
+			if n := guard.PublishedHPs(); n != 6 {
+				t.Fatalf("PublishedHPs = %d, want 6", n)
+			}
+			hp := worker.snapshotHPs()
+			for _, s := range slots {
+				if !hp.Contains(s) {
+					t.Fatalf("snapshot misses published slot %#x", s)
+				}
+			}
+			if hp.Len() != len(slots) {
+				t.Fatalf("snapshot holds %d slots, want the %d published", hp.Len(), len(slots))
+			}
+
+			for _, s := range slots {
+				worker.Retire(s)
+			}
+			if left := m.Quiesce(); left != len(slots) {
+				t.Fatalf("Quiesce withheld %d slots, want all %d published", left, len(slots))
+			}
+			if st := m.Stats(); st.ReRetired < uint64(len(slots)) {
+				t.Fatalf("ReRetired = %d, want every published slot re-retired", st.ReRetired)
+			}
+			// Clear one field at a time: its slot, and only its slot, is
+			// recycled by the next drain.
+			for f := range slots {
+				switch f {
+				case 0, 1, 2:
+					guard.Check() // acknowledge the drains' warning: it would restart the barrier
+					ops := [3]arena.Ptr{ptr(0), ptr(1), ptr(2)}
+					for g := 0; g <= f; g++ {
+						ops[g] = arena.NilPtr
+					}
+					if guard.ProtectCAS(ops[0], ops[1], ops[2]) {
+						t.Fatal("unexpected restart")
+					}
+				default:
+					guard.SetOwnerHP(f-3, arena.NilPtr)
+				}
+				if n := guard.PublishedHPs(); n != len(slots)-1-f {
+					t.Fatalf("field %d cleared: PublishedHPs = %d, want %d", f, n, len(slots)-1-f)
+				}
+				if left := m.Quiesce(); left != len(slots)-1-f {
+					t.Fatalf("field %d cleared: Quiesce withheld %d slots, want %d", f, left, len(slots)-1-f)
+				}
+				for g, s := range slots {
+					if got, want := rec.Gen(s), map[bool]uint32{true: 1}[g <= f]; got != want {
+						t.Fatalf("field %d cleared: slot of field %d recycled %d times, want %d", f, g, got, want)
+					}
+				}
+			}
+
+			if c.width == 32 {
+				top := arena.MakePtr(arena.NoSlot - 1)
+				guard.Check()
+				if guard.ProtectCAS(arena.NilPtr, arena.NilPtr, top) {
+					t.Fatal("unexpected restart")
+				}
+				guard.SetOwnerHP(2, top)
+				worker.snapValid = false // the snapshot is cached per phase
+				if hp := worker.snapshotHPs(); !hp.Contains(arena.NoSlot-1) || hp.Len() != 1 {
+					t.Fatalf("snapshot of NoSlot-1 in two 32-bit fields: contains %v, %d slots; want true and 1",
+						hp.Contains(arena.NoSlot-1), hp.Len())
+				}
+			}
+			guard.ClearCAS()
+			guard.ClearOwnerHPs()
+			if n := guard.PublishedHPs(); n != 0 {
+				t.Fatalf("PublishedHPs after clearing = %d", n)
+			}
+		})
 	}
 }
 
@@ -735,6 +827,7 @@ func TestPhasePausesRecorded(t *testing.T) {
 
 func TestQuiesceRecyclesEverything(t *testing.T) {
 	m := newMgr(t, Config{MaxThreads: 2, Capacity: 256, LocalPool: 8, OwnerHPs: 3})
+	rec := recycles(m)
 	th := m.Thread(0)
 	slots := make([]uint32, 0, 50)
 	for i := 0; i < 50; i++ {
@@ -742,14 +835,14 @@ func TestQuiesceRecyclesEverything(t *testing.T) {
 	}
 	gens := make([]uint32, len(slots))
 	for i, s := range slots {
-		gens[i] = m.Arena().Gen(s)
+		gens[i] = rec.Gen(s)
 		th.Retire(s)
 	}
 	if left := m.Quiesce(); left != 0 {
 		t.Fatalf("Quiesce left %d slots unreclaimed with no hazard pointers", left)
 	}
 	for i, s := range slots {
-		if m.Arena().Gen(s) == gens[i] {
+		if rec.Gen(s) == gens[i] {
 			t.Fatalf("slot %d not recycled by Quiesce", s)
 		}
 	}

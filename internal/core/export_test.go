@@ -57,3 +57,12 @@ func (t *Thread[T]) WarnWord() uint64 { return t.warn.Load() }
 
 // Capacity returns the configured slot capacity after defaulting.
 func (m *Manager[T]) Capacity() int { return m.cfg.Capacity }
+
+// ForceWideHPs switches m's threads to 32-bit hazard-pointer fields, the
+// form of a manager of more than 2²¹−1 slots. Call it before any thread
+// runs.
+func (m *Manager[T]) ForceWideHPs() {
+	for _, t := range m.threads {
+		t.hpw = 32
+	}
+}

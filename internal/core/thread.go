@@ -21,10 +21,9 @@ import (
 // any thread may concurrently *read* the hazard pointers and *update* the
 // warning word, which is why both are atomics.
 type Thread[T any] struct {
-	// view reaches the manager's nodes and their generation counters. The
-	// manager never grows its arena past the first allocation, so every
-	// slot it hands out takes the view's flat path: one compare and an
-	// index, no chunk directory.
+	// view reaches the manager's nodes. The manager never grows its arena
+	// past the first allocation, so every slot it hands out takes the
+	// view's flat path: one compare and an index, no chunk directory.
 	view arena.View[T]
 
 	// warning holds the warning word and the slow path of every check on
@@ -34,14 +33,17 @@ type Thread[T any] struct {
 	mgr *Manager[T]
 	id  int
 
-	// hps packs two hazard pointers per word, each 32-bit half holding
-	// slot+1 (zero meaning empty). Words [0, writeWords) hold the three
-	// write HPs of Algorithm 2; owner HP i of Algorithm 3 is half i&1 of
-	// word writeWords+i/2. Only the owner stores, and it stores a word
-	// only when its value changes; HPs stay published after a successful
-	// CAS or commit until the next publication overwrites them, the
-	// restart paths clear them, and so does ReleaseThread.
+	// hps holds the hazard pointers in triples of two words each (see
+	// pack), every field holding slot+1 (zero meaning empty). Triple 0
+	// holds the three write HPs of Algorithm 2; owner HP i of Algorithm 3
+	// is field i%3 of triple 1+i/3. Only the owner stores, and it stores
+	// a word only when its value changes; HPs stay published after a
+	// successful CAS or commit until the next publication overwrites
+	// them, the restart paths clear them, and so does ReleaseThread.
 	hps []atomic.Uint64
+	// hpw is the width of an HP field, fixed from the manager's capacity
+	// (hpWidth): 21 packs a triple into one word, 32 into two.
+	hpw uint
 
 	localVer  uint32
 	allocBlk  uint32 // current allocation block, NoBlock if none
@@ -133,13 +135,52 @@ func (t *Thread[T]) Warning() bool { return t.warn.Load()&warnMask != 0 }
 // acknowledgement out of line.
 func (t *Thread[T]) Check() bool { return t.check(trace.CauseRead) }
 
-// writeWords is the number of packed words holding the WriteHPs.
-const writeWords = (WriteHPs + 1) / 2
+// tripleWords is the number of words a triple of hazard pointers owns.
+// The write HPs are the triple at word 0; the owner HPs start at word
+// tripleWords.
+const tripleWords = 2
 
-// hpHalf is the half-word a hazard pointer to p publishes: slot+1, or 0
-// for nil. It is the handle with its mark bit shifted out (arena.Ptr
-// stores slot+1 in bits 1..32).
-func hpHalf(p arena.Ptr) uint64 { return uint64(uint32(p >> 1)) }
+// narrowBits is the HP field width of a manager whose every slot+1 fits
+// it: three fields fill 63 bits of one word.
+const narrowBits = 21
+
+// hpWidth returns the HP field width of a manager of capacity slots:
+// narrowBits when every slot+1 (at most capacity) fits it, else 32.
+func hpWidth(capacity int) uint {
+	if capacity < 1<<narrowBits {
+		return narrowBits
+	}
+	return 32
+}
+
+// hpField is the field a hazard pointer to p publishes: slot+1, or 0 for
+// nil. It is the handle with its mark bit shifted out (arena.Ptr stores
+// slot+1 in bits 1..31). Every handle a thread publishes is nil or a slot
+// of its manager, below the capacity, so the field fits the width.
+func hpField(p arena.Ptr) uint64 { return uint64(uint32(p >> 1)) }
+
+// pack returns the two words of a triple of HP fields h0, h1, h2. At the
+// narrow width the first word holds all three and the second is 0; at 32
+// the first holds h0 and h1 as halves and the second holds h2. The shifts
+// give both without a branch (a shift by 64 yields 0), and publish never
+// stores a narrow triple's second word, which stays 0. Callers publish the
+// two words themselves: a helper doing both would not inline, and would
+// put a second call on every commit.
+func (t *Thread[T]) pack(h0, h1, h2 uint64) (uint64, uint64) {
+	w := t.hpw
+	return h0 | h1<<w | h2<<(2*w), h2 >> (64 - 2*w)
+}
+
+// unpack decodes the words a, b of a triple packed at width w.
+func unpack(a, b uint64, w uint) [3]uint64 {
+	mask := uint64(1)<<w - 1
+	return [3]uint64{a & mask, a >> w & mask, a>>(2*w) | b}
+}
+
+// triple returns the HP fields of the triple at word i.
+func (t *Thread[T]) triple(i int) [3]uint64 {
+	return unpack(t.hps[i].Load(), t.hps[i+1].Load(), t.hpw)
+}
 
 // publish stores hazard-pointer word i unless it already holds v. Skipping
 // an unchanged word is safe because only the owner stores it and Go
@@ -149,7 +190,10 @@ func hpHalf(p arena.Ptr) uint64 { return uint64(uint32(p >> 1)) }
 // after that store sees v; one taken before it followed a warning this
 // thread either observes at that load or acknowledged before starting
 // the traversal that produced v — which then cannot reach a slot retired
-// before the phase (§4).
+// before the phase (§4). A word shared by three HPs is argued field by
+// field: a store that changes one field rewrites the others with the
+// values they held, in the one atomic store, so no field reads empty in
+// between (DESIGN.md §4, "HP publication").
 func (t *Thread[T]) publish(i int, v uint64) {
 	w := &t.hps[i]
 	if w.Load() == v {
@@ -173,8 +217,9 @@ func (t *Thread[T]) publish(i int, v uint64) {
 // The atomic stores publishing the hazard pointers are sequentially
 // consistent, which subsumes the paper's explicit memory fence.
 func (t *Thread[T]) ProtectCAS(o, a2, a3 arena.Ptr) bool {
-	t.publish(0, hpHalf(o)|hpHalf(a2)<<32)
-	t.publish(1, hpHalf(a3))
+	a, b := t.pack(hpField(o), hpField(a2), hpField(a3))
+	t.publish(0, a)
+	t.publish(1, b)
 	if t.check(trace.CauseWrite) {
 		t.ClearCAS()
 		return true
@@ -185,25 +230,32 @@ func (t *Thread[T]) ProtectCAS(o, a2, a3 arena.Ptr) bool {
 // ClearCAS nullifies the three write-barrier hazard pointers (Algorithm 2
 // line 11).
 func (t *Thread[T]) ClearCAS() {
-	for i := 0; i < writeWords; i++ {
-		t.publish(i, 0)
-	}
+	t.publish(0, 0)
+	t.publish(1, 0)
 }
 
 // SetOwnerHP publishes owner hazard pointer i (Algorithm 3's HP^owner set),
 // protecting an object mentioned in the generator's CAS list until a later
 // publication overwrites it or ClearOwnerHPs runs.
+//
+// The triple's other two fields are rebuilt from the owner's own last
+// store to it: only the owner writes its words.
 func (t *Thread[T]) SetOwnerHP(i int, p arena.Ptr) {
-	w := writeWords + i/2
-	sh := uint(i&1) * 32
-	t.publish(w, t.hps[w].Load()&^(0xffffffff<<sh)|hpHalf(p)<<sh)
+	w := tripleWords * (1 + i/3)
+	h := t.triple(w)
+	h[i%3] = hpField(p)
+	a, b := t.pack(h[0], h[1], h[2])
+	t.publish(w, a)
+	t.publish(w+1, b)
 }
 
 // SetOwnerHPs publishes owner hazard pointers 0..2 — the whole owner set
-// of a single-CAS generator (Algorithm 3 with C = 1) — as two words.
+// of a single-CAS generator (Algorithm 3 with C = 1) — as one triple: one
+// word at the narrow width, two at the wide one.
 func (t *Thread[T]) SetOwnerHPs(h0, h1, h2 arena.Ptr) {
-	t.publish(writeWords, hpHalf(h0)|hpHalf(h1)<<32)
-	t.publish(writeWords+1, hpHalf(h2))
+	a, b := t.pack(hpField(h0), hpField(h1), hpField(h2))
+	t.publish(tripleWords, a)
+	t.publish(tripleWords+1, b)
 }
 
 // SealGenerator performs Algorithm 3's epilogue after the owner hazard
@@ -221,22 +273,20 @@ func (t *Thread[T]) SealGenerator() bool {
 // ClearOwnerHPs nullifies all owner hazard pointers, storing only the
 // words that are not already empty.
 func (t *Thread[T]) ClearOwnerHPs() {
-	for i := writeWords; i < len(t.hps); i++ {
+	for i := tripleWords; i < len(t.hps); i++ {
 		t.publish(i, 0)
 	}
 }
 
 // PublishedHPs reports how many hazard pointers the thread currently
-// publishes (non-empty halves across every word).
+// publishes (non-empty fields across every triple).
 func (t *Thread[T]) PublishedHPs() int {
 	n := 0
-	for i := range t.hps {
-		w := t.hps[i].Load()
-		if uint32(w) != 0 {
-			n++
-		}
-		if w>>32 != 0 {
-			n++
+	for i := 0; i < len(t.hps); i += tripleWords {
+		for _, h := range t.triple(i) {
+			if h != 0 {
+				n++
+			}
 		}
 	}
 	return n
@@ -406,13 +456,11 @@ func (t *Thread[T]) snapshotHPs() *smr.SlotSet {
 	}
 	hp.Reset()
 	for _, other := range t.mgr.threads {
-		for i := range other.hps {
-			w := other.hps[i].Load()
-			if lo := uint32(w); lo != 0 {
-				hp.Add(lo - 1)
-			}
-			if hi := uint32(w >> 32); hi != 0 {
-				hp.Add(hi - 1)
+		for i := 0; i < len(other.hps); i += tripleWords {
+			for _, h := range other.triple(i) {
+				if h != 0 {
+					hp.Add(uint32(h - 1))
+				}
 			}
 		}
 	}
@@ -425,10 +473,12 @@ func (t *Thread[T]) snapshotHPs() *smr.SlotSet {
 // drain processes the processingPool for phase t.localVer (Algorithm 6
 // lines 20–30) and returns how many slots it recycled and re-retired.
 // The active ready/re-retire block pointers are resolved once per block
-// swap, and generation bumps take the view's flat path, so the per-slot
-// loop performs no block-table or chunk-table loads.
+// swap, so the per-slot loop performs no block-table loads, and it touches
+// no node: a recycled slot costs the manager's recycle hook, which is nil
+// outside tests, one predictable branch.
 func (t *Thread[T]) drain(hp *smr.SlotSet) (uint64, uint64) {
 	m := t.mgr
+	onRecycle := m.onRecycle
 	readyBlk := pools.NoBlock
 	reBlk := pools.NoBlock
 	var readyB, reB *pools.Block
@@ -458,9 +508,10 @@ func (t *Thread[T]) drain(hp *smr.SlotSet) (uint64, uint64) {
 					reB = nil
 				}
 			} else {
-				// Unprotected: recycled. Bump the debug generation so tests
-				// can detect (HP/EBR) or account for (OA) stale accesses.
-				t.view.BumpGen(slot)
+				// Unprotected: recycled.
+				if onRecycle != nil {
+					onRecycle(slot)
+				}
 				if readyBlk == pools.NoBlock {
 					readyBlk = m.ba.Get()
 					readyB = m.ba.B(readyBlk)

@@ -49,12 +49,13 @@ func TestVisitPublishesEveryK(t *testing.T) {
 
 func TestAnchorProtectsKSegment(t *testing.T) {
 	m := newAnchors(t, sizing.Config{MaxThreads: 2, Capacity: 256, AnchorsK: 4, ScanThreshold: 1})
+	rec := recycles(m)
 	w, tr := m.Guard(0), m.Guard(1)
 	// Build a chain a -> b -> c.
 	a, b, c := w.Alloc(), w.Alloc(), w.Alloc()
 	w.View.At(a).next.Store(arena.MakePtr(b))
 	w.View.At(b).next.Store(arena.MakePtr(c))
-	genB, genC := m.Arena().Gen(b), m.Arena().Gen(c)
+	genB, genC := rec.Gen(b), rec.Gen(c)
 
 	// Traverser anchors at a and stays inside its operation.
 	tr.Begin()
@@ -71,7 +72,7 @@ func TestAnchorProtectsKSegment(t *testing.T) {
 		w.Retire(w.Alloc())
 		w.End()
 	}
-	if m.Arena().Gen(b) != genB || m.Arena().Gen(c) != genC {
+	if rec.Gen(b) != genB || rec.Gen(c) != genC {
 		t.Fatal("anchored segment was reclaimed")
 	}
 	tr.End()
@@ -80,17 +81,18 @@ func TestAnchorProtectsKSegment(t *testing.T) {
 		w.Retire(w.Alloc())
 		w.End()
 	}
-	if m.Arena().Gen(b) == genB && m.Arena().Gen(c) == genC {
+	if rec.Gen(b) == genB && rec.Gen(c) == genC {
 		t.Fatal("segment never reclaimed after the anchor lifted")
 	}
 }
 
 func TestEraGracePeriod(t *testing.T) {
 	m := newAnchors(t, sizing.Config{MaxThreads: 2, Capacity: 128, AnchorsK: 1000, ScanThreshold: 1})
+	rec := recycles(m)
 	runner, w := m.Guard(0), m.Guard(1)
 	runner.Begin() // long-running op, no anchor on the node
 	s := w.Alloc()
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	w.Begin()
 	w.Retire(s)
 	w.End()
@@ -99,7 +101,7 @@ func TestEraGracePeriod(t *testing.T) {
 		w.Retire(w.Alloc())
 		w.End()
 	}
-	if m.Arena().Gen(s) != gen {
+	if rec.Gen(s) != gen {
 		t.Fatal("slot freed while a pre-retire operation was still running")
 	}
 	runner.End()
@@ -108,7 +110,7 @@ func TestEraGracePeriod(t *testing.T) {
 		w.Retire(w.Alloc())
 		w.End()
 	}
-	if m.Arena().Gen(s) == gen {
+	if rec.Gen(s) == gen {
 		t.Fatal("slot never freed after the operation ended")
 	}
 }

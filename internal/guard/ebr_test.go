@@ -29,13 +29,14 @@ func TestEpochAdvancesWhenQuiescent(t *testing.T) {
 
 func TestGracePeriodBeforeFree(t *testing.T) {
 	m := newEBR(t, sizing.Config{MaxThreads: 1, Capacity: 64, OpsPerScan: 1})
+	rec := recycles(m)
 	g := m.Guard(0)
 	g.Begin()
 	s := g.Alloc()
 	g.Retire(s)
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	g.End()
-	if m.Arena().Gen(s) != gen {
+	if rec.Gen(s) != gen {
 		t.Fatal("slot freed with no grace period")
 	}
 	// Three epoch turns guarantee the retire generation is freed.
@@ -43,7 +44,7 @@ func TestGracePeriodBeforeFree(t *testing.T) {
 		g.Begin()
 		g.End()
 	}
-	if m.Arena().Gen(s) == gen {
+	if rec.Gen(s) == gen {
 		t.Fatal("slot never freed after grace period")
 	}
 }
@@ -53,10 +54,11 @@ func TestGracePeriodBeforeFree(t *testing.T) {
 // it must survive until that operation ends.
 func TestRetireOutlivesReadersOfANewerEpoch(t *testing.T) {
 	m := newEBR(t, sizing.Config{MaxThreads: 3, Capacity: 64, OpsPerScan: 1})
+	rec := recycles(m)
 	retirer, reader, advancer := m.Guard(0), m.Guard(1), m.Guard(2)
 	retirer.Begin()
 	s := retirer.Alloc()
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	advancer.Begin() // the retirer announced the current epoch: advance
 	advancer.End()
 	reader.Begin() // announced at the newer epoch, while s is still linked
@@ -64,7 +66,7 @@ func TestRetireOutlivesReadersOfANewerEpoch(t *testing.T) {
 	retirer.End()
 	advancer.Begin()
 	advancer.End()
-	if m.Arena().Gen(s) != gen {
+	if rec.Gen(s) != gen {
 		t.Fatal("slot freed while an operation that could reach it still runs")
 	}
 	reader.End()
@@ -72,7 +74,7 @@ func TestRetireOutlivesReadersOfANewerEpoch(t *testing.T) {
 		retirer.Begin()
 		retirer.End()
 	}
-	if m.Arena().Gen(s) == gen {
+	if rec.Gen(s) == gen {
 		t.Fatal("slot never freed after the reader ended")
 	}
 }

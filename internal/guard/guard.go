@@ -145,6 +145,12 @@ func (m *Manager[N]) Guard(id int) *Guard[N] { return m.guards[id] }
 // Arena exposes node storage.
 func (m *Manager[N]) Arena() *arena.Arena[N] { return m.pool.nodes }
 
+// OnRecycle installs fn as the manager's recycle hook: the pool calls it
+// with each slot a scheme frees for reallocation. It is a test seam
+// (smr.Gens records generations through it) and must be installed before
+// any thread runs. Without one, a free costs a nil check.
+func (m *Manager[N]) OnRecycle(fn func(slot uint32)) { m.pool.onRecycle = fn }
+
 // Stats aggregates counters across threads. The counter blocks are atomic,
 // so Stats may run while workers do (monitoring endpoints, harness
 // snapshots). Phases is the epoch under EBR, the era under Anchors (which

@@ -10,6 +10,7 @@ import (
 
 func TestRetireNeverRecycles(t *testing.T) {
 	m := newMgr(t, smr.NoRecl, sizing.Config{MaxThreads: 1, Capacity: 16}, 0)
+	rec := recycles(m)
 	g := m.Guard(0)
 	seen := map[uint32]bool{}
 	for i := 0; i < 1000; i++ {
@@ -19,7 +20,7 @@ func TestRetireNeverRecycles(t *testing.T) {
 		}
 		seen[s] = true
 		g.Retire(s)
-		if m.Arena().Gen(s) != 0 {
+		if rec.Gen(s) != 0 {
 			t.Fatal("NoRecl must never bump generations")
 		}
 	}

@@ -11,15 +11,16 @@ import (
 
 func TestProtectBlocksReclaim(t *testing.T) {
 	m := newMgr(t, smr.HP, sizing.Config{MaxThreads: 2, Capacity: 64, ScanThreshold: 4}, 3)
+	rec := recycles(m)
 	w, g := m.Guard(0), m.Guard(1)
 	s := w.Alloc()
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	g.Protect(0, arena.MakePtr(s))
 	w.Retire(s)
 	for i := 0; i < 200; i++ { // force many scans
 		w.Retire(w.Alloc())
 	}
-	if m.Arena().Gen(s) != gen {
+	if rec.Gen(s) != gen {
 		t.Fatal("protected slot was freed")
 	}
 	if len(w.retired) == 0 {
@@ -29,22 +30,23 @@ func TestProtectBlocksReclaim(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		w.Retire(w.Alloc())
 	}
-	if m.Arena().Gen(s) == gen {
+	if rec.Gen(s) == gen {
 		t.Fatal("slot never freed after protection cleared")
 	}
 }
 
 func TestProtectUnmarksPointers(t *testing.T) {
 	m := newMgr(t, smr.HP, sizing.Config{MaxThreads: 2, Capacity: 64, ScanThreshold: 2}, 1)
+	rec := recycles(m)
 	w, g := m.Guard(0), m.Guard(1)
 	s := w.Alloc()
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	g.Protect(0, arena.MakePtr(s).Mark()) // marked handle must still protect
 	w.Retire(s)
 	for i := 0; i < 100; i++ {
 		w.Retire(w.Alloc())
 	}
-	if m.Arena().Gen(s) != gen {
+	if rec.Gen(s) != gen {
 		t.Fatal("marked-handle protection failed")
 	}
 }

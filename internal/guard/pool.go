@@ -25,6 +25,8 @@ type pool[N any] struct {
 	free      pools.CountedStack
 	reset     func(*N)
 	localPool int32
+	// onRecycle, when set, sees every slot free returns (OnRecycle).
+	onRecycle func(slot uint32)
 }
 
 // init pre-charges the pool with capacity slots, in blocks of localPool
@@ -75,11 +77,13 @@ func (g *Guard[N]) alloc() uint32 {
 	}
 }
 
-// free returns a slot to the pool through the guard's free block. The
-// slot's generation is bumped: it may be reallocated.
+// free returns a slot to the pool through the guard's free block, where
+// it may be reallocated: the slot is recycled.
 func (g *Guard[N]) free(slot uint32) {
 	p := &g.m.pool
-	p.nodes.BumpGen(slot)
+	if p.onRecycle != nil {
+		p.onRecycle(slot)
+	}
 	if g.freeBlk == pools.NoBlock {
 		g.freeBlk = p.ba.Get()
 	}

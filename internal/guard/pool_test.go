@@ -28,6 +28,14 @@ func newMgr(t testing.TB, sc smr.Scheme, c sizing.Config, hps int) *Manager[tnod
 	return m
 }
 
+// recycles installs a generation counter as m's recycle hook, before any
+// thread runs: rec.Gen(slot) counts the frees that recycled slot.
+func recycles(m *Manager[tnode]) *smr.Gens {
+	rec := new(smr.Gens)
+	m.OnRecycle(rec.Bump)
+	return rec
+}
+
 func TestAllocZeroes(t *testing.T) {
 	g := newMgr(t, smr.NoRecl, sizing.Config{Capacity: 16, LocalPool: 4}, 0).Guard(0)
 	s := g.alloc()
@@ -45,12 +53,13 @@ func TestAllocZeroes(t *testing.T) {
 
 func TestFreeBumpsGeneration(t *testing.T) {
 	m := newMgr(t, smr.NoRecl, sizing.Config{Capacity: 16, LocalPool: 4}, 0)
+	rec := recycles(m)
 	g := m.Guard(0)
 	s := g.alloc()
-	gen := m.Arena().Gen(s)
+	gen := rec.Gen(s)
 	g.free(s)
-	if m.Arena().Gen(s) != gen+1 {
-		t.Fatalf("free did not bump generation: %d -> %d", gen, m.Arena().Gen(s))
+	if rec.Gen(s) != gen+1 {
+		t.Fatalf("free did not bump generation: %d -> %d", gen, rec.Gen(s))
 	}
 }
 

@@ -35,6 +35,8 @@ func readerPins(t *testing.T, sc smr.Scheme, key uint64, threshold int) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := new(smr.Gens) // the slots' generations, bumped on every free
+	e.OnRecycle(rec.Bump)
 	var root arena.Link
 	reader, writer := e.Thread(0).(*guardedThread), e.Thread(1)
 	for k := uint64(1); k <= 3; k++ {
@@ -52,10 +54,9 @@ func readerPins(t *testing.T, sc smr.Scheme, key uint64, threshold int) {
 	if sc == smr.HP && key == 2 {
 		pinned = append(pinned, first) // prev
 	}
-	a := e.Arena()
 	gens := make([]uint32, len(pinned))
 	for i, slot := range pinned {
-		gens[i] = a.Gen(slot)
+		gens[i] = rec.Gen(slot)
 	}
 	churn := func() {
 		for i := 0; i < 4*threshold; i++ {
@@ -74,14 +75,14 @@ func readerPins(t *testing.T, sc smr.Scheme, key uint64, threshold int) {
 		t.Fatalf("churn ran no scan: %+v", st)
 	}
 	for i, slot := range pinned {
-		if a.Gen(slot) != gens[i] {
+		if rec.Gen(slot) != gens[i] {
 			t.Fatalf("pinned node %d recycled while the reader still protects it", i)
 		}
 	}
 	reader.g.End()
 	churn()
 	for i, slot := range pinned {
-		if a.Gen(slot) == gens[i] {
+		if rec.Gen(slot) == gens[i] {
 			t.Fatalf("pinned node %d not recycled after the reader's guard ended", i)
 		}
 	}

@@ -266,6 +266,8 @@ func TestCommitAll(t *testing.T) {
 func TestReleaseClearsHazardPointers(t *testing.T) {
 	e, root := newEngine(t, 2, 4096)
 	mgr := e.Manager()
+	rec := new(smr.Gens) // the slots' generations, bumped on every recycle
+	mgr.OnRecycle(rec.Bump)
 	c, err := e.Acquire()
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +282,7 @@ func TestReleaseClearsHazardPointers(t *testing.T) {
 		t.Fatalf("Find(1) = %+v restart=%v, want key 1 behind the root", pos, restart)
 	}
 	victim := pos.Cur.Slot()
-	gen := mgr.Arena().Gen(victim)
+	gen := rec.Gen(victim)
 	if !oakit.Delete(c, root, 1) {
 		t.Fatal("delete failed")
 	}
@@ -304,7 +306,7 @@ func TestReleaseClearsHazardPointers(t *testing.T) {
 	if left := mgr.Quiesce(); left != 0 {
 		t.Fatalf("Quiesce withheld %d nodes after Release", left)
 	}
-	if mgr.Arena().Gen(victim) == gen {
+	if rec.Gen(victim) == gen {
 		t.Fatal("the node the released context last pinned was not recycled")
 	}
 	if st := e.Stats(); st.Retires != 1 {

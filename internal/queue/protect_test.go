@@ -21,15 +21,16 @@ func TestReaderPinsRetiredNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := qq.(*guarded)
+	rec := new(smr.Gens) // the slots' generations, bumped on every free
+	q.OnRecycle(rec.Bump)
 	reader, writer := q.QueueSession(0).(*session), q.QueueSession(1)
 	writer.Enqueue(1)
 	first, _, next, ok := reader.head()
 	if !ok {
 		t.Fatal("head moved under a single-threaded reader")
 	}
-	a := q.Arena()
 	pinned := []uint32{first.Slot(), next.Slot()}
-	gens := []uint32{a.Gen(first.Slot()), a.Gen(next.Slot())}
+	gens := []uint32{rec.Gen(first.Slot()), rec.Gen(next.Slot())}
 	churn := func() {
 		for i := 0; i < 4*threshold; i++ {
 			writer.Enqueue(uint64(i))
@@ -44,14 +45,14 @@ func TestReaderPinsRetiredNode(t *testing.T) {
 		t.Fatalf("churn ran no scan: %+v", st)
 	}
 	for i, slot := range pinned {
-		if a.Gen(slot) != gens[i] {
+		if rec.Gen(slot) != gens[i] {
 			t.Fatalf("pinned node %d recycled while the reader still protects it", i)
 		}
 	}
 	reader.g.End()
 	churn()
 	for i, slot := range pinned {
-		if a.Gen(slot) == gens[i] {
+		if rec.Gen(slot) == gens[i] {
 			t.Fatalf("pinned node %d not recycled after the reader's guard ended", i)
 		}
 	}

@@ -21,6 +21,8 @@ func TestReaderPinsRetiredNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	sl := set.(*guarded)
+	rec := new(smr.Gens) // the slots' generations, bumped on every free
+	sl.OnRecycle(rec.Bump)
 	reader, writer := sl.Session(0).(*session), sl.Session(1)
 	const keys = 32
 	for k := uint64(1); k <= keys; k++ {
@@ -30,13 +32,12 @@ func TestReaderPinsRetiredNode(t *testing.T) {
 		t.Fatal("find did not find key 2")
 	}
 	pinned := map[uint32]uint32{} // slot → generation
-	a := sl.Arena()
 	for l := 0; l < MaxLevel; l++ {
 		if p := reader.preds[l]; p != sl.head {
-			pinned[p] = a.Gen(p)
+			pinned[p] = rec.Gen(p)
 		}
 		if s := reader.succs[l]; !s.IsNil() {
-			pinned[s.Slot()] = a.Gen(s.Slot())
+			pinned[s.Slot()] = rec.Gen(s.Slot())
 		}
 	}
 	churn := func() {
@@ -56,14 +57,14 @@ func TestReaderPinsRetiredNode(t *testing.T) {
 		t.Fatalf("churn ran no scan: %+v", st)
 	}
 	for slot, gen := range pinned {
-		if a.Gen(slot) != gen {
+		if rec.Gen(slot) != gen {
 			t.Fatalf("pinned slot %d recycled while the reader still protects it", slot)
 		}
 	}
 	reader.g.End()
 	churn()
 	for slot, gen := range pinned {
-		if a.Gen(slot) == gen {
+		if rec.Gen(slot) == gen {
 			t.Fatalf("pinned slot %d not recycled after the reader's guard ended", slot)
 		}
 	}

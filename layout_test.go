@@ -89,16 +89,18 @@ func TestCapacityCountsEntries(t *testing.T) {
 }
 
 // Building a structure allocates what its capacity asks for and little
-// more: capacity nodes and their 4-byte generations, the block pool's
-// bound (pools.BlockBound) of 516-byte blocks (a Block and its
-// generation), the bucket array, and 64 KiB for everything else. Checked
-// at the capacity of bench/'s structure workloads, under OA and NoRecl.
-// When the block arena rounded its 497 blocks up to one chunk of 16,384,
-// the OA hash set allocated 9.65 MB here, 8.3 MB of it that chunk.
+// more: capacity nodes, the block pool's bound (pools.BlockBound) of
+// 512-byte blocks, the bucket array, and 64 KiB for everything else.
+// Checked at the capacity of bench/'s structure workloads, under OA and
+// NoRecl. When the block arena rounded its 497 blocks up to one chunk of
+// 16,384, the OA hash set allocated 9.65 MB here, 8.3 MB of it that
+// chunk. The bound leaves no room for a per-slot array beside the nodes:
+// the 4-byte generations the arenas kept until they became a test-only
+// observation were 242 KB at this capacity, past the 64 KiB of slack.
 func TestConstructionFootprint(t *testing.T) {
 	const capacity = 10000 + 50000 + 4*126 + 64 // prefill, δ, the pools' float
 	const expected = 10000
-	blocks := uintptr(pools.BlockBound(capacity, pools.BlockCap, 1)) * (unsafe.Sizeof(pools.Block{}) + 4)
+	blocks := uintptr(pools.BlockBound(capacity, pools.BlockCap, 1)) * unsafe.Sizeof(pools.Block{})
 	for _, c := range []struct {
 		name          string
 		build         func(...oamem.Option) (*oamem.Structure, error)
@@ -118,7 +120,7 @@ func TestConstructionFootprint(t *testing.T) {
 			}
 			runtime.KeepAlive(st)
 			got := after.TotalAlloc - before.TotalAlloc
-			bound := uint64(capacity*(c.node+4) + blocks + c.buckets + 64<<10)
+			bound := uint64(capacity*c.node + blocks + c.buckets + 64<<10)
 			if got > bound {
 				t.Errorf("%s/%v: building allocated %d bytes, want at most %d", c.name, sc, got, bound)
 			}

@@ -12,10 +12,9 @@
 # of guard.Guard inlining. Under every scheme the dereference ends in
 # arena.View.At, the one node lookup (the flat region, else the chunk
 # directory), which must inline at OA sites (oakit and the oa.go files)
-# and at guard sites (the plain.go files) alike; the drain's generation
-# bump, View.BumpGen, must inline too. So must oakit.Link, which resolves a
-# chain predecessor's next link (or the root link) for every commit: it
-# sits a few units under the budget. And so must the three methods of
+# and at guard sites (the plain.go files) alike. So must oakit.Link,
+# which resolves a chain predecessor's next link (or the root link) for
+# every commit: it sits a few units under the budget. And so must the three methods of
 # arena.Link, the 32-bit link word every hop loads and every commit CASes
 # (Load, Store, CompareAndSwap), at OA sites and guard sites alike. Off the
 # per-hop path, Ctx.Release's double-release swap (atomic.Bool.Swap, through
@@ -25,7 +24,7 @@
 # The gate compiles the structure packages twice. With -gcflags=-m, the
 # compiler must report `inlining call to` for Check, Node, View.At and the
 # Link methods, and for every Guard hook. With -gcflags=-S, their assembly
-# must hold no CALL to any of them, to View.BumpGen or to the swap, which
+# must hold no CALL to any of them or to the swap, which
 # is what makes the check cover every call site: a site that did not
 # inline is a CALL. The only calls
 # left on those paths are the ones kept out of line on purpose — the
@@ -75,12 +74,12 @@ done
 
 # A CALL left behind by a call site that did not inline.
 calls=$(grep -E $'\tCALL\t' "$tmp/S" |
-	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.(At|BumpGen)\(SB\)|arena\.\(\*Link\)\.(Load|Store|CompareAndSwap)\(SB\)|oakit\.Link\[.*\]\(SB\)|oakit\.release\(SB\)|sync/atomic\.\(\*Bool\)\.Swap\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
+	grep -E 'core\.\(\*Thread\[.*\]\)\.([Cc]heck|Node)\(SB\)|core\.\(\*warning\)\.check\(SB\)|arena\.\(\*View\[.*\]\)\.At\(SB\)|arena\.\(\*Link\)\.(Load|Store|CompareAndSwap)\(SB\)|oakit\.Link\[.*\]\(SB\)|oakit\.release\(SB\)|sync/atomic\.\(\*Bool\)\.Swap\(SB\)|guard\.\(\*Guard\[.*\]\)\.[A-Z][A-Za-z]*\(SB\)' || true)
 if [ -n "$calls" ]; then
 	echo "inline: call sites that did not inline:" >&2
 	echo "$calls" | sed -E 's/^[^(]*\(([^)]*)\).*CALL\t/  \1: /; s/go\.shape\.[^]]*\]/…]/g' >&2
 	fail=1
 else
-	echo "inline: no CALL to Check, Node, View.At, View.BumpGen, oakit.Link, a Link method, a Guard hook or Bool.Swap"
+	echo "inline: no CALL to Check, Node, View.At, oakit.Link, a Link method, a Guard hook or Bool.Swap"
 fi
 exit "$fail"
